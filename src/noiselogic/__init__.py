@@ -16,6 +16,7 @@ from .errors import (
     FamilyMismatchError,
     GenerationError,
     InvalidLogicValueError,
+    InvariantError,
     LengthMismatchError,
     NetlistError,
     NoiseLogicError,

@@ -32,6 +32,7 @@ from .signals import SPIKE, GeneratorConfig, universe_rtw, universe_spike
 from .simulator import (
     BACKENDS,
     ambiguity_monte_carlo,
+    backend_family,
     min_steps_for,
     rounded_steps_for,
     run,
@@ -62,8 +63,9 @@ seed_option = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=
                            show_default=True, help="64-bit generator seed.")
 steps_option = click.option("--steps", type=int, default=256, show_default=True,
                             help="Clock steps per waveform.")
+# Default: the RTW backend with the multiplicative NOT, second in the table.
 backend_option = click.option("--backend", type=click.Choice(BACKENDS),
-                              default="rtw-multiplicative-not", show_default=True)
+                              default=BACKENDS[1], show_default=True)
 rate_options = (
     click.option("--rate-h", type=float, default=0.25, show_default=True,
                  help="Per-step spike probability of the High reference."),
@@ -95,7 +97,8 @@ def cmd_gen(seed, steps, backend, rate_h, rate_l, out, fmt) -> None:
     """Emit a reference pair and its universe (columns H, L, U)."""
     try:
         config = GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate_h, spike_rate_l=rate_l)
-        if backend == "spike":
+        family = backend_family(backend)
+        if family == SPIKE:
             pair = gen_orthogonal_spike_pair(config)
             universe = universe_spike(pair)
         else:
@@ -108,7 +111,7 @@ def cmd_gen(seed, steps, backend, rate_h, rate_l, out, fmt) -> None:
         _emit(format_waveform_csv(columns), out)
     else:
         doc = {
-            "family": SPIKE if backend == "spike" else "rtw",
+            "family": family,
             "seed": seed,
             "steps": steps,
             "H": pair.h.to_list(),

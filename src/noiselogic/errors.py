@@ -33,6 +33,10 @@ class AmbiguousWindowError(NoiseLogicError):
     """The observation window contains no step that can decide a logic value."""
 
 
+class InvariantError(NoiseLogicError):
+    """An internal identity the package checks on itself does not hold."""
+
+
 class NetlistError(NoiseLogicError):
     """Problem in a textual netlist; carries the offending line number when known."""
 

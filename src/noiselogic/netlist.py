@@ -51,6 +51,9 @@ GATE_ARITY = {
     "XNOR": 2,
 }
 
+# The universal basis every network lowers to.
+PRIMITIVE_ARITY = {"NOT": 1, "AND": 2}
+
 _RESERVED = {"input", "wire", "output"}
 
 _BOOL_FN = {
@@ -109,7 +112,7 @@ class CompiledNetwork:
         return self.wires.index(name)
 
     def gate_counts(self) -> dict[str, int]:
-        counts = {"NOT": 0, "AND": 0}
+        counts = dict.fromkeys(PRIMITIVE_ARITY, 0)
         for gate in self.gates:
             counts[gate.op] += 1
         return counts
@@ -132,28 +135,58 @@ class CompiledNetwork:
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledNetwork":
-        doc = json.loads(text)
-        wires = list(doc["inputs"])
+        """Load a network written by :meth:`to_json`, rejecting malformed documents."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise NetlistError(f"compiled network is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise NetlistError("compiled network must be a JSON object")
+        inputs = _json_names(doc, "inputs")
+        if len(set(inputs)) != len(inputs):
+            raise NetlistError("compiled network declares an input twice")
+        wires = list(inputs)
         index = {name: i for i, name in enumerate(wires)}
         gates = []
-        for g in doc["gates"]:
-            if g["op"] not in ("NOT", "AND"):
-                raise NetlistError(f"compiled network contains non-primitive op {g['op']!r}")
+        gate_docs = doc.get("gates")
+        if not isinstance(gate_docs, list):
+            raise NetlistError("compiled network needs a 'gates' list")
+        for g in gate_docs:
+            if not isinstance(g, dict):
+                raise NetlistError("every compiled gate must be a JSON object")
+            op = g.get("op")
+            if not isinstance(op, str) or op not in PRIMITIVE_ARITY:
+                raise NetlistError(f"compiled network contains non-primitive op {op!r}")
+            arg_names = _json_names(g, "args")
+            if len(arg_names) != PRIMITIVE_ARITY[op]:
+                raise NetlistError(
+                    f"{op} takes {PRIMITIVE_ARITY[op]} argument(s), got {len(arg_names)}"
+                )
             try:
-                args = tuple(index[a] for a in g["args"])
+                args = tuple(index[a] for a in arg_names)
             except KeyError as exc:
                 raise NetlistError(f"gate argument {exc.args[0]!r} precedes its definition")
-            out_name = g["out"]
+            out_name = g.get("out")
+            src = g.get("src", out_name)
+            if not isinstance(out_name, str) or not isinstance(src, str):
+                raise NetlistError("gate 'out' and 'src' must be strings")
             if out_name in index:
                 raise NetlistError(f"wire {out_name!r} defined twice")
             index[out_name] = len(wires)
             wires.append(out_name)
-            gates.append(CompiledGate(g["op"], args, index[out_name], g.get("src", out_name)))
-        outputs = tuple(doc["outputs"])
+            gates.append(CompiledGate(op, args, index[out_name], src))
+        outputs = _json_names(doc, "outputs")
         for name in outputs:
             if name not in index:
                 raise NetlistError(f"output {name!r} is never defined")
-        return cls(tuple(wires), tuple(doc["inputs"]), outputs, tuple(gates))
+        return cls(tuple(wires), inputs, outputs, tuple(gates))
+
+
+def _json_names(doc: dict, key: str) -> tuple[str, ...]:
+    names = doc.get(key)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise NetlistError(f"compiled network field {key!r} must be a list of names")
+    return tuple(names)
 
 
 def parse(text: str) -> NetlistAst:

@@ -9,17 +9,20 @@ multiplicative one, input times both references, which stays entirely in
 whose first factor vanishes whenever an input equals the Low reference and
 collapses to H via the cube identity (H - L)**3 == 4 * (H - L) when both
 inputs are High.  All arithmetic is exact integer arithmetic; the quarter
-factor is an asserted-exact integer division, never a float.
+factor is a checked-exact integer division, never a float.
 
 The additive NOT and the AND gate demand logic-valued inputs (exact copies
 of a reference) because their algebra promises nothing for arbitrary
 waveforms.  The multiplicative NOT is closed over any +1/-1 wave and
 accepts them; this asymmetry is deliberate and documented.
+
+Derived gates (OR, NAND, XOR, ...) are not defined here: the netlist
+lowering table is the one place where they are composed from NOT and AND.
 """
 
 import numpy as np
 
-from .errors import FamilyMismatchError, InvalidLogicValueError, LengthMismatchError
+from .errors import FamilyMismatchError, InvariantError
 from .generators import gen_rtw_pair
 from .signals import (
     RTW,
@@ -60,67 +63,26 @@ class RtwGateContext:
     def steps(self) -> int:
         return self.pair.steps
 
-    def require_logic_value(self, x: RtwSignal, role: str = "input") -> None:
-        """Reject waveforms that are not an exact copy of High or Low."""
-        self.require_length(x)
-        if not (x == self.pair.h or x == self.pair.l):
-            raise InvalidLogicValueError(
-                f"{role} matches neither the High nor the Low reference"
-            )
-
-    def require_length(self, x: RtwSignal) -> None:
-        if len(x) != self.steps:
-            raise LengthMismatchError(
-                f"input has {len(x)} steps, context has {self.steps}"
-            )
-
 
 def not_additive(ctx: RtwGateContext, x: RtwSignal) -> RtwSignal:
     """NOT as universe minus input; defined only for logic-valued inputs."""
-    ctx.require_logic_value(x)
+    ctx.pair.check_gate_input(x, RTW)
     return RtwSignal(ctx.universe.values - x.values)
 
 
 def not_multiplicative(ctx: RtwGateContext, x: RtwSignal) -> RtwSignal:
     """NOT as x * H * L; closed over arbitrary +1/-1 waveforms."""
-    ctx.require_length(x)
+    ctx.pair.check_gate_input(x, RTW, exact=False)
     return RtwSignal(x.values * ctx._hl)
 
 
 def and_gate(ctx: RtwGateContext, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
     """AND via the cubic reference polynomial; L absorbs, (H, H) gives H."""
-    ctx.require_logic_value(x1, "first input")
-    ctx.require_logic_value(x2, "second input")
+    ctx.pair.check_gate_input(x1, RTW, "first input")
+    ctx.pair.check_gate_input(x2, RTW, "second input")
     l = ctx.pair.l.values
     cube = ctx.difference.values * (x1.values - l) * (x2.values - l)
     # Values are {-8, 0, +8} for logic inputs, so the quarter is exact.
-    assert not np.any(cube % 4), "gate polynomial produced a non-divisible value"
+    if np.any(cube % 4):
+        raise InvariantError("gate polynomial produced a non-divisible value")
     return RtwSignal(cube // 4 + l)
-
-
-def or_gate(ctx: RtwGateContext, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
-    return not_multiplicative(
-        ctx, and_gate(ctx, not_multiplicative(ctx, x1), not_multiplicative(ctx, x2))
-    )
-
-
-def nand_gate(ctx: RtwGateContext, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
-    return not_multiplicative(ctx, and_gate(ctx, x1, x2))
-
-
-def nor_gate(ctx: RtwGateContext, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
-    return not_multiplicative(ctx, or_gate(ctx, x1, x2))
-
-
-def xor_gate(ctx: RtwGateContext, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
-    # Canonical decomposition, frozen for reproducibility:
-    # XOR(a, b) = OR(AND(a, NOT b), AND(NOT a, b)).
-    return or_gate(
-        ctx,
-        and_gate(ctx, x1, not_multiplicative(ctx, x2)),
-        and_gate(ctx, not_multiplicative(ctx, x1), x2),
-    )
-
-
-def xnor_gate(ctx: RtwGateContext, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
-    return not_multiplicative(ctx, xor_gate(ctx, x1, x2))

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     FamilyMismatchError,
+    InvalidLogicValueError,
     LengthMismatchError,
     OrthogonalityError,
 )
@@ -188,6 +189,23 @@ class LogicReferencePair:
     @property
     def steps(self) -> int:
         return len(self.h)
+
+    def check_gate_input(self, x: Waveform, family: str, role: str = "input",
+                         *, exact: bool = True) -> None:
+        """Reject a gate input that does not fit this pair.
+
+        The pair must belong to ``family`` and ``x`` must span the pair's
+        steps; with ``exact`` it must also be an exact copy of High or Low,
+        the only inputs the gate algebra makes promises about.
+        """
+        if self.family != family:
+            raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
+        if len(x) != self.steps:
+            raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
+        if exact and not (x == self.h or x == self.l):
+            raise InvalidLogicValueError(
+                f"{role} matches neither the High nor the Low reference"
+            )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LogicReferencePair):

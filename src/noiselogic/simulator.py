@@ -21,11 +21,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rtw_gates, spike_gates
-from .errors import ConfigError, NetlistError
+from .errors import ConfigError, InvariantError, NetlistError
 from .generators import gen_orthogonal_spike_pair, rtw_sign_matrix
-from .netlist import CompiledNetwork, NetlistAst, eval_boolean, lower
+from .netlist import CompiledNetwork, NetlistAst, _check_assignment, eval_boolean, lower
 from .prng import SplitMix64, derive_seed
 from .signals import (
+    RTW,
+    SPIKE,
     Classification,
     GeneratorConfig,
     Verdict,
@@ -34,8 +36,6 @@ from .signals import (
     universe_spike,
 )
 
-BACKENDS = ("rtw-additive-not", "rtw-multiplicative-not", "spike")
-
 EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Child-stream index reserved for drawing sampled assignments, far away
@@ -43,12 +43,49 @@ EXHAUSTIVE_INPUT_LIMIT = 20
 _SAMPLE_STREAM = 2**48
 
 
-class _RtwBackend:
-    def __init__(self, name: str, config: GeneratorConfig, additive: bool):
+def _rtw_context(config: GeneratorConfig):
+    ctx = rtw_gates.RtwGateContext.from_config(config)
+    return ctx, ctx.pair
+
+
+def _spike_context(config: GeneratorConfig):
+    pair = gen_orthogonal_spike_pair(config)
+    return pair, pair
+
+
+# Family -> (gate-context factory, gate module); backend name -> (family,
+# NOT kernel, AND kernel).  Kernels are looked up on their module each time
+# a backend is built, so a rebound module attribute (e.g. an instrumenting
+# wrapper) is honoured.
+_FAMILY_GATES = {RTW: (_rtw_context, rtw_gates), SPIKE: (_spike_context, spike_gates)}
+_BACKEND_TABLE = {
+    "rtw-additive-not": (RTW, "not_additive", "and_gate"),
+    "rtw-multiplicative-not": (RTW, "not_multiplicative", "and_gate"),
+    "spike": (SPIKE, "spike_not", "spike_and"),
+}
+
+BACKENDS = tuple(_BACKEND_TABLE)
+
+
+def backend_family(name: str) -> str:
+    """Logic family (``RTW`` or ``SPIKE``) that a backend runs on."""
+    if name not in _BACKEND_TABLE:
+        raise ConfigError(f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}")
+    return _BACKEND_TABLE[name][0]
+
+
+class _Backend:
+    """One drawn reference pair and its family's (NOT, AND) kernels."""
+
+    def __init__(self, name: str, config: GeneratorConfig):
+        make_context, module = _FAMILY_GATES[backend_family(name)]
+        _, not_name, and_name = _BACKEND_TABLE[name]
         self.name = name
-        self.ctx = rtw_gates.RtwGateContext.from_config(config)
-        self.pair = self.ctx.pair
-        self._additive = additive
+        self.ctx, self.pair = make_context(config)
+        self._not = getattr(module, not_name)
+        self._and = getattr(module, and_name)
+        # First step where the references differ; for a spike pair, whose
+        # trains are disjoint, that is the first universe spike.
         differs = self.pair.h.values != self.pair.l.values
         self.decision_step = int(np.argmax(differs)) if differs.any() else None
 
@@ -56,40 +93,15 @@ class _RtwBackend:
         return self.pair.h if bit else self.pair.l
 
     def not_(self, x: Waveform) -> Waveform:
-        if self._additive:
-            return rtw_gates.not_additive(self.ctx, x)
-        return rtw_gates.not_multiplicative(self.ctx, x)
+        return self._not(self.ctx, x)
 
     def and_(self, a: Waveform, b: Waveform) -> Waveform:
-        return rtw_gates.and_gate(self.ctx, a, b)
+        return self._and(self.ctx, a, b)
 
 
-class _SpikeBackend:
-    def __init__(self, name: str, config: GeneratorConfig):
-        self.name = name
-        self.pair = gen_orthogonal_spike_pair(config)
-        u = universe_spike(self.pair).values
-        self.decision_step = int(np.argmax(u)) if u.any() else None
-
-    def bind(self, bit: int) -> Waveform:
-        return self.pair.h if bit else self.pair.l
-
-    def not_(self, x: Waveform) -> Waveform:
-        return spike_gates.spike_not(self.pair, x)
-
-    def and_(self, a: Waveform, b: Waveform) -> Waveform:
-        return spike_gates.spike_and(self.pair, a, b)
-
-
-def make_backend(name: str, config: GeneratorConfig):
+def make_backend(name: str, config: GeneratorConfig) -> _Backend:
     """Instantiate a backend by name; one reference pair is drawn here."""
-    if name == "rtw-additive-not":
-        return _RtwBackend(name, config, additive=True)
-    if name == "rtw-multiplicative-not":
-        return _RtwBackend(name, config, additive=False)
-    if name == "spike":
-        return _SpikeBackend(name, config)
-    raise ConfigError(f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}")
+    return _Backend(name, config)
 
 
 def _classify_wire(backend, x: Waveform) -> Classification:
@@ -107,15 +119,6 @@ def _classify_wire(backend, x: Waveform) -> Classification:
         if x == backend.pair.l:
             return Classification(Verdict.LOW, backend.decision_step)
     return classify(x, backend.pair)
-
-
-def _check_assignment(inputs, assignment) -> None:
-    missing = [name for name in inputs if name not in assignment]
-    if missing:
-        raise NetlistError(f"assignment missing input(s): {', '.join(missing)}")
-    bad = [name for name, v in assignment.items() if v not in (0, 1)]
-    if bad:
-        raise NetlistError(f"non-Boolean input value(s) for: {', '.join(bad)}")
 
 
 def _evaluate_wires(network: CompiledNetwork, backend, assignment) -> list[Waveform]:
@@ -239,19 +242,22 @@ def verify_equivalence(
     simulated network defaults to ``lower(source)`` for an AST and to the
     source itself otherwise; passing ``network`` explicitly lets callers
     check an independently produced (or deliberately corrupted) lowering
-    against the oracle.
+    against the oracle, provided it has the oracle's inputs.
 
     Up to ``EXHAUSTIVE_INPUT_LIMIT`` inputs every assignment is checked;
     beyond that a ``sample`` count is required and assignments are drawn
     uniformly from a derived stream.  Equivalence holds only with zero
     failures and zero ambiguous incidents.
     """
-    if isinstance(source, NetlistAst):
-        net = network if network is not None else lower(source)
-        oracle_source = source
+    if network is None:
+        net = lower(source) if isinstance(source, NetlistAst) else source
+    elif set(network.inputs) != set(source.inputs):
+        raise NetlistError(
+            f"network inputs ({', '.join(network.inputs)}) differ from the "
+            f"netlist inputs ({', '.join(source.inputs)})"
+        )
     else:
-        net = network if network is not None else source
-        oracle_source = source
+        net = network
     n_inputs = len(net.inputs)
     space = 2 ** n_inputs
     if sample is None:
@@ -283,7 +289,7 @@ def verify_equivalence(
     out_index = {name: net.wires.index(name) for name in net.outputs}
     for index in indices:
         assignment = _assignment_from_index(net.inputs, index)
-        expected = eval_boolean(oracle_source, assignment)
+        expected = eval_boolean(source, assignment)
         waves = _evaluate_wires(net, bk, assignment)
         report.checked += 1
         ok = True
@@ -438,7 +444,7 @@ def decision_latency(
     network: CompiledNetwork,
     config: GeneratorConfig,
     trials: int,
-    backend: str = "spike",
+    backend: str = BACKENDS[-1],
     assignment: dict[str, int] | None = None,
 ) -> LatencyReport:
     """Histogram of the step at which output values become decided.
@@ -449,7 +455,7 @@ def decision_latency(
     family is the first universe spike).  The distribution is geometric
     with per-step rate ``spike_rate_h + spike_rate_l`` for spikes and 0.5
     for RTW references; windows that cannot decide at all are tallied
-    separately.
+    separately.  The default backend is the spike one, last in ``BACKENDS``.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -473,18 +479,19 @@ def decision_latency(
             if decided is None:
                 decided = outcome.decided_at
             elif decided != outcome.decided_at:
-                raise AssertionError("outputs decided at different steps in one run")
+                raise InvariantError("outputs decided at different steps in one run")
         if decided is None:
             ambiguous_windows += 1
             continue
-        if isinstance(bk, _SpikeBackend):
+        if bk.pair.family == SPIKE:
             first_u = int(np.argmax(universe_spike(bk.pair).values))
-            assert decided == first_u, "decision step deviates from the first universe spike"
+            if decided != first_u:
+                raise InvariantError("decision step deviates from the first universe spike")
         histogram[decided] = histogram.get(decided, 0) + 1
         total += decided
     decided_trials = trials - ambiguous_windows
     mean = total / decided_trials if decided_trials else float("nan")
-    if backend == "spike":
+    if backend_family(backend) == SPIKE:
         rate = config.spike_rate_h + config.spike_rate_l
     else:
         rate = 0.5

@@ -11,39 +11,31 @@ saturating three-input adder neuron:
     NOT x      = (1 - x) & U
     x1 AND x2  = (x1 & x2 & H) | (x1 & L) | (x2 & L)
 
-Every circuit-level evaluation here is asserted against its direct
+Every circuit-level evaluation here is checked against its direct
 set-algebra formula, so the neuron wiring and the defining set identities
-can never drift apart silently.
+can never drift apart silently.  Derived gates are composed from NOT and
+AND by the netlist lowering table only.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AmbiguousWindowError,
-    FamilyMismatchError,
-    InvalidLogicValueError,
-    LengthMismatchError,
-)
+from .errors import AmbiguousWindowError, InvariantError
 from .signals import (
     SPIKE,
     Classification,
     LogicReferencePair,
     SpikeTrain,
+    _require_same_length,
     classify,
     universe_spike,
 )
 
 
-def _require_same_length(a: SpikeTrain, b: SpikeTrain) -> None:
-    if len(a) != len(b):
-        raise LengthMismatchError(f"spike trains differ in length ({len(a)} vs {len(b)})")
-
-
 def neuron_eval(excitatory: SpikeTrain, inhibitory: SpikeTrain) -> SpikeTrain:
     """Delay-free neuron: fires where the (+) input fires and the (-) input is silent."""
-    _require_same_length(excitatory, inhibitory)
+    _require_same_length(excitatory, inhibitory, "neuron")
     return SpikeTrain(excitatory.values * (1 - inhibitory.values))
 
 
@@ -57,14 +49,16 @@ def orthon_eval(a: SpikeTrain, b: SpikeTrain) -> OrthonOutputs:
 
     The first neuron takes A excitatory and B inhibitory, producing A & ~B;
     the second takes A excitatory and the first neuron's output inhibitory,
-    which leaves A & B.  Both outputs are asserted against the direct set
+    which leaves A & B.  Both outputs are checked against the direct set
     formulas.
     """
-    _require_same_length(a, b)
+    _require_same_length(a, b, "orthon")
     lower = neuron_eval(a, b)
     upper = neuron_eval(a, lower)
-    assert np.array_equal(upper.values, a.values * b.values), "orthon upper output deviates"
-    assert np.array_equal(lower.values, a.values * (1 - b.values)), "orthon lower output deviates"
+    if not np.array_equal(upper.values, a.values * b.values):
+        raise InvariantError("orthon upper output deviates")
+    if not np.array_equal(lower.values, a.values * (1 - b.values)):
+        raise InvariantError("orthon lower output deviates")
     return OrthonOutputs(upper, lower)
 
 
@@ -74,18 +68,9 @@ def adder_union(*inputs: SpikeTrain) -> SpikeTrain:
         raise ValueError("adder neuron needs at least one input")
     acc = inputs[0].values
     for train in inputs[1:]:
-        _require_same_length(inputs[0], train)
+        _require_same_length(inputs[0], train, "adder")
         acc = acc | train.values
     return SpikeTrain(acc)
-
-
-def _require_logic_value(pair: LogicReferencePair, x: SpikeTrain, role: str) -> None:
-    if pair.family != SPIKE:
-        raise FamilyMismatchError(f"spike gates need a spike pair, got {pair.family}")
-    if len(x) != pair.steps:
-        raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {pair.steps}")
-    if not (x == pair.h or x == pair.l):
-        raise InvalidLogicValueError(f"{role} matches neither reference train")
 
 
 def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
@@ -94,10 +79,11 @@ def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
     Realized as one orthon with the universe on A and the input on B,
     taking the lower (A & ~B) output; checked against (1 - x) * U.
     """
-    _require_logic_value(pair, x, "input")
+    pair.check_gate_input(x, SPIKE)
     u = universe_spike(pair)
     out = orthon_eval(u, x).difference
-    assert np.array_equal(out.values, (1 - x.values) * u.values), "NOT circuit deviates"
+    if not np.array_equal(out.values, (1 - x.values) * u.values):
+        raise InvariantError("NOT circuit deviates")
     return out
 
 
@@ -107,8 +93,8 @@ def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> Spike
     The adder unions x1 & x2 & H (two chained orthons), x1 & L and x2 & L;
     the result is checked against the direct set formula.
     """
-    _require_logic_value(pair, x1, "first input")
-    _require_logic_value(pair, x2, "second input")
+    pair.check_gate_input(x1, SPIKE, "first input")
+    pair.check_gate_input(x2, SPIKE, "second input")
     both = orthon_eval(x1, x2).intersection
     both_high = orthon_eval(both, pair.h).intersection
     x1_low = orthon_eval(x1, pair.l).intersection
@@ -119,33 +105,9 @@ def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> Spike
         | x1.values * pair.l.values
         | x2.values * pair.l.values
     )
-    assert np.array_equal(out.values, direct), "AND circuit deviates"
+    if not np.array_equal(out.values, direct):
+        raise InvariantError("AND circuit deviates")
     return out
-
-
-def spike_or(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> SpikeTrain:
-    return spike_not(pair, spike_and(pair, spike_not(pair, x1), spike_not(pair, x2)))
-
-
-def spike_nand(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> SpikeTrain:
-    return spike_not(pair, spike_and(pair, x1, x2))
-
-
-def spike_nor(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> SpikeTrain:
-    return spike_not(pair, spike_or(pair, x1, x2))
-
-
-def spike_xor(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> SpikeTrain:
-    # Same frozen decomposition as the RTW family and the netlist lowering.
-    return spike_or(
-        pair,
-        spike_and(pair, x1, spike_not(pair, x2)),
-        spike_and(pair, spike_not(pair, x1), x2),
-    )
-
-
-def spike_xnor(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> SpikeTrain:
-    return spike_not(pair, spike_xor(pair, x1, x2))
 
 
 def decision_step(pair: LogicReferencePair, y: SpikeTrain) -> int:
@@ -155,7 +117,7 @@ def decision_step(pair: LogicReferencePair, y: SpikeTrain) -> int:
     that spikes there is High or Low depending on which reference owns the
     spike, and a silent train is the other value.
     """
-    _require_logic_value(pair, y, "input")
+    pair.check_gate_input(y, SPIKE)
     outcome: Classification = classify(y, pair)
     if outcome.is_ambiguous or outcome.decided_at is None:
         raise AmbiguousWindowError(

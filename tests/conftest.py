@@ -35,6 +35,16 @@ def random_netlist_source(rng: random.Random, max_inputs: int = 8, max_gates: in
     return "\n".join(lines) + "\n"
 
 
+def eval_lowered_gate(gate: str, not_, and_, x1, x2):
+    """Evaluate ``output y = gate a b``, lowered to {NOT, AND}, with the given kernels."""
+    network = nl.lower(nl.parse(f"input a b\noutput y = {gate} a b\n"))
+    waves = [x1, x2]
+    for g in network.gates:
+        args = [waves[i] for i in g.args]
+        waves.append(not_(*args) if g.op == "NOT" else and_(*args))
+    return waves[network.wire_index("y")]
+
+
 @pytest.fixture
 def full_adder_ast() -> nl.NetlistAst:
     return nl.parse(FULL_ADDER)

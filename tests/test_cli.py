@@ -156,6 +156,32 @@ class TestVerify:
         result = runner.invoke(main, ["verify", adder_path, "--backends", "quantum"])
         assert result.exit_code == 2
 
+    _AND_GATE = {"op": "AND", "args": ["a", "b"], "out": "y", "src": "y"}
+
+    @pytest.mark.parametrize("document, message", [
+        ({"inputs": ["a", "b"], "outputs": ["y"],
+          "gates": [{**_AND_GATE, "args": ["a"]}]}, "AND takes 2 argument(s), got 1"),
+        ({"inputs": ["a", "b"], "outputs": ["y"],
+          "gates": [{**_AND_GATE, "op": "NOT"}]}, "NOT takes 1 argument(s), got 2"),
+        ([1, 2], "must be a JSON object"),
+        ('{"inputs": [', "not valid JSON"),
+        ({"inputs": ["a", "b", "a"], "outputs": ["y"], "gates": [_AND_GATE]},
+         "declares an input twice"),
+        ({"inputs": ["a", "b", "c"], "outputs": ["y"], "gates": [_AND_GATE]},
+         "differ from the netlist inputs"),
+    ], ids=["and-one-arg", "not-two-args", "not-an-object", "invalid-json",
+            "duplicate-inputs", "inputs-differ"])
+    def test_malformed_network_exit_2(self, runner, tmp_path, document, message):
+        netlist = tmp_path / "and.nl"
+        netlist.write_text("input a b\noutput y = AND a b\n")
+        net_path = tmp_path / "net.json"
+        net_path.write_text(document if isinstance(document, str) else json.dumps(document))
+        result = runner.invoke(
+            main, ["verify", str(netlist), "--steps", "16", "--network", str(net_path)]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
 
 class TestStats:
     def test_n3_analytic(self, runner):

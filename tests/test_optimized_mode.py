@@ -1,0 +1,46 @@
+"""Invariant checks must hold under ``python -O``, which strips ``assert``."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_source_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "noiselogic").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"assert statements vanish under python -O: {found}"
+
+
+_CORRUPTED_NEURON = """
+import noiselogic as nl
+from noiselogic import spike_gates
+
+if __debug__:
+    raise SystemExit("not running under -O")
+# A neuron that ignores its inhibitory input breaks the orthon identities.
+spike_gates.neuron_eval = lambda excitatory, inhibitory: excitatory
+pair = nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0, 0, 1]), nl.SpikeTrain([0, 0, 1, 0, 0]))
+try:
+    spike_gates.spike_not(pair, pair.h)
+except nl.InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def test_corrupted_spike_gate_raises_invariant_error_under_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_NEURON],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError: orthon"), proc.stdout

@@ -8,14 +8,11 @@ from noiselogic.errors import InvalidLogicValueError, LengthMismatchError
 from noiselogic.rtw_gates import (
     RtwGateContext,
     and_gate,
-    nand_gate,
-    nor_gate,
     not_additive,
     not_multiplicative,
-    or_gate,
-    xnor_gate,
-    xor_gate,
 )
+
+from conftest import eval_lowered_gate
 
 
 def _ctx(h_values, l_values):
@@ -114,37 +111,24 @@ class TestCubeIdentity:
 
 
 class TestDerivedGates:
-    TRUTH = {
-        or_gate: lambda a, b: a | b,
-        nand_gate: lambda a, b: 1 - (a & b),
-        nor_gate: lambda a, b: 1 - (a | b),
-        xor_gate: lambda a, b: a ^ b,
-        xnor_gate: lambda a, b: 1 - (a ^ b),
-    }
-
-    def test_all_derived_gates_match_boolean_oracle(self):
-        for seed in range(20):
-            ctx = RtwGateContext.from_config(nl.GeneratorConfig(seed=seed, steps=64))
-            refs = {1: ctx.h, 0: ctx.l}
-            for gate, oracle in self.TRUTH.items():
-                for a in (0, 1):
-                    for b in (0, 1):
-                        assert gate(ctx, refs[a], refs[b]) == refs[oracle(a, b)], (
-                            gate.__name__, a, b, seed)
-
+    # Derived gates exist only as lowered {NOT, AND} networks; the oracle
+    # check over drawn pairs is in test_simulator.TestLoweredDerivedGates.
     def test_spot_checks(self, ctx):
-        assert or_gate(ctx, ctx.l, ctx.l) == ctx.l
-        assert xor_gate(ctx, ctx.h, ctx.l) == ctx.h
-        assert nand_gate(ctx, ctx.h, ctx.h) == ctx.l
+        for not_gate in (not_additive, not_multiplicative):
+            kernels = (lambda x: not_gate(ctx, x), lambda a, b: and_gate(ctx, a, b))
+            assert eval_lowered_gate("OR", *kernels, ctx.l, ctx.l) == ctx.l
+            assert eval_lowered_gate("XOR", *kernels, ctx.h, ctx.l) == ctx.h
+            assert eval_lowered_gate("NAND", *kernels, ctx.h, ctx.h) == ctx.l
 
 
 class TestClosureAndLocality:
     def test_gate_outputs_always_classify(self):
         for seed in range(20):
             ctx = RtwGateContext.from_config(nl.GeneratorConfig(seed=seed, steps=64))
+            kernels = (lambda x: not_multiplicative(ctx, x), lambda a, b: and_gate(ctx, a, b))
             for out in (
                 and_gate(ctx, ctx.h, ctx.h),
-                or_gate(ctx, ctx.h, ctx.l),
+                eval_lowered_gate("OR", *kernels, ctx.h, ctx.l),
                 not_additive(ctx, ctx.h),
             ):
                 assert out == ctx.h or out == ctx.l

@@ -83,6 +83,35 @@ class TestRun:
         assert all(a.waveforms[w] == b.waveforms[w] for w in full_adder_network.wires)
 
 
+class TestLoweredDerivedGates:
+    # Pairs as the per-family gate tests draw them: 64-step RTW pairs from
+    # seeds 0-19 and 48-step spike pairs from seeds 0-9.
+    SEEDS_STEPS = {
+        "rtw-additive-not": (range(20), 64),
+        "rtw-multiplicative-not": (range(20), 64),
+        "spike": (range(10), 48),
+    }
+
+    @pytest.mark.parametrize("backend", nl.BACKENDS)
+    @pytest.mark.parametrize("gate", ["BUF", "OR", "NAND", "NOR", "XOR", "XNOR"])
+    def test_matches_boolean_oracle(self, gate, backend):
+        args = "a" if gate == "BUF" else "a b"
+        ast = nl.parse(f"input a b\noutput y = {gate} {args}\n")
+        network = nl.lower(ast)
+        seeds, steps = self.SEEDS_STEPS[backend]
+        draw = nl.gen_orthogonal_spike_pair if backend == "spike" else nl.gen_rtw_pair
+        for seed in seeds:
+            config = _config(seed=seed, steps=steps)
+            pair = draw(config)
+            refs = {1: pair.h, 0: pair.l}
+            for a in (0, 1):
+                for b in (0, 1):
+                    assignment = {"a": a, "b": b}
+                    expected = nl.eval_boolean(ast, assignment)["y"]
+                    result = nl.run(network, backend, assignment, config)
+                    assert result.waveforms["y"] == refs[expected], (seed, a, b)
+
+
 class TestVerifyEquivalence:
     @pytest.mark.parametrize("backend", nl.BACKENDS)
     def test_full_adder_all_backends(self, full_adder_ast, backend):

@@ -11,13 +11,10 @@ from noiselogic.spike_gates import (
     neuron_eval,
     orthon_eval,
     spike_and,
-    spike_nand,
-    spike_nor,
     spike_not,
-    spike_or,
-    spike_xnor,
-    spike_xor,
 )
+
+from conftest import eval_lowered_gate
 
 spike_lists = st.lists(st.sampled_from([0, 1]), min_size=8, max_size=8)
 
@@ -111,6 +108,11 @@ class TestSpikeNot:
             p = _random_pair(seed)
             assert spike_not(p, spike_not(p, p.h)) == p.h
 
+    def test_rejects_rtw_pair(self):
+        rtw = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, 1]))
+        with pytest.raises(nl.FamilyMismatchError):
+            spike_not(rtw, rtw.h)
+
 
 class TestSpikeAnd:
     def test_hand_example(self, pair):
@@ -133,28 +135,18 @@ class TestSpikeAnd:
             spike_and(pair, nl.SpikeTrain([0, 0, 0, 1, 0]), pair.h)
 
 
+def _lowered(gate, p, x1, x2):
+    return eval_lowered_gate(
+        gate, lambda x: spike_not(p, x), lambda a, b: spike_and(p, a, b), x1, x2
+    )
+
+
 class TestDerivedSpikeGates:
-    TRUTH = {
-        spike_or: lambda a, b: a | b,
-        spike_nand: lambda a, b: 1 - (a & b),
-        spike_nor: lambda a, b: 1 - (a | b),
-        spike_xor: lambda a, b: a ^ b,
-        spike_xnor: lambda a, b: 1 - (a ^ b),
-    }
-
-    def test_match_boolean_oracle(self):
-        for seed in range(10):
-            p = _random_pair(seed)
-            refs = {1: p.h, 0: p.l}
-            for gate, oracle in self.TRUTH.items():
-                for a in (0, 1):
-                    for b in (0, 1):
-                        assert gate(p, refs[a], refs[b]) == refs[oracle(a, b)], (
-                            gate.__name__, a, b, seed)
-
+    # Derived gates exist only as lowered {NOT, AND} networks; the oracle
+    # check over drawn pairs is in test_simulator.TestLoweredDerivedGates.
     def test_spot_checks(self, pair):
-        assert spike_or(pair, pair.h, pair.h) == pair.h
-        assert spike_nand(pair, pair.h, pair.h) == pair.l
+        assert _lowered("OR", pair, pair.h, pair.h) == pair.h
+        assert _lowered("NAND", pair, pair.h, pair.h) == pair.l
 
     def test_de_morgan_waveform_exact(self):
         for seed in range(10):
@@ -163,7 +155,7 @@ class TestDerivedSpikeGates:
             for a in (0, 1):
                 for b in (0, 1):
                     lhs = spike_not(p, spike_and(p, refs[a], refs[b]))
-                    rhs = spike_or(p, spike_not(p, refs[a]), spike_not(p, refs[b]))
+                    rhs = _lowered("OR", p, spike_not(p, refs[a]), spike_not(p, refs[b]))
                     assert lhs == rhs
 
 
