@@ -20,7 +20,7 @@ from typing import NoReturn
 import click
 
 from . import hyperspace as hs
-from .errors import NoiseLogicError
+from .errors import NetlistError, NoiseLogicError
 from .generators import (
     gen_disjoint_spike_pairs,
     gen_orthogonal_spike_pair,
@@ -130,14 +130,24 @@ def _parse_assignment(text: str) -> dict[str, int]:
         name, _, value = item.partition("=")
         if value not in ("0", "1"):
             raise NoiseLogicError(f"binding {item!r} must look like name=0 or name=1")
-        assignment[name.strip()] = int(value)
+        name = name.strip()
+        if name in assignment:
+            raise NoiseLogicError(f"input {name!r} is bound more than once")
+        assignment[name] = int(value)
     if not assignment:
         raise NoiseLogicError("empty assignment; use --assign a=1,b=0,...")
     return assignment
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NetlistError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _load_netlist(path: str):
-    return parse(Path(path).read_text(encoding="utf-8"))
+    return parse(_read_text(path))
 
 
 @main.command("simulate")
@@ -207,7 +217,7 @@ def cmd_verify(netlist_path, backend_names, seed, steps, rate_h, rate_l, out,
             raise NoiseLogicError(f"unknown backend(s): {', '.join(unknown)}")
         network = None
         if network_path is not None:
-            network = CompiledNetwork.from_json(Path(network_path).read_text(encoding="utf-8"))
+            network = CompiledNetwork.from_json(_read_text(network_path))
         config = GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate_h, spike_rate_l=rate_l)
         reports = [
             verify_equivalence(ast, backend, config, network=network, sample=sample)

@@ -36,6 +36,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NetlistError
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -343,29 +345,45 @@ def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
     missing = [name for name in inputs if name not in assignment]
     if missing:
         raise NetlistError(f"assignment missing input(s): {', '.join(missing)}")
+    stray = [name for name in assignment if name not in inputs]
+    if stray:
+        raise NetlistError(f"assignment binds name(s) that are not inputs: {', '.join(stray)}")
     for name, value in assignment.items():
-        if value not in (0, 1):
+        if isinstance(value, np.ndarray):
+            valid = (value.ndim == 1 and np.issubdtype(value.dtype, np.integer)
+                     and bool(np.all((value == 0) | (value == 1))))
+        else:
+            valid = value in (0, 1)
+        if not valid:
             raise NetlistError(f"input {name!r} must be 0 or 1, got {value!r}")
 
 
-def eval_boolean(source: NetlistAst | CompiledNetwork, assignment: dict) -> dict[str, int]:
+def _bit(value):
+    return value if isinstance(value, np.ndarray) else int(value)
+
+
+def eval_boolean(
+    source: NetlistAst | CompiledNetwork, assignment: dict
+) -> dict[str, int | np.ndarray]:
     """Evaluate outputs under a plain Boolean semantics.
 
     Accepts either an AST (evaluating the declared gates directly) or a
     compiled network (evaluating the primitives); for any well-lowered
-    network the two agree on every assignment.
+    network the two agree on every assignment.  Each input is bound to a
+    0/1 int, or to a 1-D 0/1 integer array holding one assignment per row;
+    with arrays every output is an array of the same length, so a chunk of
+    assignments is evaluated bit-parallel in one call.
     """
+    _check_assignment(source.inputs, assignment)
     if isinstance(source, NetlistAst):
-        _check_assignment(source.inputs, assignment)
-        values = {name: int(assignment[name]) for name in source.inputs}
+        values = {name: _bit(assignment[name]) for name in source.inputs}
         for a in source.assignments:
             values[a.target] = _BOOL_FN[a.gate](*(values[arg] for arg in a.args))
         return {name: values[name] for name in source.outputs}
 
-    _check_assignment(source.inputs, assignment)
     values = [0] * len(source.wires)
     for i, name in enumerate(source.inputs):
-        values[i] = int(assignment[name])
+        values[i] = _bit(assignment[name])
     for gate in source.gates:
         if gate.op == "NOT":
             values[gate.out] = 1 - values[gate.args[0]]

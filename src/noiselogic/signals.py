@@ -1,7 +1,10 @@
 """Clocked waveform types, waveform algebra and per-step classification.
 
-All signals are immutable 1-D sequences of small integers, one value per
-discrete clock step, on a single global clock.  Logic values are never
+All signals are immutable sequences of small integers, one value per
+discrete clock step, on a single global clock.  A waveform may carry a
+leading batch axis, ``(rows, steps)``, holding one wave per row; the gate
+kernels broadcast such a batch against the 1-D references, so a batch of
+assignments costs one array expression per gate.  Logic values are never
 represented in floating point: every gate identity in this package is an
 exact integer identity, and tests compare waveforms for exact elementwise
 equality.
@@ -42,8 +45,10 @@ FAMILIES = (RTW, SPIKE)
 
 def _as_int_array(values) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"waveform values must be 1-D, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(
+            f"waveform values must be (steps,) or (rows, steps), got shape {arr.shape}"
+        )
     if arr.size < 1:
         raise ValueError("waveform must contain at least one step")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -76,7 +81,8 @@ class Waveform:
         return self._values
 
     def __len__(self) -> int:
-        return self._values.size
+        """Number of clock steps (the last axis), also for a batch."""
+        return self._values.shape[-1]
 
     def __getitem__(self, step: int) -> int:
         return int(self._values[step])
@@ -93,6 +99,8 @@ class Waveform:
         return hash((type(self).__name__, self._values.tobytes()))
 
     def __repr__(self) -> str:
+        if self._values.ndim == 2:
+            return f"{type(self).__name__}(rows={self._values.shape[0]}, steps={len(self)})"
         body = ",".join(str(int(v)) for v in self._values[:16])
         tail = ",..." if len(self) > 16 else ""
         return f"{type(self).__name__}([{body}{tail}], steps={len(self)})"
@@ -196,16 +204,26 @@ class LogicReferencePair:
 
         The pair must belong to ``family`` and ``x`` must span the pair's
         steps; with ``exact`` it must also be an exact copy of High or Low,
-        the only inputs the gate algebra makes promises about.
+        the only inputs the gate algebra makes promises about.  A batch
+        ``x`` passes only when every row is such a copy.
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
         if len(x) != self.steps:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
-        if exact and not (x == self.h or x == self.l):
-            raise InvalidLogicValueError(
-                f"{role} matches neither the High nor the Low reference"
-            )
+        if exact:
+            v = x.values
+            # For one wave, Waveform equality (skipping Low on a High input)
+            # is cheaper than the row-wise expression a batch needs.
+            if v.ndim == 1:
+                copies = x == self.h or x == self.l
+            else:
+                rows_h = (v == self.h.values).all(axis=1)
+                copies = (rows_h | (v == self.l.values).all(axis=1)).all()
+            if not copies:
+                raise InvalidLogicValueError(
+                    f"{role} matches neither the High nor the Low reference"
+                )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LogicReferencePair):

@@ -38,6 +38,11 @@ from .signals import (
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
+# Waveform bytes one chunk of assignments may hold in verify_equivalence:
+# each live wire is a (rows, steps) int64 block, and a wire's block is
+# dropped after the last gate that reads it.
+_CHUNK_BYTES = 2 << 20
+
 # Child-stream index reserved for drawing sampled assignments, far away
 # from the per-trial indices used by the Monte-Carlo loops.
 _SAMPLE_STREAM = 2**48
@@ -89,8 +94,12 @@ class _Backend:
         differs = self.pair.h.values != self.pair.l.values
         self.decision_step = int(np.argmax(differs)) if differs.any() else None
 
-    def bind(self, bit: int) -> Waveform:
-        return self.pair.h if bit else self.pair.l
+    def bind(self, bits) -> Waveform:
+        """High or Low for a 0/1 bit; a ``(rows, steps)`` batch for a ``(rows,)`` bit array."""
+        if isinstance(bits, np.ndarray):
+            h = self.pair.h
+            return type(h)(np.where(bits[:, None], h.values, self.pair.l.values))
+        return self.pair.h if bits else self.pair.l
 
     def not_(self, x: Waveform) -> Waveform:
         return self._not(self.ctx, x)
@@ -121,15 +130,72 @@ def _classify_wire(backend, x: Waveform) -> Classification:
     return classify(x, backend.pair)
 
 
-def _evaluate_wires(network: CompiledNetwork, backend, assignment) -> list[Waveform]:
+def _classify_rows(backend, x: Waveform) -> tuple[np.ndarray, dict[int, str]]:
+    """:func:`_classify_wire` for each row of a ``(rows, steps)`` batch.
+
+    Returns every row's bit (1 High, 0 Low, -1 ambiguous) and the
+    diagnostic of each ambiguous row.  Rows that are exact reference copies
+    are decided in one vectorized comparison; any other row goes through the
+    full classifier, as it would one wave at a time.
+    """
+    values = x.values
+    if backend.decision_step is not None:
+        high = (values == backend.pair.h.values).all(axis=1)
+        decided = high | (values == backend.pair.l.values).all(axis=1)
+    else:
+        high = decided = np.zeros(len(values), dtype=bool)
+    got = high.astype(np.int64)
+    details = {}
+    for r in np.flatnonzero(~decided):
+        outcome = classify(type(x)(values[r]), backend.pair)
+        if outcome.is_ambiguous:
+            got[r] = -1
+            details[r] = outcome.detail
+        else:
+            got[r] = outcome.verdict.to_bit()
+    return got, details
+
+
+def _release_plan(network: CompiledNetwork) -> tuple[list[list[int]], int]:
+    """Per gate, the waves no longer needed after it; and the most waves alive at once.
+
+    A wave is dead after the last gate that reads it, unless it is an output.
+    """
+    last_use = {}
+    for k, gate in enumerate(network.gates):
+        for arg in gate.args:
+            last_use[arg] = k
+    outputs = {network.wire_index(name) for name in network.outputs}
+    release: list[list[int]] = [[] for _ in network.gates]
+    for wire, k in last_use.items():
+        if wire not in outputs:
+            release[k].append(wire)
+    live = peak = len(network.inputs)
+    for dead in release:
+        live += 1
+        peak = max(peak, live)
+        live -= len(dead)
+    return release, max(peak, 1)
+
+
+def _evaluate_wires(network: CompiledNetwork, backend, assignment,
+                    release: list[list[int]] | None = None) -> list[Waveform | None]:
+    """Every wire's wave; each input is bound to a 0/1 int or to a ``(rows,)`` bit array.
+
+    With a ``release`` plan from :func:`_release_plan`, each wave is dropped
+    after its last use, and only the outputs are left at the end.
+    """
     waves: list[Waveform | None] = [None] * len(network.wires)
     for i, name in enumerate(network.inputs):
-        waves[i] = backend.bind(int(assignment[name]))
-    for gate in network.gates:
+        waves[i] = backend.bind(assignment[name])
+    for k, gate in enumerate(network.gates):
         if gate.op == "NOT":
             waves[gate.out] = backend.not_(waves[gate.args[0]])
         else:
             waves[gate.out] = backend.and_(waves[gate.args[0]], waves[gate.args[1]])
+        if release:
+            for wire in release[k]:
+                waves[wire] = None
     return waves
 
 
@@ -227,6 +293,22 @@ def _assignment_from_index(inputs: tuple[str, ...], index: int) -> dict[str, int
     return {name: (index >> (n - 1 - j)) & 1 for j, name in enumerate(inputs)}
 
 
+def _assignments_from_indices(
+    inputs: tuple[str, ...], indices: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Bit-parallel :func:`_assignment_from_index`: one ``(rows,)`` bit array per input."""
+    n = len(inputs)
+    bits = {}
+    for j, name in enumerate(inputs):
+        shift = n - 1 - j
+        # Indices are below 2**64, so every bit above the 64th is zero.
+        if shift < 64:
+            bits[name] = ((indices >> np.uint64(shift)) & np.uint64(1)).astype(np.int64)
+        else:
+            bits[name] = np.zeros(len(indices), dtype=np.int64)
+    return bits
+
+
 def verify_equivalence(
     source: NetlistAst | CompiledNetwork,
     backend: str,
@@ -248,6 +330,12 @@ def verify_equivalence(
     beyond that a ``sample`` count is required and assignments are drawn
     uniformly from a derived stream.  Equivalence holds only with zero
     failures and zero ambiguous incidents.
+
+    Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
+    live waveform data: each chunk is one ``(rows, steps)`` batch per wire,
+    so every primitive and the oracle run once per chunk.  The report is the
+    one a per-assignment loop would give, with failures and ambiguous
+    incidents in assignment order.
     """
     if network is None:
         net = lower(source) if isinstance(source, NetlistAst) else source
@@ -266,13 +354,15 @@ def verify_equivalence(
                 f"{n_inputs} inputs exceed the exhaustive limit of "
                 f"{EXHAUSTIVE_INPUT_LIMIT}; pass a sample count to probe instead"
             )
-        indices = range(space)
+        drawn = None
+        count = space
         mode = "exhaustive"
     else:
         if sample < 1:
             raise ConfigError(f"sample count must be positive, got {sample}")
         stream = SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM))
-        indices = [stream.next_u64() % space for _ in range(sample)]
+        drawn = np.array([stream.next_u64() % space for _ in range(sample)], dtype=np.uint64)
+        count = sample
         mode = "sample"
 
     bk = make_backend(backend, config)
@@ -287,31 +377,38 @@ def verify_equivalence(
         passed=0,
     )
     out_index = {name: net.wires.index(name) for name in net.outputs}
-    for index in indices:
-        assignment = _assignment_from_index(net.inputs, index)
-        expected = eval_boolean(source, assignment)
-        waves = _evaluate_wires(net, bk, assignment)
-        report.checked += 1
-        ok = True
+    release, live_peak = _release_plan(net)
+    rows = max(1, _CHUNK_BYTES // (8 * config.steps * live_peak))
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        indices = np.arange(lo, hi, dtype=np.uint64) if drawn is None else drawn[lo:hi]
+        bits = _assignments_from_indices(net.inputs, indices)
+        expected = eval_boolean(source, bits)
+        waves = _evaluate_wires(net, bk, bits, release)
+        bad = np.zeros(hi - lo, dtype=bool)
+        outcomes = []
         for name in net.outputs:
-            outcome = _classify_wire(bk, waves[out_index[name]])
-            if outcome.is_ambiguous:
-                ok = False
-                report.ambiguous.append(
-                    {"assignment": assignment, "wire": name, "detail": outcome.detail}
-                )
-            elif outcome.verdict.to_bit() != expected[name]:
-                ok = False
-                report.failures.append(
-                    {
-                        "assignment": assignment,
-                        "output": name,
-                        "expected": expected[name],
-                        "got": outcome.verdict.value,
-                    }
-                )
-        if ok:
-            report.passed += 1
+            got, details = _classify_rows(bk, waves[out_index[name]])
+            bad |= got != expected[name]   # an ambiguous row (-1) never matches
+            outcomes.append((name, got, details))
+        report.checked += hi - lo
+        report.passed += hi - lo - int(bad.sum())
+        for r in np.flatnonzero(bad):
+            assignment = _assignment_from_index(net.inputs, int(indices[r]))
+            for name, got, details in outcomes:
+                if r in details:
+                    report.ambiguous.append(
+                        {"assignment": assignment, "wire": name, "detail": details[r]}
+                    )
+                elif got[r] != expected[name][r]:
+                    report.failures.append(
+                        {
+                            "assignment": assignment,
+                            "output": name,
+                            "expected": int(expected[name][r]),
+                            "got": Verdict.from_bit(int(got[r])).value,
+                        }
+                    )
     return report
 
 

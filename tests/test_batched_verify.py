@@ -1,0 +1,222 @@
+"""Chunked evaluation: ``verify_equivalence`` and the gate kernels on batches.
+
+``verify_equivalence`` evaluates a chunk of assignments as one
+``(rows, steps)`` batch per wire.  The reference here is the per-assignment
+loop it replaced, built from the 1-D ``_evaluate_wires``, the scalar
+``eval_boolean`` and ``_classify_wire``; the two must give equal reports,
+failures and ambiguous incidents included, in the same order.
+"""
+
+import random
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import noiselogic as nl
+from noiselogic import rtw_gates, simulator, spike_gates
+from noiselogic.errors import InvalidLogicValueError
+from noiselogic.prng import SplitMix64, derive_seed
+
+from conftest import random_netlist_source
+from test_simulator import corrupt_and_to_or
+
+
+def serial_report(source, backend, config, *, network=None, sample=None):
+    """One assignment at a time, as verify_equivalence did before chunking."""
+    if network is None:
+        net = nl.lower(source) if isinstance(source, nl.NetlistAst) else source
+    else:
+        net = network
+    space = 2 ** len(net.inputs)
+    if sample is None:
+        indices, mode = range(space), "exhaustive"
+    else:
+        stream = SplitMix64(derive_seed(config.seed, simulator._SAMPLE_STREAM))
+        indices, mode = [stream.next_u64() % space for _ in range(sample)], "sample"
+    bk = simulator.make_backend(backend, config)
+    report = nl.EquivalenceReport(
+        backend=backend, steps=config.steps, seed=config.seed, inputs=net.inputs,
+        mode=mode, assignment_space=space, checked=0, passed=0,
+    )
+    for index in indices:
+        assignment = simulator._assignment_from_index(net.inputs, index)
+        expected = nl.eval_boolean(source, assignment)
+        waves = simulator._evaluate_wires(net, bk, assignment)
+        report.checked += 1
+        ok = True
+        for name in net.outputs:
+            outcome = simulator._classify_wire(bk, waves[net.wire_index(name)])
+            if outcome.is_ambiguous:
+                ok = False
+                report.ambiguous.append(
+                    {"assignment": assignment, "wire": name, "detail": outcome.detail}
+                )
+            elif outcome.verdict.to_bit() != expected[name]:
+                ok = False
+                report.failures.append({
+                    "assignment": assignment, "output": name,
+                    "expected": expected[name], "got": outcome.verdict.value,
+                })
+        report.passed += ok
+    return report
+
+
+def rewire_and(network: nl.CompiledNetwork) -> nl.CompiledNetwork:
+    """Feed the first AND its first argument twice, so it passes that argument through."""
+    idx = next(i for i, g in enumerate(network.gates) if g.op == "AND")
+    gates = list(network.gates)
+    gates[idx] = replace(gates[idx], args=(gates[idx].args[0],) * 2)
+    return replace(network, gates=tuple(gates))
+
+
+def chunked_report(source, backend, config, rows, **kwargs):
+    """verify_equivalence with its chunk budget set to exactly ``rows`` assignments."""
+    net = kwargs.get("network") or (
+        nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
+    budget = rows * 8 * config.steps * simulator._release_plan(net)[1]
+    with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
+        return nl.verify_equivalence(source, backend, config, **kwargs)
+
+
+class TestBatchedEqualsSerial:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        netlist_seed=st.integers(0, 2**32 - 1),
+        backend=st.sampled_from(nl.BACKENDS),
+        # Windows of one or two steps make RTW references identical often,
+        # so ambiguous incidents are covered too.
+        steps=st.sampled_from([1, 2, 3, 16, 40]),
+        rows=st.one_of(st.none(), st.sampled_from([1, 3, 5, 7])),
+        sample=st.one_of(st.none(), st.integers(1, 40)),
+        corrupt=st.booleans(),
+        oracle_from_ast=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_netlists(self, netlist_seed, backend, steps, rows, sample, corrupt,
+                             oracle_from_ast, seed):
+        if backend == "spike":
+            steps = max(steps, 16)   # room for two non-empty orthogonal trains
+        ast = nl.parse(random_netlist_source(random.Random(netlist_seed),
+                                             max_inputs=5, max_gates=8))
+        source = ast if oracle_from_ast else nl.lower(ast)
+        network = rewire_and(nl.lower(ast)) if corrupt and any(
+            g.op == "AND" for g in nl.lower(ast).gates) else None
+        config = nl.GeneratorConfig(seed=seed, steps=steps)
+        kwargs = {"network": network, "sample": sample}
+        if rows is None:
+            got = nl.verify_equivalence(source, backend, config, **kwargs)
+        else:
+            got = chunked_report(source, backend, config, rows, **kwargs)
+        assert got.to_doc() == serial_report(source, backend, config, **kwargs).to_doc()
+
+    @pytest.mark.parametrize("backend", nl.BACKENDS)
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("corrupt", [corrupt_and_to_or, rewire_and])
+    def test_corrupted_full_adder_failures_in_order(self, full_adder_ast, backend, rows,
+                                                    corrupt):
+        config = nl.GeneratorConfig(seed=11, steps=32)
+        network = corrupt(nl.lower(full_adder_ast))
+        got = chunked_report(full_adder_ast, backend, config, rows, network=network)
+        want = serial_report(full_adder_ast, backend, config, network=network)
+        assert want.failures
+        assert got.to_doc() == want.to_doc()
+
+    def test_sample_with_repeats_and_wide_indices(self):
+        # 70 inputs: assignment indices have bits above the 64th, which are zero.
+        names = [f"i{k}" for k in range(70)]
+        lines = ["input " + " ".join(names), "wire x0 = XOR i68 i69"]
+        for k in range(1, 69):
+            lines.append(f"wire x{k} = XOR x{k - 1} i{k - 1}")
+        lines.append("output y = NOT x68")
+        ast = nl.parse("\n".join(lines) + "\n")
+        config = nl.GeneratorConfig(seed=5, steps=16)
+        network = rewire_and(nl.lower(ast))
+        got = chunked_report(ast, "rtw-additive-not", config, 3, network=network, sample=25)
+        want = serial_report(ast, "rtw-additive-not", config, network=network, sample=25)
+        assert want.failures
+        assert got.to_doc() == want.to_doc()
+
+    def test_sample_repeats_every_drawn_index(self, full_adder_ast):
+        config = nl.GeneratorConfig(seed=2, steps=32)
+        network = corrupt_and_to_or(nl.lower(full_adder_ast))
+        got = chunked_report(full_adder_ast, "spike", config, 3, network=network, sample=50)
+        want = serial_report(full_adder_ast, "spike", config, network=network, sample=50)
+        assert got.checked == 50
+        assert len({str(f["assignment"]) for f in want.failures}) < len(want.failures)
+        assert got.to_doc() == want.to_doc()
+
+    def test_release_plan_keeps_only_the_outputs(self, full_adder_network):
+        net = full_adder_network
+        release, live_peak = simulator._release_plan(net)
+        # Three inputs stay live until the last source gate that reads
+        # them, and XOR's lowering holds three temporaries at once.
+        assert live_peak == 6
+        bk = simulator.make_backend("spike", nl.GeneratorConfig(seed=4, steps=32))
+        bits = {name: np.array([0, 1, 1]) for name in net.inputs}
+        waves = simulator._evaluate_wires(net, bk, bits, release)
+        assert {net.wires[i] for i, w in enumerate(waves) if w is not None} == set(net.outputs)
+
+
+def _bad_row(pair) -> np.ndarray:
+    """A valid value of the pair's family that is neither reference."""
+    h, l = pair.h.values, pair.l.values
+    row = h | l if pair.family == nl.SPIKE else np.where(np.arange(len(h)) % 2, h, -h)
+    assert not np.array_equal(row, h) and not np.array_equal(row, l)
+    return row
+
+
+class TestBatchedKernels:
+    BITS = ((1, 1, 0, 0, 1), (1, 0, 1, 0, 0))
+
+    @staticmethod
+    def _family(family):
+        """(gate context, pair, wave type, NOT kernels, AND kernel) of one family."""
+        config = nl.GeneratorConfig(seed=9, steps=48)
+        if family == nl.RTW:
+            ctx = rtw_gates.RtwGateContext.from_config(config)
+            nots = (rtw_gates.not_additive, rtw_gates.not_multiplicative)
+            return ctx, ctx.pair, nl.RtwSignal, nots, rtw_gates.and_gate
+        pair = nl.gen_orthogonal_spike_pair(config)
+        return pair, pair, nl.SpikeTrain, (spike_gates.spike_not,), spike_gates.spike_and
+
+    @staticmethod
+    def _rows(pair, bits):
+        return [pair.h if b else pair.l for b in bits]
+
+    @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
+    def test_batch_equals_row_by_row(self, family):
+        ctx, pair, wave_type, nots, and_ = self._family(family)
+        rows1, rows2 = (self._rows(pair, bits) for bits in self.BITS)
+        x1, x2 = (wave_type(np.stack([w.values for w in rows])) for rows in (rows1, rows2))
+        batch_and = and_(ctx, x1, x2).values
+        for r, (a, b) in enumerate(zip(rows1, rows2)):
+            assert np.array_equal(batch_and[r], and_(ctx, a, b).values)
+        for not_ in nots:
+            batch_not = not_(ctx, x1).values
+            for r, a in enumerate(rows1):
+                assert np.array_equal(batch_not[r], not_(ctx, a).values)
+
+    @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
+    def test_one_bad_row_is_rejected(self, family):
+        ctx, pair, wave_type, nots, and_ = self._family(family)
+        values = np.stack([w.values for w in self._rows(pair, self.BITS[0])])
+        good = wave_type(values)
+        values[2] = _bad_row(pair)
+        bad = wave_type(values)
+        with pytest.raises(InvalidLogicValueError):
+            nots[0](ctx, bad)   # additive RTW NOT or spike NOT; the product NOT takes any wave
+        with pytest.raises(InvalidLogicValueError, match="first input"):
+            and_(ctx, bad, good)
+        with pytest.raises(InvalidLogicValueError, match="second input"):
+            and_(ctx, good, bad)
+
+    def test_batch_length_is_the_step_count(self):
+        batch = nl.RtwSignal(np.ones((3, 7), dtype=np.int64))
+        assert len(batch) == 7
+        assert "rows=3" in repr(batch)
+        with pytest.raises(ValueError):
+            nl.RtwSignal(np.ones((2, 2, 2), dtype=np.int64))

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from noiselogic import lower, parse
 from noiselogic.cli import main
 
 from conftest import FULL_ADDER
@@ -95,6 +96,15 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", adder_path, "--assign", "a=2,b=1,cin=0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("assign, message", [
+        ("a=1,b=1,cin=0,zz=1", "not inputs: zz"),
+        ("a=1,b=1,cin=0,a=0", "'a' is bound more than once"),
+    ], ids=["stray-name", "duplicate-name"])
+    def test_stray_or_duplicate_binding_exit_2(self, runner, adder_path, assign, message):
+        result = runner.invoke(main, ["simulate", adder_path, "--assign", assign])
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_parse_error_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.nl"
         bad.write_text("input a\nwire x = AND a ghost\noutput y = NOT x\n")
@@ -151,6 +161,18 @@ class TestVerify:
         result = runner.invoke(main, ["verify", str(path), "--steps", "16"])
         assert result.exit_code == 2
         assert "sample" in result.output
+
+    @pytest.mark.parametrize("bad_file", ["netlist", "network"])
+    def test_non_utf8_input_exit_2(self, runner, tmp_path, bad_file):
+        netlist = tmp_path / "and.nl"
+        network = tmp_path / "net.json"
+        netlist.write_text("input a b\noutput y = AND a b\n")
+        network.write_text(lower(parse(netlist.read_text())).to_json())
+        bad = netlist if bad_file == "netlist" else network
+        bad.write_bytes(bad.read_bytes().replace(b"a", b"\xff", 1))
+        result = runner.invoke(main, ["verify", str(netlist), "--network", str(network)])
+        assert result.exit_code == 2
+        assert f"{bad} is not UTF-8 text" in result.output
 
     def test_unknown_backend_exit_2(self, runner, adder_path):
         result = runner.invoke(main, ["verify", adder_path, "--backends", "quantum"])

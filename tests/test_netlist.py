@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import noiselogic as nl
@@ -127,6 +128,23 @@ class TestBooleanEval:
         ast = nl.parse("input a b\noutput y = AND a b\n")
         with pytest.raises(NetlistError):
             nl.eval_boolean(ast, {"a": 1})
+
+    def test_stray_binding_rejected(self):
+        ast = nl.parse("input a b\noutput y = AND a b\n")
+        with pytest.raises(NetlistError, match="not inputs: zz"):
+            nl.eval_boolean(ast, {"a": 1, "b": 1, "zz": 1})
+
+    def test_bit_arrays_evaluate_every_row(self, full_adder_ast, full_adder_network):
+        index = np.arange(8)
+        bits = {"a": index >> 2 & 1, "b": index >> 1 & 1, "cin": index & 1}
+        for source in (full_adder_ast, full_adder_network):
+            got = nl.eval_boolean(source, bits)
+            for i in range(8):
+                row = {name: int(column[i]) for name, column in bits.items()}
+                assert {name: int(v[i]) for name, v in got.items()} == \
+                    nl.eval_boolean(source, row)
+        with pytest.raises(NetlistError, match="must be 0 or 1"):
+            nl.eval_boolean(full_adder_ast, {**bits, "cin": index})
 
     def test_full_adder_semantics(self, full_adder_ast):
         for i in range(8):
