@@ -14,6 +14,17 @@ Stream layout (fixed; golden tests depend on it):
   step makes one three-way draw (High spike, Low spike, no spike), which
   makes the trains disjoint by construction.  Attempts repeat, up to
   :data:`MAX_RETRIES`, until both trains are non-empty.
+* ``spike_pair_rows`` is the same draw for many trials at once: row ``i``
+  takes the trial seed ``derive_seed(config.seed, start + i)`` and draws
+  attempt ``r`` from child stream ``r`` of that seed, exactly as
+  ``gen_orthogonal_spike_pair`` does for a config with that seed.  Only the
+  rows still holding an empty train draw the next attempt, so a row's
+  result does not depend on the other rows.  ``gen_orthogonal_spike_pair``
+  is its one-row case.
+* ``rtw_sign_matrix`` row ``i`` is child ``child`` of the trial seed
+  ``derive_seed(seed, start + i)``, one word per step, as in
+  ``gen_rtw_pair``; ``count_identical_rtw_pairs`` walks the same words
+  step by step.
 * ``gen_disjoint_spike_pairs`` is the joint multi-pair variant: one
   (2N+1)-way draw per step keeps all 2N trains pairwise disjoint.
 """
@@ -21,7 +32,7 @@ Stream layout (fixed; golden tests depend on it):
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .prng import GOLDEN, MASK64, SplitMix64, derive_seed, mix64_array
+from .prng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds, mix64_array
 from .signals import GeneratorConfig, LogicReferencePair, RtwSignal, SpikeTrain
 
 MAX_RETRIES = 64
@@ -52,14 +63,15 @@ def _threshold(p: float) -> int:
 
 
 def _categorical_spikes(raw: np.ndarray, rates: list[float]) -> np.ndarray:
-    """One draw per step over len(rates)+1 outcomes; returns the 0/1 trains.
+    """One draw per raw word over len(rates)+1 outcomes; returns the 0/1 trains.
 
     Outcome ``i`` fires train ``i`` when the raw word falls in the i-th
     probability band; the remainder band fires nothing.  Bands are compared
     as exact 64-bit integers, so the draw is a deterministic function of the
-    raw stream.
+    raw stream.  ``raw`` may have any shape; train ``i`` is
+    ``trains[i]``, of the same shape.
     """
-    trains = np.zeros((len(rates), raw.size), dtype=np.int64)
+    trains = np.zeros((len(rates),) + raw.shape, dtype=np.int64)
     lo = 0
     acc = 0.0
     for i, rate in enumerate(rates):
@@ -76,6 +88,41 @@ def _categorical_spikes(raw: np.ndarray, rates: list[float]) -> np.ndarray:
     return trains
 
 
+def _child_seeds(seeds: np.ndarray, child: int) -> np.ndarray:
+    """Vectorized :func:`derive_seed`: ``derive_seed(seeds[i], child)`` for every ``i``."""
+    return mix64_array(seeds + _U((GOLDEN * (child + 1)) & MASK64))
+
+
+def _child_words(seeds: np.ndarray, child: int, steps: int) -> np.ndarray:
+    """``(len(seeds), steps)`` raw words: row ``i`` is ``SplitMix64(derive_seed(seeds[i], child)).block(steps)``."""
+    steps_k = np.arange(1, steps + 1, dtype=np.uint64)
+    return mix64_array(_child_seeds(seeds, child)[:, None] + _U(GOLDEN) * steps_k[None, :])
+
+
+def _spike_rows(trial_seeds: np.ndarray, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """High and Low ``(rows, steps)`` trains, one orthogonal pair per trial seed.
+
+    Every row starts at attempt 0; only rows with an empty train draw the
+    next attempt, from the next child stream of their own seed.
+    """
+    rates = [config.spike_rate_h, config.spike_rate_l]
+    h = np.zeros((len(trial_seeds), config.steps), dtype=np.int64)
+    l = np.zeros_like(h)
+    pending = np.arange(len(trial_seeds))
+    for attempt in range(MAX_RETRIES):
+        h_vals, l_vals = _categorical_spikes(
+            _child_words(trial_seeds[pending], attempt, config.steps), rates)
+        h[pending] = h_vals
+        l[pending] = l_vals
+        pending = pending[~(h_vals.any(axis=1) & l_vals.any(axis=1))]
+        if not pending.size:
+            return h, l
+    raise GenerationError(
+        f"could not draw two non-empty spike trains in {MAX_RETRIES} attempts "
+        f"(steps={config.steps}, rates={config.spike_rate_h}/{config.spike_rate_l})"
+    )
+
+
 def gen_orthogonal_spike_pair(config: GeneratorConfig) -> LogicReferencePair:
     """Disjoint High/Low spike trains, both guaranteed non-empty.
 
@@ -83,16 +130,21 @@ def gen_orthogonal_spike_pair(config: GeneratorConfig) -> LogicReferencePair:
     non-emptiness is enforced by regenerating from the next child stream,
     failing after :data:`MAX_RETRIES` attempts.
     """
-    for attempt in range(MAX_RETRIES):
-        stream = SplitMix64(derive_seed(config.seed, attempt))
-        raw = stream.block(config.steps)
-        h_vals, l_vals = _categorical_spikes(raw, [config.spike_rate_h, config.spike_rate_l])
-        if h_vals.any() and l_vals.any():
-            return LogicReferencePair(SpikeTrain(h_vals), SpikeTrain(l_vals))
-    raise GenerationError(
-        f"could not draw two non-empty spike trains in {MAX_RETRIES} attempts "
-        f"(steps={config.steps}, rates={config.spike_rate_h}/{config.spike_rate_l})"
-    )
+    h, l = _spike_rows(np.array([config.seed], dtype=np.uint64), config)
+    return LogicReferencePair(SpikeTrain(h[0]), SpikeTrain(l[0]))
+
+
+def spike_pair_rows(
+    config: GeneratorConfig, trials: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized spike-pair generation for Monte-Carlo sweeps.
+
+    Returns the High and Low ``(trials, steps)`` trains.  Row ``i`` equals
+    ``gen_orthogonal_spike_pair`` for ``config`` with the derived trial seed
+    ``derive_seed(config.seed, start + i)``, retries included, and the same
+    :class:`GenerationError` is raised when a row exhausts its attempts.
+    """
+    return _spike_rows(derive_seeds(config.seed, trials, start), config)
 
 
 def gen_disjoint_spike_pairs(
@@ -155,10 +207,26 @@ def rtw_sign_matrix(
     identity of SplitMix64, so chunked sweeps aggregate independently of
     the chunking.
     """
-    ks = np.arange(start + 1, start + trials + 1, dtype=np.uint64)
-    trial_seeds = mix64_array(_U(seed & MASK64) + _U(GOLDEN) * ks)
-    child_offset = _U((GOLDEN * (child + 1)) & MASK64)
-    child_seeds = mix64_array(trial_seeds + child_offset)
-    steps_k = np.arange(1, steps + 1, dtype=np.uint64)
-    raw = mix64_array(child_seeds[:, None] + _U(GOLDEN) * steps_k[None, :])
+    raw = _child_words(derive_seeds(seed, trials, start), child, steps)
     return 2 * (raw >> _U(63)).astype(np.int64) - 1
+
+
+def count_identical_rtw_pairs(seed: int, trials: int, steps: int, start: int = 0) -> int:
+    """Rows whose High and Low ``rtw_sign_matrix`` rows agree at every step.
+
+    Equal to ``np.all(h == l, axis=1).sum()`` over the child 0 and child 1
+    matrices, but the words are drawn one step at a time and each trial is
+    dropped at its first differing step.  Half the trials survive each step,
+    so the sweep mixes about seven words per trial instead of
+    ``2 * steps + 4``.
+    """
+    trial_seeds = derive_seeds(seed, trials, start)
+    h_seeds, l_seeds = _child_seeds(trial_seeds, 0), _child_seeds(trial_seeds, 1)
+    for k in range(1, steps + 1):
+        step = _U((GOLDEN * k) & MASK64)
+        agree = ((mix64_array(h_seeds + step) ^ mix64_array(l_seeds + step)) >> _U(63)) == 0
+        h_seeds = h_seeds[agree]
+        l_seeds = l_seeds[agree]
+        if not h_seeds.size:
+            break
+    return int(h_seeds.size)

@@ -164,6 +164,10 @@ class LogicReferencePair:
     orthogonal (no coincident spikes) and both trains non-empty; those are
     construction-time invariants.  RTW pairs may be elementwise identical,
     which simply makes classification against them ambiguous.
+
+    High and Low may also be ``(rows, steps)`` batches of the same shape,
+    one pair per row; the gate kernels then evaluate row ``i`` of a batch
+    input against pair ``i``, and every check above holds row by row.
     """
 
     h: Union[RtwSignal, SpikeTrain]
@@ -179,14 +183,19 @@ class LogicReferencePair:
                 f"reference waves must share one family, got "
                 f"{type(self.h).__name__} and {type(self.l).__name__}"
             )
-        _require_same_length(self.h, self.l, "reference pair")
+        if self.h.values.shape != self.l.values.shape:
+            raise LengthMismatchError(
+                f"reference pair: shapes differ ({self.h.values.shape} vs {self.l.values.shape})"
+            )
         if family == SPIKE:
             if np.any(self.h.values & self.l.values):
-                step = int(np.flatnonzero(self.h.values & self.l.values)[0])
+                where = np.argwhere(self.h.values & self.l.values)[0]
+                row = f" in row {int(where[0])}" if len(where) > 1 else ""
                 raise OrthogonalityError(
-                    f"reference trains spike together at step {step}"
+                    f"reference trains spike together at step {int(where[-1])}{row}"
                 )
-            if self.h.is_empty() or self.l.is_empty():
+            # Per row, for a batch of pairs.
+            if not (self.h.values.any(axis=-1).all() and self.l.values.any(axis=-1).all()):
                 raise ValueError("spike reference trains must both be non-empty")
         object.__setattr__(self, "_family", family)
 
@@ -197,6 +206,10 @@ class LogicReferencePair:
     @property
     def steps(self) -> int:
         return len(self.h)
+
+    def row(self, i: int) -> "LogicReferencePair":
+        """Pair ``i`` of a batch of pairs."""
+        return LogicReferencePair(type(self.h)(self.h.values[i]), type(self.l)(self.l.values[i]))
 
     def check_gate_input(self, x: Waveform, family: str, role: str = "input",
                          *, exact: bool = True) -> None:

@@ -16,13 +16,18 @@ equivalence reports count incidents instead of aborting.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rtw_gates, spike_gates
 from .errors import ConfigError, InvariantError, NetlistError
-from .generators import gen_orthogonal_spike_pair, rtw_sign_matrix
+from .generators import (
+    count_identical_rtw_pairs,
+    gen_orthogonal_spike_pair,
+    rtw_sign_matrix,
+    spike_pair_rows,
+)
 from .netlist import CompiledNetwork, NetlistAst, _check_assignment, eval_boolean, lower
 from .prng import SplitMix64, derive_seed
 from .signals import (
@@ -30,6 +35,9 @@ from .signals import (
     SPIKE,
     Classification,
     GeneratorConfig,
+    LogicReferencePair,
+    RtwSignal,
+    SpikeTrain,
     Verdict,
     Waveform,
     classify,
@@ -38,31 +46,31 @@ from .signals import (
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
-# Waveform bytes one chunk of assignments may hold in verify_equivalence:
-# each live wire is a (rows, steps) int64 block, and a wire's block is
-# dropped after the last gate that reads it.
+# Waveform bytes one chunk of assignments (verify_equivalence) or of trials
+# (decision_latency) may hold: each live wire is a (rows, steps) int64
+# block, and a wire's block is dropped after the last gate that reads it.
 _CHUNK_BYTES = 2 << 20
+
+# Per-chunk waves besides the live wires in decision_latency: the High and
+# Low batches and the RTW context's universe, difference and H * L.
+_PAIR_WAVES = 5
+
+
+def _chunk_rows(steps: int, waves: int) -> int:
+    """Rows per chunk so that ``waves`` live ``(rows, steps)`` int64 blocks fit ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * steps * waves))
+
 
 # Child-stream index reserved for drawing sampled assignments, far away
 # from the per-trial indices used by the Monte-Carlo loops.
 _SAMPLE_STREAM = 2**48
 
 
-def _rtw_context(config: GeneratorConfig):
-    ctx = rtw_gates.RtwGateContext.from_config(config)
-    return ctx, ctx.pair
-
-
-def _spike_context(config: GeneratorConfig):
-    pair = gen_orthogonal_spike_pair(config)
-    return pair, pair
-
-
-# Family -> (gate-context factory, gate module); backend name -> (family,
-# NOT kernel, AND kernel).  Kernels are looked up on their module each time
-# a backend is built, so a rebound module attribute (e.g. an instrumenting
+# Family -> gate module; backend name -> (family, NOT kernel, AND kernel).
+# Kernels and pair generators are looked up on their module each time a
+# backend is built, so a rebound module attribute (e.g. an instrumenting
 # wrapper) is honoured.
-_FAMILY_GATES = {RTW: (_rtw_context, rtw_gates), SPIKE: (_spike_context, spike_gates)}
+_FAMILY_GATES = {RTW: rtw_gates, SPIKE: spike_gates}
 _BACKEND_TABLE = {
     "rtw-additive-not": (RTW, "not_additive", "and_gate"),
     "rtw-multiplicative-not": (RTW, "not_multiplicative", "and_gate"),
@@ -80,19 +88,25 @@ def backend_family(name: str) -> str:
 
 
 class _Backend:
-    """One drawn reference pair and its family's (NOT, AND) kernels."""
+    """A reference pair and its family's (NOT, AND) kernels.
 
-    def __init__(self, name: str, config: GeneratorConfig):
-        make_context, module = _FAMILY_GATES[backend_family(name)]
-        _, not_name, and_name = _BACKEND_TABLE[name]
+    The pair is one drawn pair, or a ``(rows, steps)`` batch of pairs whose
+    row ``i`` serves row ``i`` of every wave.
+    """
+
+    def __init__(self, name: str, pair: LogicReferencePair):
+        family, not_name, and_name = _BACKEND_TABLE[name]
+        module = _FAMILY_GATES[family]
         self.name = name
-        self.ctx, self.pair = make_context(config)
+        self.pair = pair
+        self.ctx = rtw_gates.RtwGateContext(pair) if family == RTW else pair
         self._not = getattr(module, not_name)
         self._and = getattr(module, and_name)
-        # First step where the references differ; for a spike pair, whose
-        # trains are disjoint, that is the first universe spike.
-        differs = self.pair.h.values != self.pair.l.values
-        self.decision_step = int(np.argmax(differs)) if differs.any() else None
+        # First step where the references differ, -1 where they never do
+        # (per row for a batch); for a spike pair, whose trains are
+        # disjoint, that is the first universe spike.
+        differs = pair.h.values != pair.l.values
+        self.first_step = np.where(differs.any(axis=-1), differs.argmax(axis=-1), -1)
 
     def bind(self, bits) -> Waveform:
         """High or Low for a 0/1 bit; a ``(rows, steps)`` batch for a ``(rows,)`` bit array."""
@@ -110,7 +124,20 @@ class _Backend:
 
 def make_backend(name: str, config: GeneratorConfig) -> _Backend:
     """Instantiate a backend by name; one reference pair is drawn here."""
-    return _Backend(name, config)
+    if backend_family(name) == RTW:
+        return _Backend(name, rtw_gates.gen_rtw_pair(config))
+    return _Backend(name, gen_orthogonal_spike_pair(config))
+
+
+def _draw_pair_rows(family: str, config: GeneratorConfig, count: int,
+                    start: int) -> LogicReferencePair:
+    """``count`` pairs: row ``i`` is ``make_backend``'s pair for ``derive_seed(config.seed, start + i)``."""
+    if family == RTW:
+        h, l = (rtw_sign_matrix(config.seed, count, config.steps, child=child, start=start)
+                for child in (0, 1))
+        return LogicReferencePair(RtwSignal(h), RtwSignal(l))
+    h, l = spike_pair_rows(config, count, start)
+    return LogicReferencePair(SpikeTrain(h), SpikeTrain(l))
 
 
 def _classify_wire(backend, x: Waveform) -> Classification:
@@ -122,38 +149,42 @@ def _classify_wire(backend, x: Waveform) -> Classification:
     proper diagnostic.  Both paths agree by construction (the fast path is
     only taken when a discriminating step exists and the wire is a copy).
     """
-    if backend.decision_step is not None:
+    step = int(backend.first_step)
+    if step >= 0:
         if x == backend.pair.h:
-            return Classification(Verdict.HIGH, backend.decision_step)
+            return Classification(Verdict.HIGH, step)
         if x == backend.pair.l:
-            return Classification(Verdict.LOW, backend.decision_step)
+            return Classification(Verdict.LOW, step)
     return classify(x, backend.pair)
 
 
-def _classify_rows(backend, x: Waveform) -> tuple[np.ndarray, dict[int, str]]:
+def _classify_rows(backend, x: Waveform) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """:func:`_classify_wire` for each row of a ``(rows, steps)`` batch.
 
-    Returns every row's bit (1 High, 0 Low, -1 ambiguous) and the
-    diagnostic of each ambiguous row.  Rows that are exact reference copies
-    are decided in one vectorized comparison; any other row goes through the
-    full classifier, as it would one wave at a time.
+    Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
+    step (-1 when ambiguous) and the diagnostic of each ambiguous row.  The
+    backend's pair may be one pair or a batch with one pair per row.  Rows
+    that are exact copies of their reference are decided in one vectorized
+    comparison; any other row goes through the full classifier with its
+    own pair, as it would one wave at a time.
     """
     values = x.values
-    if backend.decision_step is not None:
-        high = (values == backend.pair.h.values).all(axis=1)
-        decided = high | (values == backend.pair.l.values).all(axis=1)
-    else:
-        high = decided = np.zeros(len(values), dtype=bool)
+    pair = backend.pair
+    high = (values == pair.h.values).all(axis=1)
+    decided = (high | (values == pair.l.values).all(axis=1)) & (backend.first_step >= 0)
     got = high.astype(np.int64)
+    at = np.where(decided, backend.first_step, -1)
     details = {}
     for r in np.flatnonzero(~decided):
-        outcome = classify(type(x)(values[r]), backend.pair)
+        row_pair = pair if pair.h.values.ndim == 1 else pair.row(r)
+        outcome = classify(type(x)(values[r]), row_pair)
         if outcome.is_ambiguous:
             got[r] = -1
             details[r] = outcome.detail
         else:
             got[r] = outcome.verdict.to_bit()
-    return got, details
+            at[r] = outcome.decided_at
+    return got, at, details
 
 
 def _release_plan(network: CompiledNetwork) -> tuple[list[list[int]], int]:
@@ -296,17 +327,33 @@ def _assignment_from_index(inputs: tuple[str, ...], index: int) -> dict[str, int
 def _assignments_from_indices(
     inputs: tuple[str, ...], indices: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Bit-parallel :func:`_assignment_from_index`: one ``(rows,)`` bit array per input."""
+    """Bit-parallel :func:`_assignment_from_index`: one ``(rows,)`` bit array per input.
+
+    ``indices`` is a uint64 array, or an object array of Python ints for
+    more than 64 inputs.
+    """
     n = len(inputs)
-    bits = {}
-    for j, name in enumerate(inputs):
-        shift = n - 1 - j
-        # Indices are below 2**64, so every bit above the 64th is zero.
-        if shift < 64:
-            bits[name] = ((indices >> np.uint64(shift)) & np.uint64(1)).astype(np.int64)
-        else:
-            bits[name] = np.zeros(len(indices), dtype=np.int64)
-    return bits
+    return {name: ((indices >> (n - 1 - j)) & 1).astype(np.int64)
+            for j, name in enumerate(inputs)}
+
+
+def _draw_indices(stream: SplitMix64, n_inputs: int, sample: int) -> np.ndarray:
+    """``sample`` assignment indices, uniform over ``2 ** n_inputs``.
+
+    Each index takes ``ceil(n_inputs / 64)`` words from ``stream``, read
+    big-endian and reduced modulo ``2 ** n_inputs``, so every input bit is
+    drawn.  Up to 64 inputs that is one word per index, in a uint64 array;
+    wider indices are Python ints in an object array.
+    """
+    space = 2 ** n_inputs
+    words = -(-n_inputs // 64)
+    drawn = []
+    for _ in range(sample):
+        index = 0
+        for _ in range(words):
+            index = (index << 64) | stream.next_u64()
+        drawn.append(index % space)
+    return np.array(drawn, dtype=np.uint64 if words == 1 else object)
 
 
 def verify_equivalence(
@@ -324,12 +371,12 @@ def verify_equivalence(
     simulated network defaults to ``lower(source)`` for an AST and to the
     source itself otherwise; passing ``network`` explicitly lets callers
     check an independently produced (or deliberately corrupted) lowering
-    against the oracle, provided it has the oracle's inputs.
+    against the oracle, provided it has the oracle's inputs and outputs.
 
     Up to ``EXHAUSTIVE_INPUT_LIMIT`` inputs every assignment is checked;
     beyond that a ``sample`` count is required and assignments are drawn
-    uniformly from a derived stream.  Equivalence holds only with zero
-    failures and zero ambiguous incidents.
+    uniformly from a derived stream (see :func:`_draw_indices`).
+    Equivalence holds only with zero failures and zero ambiguous incidents.
 
     Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
     live waveform data: each chunk is one ``(rows, steps)`` batch per wire,
@@ -339,12 +386,14 @@ def verify_equivalence(
     """
     if network is None:
         net = lower(source) if isinstance(source, NetlistAst) else source
-    elif set(network.inputs) != set(source.inputs):
-        raise NetlistError(
-            f"network inputs ({', '.join(network.inputs)}) differ from the "
-            f"netlist inputs ({', '.join(source.inputs)})"
-        )
     else:
+        for what in ("inputs", "outputs"):
+            mine, theirs = getattr(network, what), getattr(source, what)
+            if set(mine) != set(theirs):
+                raise NetlistError(
+                    f"network {what} ({', '.join(mine)}) differ from the "
+                    f"netlist {what} ({', '.join(theirs)})"
+                )
         net = network
     n_inputs = len(net.inputs)
     space = 2 ** n_inputs
@@ -360,8 +409,8 @@ def verify_equivalence(
     else:
         if sample < 1:
             raise ConfigError(f"sample count must be positive, got {sample}")
-        stream = SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM))
-        drawn = np.array([stream.next_u64() % space for _ in range(sample)], dtype=np.uint64)
+        drawn = _draw_indices(SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM)),
+                              n_inputs, sample)
         count = sample
         mode = "sample"
 
@@ -378,7 +427,7 @@ def verify_equivalence(
     )
     out_index = {name: net.wires.index(name) for name in net.outputs}
     release, live_peak = _release_plan(net)
-    rows = max(1, _CHUNK_BYTES // (8 * config.steps * live_peak))
+    rows = _chunk_rows(config.steps, live_peak)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         indices = np.arange(lo, hi, dtype=np.uint64) if drawn is None else drawn[lo:hi]
@@ -388,7 +437,7 @@ def verify_equivalence(
         bad = np.zeros(hi - lo, dtype=bool)
         outcomes = []
         for name in net.outputs:
-            got, details = _classify_rows(bk, waves[out_index[name]])
+            got, _, details = _classify_rows(bk, waves[out_index[name]])
             bad |= got != expected[name]   # an ambiguous row (-1) never matches
             outcomes.append((name, got, details))
         report.checked += hi - lo
@@ -486,7 +535,8 @@ def ambiguity_monte_carlo(
     Trial ``i`` regenerates exactly the pair that ``gen_rtw_pair`` would
     produce for the derived seed of ``(seed, i)``; the whole sweep is
     evaluated in vectorized chunks whose aggregate is independent of the
-    chunking, so serial and chunked runs agree bit for bit.
+    chunking, so serial and chunked runs agree bit for bit.  Within a chunk
+    each trial is dropped at its first differing step.
     """
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise ConfigError(f"window length must be an integer in [1, 20], got {n!r}")
@@ -494,10 +544,7 @@ def ambiguity_monte_carlo(
         raise ConfigError(f"at least 1000 trials required, got {trials}")
     matches = 0
     for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        h = rtw_sign_matrix(seed, count, n, child=0, start=start)
-        l = rtw_sign_matrix(seed, count, n, child=1, start=start)
-        matches += int(np.sum(np.all(h == l, axis=1)))
+        matches += count_identical_rtw_pairs(seed, min(chunk, trials - start), n, start=start)
     analytic = ambiguity_analytic(n)
     estimate = matches / trials
     sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
@@ -553,42 +600,50 @@ def decision_latency(
     with per-step rate ``spike_rate_h + spike_rate_l`` for spikes and 0.5
     for RTW references; windows that cannot decide at all are tallied
     separately.  The default backend is the spike one, last in ``BACKENDS``.
+
+    Trial ``i`` uses the pair that ``make_backend`` draws for the derived
+    seed ``derive_seed(config.seed, i)``.  Trials are evaluated in chunks of
+    at most ``_CHUNK_BYTES`` of waveform data: row ``i`` of a chunk's
+    ``(rows, steps)`` reference batch is trial ``i``'s pair, so every
+    primitive runs once per chunk, and the report is the one a per-trial
+    loop would give.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     if assignment is None:
         assignment = {name: 1 for name in network.inputs}
     _check_assignment(network.inputs, assignment)
+    family = backend_family(backend)
     histogram: dict[int, int] = {}
-    ambiguous_windows = 0
+    decided_trials = 0
     total = 0
     out_index = {name: network.wires.index(name) for name in network.outputs}
-    for trial in range(trials):
-        cfg = replace(config, seed=derive_seed(config.seed, trial))
-        bk = make_backend(backend, cfg)
-        waves = _evaluate_wires(network, bk, assignment)
-        decided: int | None = None
+    release, live_peak = _release_plan(network)
+    rows = _chunk_rows(config.steps, live_peak + _PAIR_WAVES)
+    for lo in range(0, trials, rows):
+        count = min(rows, trials - lo)
+        bk = _Backend(backend, _draw_pair_rows(family, config, count, lo))
+        waves = _evaluate_wires(network, bk, assignment, release)
+        # Per row, as a per-trial loop over the outputs reads it: -2 before
+        # the first output, then its deciding step, or -1 from the first
+        # ambiguous output on.
+        decided = np.full(count, -2)
         for name in network.outputs:
-            outcome = _classify_wire(bk, waves[out_index[name]])
-            if outcome.is_ambiguous:
-                decided = None
-                break
-            if decided is None:
-                decided = outcome.decided_at
-            elif decided != outcome.decided_at:
+            _, at, _ = _classify_rows(bk, waves[out_index[name]])
+            if np.any((decided >= 0) & (at >= 0) & (at != decided)):
                 raise InvariantError("outputs decided at different steps in one run")
-        if decided is None:
-            ambiguous_windows += 1
-            continue
-        if bk.pair.family == SPIKE:
-            first_u = int(np.argmax(universe_spike(bk.pair).values))
-            if decided != first_u:
+            decided = np.where(decided == -1, -1, at)
+        ok = decided >= 0
+        if family == SPIKE:
+            first_u = universe_spike(bk.pair).values.argmax(axis=1)
+            if np.any(decided[ok] != first_u[ok]):
                 raise InvariantError("decision step deviates from the first universe spike")
-        histogram[decided] = histogram.get(decided, 0) + 1
-        total += decided
-    decided_trials = trials - ambiguous_windows
+        for step, count in zip(*np.unique(decided[ok], return_counts=True)):
+            histogram[int(step)] = histogram.get(int(step), 0) + int(count)
+        decided_trials += int(ok.sum())
+        total += int(decided[ok].sum())
     mean = total / decided_trials if decided_trials else float("nan")
-    if backend_family(backend) == SPIKE:
+    if family == SPIKE:
         rate = config.spike_rate_h + config.spike_rate_l
     else:
         rate = 0.5
@@ -597,7 +652,7 @@ def decision_latency(
         trials=trials,
         steps=config.steps,
         histogram=histogram,
-        ambiguous_windows=ambiguous_windows,
+        ambiguous_windows=trials - decided_trials,
         mean_decided_at=mean,
         decision_rate=rate,
     )

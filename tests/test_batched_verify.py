@@ -35,8 +35,15 @@ def serial_report(source, backend, config, *, network=None, sample=None):
     if sample is None:
         indices, mode = range(space), "exhaustive"
     else:
+        # Each index is ceil(inputs / 64) words, big-endian, modulo the space.
         stream = SplitMix64(derive_seed(config.seed, simulator._SAMPLE_STREAM))
-        indices, mode = [stream.next_u64() % space for _ in range(sample)], "sample"
+        words = -(-len(net.inputs) // 64)
+        indices, mode = [], "sample"
+        for _ in range(sample):
+            index = 0
+            for _ in range(words):
+                index = (index << 64) | stream.next_u64()
+            indices.append(index % space)
     bk = simulator.make_backend(backend, config)
     report = nl.EquivalenceReport(
         backend=backend, steps=config.steps, seed=config.seed, inputs=net.inputs,
@@ -126,7 +133,7 @@ class TestBatchedEqualsSerial:
         assert got.to_doc() == want.to_doc()
 
     def test_sample_with_repeats_and_wide_indices(self):
-        # 70 inputs: assignment indices have bits above the 64th, which are zero.
+        # 70 inputs: each assignment index is drawn from two words.
         names = [f"i{k}" for k in range(70)]
         lines = ["input " + " ".join(names), "wire x0 = XOR i68 i69"]
         for k in range(1, 69):
@@ -139,6 +146,29 @@ class TestBatchedEqualsSerial:
         want = serial_report(ast, "rtw-additive-not", config, network=network, sample=25)
         assert want.failures
         assert got.to_doc() == want.to_doc()
+
+    def test_sample_draws_inputs_beyond_the_64th(self):
+        # The output AND is rewired to pass i0 through, so it fails only
+        # when i0 is High and the XOR chain is Low.  i0 is bit 69 of a
+        # 70-bit assignment index, above any single 64-bit word.
+        names = [f"i{k}" for k in range(70)]
+        lines = ["input " + " ".join(names), "wire x1 = XOR i1 i2"]
+        for k in range(3, 70):
+            lines.append(f"wire x{k - 1} = XOR x{k - 2} i{k}")
+        lines.append("output y = AND i0 x68")
+        ast = nl.parse("\n".join(lines) + "\n")
+        net = nl.lower(ast)
+        y, i0 = net.wire_index("y"), net.wire_index("i0")
+        assert next(g for g in net.gates if g.out == y).args[0] == i0
+        network = replace(net, gates=tuple(
+            replace(g, args=(i0, i0)) if g.out == y else g for g in net.gates))
+        config = nl.GeneratorConfig(seed=5, steps=16)
+        report = nl.verify_equivalence(ast, "rtw-additive-not", config,
+                                       network=network, sample=40)
+        assert report.failures
+        assert all(f["assignment"]["i0"] == 1 and f["got"] == "High" for f in report.failures)
+        assert report.to_doc() == serial_report(ast, "rtw-additive-not", config,
+                                                network=network, sample=40).to_doc()
 
     def test_sample_repeats_every_drawn_index(self, full_adder_ast):
         config = nl.GeneratorConfig(seed=2, steps=32)

@@ -191,8 +191,12 @@ class TestVerify:
          "declares an input twice"),
         ({"inputs": ["a", "b", "c"], "outputs": ["y"], "gates": [_AND_GATE]},
          "differ from the netlist inputs"),
+        ({"inputs": ["a", "b"], "outputs": ["z"], "gates": [{**_AND_GATE, "out": "z"}]},
+         "differ from the netlist outputs"),
+        ({"inputs": ["a", "b"], "outputs": [], "gates": []},
+         "differ from the netlist outputs"),
     ], ids=["and-one-arg", "not-two-args", "not-an-object", "invalid-json",
-            "duplicate-inputs", "inputs-differ"])
+            "duplicate-inputs", "inputs-differ", "outputs-differ", "no-outputs"])
     def test_malformed_network_exit_2(self, runner, tmp_path, document, message):
         netlist = tmp_path / "and.nl"
         netlist.write_text("input a b\noutput y = AND a b\n")

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import noiselogic as nl
-from noiselogic.generators import gen_disjoint_spike_pairs, rtw_sign_matrix
-from noiselogic.prng import derive_seed
+from noiselogic.generators import (
+    _categorical_spikes,
+    gen_disjoint_spike_pairs,
+    rtw_sign_matrix,
+    spike_pair_rows,
+)
+from noiselogic.prng import SplitMix64, derive_seed
 
 # Golden regression fixtures, recorded once from the pinned PRNG.
 GOLDEN_RTW_SEED1_4 = [1, 1, 1, -1]
@@ -88,6 +93,35 @@ class TestOrthogonalSpikePair:
         a = nl.gen_orthogonal_spike_pair(cfg)
         b = nl.gen_orthogonal_spike_pair(cfg)
         assert a.h == b.h and a.l == b.l
+
+
+class TestSpikePairRows:
+    def test_rows_match_serial_pair_generation_with_retries(self):
+        # Six steps at rate 0.15 leave a train empty in most first attempts.
+        config = nl.GeneratorConfig(seed=41, steps=6, spike_rate_h=0.15, spike_rate_l=0.15)
+        start, trials = 1000, 60
+        h_rows, l_rows = spike_pair_rows(config, trials, start)
+        retried = 0
+        for i in range(trials):
+            trial_seed = derive_seed(config.seed, start + i)
+            pair = nl.gen_orthogonal_spike_pair(
+                nl.GeneratorConfig(seed=trial_seed, steps=6, spike_rate_h=0.15,
+                                   spike_rate_l=0.15))
+            assert h_rows[i].tolist() == pair.h.to_list()
+            assert l_rows[i].tolist() == pair.l.to_list()
+            first = _categorical_spikes(SplitMix64(derive_seed(trial_seed, 0)).block(6),
+                                        [0.15, 0.15])
+            retried += not (first[0].any() and first[1].any())
+        assert retried > 10
+
+    def test_one_step_cannot_be_drawn(self):
+        # At one step the two disjoint trains can never both be non-empty.
+        config = nl.GeneratorConfig(seed=3, steps=1, spike_rate_h=0.4, spike_rate_l=0.4)
+        with pytest.raises(nl.GenerationError) as batch:
+            spike_pair_rows(config, 4)
+        with pytest.raises(nl.GenerationError) as single:
+            nl.gen_orthogonal_spike_pair(config)
+        assert str(batch.value) == str(single.value)
 
 
 class TestDisjointSpikePairs:

@@ -86,6 +86,42 @@ class TestReferencePair:
         assert pair.family == nl.RTW
 
 
+class TestBatchReferencePair:
+    def test_row_with_empty_low_train_rejected(self):
+        # The batch as a whole has Low spikes; row 1 has none.
+        h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
+        l = nl.SpikeTrain([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="non-empty"):
+            nl.LogicReferencePair(h, l)
+
+    def test_coincident_spike_names_row_and_step(self):
+        # Flat index 4 would be "step 4" of a 3-step train.
+        h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0]])
+        l = nl.SpikeTrain([[0, 1, 0], [0, 1, 1]])
+        with pytest.raises(OrthogonalityError, match=r"at step 1 in row 1$"):
+            nl.LogicReferencePair(h, l)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(LengthMismatchError):
+            nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]), nl.RtwSignal([1, -1]))
+
+    def test_row_is_the_pair_of_that_row(self):
+        h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0]])
+        l = nl.SpikeTrain([[0, 1, 0], [0, 0, 1]])
+        pair = nl.LogicReferencePair(h, l)
+        assert pair.steps == 3
+        assert pair.row(1) == nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0]),
+                                                    nl.SpikeTrain([0, 0, 1]))
+
+    def test_gate_input_checked_against_its_own_row(self):
+        pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
+                                     nl.RtwSignal([[-1, -1], [-1, 1]]))
+        pair.check_gate_input(nl.RtwSignal([[1, -1], [-1, 1]]), nl.RTW)
+        # Row 1 is row 0's High, which is neither reference of row 1.
+        with pytest.raises(nl.InvalidLogicValueError):
+            pair.check_gate_input(nl.RtwSignal([[1, -1], [1, -1]]), nl.RTW)
+
+
 class TestElementwiseOps:
     def test_add_sub(self):
         a = nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1])

@@ -4,8 +4,9 @@
 ``simulator.eval_boolean``, ...) that the package resolves at call time.
 A refactor that binds a kernel or helper at import time would make those
 wrappers miss every call, and the per-layer metrics would silently read
-zero.  This test loads the tracer by path, unchanged, and runs ``verify``
-through the CLI the way the benchmark does.
+zero.  These tests load the tracer by path, unchanged, and run ``verify``
+through the CLI and the Monte-Carlo sweeps through the API, the way the
+benchmark does.
 """
 
 import importlib
@@ -30,20 +31,27 @@ def _load_tracing():
     return module
 
 
-def test_tracer_counts_every_layer_of_verify(tmp_path):
-    path = tmp_path / "adder.nl"
-    path.write_text(FULL_ADDER)
+def _traced(fn):
+    """Run ``fn`` under an installed tracer; return the tracer and the result."""
     tracer = _load_tracing().Tracer()
     modules = {name: importlib.import_module(f"noiselogic.{name}") for name in MODULES}
     modules["signals.Waveform"] = nl.Waveform
     original_and = modules["rtw_gates"].and_gate
     tracer.install(modules)
     try:
-        result = CliRunner().invoke(main, ["verify", str(path), "--steps", "64"])
+        result = fn()
     finally:
         tracer.uninstall()
-    assert result.exit_code == 0, result.output
     assert modules["rtw_gates"].and_gate is original_and
+    return tracer, result
+
+
+def test_tracer_counts_every_layer_of_verify(tmp_path):
+    path = tmp_path / "adder.nl"
+    path.write_text(FULL_ADDER)
+    tracer, result = _traced(
+        lambda: CliRunner().invoke(main, ["verify", str(path), "--steps", "64"]))
+    assert result.exit_code == 0, result.output
 
     ands = nl.lower(nl.parse(FULL_ADDER)).gate_counts()["AND"]
     # Eight assignments fit one chunk: one kernel call per primitive per
@@ -55,3 +63,26 @@ def test_tracer_counts_every_layer_of_verify(tmp_path):
     for layer in ("rtw_gates.not", "spike_gates.not", "spike_gates.orthon",
                   "simulator.verify", "netlist.parse", "signals.waveform_new"):
         assert tracer.calls(layer) > 0, layer
+
+
+def test_tracer_counts_the_monte_carlo_sweeps():
+    network = nl.lower(nl.parse("input a b\noutput y = AND a b\n"))
+    config = nl.GeneratorConfig(seed=1, steps=64)
+
+    def sweeps():
+        # 300 trials fit one chunk of the one-AND network.  The call goes
+        # through the module attribute, as the benchmark's does.
+        for backend in nl.BACKENDS:
+            report = nl.simulator.decision_latency(network, config, 300, backend)
+            assert report.ambiguous_windows == 0
+        return nl.ambiguity_monte_carlo(4, 1000, 1)
+
+    tracer, report = _traced(sweeps)
+    assert report.within_band
+    # One kernel call per primitive per chunk: one AND per RTW backend.
+    assert tracer.calls("rtw_gates.and") == 2
+    assert tracer.calls("spike_gates.and") == 1
+    assert tracer.calls("simulator.decision_latency") == len(nl.BACKENDS)
+    # The High and the Low batch of each RTW backend's one chunk.
+    assert tracer.calls("generators.rtw_sign_matrix") == 4
+    assert tracer.calls("prng.mix64_array") > 0
