@@ -4,10 +4,10 @@ All signals are immutable sequences of small integers, one value per
 discrete clock step, on a single global clock.  A waveform may carry a
 leading batch axis, ``(rows, steps)``, holding one wave per row; the gate
 kernels broadcast such a batch against the 1-D references, so a batch of
-assignments costs one array expression per gate.  Logic values are never
-represented in floating point: every gate identity in this package is an
-exact integer identity, and tests compare waveforms for exact elementwise
-equality.
+assignments, of trials or of the gates of one topological level costs one
+array expression per gate kind.  Logic values are never represented in
+floating point: every gate identity in this package is an exact integer
+identity, and tests compare waveforms for exact elementwise equality.
 
 Four concrete carriers:
 
@@ -17,6 +17,13 @@ Four concrete carriers:
   differences);
 * :class:`IntWave`, an unconstrained integer wave for transient arithmetic
   such as the cubed reference difference, whose values exceed [-2, 2].
+
+The first three store their values as read-only ``int8`` arrays
+(:data:`CARRIER_DTYPE`); the family check runs on the values as given,
+before they are narrowed, so an out-of-range value is rejected rather than
+wrapped.  Every gate polynomial stays within ``int8`` (the RTW cube within
++-8).  :class:`IntWave` and the base :class:`Waveform` keep ``int64``,
+because their arithmetic is unbounded.
 
 A :class:`LogicReferencePair` binds the High and Low reference waves of one
 family; :func:`classify` reads an observed waveform against such a pair and
@@ -43,7 +50,12 @@ SPIKE = "spike"
 FAMILIES = (RTW, SPIKE)
 
 
+# Storage dtype of RtwSignal, SpikeTrain and MultiLevelSignal.
+CARRIER_DTYPE = np.dtype(np.int8)
+
+
 def _as_int_array(values) -> np.ndarray:
+    """``values`` as an integer array of one or two axes, not yet copied or narrowed."""
     arr = np.asarray(values)
     if arr.ndim not in (1, 2):
         raise ValueError(
@@ -56,8 +68,6 @@ def _as_int_array(values) -> np.ndarray:
         if not np.array_equal(int_arr, arr):
             raise ValueError("waveform values must be integers")
         arr = int_arr
-    arr = arr.astype(np.int64, copy=True)
-    arr.setflags(write=False)
     return arr
 
 
@@ -65,11 +75,28 @@ class Waveform:
     """Immutable integer waveform; subclasses restrict the value set."""
 
     __slots__ = ("_values",)
+    _dtype = np.dtype(np.int64)
 
     def __init__(self, values: Sequence[int] | np.ndarray):
         arr = _as_int_array(values)
         self._check(arr)
+        arr = arr.astype(self._dtype)   # always a private copy
+        arr.setflags(write=False)
         self._values = arr
+
+    @classmethod
+    def _of_checked(cls, arr: np.ndarray) -> "Waveform":
+        """Wrap ``arr`` as it is, without a copy or a check.
+
+        Only for read-only arrays of this class's dtype whose values have
+        already passed this class's check, such as the rows of a matrix of
+        waves that was checked batch by batch.
+        """
+        if arr.flags.writeable or arr.dtype != cls._dtype:
+            raise ValueError(f"{cls.__name__} can only wrap a read-only {cls._dtype} array")
+        wave = object.__new__(cls)
+        wave._values = arr
+        return wave
 
     @staticmethod
     def _check(arr: np.ndarray) -> None:
@@ -116,6 +143,8 @@ class IntWave(Waveform):
 class RtwSignal(Waveform):
     """Bipolar clocked wave; every step is exactly -1 or +1."""
 
+    _dtype = CARRIER_DTYPE
+
     @staticmethod
     def _check(arr: np.ndarray) -> None:
         if not np.all(np.abs(arr) == 1):
@@ -126,6 +155,8 @@ class RtwSignal(Waveform):
 class MultiLevelSignal(Waveform):
     """Integer wave bounded to the closed range [-2, 2]."""
 
+    _dtype = CARRIER_DTYPE
+
     @staticmethod
     def _check(arr: np.ndarray) -> None:
         if arr.min() < -2 or arr.max() > 2:
@@ -135,9 +166,11 @@ class MultiLevelSignal(Waveform):
 class SpikeTrain(Waveform):
     """Unipolar clocked wave; every step is 0 or 1, read as a set of spike times."""
 
+    _dtype = CARRIER_DTYPE
+
     @staticmethod
     def _check(arr: np.ndarray) -> None:
-        if not np.all((arr == 0) | (arr == 1)):
+        if arr.min() < 0 or arr.max() > 1:
             bad = arr[(arr != 0) & (arr != 1)][0]
             raise ValueError(f"SpikeTrain values must be 0 or 1, found {bad}")
 

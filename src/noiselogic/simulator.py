@@ -31,6 +31,7 @@ from .generators import (
 from .netlist import CompiledNetwork, NetlistAst, _check_assignment, eval_boolean, lower
 from .prng import SplitMix64, derive_seed
 from .signals import (
+    CARRIER_DTYPE,
     RTW,
     SPIKE,
     Classification,
@@ -47,8 +48,9 @@ from .signals import (
 EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
-# (decision_latency) may hold: each live wire is a (rows, steps) int64
-# block, and a wire's block is dropped after the last gate that reads it.
+# (decision_latency) may hold: each live wire is a (rows, steps) block of
+# CARRIER_DTYPE, and a wire's block is dropped after the last gate that
+# reads it.
 _CHUNK_BYTES = 2 << 20
 
 # Per-chunk waves besides the live wires in decision_latency: the High and
@@ -57,8 +59,8 @@ _PAIR_WAVES = 5
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
-    """Rows per chunk so that ``waves`` live ``(rows, steps)`` int64 blocks fit ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (8 * steps * waves))
+    """Rows per chunk so that ``waves`` live ``(rows, steps)`` blocks fit ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (CARRIER_DTYPE.itemsize * steps * waves))
 
 
 # Child-stream index reserved for drawing sampled assignments, far away
@@ -140,33 +142,18 @@ def _draw_pair_rows(family: str, config: GeneratorConfig, count: int,
     return LogicReferencePair(SpikeTrain(h), SpikeTrain(l))
 
 
-def _classify_wire(backend, x: Waveform) -> Classification:
-    """Classification with a fast path for exact reference copies.
-
-    Valid gates only ever emit exact copies of a reference, so equality
-    against the cached pair decides almost every wire in two comparisons;
-    anything else falls through to the full scanning classifier for a
-    proper diagnostic.  Both paths agree by construction (the fast path is
-    only taken when a discriminating step exists and the wire is a copy).
-    """
-    step = int(backend.first_step)
-    if step >= 0:
-        if x == backend.pair.h:
-            return Classification(Verdict.HIGH, step)
-        if x == backend.pair.l:
-            return Classification(Verdict.LOW, step)
-    return classify(x, backend.pair)
-
-
 def _classify_rows(backend, x: Waveform) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """:func:`_classify_wire` for each row of a ``(rows, steps)`` batch.
+    """:func:`classify` for each row of a ``(rows, steps)`` batch.
 
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.  The
-    backend's pair may be one pair or a batch with one pair per row.  Rows
-    that are exact copies of their reference are decided in one vectorized
-    comparison; any other row goes through the full classifier with its
-    own pair, as it would one wave at a time.
+    backend's pair may be one pair or a batch with one pair per row.  Valid
+    gates only ever emit exact copies of a reference, so rows that are
+    copies of their reference, where the references differ somewhere, are
+    decided in one vectorized comparison at the pair's first differing
+    step, which is where the full classifier would decide them.  Any other
+    row goes through the full classifier with its own pair, for a proper
+    diagnostic.
     """
     values = x.values
     pair = backend.pair
@@ -207,6 +194,27 @@ def _release_plan(network: CompiledNetwork) -> tuple[list[list[int]], int]:
         peak = max(peak, live)
         live -= len(dead)
     return release, max(peak, 1)
+
+
+def _level_plan(network: CompiledNetwork) -> list[tuple[str, tuple[np.ndarray, ...], np.ndarray]]:
+    """The gates grouped by (topological level, op), in level order.
+
+    Inputs are at level 0 and a gate is one level above its deepest
+    argument, so the gates of one group read only wires of lower levels and
+    can run as one batch.  Each group is its op, one index array per
+    operand (the wires the gates read) and the index array of the wires
+    they write.
+    """
+    level = [0] * len(network.wires)
+    groups: dict[tuple[int, str], list] = {}
+    for gate in network.gates:
+        level[gate.out] = 1 + max(level[arg] for arg in gate.args)
+        groups.setdefault((level[gate.out], gate.op), []).append(gate)
+    return [
+        (op, tuple(np.array(column) for column in zip(*(g.args for g in gates))),
+         np.array([g.out for g in gates]))
+        for (_, op), gates in sorted(groups.items())
+    ]
 
 
 def _evaluate_wires(network: CompiledNetwork, backend, assignment,
@@ -262,15 +270,36 @@ def run(
     """Execute one assignment on one backend, retaining every waveform.
 
     One reference pair is drawn for the whole run; inputs bind to the High
-    or Low wave, gates evaluate in topological order, and every wire
-    (inputs included) is classified against the pair.  Ambiguous wires are
-    reported in the result, not raised.
+    or Low wave, and every wire (inputs included) is classified against the
+    pair.  Ambiguous wires are reported in the result, not raised.
+
+    All waves live in one ``(wires, steps)`` matrix.  The gates run one
+    :func:`_level_plan` group at a time: the group's inputs are gathered
+    from the matrix as ``(gates, steps)`` batches, the backend's kernel runs
+    once on them, with all its checks, and the outputs are written back.
+    The finished matrix is made read-only, and each waveform of the result
+    is a view of its row, checked once as part of its group's batch.
     """
     _check_assignment(network.inputs, assignment)
     bk = make_backend(backend, config)
-    waves = _evaluate_wires(network, bk, assignment)
-    waveforms = {name: waves[i] for i, name in enumerate(network.wires)}
-    classifications = {name: _classify_wire(bk, waves[i]) for i, name in enumerate(network.wires)}
+    carrier = type(bk.pair.h)
+    wires = np.empty((len(network.wires), config.steps), dtype=CARRIER_DTYPE)
+    for i, name in enumerate(network.inputs):
+        wires[i] = bk.bind(assignment[name]).values
+    for op, args, outs in _level_plan(network):
+        batches = [carrier(wires[arg]) for arg in args]
+        out = bk.not_(*batches) if op == "NOT" else bk.and_(*batches)
+        wires[outs] = out.values
+    wires.setflags(write=False)
+    got, at, details = _classify_rows(bk, carrier._of_checked(wires))
+    waveforms = {}
+    classifications = {}
+    for i, (name, bit, step) in enumerate(zip(network.wires, got.tolist(), at.tolist())):
+        waveforms[name] = carrier._of_checked(wires[i])
+        if i in details:
+            classifications[name] = Classification(Verdict.AMBIGUOUS, None, details[i])
+        else:
+            classifications[name] = Classification(Verdict.from_bit(bit), step)
     return SimulationRun(
         backend=backend,
         config=config,

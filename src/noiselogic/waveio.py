@@ -5,8 +5,6 @@ step; every value is a decimal integer.  All modules and the CLI emit and
 consume this one format.
 """
 
-import io
-
 import numpy as np
 
 from .signals import IntWave, Waveform
@@ -16,16 +14,17 @@ def format_waveform_csv(columns: dict[str, Waveform]) -> str:
     """Render named waveforms as CSV text (column order = dict order)."""
     if not columns:
         raise ValueError("at least one waveform column required")
+    if any(w.values.ndim != 1 for w in columns.values()):
+        raise ValueError("every waveform column must be a single wave, not a batch")
     lengths = {len(w) for w in columns.values()}
     if len(lengths) != 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     (steps,) = lengths
-    out = io.StringIO()
-    out.write("step," + ",".join(columns) + "\n")
-    arrays = [w.values for w in columns.values()]
-    for t in range(steps):
-        out.write(str(t) + "," + ",".join(str(int(a[t])) for a in arrays) + "\n")
-    return out.getvalue()
+    # One row of Python ints per step, the step index first; ``%d`` of an
+    # int is its ``str``.
+    table = np.column_stack([np.arange(steps), *(w.values for w in columns.values())])
+    row = ",".join(["%d"] * table.shape[1]) + "\n"
+    return "step," + ",".join(columns) + "\n" + "".join(map(row.__mod__, map(tuple, table.tolist())))
 
 
 def write_waveform_csv(path, columns: dict[str, Waveform]) -> None:
@@ -34,7 +33,12 @@ def write_waveform_csv(path, columns: dict[str, Waveform]) -> None:
 
 
 def parse_waveform_csv(text: str) -> dict[str, IntWave]:
-    """Inverse of :func:`format_waveform_csv`; step indices are checked."""
+    """Inverse of :func:`format_waveform_csv`; step indices are checked.
+
+    Malformed text raises :class:`ValueError`: a bad header, empty or
+    repeated column names, a row of the wrong width, a wrong step index, a
+    non-integer cell, a value outside 64-bit range, or no rows at all.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty waveform CSV")
@@ -42,6 +46,12 @@ def parse_waveform_csv(text: str) -> dict[str, IntWave]:
     if header[0] != "step" or len(header) < 2:
         raise ValueError("waveform CSV must start with a 'step,<name>,...' header")
     names = header[1:]
+    if not all(names):
+        raise ValueError("waveform CSV header has an empty column name")
+    if len(set(names)) != len(names):
+        raise ValueError("waveform CSV header repeats a column name")
+    if len(lines) < 2:
+        raise ValueError("waveform CSV has no rows")
     rows = []
     for t, line in enumerate(lines[1:]):
         cells = line.split(",")
@@ -50,5 +60,8 @@ def parse_waveform_csv(text: str) -> dict[str, IntWave]:
         if int(cells[0]) != t:
             raise ValueError(f"row {t} carries step index {cells[0]}")
         rows.append([int(c) for c in cells[1:]])
-    data = np.asarray(rows, dtype=np.int64)
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("waveform CSV value outside the 64-bit integer range") from None
     return {name: IntWave(data[:, j]) for j, name in enumerate(names)}

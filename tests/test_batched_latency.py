@@ -3,7 +3,7 @@
 ``decision_latency`` evaluates a chunk of trials as one ``(rows, steps)``
 batch, row ``i`` against trial ``i``'s own reference pair.  The reference
 here is the per-trial loop it replaced: one ``make_backend`` per derived
-seed, the 1-D ``_evaluate_wires`` and ``_classify_wire``.  The two must give
+seed, the 1-D ``_evaluate_wires`` and ``classify_wire``.  The two must give
 equal reports, ambiguous windows and generation failures included.
 """
 
@@ -20,8 +20,10 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator, spike_gates
 from noiselogic.generators import count_identical_rtw_pairs, rtw_sign_matrix
 from noiselogic.prng import derive_seed
+from noiselogic.signals import CARRIER_DTYPE
 
 from conftest import FULL_ADDER, random_netlist_source
+from serial_reference import classify_wire
 
 
 def serial_latency(network, config, trials, backend, assignment=None):
@@ -34,7 +36,7 @@ def serial_latency(network, config, trials, backend, assignment=None):
         waves = simulator._evaluate_wires(network, bk, assignment)
         decided = None
         for name in network.outputs:
-            outcome = simulator._classify_wire(bk, waves[network.wire_index(name)])
+            outcome = classify_wire(bk, waves[network.wire_index(name)])
             if outcome.is_ambiguous:
                 decided = None
                 break
@@ -57,7 +59,8 @@ def serial_latency(network, config, trials, backend, assignment=None):
 
 def chunked_latency(network, config, trials, backend, assignment, rows):
     """decision_latency with its chunk budget set to exactly ``rows`` trials."""
-    per_row = 8 * config.steps * (simulator._release_plan(network)[1] + simulator._PAIR_WAVES)
+    per_row = (CARRIER_DTYPE.itemsize * config.steps
+               * (simulator._release_plan(network)[1] + simulator._PAIR_WAVES))
     with mock.patch.object(simulator, "_CHUNK_BYTES", rows * per_row):
         return nl.decision_latency(network, config, trials, backend, assignment)
 

@@ -3,7 +3,7 @@
 ``verify_equivalence`` evaluates a chunk of assignments as one
 ``(rows, steps)`` batch per wire.  The reference here is the per-assignment
 loop it replaced, built from the 1-D ``_evaluate_wires``, the scalar
-``eval_boolean`` and ``_classify_wire``; the two must give equal reports,
+``eval_boolean`` and ``classify_wire``; the two must give equal reports,
 failures and ambiguous incidents included, in the same order.
 """
 
@@ -20,8 +20,10 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator, spike_gates
 from noiselogic.errors import InvalidLogicValueError
 from noiselogic.prng import SplitMix64, derive_seed
+from noiselogic.signals import CARRIER_DTYPE
 
 from conftest import random_netlist_source
+from serial_reference import classify_wire
 from test_simulator import corrupt_and_to_or
 
 
@@ -56,7 +58,7 @@ def serial_report(source, backend, config, *, network=None, sample=None):
         report.checked += 1
         ok = True
         for name in net.outputs:
-            outcome = simulator._classify_wire(bk, waves[net.wire_index(name)])
+            outcome = classify_wire(bk, waves[net.wire_index(name)])
             if outcome.is_ambiguous:
                 ok = False
                 report.ambiguous.append(
@@ -84,7 +86,7 @@ def chunked_report(source, backend, config, rows, **kwargs):
     """verify_equivalence with its chunk budget set to exactly ``rows`` assignments."""
     net = kwargs.get("network") or (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
-    budget = rows * 8 * config.steps * simulator._release_plan(net)[1]
+    budget = rows * CARRIER_DTYPE.itemsize * config.steps * simulator._release_plan(net)[1]
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 

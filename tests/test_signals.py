@@ -9,6 +9,7 @@ from noiselogic.errors import (
     LengthMismatchError,
     OrthogonalityError,
 )
+from noiselogic.signals import CARRIER_DTYPE
 
 rtw_values = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64)
 spike_values = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=64)
@@ -55,6 +56,50 @@ class TestWaveformTypes:
     def test_rtw_square_is_one(self, values):
         x = nl.RtwSignal(values)
         assert np.all(x.values * x.values == 1)
+
+
+class TestCarrierDtype:
+    """Logic carriers store int8; the family check runs before narrowing."""
+
+    @pytest.mark.parametrize("cls, value", [
+        (nl.SpikeTrain, 257),        # would wrap to 1
+        (nl.SpikeTrain, -255),       # would wrap to 1
+        (nl.RtwSignal, 255),         # would wrap to -1
+        (nl.RtwSignal, 2**63 - 1),   # would wrap to -1
+        (nl.MultiLevelSignal, 130),  # would wrap to -126, then fail anyway
+        (nl.MultiLevelSignal, 258),  # would wrap to 2
+    ])
+    def test_out_of_range_values_are_rejected_not_wrapped(self, cls, value):
+        with pytest.raises(ValueError):
+            cls([value])
+        with pytest.raises(ValueError):
+            cls(np.array([[value]], dtype=np.int64))
+
+    def test_carriers_are_int8_and_int_waves_int64(self):
+        for wave in (nl.RtwSignal([1, -1]), nl.SpikeTrain([0, 1]), nl.MultiLevelSignal([-2, 2])):
+            assert wave.values.dtype == CARRIER_DTYPE == np.int8
+        big = nl.IntWave([10**12, -(10**12)])
+        assert big.values.dtype == np.int64
+        assert big.to_list() == [10**12, -(10**12)]
+
+    def test_construction_copies_its_input(self):
+        source = np.array([0, 1, 0], dtype=np.int8)
+        train = nl.SpikeTrain(source)
+        source[0] = 1
+        assert train.to_list() == [0, 1, 0]
+
+    def test_wrapping_without_a_copy_needs_a_read_only_array_of_the_dtype(self):
+        rows = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        with pytest.raises(ValueError):
+            nl.RtwSignal._of_checked(rows)
+        rows.setflags(write=False)
+        wide = rows.astype(np.int64)
+        wide.setflags(write=False)
+        with pytest.raises(ValueError):
+            nl.RtwSignal._of_checked(wide)
+        wave = nl.RtwSignal._of_checked(rows[1])
+        assert wave == nl.RtwSignal([-1, 1])
+        assert wave.values.base is rows
 
 
 class TestReferencePair:

@@ -5,12 +5,13 @@
 A refactor that binds a kernel or helper at import time would make those
 wrappers miss every call, and the per-layer metrics would silently read
 zero.  These tests load the tracer by path, unchanged, and run ``verify``
-through the CLI and the Monte-Carlo sweeps through the API, the way the
-benchmark does.
+and ``simulate`` through the CLI and the Monte-Carlo sweeps through the
+API, the way the benchmark does.
 """
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -18,7 +19,7 @@ from click.testing import CliRunner
 import noiselogic as nl
 from noiselogic.cli import main
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, random_netlist_source
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ("cli", "simulator", "rtw_gates", "spike_gates", "generators", "prng")
@@ -86,3 +87,35 @@ def test_tracer_counts_the_monte_carlo_sweeps():
     # The High and the Low batch of each RTW backend's one chunk.
     assert tracer.calls("generators.rtw_sign_matrix") == 4
     assert tracer.calls("prng.mix64_array") > 0
+
+
+def test_tracer_counts_one_kernel_call_per_level_group_of_simulate(tmp_path):
+    # simulate runs each (topological level, op) group of gates as one
+    # batch; the levels are recomputed here from the network.
+    source = random_netlist_source(random.Random(3), 8, 60)
+    path = tmp_path / "net.nl"
+    path.write_text(source)
+    network = nl.lower(nl.parse(source))
+    level = [0] * len(network.wires)
+    groups = set()
+    for gate in network.gates:
+        level[gate.out] = 1 + max(level[arg] for arg in gate.args)
+        groups.add((level[gate.out], gate.op))
+    and_groups = sum(op == "AND" for _, op in groups)
+    not_groups = len(groups) - and_groups
+    assert and_groups < network.gate_counts()["AND"]
+
+    assign = ",".join(f"{name}=1" for name in network.inputs)
+
+    def simulate_all():
+        for backend in nl.BACKENDS:
+            result = CliRunner().invoke(main, ["simulate", str(path), "--assign", assign,
+                                               "--backend", backend, "--steps", "64"])
+            assert result.exit_code == 0, result.output
+
+    tracer, _ = _traced(simulate_all)
+    assert tracer.calls("simulator.run") == len(nl.BACKENDS)
+    assert tracer.calls("rtw_gates.and") == 2 * and_groups
+    assert tracer.calls("spike_gates.and") == and_groups
+    assert tracer.calls("rtw_gates.not") == 2 * not_groups
+    assert tracer.calls("spike_gates.not") == not_groups
