@@ -11,7 +11,6 @@ oracle.
 """
 
 from .errors import (
-    AmbiguousWindowError,
     ConfigError,
     FamilyMismatchError,
     GenerationError,
@@ -58,11 +57,8 @@ from .signals import (
     SpikeTrain,
     Verdict,
     Waveform,
-    add,
     classify,
-    mul,
-    scale_quarter,
-    sub,
+    classify_rows,
     universe_rtw,
     universe_spike,
 )

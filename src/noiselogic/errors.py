@@ -29,10 +29,6 @@ class GenerationError(NoiseLogicError):
     """Waveform generation could not satisfy its postconditions (retry budget exhausted)."""
 
 
-class AmbiguousWindowError(NoiseLogicError):
-    """The observation window contains no step that can decide a logic value."""
-
-
 class InvariantError(NoiseLogicError):
     """An internal identity the package checks on itself does not hold."""
 

@@ -22,9 +22,9 @@ Stream layout (fixed; golden tests depend on it):
   result does not depend on the other rows.  ``gen_orthogonal_spike_pair``
   is its one-row case.
 * ``rtw_sign_matrix`` row ``i`` is child ``child`` of the trial seed
-  ``derive_seed(seed, start + i)``, one word per step, as in
-  ``gen_rtw_pair``; ``count_identical_rtw_pairs`` walks the same words
-  step by step.
+  ``derive_seed(seed, start + i)``, one word per step; ``gen_rtw_pair`` is
+  its one-row case, for the trial seed ``config.seed``, and
+  ``count_identical_rtw_pairs`` walks the same words step by step.
 * ``gen_disjoint_spike_pairs`` is the joint multi-pair variant: one
   (2N+1)-way draw per step keeps all 2N trains pairwise disjoint.
 """
@@ -40,20 +40,20 @@ MAX_RETRIES = 64
 _U = np.uint64
 
 
-def _rtw_from_stream(stream: SplitMix64, steps: int) -> RtwSignal:
-    bits = (stream.block(steps) >> _U(63)).astype(np.int64)
-    return RtwSignal(2 * bits - 1)
+def _signs(raw: np.ndarray) -> np.ndarray:
+    """-1/+1 from the top bit of each raw word."""
+    return 2 * (raw >> _U(63)).astype(np.int64) - 1
 
 
 def gen_rtw(config: GeneratorConfig) -> RtwSignal:
     """One random telegraph wave: each step -1 or +1 with probability 0.5."""
-    return _rtw_from_stream(SplitMix64(config.seed), config.steps)
+    return RtwSignal(_signs(SplitMix64(config.seed).block(config.steps)))
 
 
 def gen_rtw_pair(config: GeneratorConfig) -> LogicReferencePair:
     """Independent High and Low RTW references from one config."""
-    h = _rtw_from_stream(SplitMix64(derive_seed(config.seed, 0)), config.steps)
-    l = _rtw_from_stream(SplitMix64(derive_seed(config.seed, 1)), config.steps)
+    seeds = np.array([config.seed], dtype=np.uint64)
+    h, l = (RtwSignal(_rtw_rows(seeds, child, config.steps)[0]) for child in (0, 1))
     return LogicReferencePair(h, l)
 
 
@@ -97,6 +97,11 @@ def _child_words(seeds: np.ndarray, child: int, steps: int) -> np.ndarray:
     """``(len(seeds), steps)`` raw words: row ``i`` is ``SplitMix64(derive_seed(seeds[i], child)).block(steps)``."""
     steps_k = np.arange(1, steps + 1, dtype=np.uint64)
     return mix64_array(_child_seeds(seeds, child)[:, None] + _U(GOLDEN) * steps_k[None, :])
+
+
+def _rtw_rows(trial_seeds: np.ndarray, child: int, steps: int) -> np.ndarray:
+    """``(rows, steps)`` signs: row ``i`` is child ``child`` of ``trial_seeds[i]``, one word per step."""
+    return _signs(_child_words(trial_seeds, child, steps))
 
 
 def _spike_rows(trial_seeds: np.ndarray, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +212,7 @@ def rtw_sign_matrix(
     identity of SplitMix64, so chunked sweeps aggregate independently of
     the chunking.
     """
-    raw = _child_words(derive_seeds(seed, trials, start), child, steps)
-    return 2 * (raw >> _U(63)).astype(np.int64) - 1
+    return _rtw_rows(derive_seeds(seed, trials, start), child, steps)
 
 
 def count_identical_rtw_pairs(seed: int, trials: int, steps: int, start: int = 0) -> int:

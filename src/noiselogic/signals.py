@@ -1,4 +1,4 @@
-"""Clocked waveform types, waveform algebra and per-step classification.
+"""Clocked waveform types, reference pairs and classification.
 
 All signals are immutable sequences of small integers, one value per
 discrete clock step, on a single global clock.  A waveform may carry a
@@ -26,8 +26,9 @@ wrapped.  Every gate polynomial stays within ``int8`` (the RTW cube within
 because their arithmetic is unbounded.
 
 A :class:`LogicReferencePair` binds the High and Low reference waves of one
-family; :func:`classify` reads an observed waveform against such a pair and
-reports High, Low or Ambiguous together with the deciding step.
+family; :func:`classify_rows` reads a wave or a batch of waves against such
+a pair, by one rule for both families, and :func:`classify` is its one-wave
+case, reporting High, Low or Ambiguous together with the deciding step.
 """
 
 from dataclasses import dataclass
@@ -63,8 +64,14 @@ def _as_int_array(values) -> np.ndarray:
         )
     if arr.size < 1:
         raise ValueError("waveform must contain at least one step")
+    too_wide = "waveform values must fit in 64-bit signed integers"
+    if arr.dtype == np.uint64 and arr.max() > np.iinfo(np.int64).max:
+        raise ValueError(too_wide)   # int64 storage would wrap it
     if not np.issubdtype(arr.dtype, np.integer):
-        int_arr = arr.astype(np.int64)
+        try:
+            int_arr = arr.astype(np.int64)
+        except OverflowError:
+            raise ValueError(too_wide) from None
         if not np.array_equal(int_arr, arr):
             raise ValueError("waveform values must be integers")
         arr = int_arr
@@ -123,7 +130,8 @@ class Waveform:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._values.tobytes()))
+        # Equal waves of different carriers (and so dtypes) hash alike.
+        return hash((self._values.shape, self._values.astype(np.int64).tobytes()))
 
     def __repr__(self) -> str:
         if self._values.ndim == 2:
@@ -240,10 +248,6 @@ class LogicReferencePair:
     def steps(self) -> int:
         return len(self.h)
 
-    def row(self, i: int) -> "LogicReferencePair":
-        """Pair ``i`` of a batch of pairs."""
-        return LogicReferencePair(type(self.h)(self.h.values[i]), type(self.l)(self.l.values[i]))
-
     def check_gate_input(self, x: Waveform, family: str, role: str = "input",
                          *, exact: bool = True) -> None:
         """Reject a gate input that does not fit this pair.
@@ -340,31 +344,7 @@ class Classification:
 
 
 # ---------------------------------------------------------------------------
-# waveform algebra
-
-
-def add(a: Waveform, b: Waveform) -> IntWave:
-    _require_same_length(a, b, "add")
-    return IntWave(a.values + b.values)
-
-
-def sub(a: Waveform, b: Waveform) -> IntWave:
-    _require_same_length(a, b, "sub")
-    return IntWave(a.values - b.values)
-
-
-def mul(a: Waveform, b: Waveform) -> IntWave:
-    _require_same_length(a, b, "mul")
-    return IntWave(a.values * b.values)
-
-
-def scale_quarter(x: Waveform | Sequence[int]) -> IntWave:
-    """Exact division by four; every element must be divisible by 4."""
-    arr = x.values if isinstance(x, Waveform) else _as_int_array(x)
-    if np.any(arr % 4 != 0):
-        bad = arr[arr % 4 != 0][0]
-        raise ValueError(f"scale_quarter requires elements divisible by 4, found {bad}")
-    return IntWave(arr // 4)
+# universes
 
 
 def universe_rtw(pair: LogicReferencePair) -> MultiLevelSignal:
@@ -391,55 +371,59 @@ def universe_spike(pair: LogicReferencePair) -> SpikeTrain:
 # classification
 
 
-def classify(x: Waveform, pair: LogicReferencePair) -> Classification:
-    """Read the logic value of ``x`` against a reference pair.
+def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Read every row of ``x`` against its reference pair, by one rule for both families.
 
-    RTW family: scan for the first step where the references differ; the
-    observed value at that step decides High or Low.  If the references
-    never differ the window is ambiguous (for independently drawn
-    references this happens with probability 0.5**n over n steps).
+    ``x`` is one wave or a ``(rows, steps)`` batch; ``pair`` is one pair or
+    a batch with one pair per row.  The first step where High and Low
+    differ votes for the reference that ``x`` follows there (for a spike
+    pair, whose trains are disjoint, that is the first universe spike).
+    The vote stands only if the whole wave equals the voted reference;
+    otherwise the row is ambiguous, as it is when the references never
+    differ.
 
-    Spike family: the first universe spike decides; the observed train
-    matches the High reference at that step (spiking with it, or staying
-    silent while Low spikes) or it does not.  The decision is then checked
-    against full-sequence equality with the matching reference, and any
-    mismatch is reported as ambiguous with a diagnostic.
+    Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
+    step (-1 when ambiguous) and the diagnostic of each ambiguous row.
     """
-    if pair.family == RTW:
-        if not isinstance(x, RtwSignal):
-            raise FamilyMismatchError(
-                f"expected an RtwSignal against an RTW pair, got {type(x).__name__}"
-            )
-        _require_same_length(x, pair.h, "classify")
-        differs = pair.h.values != pair.l.values
-        if not differs.any():
-            return Classification(
-                Verdict.AMBIGUOUS, None,
-                "references are identical across the whole window",
-            )
-        t = int(np.argmax(differs))
-        if x[t] == pair.h[t]:
-            return Classification(Verdict.HIGH, t)
-        return Classification(Verdict.LOW, t)
-
-    if not isinstance(x, SpikeTrain):
+    if not isinstance(x, type(pair.h)):
         raise FamilyMismatchError(
-            f"expected a SpikeTrain against a spike pair, got {type(x).__name__}"
+            f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
+            f"got {type(x).__name__}"
         )
     _require_same_length(x, pair.h, "classify")
-    u = pair.h.values | pair.l.values
-    if not u.any():
-        return Classification(
-            Verdict.AMBIGUOUS, None, "no reference spikes in the window"
-        )
-    t = int(np.argmax(u))
-    verdict = Verdict.HIGH if x[t] == pair.h[t] else Verdict.LOW
-    reference = pair.h if verdict is Verdict.HIGH else pair.l
-    if x != reference:
-        mismatch = int(np.flatnonzero(x.values != reference.values)[0])
-        return Classification(
-            Verdict.AMBIGUOUS, None,
-            f"step {t} votes {verdict.value} but the train deviates from that "
-            f"reference at step {mismatch}",
-        )
-    return Classification(verdict, t)
+    v, h, l = np.atleast_2d(x.values, pair.h.values, pair.l.values)
+    if len(h) > 1 and h.shape != v.shape:
+        raise LengthMismatchError(f"classify: {len(v)} waves against {len(h)} pairs")
+    differs = h != l
+    votes = differs.any(axis=1)
+    first = differs.argmax(axis=1)
+    high = (v == h).all(axis=1)
+    decided = votes & (high | (v == l).all(axis=1))
+    bits = np.where(decided, high, -1)
+    steps = np.where(decided, first, -1)
+    details = {}
+    for r in np.flatnonzero(~decided).tolist():
+        p = r if len(h) > 1 else 0
+        if not votes[p]:
+            details[r] = "references are identical across the whole window"
+            continue
+        t = int(first[p])
+        vote, reference = (Verdict.HIGH, h[p]) if v[r, t] == h[p, t] else (Verdict.LOW, l[p])
+        mismatch = int(np.argmax(v[r] != reference))
+        details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
+                      f"reference at step {mismatch}")
+    return bits, steps, details
+
+
+def classify(x: Waveform, pair: LogicReferencePair) -> Classification:
+    """Read the logic value of one wave ``x`` against a reference pair.
+
+    The one-wave case of :func:`classify_rows`: High or Low with its
+    deciding step, or Ambiguous with a diagnostic.
+    """
+    if x.values.ndim != 1:
+        raise ValueError("classify reads one wave; use classify_rows for a batch")
+    (bit,), (step,), details = classify_rows(x, pair)
+    if details:
+        return Classification(Verdict.AMBIGUOUS, None, details[0])
+    return Classification(Verdict.from_bit(int(bit)), int(step))

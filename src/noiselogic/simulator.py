@@ -41,7 +41,7 @@ from .signals import (
     SpikeTrain,
     Verdict,
     Waveform,
-    classify,
+    classify_rows,
     universe_spike,
 )
 
@@ -54,8 +54,8 @@ EXHAUSTIVE_INPUT_LIMIT = 20
 _CHUNK_BYTES = 2 << 20
 
 # Per-chunk waves besides the live wires in decision_latency: the High and
-# Low batches and the RTW context's universe, difference and H * L.
-_PAIR_WAVES = 5
+# Low batches.
+_PAIR_WAVES = 2
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
@@ -101,14 +101,8 @@ class _Backend:
         module = _FAMILY_GATES[family]
         self.name = name
         self.pair = pair
-        self.ctx = rtw_gates.RtwGateContext(pair) if family == RTW else pair
         self._not = getattr(module, not_name)
         self._and = getattr(module, and_name)
-        # First step where the references differ, -1 where they never do
-        # (per row for a batch); for a spike pair, whose trains are
-        # disjoint, that is the first universe spike.
-        differs = pair.h.values != pair.l.values
-        self.first_step = np.where(differs.any(axis=-1), differs.argmax(axis=-1), -1)
 
     def bind(self, bits) -> Waveform:
         """High or Low for a 0/1 bit; a ``(rows, steps)`` batch for a ``(rows,)`` bit array."""
@@ -118,15 +112,16 @@ class _Backend:
         return self.pair.h if bits else self.pair.l
 
     def not_(self, x: Waveform) -> Waveform:
-        return self._not(self.ctx, x)
+        return self._not(self.pair, x)
 
     def and_(self, a: Waveform, b: Waveform) -> Waveform:
-        return self._and(self.ctx, a, b)
+        return self._and(self.pair, a, b)
 
 
 def make_backend(name: str, config: GeneratorConfig) -> _Backend:
     """Instantiate a backend by name; one reference pair is drawn here."""
     if backend_family(name) == RTW:
+        # Through the gate module's name, which perfbench/tracing.py wraps.
         return _Backend(name, rtw_gates.gen_rtw_pair(config))
     return _Backend(name, gen_orthogonal_spike_pair(config))
 
@@ -140,38 +135,6 @@ def _draw_pair_rows(family: str, config: GeneratorConfig, count: int,
         return LogicReferencePair(RtwSignal(h), RtwSignal(l))
     h, l = spike_pair_rows(config, count, start)
     return LogicReferencePair(SpikeTrain(h), SpikeTrain(l))
-
-
-def _classify_rows(backend, x: Waveform) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """:func:`classify` for each row of a ``(rows, steps)`` batch.
-
-    Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
-    step (-1 when ambiguous) and the diagnostic of each ambiguous row.  The
-    backend's pair may be one pair or a batch with one pair per row.  Valid
-    gates only ever emit exact copies of a reference, so rows that are
-    copies of their reference, where the references differ somewhere, are
-    decided in one vectorized comparison at the pair's first differing
-    step, which is where the full classifier would decide them.  Any other
-    row goes through the full classifier with its own pair, for a proper
-    diagnostic.
-    """
-    values = x.values
-    pair = backend.pair
-    high = (values == pair.h.values).all(axis=1)
-    decided = (high | (values == pair.l.values).all(axis=1)) & (backend.first_step >= 0)
-    got = high.astype(np.int64)
-    at = np.where(decided, backend.first_step, -1)
-    details = {}
-    for r in np.flatnonzero(~decided):
-        row_pair = pair if pair.h.values.ndim == 1 else pair.row(r)
-        outcome = classify(type(x)(values[r]), row_pair)
-        if outcome.is_ambiguous:
-            got[r] = -1
-            details[r] = outcome.detail
-        else:
-            got[r] = outcome.verdict.to_bit()
-            at[r] = outcome.decided_at
-    return got, at, details
 
 
 def _release_plan(network: CompiledNetwork) -> tuple[list[list[int]], int]:
@@ -291,7 +254,7 @@ def run(
         out = bk.not_(*batches) if op == "NOT" else bk.and_(*batches)
         wires[outs] = out.values
     wires.setflags(write=False)
-    got, at, details = _classify_rows(bk, carrier._of_checked(wires))
+    got, at, details = classify_rows(carrier._of_checked(wires), bk.pair)
     waveforms = {}
     classifications = {}
     for i, (name, bit, step) in enumerate(zip(network.wires, got.tolist(), at.tolist())):
@@ -466,7 +429,7 @@ def verify_equivalence(
         bad = np.zeros(hi - lo, dtype=bool)
         outcomes = []
         for name in net.outputs:
-            got, _, details = _classify_rows(bk, waves[out_index[name]])
+            got, _, details = classify_rows(waves[out_index[name]], bk.pair)
             bad |= got != expected[name]   # an ambiguous row (-1) never matches
             outcomes.append((name, got, details))
         report.checked += hi - lo
@@ -658,7 +621,7 @@ def decision_latency(
         # ambiguous output on.
         decided = np.full(count, -2)
         for name in network.outputs:
-            _, at, _ = _classify_rows(bk, waves[out_index[name]])
+            _, at, _ = classify_rows(waves[out_index[name]], bk.pair)
             if np.any((decided >= 0) & (at >= 0) & (at != decided)):
                 raise InvariantError("outputs decided at different steps in one run")
             decided = np.where(decided == -1, -1, at)

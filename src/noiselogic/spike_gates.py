@@ -21,16 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousWindowError, InvariantError
-from .signals import (
-    SPIKE,
-    Classification,
-    LogicReferencePair,
-    SpikeTrain,
-    _require_same_length,
-    classify,
-    universe_spike,
-)
+from .errors import InvariantError
+from .signals import SPIKE, LogicReferencePair, SpikeTrain, _require_same_length, universe_spike
 
 
 def neuron_eval(excitatory: SpikeTrain, inhibitory: SpikeTrain) -> SpikeTrain:
@@ -108,19 +100,3 @@ def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> Spike
     if not np.array_equal(out.values, direct):
         raise InvariantError("AND circuit deviates")
     return out
-
-
-def decision_step(pair: LogicReferencePair, y: SpikeTrain) -> int:
-    """Earliest step at which ``y``'s logic value is decided.
-
-    For well-formed references this is the first universe spike: a train
-    that spikes there is High or Low depending on which reference owns the
-    spike, and a silent train is the other value.
-    """
-    pair.check_gate_input(y, SPIKE)
-    outcome: Classification = classify(y, pair)
-    if outcome.is_ambiguous or outcome.decided_at is None:
-        raise AmbiguousWindowError(
-            f"window of {pair.steps} steps cannot decide: {outcome.detail}"
-        )
-    return outcome.decided_at

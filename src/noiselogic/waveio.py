@@ -1,13 +1,17 @@
 """Shared CSV waveform format.
 
 One header row ``step,<name1>,<name2>,...`` followed by one row per clock
-step; every value is a decimal integer.  All modules and the CLI emit and
+step; every value is a decimal integer, ASCII ``-?[0-9]+``.  All modules and the CLI emit and
 consume this one format.
 """
+
+import re
 
 import numpy as np
 
 from .signals import IntWave, Waveform
+
+_CELL = re.compile(r"-?[0-9]+")
 
 
 def format_waveform_csv(columns: dict[str, Waveform]) -> str:
@@ -37,7 +41,9 @@ def parse_waveform_csv(text: str) -> dict[str, IntWave]:
 
     Malformed text raises :class:`ValueError`: a bad header, empty or
     repeated column names, a row of the wrong width, a wrong step index, a
-    non-integer cell, a value outside 64-bit range, or no rows at all.
+    cell that is not ``-?[0-9]+`` (no sign ``+``, spaces, ``_`` or non-ASCII
+    digits, all of which Python's ``int`` would take), a value outside
+    64-bit range, or no rows at all.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -57,6 +63,8 @@ def parse_waveform_csv(text: str) -> dict[str, IntWave]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"row {t} has {len(cells)} cells, expected {len(header)}")
+        if not all(map(_CELL.fullmatch, cells)):
+            raise ValueError(f"row {t} has a cell that is not a decimal integer")
         if int(cells[0]) != t:
             raise ValueError(f"row {t} carries step index {cells[0]}")
         rows.append([int(c) for c in cells[1:]])

@@ -1,29 +1,38 @@
 """One-wave-at-a-time references for the batched and level-parallel engines.
 
-The simulator classifies whole batches of waves with ``_classify_rows``
-and runs ``run`` one topological level at a time.  The functions here are
-the per-wire and per-gate code those paths replaced; tests require equal
-results from both.
+The simulator classifies whole batches of waves with ``classify_rows`` and
+runs ``run`` one topological level at a time.  The functions here are a
+per-wire, step-by-step reading of the classification rule and the per-gate
+run those paths replaced; tests require equal results from both.
 """
 
 import noiselogic as nl
 from noiselogic import simulator
 
 
-def classify_wire(backend, x: nl.Waveform) -> nl.Classification:
-    """Classification with a fast path for exact reference copies.
+def classify_wave(x: nl.Waveform, pair: nl.LogicReferencePair) -> nl.Classification:
+    """The classification rule, one step at a time in plain Python.
 
-    Equality against the backend's pair decides a copy at the pair's first
-    differing step; anything else goes through the full scanning
-    classifier for its diagnostic.
+    The first step where High and Low differ votes; the vote stands only
+    if the whole wave equals the voted reference.
     """
-    step = int(backend.first_step)
-    if step >= 0:
-        if x == backend.pair.h:
-            return nl.Classification(nl.Verdict.HIGH, step)
-        if x == backend.pair.l:
-            return nl.Classification(nl.Verdict.LOW, step)
-    return nl.classify(x, backend.pair)
+    h, l, v = pair.h.to_list(), pair.l.to_list(), x.to_list()
+    t = next((t for t in range(len(h)) if h[t] != l[t]), None)
+    if t is None:
+        return nl.Classification(nl.Verdict.AMBIGUOUS, None,
+                                 "references are identical across the whole window")
+    vote, reference = (nl.Verdict.HIGH, h) if v[t] == h[t] else (nl.Verdict.LOW, l)
+    if v == reference:
+        return nl.Classification(vote, t)
+    mismatch = next(m for m in range(len(v)) if v[m] != reference[m])
+    return nl.Classification(
+        nl.Verdict.AMBIGUOUS, None,
+        f"step {t} votes {vote.value} but the wave deviates from that reference at step {mismatch}")
+
+
+def classify_wire(backend, x: nl.Waveform) -> nl.Classification:
+    """:func:`classify_wave` against the backend's pair."""
+    return classify_wave(x, backend.pair)
 
 
 def serial_run(network, backend, assignment, config) -> nl.SimulationRun:

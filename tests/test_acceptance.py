@@ -16,12 +16,7 @@ import pytest
 import noiselogic as nl
 from noiselogic.generators import gen_disjoint_spike_pairs
 from noiselogic.prng import SplitMix64, derive_seed
-from noiselogic.rtw_gates import (
-    RtwGateContext,
-    and_gate,
-    not_additive,
-    not_multiplicative,
-)
+from noiselogic.rtw_gates import and_gate, not_additive, not_multiplicative
 from noiselogic.spike_gates import spike_and, spike_not
 
 from conftest import FULL_ADDER, random_netlist_source
@@ -40,15 +35,15 @@ def _criterion(number: int, title: str):
 def test_criterion_1_rtw_gate_truth_tables():
     with _criterion(1, "RTW gate truth tables, 100 seeds x 1000 steps, exact"):
         for seed in range(100):
-            ctx = RtwGateContext.from_config(nl.GeneratorConfig(seed=seed, steps=1000))
-            refs = {1: ctx.h, 0: ctx.l}
-            assert not_additive(ctx, ctx.h) == ctx.l
-            assert not_additive(ctx, ctx.l) == ctx.h
-            assert not_multiplicative(ctx, ctx.h) == ctx.l
-            assert not_multiplicative(ctx, ctx.l) == ctx.h
+            pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=seed, steps=1000))
+            refs = {1: pair.h, 0: pair.l}
+            assert not_additive(pair, pair.h) == pair.l
+            assert not_additive(pair, pair.l) == pair.h
+            assert not_multiplicative(pair, pair.h) == pair.l
+            assert not_multiplicative(pair, pair.l) == pair.h
             for a in (0, 1):
                 for b in (0, 1):
-                    assert and_gate(ctx, refs[a], refs[b]) == refs[a & b]
+                    assert and_gate(pair, refs[a], refs[b]) == refs[a & b]
 
 
 def test_criterion_2_cube_identity():

@@ -113,14 +113,13 @@ class TestLatencyBatchedEqualsSerial:
 
     @pytest.mark.parametrize("backend", nl.BACKENDS)
     def test_outputs_that_are_no_reference_copy(self, backend):
-        # With this NOT, y2 is a copy of neither reference.  The spike
-        # classifier reads it as ambiguous, which makes the window ambiguous
-        # although y1 decided first; the RTW classifier decides it at the
-        # first differing step, like y1.
-        def off_reference_not(ctx, x):
+        # With this NOT, y2 is a copy of neither reference.  Both families
+        # read it as ambiguous, which makes the window ambiguous although
+        # y1 decided first.
+        def off_reference_not(pair, x):
             if isinstance(x, nl.SpikeTrain):
-                return nl.SpikeTrain(ctx.h.values | ctx.l.values)
-            return nl.RtwSignal(-ctx.h.values)
+                return nl.SpikeTrain(pair.h.values | pair.l.values)
+            return nl.RtwSignal(-pair.h.values)
 
         network = nl.lower(nl.parse("input a b\noutput y1 = AND a b\noutput y2 = NOT a\n"))
         config = nl.GeneratorConfig(seed=8, steps=16)
@@ -128,7 +127,7 @@ class TestLatencyBatchedEqualsSerial:
         with mock.patch.object(module, simulator._BACKEND_TABLE[backend][1], off_reference_not):
             got = chunked_latency(network, config, 10, backend, None, 3)
             want = serial_latency(network, config, 10, backend)
-        assert want.ambiguous_windows == (10 if backend == "spike" else 0)
+        assert want.ambiguous_windows == 10
         assert repr(got.to_doc()) == repr(want.to_doc())
 
     def test_one_step_spike_trains_cannot_be_drawn(self, full_adder_network):

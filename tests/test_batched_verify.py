@@ -206,14 +206,13 @@ class TestBatchedKernels:
 
     @staticmethod
     def _family(family):
-        """(gate context, pair, wave type, NOT kernels, AND kernel) of one family."""
+        """(pair, wave type, NOT kernels, AND kernel) of one family."""
         config = nl.GeneratorConfig(seed=9, steps=48)
         if family == nl.RTW:
-            ctx = rtw_gates.RtwGateContext.from_config(config)
             nots = (rtw_gates.not_additive, rtw_gates.not_multiplicative)
-            return ctx, ctx.pair, nl.RtwSignal, nots, rtw_gates.and_gate
+            return nl.gen_rtw_pair(config), nl.RtwSignal, nots, rtw_gates.and_gate
         pair = nl.gen_orthogonal_spike_pair(config)
-        return pair, pair, nl.SpikeTrain, (spike_gates.spike_not,), spike_gates.spike_and
+        return pair, nl.SpikeTrain, (spike_gates.spike_not,), spike_gates.spike_and
 
     @staticmethod
     def _rows(pair, bits):
@@ -221,30 +220,30 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_batch_equals_row_by_row(self, family):
-        ctx, pair, wave_type, nots, and_ = self._family(family)
+        pair, wave_type, nots, and_ = self._family(family)
         rows1, rows2 = (self._rows(pair, bits) for bits in self.BITS)
         x1, x2 = (wave_type(np.stack([w.values for w in rows])) for rows in (rows1, rows2))
-        batch_and = and_(ctx, x1, x2).values
+        batch_and = and_(pair, x1, x2).values
         for r, (a, b) in enumerate(zip(rows1, rows2)):
-            assert np.array_equal(batch_and[r], and_(ctx, a, b).values)
+            assert np.array_equal(batch_and[r], and_(pair, a, b).values)
         for not_ in nots:
-            batch_not = not_(ctx, x1).values
+            batch_not = not_(pair, x1).values
             for r, a in enumerate(rows1):
-                assert np.array_equal(batch_not[r], not_(ctx, a).values)
+                assert np.array_equal(batch_not[r], not_(pair, a).values)
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_one_bad_row_is_rejected(self, family):
-        ctx, pair, wave_type, nots, and_ = self._family(family)
+        pair, wave_type, nots, and_ = self._family(family)
         values = np.stack([w.values for w in self._rows(pair, self.BITS[0])])
         good = wave_type(values)
         values[2] = _bad_row(pair)
         bad = wave_type(values)
         with pytest.raises(InvalidLogicValueError):
-            nots[0](ctx, bad)   # additive RTW NOT or spike NOT; the product NOT takes any wave
+            nots[0](pair, bad)   # additive RTW NOT or spike NOT; the product NOT takes any wave
         with pytest.raises(InvalidLogicValueError, match="first input"):
-            and_(ctx, bad, good)
+            and_(pair, bad, good)
         with pytest.raises(InvalidLogicValueError, match="second input"):
-            and_(ctx, good, bad)
+            and_(pair, good, bad)
 
     def test_batch_length_is_the_step_count(self):
         batch = nl.RtwSignal(np.ones((3, 7), dtype=np.int64))

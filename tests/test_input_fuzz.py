@@ -6,6 +6,7 @@ with a message.  Any other exception would reach the user as a traceback.
 """
 
 import json
+import re
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -19,10 +20,19 @@ FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCh
 REJECTED = (nl.NoiseLogicError, ValueError)
 
 # Cells mix small values, arbitrary integers and values just past the
-# 64-bit range with stray text.
+# 64-bit range with stray text, including text Python's int() accepts: a
+# sign "+", spaces, "_" and non-ASCII digits.
 integers = st.one_of(st.integers(-3, 3), st.integers(),
                      st.integers(2**63 - 2, 2**66), st.integers(-(2**66), -(2**63) + 1))
-cells = st.one_of(integers.map(str), st.text(alphabet="0123456789-+ ._ae,x", max_size=6))
+int_lookalikes = st.one_of(
+    st.integers(0, 999).map(lambda v: f"+{v}"),
+    st.integers(-999, 999).map(lambda v: f" {v}"),
+    st.integers(1000, 10**6).map(lambda v: f"{v:_}"),
+    # Arabic-Indic digits.
+    st.integers(0, 999).map(lambda v: str(v).translate({48 + d: 0x660 + d for d in range(10)})),
+)
+cells = st.one_of(integers.map(str), int_lookalikes,
+                  st.text(alphabet="0123456789-+ ._ae,x\u0661\uff17", max_size=6))
 names = st.one_of(st.sampled_from(["a", "b", "y", "w0", "step", "", "a b", "$1", "input"]),
                   st.text(max_size=5))
 
@@ -133,3 +143,12 @@ class TestWaveformCsv:
             assert len(lengths) == 1
             assert parse_waveform_csv(
                 format_waveform_csv(columns)) == columns
+
+    @FUZZ
+    @given(st.one_of(csv_texts(), st.text(max_size=40)))
+    @example("step,a\n0,1_000\n1, +7\n2,\u0661\n")
+    def test_accepts_only_decimal_integer_cells(self, text):
+        if _loads(parse_waveform_csv, text) is not None:
+            rows = [line for line in text.splitlines() if line.strip()][1:]
+            cells = [cell for row in rows for cell in row.split(",")]
+            assert all(re.fullmatch("-?[0-9]+", cell) for cell in cells), text

@@ -24,10 +24,10 @@ from conftest import FULL_ADDER, random_netlist_source
 from serial_reference import serial_run
 
 
-def _non_copy_not(ctx, x):
+def _non_copy_not(pair, x):
     """A NOT that emits x * H: a valid RTW wave that is, in general, no reference copy."""
-    ctx.pair.check_gate_input(x, nl.RTW, exact=False)
-    return nl.RtwSignal(x.values * ctx.pair.h.values)
+    pair.check_gate_input(x, nl.RTW, exact=False)
+    return nl.RtwSignal(x.values * pair.h.values)
 
 
 def outcome(fn, *args):

@@ -11,6 +11,8 @@ from noiselogic.errors import (
 )
 from noiselogic.signals import CARRIER_DTYPE
 
+from serial_reference import classify_wave
+
 rtw_values = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64)
 spike_values = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=64)
 
@@ -45,6 +47,19 @@ class TestWaveformTypes:
     def test_equality_is_elementwise(self):
         assert nl.RtwSignal([1, -1]) == nl.RtwSignal([1, -1])
         assert nl.RtwSignal([1, -1]) != nl.RtwSignal([-1, 1])
+
+    def test_equal_waves_hash_alike_across_carriers(self):
+        assert nl.RtwSignal([1]) == nl.IntWave([1])
+        assert len({nl.RtwSignal([1]), nl.IntWave([1])}) == 1
+        assert len({nl.SpikeTrain([0, 1]), nl.IntWave([0, 1]), nl.MultiLevelSignal([0, 1])}) == 1
+        assert nl.IntWave([[1]]) != nl.IntWave([1])
+
+    @pytest.mark.parametrize("value", [10**30, -(10**30), 2**63])
+    def test_values_beyond_64_bits_raise_value_error(self, value):
+        with pytest.raises(ValueError, match="64-bit"):
+            nl.IntWave([value])
+        with pytest.raises(ValueError):
+            nl.RtwSignal([value])
 
     def test_spike_train_set_view(self):
         train = nl.SpikeTrain([0, 1, 0, 1])
@@ -150,13 +165,13 @@ class TestBatchReferencePair:
         with pytest.raises(LengthMismatchError):
             nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]), nl.RtwSignal([1, -1]))
 
-    def test_row_is_the_pair_of_that_row(self):
+    def test_each_row_reads_against_its_own_pair(self):
         h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0]])
         l = nl.SpikeTrain([[0, 1, 0], [0, 0, 1]])
         pair = nl.LogicReferencePair(h, l)
         assert pair.steps == 3
-        assert pair.row(1) == nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0]),
-                                                    nl.SpikeTrain([0, 0, 1]))
+        bits, steps, details = nl.classify_rows(nl.SpikeTrain([[1, 0, 0], [0, 0, 1]]), pair)
+        assert bits.tolist() == [1, 0] and steps.tolist() == [0, 1] and not details
 
     def test_gate_input_checked_against_its_own_row(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
@@ -165,32 +180,6 @@ class TestBatchReferencePair:
         # Row 1 is row 0's High, which is neither reference of row 1.
         with pytest.raises(nl.InvalidLogicValueError):
             pair.check_gate_input(nl.RtwSignal([[1, -1], [1, -1]]), nl.RTW)
-
-
-class TestElementwiseOps:
-    def test_add_sub(self):
-        a = nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1])
-        assert nl.add(*a).to_list() == [0, -2]
-        assert nl.sub(*a).to_list() == [2, 0]
-
-    def test_mul(self):
-        assert nl.mul(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1])).to_list() == [-1, 1]
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            nl.add(nl.RtwSignal([1]), nl.RtwSignal([1, 1]))
-
-    def test_scale_quarter(self):
-        assert nl.scale_quarter([8, -8, 0]).to_list() == [2, -2, 0]
-
-    def test_scale_quarter_rejects_non_divisible(self):
-        with pytest.raises(ValueError):
-            nl.scale_quarter([2])
-
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=32))
-    def test_scale_quarter_inverts_times_four(self, values):
-        scaled = nl.scale_quarter([4 * v for v in values])
-        assert scaled.to_list() == values
 
 
 class TestUniverses:
@@ -251,6 +240,7 @@ class TestClassify:
         outcome = nl.classify(w, pair)
         assert outcome.is_ambiguous
         assert outcome.decided_at is None
+        assert outcome.detail.startswith("references are identical")
 
     def test_spike_classification(self):
         pair = nl.LogicReferencePair(
@@ -281,6 +271,24 @@ class TestClassify:
         with pytest.raises(LengthMismatchError):
             nl.classify(nl.RtwSignal([1]), pair)
 
+    def test_rtw_non_copy_is_ambiguous(self):
+        # Step 0 votes High, but the wave is not the High reference.
+        pair = nl.LogicReferencePair(nl.RtwSignal([1, 1, -1, 1]), nl.RtwSignal([-1, 1, 1, -1]))
+        outcome = nl.classify(nl.RtwSignal([1, -1, -1, -1]), pair)
+        assert outcome.is_ambiguous and outcome.decided_at is None
+        assert outcome.detail == (
+            "step 0 votes High but the wave deviates from that reference at step 1")
+
+    def test_batch_needs_classify_rows(self):
+        pair = self._rtw_pair()
+        with pytest.raises(ValueError, match="classify_rows"):
+            nl.classify(nl.RtwSignal([pair.h.to_list()] * 2), pair)
+
+    def test_rows_and_pairs_must_pair_up(self):
+        pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1]] * 3), nl.RtwSignal([[-1, 1]] * 3))
+        with pytest.raises(LengthMismatchError):
+            nl.classify_rows(nl.RtwSignal([[1, -1]] * 2), pair)
+
     @given(rtw_values)
     def test_references_classify_as_themselves(self, values):
         h = nl.RtwSignal(values)
@@ -288,6 +296,59 @@ class TestClassify:
         pair = nl.LogicReferencePair(h, l)
         assert nl.classify(h, pair).verdict is nl.Verdict.HIGH
         assert nl.classify(l, pair).verdict is nl.Verdict.LOW
+
+
+@st.composite
+def classify_cases(draw):
+    """A wave or a batch of copies and non-copies, against one pair or one pair per row."""
+    family = draw(st.sampled_from([nl.RTW, nl.SPIKE]))
+    batch = draw(st.booleans())
+    rows = draw(st.integers(1, 4)) if batch else 1
+    n_pairs = rows if batch and draw(st.booleans()) else 1
+    if family == nl.RTW:
+        # A few steps often draw identical references.
+        steps = draw(st.integers(1, 6))
+        wave = nl.RtwSignal
+        values = st.lists(st.sampled_from([-1, 1]), min_size=steps, max_size=steps)
+        h = [draw(values) for _ in range(n_pairs)]
+        l = [draw(values) for _ in range(n_pairs)]
+    else:
+        steps = draw(st.integers(2, 8))
+        wave = nl.SpikeTrain
+        values = st.lists(st.sampled_from([0, 1]), min_size=steps, max_size=steps)
+        # Each step goes to High (0), Low (1) or neither (2); both trains spike.
+        owners = st.lists(st.sampled_from([0, 1, 2]), min_size=steps, max_size=steps).filter(
+            lambda o: 0 in o and 1 in o)
+        drawn = [draw(owners) for _ in range(n_pairs)]
+        h = [[int(o == 0) for o in row] for row in drawn]
+        l = [[int(o == 1) for o in row] for row in drawn]
+    x = []
+    for r in range(rows):
+        p = r if n_pairs > 1 else 0
+        x.append(draw(st.sampled_from([h[p], l[p]]) | values))
+    if not batch:
+        return wave(x[0]), nl.LogicReferencePair(wave(h[0]), wave(l[0]))
+    if n_pairs == 1:
+        return wave(x), nl.LogicReferencePair(wave(h[0]), wave(l[0]))
+    return wave(x), nl.LogicReferencePair(wave(h), wave(l))
+
+
+class TestClassifyRows:
+    @given(classify_cases())
+    def test_classify_is_the_one_row_case(self, case):
+        x, pair = case
+        bits, steps, details = nl.classify_rows(x, pair)
+        wave = type(x)
+        for r, row in enumerate(np.atleast_2d(x.values)):
+            row_pair = pair if pair.h.values.ndim == 1 else nl.LogicReferencePair(
+                wave(pair.h.values[r]), wave(pair.l.values[r]))
+            outcome = nl.classify(wave(row), row_pair)
+            assert outcome == classify_wave(wave(row), row_pair)
+            if outcome.is_ambiguous:
+                assert (bits[r], steps[r], details[r]) == (-1, -1, outcome.detail)
+            else:
+                assert r not in details
+                assert (bits[r], steps[r]) == (outcome.verdict.to_bit(), outcome.decided_at)
 
 
 class TestGeneratorConfig:

@@ -7,7 +7,6 @@ import noiselogic as nl
 from noiselogic.errors import InvalidLogicValueError, LengthMismatchError
 from noiselogic.spike_gates import (
     adder_union,
-    decision_step,
     neuron_eval,
     orthon_eval,
     spike_and,
@@ -192,18 +191,21 @@ class TestInvariants:
         assert np.array_equal(full[:cut], prefix_out)
 
 
-class TestDecisionStep:
+class TestDecidedAt:
+    # classify decides a copy of either reference at the first universe spike.
     def test_hand_examples(self, pair):
-        assert decision_step(pair, pair.h) == 1
-        assert decision_step(pair, pair.l) == 1
+        assert nl.classify(pair.h, pair).decided_at == 1
+        assert nl.classify(pair.l, pair).decided_at == 1
 
     def test_equals_first_universe_spike(self):
         for seed in range(20):
             p = _random_pair(seed)
             first_u = int(np.argmax(nl.universe_spike(p).values))
-            assert decision_step(p, p.h) == first_u
-            assert decision_step(p, p.l) == first_u
+            assert nl.classify(p.h, p).decided_at == first_u
+            assert nl.classify(p.l, p).decided_at == first_u
 
-    def test_requires_logic_value(self, pair):
-        with pytest.raises(InvalidLogicValueError):
-            decision_step(pair, nl.SpikeTrain([1, 0, 0, 0, 0]))
+    def test_non_copy_is_ambiguous(self, pair):
+        outcome = nl.classify(nl.SpikeTrain([1, 0, 0, 0, 0]), pair)
+        assert outcome.is_ambiguous and outcome.decided_at is None
+        assert outcome.detail == (
+            "step 1 votes Low but the wave deviates from that reference at step 0")

@@ -69,6 +69,11 @@ def test_batch_column_rejected():
     ("step,\n0,1\n", "empty column name"),
     ("step,a,,b\n0,1,2,3\n", "empty column name"),
     ("step,a\n", "no rows"),
+    ("step,a\n0,1_000\n1, +7\n2,\u0661\n", "not a decimal integer"),
+    ("step,a\n0,+7\n", "not a decimal integer"),
+    ("step,a\n0, 7\n", "not a decimal integer"),
+    ("step,a\n\u0660,1\n", "not a decimal integer"),
+    ("step,a\n+0,1\n", "not a decimal integer"),
 ])
 def test_parse_rejects_malformed_text_with_value_error(text, message):
     with pytest.raises(ValueError, match=message):
