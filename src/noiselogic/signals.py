@@ -1,11 +1,12 @@
 """Clocked waveform types, reference pairs and classification.
 
 All signals are immutable sequences of small integers, one value per
-discrete clock step, on a single global clock.  A waveform may carry a
-leading batch axis, ``(rows, steps)``, holding one wave per row; the gate
-kernels broadcast such a batch against the 1-D references, so a batch of
-assignments, of trials or of the gates of one topological level costs one
-array expression per gate kind.  Logic values are never represented in
+discrete clock step, on a single global clock.  A waveform may carry
+leading batch axes, ``(rows, steps)`` or ``(groups, rows, steps)``,
+holding one wave per row; the gate kernels broadcast such a batch against
+the references, one pair or one pair per row, so the gates of one
+topological level over a chunk of assignments or of trials cost one array
+expression per gate kind.  Logic values are never represented in
 floating point: every gate identity in this package is an exact integer
 identity, and tests compare waveforms for exact elementwise equality.
 
@@ -56,25 +57,27 @@ CARRIER_DTYPE = np.dtype(np.int8)
 
 
 def _as_int_array(values) -> np.ndarray:
-    """``values`` as an integer array of one or two axes, not yet copied or narrowed."""
+    """``values`` as an integer array of one to three axes, not yet copied or narrowed."""
     arr = np.asarray(values)
-    if arr.ndim not in (1, 2):
-        raise ValueError(
-            f"waveform values must be (steps,) or (rows, steps), got shape {arr.shape}"
-        )
+    if arr.dtype.kind not in "iu":
+        # Element by element: NumPy reads a list that mixes ints and floats
+        # through float64, which rounds the ints beyond 2**53.
+        arr = np.array(values, dtype=object)
+    if arr.ndim not in (1, 2, 3):
+        raise ValueError(f"waveform values must have one to three axes, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError("waveform must contain at least one step")
     too_wide = "waveform values must fit in 64-bit signed integers"
     if arr.dtype == np.uint64 and arr.max() > np.iinfo(np.int64).max:
         raise ValueError(too_wide)   # int64 storage would wrap it
-    if not np.issubdtype(arr.dtype, np.integer):
-        try:
-            int_arr = arr.astype(np.int64)
-        except OverflowError:
-            raise ValueError(too_wide) from None
-        if not np.array_equal(int_arr, arr):
+    if arr.dtype == object:
+        ints = [int(v) if isinstance(v, (float, np.floating)) and float(v).is_integer() else v
+                for v in arr.ravel().tolist()]
+        if not all(isinstance(v, (int, np.integer)) for v in ints):
             raise ValueError("waveform values must be integers")
-        arr = int_arr
+        if not all(-2**63 <= v < 2**63 for v in ints):
+            raise ValueError(too_wide)
+        arr = np.array(ints, dtype=np.int64).reshape(arr.shape)
     return arr
 
 
@@ -134,8 +137,10 @@ class Waveform:
         return hash((self._values.shape, self._values.astype(np.int64).tobytes()))
 
     def __repr__(self) -> str:
-        if self._values.ndim == 2:
-            return f"{type(self).__name__}(rows={self._values.shape[0]}, steps={len(self)})"
+        shape = self._values.shape
+        if len(shape) > 1:
+            axes = "".join(f"{a}={n}, " for a, n in zip(("groups", "rows")[3 - len(shape):], shape))
+            return f"{type(self).__name__}({axes}steps={len(self)})"
         body = ",".join(str(int(v)) for v in self._values[:16])
         tail = ",..." if len(self) > 16 else ""
         return f"{type(self).__name__}([{body}{tail}], steps={len(self)})"
@@ -255,7 +260,8 @@ class LogicReferencePair:
         The pair must belong to ``family`` and ``x`` must span the pair's
         steps; with ``exact`` it must also be an exact copy of High or Low,
         the only inputs the gate algebra makes promises about.  A batch
-        ``x`` passes only when every row is such a copy.
+        ``x`` passes only when every wave in it is such a copy (of its
+        row's pair, for a batch of pairs).
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
@@ -263,14 +269,7 @@ class LogicReferencePair:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
         if exact:
             v = x.values
-            # For one wave, Waveform equality (skipping Low on a High input)
-            # is cheaper than the row-wise expression a batch needs.
-            if v.ndim == 1:
-                copies = x == self.h or x == self.l
-            else:
-                rows_h = (v == self.h.values).all(axis=1)
-                copies = (rows_h | (v == self.l.values).all(axis=1)).all()
-            if not copies:
+            if not ((v == self.h.values).all(axis=-1) | (v == self.l.values).all(axis=-1)).all():
                 raise InvalidLogicValueError(
                     f"{role} matches neither the High nor the Low reference"
                 )

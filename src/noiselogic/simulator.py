@@ -10,6 +10,12 @@ backends exist:
 * ``rtw-multiplicative-not``: RTW family, NOT as the triple product;
 * ``spike``: spike family, orthon/adder circuits.
 
+:func:`run`, :func:`verify_equivalence` and :func:`decision_latency` all
+evaluate a network by one walk, :func:`_evaluate`: each (topological level,
+op) group of gates is one kernel call on a ``(gates, rows, steps)`` batch
+gathered from one ``(slots, rows, steps)`` matrix, whose rows are the one
+run, the assignments of a chunk or the trials of a chunk.
+
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
 equivalence reports count incidents instead of aborting.
@@ -17,6 +23,7 @@ equivalence reports count incidents instead of aborting.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,14 +55,13 @@ from .signals import (
 EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
-# (decision_latency) may hold: each live wire is a (rows, steps) block of
-# CARRIER_DTYPE, and a wire's block is dropped after the last gate that
-# reads it.
+# (decision_latency) may hold: each slot of the wave matrix is a
+# (rows, steps) block of CARRIER_DTYPE.
 _CHUNK_BYTES = 2 << 20
 
-# Per-chunk waves besides the live wires in decision_latency: the High and
-# Low batches.
-_PAIR_WAVES = 2
+# Per-chunk waves besides the slots in decision_latency: the High and Low
+# batches, and the [L, H] table stacked from them.
+_PAIR_WAVES = 4
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
@@ -90,7 +96,7 @@ def backend_family(name: str) -> str:
 
 
 class _Backend:
-    """A reference pair and its family's (NOT, AND) kernels.
+    """A reference pair and its family's kernel per op, called as ``kernel[op](pair, *inputs)``.
 
     The pair is one drawn pair, or a ``(rows, steps)`` batch of pairs whose
     row ``i`` serves row ``i`` of every wave.
@@ -99,23 +105,8 @@ class _Backend:
     def __init__(self, name: str, pair: LogicReferencePair):
         family, not_name, and_name = _BACKEND_TABLE[name]
         module = _FAMILY_GATES[family]
-        self.name = name
         self.pair = pair
-        self._not = getattr(module, not_name)
-        self._and = getattr(module, and_name)
-
-    def bind(self, bits) -> Waveform:
-        """High or Low for a 0/1 bit; a ``(rows, steps)`` batch for a ``(rows,)`` bit array."""
-        if isinstance(bits, np.ndarray):
-            h = self.pair.h
-            return type(h)(np.where(bits[:, None], h.values, self.pair.l.values))
-        return self.pair.h if bits else self.pair.l
-
-    def not_(self, x: Waveform) -> Waveform:
-        return self._not(self.pair, x)
-
-    def and_(self, a: Waveform, b: Waveform) -> Waveform:
-        return self._and(self.pair, a, b)
+        self.kernel = {"NOT": getattr(module, not_name), "AND": getattr(module, and_name)}
 
 
 def make_backend(name: str, config: GeneratorConfig) -> _Backend:
@@ -137,68 +128,73 @@ def _draw_pair_rows(family: str, config: GeneratorConfig, count: int,
     return LogicReferencePair(SpikeTrain(h), SpikeTrain(l))
 
 
-def _release_plan(network: CompiledNetwork) -> tuple[list[list[int]], int]:
-    """Per gate, the waves no longer needed after it; and the most waves alive at once.
-
-    A wave is dead after the last gate that reads it, unless it is an output.
-    """
-    last_use = {}
-    for k, gate in enumerate(network.gates):
-        for arg in gate.args:
-            last_use[arg] = k
-    outputs = {network.wire_index(name) for name in network.outputs}
-    release: list[list[int]] = [[] for _ in network.gates]
-    for wire, k in last_use.items():
-        if wire not in outputs:
-            release[k].append(wire)
-    live = peak = len(network.inputs)
-    for dead in release:
-        live += 1
-        peak = max(peak, live)
-        live -= len(dead)
-    return release, max(peak, 1)
+class _Plan(NamedTuple):
+    groups: list[tuple[str, tuple[np.ndarray, ...], np.ndarray]]   # op, operand slots, output slots
+    slot: dict[str, int]   # kept wire name -> the slot that holds it at the end
+    slots: int
 
 
-def _level_plan(network: CompiledNetwork) -> list[tuple[str, tuple[np.ndarray, ...], np.ndarray]]:
-    """The gates grouped by (topological level, op), in level order.
+def _plan(network: CompiledNetwork, keep) -> _Plan:
+    """Group the gates by (topological level, op) and give every wire a slot.
 
     Inputs are at level 0 and a gate is one level above its deepest
-    argument, so the gates of one group read only wires of lower levels and
-    can run as one batch.  Each group is its op, one index array per
-    operand (the wires the gates read) and the index array of the wires
-    they write.
+    argument, so a group reads only lower levels and runs as one batch.
+    Input ``i`` takes slot ``i``.  A wire not named in ``keep`` frees its
+    slot once the last group that reads it has gathered it (or, if none
+    does, once it is written), and a later output takes the slot.
     """
     level = [0] * len(network.wires)
-    groups: dict[tuple[int, str], list] = {}
+    by_key: dict[tuple[int, str], list] = {}
     for gate in network.gates:
         level[gate.out] = 1 + max(level[arg] for arg in gate.args)
-        groups.setdefault((level[gate.out], gate.op), []).append(gate)
-    return [
-        (op, tuple(np.array(column) for column in zip(*(g.args for g in gates))),
-         np.array([g.out for g in gates]))
-        for (_, op), gates in sorted(groups.items())
-    ]
+        by_key.setdefault((level[gate.out], gate.op), []).append(gate)
+    ordered = [(op, gates) for (_, op), gates in sorted(by_key.items())]
+    # The group after which each wire is dead; a kept wire never is.
+    dead_after = [-1] * len(network.wires)
+    for k, (_, gates) in enumerate(ordered):
+        for gate in gates:
+            for wire in (gate.out, *gate.args):
+                dead_after[wire] = k
+    keep = set(keep)
+    dead_after = [len(ordered) if name in keep else k for name, k in zip(network.wires, dead_after)]
+    slot = list(range(len(network.wires)))
+    # A stack of slots to take: the unused ones, lowest on top, under the freed ones.
+    free = slot[len(network.inputs):][::-1]
+    free += [w for w in range(len(network.inputs)) if dead_after[w] < 0]
+    groups = []
+    for k, (op, gates) in enumerate(ordered):
+        args = tuple(np.array([slot[w] for w in col]) for col in zip(*(g.args for g in gates)))
+        free += dict.fromkeys(slot[w] for g in gates for w in g.args if dead_after[w] == k)
+        for gate in gates:
+            slot[gate.out] = free.pop()
+        groups.append((op, args, np.array([slot[g.out] for g in gates])))
+        free += [slot[g.out] for g in gates if dead_after[g.out] == k]
+    kept = {name: slot[w] for w, name in enumerate(network.wires) if dead_after[w] == len(ordered)}
+    return _Plan(groups, kept, max(slot, default=-1) + 1)
 
 
-def _evaluate_wires(network: CompiledNetwork, backend, assignment,
-                    release: list[list[int]] | None = None) -> list[Waveform | None]:
-    """Every wire's wave; each input is bound to a 0/1 int or to a ``(rows,)`` bit array.
+def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
+    """Walk ``plan`` on ``bk``; returns the read-only ``(slots, rows, steps)`` wave matrix.
 
-    With a ``release`` plan from :func:`_release_plan`, each wave is dropped
-    after its last use, and only the outputs are left at the end.
+    Input ``i`` takes the rows of the stacked ``[L, H]`` table that
+    ``bits[i]`` picks, a 0/1 int or a ``(rows,)`` bit array, for one pair
+    or a ``(rows, steps)`` batch of pairs alike.  Each group gathers its
+    operands as ``(gates, rows, steps)`` batches, checked when they were
+    written, runs its kernel once, with all of its checks, and scatters
+    the outputs back into their slots.
     """
-    waves: list[Waveform | None] = [None] * len(network.wires)
-    for i, name in enumerate(network.inputs):
-        waves[i] = backend.bind(assignment[name])
-    for k, gate in enumerate(network.gates):
-        if gate.op == "NOT":
-            waves[gate.out] = backend.not_(waves[gate.args[0]])
-        else:
-            waves[gate.out] = backend.and_(waves[gate.args[0]], waves[gate.args[1]])
-        if release:
-            for wire in release[k]:
-                waves[wire] = None
-    return waves
+    carrier = type(bk.pair.h)
+    table = np.stack((bk.pair.l.values, bk.pair.h.values))
+    matrix = np.empty((plan.slots, rows, bk.pair.steps), dtype=CARRIER_DTYPE)
+    for i, bit in enumerate(bits):
+        matrix[i] = np.take(table, bit, axis=0)
+    for op, args, outs in plan.groups:
+        batches = [matrix[arg] for arg in args]
+        for batch in batches:
+            batch.flags.writeable = False
+        matrix[outs] = bk.kernel[op](bk.pair, *map(carrier._of_checked, batches)).values
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass
@@ -236,33 +232,21 @@ def run(
     or Low wave, and every wire (inputs included) is classified against the
     pair.  Ambiguous wires are reported in the result, not raised.
 
-    All waves live in one ``(wires, steps)`` matrix.  The gates run one
-    :func:`_level_plan` group at a time: the group's inputs are gathered
-    from the matrix as ``(gates, steps)`` batches, the backend's kernel runs
-    once on them, with all its checks, and the outputs are written back.
-    The finished matrix is made read-only, and each waveform of the result
-    is a view of its row, checked once as part of its group's batch.
+    The walk is :func:`_evaluate` on one row with every wire kept, and
+    each waveform of the result is a read-only view of its slot of the
+    matrix, checked once as part of its group's batch.
     """
     _check_assignment(network.inputs, assignment)
     bk = make_backend(backend, config)
     carrier = type(bk.pair.h)
-    wires = np.empty((len(network.wires), config.steps), dtype=CARRIER_DTYPE)
-    for i, name in enumerate(network.inputs):
-        wires[i] = bk.bind(assignment[name]).values
-    for op, args, outs in _level_plan(network):
-        batches = [carrier(wires[arg]) for arg in args]
-        out = bk.not_(*batches) if op == "NOT" else bk.and_(*batches)
-        wires[outs] = out.values
-    wires.setflags(write=False)
-    got, at, details = classify_rows(carrier._of_checked(wires), bk.pair)
-    waveforms = {}
-    classifications = {}
-    for i, (name, bit, step) in enumerate(zip(network.wires, got.tolist(), at.tolist())):
-        waveforms[name] = carrier._of_checked(wires[i])
-        if i in details:
-            classifications[name] = Classification(Verdict.AMBIGUOUS, None, details[i])
-        else:
-            classifications[name] = Classification(Verdict.from_bit(bit), step)
+    plan = _plan(network, network.wires)
+    matrix = _evaluate(plan, bk, [assignment[name] for name in network.inputs], 1)[:, 0]
+    got, at, details = classify_rows(carrier._of_checked(matrix), bk.pair)
+    readings = [Classification(Verdict.AMBIGUOUS, None, details[s]) if s in details
+                else Classification(Verdict.from_bit(bit), step)
+                for s, (bit, step) in enumerate(zip(got.tolist(), at.tolist()))]
+    waveforms = {name: carrier._of_checked(matrix[s]) for name, s in plan.slot.items()}
+    classifications = {name: readings[s] for name, s in plan.slot.items()}
     return SimulationRun(
         backend=backend,
         config=config,
@@ -311,15 +295,10 @@ class EquivalenceReport:
         }
 
 
-def _assignment_from_index(inputs: tuple[str, ...], index: int) -> dict[str, int]:
-    n = len(inputs)
-    return {name: (index >> (n - 1 - j)) & 1 for j, name in enumerate(inputs)}
-
-
 def _assignments_from_indices(
     inputs: tuple[str, ...], indices: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Bit-parallel :func:`_assignment_from_index`: one ``(rows,)`` bit array per input.
+    """One ``(rows,)`` bit array per input; input ``j`` of ``n`` is bit ``n - 1 - j`` of the index.
 
     ``indices`` is a uint64 array, or an object array of Python ints for
     more than 64 inputs.
@@ -371,8 +350,9 @@ def verify_equivalence(
     Equivalence holds only with zero failures and zero ambiguous incidents.
 
     Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
-    live waveform data: each chunk is one ``(rows, steps)`` batch per wire,
-    so every primitive and the oracle run once per chunk.  The report is the
+    waveform data: each chunk is one :func:`_evaluate` walk with a row per
+    assignment, so every (level, op) group and the oracle run once per
+    chunk.  The report is the
     one a per-assignment loop would give, with failures and ambiguous
     incidents in assignment order.
     """
@@ -417,25 +397,25 @@ def verify_equivalence(
         checked=0,
         passed=0,
     )
-    out_index = {name: net.wires.index(name) for name in net.outputs}
-    release, live_peak = _release_plan(net)
-    rows = _chunk_rows(config.steps, live_peak)
+    carrier = type(bk.pair.h)
+    plan = _plan(net, net.outputs)
+    rows = _chunk_rows(config.steps, plan.slots)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         indices = np.arange(lo, hi, dtype=np.uint64) if drawn is None else drawn[lo:hi]
         bits = _assignments_from_indices(net.inputs, indices)
         expected = eval_boolean(source, bits)
-        waves = _evaluate_wires(net, bk, bits, release)
+        matrix = _evaluate(plan, bk, [bits[name] for name in net.inputs], hi - lo)
         bad = np.zeros(hi - lo, dtype=bool)
         outcomes = []
         for name in net.outputs:
-            got, _, details = classify_rows(waves[out_index[name]], bk.pair)
+            got, _, details = classify_rows(carrier._of_checked(matrix[plan.slot[name]]), bk.pair)
             bad |= got != expected[name]   # an ambiguous row (-1) never matches
             outcomes.append((name, got, details))
         report.checked += hi - lo
         report.passed += hi - lo - int(bad.sum())
         for r in np.flatnonzero(bad):
-            assignment = _assignment_from_index(net.inputs, int(indices[r]))
+            assignment = {name: int(bits[name][r]) for name in net.inputs}
             for name, got, details in outcomes:
                 if r in details:
                     report.ambiguous.append(
@@ -597,8 +577,8 @@ def decision_latency(
     seed ``derive_seed(config.seed, i)``.  Trials are evaluated in chunks of
     at most ``_CHUNK_BYTES`` of waveform data: row ``i`` of a chunk's
     ``(rows, steps)`` reference batch is trial ``i``'s pair, so every
-    primitive runs once per chunk, and the report is the one a per-trial
-    loop would give.
+    (level, op) group runs once per chunk, and the report is the one a
+    per-trial loop would give.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -609,19 +589,20 @@ def decision_latency(
     histogram: dict[int, int] = {}
     decided_trials = 0
     total = 0
-    out_index = {name: network.wires.index(name) for name in network.outputs}
-    release, live_peak = _release_plan(network)
-    rows = _chunk_rows(config.steps, live_peak + _PAIR_WAVES)
+    bits = [assignment[name] for name in network.inputs]
+    plan = _plan(network, network.outputs)
+    rows = _chunk_rows(config.steps, plan.slots + _PAIR_WAVES)
     for lo in range(0, trials, rows):
         count = min(rows, trials - lo)
         bk = _Backend(backend, _draw_pair_rows(family, config, count, lo))
-        waves = _evaluate_wires(network, bk, assignment, release)
+        matrix = _evaluate(plan, bk, bits, count)
+        carrier = type(bk.pair.h)
         # Per row, as a per-trial loop over the outputs reads it: -2 before
         # the first output, then its deciding step, or -1 from the first
         # ambiguous output on.
         decided = np.full(count, -2)
         for name in network.outputs:
-            _, at, _ = classify_rows(waves[out_index[name]], bk.pair)
+            _, at, _ = classify_rows(carrier._of_checked(matrix[plan.slot[name]]), bk.pair)
             if np.any((decided >= 0) & (at >= 0) & (at != decided)):
                 raise InvariantError("outputs decided at different steps in one run")
             decided = np.where(decided == -1, -1, at)

@@ -35,6 +35,20 @@ def random_netlist_source(rng: random.Random, max_inputs: int = 8, max_gates: in
     return "\n".join(lines) + "\n"
 
 
+def level_groups(network: nl.CompiledNetwork) -> list[list[nl.CompiledGate]]:
+    """The gates grouped by (topological level, op), in level order.
+
+    Inputs are at level 0 and a gate is one level above its deepest
+    argument; recomputed here, apart from the simulator's planner.
+    """
+    level = [0] * len(network.wires)
+    groups: dict[tuple[int, str], list] = {}
+    for gate in network.gates:
+        level[gate.out] = 1 + max(level[arg] for arg in gate.args)
+        groups.setdefault((level[gate.out], gate.op), []).append(gate)
+    return [groups[key] for key in sorted(groups)]
+
+
 def eval_lowered_gate(gate: str, not_, and_, x1, x2):
     """Evaluate ``output y = gate a b``, lowered to {NOT, AND}, with the given kernels."""
     network = nl.lower(nl.parse(f"input a b\noutput y = {gate} a b\n"))

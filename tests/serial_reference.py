@@ -1,9 +1,11 @@
-"""One-wave-at-a-time references for the batched and level-parallel engines.
+"""One-wave-at-a-time references for the simulator's one walker.
 
 The simulator classifies whole batches of waves with ``classify_rows`` and
-runs ``run`` one topological level at a time.  The functions here are a
-per-wire, step-by-step reading of the classification rule and the per-gate
-run those paths replaced; tests require equal results from both.
+evaluates every network one (topological level, op) group at a time over
+one slot matrix.  The functions here are a per-wire, step-by-step reading
+of the classification rule and a per-gate walk that keeps one wave per
+wire, written apart from the simulator's walker; tests require equal
+results from both.
 """
 
 import noiselogic as nl
@@ -35,10 +37,23 @@ def classify_wire(backend, x: nl.Waveform) -> nl.Classification:
     return classify_wave(x, backend.pair)
 
 
+def serial_wires(network: nl.CompiledNetwork, backend, assignment) -> list[nl.Waveform]:
+    """Every wire's wave, gate by gate in netlist order, one wave per wire.
+
+    Each input is bound to the backend's High or Low wave for its 0/1 bit.
+    """
+    waves = [None] * len(network.wires)
+    for i, name in enumerate(network.inputs):
+        waves[i] = backend.pair.h if assignment[name] else backend.pair.l
+    for gate in network.gates:
+        waves[gate.out] = backend.kernel[gate.op](backend.pair, *(waves[arg] for arg in gate.args))
+    return waves
+
+
 def serial_run(network, backend, assignment, config) -> nl.SimulationRun:
     """``run`` gate by gate in netlist order, classifying wire by wire."""
     bk = simulator.make_backend(backend, config)
-    waves = simulator._evaluate_wires(network, bk, assignment)
+    waves = serial_wires(network, bk, assignment)
     return nl.SimulationRun(
         backend=backend,
         config=config,

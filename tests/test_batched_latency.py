@@ -1,10 +1,11 @@
 """Trial-parallel Monte-Carlo: ``decision_latency`` and the ambiguity sweep.
 
-``decision_latency`` evaluates a chunk of trials as one ``(rows, steps)``
-batch, row ``i`` against trial ``i``'s own reference pair.  The reference
-here is the per-trial loop it replaced: one ``make_backend`` per derived
-seed, the 1-D ``_evaluate_wires`` and ``classify_wire``.  The two must give
-equal reports, ambiguous windows and generation failures included.
+``decision_latency`` evaluates a chunk of trials as one walk over a
+``(slots, rows, steps)`` matrix, row ``i`` against trial ``i``'s own
+reference pair.  The reference here is the per-trial loop it replaced: one
+``make_backend`` per derived seed, the one-wave ``serial_wires`` and
+``classify_wire``.  The two must give equal reports, ambiguous windows and
+generation failures included.
 """
 
 import random
@@ -22,8 +23,8 @@ from noiselogic.generators import count_identical_rtw_pairs, rtw_sign_matrix
 from noiselogic.prng import derive_seed
 from noiselogic.signals import CARRIER_DTYPE
 
-from conftest import FULL_ADDER, random_netlist_source
-from serial_reference import classify_wire
+from conftest import FULL_ADDER, level_groups, random_netlist_source
+from serial_reference import classify_wire, serial_wires
 
 
 def serial_latency(network, config, trials, backend, assignment=None):
@@ -33,7 +34,7 @@ def serial_latency(network, config, trials, backend, assignment=None):
     histogram, ambiguous, total = {}, 0, 0
     for trial in range(trials):
         bk = simulator.make_backend(backend, replace(config, seed=derive_seed(config.seed, trial)))
-        waves = simulator._evaluate_wires(network, bk, assignment)
+        waves = serial_wires(network, bk, assignment)
         decided = None
         for name in network.outputs:
             outcome = classify_wire(bk, waves[network.wire_index(name)])
@@ -59,8 +60,8 @@ def serial_latency(network, config, trials, backend, assignment=None):
 
 def chunked_latency(network, config, trials, backend, assignment, rows):
     """decision_latency with its chunk budget set to exactly ``rows`` trials."""
-    per_row = (CARRIER_DTYPE.itemsize * config.steps
-               * (simulator._release_plan(network)[1] + simulator._PAIR_WAVES))
+    slots = simulator._plan(network, network.outputs).slots
+    per_row = CARRIER_DTYPE.itemsize * config.steps * (slots + simulator._PAIR_WAVES)
     with mock.patch.object(simulator, "_CHUNK_BYTES", rows * per_row):
         return nl.decision_latency(network, config, trials, backend, assignment)
 
@@ -136,14 +137,15 @@ class TestLatencyBatchedEqualsSerial:
         with pytest.raises(nl.GenerationError):
             nl.decision_latency(full_adder_network, config, 5, "spike")
 
-    def test_one_kernel_call_per_primitive_per_chunk(self):
+    def test_one_kernel_call_per_level_group_per_chunk(self):
         network = nl.lower(nl.parse(FULL_ADDER))
-        ands = network.gate_counts()["AND"]
+        and_groups = sum(gates[0].op == "AND" for gates in level_groups(network))
+        assert and_groups < network.gate_counts()["AND"]
         config = nl.GeneratorConfig(seed=2, steps=16)
         with mock.patch.object(spike_gates, "spike_and",
                                wraps=spike_gates.spike_and) as spike_and:
             chunked_latency(network, config, 10, "spike", None, 4)
-        assert spike_and.call_count == 3 * ands
+        assert spike_and.call_count == 3 * and_groups
 
 
 class TestEarlyExitAmbiguitySweep:

@@ -1,10 +1,11 @@
 """Chunked evaluation: ``verify_equivalence`` and the gate kernels on batches.
 
-``verify_equivalence`` evaluates a chunk of assignments as one
-``(rows, steps)`` batch per wire.  The reference here is the per-assignment
-loop it replaced, built from the 1-D ``_evaluate_wires``, the scalar
-``eval_boolean`` and ``classify_wire``; the two must give equal reports,
-failures and ambiguous incidents included, in the same order.
+``verify_equivalence`` evaluates a chunk of assignments as one walk over
+a ``(slots, rows, steps)`` matrix, a row per assignment.  The reference
+here is the per-assignment loop it replaced, built from the one-wave
+``serial_wires``, the scalar ``eval_boolean`` and ``classify_wire``; the
+two must give equal reports, failures and ambiguous incidents included, in
+the same order.
 """
 
 import random
@@ -23,7 +24,7 @@ from noiselogic.prng import SplitMix64, derive_seed
 from noiselogic.signals import CARRIER_DTYPE
 
 from conftest import random_netlist_source
-from serial_reference import classify_wire
+from serial_reference import classify_wire, serial_wires
 from test_simulator import corrupt_and_to_or
 
 
@@ -52,9 +53,10 @@ def serial_report(source, backend, config, *, network=None, sample=None):
         mode=mode, assignment_space=space, checked=0, passed=0,
     )
     for index in indices:
-        assignment = simulator._assignment_from_index(net.inputs, index)
+        assignment = {name: (index >> (len(net.inputs) - 1 - j)) & 1
+                      for j, name in enumerate(net.inputs)}
         expected = nl.eval_boolean(source, assignment)
-        waves = simulator._evaluate_wires(net, bk, assignment)
+        waves = serial_wires(net, bk, assignment)
         report.checked += 1
         ok = True
         for name in net.outputs:
@@ -86,7 +88,7 @@ def chunked_report(source, backend, config, rows, **kwargs):
     """verify_equivalence with its chunk budget set to exactly ``rows`` assignments."""
     net = kwargs.get("network") or (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
-    budget = rows * CARRIER_DTYPE.itemsize * config.steps * simulator._release_plan(net)[1]
+    budget = rows * CARRIER_DTYPE.itemsize * config.steps * simulator._plan(net, net.outputs).slots
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 
@@ -181,17 +183,6 @@ class TestBatchedEqualsSerial:
         assert len({str(f["assignment"]) for f in want.failures}) < len(want.failures)
         assert got.to_doc() == want.to_doc()
 
-    def test_release_plan_keeps_only_the_outputs(self, full_adder_network):
-        net = full_adder_network
-        release, live_peak = simulator._release_plan(net)
-        # Three inputs stay live until the last source gate that reads
-        # them, and XOR's lowering holds three temporaries at once.
-        assert live_peak == 6
-        bk = simulator.make_backend("spike", nl.GeneratorConfig(seed=4, steps=32))
-        bits = {name: np.array([0, 1, 1]) for name in net.inputs}
-        waves = simulator._evaluate_wires(net, bk, bits, release)
-        assert {net.wires[i] for i, w in enumerate(waves) if w is not None} == set(net.outputs)
-
 
 def _bad_row(pair) -> np.ndarray:
     """A valid value of the pair's family that is neither reference."""
@@ -249,5 +240,8 @@ class TestBatchedKernels:
         batch = nl.RtwSignal(np.ones((3, 7), dtype=np.int64))
         assert len(batch) == 7
         assert "rows=3" in repr(batch)
+        groups = nl.RtwSignal(np.ones((2, 3, 7), dtype=np.int64))
+        assert len(groups) == 7
+        assert "groups=2, rows=3, steps=7" in repr(groups)
         with pytest.raises(ValueError):
-            nl.RtwSignal(np.ones((2, 2, 2), dtype=np.int64))
+            nl.RtwSignal(np.ones((2, 2, 2, 2), dtype=np.int64))

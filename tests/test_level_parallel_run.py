@@ -1,17 +1,18 @@
 """Level-parallel ``run``: one kernel call per (topological level, op) group.
 
-``run`` keeps every wire in one read-only ``(wires, steps)`` matrix and
-evaluates the gates of one group as one batch.  The reference here is the
-gate-by-gate, wire-by-wire run it replaced (``serial_reference``); both
-must give the same waveforms, exactly, and the same classifications,
-diagnostics included.
+``run`` is the one-row walk of ``simulator._evaluate``: it keeps every wire
+in one read-only ``(wires, 1, steps)`` slot matrix and evaluates the gates
+of one group as one batch.  The reference here is the gate-by-gate,
+wire-by-wire run it replaced (``serial_reference``); both must give the
+same waveforms, exactly, and the same classifications, diagnostics
+included.  ``simulator._plan`` groups the gates and gives every wire a
+slot; a plain-Python replay checks its slots.
 """
 
 import random
 from contextlib import nullcontext
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator
 from noiselogic.signals import CARRIER_DTYPE
 
-from conftest import FULL_ADDER, random_netlist_source
+from conftest import FULL_ADDER, level_groups, random_netlist_source
 from serial_reference import serial_run
 
 
@@ -83,27 +84,71 @@ class TestLevelRunEqualsSerial:
         assert bool(ambiguous) == (backend != "spike")
 
 
+def _replay(network: nl.CompiledNetwork, plan) -> tuple[dict[int, int], list[int]]:
+    """Walk ``plan`` in plain Python, tracking the wire each slot holds.
+
+    Every gather must read the wire its gate names.  Returns the wire each
+    slot holds at the end and every slot written, inputs first.
+    """
+    held = {i: i for i in range(len(network.inputs))}
+    written = list(held)
+    assert len(plan.groups) == len(level_groups(network))
+    for (op, args, outs), gates in zip(plan.groups, level_groups(network)):
+        assert {gate.op for gate in gates} == {op}
+        assert len(args) == len(gates[0].args)
+        for k, column in enumerate(args):
+            assert [held[slot] for slot in column.tolist()] == [g.args[k] for g in gates]
+        outs = outs.tolist()
+        assert len(set(outs)) == len(outs) == len(gates)
+        assert all(0 <= slot < plan.slots for slot in outs)
+        held.update(zip(outs, (gate.out for gate in gates)))
+        written += outs
+    return held, written
+
+
 class TestLevelPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        netlist_seed=st.integers(0, 2**32 - 1),
+        keep=st.sampled_from(["all", "outputs", "some"]),
+        keep_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slots_hold_the_wires_the_gates_read(self, netlist_seed, keep, keep_seed):
+        network = nl.lower(nl.parse(random_netlist_source(random.Random(netlist_seed))))
+        if keep == "all":
+            kept = network.wires
+        elif keep == "outputs":
+            kept = network.outputs
+        else:
+            rng = random.Random(keep_seed)
+            kept = [name for name in network.wires if rng.random() < 0.3]
+        plan = simulator._plan(network, kept)
+        held, written = _replay(network, plan)
+        assert plan.slot.keys() == set(kept)
+        assert all(network.wires[held[slot]] == name for name, slot in plan.slot.items())
+        assert plan.slots <= len(network.wires)
+        if keep == "all":
+            # No slot is written twice: every wire has its own.
+            assert sorted(written) == list(range(plan.slots)) == list(range(len(network.wires)))
+
     @pytest.mark.parametrize("netlist_seed", range(5))
     def test_one_group_per_level_and_op_in_level_order(self, netlist_seed):
         source = random_netlist_source(random.Random(netlist_seed), 8, 60)
         network = nl.lower(nl.parse(source))
-        level = [0] * len(network.wires)
-        for gate in network.gates:
-            level[gate.out] = 1 + max(level[arg] for arg in gate.args)
-        by_out = {gate.out: gate for gate in network.gates}
-        plan = simulator._level_plan(network)
-        keys = []
-        for op, args, outs in plan:
-            assert len({level[out] for out in outs.tolist()}) == 1
-            keys.append((level[outs[0]], op))
-            for k, out in enumerate(outs.tolist()):
-                assert by_out[out].op == op
-                assert tuple(int(column[k]) for column in args) == by_out[out].args
-        assert keys == sorted(set(keys))
-        assert sorted(np.concatenate([outs for _, _, outs in plan]).tolist()) == sorted(by_out)
+        plan = simulator._plan(network, network.wires)
+        _replay(network, plan)
+        assert [op for op, _, _ in plan.groups] == [g[0].op for g in level_groups(network)]
+        assert sum(len(outs) for _, _, outs in plan.groups) == len(network.gates)
         # One kernel call per group instead of one per primitive.
-        assert len(plan) < len(network.gates)
+        assert len(plan.groups) < len(network.gates)
+
+    def test_full_adder_keeps_only_the_outputs(self, full_adder_network):
+        net = full_adder_network
+        plan = simulator._plan(net, net.outputs)
+        held, _ = _replay(net, plan)
+        assert all(net.wires[held[plan.slot[name]]] == name for name in net.outputs)
+        # The 25 wires share 7 slots: the 16 groups reuse the slots of dead wires.
+        assert (len(net.wires), len(plan.groups), plan.slots) == (25, 16, 7)
 
 
 class TestRunMatrix:
@@ -113,7 +158,7 @@ class TestRunMatrix:
         result = nl.run(full_adder_network, backend, {"a": 1, "b": 1, "cin": 0}, config)
         waves = list(result.waveforms.values())
         base = waves[0].values.base
-        assert base is not None and base.shape == (len(waves), 64)
+        assert base is not None and base.shape == (len(waves), 1, 64)
         for w in waves:
             assert w.values.base is base
             assert w.values.dtype == CARRIER_DTYPE

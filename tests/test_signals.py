@@ -61,6 +61,22 @@ class TestWaveformTypes:
         with pytest.raises(ValueError):
             nl.RtwSignal([value])
 
+    @pytest.mark.filterwarnings("error")
+    def test_list_mixing_ints_and_floats_is_converted_exactly(self):
+        # Read through float64, 2**62 + 1 would round to 2**62.
+        assert nl.IntWave([2**62 + 1, 1.0]).to_list() == [2**62 + 1, 1]
+        assert nl.IntWave([[2**62 + 1], [-1.0]]).values.tolist() == [[2**62 + 1], [-1]]
+        with pytest.raises(ValueError, match="integers"):
+            nl.IntWave([2**62 + 1, 1.5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_past_int64_raise_without_a_warning(self):
+        for values in ([1, 2**63], [1.0, -(2**64)], np.array([1e30])):
+            with pytest.raises(ValueError, match="64-bit"):
+                nl.IntWave(values)
+        with pytest.raises(ValueError, match="integers"):
+            nl.IntWave(np.array([1.0, np.nan]))
+
     def test_spike_train_set_view(self):
         train = nl.SpikeTrain([0, 1, 0, 1])
         assert list(train.spike_times()) == [1, 3]
@@ -180,6 +196,16 @@ class TestBatchReferencePair:
         # Row 1 is row 0's High, which is neither reference of row 1.
         with pytest.raises(nl.InvalidLogicValueError):
             pair.check_gate_input(nl.RtwSignal([[1, -1], [1, -1]]), nl.RTW)
+
+    def test_gate_input_groups_checked_against_their_rows(self):
+        pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
+                                     nl.RtwSignal([[-1, -1], [-1, 1]]))
+        pair.check_gate_input(nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, 1]]]), nl.RTW)
+        # Row 1 of group 1 is row 0's High again.
+        with pytest.raises(nl.InvalidLogicValueError,
+                           match="first input matches neither the High nor the Low reference"):
+            pair.check_gate_input(nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, -1]]]),
+                                  nl.RTW, "first input")
 
 
 class TestUniverses:

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import noiselogic as nl
 from noiselogic.cli import main
 
-from conftest import FULL_ADDER, random_netlist_source
+from conftest import FULL_ADDER, level_groups, random_netlist_source
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ("cli", "simulator", "rtw_gates", "spike_gates", "generators", "prng")
@@ -47,6 +47,13 @@ def _traced(fn):
     return tracer, result
 
 
+def _level_groups(network: nl.CompiledNetwork) -> tuple[int, int]:
+    """The numbers of (topological level, op) groups of ANDs and of NOTs."""
+    groups = level_groups(network)
+    and_groups = sum(gates[0].op == "AND" for gates in groups)
+    return and_groups, len(groups) - and_groups
+
+
 def test_tracer_counts_every_layer_of_verify(tmp_path):
     path = tmp_path / "adder.nl"
     path.write_text(FULL_ADDER)
@@ -54,11 +61,15 @@ def test_tracer_counts_every_layer_of_verify(tmp_path):
         lambda: CliRunner().invoke(main, ["verify", str(path), "--steps", "64"]))
     assert result.exit_code == 0, result.output
 
-    ands = nl.lower(nl.parse(FULL_ADDER)).gate_counts()["AND"]
-    # Eight assignments fit one chunk: one kernel call per primitive per
-    # backend, and one oracle call and one backend per backend.
-    assert tracer.calls("rtw_gates.and") == 2 * ands
-    assert tracer.calls("spike_gates.and") == ands
+    network = nl.lower(nl.parse(FULL_ADDER))
+    and_groups, not_groups = _level_groups(network)
+    assert and_groups < network.gate_counts()["AND"]
+    # Eight assignments fit one chunk: one kernel call per (level, op)
+    # group per backend, and one oracle call and one backend per backend.
+    assert tracer.calls("rtw_gates.and") == 2 * and_groups
+    assert tracer.calls("spike_gates.and") == and_groups
+    assert tracer.calls("rtw_gates.not") == 2 * not_groups
+    assert tracer.calls("spike_gates.not") == not_groups
     assert tracer.calls("netlist.eval_boolean") == len(nl.BACKENDS)
     assert tracer.calls("simulator.make_backend") == len(nl.BACKENDS)
     for layer in ("rtw_gates.not", "spike_gates.not", "spike_gates.orthon",
@@ -90,19 +101,12 @@ def test_tracer_counts_the_monte_carlo_sweeps():
 
 
 def test_tracer_counts_one_kernel_call_per_level_group_of_simulate(tmp_path):
-    # simulate runs each (topological level, op) group of gates as one
-    # batch; the levels are recomputed here from the network.
+    # simulate runs each (topological level, op) group of gates as one batch.
     source = random_netlist_source(random.Random(3), 8, 60)
     path = tmp_path / "net.nl"
     path.write_text(source)
     network = nl.lower(nl.parse(source))
-    level = [0] * len(network.wires)
-    groups = set()
-    for gate in network.gates:
-        level[gate.out] = 1 + max(level[arg] for arg in gate.args)
-        groups.add((level[gate.out], gate.op))
-    and_groups = sum(op == "AND" for _, op in groups)
-    not_groups = len(groups) - and_groups
+    and_groups, not_groups = _level_groups(network)
     assert and_groups < network.gate_counts()["AND"]
 
     assign = ",".join(f"{name}=1" for name in network.inputs)
