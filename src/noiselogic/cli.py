@@ -215,6 +215,11 @@ def cmd_verify(netlist_path, backend_names, seed, steps, rate_h, rate_l, out,
         unknown = [name for name in names if name not in BACKENDS]
         if unknown:
             raise NoiseLogicError(f"unknown backend(s): {', '.join(unknown)}")
+        if not names:
+            raise NoiseLogicError("empty backend list; use --backends all or a,b,...")
+        if len(set(names)) < len(names):
+            raise NoiseLogicError(f"backend {next(n for n in names if names.count(n) > 1)!r} "
+                                  "is named more than once")
         network = None
         if network_path is not None:
             network = CompiledNetwork.from_json(_read_text(network_path))

@@ -8,16 +8,21 @@ multiplicative one, input times both references, which stays entirely in
 
 whose first factor vanishes whenever an input equals the Low reference and
 collapses to H via the cube identity (H - L)**3 == 4 * (H - L) when both
-inputs are High.  All arithmetic is exact integer arithmetic; the quarter
-factor is a checked-exact integer division, never a float.
+inputs are High.
 
-The kernels take the reference pair, as the spike kernels do, and derive
-the universe H + L, the difference H - L and the product H * L inline.
+Each is a per-step function of signs, so on the packed words (a set bit is
++1) it is a Boolean function of the step's bits, exact on every sign
+combination (``tests/test_word_kernels.py``): both NOTs are ``x ^ H ^ L``,
+the parity of three signs, which is also H + L - x wherever x is H or L;
+AND is ``L ^ ((H ^ L) & ~(x1 ^ H) & ~(x2 ^ H))``, H where the references
+differ and both inputs follow H, else L.
 
 The additive NOT and the AND gate demand logic-valued inputs (exact copies
 of a reference) because their algebra promises nothing for arbitrary
 waveforms.  The multiplicative NOT is closed over any +1/-1 wave and
-accepts them; this asymmetry is deliberate and documented.
+accepts them; this asymmetry is deliberate, and the only difference
+between the two RTW backends.  The AND output is checked, row by row, to
+be H where both inputs copy H and L elsewhere.
 
 Derived gates (OR, NAND, XOR, ...) are not defined here: the netlist
 lowering table is the one place where they are composed from NOT and AND.
@@ -30,27 +35,28 @@ from .generators import gen_rtw_pair  # make_backend draws through here; perfben
 from .signals import RTW, LogicReferencePair, RtwSignal
 
 
+def _and_words(h: np.ndarray, l: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    return l ^ ((h ^ l) & ~(x1 ^ h) & ~(x2 ^ h))
+
+
 def not_additive(pair: LogicReferencePair, x: RtwSignal) -> RtwSignal:
     """NOT as universe minus input; defined only for logic-valued inputs."""
     pair.check_gate_input(x, RTW)
-    return RtwSignal(pair.h.values + pair.l.values - x.values)
+    return RtwSignal._of_words(x.words ^ pair.h.words ^ pair.l.words, len(x))
 
 
 def not_multiplicative(pair: LogicReferencePair, x: RtwSignal) -> RtwSignal:
     """NOT as x * H * L; closed over arbitrary +1/-1 waveforms."""
     pair.check_gate_input(x, RTW, exact=False)
-    return RtwSignal(x.values * (pair.h.values * pair.l.values))
+    return RtwSignal._of_words(x.words ^ pair.h.words ^ pair.l.words, len(x))
 
 
 def and_gate(pair: LogicReferencePair, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
     """AND via the cubic reference polynomial; L absorbs, (H, H) gives H."""
-    pair.check_gate_input(x1, RTW, "first input")
-    pair.check_gate_input(x2, RTW, "second input")
-    h, l = pair.h.values, pair.l.values
-    # The raw difference H - L, in {-2, 0, +2}, is consumed undivided so
-    # all arithmetic stays integral.
-    cube = (h - l) * (x1.values - l) * (x2.values - l)
-    # Values are {-8, 0, +8} for logic inputs, so the quarter is exact; & 3 is a cheap % 4.
-    if np.any(cube & 3):
-        raise InvariantError("gate polynomial produced a non-divisible value")
-    return RtwSignal(cube // 4 + l)
+    x1_high = pair.check_gate_input(x1, RTW, "first input")
+    x2_high = pair.check_gate_input(x2, RTW, "second input")
+    h, l = pair.h.words, pair.l.words
+    out = _and_words(h, l, x1.words, x2.words)
+    if not np.array_equal(out, np.where((x1_high & x2_high)[..., None], h, l)):
+        raise InvariantError("AND output is not H exactly where both inputs are High")
+    return RtwSignal._of_words(out, len(x1))

@@ -1,30 +1,20 @@
 """Clocked waveform types, reference pairs and classification.
 
-All signals are immutable sequences of small integers, one value per
-discrete clock step, on a single global clock.  A waveform may carry
-leading batch axes, ``(rows, steps)`` or ``(groups, rows, steps)``,
-holding one wave per row; the gate kernels broadcast such a batch against
-the references, one pair or one pair per row, so the gates of one
-topological level over a chunk of assignments or of trials cost one array
-expression per gate kind.  Logic values are never represented in
-floating point: every gate identity in this package is an exact integer
-identity, and tests compare waveforms for exact elementwise equality.
+All signals are immutable sequences of integers, one value per step of a
+single global clock, compared for exact elementwise equality; no logic
+value is ever a float.  A waveform may carry leading batch axes, ``(rows,
+steps)`` or ``(groups, rows, steps)``, one wave per row, which the gate
+kernels broadcast against one pair or one pair per row.
 
-Four concrete carriers:
-
-* :class:`RtwSignal`, a bipolar random-telegraph-style wave valued -1/+1;
-* :class:`SpikeTrain`, a unipolar 0/1 train read as a set of spike times;
-* :class:`MultiLevelSignal`, integers in [-2, 2] (reference sums and
-  differences);
-* :class:`IntWave`, an unconstrained integer wave for transient arithmetic
-  such as the cubed reference difference, whose values exceed [-2, 2].
-
-The first three store their values as read-only ``int8`` arrays
-(:data:`CARRIER_DTYPE`); the family check runs on the values as given,
-before they are narrowed, so an out-of-range value is rejected rather than
-wrapped.  Every gate polynomial stays within ``int8`` (the RTW cube within
-+-8).  :class:`IntWave` and the base :class:`Waveform` keep ``int64``,
-because their arithmetic is unbounded.
+The two logic carriers, the bipolar -1/+1 :class:`RtwSignal` and the 0/1
+:class:`SpikeTrain` (a set of spike times), carry one bit per step.  They
+store read-only ``(..., words)`` ``uint64`` bit-planes with the step count
+beside them: step ``t`` is bit ``t % 64`` of word ``t // 64``, a set bit is
++1 or a spike, and the padding bits past the last step are zero.  The
+family check runs once, on the values a carrier is built from; ``values``
+unpacks to ``int8`` for the boundaries (CSV, reports, tests).
+:class:`MultiLevelSignal` (values in [-2, 2], such as reference sums) and
+:class:`IntWave` (unbounded) store ``int64``.
 
 A :class:`LogicReferencePair` binds the High and Low reference waves of one
 family; :func:`classify_rows` reads a wave or a batch of waves against such
@@ -49,11 +39,27 @@ from .errors import (
 RTW = "rtw"
 SPIKE = "spike"
 
-FAMILIES = (RTW, SPIKE)
+WORD_BITS = 64
 
 
-# Storage dtype of RtwSignal, SpikeTrain and MultiLevelSignal.
-CARRIER_DTYPE = np.dtype(np.int8)
+def words_for(steps: int) -> int:
+    """Number of ``uint64`` words that hold ``steps`` one-bit steps."""
+    return -(-steps // WORD_BITS)
+
+
+def pack_steps(bits: np.ndarray) -> np.ndarray:
+    """``(..., steps)`` 0/1 or bool values as ``(..., words)`` ``uint64`` words, padding zero."""
+    bits = np.asarray(bits, dtype=bool)
+    padded = np.zeros(bits.shape[:-1] + (WORD_BITS * words_for(bits.shape[-1]),), dtype=bool)
+    padded[..., :bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def first_set_step(words: np.ndarray) -> np.ndarray:
+    """Step of the lowest set bit of every ``(..., words)`` row; meaningless for an all-zero row."""
+    k = (words != 0).argmax(axis=-1)
+    w = np.take_along_axis(words, k[..., None], axis=-1)[..., 0]
+    return k * WORD_BITS + np.bitwise_count((w & (~w + np.uint64(1))) - np.uint64(1))
 
 
 def _as_int_array(values) -> np.ndarray:
@@ -85,78 +91,120 @@ class Waveform:
     """Immutable integer waveform; subclasses restrict the value set."""
 
     __slots__ = ("_values",)
-    _dtype = np.dtype(np.int64)
 
     def __init__(self, values: Sequence[int] | np.ndarray):
         arr = _as_int_array(values)
         self._check(arr)
-        arr = arr.astype(self._dtype)   # always a private copy
-        arr.setflags(write=False)
-        self._values = arr
-
-    @classmethod
-    def _of_checked(cls, arr: np.ndarray) -> "Waveform":
-        """Wrap ``arr`` as it is, without a copy or a check.
-
-        Only for read-only arrays of this class's dtype whose values have
-        already passed this class's check, such as the rows of a matrix of
-        waves that was checked batch by batch.
-        """
-        if arr.flags.writeable or arr.dtype != cls._dtype:
-            raise ValueError(f"{cls.__name__} can only wrap a read-only {cls._dtype} array")
-        wave = object.__new__(cls)
-        wave._values = arr
-        return wave
+        self._store(arr)
 
     @staticmethod
     def _check(arr: np.ndarray) -> None:
         pass
 
+    def _store(self, arr: np.ndarray) -> None:
+        arr = arr.astype(np.int64)   # always a private copy
+        arr.setflags(write=False)
+        self._values = arr
+
     @property
     def values(self) -> np.ndarray:
-        """Backing array (read-only flag set; do not mutate)."""
+        """The values as a read-only array of shape :attr:`shape`."""
         return self._values
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._values.shape
 
     def __len__(self) -> int:
         """Number of clock steps (the last axis), also for a batch."""
-        return self._values.shape[-1]
+        return self.shape[-1]
 
     def __getitem__(self, step: int) -> int:
-        return int(self._values[step])
+        return int(self.values[step])
 
     def __iter__(self):
-        return iter(int(v) for v in self._values)
+        return iter(self.to_list())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Waveform):
-            return np.array_equal(self._values, other._values)
+            return np.array_equal(self.values, other.values)
         return NotImplemented
 
     def __hash__(self) -> int:
         # Equal waves of different carriers (and so dtypes) hash alike.
-        return hash((self._values.shape, self._values.astype(np.int64).tobytes()))
+        return hash((self.shape, self.values.astype(np.int64).tobytes()))
 
     def __repr__(self) -> str:
-        shape = self._values.shape
+        shape = self.shape
         if len(shape) > 1:
             axes = "".join(f"{a}={n}, " for a, n in zip(("groups", "rows")[3 - len(shape):], shape))
             return f"{type(self).__name__}({axes}steps={len(self)})"
-        body = ",".join(str(int(v)) for v in self._values[:16])
+        body = ",".join(map(str, self.values[:16].tolist()))
         tail = ",..." if len(self) > 16 else ""
         return f"{type(self).__name__}([{body}{tail}], steps={len(self)})"
 
     def to_list(self) -> list[int]:
-        return [int(v) for v in self._values]
+        return self.values.tolist()
 
 
 class IntWave(Waveform):
     """Unrestricted integer waveform, used for intermediate arithmetic."""
 
 
-class RtwSignal(Waveform):
-    """Bipolar clocked wave; every step is exactly -1 or +1."""
+class MultiLevelSignal(Waveform):
+    """Integer wave bounded to the closed range [-2, 2]."""
 
-    _dtype = CARRIER_DTYPE
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if arr.min() < -2 or arr.max() > 2:
+            raise ValueError("MultiLevelSignal values must lie in [-2, 2]")
+
+
+class BitWave(Waveform):
+    """A one-bit-per-step carrier; ``_low`` is the value of a clear bit, a set bit is 1."""
+
+    __slots__ = ("_words", "_steps")
+    _low = 0
+
+    def _store(self, arr: np.ndarray) -> None:
+        words = pack_steps(arr > 0)
+        words.setflags(write=False)
+        self._words, self._steps = words, arr.shape[-1]
+
+    @classmethod
+    def _of_words(cls, words: np.ndarray, steps: int) -> "BitWave":
+        """Wrap valid words with zero padding, such as a kernel's output, read-only and unchecked."""
+        if words.dtype != np.uint64 or words.shape[-1] != words_for(steps):
+            raise ValueError(f"{cls.__name__} wraps (..., {words_for(steps)}) uint64 words "
+                             f"for {steps} steps, got {words.dtype} {words.shape}")
+        words.flags.writeable = False
+        wave = object.__new__(cls)
+        wave._words, wave._steps = words, steps
+        return wave
+
+    @property
+    def words(self) -> np.ndarray:
+        """The read-only ``(..., words)`` bit-planes."""
+        return self._words
+
+    @property
+    def values(self) -> np.ndarray:
+        """A fresh read-only ``int8`` unpacking of the words."""
+        bits = np.unpackbits(self._words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                             count=self._steps, bitorder="little").view(np.int8)
+        arr = 2 * bits - 1 if self._low else bits
+        arr.setflags(write=False)
+        return arr
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._words.shape[:-1] + (self._steps,)
+
+
+class RtwSignal(BitWave):
+    """Bipolar clocked wave; every step is exactly -1 or +1 (a set bit is +1)."""
+
+    _low = -1
 
     @staticmethod
     def _check(arr: np.ndarray) -> None:
@@ -165,21 +213,8 @@ class RtwSignal(Waveform):
             raise ValueError(f"RtwSignal values must be -1 or +1, found {bad}")
 
 
-class MultiLevelSignal(Waveform):
-    """Integer wave bounded to the closed range [-2, 2]."""
-
-    _dtype = CARRIER_DTYPE
-
-    @staticmethod
-    def _check(arr: np.ndarray) -> None:
-        if arr.min() < -2 or arr.max() > 2:
-            raise ValueError("MultiLevelSignal values must lie in [-2, 2]")
-
-
-class SpikeTrain(Waveform):
+class SpikeTrain(BitWave):
     """Unipolar clocked wave; every step is 0 or 1, read as a set of spike times."""
-
-    _dtype = CARRIER_DTYPE
 
     @staticmethod
     def _check(arr: np.ndarray) -> None:
@@ -188,13 +223,13 @@ class SpikeTrain(Waveform):
             raise ValueError(f"SpikeTrain values must be 0 or 1, found {bad}")
 
     def spike_times(self) -> np.ndarray:
-        return np.flatnonzero(self._values)
+        return np.flatnonzero(self.values)
 
     def spike_count(self) -> int:
-        return int(self._values.sum())
+        return int(np.bitwise_count(self._words).sum())
 
     def is_empty(self) -> bool:
-        return not bool(self._values.any())
+        return not bool(self._words.any())
 
 
 def _require_same_length(a: Waveform, b: Waveform, what: str) -> None:
@@ -202,7 +237,7 @@ def _require_same_length(a: Waveform, b: Waveform, what: str) -> None:
         raise LengthMismatchError(f"{what}: lengths differ ({len(a)} vs {len(b)})")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LogicReferencePair:
     """The bound (High, Low) reference waves of one logic family.
 
@@ -229,19 +264,19 @@ class LogicReferencePair:
                 f"reference waves must share one family, got "
                 f"{type(self.h).__name__} and {type(self.l).__name__}"
             )
-        if self.h.values.shape != self.l.values.shape:
+        if self.h.shape != self.l.shape:
             raise LengthMismatchError(
-                f"reference pair: shapes differ ({self.h.values.shape} vs {self.l.values.shape})"
+                f"reference pair: shapes differ ({self.h.shape} vs {self.l.shape})"
             )
         if family == SPIKE:
-            if np.any(self.h.values & self.l.values):
+            if np.any(self.h.words & self.l.words):
                 where = np.argwhere(self.h.values & self.l.values)[0]
                 row = f" in row {int(where[0])}" if len(where) > 1 else ""
                 raise OrthogonalityError(
                     f"reference trains spike together at step {int(where[-1])}{row}"
                 )
             # Per row, for a batch of pairs.
-            if not (self.h.values.any(axis=-1).all() and self.l.values.any(axis=-1).all()):
+            if not (self.h.words.any(axis=-1).all() and self.l.words.any(axis=-1).all()):
                 raise ValueError("spike reference trains must both be non-empty")
         object.__setattr__(self, "_family", family)
 
@@ -254,30 +289,29 @@ class LogicReferencePair:
         return len(self.h)
 
     def check_gate_input(self, x: Waveform, family: str, role: str = "input",
-                         *, exact: bool = True) -> None:
+                         *, exact: bool = True) -> np.ndarray | None:
         """Reject a gate input that does not fit this pair.
 
-        The pair must belong to ``family`` and ``x`` must span the pair's
-        steps; with ``exact`` it must also be an exact copy of High or Low,
-        the only inputs the gate algebra makes promises about.  A batch
-        ``x`` passes only when every wave in it is such a copy (of its
-        row's pair, for a batch of pairs).
+        The pair must belong to ``family``, ``x`` must be a wave of that
+        family and span the pair's steps; with ``exact`` it must also be an
+        exact copy of High or Low, the only inputs the gate algebra makes
+        promises about, row by row, and the mask of the rows that copy High
+        is returned.
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
+        if not isinstance(x, type(self.h)):
+            raise FamilyMismatchError(f"{family} gates take a {type(self.h).__name__}, "
+                                      f"got {type(x).__name__} as {role}")
         if len(x) != self.steps:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
-        if exact:
-            v = x.values
-            if not ((v == self.h.values).all(axis=-1) | (v == self.l.values).all(axis=-1)).all():
-                raise InvalidLogicValueError(
-                    f"{role} matches neither the High nor the Low reference"
-                )
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LogicReferencePair):
-            return self.h == other.h and self.l == other.l
-        return NotImplemented
+        if not exact:
+            return None
+        v = x.words
+        high = (v == self.h.words).all(axis=-1)
+        if not (high | (v == self.l.words).all(axis=-1)).all():
+            raise InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")
+        return high
 
 
 @dataclass(frozen=True)
@@ -361,9 +395,10 @@ def universe_spike(pair: LogicReferencePair) -> SpikeTrain:
     """Union universe of a spike pair (equal to the sum, by orthogonality)."""
     if pair.family != SPIKE:
         raise FamilyMismatchError(f"union universe needs a spike pair, got {pair.family}")
-    if np.any(pair.h.values & pair.l.values):
+    h, l = pair.h.words, pair.l.words
+    if np.any(h & l):
         raise OrthogonalityError("reference trains overlap; union is not a valid universe")
-    return SpikeTrain(pair.h.values | pair.l.values)
+    return SpikeTrain._of_words(h | l, pair.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +410,11 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
 
     ``x`` is one wave or a ``(rows, steps)`` batch; ``pair`` is one pair or
     a batch with one pair per row.  The first step where High and Low
-    differ votes for the reference that ``x`` follows there (for a spike
-    pair, whose trains are disjoint, that is the first universe spike).
-    The vote stands only if the whole wave equals the voted reference;
-    otherwise the row is ambiguous, as it is when the references never
-    differ.
+    differ, the lowest set bit of ``H ^ L``, votes for the reference that
+    ``x`` follows there (for a spike pair, whose trains are disjoint, that
+    is the first universe spike).  The vote stands only if the whole wave
+    equals the voted reference; otherwise the row is ambiguous, as it is
+    when the references never differ.
 
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.
@@ -390,12 +425,12 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
             f"got {type(x).__name__}"
         )
     _require_same_length(x, pair.h, "classify")
-    v, h, l = np.atleast_2d(x.values, pair.h.values, pair.l.values)
+    v, h, l = np.atleast_2d(x.words, pair.h.words, pair.l.words)
     if len(h) > 1 and h.shape != v.shape:
         raise LengthMismatchError(f"classify: {len(v)} waves against {len(h)} pairs")
-    differs = h != l
+    differs = h ^ l
     votes = differs.any(axis=1)
-    first = differs.argmax(axis=1)
+    first = first_set_step(differs)
     high = (v == h).all(axis=1)
     decided = votes & (high | (v == l).all(axis=1))
     bits = np.where(decided, high, -1)
@@ -407,8 +442,9 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
             details[r] = "references are identical across the whole window"
             continue
         t = int(first[p])
-        vote, reference = (Verdict.HIGH, h[p]) if v[r, t] == h[p, t] else (Verdict.LOW, l[p])
-        mismatch = int(np.argmax(v[r] != reference))
+        follows_high = not (int(v[r, t // WORD_BITS] ^ h[p, t // WORD_BITS]) >> t % WORD_BITS) & 1
+        vote, reference = (Verdict.HIGH, h[p]) if follows_high else (Verdict.LOW, l[p])
+        mismatch = int(first_set_step(v[r] ^ reference))
         details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
                       f"reference at step {mismatch}")
     return bits, steps, details
@@ -420,7 +456,7 @@ def classify(x: Waveform, pair: LogicReferencePair) -> Classification:
     The one-wave case of :func:`classify_rows`: High or Low with its
     deciding step, or Ambiguous with a diagnostic.
     """
-    if x.values.ndim != 1:
+    if len(x.shape) != 1:
         raise ValueError("classify reads one wave; use classify_rows for a batch")
     (bit,), (step,), details = classify_rows(x, pair)
     if details:

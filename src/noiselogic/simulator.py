@@ -12,9 +12,9 @@ backends exist:
 
 :func:`run`, :func:`verify_equivalence` and :func:`decision_latency` all
 evaluate a network by one walk, :func:`_evaluate`: each (topological level,
-op) group of gates is one kernel call on a ``(gates, rows, steps)`` batch
-gathered from one ``(slots, rows, steps)`` matrix, whose rows are the one
-run, the assignments of a chunk or the trials of a chunk.
+op) group of gates is one kernel call on the packed words of its operands,
+gathered from one ``(slots, rows, words)`` ``uint64`` matrix whose rows are
+the one run, the assignments of a chunk or the trials of a chunk.
 
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
@@ -38,7 +38,6 @@ from .generators import (
 from .netlist import CompiledNetwork, NetlistAst, _check_assignment, eval_boolean, lower
 from .prng import SplitMix64, derive_seed
 from .signals import (
-    CARRIER_DTYPE,
     RTW,
     SPIKE,
     Classification,
@@ -49,24 +48,26 @@ from .signals import (
     Verdict,
     Waveform,
     classify_rows,
+    first_set_step,
+    pack_steps,
     universe_spike,
+    words_for,
 )
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
 # (decision_latency) may hold: each slot of the wave matrix is a
-# (rows, steps) block of CARRIER_DTYPE.
+# (rows, words) block of uint64.
 _CHUNK_BYTES = 2 << 20
 
-# Per-chunk waves besides the slots in decision_latency: the High and Low
-# batches, and the [L, H] table stacked from them.
-_PAIR_WAVES = 4
+# Per-chunk waves besides the slots in decision_latency: the High and Low batches.
+_PAIR_WAVES = 2
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
-    """Rows per chunk so that ``waves`` live ``(rows, steps)`` blocks fit ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (CARRIER_DTYPE.itemsize * steps * waves))
+    """Rows per chunk so that ``waves`` live ``(rows, words)`` blocks fit ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * words_for(steps) * waves))
 
 
 # Child-stream index reserved for drawing sampled assignments, far away
@@ -120,12 +121,19 @@ def make_backend(name: str, config: GeneratorConfig) -> _Backend:
 def _draw_pair_rows(family: str, config: GeneratorConfig, count: int,
                     start: int) -> LogicReferencePair:
     """``count`` pairs: row ``i`` is ``make_backend``'s pair for ``derive_seed(config.seed, start + i)``."""
-    if family == RTW:
-        h, l = (rtw_sign_matrix(config.seed, count, config.steps, child=child, start=start)
-                for child in (0, 1))
-        return LogicReferencePair(RtwSignal(h), RtwSignal(l))
-    h, l = spike_pair_rows(config, count, start)
-    return LogicReferencePair(SpikeTrain(h), SpikeTrain(l))
+    planes = np.empty((2, count, words_for(config.steps)), dtype=np.uint64)
+    block = max(1, _CHUNK_BYTES // (8 * config.steps))   # rows whose raw words fit the budget
+    for lo in range(0, count, block):
+        n = min(block, count - lo)
+        if family == RTW:
+            drawn = [rtw_sign_matrix(config.seed, n, config.steps, child=child, start=start + lo)
+                     for child in (0, 1)]
+        else:
+            drawn = spike_pair_rows(config, n, start + lo)
+        for plane, rows in zip(planes, drawn):
+            plane[lo:lo + n] = pack_steps(rows > 0)
+    carrier = RtwSignal if family == RTW else SpikeTrain
+    return LogicReferencePair(*(carrier._of_words(plane, config.steps) for plane in planes))
 
 
 class _Plan(NamedTuple):
@@ -174,25 +182,24 @@ def _plan(network: CompiledNetwork, keep) -> _Plan:
 
 
 def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
-    """Walk ``plan`` on ``bk``; returns the read-only ``(slots, rows, steps)`` wave matrix.
+    """Walk ``plan`` on ``bk``; returns the read-only ``(slots, rows, words)`` wave matrix.
 
-    Input ``i`` takes the rows of the stacked ``[L, H]`` table that
-    ``bits[i]`` picks, a 0/1 int or a ``(rows,)`` bit array, for one pair
-    or a ``(rows, steps)`` batch of pairs alike.  Each group gathers its
-    operands as ``(gates, rows, steps)`` batches, checked when they were
-    written, runs its kernel once, with all of its checks, and scatters
-    the outputs back into their slots.
+    Input ``i`` is High where ``bits[i]``, a 0/1 int or a ``(rows,)`` bit
+    array, is 1 and Low elsewhere, for one pair or a batch of pairs alike.
+    Each group runs its kernel once, with all of its checks, on operands
+    checked when they were written: ``(rows, words)`` views of its slots
+    for one gate, gathered ``(gates, rows, words)`` batches for more.
     """
-    carrier = type(bk.pair.h)
-    table = np.stack((bk.pair.l.values, bk.pair.h.values))
-    matrix = np.empty((plan.slots, rows, bk.pair.steps), dtype=CARRIER_DTYPE)
+    wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
+    h, l = bk.pair.h.words, bk.pair.l.words
+    matrix = np.empty((plan.slots, rows, h.shape[-1]), dtype=np.uint64)
     for i, bit in enumerate(bits):
-        matrix[i] = np.take(table, bit, axis=0)
+        matrix[i] = np.where(np.reshape(bit, (-1, 1)), h, l)
     for op, args, outs in plan.groups:
-        batches = [matrix[arg] for arg in args]
-        for batch in batches:
-            batch.flags.writeable = False
-        matrix[outs] = bk.kernel[op](bk.pair, *map(carrier._of_checked, batches)).values
+        if len(outs) == 1:
+            args, outs = [arg[0] for arg in args], outs[0]
+        operands = [wrap(matrix[arg], steps) for arg in args]
+        matrix[outs] = bk.kernel[op](bk.pair, *operands).words
     matrix.flags.writeable = False
     return matrix
 
@@ -233,19 +240,19 @@ def run(
     pair.  Ambiguous wires are reported in the result, not raised.
 
     The walk is :func:`_evaluate` on one row with every wire kept, and
-    each waveform of the result is a read-only view of its slot of the
+    each waveform of the result wraps a read-only view of its slot of the
     matrix, checked once as part of its group's batch.
     """
     _check_assignment(network.inputs, assignment)
     bk = make_backend(backend, config)
-    carrier = type(bk.pair.h)
+    wrap = type(bk.pair.h)._of_words
     plan = _plan(network, network.wires)
     matrix = _evaluate(plan, bk, [assignment[name] for name in network.inputs], 1)[:, 0]
-    got, at, details = classify_rows(carrier._of_checked(matrix), bk.pair)
+    got, at, details = classify_rows(wrap(matrix, config.steps), bk.pair)
     readings = [Classification(Verdict.AMBIGUOUS, None, details[s]) if s in details
                 else Classification(Verdict.from_bit(bit), step)
                 for s, (bit, step) in enumerate(zip(got.tolist(), at.tolist()))]
-    waveforms = {name: carrier._of_checked(matrix[s]) for name, s in plan.slot.items()}
+    waveforms = {name: wrap(matrix[s], config.steps) for name, s in plan.slot.items()}
     classifications = {name: readings[s] for name, s in plan.slot.items()}
     return SimulationRun(
         backend=backend,
@@ -397,7 +404,7 @@ def verify_equivalence(
         checked=0,
         passed=0,
     )
-    carrier = type(bk.pair.h)
+    wrap = type(bk.pair.h)._of_words
     plan = _plan(net, net.outputs)
     rows = _chunk_rows(config.steps, plan.slots)
     for lo in range(0, count, rows):
@@ -409,7 +416,7 @@ def verify_equivalence(
         bad = np.zeros(hi - lo, dtype=bool)
         outcomes = []
         for name in net.outputs:
-            got, _, details = classify_rows(carrier._of_checked(matrix[plan.slot[name]]), bk.pair)
+            got, _, details = classify_rows(wrap(matrix[plan.slot[name]], config.steps), bk.pair)
             bad |= got != expected[name]   # an ambiguous row (-1) never matches
             outcomes.append((name, got, details))
         report.checked += hi - lo
@@ -596,19 +603,19 @@ def decision_latency(
         count = min(rows, trials - lo)
         bk = _Backend(backend, _draw_pair_rows(family, config, count, lo))
         matrix = _evaluate(plan, bk, bits, count)
-        carrier = type(bk.pair.h)
+        wrap = type(bk.pair.h)._of_words
         # Per row, as a per-trial loop over the outputs reads it: -2 before
         # the first output, then its deciding step, or -1 from the first
         # ambiguous output on.
         decided = np.full(count, -2)
         for name in network.outputs:
-            _, at, _ = classify_rows(carrier._of_checked(matrix[plan.slot[name]]), bk.pair)
+            _, at, _ = classify_rows(wrap(matrix[plan.slot[name]], config.steps), bk.pair)
             if np.any((decided >= 0) & (at >= 0) & (at != decided)):
                 raise InvariantError("outputs decided at different steps in one run")
             decided = np.where(decided == -1, -1, at)
         ok = decided >= 0
         if family == SPIKE:
-            first_u = universe_spike(bk.pair).values.argmax(axis=1)
+            first_u = first_set_step(universe_spike(bk.pair).words)
             if np.any(decided[ok] != first_u[ok]):
                 raise InvariantError("decision step deviates from the first universe spike")
         for step, count in zip(*np.unique(decided[ok], return_counts=True)):
@@ -616,10 +623,7 @@ def decision_latency(
         decided_trials += int(ok.sum())
         total += int(decided[ok].sum())
     mean = total / decided_trials if decided_trials else float("nan")
-    if family == SPIKE:
-        rate = config.spike_rate_h + config.spike_rate_l
-    else:
-        rate = 0.5
+    rate = config.spike_rate_h + config.spike_rate_l if family == SPIKE else 0.5
     return LatencyReport(
         backend=backend,
         trials=trials,

@@ -2,11 +2,12 @@
 
 The building block is an idealized, delay-free neuron with one excitatory
 and one inhibitory input: it fires at a step exactly when the excitatory
-input fires and the inhibitory one does not.  Two such neurons form an
-orthon, which splits its inputs A, B into the set intersections A&B and
-A&~B.  The NOT gate feeds the universe (union of both references) and the
-input through one orthon; the AND gate combines four orthons through a
-saturating three-input adder neuron:
+input fires and the inhibitory one does not, ``e & ~i`` on the packed
+words.  Two such neurons form an orthon, which splits its inputs A, B into
+the set intersections A&B and A&~B.  The NOT gate feeds the universe
+(union of both references) and the input through one orthon; the AND gate
+combines four orthons through a saturating three-input adder neuron, a
+word-wise ``|``:
 
     NOT x      = (1 - x) & U
     x1 AND x2  = (x1 & x2 & H) | (x1 & L) | (x2 & L)
@@ -28,7 +29,7 @@ from .signals import SPIKE, LogicReferencePair, SpikeTrain, _require_same_length
 def neuron_eval(excitatory: SpikeTrain, inhibitory: SpikeTrain) -> SpikeTrain:
     """Delay-free neuron: fires where the (+) input fires and the (-) input is silent."""
     _require_same_length(excitatory, inhibitory, "neuron")
-    return SpikeTrain(excitatory.values * (1 - inhibitory.values))
+    return SpikeTrain._of_words(excitatory.words & ~inhibitory.words, len(excitatory))
 
 
 class OrthonOutputs(NamedTuple):
@@ -47,9 +48,9 @@ def orthon_eval(a: SpikeTrain, b: SpikeTrain) -> OrthonOutputs:
     _require_same_length(a, b, "orthon")
     lower = neuron_eval(a, b)
     upper = neuron_eval(a, lower)
-    if not np.array_equal(upper.values, a.values * b.values):
+    if not np.array_equal(upper.words, a.words & b.words):
         raise InvariantError("orthon upper output deviates")
-    if not np.array_equal(lower.values, a.values * (1 - b.values)):
+    if not np.array_equal(lower.words, a.words & ~b.words):
         raise InvariantError("orthon lower output deviates")
     return OrthonOutputs(upper, lower)
 
@@ -58,11 +59,11 @@ def adder_union(*inputs: SpikeTrain) -> SpikeTrain:
     """Adder neuron: fires when any excitatory input fires (saturating union)."""
     if not inputs:
         raise ValueError("adder neuron needs at least one input")
-    acc = inputs[0].values
+    acc = inputs[0].words
     for train in inputs[1:]:
         _require_same_length(inputs[0], train, "adder")
-        acc = acc | train.values
-    return SpikeTrain(acc)
+        acc = acc | train.words
+    return SpikeTrain._of_words(acc, len(inputs[0]))
 
 
 def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
@@ -74,7 +75,7 @@ def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
     pair.check_gate_input(x, SPIKE)
     u = universe_spike(pair)
     out = orthon_eval(u, x).difference
-    if not np.array_equal(out.values, (1 - x.values) * u.values):
+    if not np.array_equal(out.words, u.words & ~x.words):
         raise InvariantError("NOT circuit deviates")
     return out
 
@@ -92,11 +93,7 @@ def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> Spike
     x1_low = orthon_eval(x1, pair.l).intersection
     x2_low = orthon_eval(x2, pair.l).intersection
     out = adder_union(both_high, x1_low, x2_low)
-    direct = (
-        x1.values * x2.values * pair.h.values
-        | x1.values * pair.l.values
-        | x2.values * pair.l.values
-    )
-    if not np.array_equal(out.values, direct):
+    a, b, h, l = x1.words, x2.words, pair.h.words, pair.l.words
+    if not np.array_equal(out.words, (a & b & h) | (a & l) | (b & l)):
         raise InvariantError("AND circuit deviates")
     return out

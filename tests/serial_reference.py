@@ -1,12 +1,16 @@
-"""One-wave-at-a-time references for the simulator's one walker.
+"""One-wave-at-a-time references for the simulator's one walker and its kernels.
 
 The simulator classifies whole batches of waves with ``classify_rows`` and
 evaluates every network one (topological level, op) group at a time over
-one slot matrix.  The functions here are a per-wire, step-by-step reading
-of the classification rule and a per-gate walk that keeps one wave per
-wire, written apart from the simulator's walker; tests require equal
-results from both.
+one slot matrix of packed words.  The functions here are a per-wire,
+step-by-step reading of the classification rule, a per-gate walk that
+keeps one wave per wire, and the gate kernels as literal ``int8``
+arithmetic on the unpacked values (the paper's polynomials and neuron
+circuits, with their checks), all written apart from the package; tests
+require equal results from both.
 """
+
+import numpy as np
 
 import noiselogic as nl
 from noiselogic import simulator
@@ -63,3 +67,78 @@ def serial_run(network, backend, assignment, config) -> nl.SimulationRun:
         classifications={name: classify_wire(bk, waves[i])
                          for i, name in enumerate(network.wires)},
     )
+
+
+# ---------------------------------------------------------------------------
+# The gate kernels on the unpacked int8 values
+
+
+def _check_input(pair, x, family, role="input", exact=True):
+    if pair.family != family:
+        raise nl.FamilyMismatchError(f"{family} gates need a {family} pair, got {pair.family}")
+    if len(x) != pair.steps:
+        raise nl.LengthMismatchError(f"{role} has {len(x)} steps, pair has {pair.steps}")
+    v, h, l = x.values, pair.h.values, pair.l.values
+    if exact and not ((v == h).all(axis=-1) | (v == l).all(axis=-1)).all():
+        raise nl.InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")
+
+
+def not_additive(pair, x):
+    """Universe minus input."""
+    _check_input(pair, x, nl.RTW)
+    return nl.RtwSignal(pair.h.values + pair.l.values - x.values)
+
+
+def not_multiplicative(pair, x):
+    """x * H * L, over any -1/+1 wave."""
+    _check_input(pair, x, nl.RTW, exact=False)
+    return nl.RtwSignal(x.values * (pair.h.values * pair.l.values))
+
+
+def and_gate(pair, x1, x2):
+    """The cubic (H - L)(x1 - L)(x2 - L) / 4 + L, with the quarter checked exact."""
+    _check_input(pair, x1, nl.RTW, "first input")
+    _check_input(pair, x2, nl.RTW, "second input")
+    h, l = pair.h.values, pair.l.values
+    cube = (h - l) * (x1.values - l) * (x2.values - l)
+    if np.any(cube & 3):
+        raise nl.InvariantError("gate polynomial produced a non-divisible value")
+    return nl.RtwSignal(cube // 4 + l)
+
+
+def _orthon(a, b):
+    """Two neurons e * (1 - i): (A & B, A & ~B), checked against the set formulas."""
+    lower = a * (1 - b)
+    upper = a * (1 - lower)
+    if not (np.array_equal(upper, a * b) and np.array_equal(lower, a * (1 - b))):
+        raise nl.InvariantError("orthon output deviates")
+    return upper, lower
+
+
+def spike_not(pair, x):
+    """One orthon on (universe, x), checked against (1 - x) * U."""
+    _check_input(pair, x, nl.SPIKE)
+    u = pair.h.values | pair.l.values
+    out = _orthon(u, x.values)[1]
+    if not np.array_equal(out, (1 - x.values) * u):
+        raise nl.InvariantError("NOT circuit deviates")
+    return nl.SpikeTrain(out)
+
+
+def spike_and(pair, x1, x2):
+    """Four orthons into an adder, checked against x1 x2 H | x1 L | x2 L."""
+    _check_input(pair, x1, nl.SPIKE, "first input")
+    _check_input(pair, x2, nl.SPIKE, "second input")
+    a, b, h, l = x1.values, x2.values, pair.h.values, pair.l.values
+    out = _orthon(_orthon(a, b)[0], h)[0] | _orthon(a, l)[0] | _orthon(b, l)[0]
+    if not np.array_equal(out, a * b * h | a * l | b * l):
+        raise nl.InvariantError("AND circuit deviates")
+    return nl.SpikeTrain(out)
+
+
+# Backend name -> (NOT, AND) on the unpacked values.
+INT8_KERNELS = {
+    "rtw-additive-not": (not_additive, and_gate),
+    "rtw-multiplicative-not": (not_multiplicative, and_gate),
+    "spike": (spike_not, spike_and),
+}

@@ -1,7 +1,7 @@
 """Trial-parallel Monte-Carlo: ``decision_latency`` and the ambiguity sweep.
 
 ``decision_latency`` evaluates a chunk of trials as one walk over a
-``(slots, rows, steps)`` matrix, row ``i`` against trial ``i``'s own
+``(slots, rows, words)`` matrix, row ``i`` against trial ``i``'s own
 reference pair.  The reference here is the per-trial loop it replaced: one
 ``make_backend`` per derived seed, the one-wave ``serial_wires`` and
 ``classify_wire``.  The two must give equal reports, ambiguous windows and
@@ -21,7 +21,7 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator, spike_gates
 from noiselogic.generators import count_identical_rtw_pairs, rtw_sign_matrix
 from noiselogic.prng import derive_seed
-from noiselogic.signals import CARRIER_DTYPE
+from noiselogic.signals import words_for
 
 from conftest import FULL_ADDER, level_groups, random_netlist_source
 from serial_reference import classify_wire, serial_wires
@@ -61,7 +61,7 @@ def serial_latency(network, config, trials, backend, assignment=None):
 def chunked_latency(network, config, trials, backend, assignment, rows):
     """decision_latency with its chunk budget set to exactly ``rows`` trials."""
     slots = simulator._plan(network, network.outputs).slots
-    per_row = CARRIER_DTYPE.itemsize * config.steps * (slots + simulator._PAIR_WAVES)
+    per_row = 8 * words_for(config.steps) * (slots + simulator._PAIR_WAVES)
     with mock.patch.object(simulator, "_CHUNK_BYTES", rows * per_row):
         return nl.decision_latency(network, config, trials, backend, assignment)
 

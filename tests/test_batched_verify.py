@@ -1,7 +1,7 @@
 """Chunked evaluation: ``verify_equivalence`` and the gate kernels on batches.
 
 ``verify_equivalence`` evaluates a chunk of assignments as one walk over
-a ``(slots, rows, steps)`` matrix, a row per assignment.  The reference
+a ``(slots, rows, words)`` matrix, a row per assignment.  The reference
 here is the per-assignment loop it replaced, built from the one-wave
 ``serial_wires``, the scalar ``eval_boolean`` and ``classify_wire``; the
 two must give equal reports, failures and ambiguous incidents included, in
@@ -21,7 +21,7 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator, spike_gates
 from noiselogic.errors import InvalidLogicValueError
 from noiselogic.prng import SplitMix64, derive_seed
-from noiselogic.signals import CARRIER_DTYPE
+from noiselogic.signals import words_for
 
 from conftest import random_netlist_source
 from serial_reference import classify_wire, serial_wires
@@ -88,7 +88,7 @@ def chunked_report(source, backend, config, rows, **kwargs):
     """verify_equivalence with its chunk budget set to exactly ``rows`` assignments."""
     net = kwargs.get("network") or (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
-    budget = rows * CARRIER_DTYPE.itemsize * config.steps * simulator._plan(net, net.outputs).slots
+    budget = rows * 8 * words_for(config.steps) * simulator._plan(net, net.outputs).slots
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 

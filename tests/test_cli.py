@@ -178,6 +178,21 @@ class TestVerify:
         result = runner.invoke(main, ["verify", adder_path, "--backends", "quantum"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("backends, message", [
+        (",", "empty backend list"),
+        ("", "empty backend list"),
+        (" , ,", "empty backend list"),
+        ("spike,spike", "backend 'spike' is named more than once"),
+        ("rtw-additive-not, spike ,rtw-additive-not",
+         "backend 'rtw-additive-not' is named more than once"),
+    ])
+    def test_empty_or_repeated_backend_list_exit_2(self, runner, adder_path, backends, message):
+        # Checking no backend, or one twice, is no proof: refuse it as a bad option.
+        result = runner.invoke(main, ["verify", adder_path, "--backends", backends])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+        assert '"pass"' not in result.output
+
     _AND_GATE = {"op": "AND", "args": ["a", "b"], "out": "y", "src": "y"}
 
     @pytest.mark.parametrize("document, message", [

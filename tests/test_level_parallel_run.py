@@ -1,7 +1,7 @@
 """Level-parallel ``run``: one kernel call per (topological level, op) group.
 
 ``run`` is the one-row walk of ``simulator._evaluate``: it keeps every wire
-in one read-only ``(wires, 1, steps)`` slot matrix and evaluates the gates
+in one read-only ``(wires, 1, words)`` slot matrix and evaluates the gates
 of one group as one batch.  The reference here is the gate-by-gate,
 wire-by-wire run it replaced (``serial_reference``); both must give the
 same waveforms, exactly, and the same classifications, diagnostics
@@ -13,13 +13,14 @@ import random
 from contextlib import nullcontext
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic import rtw_gates, simulator
-from noiselogic.signals import CARRIER_DTYPE
+from noiselogic.signals import words_for
 
 from conftest import FULL_ADDER, level_groups, random_netlist_source
 from serial_reference import serial_run
@@ -157,14 +158,15 @@ class TestRunMatrix:
         config = nl.GeneratorConfig(seed=5, steps=64)
         result = nl.run(full_adder_network, backend, {"a": 1, "b": 1, "cin": 0}, config)
         waves = list(result.waveforms.values())
-        base = waves[0].values.base
-        assert base is not None and base.shape == (len(waves), 1, 64)
+        base = waves[0].words.base
+        assert base is not None and base.shape == (len(waves), 1, words_for(64))
         for w in waves:
-            assert w.values.base is base
-            assert w.values.dtype == CARRIER_DTYPE
-            assert not w.values.flags.writeable
-            with pytest.raises(ValueError):
-                w.values[0] = 0
+            assert w.words.base is base
+            assert w.words.dtype == np.uint64 and w.values.dtype == np.int8
+            for array in (w.words, w.values):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
         assert result.output_bits() == {"sum": 0, "cout": 1}
 
     def test_a_non_copy_input_to_a_level_batch_is_rejected(self):

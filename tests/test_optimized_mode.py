@@ -35,12 +35,39 @@ except nl.InvariantError as exc:
 """
 
 
-def test_corrupted_spike_gate_raises_invariant_error_under_O():
+_CORRUPTED_RTW_AND = """
+import noiselogic as nl
+from noiselogic import rtw_gates
+
+if __debug__:
+    raise SystemExit("not running under -O")
+# A word form that passes its first input through is not AND: High AND Low
+# would read High.
+rtw_gates._and_words = lambda h, l, x1, x2: x1
+pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=3, steps=130))
+try:
+    rtw_gates.and_gate(pair, pair.h, pair.l)
+except nl.InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def _run_under_O(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPTED_NEURON],
+        [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvariantError: orthon"), proc.stdout
+    return proc.stdout
+
+
+def test_corrupted_spike_gate_raises_invariant_error_under_O():
+    stdout = _run_under_O(_CORRUPTED_NEURON)
+    assert stdout.startswith("InvariantError: orthon"), stdout
+
+
+def test_corrupted_packed_rtw_and_raises_invariant_error_under_O():
+    stdout = _run_under_O(_CORRUPTED_RTW_AND)
+    assert stdout.startswith("InvariantError: AND output"), stdout

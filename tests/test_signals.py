@@ -9,7 +9,7 @@ from noiselogic.errors import (
     LengthMismatchError,
     OrthogonalityError,
 )
-from noiselogic.signals import CARRIER_DTYPE
+from noiselogic.signals import pack_steps, words_for
 
 from serial_reference import classify_wave
 
@@ -90,15 +90,15 @@ class TestWaveformTypes:
 
 
 class TestCarrierDtype:
-    """Logic carriers store int8; the family check runs before narrowing."""
+    """Logic carriers store uint64 bit-planes; the family check runs on the values given."""
 
     @pytest.mark.parametrize("cls, value", [
-        (nl.SpikeTrain, 257),        # would wrap to 1
-        (nl.SpikeTrain, -255),       # would wrap to 1
-        (nl.RtwSignal, 255),         # would wrap to -1
-        (nl.RtwSignal, 2**63 - 1),   # would wrap to -1
-        (nl.MultiLevelSignal, 130),  # would wrap to -126, then fail anyway
-        (nl.MultiLevelSignal, 258),  # would wrap to 2
+        (nl.SpikeTrain, 257),        # would pack as a spike
+        (nl.SpikeTrain, -255),       # would pack as no spike
+        (nl.RtwSignal, 255),         # would pack as +1
+        (nl.RtwSignal, 2**63 - 1),   # would pack as +1
+        (nl.MultiLevelSignal, 130),
+        (nl.MultiLevelSignal, 258),
     ])
     def test_out_of_range_values_are_rejected_not_wrapped(self, cls, value):
         with pytest.raises(ValueError):
@@ -106,12 +106,27 @@ class TestCarrierDtype:
         with pytest.raises(ValueError):
             cls(np.array([[value]], dtype=np.int64))
 
-    def test_carriers_are_int8_and_int_waves_int64(self):
-        for wave in (nl.RtwSignal([1, -1]), nl.SpikeTrain([0, 1]), nl.MultiLevelSignal([-2, 2])):
-            assert wave.values.dtype == CARRIER_DTYPE == np.int8
+    def test_carriers_are_packed_words_and_int_waves_int64(self):
+        for wave in (nl.RtwSignal([-1, 1]), nl.SpikeTrain([0, 1])):
+            assert wave.words.tolist() == [0b10] and wave.words.dtype == np.uint64
+            assert wave.values.dtype == np.int8
+        assert nl.MultiLevelSignal([-2, 2]).values.dtype == np.int64
         big = nl.IntWave([10**12, -(10**12)])
         assert big.values.dtype == np.int64
         assert big.to_list() == [10**12, -(10**12)]
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 128])
+    def test_step_t_is_bit_t_mod_64_of_word_t_div_64(self, steps):
+        values = [1 if t % 3 == 0 else -1 for t in range(steps)]
+        wave = nl.RtwSignal([values, [-1] * steps])
+        assert wave.words.shape == (2, words_for(steps)) == (2, -(-steps // 64))
+        assert [(int(wave.words[0, t // 64]) >> (t % 64)) & 1 for t in range(steps)] == [
+            int(v > 0) for v in values]
+        # The padding bits past the last step are zero.
+        assert int(wave.words[0, -1]) >> (steps - 64 * (words_for(steps) - 1)) == 0
+        assert not wave.words[1].any()
+        assert wave.values.tolist() == [values, [-1] * steps] and wave.shape == (2, steps)
+        assert np.array_equal(pack_steps(np.array(values) > 0), wave.words[0])
 
     def test_construction_copies_its_input(self):
         source = np.array([0, 1, 0], dtype=np.int8)
@@ -119,18 +134,22 @@ class TestCarrierDtype:
         source[0] = 1
         assert train.to_list() == [0, 1, 0]
 
-    def test_wrapping_without_a_copy_needs_a_read_only_array_of_the_dtype(self):
-        rows = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+    def test_wrapping_without_a_copy_needs_uint64_words_of_the_step_count(self):
+        rows = np.array([[0b01], [0b10]], dtype=np.uint64)
         with pytest.raises(ValueError):
-            nl.RtwSignal._of_checked(rows)
-        rows.setflags(write=False)
-        wide = rows.astype(np.int64)
-        wide.setflags(write=False)
+            nl.RtwSignal._of_words(rows.astype(np.int64), 2)
         with pytest.raises(ValueError):
-            nl.RtwSignal._of_checked(wide)
-        wave = nl.RtwSignal._of_checked(rows[1])
+            nl.RtwSignal._of_words(rows, 65)
+        wave = nl.RtwSignal._of_words(rows[1], 2)
         assert wave == nl.RtwSignal([-1, 1])
-        assert wave.values.base is rows
+        assert wave.words.base is rows and not wave.words.flags.writeable
+        assert rows.flags.writeable
+
+    def test_equality_across_carriers_compares_values_not_words(self):
+        # Both are the word 0, but -1 is not 0.
+        assert nl.RtwSignal([-1]) != nl.SpikeTrain([0])
+        assert nl.RtwSignal([1]) == nl.SpikeTrain([1]) == nl.IntWave([1])
+        assert nl.RtwSignal([-1, 1]) != nl.RtwSignal([[-1, 1]])
 
 
 class TestReferencePair:
