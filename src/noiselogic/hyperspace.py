@@ -97,7 +97,8 @@ def squeezed_collapse_demo(
     _check_vector_args(pairs, bits, RTW, max_bits)
     combined = np.ones(pairs[0].steps, dtype=np.int64)
     for pair, bit in zip(pairs, bits):
-        combined = combined * (pair.h.values if bit else 0)
+        factor = pair.h.values if bit else np.zeros(pair.steps, dtype=np.int64)
+        combined = combined * factor
     return HyperVector(RTW, tuple(bits), MultiLevelSignal(combined), tuple(pairs), squeezed=True)
 
 

@@ -7,14 +7,13 @@ steps)`` or ``(groups, rows, steps)``, one wave per row, which the gate
 kernels broadcast against one pair or one pair per row.
 
 The two logic carriers, the bipolar -1/+1 :class:`RtwSignal` and the 0/1
-:class:`SpikeTrain` (a set of spike times), carry one bit per step.  They
-store read-only ``(..., words)`` ``uint64`` bit-planes with the step count
-beside them: step ``t`` is bit ``t % 64`` of word ``t // 64``, a set bit is
-+1 or a spike, and the padding bits past the last step are zero.  The
-family check runs once, on the values a carrier is built from; ``values``
-unpacks to ``int8`` for the boundaries (CSV, reports, tests).
-:class:`MultiLevelSignal` (values in [-2, 2], such as reference sums) and
-:class:`IntWave` (unbounded) store ``int64``.
+:class:`SpikeTrain` (a set of spike times), store read-only ``(...,
+words)`` ``uint64`` bit-planes with the step count beside them: step ``t``
+is bit ``t % 64`` of word ``t // 64``, a set bit is +1 or a spike, and the
+padding bits past the last step are zero.  The family check runs once, on
+the values a carrier is built from; ``values`` unpacks to ``int8`` for the
+boundaries (CSV, reports, tests).  :class:`MultiLevelSignal` (values in
+[-2, 2]) and :class:`IntWave` (unbounded) store ``int64``.
 
 A :class:`LogicReferencePair` binds the High and Low reference waves of one
 family; :func:`classify_rows` reads a wave or a batch of waves against such
@@ -59,7 +58,8 @@ def first_set_step(words: np.ndarray) -> np.ndarray:
     """Step of the lowest set bit of every ``(..., words)`` row; meaningless for an all-zero row."""
     k = (words != 0).argmax(axis=-1)
     w = np.take_along_axis(words, k[..., None], axis=-1)[..., 0]
-    return k * WORD_BITS + np.bitwise_count((w & (~w + np.uint64(1))) - np.uint64(1))
+    # w & -w keeps the lowest set bit, a power of two that float64 holds exactly.
+    return k * WORD_BITS + np.frexp((w & (~w + np.uint64(1))).astype(np.float64))[1] - 1
 
 
 def _as_int_array(values) -> np.ndarray:
@@ -226,7 +226,7 @@ class SpikeTrain(BitWave):
         return np.flatnonzero(self.values)
 
     def spike_count(self) -> int:
-        return int(np.bitwise_count(self._words).sum())
+        return int(self.values.sum())
 
     def is_empty(self) -> bool:
         return not bool(self._words.any())
@@ -237,7 +237,7 @@ def _require_same_length(a: Waveform, b: Waveform, what: str) -> None:
         raise LengthMismatchError(f"{what}: lengths differ ({len(a)} vs {len(b)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicReferencePair:
     """The bound (High, Low) reference waves of one logic family.
 
@@ -312,6 +312,11 @@ class LogicReferencePair:
         if not (high | (v == self.l.words).all(axis=-1)).all():
             raise InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")
         return high
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LogicReferencePair):
+            return self.h == other.h and self.l == other.l
+        return NotImplemented
 
 
 @dataclass(frozen=True)

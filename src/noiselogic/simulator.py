@@ -623,7 +623,10 @@ def decision_latency(
         decided_trials += int(ok.sum())
         total += int(decided[ok].sum())
     mean = total / decided_trials if decided_trials else float("nan")
-    rate = config.spike_rate_h + config.spike_rate_l if family == SPIKE else 0.5
+    if family == SPIKE:
+        rate = config.spike_rate_h + config.spike_rate_l
+    else:
+        rate = 0.5
     return LatencyReport(
         backend=backend,
         trials=trials,

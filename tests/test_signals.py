@@ -9,7 +9,7 @@ from noiselogic.errors import (
     LengthMismatchError,
     OrthogonalityError,
 )
-from noiselogic.signals import pack_steps, words_for
+from noiselogic.signals import first_set_step, pack_steps, words_for
 
 from serial_reference import classify_wave
 
@@ -127,6 +127,24 @@ class TestCarrierDtype:
         assert not wave.words[1].any()
         assert wave.values.tolist() == [values, [-1] * steps] and wave.shape == (2, steps)
         assert np.array_equal(pack_steps(np.array(values) > 0), wave.words[0])
+
+    def test_first_set_step_is_the_lowest_set_bit_of_each_row(self):
+        steps = 130
+        for t in range(steps):
+            bits = np.zeros((2, steps), dtype=bool)
+            bits[0, t:] = True
+            bits[1, t] = True
+            assert first_set_step(pack_steps(bits)).tolist() == [t, t]
+
+    def test_word_paths_need_no_numpy_2_only_function(self, monkeypatch):
+        # The package supports NumPy 1.24, which has no np.bitwise_count.
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        train = nl.SpikeTrain([0, 0, 1, 0, 1])
+        assert train.spike_count() == 2
+        pair = nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0, 0, 0]), train)
+        assert nl.classify(train, pair).decided_at == 1
+        bits, _, details = nl.classify_rows(nl.SpikeTrain([[0, 1, 1, 0, 0]]), pair)
+        assert bits.tolist() == [-1] and "deviates from that reference at step 2" in details[0]
 
     def test_construction_copies_its_input(self):
         source = np.array([0, 1, 0], dtype=np.int8)
