@@ -22,7 +22,10 @@ equivalence reports count incidents instead of aborting.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +51,7 @@ from .signals import (
     Verdict,
     Waveform,
     classify_rows,
-    first_set_step,
     pack_steps,
-    universe_spike,
     words_for,
 )
 
@@ -149,36 +150,66 @@ def _plan(network: CompiledNetwork, keep) -> _Plan:
     argument, so a group reads only lower levels and runs as one batch.
     Input ``i`` takes slot ``i``.  A wire not named in ``keep`` frees its
     slot once the last group that reads it has gathered it (or, if none
-    does, once it is written), and a later output takes the slot.
+    does, once it is written), and a later output takes the slot: outputs
+    pop a stack of slots that holds the unused ones, lowest on top, under
+    the freed ones.  A wire keeps its slot while it lives, so the stack
+    is only walked where something is freed; with every wire kept, the
+    outputs take the unused slots in group order in one step.
     """
-    level = [0] * len(network.wires)
-    by_key: dict[tuple[int, str], list] = {}
-    for gate in network.gates:
-        level[gate.out] = 1 + max(level[arg] for arg in gate.args)
-        by_key.setdefault((level[gate.out], gate.op), []).append(gate)
-    ordered = [(op, gates) for (_, op), gates in sorted(by_key.items())]
-    # The group after which each wire is dead; a kept wire never is.
-    dead_after = [-1] * len(network.wires)
-    for k, (_, gates) in enumerate(ordered):
-        for gate in gates:
-            for wire in (gate.out, *gate.args):
-                dead_after[wire] = k
+    gates, n_in, n_wires = network.gates, len(network.inputs), len(network.wires)
+    level = [0] * n_wires
+    for gate in gates:
+        args = gate.args   # one or two
+        level[gate.out] = 1 + max(level[args[0]], level[args[-1]])
+    # Per gate: its (level, op) key, "AND" before "NOT", its output and
+    # both operands, a NOT's one twice.
+    table = np.array([[2 * level[g.out] + (g.op == "NOT") for g in gates], [g.out for g in gates],
+                      [g.args[0] for g in gates], [g.args[-1] for g in gates]], dtype=np.intp)
+    order = np.argsort(table[0], kind="stable")
+    ordered = table[:, order]
+    key, out, reads = ordered[0], ordered[1], ordered[2:]
+    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    bounds = [0, *cuts.tolist(), len(gates)] if gates else [0]
+    group = np.zeros(len(gates), dtype=np.intp)
+    group[cuts] = 1
+    group = np.cumsum(group)
+    # The group after which each wire is dead: -1 if no group touches it,
+    # the number of groups if it is kept.
+    dead_after = np.full(n_wires, -1)
+    # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
+    np.maximum.at(dead_after, ordered[1:].ravel(), np.tile(group, 3))
     keep = set(keep)
-    dead_after = [len(ordered) if name in keep else k for name, k in zip(network.wires, dead_after)]
-    slot = list(range(len(network.wires)))
-    # A stack of slots to take: the unused ones, lowest on top, under the freed ones.
-    free = slot[len(network.inputs):][::-1]
-    free += [w for w in range(len(network.inputs)) if dead_after[w] < 0]
+    kept = [name in keep for name in network.wires]
+    dead_after[np.array(kept, dtype=bool)] = len(bounds) - 1
+    # A wire's slot is freed before the outputs of group ``free_before``
+    # take theirs: the group that reads it last, or the one after the
+    # group that writes it if none reads it.  An input nothing touches is
+    # free before group 0; a kept wire is never freed.
+    read = np.zeros(n_wires, dtype=bool)
+    read[table[2:]] = True
+    free_before = dead_after + ~read
+    by_group = np.argsort(free_before, kind="stable")
+    edges = np.searchsorted(free_before[by_group], np.arange(len(bounds))).tolist()
+    stack = np.empty(n_wires, dtype=np.intp)
+    stack[:n_wires - n_in] = np.arange(n_wires - 1, n_in - 1, -1)
+    top, popped = n_wires - n_in, 0
+    slot = np.arange(n_wires)
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if lo == hi:
+            continue
+        n = bounds[k] - popped   # the outputs of the groups before k take their slots
+        slot[out[popped:bounds[k]]] = stack[top - n:top][::-1]
+        top -= n
+        stack[top:top + hi - lo] = slot[by_group[lo:hi]]
+        top, popped = top + hi - lo, bounds[k]
+    slot[out[popped:]] = stack[top - len(gates) + popped:top][::-1]
+    out_slots, read_slots = slot[out], slot[reads]
     groups = []
-    for k, (op, gates) in enumerate(ordered):
-        args = tuple(np.array([slot[w] for w in col]) for col in zip(*(g.args for g in gates)))
-        free += dict.fromkeys(slot[w] for g in gates for w in g.args if dead_after[w] == k)
-        for gate in gates:
-            slot[gate.out] = free.pop()
-        groups.append((op, args, np.array([slot[g.out] for g in gates])))
-        free += [slot[g.out] for g in gates if dead_after[g.out] == k]
-    kept = {name: slot[w] for w, name in enumerate(network.wires) if dead_after[w] == len(ordered)}
-    return _Plan(groups, kept, max(slot, default=-1) + 1)
+    for lo, hi in zip(bounds, bounds[1:]):
+        gate = gates[order[lo]]
+        groups.append((gate.op, tuple(read_slots[:len(gate.args), lo:hi]), out_slots[lo:hi]))
+    kept_slot = dict(zip(compress(network.wires, kept), compress(slot.tolist(), kept)))
+    return _Plan(groups, kept_slot, int(slot.max(initial=-1)) + 1)
 
 
 def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
@@ -204,16 +235,74 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
     return matrix
 
 
-@dataclass
+class _LazyRows(Mapping):
+    """A read-only wire name -> value mapping, in wire order, over rows of a run.
+
+    The value of a wire is ``build(row)`` for the row that holds it, built
+    when the wire is first read and kept from then on.
+    """
+
+    def __init__(self, slot: dict[str, int], build):
+        self._slot, self._build, self._built = slot, build, {}
+
+    def __getitem__(self, name: str):
+        if name not in self._built:
+            self._built[name] = self._build(self._slot[name])
+        return self._built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._slot
+
+    def __iter__(self):
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+
+@dataclass(eq=False)
 class SimulationRun:
-    """All wire waveforms and classifications of one network execution."""
+    """Every wire's wave and reading from one network execution, kept as arrays.
+
+    ``matrix`` is the read-only ``(slots, 1, words)`` wave matrix of the
+    walk, ``slot`` maps each wire name, in wire order, to its row, and
+    ``bits``, ``decided_at`` and ``details`` are :func:`classify_rows`'
+    reading of every row.  :attr:`waveforms` and :attr:`classifications`
+    are read-only mappings over the wires whose entries are built when
+    first read: a waveform wraps a view of its row, a classification is
+    its row's reading.  :attr:`ambiguous_wires` and
+    :attr:`output_classifications` read the arrays and build nothing for
+    the other wires.
+    """
 
     backend: str
     config: GeneratorConfig
     network: CompiledNetwork
     assignment: dict[str, int]
-    waveforms: dict[str, Waveform]
-    classifications: dict[str, Classification]
+    matrix: np.ndarray
+    slot: dict[str, int]
+    bits: np.ndarray
+    decided_at: np.ndarray
+    details: dict[int, str]
+
+    # The builders close over the arrays, not over the run, so that a run
+    # holds no reference cycle and its matrix is freed as soon as the run is.
+    @cached_property
+    def waveforms(self) -> Mapping[str, Waveform]:
+        wrap = (RtwSignal if backend_family(self.backend) == RTW else SpikeTrain)._of_words
+        matrix, steps = self.matrix, self.config.steps
+        return _LazyRows(self.slot, lambda s: wrap(matrix[s, 0], steps))
+
+    @cached_property
+    def classifications(self) -> Mapping[str, Classification]:
+        bits, decided_at, details = self.bits, self.decided_at, self.details
+
+        def reading(s: int) -> Classification:
+            if s in details:
+                return Classification(Verdict.AMBIGUOUS, None, details[s])
+            return Classification(Verdict.from_bit(int(bits[s])), int(decided_at[s]))
+
+        return _LazyRows(self.slot, reading)
 
     @property
     def output_classifications(self) -> dict[str, Classification]:
@@ -221,7 +310,7 @@ class SimulationRun:
 
     @property
     def ambiguous_wires(self) -> list[str]:
-        return [name for name, c in self.classifications.items() if c.is_ambiguous]
+        return [name for name, s in self.slot.items() if s in self.details]
 
     def output_bits(self) -> dict[str, int]:
         return {name: c.verdict.to_bit() for name, c in self.output_classifications.items()}
@@ -239,28 +328,28 @@ def run(
     or Low wave, and every wire (inputs included) is classified against the
     pair.  Ambiguous wires are reported in the result, not raised.
 
-    The walk is :func:`_evaluate` on one row with every wire kept, and
-    each waveform of the result wraps a read-only view of its slot of the
-    matrix, checked once as part of its group's batch.
+    The walk is :func:`_evaluate` on one row with every wire kept, and one
+    :func:`classify_rows` call reads every row of its matrix, so the cost
+    per wire is array work only.  The result keeps the matrix and the
+    readings; wave and classification objects are built only for the
+    wires that are read (see :class:`SimulationRun`).
     """
     _check_assignment(network.inputs, assignment)
     bk = make_backend(backend, config)
-    wrap = type(bk.pair.h)._of_words
     plan = _plan(network, network.wires)
-    matrix = _evaluate(plan, bk, [assignment[name] for name in network.inputs], 1)[:, 0]
-    got, at, details = classify_rows(wrap(matrix, config.steps), bk.pair)
-    readings = [Classification(Verdict.AMBIGUOUS, None, details[s]) if s in details
-                else Classification(Verdict.from_bit(bit), step)
-                for s, (bit, step) in enumerate(zip(got.tolist(), at.tolist()))]
-    waveforms = {name: wrap(matrix[s], config.steps) for name, s in plan.slot.items()}
-    classifications = {name: readings[s] for name, s in plan.slot.items()}
+    matrix = _evaluate(plan, bk, [assignment[name] for name in network.inputs], 1)
+    bits, decided_at, details = classify_rows(
+        type(bk.pair.h)._of_words(matrix[:, 0], config.steps), bk.pair)
     return SimulationRun(
         backend=backend,
         config=config,
         network=network,
         assignment=dict(assignment),
-        waveforms=waveforms,
-        classifications=classifications,
+        matrix=matrix,
+        slot=plan.slot,
+        bits=bits,
+        decided_at=decided_at,
+        details=details,
     )
 
 
@@ -614,10 +703,6 @@ def decision_latency(
                 raise InvariantError("outputs decided at different steps in one run")
             decided = np.where(decided == -1, -1, at)
         ok = decided >= 0
-        if family == SPIKE:
-            first_u = first_set_step(universe_spike(bk.pair).words)
-            if np.any(decided[ok] != first_u[ok]):
-                raise InvariantError("decision step deviates from the first universe spike")
         for step, count in zip(*np.unique(decided[ok], return_counts=True)):
             histogram[int(step)] = histogram.get(int(step), 0) + int(count)
         decided_trials += int(ok.sum())

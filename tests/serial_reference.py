@@ -10,6 +10,8 @@ circuits, with their checks), all written apart from the package; tests
 require equal results from both.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 import noiselogic as nl
@@ -54,15 +56,18 @@ def serial_wires(network: nl.CompiledNetwork, backend, assignment) -> list[nl.Wa
     return waves
 
 
-def serial_run(network, backend, assignment, config) -> nl.SimulationRun:
+class SerialRun(NamedTuple):
+    """The waveforms and classifications of one run, each a plain dict in wire order."""
+
+    waveforms: dict[str, nl.Waveform]
+    classifications: dict[str, nl.Classification]
+
+
+def serial_run(network, backend, assignment, config) -> SerialRun:
     """``run`` gate by gate in netlist order, classifying wire by wire."""
     bk = simulator.make_backend(backend, config)
     waves = serial_wires(network, bk, assignment)
-    return nl.SimulationRun(
-        backend=backend,
-        config=config,
-        network=network,
-        assignment=dict(assignment),
+    return SerialRun(
         waveforms={name: waves[i] for i, name in enumerate(network.wires)},
         classifications={name: classify_wire(bk, waves[i])
                          for i, name in enumerate(network.wires)},

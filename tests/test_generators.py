@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic.generators import (
@@ -9,6 +11,7 @@ from noiselogic.generators import (
     spike_pair_rows,
 )
 from noiselogic.prng import SplitMix64, derive_seed
+from noiselogic.signals import first_set_step, pack_steps
 
 # Golden regression fixtures, recorded once from the pinned PRNG.
 GOLDEN_RTW_SEED1_4 = [1, 1, 1, -1]
@@ -113,6 +116,30 @@ class TestSpikePairRows:
                                         [0.15, 0.15])
             retried += not (first[0].any() and first[1].any())
         assert retried > 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        steps=st.sampled_from([2, 3, 63, 64, 65, 130]),
+        rate=st.sampled_from([0.05, 0.25, 0.45]),
+        trials=st.integers(1, 40),
+        start=st.integers(0, 2**32),
+    )
+    def test_first_discriminating_step_is_the_first_universe_spike(
+            self, seed, steps, rate, trials, start):
+        # Disjoint trains differ exactly where either spikes, so the lowest
+        # set bit of H ^ L, where classify_rows decides, is that of H | L.
+        # decision_latency relies on it; the pair's orthogonality check
+        # keeps the trains disjoint.
+        config = nl.GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate, spike_rate_l=rate)
+        try:
+            h, l = (pack_steps(rows) for rows in spike_pair_rows(config, trials, start))
+        except nl.GenerationError:
+            return   # a row never drew two non-empty trains
+        pair = nl.LogicReferencePair(nl.SpikeTrain._of_words(h, steps),
+                                     nl.SpikeTrain._of_words(l, steps))
+        assert not np.any(pair.h.words & pair.l.words)
+        assert first_set_step(h ^ l).tolist() == first_set_step(h | l).tolist()
 
     def test_one_step_cannot_be_drawn(self):
         # At one step the two disjoint trains can never both be non-empty.

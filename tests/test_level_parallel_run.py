@@ -9,18 +9,23 @@ included.  ``simulator._plan`` groups the gates and gives every wire a
 slot; a plain-Python replay checks its slots.
 """
 
+import gc
+import json
 import random
-from contextlib import nullcontext
+import weakref
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
-from noiselogic import rtw_gates, simulator
-from noiselogic.signals import words_for
+from noiselogic import cli, rtw_gates, simulator
+from noiselogic.signals import BitWave, words_for
 
 from conftest import FULL_ADDER, level_groups, random_netlist_source
 from serial_reference import serial_run
@@ -184,3 +189,99 @@ class TestRunMatrix:
                 assignment = {n: (bits >> k) & 1 for k, n in enumerate(network.inputs)}
                 assert outcome(nl.run, network, backend, assignment, config) == outcome(
                     serial_run, network, backend, assignment, config)
+
+
+@contextmanager
+def counted_objects(made: Counter, wrapped: list):
+    """Count the ``Classification``s the simulator builds and the waves ``BitWave._of_words`` wraps.
+
+    Every wrapped words array is also kept in ``wrapped``.
+    """
+    classification, of_words = simulator.Classification, BitWave._of_words.__func__
+
+    def reading(*args):
+        made["Classification"] += 1
+        return classification(*args)
+
+    def wrap(cls, words, steps):
+        made["_of_words"] += 1
+        wrapped.append(words)
+        return of_words(cls, words, steps)
+
+    with mock.patch.object(simulator, "Classification", reading), \
+            mock.patch.object(BitWave, "_of_words", classmethod(wrap)):
+        yield
+
+
+class TestRunIsLazy:
+    """``run`` builds wave and reading objects only for the wires that are read."""
+
+    @pytest.mark.parametrize("backend, steps", [
+        ("rtw-additive-not", 64), ("rtw-multiplicative-not", 1), ("spike", 64)])
+    def test_simulate_builds_objects_for_outputs_and_ambiguous_wires_only(
+            self, tmp_path, backend, steps):
+        source = random_netlist_source(random.Random(26), 32, 1000)
+        network = nl.lower(nl.parse(source))
+        assert len(network.gates) > 3500
+        path = tmp_path / "big.nl"
+        path.write_text(source)
+        # A one-step RTW window whose references are identical: every wire
+        # is ambiguous, and reading them builds one reading per wire.
+        pairs = ((s, nl.gen_rtw_pair(nl.GeneratorConfig(seed=s, steps=1))) for s in range(100))
+        seed = 2 if steps > 1 else next(s for s, pair in pairs if pair.h == pair.l)
+        runs, made, wrapped = [], Counter(), []
+
+        def keep(*args):
+            runs.append(nl.run(*args))
+            return runs[-1]
+
+        assign = ",".join(f"{name}={k % 2}" for k, name in enumerate(network.inputs))
+        with mock.patch.object(cli, "run", keep), counted_objects(made, wrapped):
+            out = CliRunner().invoke(cli.main, ["simulate", str(path), "--assign", assign,
+                                                "--backend", backend, "--seed", str(seed),
+                                                "--steps", str(steps)])
+        assert out.exit_code == 0, out.output
+        doc = json.loads(out.output)
+        (result,) = runs
+        ambiguous = [entry["wire"] for entry in doc["ambiguous_wires"]]
+        assert ambiguous == result.ambiguous_wires
+        assert bool(ambiguous) == (steps == 1)
+        assert made["Classification"] == len(set(network.outputs) | set(ambiguous))
+        # The walk wraps batches, per (level, op) group; no wave of one
+        # wire, a row of the run's matrix, is wrapped.
+        assert made["_of_words"] < len(network.wires) / 2
+        assert not any(w.ndim == 1 and w.base is result.matrix for w in wrapped)
+        # Reading every waveform wraps each row once, and only once.
+        with counted_objects(made, wrapped):
+            waves = [result.waveforms[name] for name in network.wires]
+            assert list(result.waveforms.values()) == waves
+        rows = [w for w in wrapped if w.ndim == 1 and w.base is result.matrix]
+        assert len(rows) == len(network.wires)
+        assert made["Classification"] == len(set(network.outputs) | set(ambiguous))
+
+    def test_views_are_read_only_mappings_in_wire_order(self, full_adder_network):
+        config = nl.GeneratorConfig(seed=5, steps=64)
+        result = nl.run(full_adder_network, "spike", {"a": 1, "b": 0, "cin": 1}, config)
+        for view in (result.waveforms, result.classifications):
+            assert list(view) == list(full_adder_network.wires)
+            assert len(view) == len(full_adder_network.wires) and "sum" in view
+            assert "nowhere" not in view
+            with pytest.raises(KeyError):
+                view["nowhere"]
+            with pytest.raises(TypeError):
+                view["sum"] = None
+
+    def test_a_read_run_is_freed_without_the_cycle_collector(self, full_adder_network):
+        # A reference cycle would keep every run's matrix alive until the
+        # cycle collector ran, and so raise the peak memory of a process
+        # that simulates one netlist after another.
+        config = nl.GeneratorConfig(seed=5, steps=64)
+        result = nl.run(full_adder_network, "rtw-additive-not", {"a": 1, "b": 0, "cin": 1}, config)
+        result.output_bits(), list(result.waveforms.values()), result.ambiguous_wires
+        gone = weakref.ref(result)
+        gc.disable()
+        try:
+            del result
+            assert gone() is None
+        finally:
+            gc.enable()

@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import FULL_ADDER
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -52,15 +56,19 @@ except nl.InvariantError as exc:
 """
 
 
-def _run_under_O(script: str) -> str:
+def _run_python(*args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _run_under_O(script: str) -> str:
+    return _run_python("-O", "-c", script)
 
 
 def test_corrupted_spike_gate_raises_invariant_error_under_O():
@@ -71,3 +79,18 @@ def test_corrupted_spike_gate_raises_invariant_error_under_O():
 def test_corrupted_packed_rtw_and_raises_invariant_error_under_O():
     stdout = _run_under_O(_CORRUPTED_RTW_AND)
     assert stdout.startswith("InvariantError: AND output"), stdout
+
+
+@pytest.mark.parametrize("backend", ["spike", "rtw-additive-not"])
+def test_simulate_waves_is_byte_identical_under_O(tmp_path, backend):
+    netlist = tmp_path / "adder.nl"
+    netlist.write_text(FULL_ADDER)
+    outputs = {}
+    for flags in ((), ("-O",)):
+        waves = tmp_path / f"waves{''.join(flags)}.csv"
+        doc = _run_python(*flags, "-m", "noiselogic.cli", "simulate", str(netlist),
+                          "--assign", "a=1,b=1,cin=0", "--backend", backend,
+                          "--seed", "4", "--steps", "200", "--waves", str(waves))
+        outputs[flags] = (doc, waves.read_bytes())
+    assert outputs[()] == outputs[("-O",)]
+    assert outputs[()][1].startswith(b"step,a,b,cin,")

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noiselogic as nl
+from noiselogic.cli import main
 from noiselogic.waveio import format_waveform_csv, parse_waveform_csv, write_waveform_csv
+
+from conftest import FULL_ADDER
+from serial_reference import serial_run
 
 
 def test_format_shape():
     text = format_waveform_csv({"H": nl.RtwSignal([1, -1]), "L": nl.RtwSignal([-1, -1])})
     assert text == "step,H,L\n0,1,-1\n1,-1,-1\n"
+
+
+def test_header_keeps_names_outside_ascii(tmp_path):
+    columns = {"wäve": nl.IntWave([3, -12])}
+    assert format_waveform_csv(columns) == "step,wäve\n0,3\n1,-12\n"
+    write_waveform_csv(tmp_path / "w.csv", columns)
+    assert (tmp_path / "w.csv").read_bytes() == "step,wäve\n0,3\n1,-12\n".encode("utf-8")
 
 
 def test_round_trip(tmp_path):
@@ -55,6 +69,45 @@ def test_format_is_byte_identical_to_per_cell_formatting():
     assert text == _per_cell_csv(columns)
     parsed = parse_waveform_csv(text)
     assert all(parsed[name] == wave for name, wave in columns.items())
+
+
+# One column of each kind, drawn from a seeded generator; the wide integer
+# columns reach the 64-bit extremes.
+_KINDS = {
+    "rtw": lambda rng, n: nl.RtwSignal(rng.choice([-1, 1], n)),
+    "spike": lambda rng, n: nl.SpikeTrain(rng.integers(0, 2, n)),
+    "multi": lambda rng, n: nl.MultiLevelSignal(rng.integers(-2, 3, n)),
+    "wide": lambda rng, n: nl.IntWave(rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)),
+    "extremes": lambda rng, n: nl.IntWave(rng.choice([-(2**63), -1, 0, 2**63 - 1], n)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # Step counts on both sides of the step column's digit boundaries.
+    steps=st.sampled_from([1, 9, 10, 99, 100, 1000, 1001, 4096]),
+    kinds=st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_format_equals_per_cell_formatting_for_mixed_columns(steps, kinds, seed):
+    rng = np.random.default_rng(seed)
+    columns = {f"{kind}{k}": _KINDS[kind](rng, steps) for k, kind in enumerate(kinds)}
+    assert format_waveform_csv(columns) == _per_cell_csv(columns)
+
+
+@pytest.mark.parametrize("backend", nl.BACKENDS)
+def test_simulate_waves_writes_the_per_cell_csv_of_the_serial_run(tmp_path, backend):
+    netlist = tmp_path / "adder.nl"
+    netlist.write_text(FULL_ADDER)
+    waves = tmp_path / "waves.csv"
+    result = CliRunner().invoke(main, ["simulate", str(netlist), "--assign", "a=1,b=0,cin=1",
+                                       "--backend", backend, "--seed", "9", "--steps", "130",
+                                       "--waves", str(waves)])
+    assert result.exit_code == 0, result.output
+    network = nl.lower(nl.parse(FULL_ADDER))
+    want = serial_run(network, backend, {"a": 1, "b": 0, "cin": 1},
+                      nl.GeneratorConfig(seed=9, steps=130))
+    assert waves.read_bytes() == _per_cell_csv(want.waveforms).encode()
 
 
 def test_batch_column_rejected():
