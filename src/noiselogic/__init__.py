@@ -39,6 +39,7 @@ from .hyperspace import (
 from .netlist import (
     CompiledGate,
     CompiledNetwork,
+    GateTable,
     NetlistAst,
     eval_boolean,
     format_netlist,

@@ -12,7 +12,8 @@ Grammar (line oriented, ``#`` starts a comment, blank lines ignored)::
 
 Every argument must be a declared input or a previously assigned wire, so
 well-formed netlists are acyclic by construction.  Lowering expands each
-derived gate through a frozen table of canonical compositions:
+derived gate through a frozen table of canonical compositions,
+:data:`EXPANSION`:
 
     ==========  ==========================================  ==========
     gate        expansion                                   primitives
@@ -34,7 +35,10 @@ source gate produced it.
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +59,24 @@ GATE_ARITY = {
 
 # The universal basis every network lowers to.
 PRIMITIVE_ARITY = {"NOT": 1, "AND": 2}
+
+# Source gate -> its primitives in emission order.  A primitive is its op
+# and its operands; an operand is "a" or "b", the gate's arguments, or the
+# index of an earlier primitive of the same expansion.  The last primitive
+# writes the gate's target wire, and primitive k before it writes the
+# intermediate wire "<target>$k".
+EXPANSION = {
+    "NOT": (("NOT", "a"),),
+    "AND": (("AND", "a", "b"),),
+    "BUF": (("NOT", "a"), ("NOT", 0)),
+    "NAND": (("AND", "a", "b"), ("NOT", 0)),
+    "OR": (("NOT", "a"), ("NOT", "b"), ("AND", 0, 1), ("NOT", 2)),
+    "NOR": (("NOT", "a"), ("NOT", "b"), ("AND", 0, 1), ("NOT", 2), ("NOT", 3)),
+    "XOR": (("NOT", "b"), ("AND", "a", 0), ("NOT", "a"), ("AND", 2, "b"),
+            ("NOT", 1), ("NOT", 3), ("AND", 4, 5), ("NOT", 6)),
+    "XNOR": (("NOT", "b"), ("AND", "a", 0), ("NOT", "a"), ("AND", 2, "b"),
+             ("NOT", 1), ("NOT", 3), ("AND", 4, 5), ("NOT", 6), ("NOT", 7)),
+}
 
 _RESERVED = {"input", "wire", "output"}
 
@@ -96,41 +118,168 @@ class CompiledGate:
     src: str
 
 
+class LevelGroups(NamedTuple):
+    """A network's gates grouped by (topological level, op), AND before NOT.
+
+    Group ``k`` holds the gates ``bounds[k]:bounds[k + 1]`` of the sorted
+    order, all of op ``ops[k]``; ``out`` and ``reads`` are the sorted
+    gates' outputs and ``(2, gates)`` operands.  ``free_before`` holds,
+    for each wire, the first group that may reuse its slot: the last group
+    that reads it, the group after the one that writes it if none does,
+    or 0 if no gate touches it.
+    """
+
+    bounds: list[int]
+    ops: list[str]
+    out: np.ndarray
+    reads: np.ndarray
+    free_before: np.ndarray
+
+
+def _gate(is_not: bool, a: int, b: int, out: int, src: str) -> CompiledGate:
+    return CompiledGate("NOT", (a,), out, src) if is_not else CompiledGate("AND", (a, b), out, src)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class GateTable(Sequence):
+    """The primitives of a network, in evaluation order, as read-only arrays.
+
+    Gate ``i`` is a NOT where ``is_not[i]`` and an AND elsewhere, reads
+    the wires ``args[i]`` (a ``(gates, 2)`` array that holds a NOT's one
+    operand twice), writes wire ``out[i]`` and lowers source gate
+    ``src[i]``.  Item ``i`` is the :class:`CompiledGate` built from these
+    when it is read; tables compare and hash by their arrays.
+    """
+
+    def __init__(self, is_not, args, out, src):
+        self.is_not = _read_only(np.array(is_not, dtype=bool))
+        self.args = _read_only(np.array(args, dtype=np.intp).reshape(-1, 2))
+        self.out = _read_only(np.array(out, dtype=np.intp))
+        self.src = _read_only(np.array(src, dtype=object))
+        if not len(self.is_not) == len(self.args) == len(self.out) == len(self.src):
+            raise NetlistError("gate table columns differ in length")
+
+    @classmethod
+    def of(cls, gates) -> "GateTable":
+        """The table of a sequence of :class:`CompiledGate`."""
+        ops, args, outs, srcs = [], [], [], []
+        for gate in gates:
+            if len(gate.args) != PRIMITIVE_ARITY.get(gate.op):
+                raise NetlistError(f"not a primitive gate: {gate}")
+            ops.append(gate.op == "NOT")
+            args.append((gate.args[0], gate.args[-1]))
+            outs.append(gate.out)
+            srcs.append(gate.src)
+        return cls(ops, args, outs, srcs)
+
+    def __len__(self) -> int:
+        return len(self.out)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return GateTable(self.is_not[i], self.args[i], self.out[i], self.src[i])
+        i = range(len(self))[i]
+        return _gate(bool(self.is_not[i]), *self.args[i].tolist(), int(self.out[i]), self.src[i])
+
+    def __iter__(self):
+        return map(_gate, self.is_not.tolist(), *self.args.T.tolist(), self.out.tolist(),
+                   self.src.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GateTable):
+            return NotImplemented
+        return (np.array_equal(self.is_not, other.is_not) and np.array_equal(self.args, other.args)
+                and np.array_equal(self.out, other.out)
+                and self.src.tolist() == other.src.tolist())
+
+    def __hash__(self) -> int:
+        return hash((self.is_not.tobytes(), self.args.tobytes(), self.out.tobytes(),
+                     tuple(self.src.tolist())))
+
+    def __repr__(self) -> str:
+        return f"GateTable({len(self)} gates)"
+
+
 @dataclass(frozen=True)
 class CompiledNetwork:
-    """Topologically ordered {NOT, AND} network.
+    """Topologically ordered {NOT, AND} network, kept as arrays.
 
     ``wires`` assigns indices: inputs first, then one wire per primitive in
     emission order.  Lowering-introduced wires carry a ``$`` in their name,
     which user wires cannot, so the namespaces never collide.
+
+    ``gates`` is a :class:`GateTable`, a read-only sequence over arrays
+    whose :class:`CompiledGate` items are built only when read; a sequence
+    of :class:`CompiledGate` passed in its place is converted to one, so
+    networks built either way compare and hash alike.  JSON, gate counts,
+    the Boolean oracle and :attr:`level_groups` read the arrays.
     """
 
     wires: tuple[str, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    gates: tuple[CompiledGate, ...]
+    gates: GateTable
+
+    def __post_init__(self):
+        if not isinstance(self.gates, GateTable):
+            object.__setattr__(self, "gates", GateTable.of(self.gates))
 
     def wire_index(self, name: str) -> int:
         return self.wires.index(name)
 
+    @cached_property
+    def level_groups(self) -> LevelGroups:
+        """The gates' (level, op) grouping, computed on first use and kept.
+
+        Inputs, and any wire no gate writes, are at level 0, and a gate is
+        one level above its deepest operand, so a group reads only lower
+        levels.
+        """
+        table, n = self.gates, len(self.gates)
+        level = [0] * len(self.wires)
+        for out, a, b in zip(table.out.tolist(), *table.args.T.tolist()):
+            la, lb = level[a], level[b]
+            level[out] = 1 + (la if la > lb else lb)
+        key = 2 * np.array(level, dtype=np.intp)[table.out] + table.is_not
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cuts = (key[1:] != key[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), n] if n else [0]
+        group = np.zeros(n, dtype=np.intp)
+        group[cuts] = 1
+        group = np.cumsum(group)
+        out, reads = table.out[order], table.args[order].T
+        # A reader is above its operand's writer, so the last reader's group
+        # is past the writer's.
+        free_before = np.zeros(len(level), dtype=np.intp)
+        free_before[out] = group + 1
+        # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
+        np.maximum.at(free_before, reads.ravel(), np.concatenate([group, group]))
+        ops = ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
+        return LevelGroups(bounds, ops, *map(_read_only, (out, reads, free_before)))
+
     def gate_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(PRIMITIVE_ARITY, 0)
-        for gate in self.gates:
-            counts[gate.op] += 1
-        return counts
+        nots = int(self.gates.is_not.sum())
+        return {"NOT": nots, "AND": len(self.gates) - nots}
 
     def to_json(self) -> str:
+        wires, table = self.wires, self.gates
         doc = {
             "inputs": list(self.inputs),
             "outputs": list(self.outputs),
             "gates": [
                 {
-                    "op": g.op,
-                    "args": [self.wires[i] for i in g.args],
-                    "out": self.wires[g.out],
-                    "src": g.src,
+                    "op": "NOT" if is_not else "AND",
+                    "args": [wires[a]] if is_not else [wires[a], wires[b]],
+                    "out": wires[out],
+                    "src": src,
                 }
-                for g in self.gates
+                for is_not, (a, b), out, src in zip(table.is_not.tolist(), table.args.tolist(),
+                                                    table.out.tolist(), table.src.tolist())
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -149,7 +298,7 @@ class CompiledNetwork:
             raise NetlistError("compiled network declares an input twice")
         wires = list(inputs)
         index = {name: i for i, name in enumerate(wires)}
-        gates = []
+        nots, args, srcs = [], [], []
         gate_docs = doc.get("gates")
         if not isinstance(gate_docs, list):
             raise NetlistError("compiled network needs a 'gates' list")
@@ -165,7 +314,7 @@ class CompiledNetwork:
                     f"{op} takes {PRIMITIVE_ARITY[op]} argument(s), got {len(arg_names)}"
                 )
             try:
-                args = tuple(index[a] for a in arg_names)
+                arg_pair = (index[arg_names[0]], index[arg_names[-1]])
             except KeyError as exc:
                 raise NetlistError(f"gate argument {exc.args[0]!r} precedes its definition")
             out_name = g.get("out")
@@ -176,12 +325,15 @@ class CompiledNetwork:
                 raise NetlistError(f"wire {out_name!r} defined twice")
             index[out_name] = len(wires)
             wires.append(out_name)
-            gates.append(CompiledGate(op, args, index[out_name], src))
+            nots.append(op == "NOT")
+            args.append(arg_pair)
+            srcs.append(src)
         outputs = _json_names(doc, "outputs")
         for name in outputs:
             if name not in index:
                 raise NetlistError(f"output {name!r} is never defined")
-        return cls(tuple(wires), inputs, outputs, tuple(gates))
+        gates = GateTable(nots, args, np.arange(len(inputs), len(wires)), srcs)
+        return cls(tuple(wires), inputs, outputs, gates)
 
 
 def _json_names(doc: dict, key: str) -> tuple[str, ...]:
@@ -196,7 +348,8 @@ def parse(text: str) -> NetlistAst:
 
     Raises :class:`NetlistError` with the offending line number for bad
     tokens, unknown gates, undefined or redefined names, arity mismatches
-    and netlists without outputs.
+    and netlists without outputs.  A defined name is a valid one, so an
+    argument is checked as a name only when it is not defined.
     """
     inputs: list[str] = []
     outputs: list[str] = []
@@ -217,17 +370,10 @@ def parse(text: str) -> NetlistAst:
         defined.add(name)
         return name
 
-    def _use(token: str, lineno: int) -> str:
-        name = _name(token, lineno)
-        if name not in defined:
-            raise NetlistError(f"undefined name {name!r}", lineno)
-        return name
-
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw_line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0]
         if keyword == "input":
             if len(tokens) < 2:
@@ -248,9 +394,12 @@ def parse(text: str) -> NetlistAst:
                 raise NetlistError(
                     f"{gate} takes {GATE_ARITY[gate]} argument(s), got {len(args)}", lineno
                 )
-            arg_names = tuple(_use(token, lineno) for token in args)
+            for token in args:
+                if token not in defined:
+                    _name(token, lineno)
+                    raise NetlistError(f"undefined name {token!r}", lineno)
             target = _define(tokens[1], lineno)
-            assignments.append(Assignment(target, gate, arg_names, lineno, keyword == "output"))
+            assignments.append(Assignment(target, gate, tuple(args), lineno, keyword == "output"))
             if keyword == "output":
                 outputs.append(target)
             continue
@@ -272,73 +421,67 @@ def format_netlist(ast: NetlistAst) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Lowerer:
-    def __init__(self, inputs: tuple[str, ...]):
-        self.wires: list[str] = list(inputs)
-        self.index: dict[str, int] = {name: i for i, name in enumerate(inputs)}
-        self.gates: list[CompiledGate] = []
-        self._src = ""
-        self._tmp = 0
+def _flat_expansions():
+    """:data:`EXPANSION` as arrays over all its primitives, gate after gate.
 
-    def emit(self, op: str, args: tuple[int, ...], out_name: str) -> int:
-        out = len(self.wires)
-        self.index[out_name] = out
-        self.wires.append(out_name)
-        self.gates.append(CompiledGate(op, args, out, self._src))
-        return out
+    Returns each gate's first primitive in that list and its primitive
+    count, and per primitive: whether it is a NOT, its two operands (a
+    NOT's one twice; -2 for "a", -1 for "b", else the earlier primitive's
+    position in the list) and the suffix of the wire it writes.
+    """
+    spans, prims = {}, []
+    for gate, expansion in EXPANSION.items():
+        start = len(prims)
+        spans[gate] = start, len(expansion)
+        for k, (op, *operands) in enumerate(expansion):
+            refs = [-2 if x == "a" else -1 if x == "b" else start + x for x in operands]
+            prims.append((op == "NOT", refs[0], refs[-1],
+                          f"${k}" if k < len(expansion) - 1 else ""))
+    is_not, ref_a, ref_b, suffix = zip(*prims)
+    return (spans, np.array(is_not), np.array([ref_a, ref_b]).T,
+            np.array(suffix, dtype=object))
 
-    def fresh(self) -> str:
-        name = f"{self._src}${self._tmp}"
-        self._tmp += 1
-        return name
 
-    def not_(self, a: int, out: str | None = None) -> int:
-        return self.emit("NOT", (a,), out or self.fresh())
-
-    def and_(self, a: int, b: int, out: str | None = None) -> int:
-        return self.emit("AND", (a, b), out or self.fresh())
-
-    def or_(self, a: int, b: int, out: str | None = None) -> int:
-        return self.not_(self.and_(self.not_(a), self.not_(b)), out)
-
-    def expand(self, assignment: Assignment) -> None:
-        self._src = assignment.target
-        self._tmp = 0
-        args = [self.index[name] for name in assignment.args]
-        target = assignment.target
-        gate = assignment.gate
-        if gate == "NOT":
-            self.not_(args[0], target)
-        elif gate == "AND":
-            self.and_(args[0], args[1], target)
-        elif gate == "BUF":
-            self.not_(self.not_(args[0]), target)
-        elif gate == "NAND":
-            self.not_(self.and_(args[0], args[1]), target)
-        elif gate == "OR":
-            self.or_(args[0], args[1], target)
-        elif gate == "NOR":
-            self.not_(self.or_(args[0], args[1]), target)
-        elif gate == "XOR":
-            left = self.and_(args[0], self.not_(args[1]))
-            right = self.and_(self.not_(args[0]), args[1])
-            self.or_(left, right, target)
-        elif gate == "XNOR":
-            left = self.and_(args[0], self.not_(args[1]))
-            right = self.and_(self.not_(args[0]), args[1])
-            self.not_(self.or_(left, right), target)
-        else:  # pragma: no cover - parser rejects unknown gates
-            raise NetlistError(f"cannot lower gate {gate!r}")
+_SPANS, _IS_NOT, _REFS, _SUFFIX = _flat_expansions()
 
 
 def lower(ast: NetlistAst) -> CompiledNetwork:
-    """Expand every derived gate through the canonical table."""
-    lowerer = _Lowerer(ast.inputs)
+    """Expand every derived gate through :data:`EXPANSION`, with array operations.
+
+    One walk over the source gates resolves their argument wires; the
+    primitives are then the gates' expansions laid end to end
+    (``np.repeat`` over the per-gate primitive counts), each operand
+    resolved by ``np.where`` to an argument wire or to the wire of an
+    earlier primitive of its gate.  No per-primitive object is built.
+    """
+    n_in = len(ast.inputs)
+    index = {name: i for i, name in enumerate(ast.inputs)}
+    # Per source gate: its primitive count, its arguments, its target and
+    # the offset from a primitive's position in the flat template list to
+    # the wire it writes.
+    counts, a, b, shift, targets = [], [], [], [], []
+    end = n_in
     for assignment in ast.assignments:
-        lowerer.expand(assignment)
-    return CompiledNetwork(
-        tuple(lowerer.wires), ast.inputs, ast.outputs, tuple(lowerer.gates)
-    )
+        if assignment.gate not in _SPANS:
+            raise NetlistError(f"cannot lower gate {assignment.gate!r}")
+        start, count = _SPANS[assignment.gate]
+        args = assignment.args
+        counts.append(count)
+        a.append(index[args[0]])
+        b.append(index[args[-1]])
+        shift.append(end - start)
+        targets.append(assignment.target)
+        end += count
+        index[assignment.target] = end - 1
+    a, b, shift = np.array([a, b, shift], dtype=np.intp).reshape(3, -1).repeat(counts, axis=1)
+    wire = np.arange(n_in, end)
+    flat = wire - shift
+    refs = _REFS[flat]
+    operands = np.where(refs == -2, a[:, None], np.where(refs == -1, b[:, None], refs + shift[:, None]))
+    src = np.array(targets, dtype=object).repeat(counts)
+    wires = ast.inputs + tuple((src + _SUFFIX[flat]).tolist())
+    gates = GateTable(_IS_NOT[flat], operands, wire, src)
+    return CompiledNetwork(wires, ast.inputs, ast.outputs, gates)
 
 
 def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
@@ -384,10 +527,9 @@ def eval_boolean(
     values = [0] * len(source.wires)
     for i, name in enumerate(source.inputs):
         values[i] = _bit(assignment[name])
-    for gate in source.gates:
-        if gate.op == "NOT":
-            values[gate.out] = 1 - values[gate.args[0]]
-        else:
-            values[gate.out] = values[gate.args[0]] & values[gate.args[1]]
+    table = source.gates
+    for is_not, (a, b), out in zip(table.is_not.tolist(), table.args.tolist(),
+                                   table.out.tolist()):
+        values[out] = 1 - values[a] if is_not else values[a] & values[b]
     index = {name: i for i, name in enumerate(source.wires)}
     return {name: values[index[name]] for name in source.outputs}

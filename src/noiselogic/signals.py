@@ -200,6 +200,9 @@ class BitWave(Waveform):
     def shape(self) -> tuple[int, ...]:
         return self._words.shape[:-1] + (self._steps,)
 
+    def __len__(self) -> int:
+        return self._steps
+
 
 class RtwSignal(BitWave):
     """Bipolar clocked wave; every step is exactly -1 or +1 (a set bit is +1)."""

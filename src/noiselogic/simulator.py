@@ -38,7 +38,14 @@ from .generators import (
     rtw_sign_matrix,
     spike_pair_rows,
 )
-from .netlist import CompiledNetwork, NetlistAst, _check_assignment, eval_boolean, lower
+from .netlist import (
+    PRIMITIVE_ARITY,
+    CompiledNetwork,
+    NetlistAst,
+    _check_assignment,
+    eval_boolean,
+    lower,
+)
 from .prng import SplitMix64, derive_seed
 from .signals import (
     RTW,
@@ -144,55 +151,36 @@ class _Plan(NamedTuple):
 
 
 def _plan(network: CompiledNetwork, keep) -> _Plan:
-    """Group the gates by (topological level, op) and give every wire a slot.
+    """Give every wire a slot, for the gates' (topological level, op) groups.
 
-    Inputs are at level 0 and a gate is one level above its deepest
-    argument, so a group reads only lower levels and runs as one batch.
-    Input ``i`` takes slot ``i``.  A wire not named in ``keep`` frees its
-    slot once the last group that reads it has gathered it (or, if none
-    does, once it is written), and a later output takes the slot: outputs
-    pop a stack of slots that holds the unused ones, lowest on top, under
-    the freed ones.  A wire keeps its slot while it lives, so the stack
-    is only walked where something is freed; with every wire kept, the
-    outputs take the unused slots in group order in one step.
+    The groups are the network's :attr:`~CompiledNetwork.level_groups`,
+    computed from its gate table's arrays once per network, so planning
+    the same network again only assigns slots.  A group reads only lower
+    levels and runs as one batch.  Input ``i`` takes slot ``i``.  A wire
+    not named in ``keep`` frees its slot once the last group that reads it
+    has gathered it (or, if none does, once it is written), and a later
+    output takes the slot: outputs pop a stack of slots that holds the
+    unused ones, lowest on top, under the freed ones.  A wire keeps its
+    slot while it lives, so the stack is only walked where something is
+    freed; with every wire kept, the outputs take the unused slots in
+    group order in one step.  The slot count is one past the highest
+    unused slot ever taken, or the input count.
     """
-    gates, n_in, n_wires = network.gates, len(network.inputs), len(network.wires)
-    level = [0] * n_wires
-    for gate in gates:
-        args = gate.args   # one or two
-        level[gate.out] = 1 + max(level[args[0]], level[args[-1]])
-    # Per gate: its (level, op) key, "AND" before "NOT", its output and
-    # both operands, a NOT's one twice.
-    table = np.array([[2 * level[g.out] + (g.op == "NOT") for g in gates], [g.out for g in gates],
-                      [g.args[0] for g in gates], [g.args[-1] for g in gates]], dtype=np.intp)
-    order = np.argsort(table[0], kind="stable")
-    ordered = table[:, order]
-    key, out, reads = ordered[0], ordered[1], ordered[2:]
-    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    bounds = [0, *cuts.tolist(), len(gates)] if gates else [0]
-    group = np.zeros(len(gates), dtype=np.intp)
-    group[cuts] = 1
-    group = np.cumsum(group)
-    # The group after which each wire is dead: -1 if no group touches it,
-    # the number of groups if it is kept.
-    dead_after = np.full(n_wires, -1)
-    # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
-    np.maximum.at(dead_after, ordered[1:].ravel(), np.tile(group, 3))
+    groups = network.level_groups
+    bounds, out, n_gates = groups.bounds, groups.out, len(groups.out)
+    n_in, n_wires = len(network.inputs), len(network.wires)
     keep = set(keep)
     kept = [name in keep for name in network.wires]
-    dead_after[np.array(kept, dtype=bool)] = len(bounds) - 1
     # A wire's slot is freed before the outputs of group ``free_before``
-    # take theirs: the group that reads it last, or the one after the
-    # group that writes it if none reads it.  An input nothing touches is
-    # free before group 0; a kept wire is never freed.
-    read = np.zeros(n_wires, dtype=bool)
-    read[table[2:]] = True
-    free_before = dead_after + ~read
+    # take theirs; a kept wire is never freed.
+    free_before = groups.free_before.copy()
+    free_before[kept] = len(groups.ops)
     by_group = np.argsort(free_before, kind="stable")
     edges = np.searchsorted(free_before[by_group], np.arange(len(bounds))).tolist()
-    stack = np.empty(n_wires, dtype=np.intp)
-    stack[:n_wires - n_in] = np.arange(n_wires - 1, n_in - 1, -1)
+    # The unused slots, lowest on top, and room for the freed ones above them.
+    stack = np.arange(n_wires - 1, -1, -1)
     top, popped = n_wires - n_in, 0
+    low = top   # stack positions below this one hold unused slots never taken
     slot = np.arange(n_wires)
     for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
         if lo == hi:
@@ -200,16 +188,16 @@ def _plan(network: CompiledNetwork, keep) -> _Plan:
         n = bounds[k] - popped   # the outputs of the groups before k take their slots
         slot[out[popped:bounds[k]]] = stack[top - n:top][::-1]
         top -= n
+        low = min(low, top)
         stack[top:top + hi - lo] = slot[by_group[lo:hi]]
         top, popped = top + hi - lo, bounds[k]
-    slot[out[popped:]] = stack[top - len(gates) + popped:top][::-1]
-    out_slots, read_slots = slot[out], slot[reads]
-    groups = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        gate = gates[order[lo]]
-        groups.append((gate.op, tuple(read_slots[:len(gate.args), lo:hi]), out_slots[lo:hi]))
+    top -= n_gates - popped
+    slot[out[popped:]] = stack[top:top + n_gates - popped][::-1]
+    out_slots, read_slots = slot[out], slot[groups.reads]
+    plan = [(op, tuple(read_slots[:PRIMITIVE_ARITY[op], lo:hi]), out_slots[lo:hi])
+            for op, lo, hi in zip(groups.ops, bounds, bounds[1:])]
     kept_slot = dict(zip(compress(network.wires, kept), compress(slot.tolist(), kept)))
-    return _Plan(groups, kept_slot, int(slot.max(initial=-1)) + 1)
+    return _Plan(plan, kept_slot, n_wires - min(low, top))
 
 
 def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""One-wave-at-a-time references for the simulator's one walker and its kernels.
+"""One-at-a-time references for the netlist compiler, the simulator's walker and its kernels.
 
-The simulator classifies whole batches of waves with ``classify_rows`` and
+The package parses with few checks per token, lowers every source gate
+through one expansion table with array operations into an array-backed
+gate table, classifies whole batches of waves with ``classify_rows`` and
 evaluates every network one (topological level, op) group at a time over
-one slot matrix of packed words.  The functions here are a per-wire,
-step-by-step reading of the classification rule, a per-gate walk that
-keeps one wave per wire, and the gate kernels as literal ``int8``
-arithmetic on the unpacked values (the paper's polynomials and neuron
-circuits, with their checks), all written apart from the package; tests
-require equal results from both.
+one slot matrix of packed words.  The functions here are a token-by-token
+parser and a recursive lowerer that builds one ``CompiledGate`` per
+primitive, a per-wire, step-by-step reading of the classification rule,
+a per-gate walk that keeps one wave per wire, and the gate kernels as
+literal ``int8`` arithmetic on the unpacked values (the paper's
+polynomials and neuron circuits, with their checks), all written apart
+from the package; tests require equal results from both.
 """
 
 from typing import NamedTuple
@@ -16,6 +19,153 @@ import numpy as np
 
 import noiselogic as nl
 from noiselogic import simulator
+from noiselogic.errors import NetlistError
+from noiselogic.netlist import GATE_ARITY, NAME_RE, Assignment, CompiledGate, NetlistAst
+
+# ---------------------------------------------------------------------------
+# The netlist compiler, one token and one primitive at a time
+
+_RESERVED = {"input", "wire", "output"}
+
+
+def serial_parse(text: str) -> NetlistAst:
+    """Parse netlist source, checking every token as a name before any lookup."""
+    inputs: list[str] = []
+    outputs: list[str] = []
+    assignments: list[Assignment] = []
+    defined: set[str] = set()
+
+    def _name(token: str, lineno: int) -> str:
+        if not NAME_RE.match(token):
+            raise NetlistError(f"invalid name {token!r}", lineno)
+        if token in _RESERVED:
+            raise NetlistError(f"{token!r} is a reserved word", lineno)
+        return token
+
+    def _define(token: str, lineno: int) -> str:
+        name = _name(token, lineno)
+        if name in defined:
+            raise NetlistError(f"name {name!r} already defined", lineno)
+        defined.add(name)
+        return name
+
+    def _use(token: str, lineno: int) -> str:
+        name = _name(token, lineno)
+        if name not in defined:
+            raise NetlistError(f"undefined name {name!r}", lineno)
+        return name
+
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        keyword = tokens[0]
+        if keyword == "input":
+            if len(tokens) < 2:
+                raise NetlistError("input line declares no names", lineno)
+            for token in tokens[1:]:
+                inputs.append(_define(token, lineno))
+            continue
+        if keyword in ("wire", "output"):
+            if len(tokens) < 3 or tokens[2] != "=":
+                raise NetlistError(f"expected '{keyword} <name> = <GATE> <args>'", lineno)
+            if len(tokens) < 4:
+                raise NetlistError("missing gate after '='", lineno)
+            gate = tokens[3]
+            if gate not in GATE_ARITY:
+                raise NetlistError(f"unknown gate {gate!r}", lineno)
+            args = tokens[4:]
+            if len(args) != GATE_ARITY[gate]:
+                raise NetlistError(
+                    f"{gate} takes {GATE_ARITY[gate]} argument(s), got {len(args)}", lineno
+                )
+            arg_names = tuple(_use(token, lineno) for token in args)
+            target = _define(tokens[1], lineno)
+            assignments.append(Assignment(target, gate, arg_names, lineno, keyword == "output"))
+            if keyword == "output":
+                outputs.append(target)
+            continue
+        raise NetlistError(f"expected 'input', 'wire' or 'output', got {keyword!r}", lineno)
+
+    if not outputs:
+        raise NetlistError("netlist declares no outputs")
+    return NetlistAst(tuple(inputs), tuple(outputs), tuple(assignments))
+
+
+class _Lowerer:
+    """Emits one ``CompiledGate`` per primitive, composing the derived gates by hand."""
+
+    def __init__(self, inputs: tuple[str, ...]):
+        self.wires: list[str] = list(inputs)
+        self.index: dict[str, int] = {name: i for i, name in enumerate(inputs)}
+        self.gates: list[CompiledGate] = []
+        self._src = ""
+        self._tmp = 0
+
+    def emit(self, op: str, args: tuple[int, ...], out_name: str) -> int:
+        out = len(self.wires)
+        self.index[out_name] = out
+        self.wires.append(out_name)
+        self.gates.append(CompiledGate(op, args, out, self._src))
+        return out
+
+    def fresh(self) -> str:
+        name = f"{self._src}${self._tmp}"
+        self._tmp += 1
+        return name
+
+    def not_(self, a: int, out: str | None = None) -> int:
+        return self.emit("NOT", (a,), out or self.fresh())
+
+    def and_(self, a: int, b: int, out: str | None = None) -> int:
+        return self.emit("AND", (a, b), out or self.fresh())
+
+    def or_(self, a: int, b: int, out: str | None = None) -> int:
+        return self.not_(self.and_(self.not_(a), self.not_(b)), out)
+
+    def expand(self, assignment: Assignment) -> None:
+        self._src = assignment.target
+        self._tmp = 0
+        args = [self.index[name] for name in assignment.args]
+        target = assignment.target
+        gate = assignment.gate
+        if gate == "NOT":
+            self.not_(args[0], target)
+        elif gate == "AND":
+            self.and_(args[0], args[1], target)
+        elif gate == "BUF":
+            self.not_(self.not_(args[0]), target)
+        elif gate == "NAND":
+            self.not_(self.and_(args[0], args[1]), target)
+        elif gate == "OR":
+            self.or_(args[0], args[1], target)
+        elif gate == "NOR":
+            self.not_(self.or_(args[0], args[1]), target)
+        elif gate == "XOR":
+            left = self.and_(args[0], self.not_(args[1]))
+            right = self.and_(self.not_(args[0]), args[1])
+            self.or_(left, right, target)
+        elif gate == "XNOR":
+            left = self.and_(args[0], self.not_(args[1]))
+            right = self.and_(self.not_(args[0]), args[1])
+            self.not_(self.or_(left, right), target)
+        else:
+            raise NetlistError(f"cannot lower gate {gate!r}")
+
+
+def serial_lower(ast: NetlistAst) -> nl.CompiledNetwork:
+    """Lower gate by gate, building the network from a tuple of ``CompiledGate``s."""
+    lowerer = _Lowerer(ast.inputs)
+    for assignment in ast.assignments:
+        lowerer.expand(assignment)
+    return nl.CompiledNetwork(
+        tuple(lowerer.wires), ast.inputs, ast.outputs, tuple(lowerer.gates)
+    )
+
+
+# ---------------------------------------------------------------------------
+# The simulator's walk and classification
 
 
 def classify_wave(x: nl.Waveform, pair: nl.LogicReferencePair) -> nl.Classification:

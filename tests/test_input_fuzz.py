@@ -6,6 +6,7 @@ with a message.  Any other exception would reach the user as a traceback.
 """
 
 import json
+import random
 import re
 
 from hypothesis import HealthCheck, example, given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 import noiselogic as nl
 from noiselogic.waveio import format_waveform_csv, parse_waveform_csv
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, random_netlist_source
+from serial_reference import serial_parse
 
 FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 REJECTED = (nl.NoiseLogicError, ValueError)
@@ -66,6 +68,56 @@ class TestNetlistParse:
         if ast is not None:
             assert ast.outputs
             assert nl.parse(nl.format_netlist(ast)) == ast
+
+
+def _parsed(parse, text):
+    """The AST with its line numbers, or the message and line number of the rejection."""
+    try:
+        ast = parse(text)
+    except nl.NetlistError as exc:
+        return str(exc), exc.lineno
+    return ast, [a.lineno for a in ast.assignments]
+
+
+GATE_NAMES = tuple(nl.netlist.GATE_ARITY)
+
+
+@st.composite
+def edited_netlists(draw):
+    """A random netlist with one token deleted, duplicated or replaced."""
+    source = random_netlist_source(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                   max_inputs=draw(st.integers(2, 6)),
+                                   max_gates=draw(st.integers(1, 12)))
+    lines = [line.split() for line in source.splitlines()]
+    row = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row]
+    k = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if edit == "delete":
+        del tokens[k]
+    elif edit == "duplicate":
+        tokens.insert(k, tokens[k])
+    else:
+        tokens[k] = draw(st.sampled_from([
+            "input", "wire", "output",                 # reserved words
+            "9x", "a-b", "$1", "=", "y$0",             # bad names
+            "ghost", "w999", "y",                      # names that may be undefined
+            "MAJ", "and", "XOR3",                      # unknown gates
+            *GATE_NAMES, "i0", "w0",
+        ]))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestParseEqualsSerial:
+    @FUZZ
+    @given(edited_netlists())
+    def test_single_token_edits(self, text):
+        assert _parsed(nl.parse, text) == _parsed(serial_parse, text)
+
+    @FUZZ
+    @given(st.one_of(netlist_texts(), st.text(max_size=80)))
+    def test_arbitrary_text(self, text):
+        assert _parsed(nl.parse, text) == _parsed(serial_parse, text)
 
 
 json_values = st.recursive(

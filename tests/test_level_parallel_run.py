@@ -137,6 +137,27 @@ class TestLevelPlan:
             # No slot is written twice: every wire has its own.
             assert sorted(written) == list(range(plan.slots)) == list(range(len(network.wires)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(netlist_seed=st.integers(0, 2**32 - 1), keep_seed=st.integers(0, 2**32 - 1))
+    def test_replanning_a_network_gives_the_plan_of_a_fresh_one(self, netlist_seed, keep_seed):
+        # The (level, op) groups are computed once per network and kept;
+        # every later plan of it, whatever it keeps, must be the fresh plan.
+        source = random_netlist_source(random.Random(netlist_seed))
+        network = nl.lower(nl.parse(source))
+        rng = random.Random(keep_seed)
+        keeps = [network.outputs, network.wires, [n for n in network.wires if rng.random() < 0.3]]
+
+        def doc(plan):
+            groups = [(op, [a.tolist() for a in args], outs.tolist())
+                      for op, args, outs in plan.groups]
+            return groups, plan.slot, plan.slots
+
+        first = [doc(simulator._plan(network, keep)) for keep in keeps]
+        assert "level_groups" in vars(network)
+        for keep, want in zip(keeps * 2, first * 2):
+            assert doc(simulator._plan(network, keep)) == want
+            assert doc(simulator._plan(nl.lower(nl.parse(source)), keep)) == want
+
     @pytest.mark.parametrize("netlist_seed", range(5))
     def test_one_group_per_level_and_op_in_level_order(self, netlist_seed):
         source = random_netlist_source(random.Random(netlist_seed), 8, 60)

@@ -1,13 +1,23 @@
+import json
 import random
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noiselogic as nl
+from noiselogic import cli, netlist, simulator
 from noiselogic.errors import NetlistError
-from noiselogic.netlist import format_netlist
+from noiselogic.netlist import CompiledGate, GateTable, format_netlist
 
 from conftest import FULL_ADDER, random_netlist_source
+from serial_reference import serial_lower
 
 
 class TestParse:
@@ -112,6 +122,44 @@ class TestLowering:
     def test_byte_stable(self, full_adder_ast):
         assert nl.lower(full_adder_ast).to_json() == nl.lower(full_adder_ast).to_json()
 
+    # Each gate kind's primitives, in emission order, as "op args -> out".
+    PINNED = {
+        "NOT": ["NOT a -> y"],
+        "BUF": ["NOT a -> y$0", "NOT y$0 -> y"],
+        "AND": ["AND a b -> y"],
+        "NAND": ["AND a b -> y$0", "NOT y$0 -> y"],
+        "OR": ["NOT a -> y$0", "NOT b -> y$1", "AND y$0 y$1 -> y$2", "NOT y$2 -> y"],
+        "NOR": ["NOT a -> y$0", "NOT b -> y$1", "AND y$0 y$1 -> y$2", "NOT y$2 -> y$3",
+                "NOT y$3 -> y"],
+        "XOR": ["NOT b -> y$0", "AND a y$0 -> y$1", "NOT a -> y$2", "AND y$2 b -> y$3",
+                "NOT y$1 -> y$4", "NOT y$3 -> y$5", "AND y$4 y$5 -> y$6", "NOT y$6 -> y"],
+        "XNOR": ["NOT b -> y$0", "AND a y$0 -> y$1", "NOT a -> y$2", "AND y$2 b -> y$3",
+                 "NOT y$1 -> y$4", "NOT y$3 -> y$5", "AND y$4 y$5 -> y$6", "NOT y$6 -> y$7",
+                 "NOT y$7 -> y"],
+    }
+
+    @pytest.mark.parametrize("gate", sorted(PINNED))
+    def test_network_json_is_pinned(self, gate):
+        args = "a" if nl.netlist.GATE_ARITY[gate] == 1 else "a b"
+        network = nl.lower(nl.parse(f"input a b\noutput y = {gate} {args}\n"))
+        rows = [row.replace(" ->", "").split() for row in self.PINNED[gate]]
+        doc = {"inputs": ["a", "b"], "outputs": ["y"],
+               "gates": [{"op": op, "args": names[:-1], "out": names[-1], "src": "y"}
+                         for op, *names in rows]}
+        assert network.to_json() == json.dumps(doc, indent=2) + "\n"
+        assert len(network.gates) == len(nl.netlist.EXPANSION[gate]) == self.COUNTS[gate]
+
+    @settings(max_examples=150, deadline=None)
+    @given(netlist_seed=st.integers(0, 2**32 - 1), max_inputs=st.integers(2, 12),
+           max_gates=st.sampled_from([1, 2, 5, 40, 120]))
+    def test_lowering_equals_the_serial_lowerer(self, netlist_seed, max_inputs, max_gates):
+        ast = nl.parse(random_netlist_source(random.Random(netlist_seed), max_inputs, max_gates))
+        got, want = nl.lower(ast), serial_lower(ast)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert list(got.gates) == list(want.gates)
+        assert got.to_json() == want.to_json()
+
 
 class TestBooleanEval:
     def test_and_gate(self):
@@ -199,3 +247,117 @@ class TestNetworkJson:
                 '{"inputs": ["a"], "outputs": ["y"],'
                 ' "gates": [{"op": "NOT", "args": ["ghost"], "out": "y", "src": "y"}]}'
             )
+
+
+@contextmanager
+def counted_gates(made: Counter):
+    """Count the ``CompiledGate``s the package builds."""
+    compiled_gate = netlist.CompiledGate
+
+    def build(*args):
+        made["CompiledGate"] += 1
+        return compiled_gate(*args)
+
+    with mock.patch.object(netlist, "CompiledGate", build):
+        yield
+
+
+class TestGateTable:
+    """``CompiledNetwork.gates`` is a read-only sequence over arrays."""
+
+    def test_items_slices_and_iteration(self, full_adder_network):
+        want = serial_lower(nl.parse(FULL_ADDER)).gates
+        gates = full_adder_network.gates
+        items = list(gates)
+        assert isinstance(gates, GateTable) and len(gates) == len(items) == 22
+        assert all(isinstance(g, CompiledGate) for g in items)
+        assert items == list(want)
+        assert [gates[i] for i in range(-len(gates), len(gates))] == items + items
+        assert gates[np.int64(3)] == items[3]
+        for index in (len(gates), -len(gates) - 1):
+            with pytest.raises(IndexError):
+                gates[index]
+        for cut in (slice(-3, None), slice(None, None, 2), slice(5, 2), slice(None, None, -1)):
+            assert isinstance(gates[cut], GateTable)
+            assert list(gates[cut]) == items[cut]
+            assert gates[cut] == GateTable.of(items[cut])
+        assert list(reversed(gates)) == items[::-1]
+        assert items[7] in gates and gates.index(items[7]) == 7
+
+    def test_table_and_tuple_built_networks_are_equal(self, full_adder_network):
+        net = full_adder_network
+        built = nl.CompiledNetwork(net.wires, net.inputs, net.outputs, tuple(net.gates))
+        assert isinstance(built.gates, GateTable)
+        assert built == net and hash(built) == hash(net)
+        assert len({built, net}) == 1
+        swapped = replace(net, gates=tuple(net.gates)[::-1])
+        assert swapped != net and list(swapped.gates) == list(net.gates)[::-1]
+        assert replace(net, gates=tuple(net.gates)) == net
+        renamed = tuple(replace(g, src="x") if i == 4 else g for i, g in enumerate(net.gates))
+        assert replace(net, gates=renamed) != net
+
+    def test_arrays_are_read_only(self, full_adder_network):
+        gates = full_adder_network.gates
+        for column in (gates.is_not, gates.args, gates.out, gates.src):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert gates.args.shape == (len(gates), 2)
+        nots = gates.is_not
+        assert (gates.args[nots, 0] == gates.args[nots, 1]).all()
+
+    def test_a_gate_outside_the_basis_is_rejected(self):
+        with pytest.raises(NetlistError, match="not a primitive gate"):
+            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), (CompiledGate("NOT", (0, 0), 1, "y"),))
+        with pytest.raises(NetlistError, match="not a primitive gate"):
+            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), (CompiledGate("OR", (0, 0), 1, "y"),))
+
+    def test_zero_gate_network_from_json(self):
+        net = nl.CompiledNetwork.from_json('{"inputs": ["a"], "outputs": ["a"], "gates": []}')
+        assert len(net.gates) == 0 and list(net.gates) == [] and net.gates[:] == net.gates
+        assert net.gate_counts() == {"NOT": 0, "AND": 0}
+        assert net == nl.CompiledNetwork(("a",), ("a",), ("a",), ())
+        assert nl.CompiledNetwork.from_json(net.to_json()) == net
+        assert nl.eval_boolean(net, {"a": 1}) == {"a": 1}
+        config = nl.GeneratorConfig(seed=1, steps=32)
+        assert nl.run(net, "spike", {"a": 0}, config).output_bits() == {"a": 0}
+        assert simulator._plan(net, net.outputs).slots == 1
+
+
+class TestCompilingBuildsNoGates:
+    """Lowering, planning and the CLI read the gate table's arrays only."""
+
+    def test_simulate_verify_json_and_counts_build_no_gate(self, tmp_path):
+        source = random_netlist_source(random.Random(26), 32, 1000)
+        path = tmp_path / "big.nl"
+        path.write_text(source)
+        made = Counter()
+        with counted_gates(made):
+            network = nl.lower(nl.parse(source))
+            assert len(network.gates) > 3500
+            assign = ",".join(f"{name}={k % 2}" for k, name in enumerate(network.inputs))
+            out = CliRunner().invoke(cli.main, ["simulate", str(path), "--assign", assign,
+                                                "--steps", "64"])
+            assert out.exit_code == 0, out.output
+            assert made["CompiledGate"] == 0
+            text = network.to_json()
+            network.gate_counts()
+            assert made["CompiledGate"] == 0
+            assert nl.CompiledNetwork.from_json(text) == network
+            network.gates[-1]
+            assert made["CompiledGate"] == 1
+
+    def test_verify_builds_no_gate(self, tmp_path, full_adder_network):
+        netlist_path, network_path = tmp_path / "adder.nl", tmp_path / "adder.json"
+        netlist_path.write_text(FULL_ADDER)
+        network_path.write_text(full_adder_network.to_json())
+        made = Counter()
+        with counted_gates(made):
+            for extra in ([], ["--network", str(network_path)]):
+                out = CliRunner().invoke(cli.main, ["verify", str(netlist_path), "--steps", "32",
+                                                    *extra])
+                assert out.exit_code == 0, out.output
+            report = nl.verify_equivalence(full_adder_network, "spike",
+                                           nl.GeneratorConfig(seed=3, steps=32))
+            assert report.ok
+            nl.decision_latency(full_adder_network, nl.GeneratorConfig(seed=3, steps=32), 20)
+        assert made["CompiledGate"] == 0

@@ -1,6 +1,7 @@
 """Invariant checks must hold under ``python -O``, which strips ``assert``."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -94,3 +95,44 @@ def test_simulate_waves_is_byte_identical_under_O(tmp_path, backend):
         outputs[flags] = (doc, waves.read_bytes())
     assert outputs[()] == outputs[("-O",)]
     assert outputs[()][1].startswith(b"step,a,b,cin,")
+
+
+_LOWER_ADDER = """
+import noiselogic as nl
+from noiselogic import simulator
+
+if __debug__:
+    raise SystemExit("not running under -O")
+net = nl.lower(nl.parse(open(0).read()))
+plan = simulator._plan(net, net.outputs)
+print(net.to_json(), end="")
+print(len(plan.groups), plan.slots, net.gate_counts(), net.gates[-1])
+"""
+
+
+def test_lowering_and_planning_under_O_match_the_golden_network():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _LOWER_ADDER], input=FULL_ADDER,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    golden = (SRC.parent / "tests" / "data" / "golden" / "network.json").read_text()
+    text, summary = proc.stdout[:len(golden)], proc.stdout[len(golden):]
+    assert text == golden
+    assert summary == ("16 7 {'NOT': 13, 'AND': 9} "
+                       "CompiledGate(op='NOT', args=(23,), out=24, src='cout')\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--assign", "a=1,b=0,cin=1", "--backend", "rtw-multiplicative-not"],
+    ["verify", "--backends", "all"],
+])
+def test_simulate_and_verify_are_byte_identical_under_O(tmp_path, command):
+    netlist = tmp_path / "adder.nl"
+    netlist.write_text(FULL_ADDER)
+    name, *options = command
+    outputs = {flags: _run_python(*flags, "-m", "noiselogic.cli", name, str(netlist),
+                                  *options, "--seed", "9", "--steps", "96")
+               for flags in ((), ("-O",))}
+    assert outputs[()] == outputs[("-O",)]
+    assert json.loads(outputs[()])["netlist"] == str(netlist)
