@@ -37,9 +37,7 @@ from .hyperspace import (
     squeezed_collapse_demo,
 )
 from .netlist import (
-    CompiledGate,
     CompiledNetwork,
-    GateTable,
     NetlistAst,
     eval_boolean,
     format_netlist,

@@ -14,6 +14,7 @@ so golden-file diffs stay stable.
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn
 
@@ -43,16 +44,26 @@ from .waveio import format_waveform_csv, write_waveform_csv
 _DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-12, 1e-25)
 
 
+def _fail_config(message: str) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
+@contextmanager
+def _writing(path: str):
+    """Exit 2, naming ``path`` and the reason, when writing it raises ``OSError``."""
+    try:
+        yield
+    except OSError as exc:
+        _fail_config(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(text: str, out: str) -> None:
     if out == "-":
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _fail_config(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
 
 
 def _json(doc: dict) -> str:
@@ -184,11 +195,16 @@ def cmd_simulate(netlist_path, assign_text, seed, steps, backend, rate_h, rate_l
             for name in result.ambiguous_wires
         ],
         "wire_count": len(network.wires),
-        "primitive_count": len(network.gates),
+        "primitive_count": len(network.out),
     }
+    if waves:
+        # Opened here, so that it exits 2 before any output is written.
+        with _writing(waves):
+            open(waves, "wb").close()
     _emit(_json(doc), out)
     if waves:
-        write_waveform_csv(waves, {name: result.waveforms[name] for name in network.wires})
+        with _writing(waves):
+            write_waveform_csv(waves, {name: result.waveforms[name] for name in network.wires})
     if strict and result.ambiguous_wires:
         click.echo(f"error: {len(result.ambiguous_wires)} ambiguous wire(s)", err=True)
         sys.exit(1)

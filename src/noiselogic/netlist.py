@@ -35,7 +35,6 @@ source gate produced it.
 
 import json
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -108,16 +107,6 @@ class NetlistAst:
     assignments: tuple[Assignment, ...]
 
 
-@dataclass(frozen=True)
-class CompiledGate:
-    """One primitive gate; ``args`` and ``out`` are wire indices."""
-
-    op: str
-    args: tuple[int, ...]
-    out: int
-    src: str
-
-
 class LevelGroups(NamedTuple):
     """A network's gates grouped by (topological level, op), AND before NOT.
 
@@ -136,75 +125,12 @@ class LevelGroups(NamedTuple):
     free_before: np.ndarray
 
 
-def _gate(is_not: bool, a: int, b: int, out: int, src: str) -> CompiledGate:
-    return CompiledGate("NOT", (a,), out, src) if is_not else CompiledGate("AND", (a, b), out, src)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
-class GateTable(Sequence):
-    """The primitives of a network, in evaluation order, as read-only arrays.
-
-    Gate ``i`` is a NOT where ``is_not[i]`` and an AND elsewhere, reads
-    the wires ``args[i]`` (a ``(gates, 2)`` array that holds a NOT's one
-    operand twice), writes wire ``out[i]`` and lowers source gate
-    ``src[i]``.  Item ``i`` is the :class:`CompiledGate` built from these
-    when it is read; tables compare and hash by their arrays.
-    """
-
-    def __init__(self, is_not, args, out, src):
-        self.is_not = _read_only(np.array(is_not, dtype=bool))
-        self.args = _read_only(np.array(args, dtype=np.intp).reshape(-1, 2))
-        self.out = _read_only(np.array(out, dtype=np.intp))
-        self.src = _read_only(np.array(src, dtype=object))
-        if not len(self.is_not) == len(self.args) == len(self.out) == len(self.src):
-            raise NetlistError("gate table columns differ in length")
-
-    @classmethod
-    def of(cls, gates) -> "GateTable":
-        """The table of a sequence of :class:`CompiledGate`."""
-        ops, args, outs, srcs = [], [], [], []
-        for gate in gates:
-            if len(gate.args) != PRIMITIVE_ARITY.get(gate.op):
-                raise NetlistError(f"not a primitive gate: {gate}")
-            ops.append(gate.op == "NOT")
-            args.append((gate.args[0], gate.args[-1]))
-            outs.append(gate.out)
-            srcs.append(gate.src)
-        return cls(ops, args, outs, srcs)
-
-    def __len__(self) -> int:
-        return len(self.out)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return GateTable(self.is_not[i], self.args[i], self.out[i], self.src[i])
-        i = range(len(self))[i]
-        return _gate(bool(self.is_not[i]), *self.args[i].tolist(), int(self.out[i]), self.src[i])
-
-    def __iter__(self):
-        return map(_gate, self.is_not.tolist(), *self.args.T.tolist(), self.out.tolist(),
-                   self.src.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GateTable):
-            return NotImplemented
-        return (np.array_equal(self.is_not, other.is_not) and np.array_equal(self.args, other.args)
-                and np.array_equal(self.out, other.out)
-                and self.src.tolist() == other.src.tolist())
-
-    def __hash__(self) -> int:
-        return hash((self.is_not.tobytes(), self.args.tobytes(), self.out.tobytes(),
-                     tuple(self.src.tolist())))
-
-    def __repr__(self) -> str:
-        return f"GateTable({len(self)} gates)"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledNetwork:
     """Topologically ordered {NOT, AND} network, kept as arrays.
 
@@ -212,21 +138,39 @@ class CompiledNetwork:
     emission order.  Lowering-introduced wires carry a ``$`` in their name,
     which user wires cannot, so the namespaces never collide.
 
-    ``gates`` is a :class:`GateTable`, a read-only sequence over arrays
-    whose :class:`CompiledGate` items are built only when read; a sequence
-    of :class:`CompiledGate` passed in its place is converted to one, so
-    networks built either way compare and hash alike.  JSON, gate counts,
-    the Boolean oracle and :attr:`level_groups` read the arrays.
+    Gate ``i`` is a NOT where ``is_not[i]`` and an AND elsewhere, reads
+    the wires ``args[i]`` (a ``(gates, 2)`` array that holds a NOT's one
+    operand twice), writes wire ``out[i]`` and lowers source gate
+    ``src[i]``.  The four columns are kept as read-only arrays, and
+    networks compare and hash by their names and arrays.
     """
 
     wires: tuple[str, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    gates: GateTable
+    is_not: np.ndarray
+    args: np.ndarray
+    out: np.ndarray
+    src: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.gates, GateTable):
-            object.__setattr__(self, "gates", GateTable.of(self.gates))
+        for name, dtype in (("is_not", bool), ("args", np.intp), ("out", np.intp), ("src", object)):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
+        object.__setattr__(self, "args", self.args.reshape(-1, 2))
+        if not len(self.is_not) == len(self.args) == len(self.out) == len(self.src):
+            raise NetlistError("gate columns differ in length")
+
+    def _key(self) -> tuple:
+        return (self.wires, self.inputs, self.outputs, self.is_not.tobytes(),
+                self.args.tobytes(), self.out.tobytes(), tuple(self.src.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompiledNetwork):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def wire_index(self, name: str) -> int:
         return self.wires.index(name)
@@ -239,12 +183,12 @@ class CompiledNetwork:
         one level above its deepest operand, so a group reads only lower
         levels.
         """
-        table, n = self.gates, len(self.gates)
+        n = len(self.out)
         level = [0] * len(self.wires)
-        for out, a, b in zip(table.out.tolist(), *table.args.T.tolist()):
+        for out, a, b in zip(self.out.tolist(), *self.args.T.tolist()):
             la, lb = level[a], level[b]
             level[out] = 1 + (la if la > lb else lb)
-        key = 2 * np.array(level, dtype=np.intp)[table.out] + table.is_not
+        key = 2 * np.array(level, dtype=np.intp)[self.out] + self.is_not
         order = np.argsort(key, kind="stable")
         key = key[order]
         cuts = (key[1:] != key[:-1]).nonzero()[0] + 1
@@ -252,7 +196,7 @@ class CompiledNetwork:
         group = np.zeros(n, dtype=np.intp)
         group[cuts] = 1
         group = np.cumsum(group)
-        out, reads = table.out[order], table.args[order].T
+        out, reads = self.out[order], self.args[order].T
         # A reader is above its operand's writer, so the last reader's group
         # is past the writer's.
         free_before = np.zeros(len(level), dtype=np.intp)
@@ -263,11 +207,11 @@ class CompiledNetwork:
         return LevelGroups(bounds, ops, *map(_read_only, (out, reads, free_before)))
 
     def gate_counts(self) -> dict[str, int]:
-        nots = int(self.gates.is_not.sum())
-        return {"NOT": nots, "AND": len(self.gates) - nots}
+        nots = int(self.is_not.sum())
+        return {"NOT": nots, "AND": len(self.out) - nots}
 
     def to_json(self) -> str:
-        wires, table = self.wires, self.gates
+        wires = self.wires
         doc = {
             "inputs": list(self.inputs),
             "outputs": list(self.outputs),
@@ -278,8 +222,8 @@ class CompiledNetwork:
                     "out": wires[out],
                     "src": src,
                 }
-                for is_not, (a, b), out, src in zip(table.is_not.tolist(), table.args.tolist(),
-                                                    table.out.tolist(), table.src.tolist())
+                for is_not, (a, b), out, src in zip(self.is_not.tolist(), self.args.tolist(),
+                                                    self.out.tolist(), self.src.tolist())
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -329,11 +273,13 @@ class CompiledNetwork:
             args.append(arg_pair)
             srcs.append(src)
         outputs = _json_names(doc, "outputs")
+        if len(set(outputs)) != len(outputs):
+            raise NetlistError("compiled network declares an output twice")
         for name in outputs:
             if name not in index:
                 raise NetlistError(f"output {name!r} is never defined")
-        gates = GateTable(nots, args, np.arange(len(inputs), len(wires)), srcs)
-        return cls(tuple(wires), inputs, outputs, gates)
+        return cls(tuple(wires), inputs, outputs, nots, args, np.arange(len(inputs), len(wires)),
+                   srcs)
 
 
 def _json_names(doc: dict, key: str) -> tuple[str, ...]:
@@ -480,8 +426,7 @@ def lower(ast: NetlistAst) -> CompiledNetwork:
     operands = np.where(refs == -2, a[:, None], np.where(refs == -1, b[:, None], refs + shift[:, None]))
     src = np.array(targets, dtype=object).repeat(counts)
     wires = ast.inputs + tuple((src + _SUFFIX[flat]).tolist())
-    gates = GateTable(_IS_NOT[flat], operands, wire, src)
-    return CompiledNetwork(wires, ast.inputs, ast.outputs, gates)
+    return CompiledNetwork(wires, ast.inputs, ast.outputs, _IS_NOT[flat], operands, wire, src)
 
 
 def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
@@ -527,9 +472,8 @@ def eval_boolean(
     values = [0] * len(source.wires)
     for i, name in enumerate(source.inputs):
         values[i] = _bit(assignment[name])
-    table = source.gates
-    for is_not, (a, b), out in zip(table.is_not.tolist(), table.args.tolist(),
-                                   table.out.tolist()):
+    for is_not, (a, b), out in zip(source.is_not.tolist(), source.args.tolist(),
+                                   source.out.tolist()):
         values[out] = 1 - values[a] if is_not else values[a] & values[b]
     index = {name: i for i, name in enumerate(source.wires)}
     return {name: values[index[name]] for name in source.outputs}

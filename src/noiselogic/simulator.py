@@ -154,7 +154,7 @@ def _plan(network: CompiledNetwork, keep) -> _Plan:
     """Give every wire a slot, for the gates' (topological level, op) groups.
 
     The groups are the network's :attr:`~CompiledNetwork.level_groups`,
-    computed from its gate table's arrays once per network, so planning
+    computed from its gate columns once per network, so planning
     the same network again only assigns slots.  A group reads only lower
     levels and runs as one batch.  Input ``i`` takes slot ``i``.  A wire
     not named in ``keep`` frees its slot once the last group that reads it
@@ -393,22 +393,21 @@ def _assignments_from_indices(
 
 
 def _draw_indices(stream: SplitMix64, n_inputs: int, sample: int) -> np.ndarray:
-    """``sample`` assignment indices, uniform over ``2 ** n_inputs``.
+    """``sample`` assignment indices, uniform over ``2 ** n_inputs``, from one block of ``stream``.
 
-    Each index takes ``ceil(n_inputs / 64)`` words from ``stream``, read
+    Each index takes ``ceil(n_inputs / 64)`` consecutive words, read
     big-endian and reduced modulo ``2 ** n_inputs``, so every input bit is
-    drawn.  Up to 64 inputs that is one word per index, in a uint64 array;
-    wider indices are Python ints in an object array.
+    drawn.  Up to 64 inputs that is one word per index, masked, in a uint64
+    array; wider indices are Python ints in an object array.
     """
-    space = 2 ** n_inputs
+    if n_inputs <= 64:
+        return stream.block(sample) & np.uint64(2**n_inputs - 1)
     words = -(-n_inputs // 64)
-    drawn = []
-    for _ in range(sample):
-        index = 0
-        for _ in range(words):
-            index = (index << 64) | stream.next_u64()
-        drawn.append(index % space)
-    return np.array(drawn, dtype=np.uint64 if words == 1 else object)
+    block = stream.block(sample * words).reshape(sample, words).astype(object)
+    index = block[:, 0]
+    for k in range(1, words):
+        index = index << 64 | block[:, k]
+    return index % 2**n_inputs
 
 
 def verify_equivalence(

@@ -1,13 +1,14 @@
 """One-at-a-time references for the netlist compiler, the simulator's walker and its kernels.
 
 The package parses with few checks per token, lowers every source gate
-through one expansion table with array operations into an array-backed
-gate table, classifies whole batches of waves with ``classify_rows`` and
-evaluates every network one (topological level, op) group at a time over
-one slot matrix of packed words.  The functions here are a token-by-token
-parser and a recursive lowerer that builds one ``CompiledGate`` per
-primitive, a per-wire, step-by-step reading of the classification rule,
-a per-gate walk that keeps one wave per wire, and the gate kernels as
+through one expansion table with array operations into a network's gate
+arrays, draws sampled assignment indices as one block, classifies whole
+batches of waves with ``classify_rows`` and evaluates every network one
+(topological level, op) group at a time over one slot matrix of packed
+words.  The functions here are a token-by-token parser and a recursive
+lowerer that emits one ``GateRow`` per primitive, a draw of one word at a
+time, a per-wire, step-by-step reading of the classification rule, a
+per-gate walk that keeps one wave per wire, and the gate kernels as
 literal ``int8`` arithmetic on the unpacked values (the paper's
 polynomials and neuron circuits, with their checks), all written apart
 from the package; tests require equal results from both.
@@ -20,7 +21,10 @@ import numpy as np
 import noiselogic as nl
 from noiselogic import simulator
 from noiselogic.errors import NetlistError
-from noiselogic.netlist import GATE_ARITY, NAME_RE, Assignment, CompiledGate, NetlistAst
+from noiselogic.netlist import GATE_ARITY, NAME_RE, Assignment, NetlistAst
+from noiselogic.prng import SplitMix64
+
+from conftest import GateRow, gate_rows, network_from_rows
 
 # ---------------------------------------------------------------------------
 # The netlist compiler, one token and one primitive at a time
@@ -94,12 +98,12 @@ def serial_parse(text: str) -> NetlistAst:
 
 
 class _Lowerer:
-    """Emits one ``CompiledGate`` per primitive, composing the derived gates by hand."""
+    """Emits one ``GateRow`` per primitive, composing the derived gates by hand."""
 
     def __init__(self, inputs: tuple[str, ...]):
         self.wires: list[str] = list(inputs)
         self.index: dict[str, int] = {name: i for i, name in enumerate(inputs)}
-        self.gates: list[CompiledGate] = []
+        self.gates: list[GateRow] = []
         self._src = ""
         self._tmp = 0
 
@@ -107,7 +111,7 @@ class _Lowerer:
         out = len(self.wires)
         self.index[out_name] = out
         self.wires.append(out_name)
-        self.gates.append(CompiledGate(op, args, out, self._src))
+        self.gates.append(GateRow(op, args, out, self._src))
         return out
 
     def fresh(self) -> str:
@@ -155,13 +159,28 @@ class _Lowerer:
 
 
 def serial_lower(ast: NetlistAst) -> nl.CompiledNetwork:
-    """Lower gate by gate, building the network from a tuple of ``CompiledGate``s."""
+    """Lower gate by gate, building the network from its list of ``GateRow``s."""
     lowerer = _Lowerer(ast.inputs)
     for assignment in ast.assignments:
         lowerer.expand(assignment)
-    return nl.CompiledNetwork(
-        tuple(lowerer.wires), ast.inputs, ast.outputs, tuple(lowerer.gates)
-    )
+    return network_from_rows(lowerer.wires, ast.inputs, ast.outputs, lowerer.gates)
+
+
+# ---------------------------------------------------------------------------
+# Sampled assignment indices, one word at a time
+
+
+def serial_draw_indices(stream: SplitMix64, n_inputs: int, sample: int) -> list[int]:
+    """Each index is ``ceil(n_inputs / 64)`` words, big-endian, modulo ``2 ** n_inputs``."""
+    space = 2 ** n_inputs
+    words = -(-n_inputs // 64)
+    drawn = []
+    for _ in range(sample):
+        index = 0
+        for _ in range(words):
+            index = (index << 64) | stream.next_u64()
+        drawn.append(index % space)
+    return drawn
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +220,7 @@ def serial_wires(network: nl.CompiledNetwork, backend, assignment) -> list[nl.Wa
     waves = [None] * len(network.wires)
     for i, name in enumerate(network.inputs):
         waves[i] = backend.pair.h if assignment[name] else backend.pair.l
-    for gate in network.gates:
+    for gate in gate_rows(network):
         waves[gate.out] = backend.kernel[gate.op](backend.pair, *(waves[arg] for arg in gate.args))
     return waves
 

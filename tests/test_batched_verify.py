@@ -9,7 +9,6 @@ the same order.
 """
 
 import random
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,8 +22,8 @@ from noiselogic.errors import InvalidLogicValueError
 from noiselogic.prng import SplitMix64, derive_seed
 from noiselogic.signals import words_for
 
-from conftest import random_netlist_source
-from serial_reference import classify_wire, serial_wires
+from conftest import gate_rows, network_from_rows, random_netlist_source
+from serial_reference import classify_wire, serial_draw_indices, serial_wires
 from test_simulator import corrupt_and_to_or
 
 
@@ -38,15 +37,8 @@ def serial_report(source, backend, config, *, network=None, sample=None):
     if sample is None:
         indices, mode = range(space), "exhaustive"
     else:
-        # Each index is ceil(inputs / 64) words, big-endian, modulo the space.
         stream = SplitMix64(derive_seed(config.seed, simulator._SAMPLE_STREAM))
-        words = -(-len(net.inputs) // 64)
-        indices, mode = [], "sample"
-        for _ in range(sample):
-            index = 0
-            for _ in range(words):
-                index = (index << 64) | stream.next_u64()
-            indices.append(index % space)
+        indices, mode = serial_draw_indices(stream, len(net.inputs), sample), "sample"
     bk = simulator.make_backend(backend, config)
     report = nl.EquivalenceReport(
         backend=backend, steps=config.steps, seed=config.seed, inputs=net.inputs,
@@ -78,10 +70,10 @@ def serial_report(source, backend, config, *, network=None, sample=None):
 
 def rewire_and(network: nl.CompiledNetwork) -> nl.CompiledNetwork:
     """Feed the first AND its first argument twice, so it passes that argument through."""
-    idx = next(i for i, g in enumerate(network.gates) if g.op == "AND")
-    gates = list(network.gates)
-    gates[idx] = replace(gates[idx], args=(gates[idx].args[0],) * 2)
-    return replace(network, gates=tuple(gates))
+    gates = gate_rows(network)
+    idx = next(i for i, g in enumerate(gates) if g.op == "AND")
+    gates[idx] = gates[idx]._replace(args=(gates[idx].args[0],) * 2)
+    return network_from_rows(network.wires, network.inputs, network.outputs, gates)
 
 
 def chunked_report(source, backend, config, rows, **kwargs):
@@ -115,7 +107,7 @@ class TestBatchedEqualsSerial:
                                              max_inputs=5, max_gates=8))
         source = ast if oracle_from_ast else nl.lower(ast)
         network = rewire_and(nl.lower(ast)) if corrupt and any(
-            g.op == "AND" for g in nl.lower(ast).gates) else None
+            g.op == "AND" for g in gate_rows(nl.lower(ast))) else None
         config = nl.GeneratorConfig(seed=seed, steps=steps)
         kwargs = {"network": network, "sample": sample}
         if rows is None:
@@ -163,9 +155,10 @@ class TestBatchedEqualsSerial:
         ast = nl.parse("\n".join(lines) + "\n")
         net = nl.lower(ast)
         y, i0 = net.wire_index("y"), net.wire_index("i0")
-        assert next(g for g in net.gates if g.out == y).args[0] == i0
-        network = replace(net, gates=tuple(
-            replace(g, args=(i0, i0)) if g.out == y else g for g in net.gates))
+        gates = gate_rows(net)
+        assert next(g for g in gates if g.out == y).args[0] == i0
+        network = network_from_rows(net.wires, net.inputs, net.outputs, [
+            g._replace(args=(i0, i0)) if g.out == y else g for g in gates])
         config = nl.GeneratorConfig(seed=5, steps=16)
         report = nl.verify_equivalence(ast, "rtw-additive-not", config,
                                        network=network, sample=40)
@@ -182,6 +175,15 @@ class TestBatchedEqualsSerial:
         assert got.checked == 50
         assert len({str(f["assignment"]) for f in want.failures}) < len(want.failures)
         assert got.to_doc() == want.to_doc()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_inputs=st.sampled_from([0, 1, 20, 63, 64, 70, 130]),
+           sample=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+    def test_block_draw_equals_the_word_by_word_draw(self, n_inputs, sample, seed):
+        got = simulator._draw_indices(SplitMix64(seed), n_inputs, sample)
+        want = serial_draw_indices(SplitMix64(seed), n_inputs, sample)
+        assert got.dtype == (np.uint64 if n_inputs <= 64 else object)
+        assert got.tolist() == want
 
 
 def _bad_row(pair) -> np.ndarray:

@@ -210,8 +210,12 @@ class TestVerify:
          "differ from the netlist outputs"),
         ({"inputs": ["a", "b"], "outputs": [], "gates": []},
          "differ from the netlist outputs"),
+        ({"inputs": ["a", "b"], "outputs": ["y", "y"],
+          "gates": [{"op": "NOT", "args": ["a"], "out": "y", "src": "y"}]},
+         "declares an output twice"),
     ], ids=["and-one-arg", "not-two-args", "not-an-object", "invalid-json",
-            "duplicate-inputs", "inputs-differ", "outputs-differ", "no-outputs"])
+            "duplicate-inputs", "inputs-differ", "outputs-differ", "no-outputs",
+            "duplicate-outputs"])
     def test_malformed_network_exit_2(self, runner, tmp_path, document, message):
         netlist = tmp_path / "and.nl"
         netlist.write_text("input a b\noutput y = AND a b\n")
@@ -279,3 +283,42 @@ class TestHyperspace:
     def test_non_binary_bits_exit_2(self, runner):
         result = runner.invoke(main, ["hyperspace", "--bits", "10a"])
         assert result.exit_code == 2
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a usage error: exit 2, nothing on stdout."""
+
+    COMMANDS = {
+        "gen": ["gen", "--steps", "8"],
+        "simulate": ["simulate", "ADDER", "--assign", "a=1,b=0,cin=1", "--steps", "16"],
+        "verify": ["verify", "ADDER", "--steps", "16"],
+        "stats": ["stats"],
+        "hyperspace": ["hyperspace", "--bits", "101"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_in_a_missing_directory_exits_2(self, runner, adder_path, tmp_path, command):
+        out = tmp_path / "missing" / "out.txt"
+        argv = [adder_path if arg == "ADDER" else arg for arg in self.COMMANDS[command]]
+        result = runner.invoke(main, [*argv, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"error: cannot write {out}: No such file or directory" in result.stderr
+
+    def test_simulate_waves_in_a_missing_directory_prints_nothing(self, runner, adder_path,
+                                                                  tmp_path):
+        waves = tmp_path / "missing" / "waves.csv"
+        result = runner.invoke(main, ["simulate", adder_path, "--assign", "a=1,b=0,cin=1",
+                                      "--steps", "16", "--waves", str(waves)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"error: cannot write {waves}: No such file or directory" in result.stderr
+
+    def test_a_config_error_leaves_an_existing_out_untouched(self, runner, adder_path,
+                                                              tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("kept")
+        result = runner.invoke(main, ["simulate", adder_path, "--assign", "a=1",
+                                      "--out", str(out), "--waves", str(tmp_path / "w.csv")])
+        assert result.exit_code == 2
+        assert out.read_text() == "kept" and not (tmp_path / "w.csv").exists()

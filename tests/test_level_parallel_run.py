@@ -165,9 +165,9 @@ class TestLevelPlan:
         plan = simulator._plan(network, network.wires)
         _replay(network, plan)
         assert [op for op, _, _ in plan.groups] == [g[0].op for g in level_groups(network)]
-        assert sum(len(outs) for _, _, outs in plan.groups) == len(network.gates)
+        assert sum(len(outs) for _, _, outs in plan.groups) == len(network.out)
         # One kernel call per group instead of one per primitive.
-        assert len(plan.groups) < len(network.gates)
+        assert len(plan.groups) < len(network.out)
 
     def test_full_adder_keeps_only_the_outputs(self, full_adder_network):
         net = full_adder_network
@@ -243,7 +243,7 @@ class TestRunIsLazy:
             self, tmp_path, backend, steps):
         source = random_netlist_source(random.Random(26), 32, 1000)
         network = nl.lower(nl.parse(source))
-        assert len(network.gates) > 3500
+        assert len(network.out) > 3500
         path = tmp_path / "big.nl"
         path.write_text(source)
         # A one-step RTW window whose references are identical: every wire

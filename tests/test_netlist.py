@@ -1,9 +1,6 @@
 import json
 import random
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
-from noiselogic import cli, netlist, simulator
+from noiselogic import cli, simulator
 from noiselogic.errors import NetlistError
-from noiselogic.netlist import CompiledGate, GateTable, format_netlist
+from noiselogic.netlist import format_netlist
 
-from conftest import FULL_ADDER, random_netlist_source
+from conftest import FULL_ADDER, gate_rows, network_from_rows, random_netlist_source
 from serial_reference import serial_lower
 
 
@@ -102,21 +99,21 @@ class TestLowering:
         arity = 1 if gate in ("NOT", "BUF") else 2
         args = "a" if arity == 1 else "a b"
         ast = nl.parse(f"input a b\noutput y = {gate} {args}\n")
-        assert len(nl.lower(ast).gates) == count
+        assert len(nl.lower(ast).out) == count
 
     def test_or_expansion_shape(self):
         net = nl.lower(nl.parse("input a b\noutput y = OR a b\n"))
         assert net.gate_counts() == {"NOT": 3, "AND": 1}
 
     def test_only_primitives_emitted(self, full_adder_network):
-        assert all(g.op in ("NOT", "AND") for g in full_adder_network.gates)
+        assert all(g.op in ("NOT", "AND") for g in gate_rows(full_adder_network))
 
     def test_topological_validity(self, full_adder_network):
-        for gate in full_adder_network.gates:
+        for gate in gate_rows(full_adder_network):
             assert all(arg < gate.out for arg in gate.args)
 
     def test_lowering_trace_names_source_gate(self, full_adder_network):
-        sources = {g.src for g in full_adder_network.gates}
+        sources = {g.src for g in gate_rows(full_adder_network)}
         assert sources == {"s1", "c1", "c2", "sum", "cout"}
 
     def test_byte_stable(self, full_adder_ast):
@@ -147,7 +144,7 @@ class TestLowering:
                "gates": [{"op": op, "args": names[:-1], "out": names[-1], "src": "y"}
                          for op, *names in rows]}
         assert network.to_json() == json.dumps(doc, indent=2) + "\n"
-        assert len(network.gates) == len(nl.netlist.EXPANSION[gate]) == self.COUNTS[gate]
+        assert len(network.out) == len(nl.netlist.EXPANSION[gate]) == self.COUNTS[gate]
 
     @settings(max_examples=150, deadline=None)
     @given(netlist_seed=st.integers(0, 2**32 - 1), max_inputs=st.integers(2, 12),
@@ -157,7 +154,7 @@ class TestLowering:
         got, want = nl.lower(ast), serial_lower(ast)
         assert got == want
         assert hash(got) == hash(want)
-        assert list(got.gates) == list(want.gates)
+        assert gate_rows(got) == gate_rows(want)
         assert got.to_json() == want.to_json()
 
 
@@ -249,73 +246,41 @@ class TestNetworkJson:
             )
 
 
-@contextmanager
-def counted_gates(made: Counter):
-    """Count the ``CompiledGate``s the package builds."""
-    compiled_gate = netlist.CompiledGate
+class TestGateColumns:
+    """A network's gates are its four read-only columns."""
 
-    def build(*args):
-        made["CompiledGate"] += 1
-        return compiled_gate(*args)
-
-    with mock.patch.object(netlist, "CompiledGate", build):
-        yield
-
-
-class TestGateTable:
-    """``CompiledNetwork.gates`` is a read-only sequence over arrays."""
-
-    def test_items_slices_and_iteration(self, full_adder_network):
-        want = serial_lower(nl.parse(FULL_ADDER)).gates
-        gates = full_adder_network.gates
-        items = list(gates)
-        assert isinstance(gates, GateTable) and len(gates) == len(items) == 22
-        assert all(isinstance(g, CompiledGate) for g in items)
-        assert items == list(want)
-        assert [gates[i] for i in range(-len(gates), len(gates))] == items + items
-        assert gates[np.int64(3)] == items[3]
-        for index in (len(gates), -len(gates) - 1):
-            with pytest.raises(IndexError):
-                gates[index]
-        for cut in (slice(-3, None), slice(None, None, 2), slice(5, 2), slice(None, None, -1)):
-            assert isinstance(gates[cut], GateTable)
-            assert list(gates[cut]) == items[cut]
-            assert gates[cut] == GateTable.of(items[cut])
-        assert list(reversed(gates)) == items[::-1]
-        assert items[7] in gates and gates.index(items[7]) == 7
-
-    def test_table_and_tuple_built_networks_are_equal(self, full_adder_network):
+    def test_networks_compare_and_hash_by_names_and_columns(self, full_adder_network):
         net = full_adder_network
-        built = nl.CompiledNetwork(net.wires, net.inputs, net.outputs, tuple(net.gates))
-        assert isinstance(built.gates, GateTable)
+        rows = gate_rows(net)
+        assert len(rows) == 22 and rows == gate_rows(serial_lower(nl.parse(FULL_ADDER)))
+        built = network_from_rows(net.wires, net.inputs, net.outputs, rows)
         assert built == net and hash(built) == hash(net)
         assert len({built, net}) == 1
-        swapped = replace(net, gates=tuple(net.gates)[::-1])
-        assert swapped != net and list(swapped.gates) == list(net.gates)[::-1]
-        assert replace(net, gates=tuple(net.gates)) == net
-        renamed = tuple(replace(g, src="x") if i == 4 else g for i, g in enumerate(net.gates))
-        assert replace(net, gates=renamed) != net
+        swapped = network_from_rows(net.wires, net.inputs, net.outputs, rows[::-1])
+        assert swapped != net and gate_rows(swapped) == rows[::-1]
+        renamed = [g._replace(src="x") if i == 4 else g for i, g in enumerate(rows)]
+        assert network_from_rows(net.wires, net.inputs, net.outputs, renamed) != net
+        assert replace(net, outputs=net.outputs[::-1]) != net
+        assert net != rows
 
-    def test_arrays_are_read_only(self, full_adder_network):
-        gates = full_adder_network.gates
-        for column in (gates.is_not, gates.args, gates.out, gates.src):
+    def test_columns_are_read_only(self, full_adder_network):
+        net = full_adder_network
+        for column in (net.is_not, net.args, net.out, net.src):
             with pytest.raises(ValueError):
                 column[0] = column[1]
-        assert gates.args.shape == (len(gates), 2)
-        nots = gates.is_not
-        assert (gates.args[nots, 0] == gates.args[nots, 1]).all()
+        assert net.args.shape == (len(net.out), 2)
+        nots = net.is_not
+        assert (net.args[nots, 0] == net.args[nots, 1]).all()
 
-    def test_a_gate_outside_the_basis_is_rejected(self):
-        with pytest.raises(NetlistError, match="not a primitive gate"):
-            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), (CompiledGate("NOT", (0, 0), 1, "y"),))
-        with pytest.raises(NetlistError, match="not a primitive gate"):
-            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), (CompiledGate("OR", (0, 0), 1, "y"),))
+    def test_columns_of_different_lengths_are_rejected(self):
+        with pytest.raises(NetlistError, match="differ in length"):
+            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), [True], [(0, 0)], [1], [])
 
     def test_zero_gate_network_from_json(self):
         net = nl.CompiledNetwork.from_json('{"inputs": ["a"], "outputs": ["a"], "gates": []}')
-        assert len(net.gates) == 0 and list(net.gates) == [] and net.gates[:] == net.gates
+        assert len(net.out) == 0 and gate_rows(net) == [] and net.args.shape == (0, 2)
         assert net.gate_counts() == {"NOT": 0, "AND": 0}
-        assert net == nl.CompiledNetwork(("a",), ("a",), ("a",), ())
+        assert net == network_from_rows(("a",), ("a",), ("a",), [])
         assert nl.CompiledNetwork.from_json(net.to_json()) == net
         assert nl.eval_boolean(net, {"a": 1}) == {"a": 1}
         config = nl.GeneratorConfig(seed=1, steps=32)
@@ -323,41 +288,32 @@ class TestGateTable:
         assert simulator._plan(net, net.outputs).slots == 1
 
 
-class TestCompilingBuildsNoGates:
-    """Lowering, planning and the CLI read the gate table's arrays only."""
+class TestLargeNetworks:
+    """Simulating, verifying, JSON and counts on networks lowered to arrays."""
 
-    def test_simulate_verify_json_and_counts_build_no_gate(self, tmp_path):
+    def test_simulate_json_and_counts_of_a_large_network(self, tmp_path):
         source = random_netlist_source(random.Random(26), 32, 1000)
         path = tmp_path / "big.nl"
         path.write_text(source)
-        made = Counter()
-        with counted_gates(made):
-            network = nl.lower(nl.parse(source))
-            assert len(network.gates) > 3500
-            assign = ",".join(f"{name}={k % 2}" for k, name in enumerate(network.inputs))
-            out = CliRunner().invoke(cli.main, ["simulate", str(path), "--assign", assign,
-                                                "--steps", "64"])
-            assert out.exit_code == 0, out.output
-            assert made["CompiledGate"] == 0
-            text = network.to_json()
-            network.gate_counts()
-            assert made["CompiledGate"] == 0
-            assert nl.CompiledNetwork.from_json(text) == network
-            network.gates[-1]
-            assert made["CompiledGate"] == 1
+        network = nl.lower(nl.parse(source))
+        assert len(network.out) > 3500
+        assign = ",".join(f"{name}={k % 2}" for k, name in enumerate(network.inputs))
+        out = CliRunner().invoke(cli.main, ["simulate", str(path), "--assign", assign,
+                                            "--steps", "64"])
+        assert out.exit_code == 0, out.output
+        assert json.loads(out.stdout)["primitive_count"] == len(network.out)
+        assert sum(network.gate_counts().values()) == len(network.out)
+        assert nl.CompiledNetwork.from_json(network.to_json()) == network
 
-    def test_verify_builds_no_gate(self, tmp_path, full_adder_network):
+    def test_verify_with_and_without_a_network_file(self, tmp_path, full_adder_network):
         netlist_path, network_path = tmp_path / "adder.nl", tmp_path / "adder.json"
         netlist_path.write_text(FULL_ADDER)
         network_path.write_text(full_adder_network.to_json())
-        made = Counter()
-        with counted_gates(made):
-            for extra in ([], ["--network", str(network_path)]):
-                out = CliRunner().invoke(cli.main, ["verify", str(netlist_path), "--steps", "32",
-                                                    *extra])
-                assert out.exit_code == 0, out.output
-            report = nl.verify_equivalence(full_adder_network, "spike",
-                                           nl.GeneratorConfig(seed=3, steps=32))
-            assert report.ok
-            nl.decision_latency(full_adder_network, nl.GeneratorConfig(seed=3, steps=32), 20)
-        assert made["CompiledGate"] == 0
+        for extra in ([], ["--network", str(network_path)]):
+            out = CliRunner().invoke(cli.main, ["verify", str(netlist_path), "--steps", "32",
+                                                *extra])
+            assert out.exit_code == 0, out.output
+        report = nl.verify_equivalence(full_adder_network, "spike",
+                                       nl.GeneratorConfig(seed=3, steps=32))
+        assert report.ok
+        nl.decision_latency(full_adder_network, nl.GeneratorConfig(seed=3, steps=32), 20)

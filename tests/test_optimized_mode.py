@@ -98,29 +98,50 @@ def test_simulate_waves_is_byte_identical_under_O(tmp_path, backend):
 
 
 _LOWER_ADDER = """
+import json
+import sys
+
 import noiselogic as nl
-from noiselogic import simulator
+from noiselogic import cli, simulator
 
 if __debug__:
     raise SystemExit("not running under -O")
 net = nl.lower(nl.parse(open(0).read()))
 plan = simulator._plan(net, net.outputs)
 print(net.to_json(), end="")
-print(len(plan.groups), plan.slots, net.gate_counts(), net.gates[-1])
+print(len(plan.groups), plan.slots, net.gate_counts(),
+      bool(net.is_not[-1]), net.args[-1].tolist(), int(net.out[-1]), net.src[-1])
+doc = json.loads(net.to_json())
+doc["outputs"] *= 2
+for build in (lambda: nl.CompiledNetwork(net.wires, net.inputs, net.outputs, net.is_not[1:],
+                                         net.args, net.out, net.src),
+              lambda: nl.CompiledNetwork.from_json(json.dumps(doc))):
+    try:
+        build()
+    except nl.NetlistError as exc:
+        print("NetlistError:", exc)
+try:
+    cli.main(["stats", "--out", sys.argv[1]])
+except SystemExit as exc:
+    print("exit", exc.code)
 """
 
 
-def test_lowering_and_planning_under_O_match_the_golden_network():
+def test_lowering_and_planning_under_O_match_the_golden_network(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _LOWER_ADDER], input=FULL_ADDER,
+    proc = subprocess.run([sys.executable, "-O", "-c", _LOWER_ADDER,
+                           str(tmp_path / "missing" / "stats.json")], input=FULL_ADDER,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     golden = (SRC.parent / "tests" / "data" / "golden" / "network.json").read_text()
     text, summary = proc.stdout[:len(golden)], proc.stdout[len(golden):]
     assert text == golden
-    assert summary == ("16 7 {'NOT': 13, 'AND': 9} "
-                       "CompiledGate(op='NOT', args=(23,), out=24, src='cout')\n")
+    assert summary == ("16 7 {'NOT': 13, 'AND': 9} True [23, 23] 24 cout\n"
+                       "NetlistError: gate columns differ in length\n"
+                       "NetlistError: compiled network declares an output twice\n"
+                       "exit 2\n")
+    assert "error: cannot write" in proc.stderr
 
 
 @pytest.mark.parametrize("command", [

@@ -5,9 +5,10 @@ import pytest
 
 import noiselogic as nl
 from noiselogic.errors import ConfigError
-from noiselogic.netlist import CompiledGate
 from noiselogic.prng import derive_seed
 from noiselogic.simulator import make_backend
+
+from conftest import GateRow, gate_rows, network_from_rows
 
 
 def _config(seed=42, steps=256, **kw):
@@ -20,23 +21,23 @@ def _and_network():
 
 def corrupt_and_to_or(network: nl.CompiledNetwork) -> nl.CompiledNetwork:
     """Swap the first primitive AND into an OR-shaped subgraph (still {NOT, AND})."""
-    idx = next(i for i, g in enumerate(network.gates) if g.op == "AND")
-    victim = network.gates[idx]
+    gates = gate_rows(network)
+    idx = next(i for i, g in enumerate(gates) if g.op == "AND")
+    victim = gates[idx]
     wires = list(network.wires)
-    gates = list(network.gates)
     base = len(wires)
     na, nb, conj = f"{victim.src}$fault0", f"{victim.src}$fault1", f"{victim.src}$fault2"
     wires.extend([na, nb, conj])
     patched = [
-        CompiledGate("NOT", (victim.args[0],), base, victim.src),
-        CompiledGate("NOT", (victim.args[1],), base + 1, victim.src),
-        CompiledGate("AND", (base, base + 1), base + 2, victim.src),
-        CompiledGate("NOT", (base + 2,), victim.out, victim.src),
+        GateRow("NOT", (victim.args[0],), base, victim.src),
+        GateRow("NOT", (victim.args[1],), base + 1, victim.src),
+        GateRow("AND", (base, base + 1), base + 2, victim.src),
+        GateRow("NOT", (base + 2,), victim.out, victim.src),
     ]
     gates[idx:idx + 1] = patched
     # Re-sort so every new wire still precedes its uses: the patched gates
     # write to fresh indices except the final NOT, which reuses victim.out.
-    return nl.CompiledNetwork(tuple(wires), network.inputs, network.outputs, tuple(gates))
+    return network_from_rows(wires, network.inputs, network.outputs, gates)
 
 
 class TestRun:
