@@ -172,6 +172,8 @@ def _load_netlist(path: str):
 def cmd_simulate(netlist_path, assign_text, seed, steps, backend, rate_h, rate_l,
                  out, waves, strict) -> None:
     """Run one input assignment through a netlist on a noise backend."""
+    if waves == "-":
+        _fail_config("--waves needs a file path; '-' (stdout) is where the JSON report goes")
     try:
         ast = _load_netlist(netlist_path)
         network = lower(ast)

@@ -22,6 +22,7 @@ equivalence reports count incidents instead of aborting.
 """
 
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,6 +77,35 @@ _PAIR_WAVES = 2
 def _chunk_rows(steps: int, waves: int) -> int:
     """Rows per chunk so that ``waves`` live ``(rows, words)`` blocks fit ``_CHUNK_BYTES``."""
     return max(1, _CHUNK_BYTES // (8 * words_for(steps) * waves))
+
+
+# Worker threads a sweep may run its chunks on, at most.
+_MAX_WORKERS = 4
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, starts: range) -> list:
+    """``[fn(start) for start in starts]`` on up to ``min(_MAX_WORKERS, usable CPUs, chunks)`` threads.
+
+    Results come back in chunk order, so a merge over them gives the same
+    report for any thread count, and the first chunk exception in chunk
+    order propagates, as in the serial loop.  One chunk or one CPU runs
+    inline and starts no thread; otherwise every thread has ended on return.
+    NumPy releases the GIL for the array work of a chunk.
+    """
+    workers = min(_MAX_WORKERS, _usable_cpus(), len(starts))
+    if workers <= 1:
+        return [fn(start) for start in starts]
+    from concurrent.futures import ThreadPoolExecutor   # only on the threaded path
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, starts))
 
 
 # Child-stream index reserved for drawing sampled assignments, far away
@@ -435,9 +465,10 @@ def verify_equivalence(
     Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
     waveform data: each chunk is one :func:`_evaluate` walk with a row per
     assignment, so every (level, op) group and the oracle run once per
-    chunk.  The report is the
+    chunk.  Chunks run on up to ``min(4, usable CPUs, chunks)`` threads
+    (see :func:`_map_chunks`) and merge in chunk order, so the report is the
     one a per-assignment loop would give, with failures and ambiguous
-    incidents in assignment order.
+    incidents in assignment order, for any thread count.
     """
     if network is None:
         net = lower(source) if isinstance(source, NetlistAst) else source
@@ -483,7 +514,9 @@ def verify_equivalence(
     wrap = type(bk.pair.h)._of_words
     plan = _plan(net, net.outputs)
     rows = _chunk_rows(config.steps, plan.slots)
-    for lo in range(0, count, rows):
+
+    def check(lo: int) -> tuple[int, int, list[dict], list[dict]]:
+        """Rows, passes, failures and ambiguous incidents of the chunk at ``lo``."""
         hi = min(lo + rows, count)
         indices = np.arange(lo, hi, dtype=np.uint64) if drawn is None else drawn[lo:hi]
         bits = _assignments_from_indices(net.inputs, indices)
@@ -495,17 +528,16 @@ def verify_equivalence(
             got, _, details = classify_rows(wrap(matrix[plan.slot[name]], config.steps), bk.pair)
             bad |= got != expected[name]   # an ambiguous row (-1) never matches
             outcomes.append((name, got, details))
-        report.checked += hi - lo
-        report.passed += hi - lo - int(bad.sum())
+        failures, ambiguous = [], []
         for r in np.flatnonzero(bad):
             assignment = {name: int(bits[name][r]) for name in net.inputs}
             for name, got, details in outcomes:
                 if r in details:
-                    report.ambiguous.append(
+                    ambiguous.append(
                         {"assignment": assignment, "wire": name, "detail": details[r]}
                     )
                 elif got[r] != expected[name][r]:
-                    report.failures.append(
+                    failures.append(
                         {
                             "assignment": assignment,
                             "output": name,
@@ -513,6 +545,13 @@ def verify_equivalence(
                             "got": Verdict.from_bit(int(got[r])).value,
                         }
                     )
+        return hi - lo, hi - lo - int(bad.sum()), failures, ambiguous
+
+    for checked, passed, failures, ambiguous in _map_chunks(check, range(0, count, rows)):
+        report.checked += checked
+        report.passed += passed
+        report.failures += failures
+        report.ambiguous += ambiguous
     return report
 
 
@@ -583,7 +622,7 @@ def rounded_steps_for(epsilon: float) -> int:
 
 
 def ambiguity_monte_carlo(
-    n: int, trials: int, seed: int, *, chunk: int = 1 << 14
+    n: int, trials: int, seed: int, *, chunk: int = 1 << 16
 ) -> ReliabilityReport:
     """Estimate the ambiguity probability by drawing independent pairs.
 
@@ -591,15 +630,21 @@ def ambiguity_monte_carlo(
     produce for the derived seed of ``(seed, i)``; the whole sweep is
     evaluated in vectorized chunks whose aggregate is independent of the
     chunking, so serial and chunked runs agree bit for bit.  Within a chunk
-    each trial is dropped at its first differing step.
+    each trial is dropped at its first differing step.  Chunks of ``chunk``
+    trials run on up to ``min(4, usable CPUs, chunks)`` threads (see
+    :func:`_map_chunks`); the count does not depend on the thread count.
+    The default chunk is large because the threads hand the GIL over
+    between NumPy calls: at 2**14 trials a chunk, two threads gained little.
     """
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise ConfigError(f"window length must be an integer in [1, 20], got {n!r}")
     if trials < 1000:
         raise ConfigError(f"at least 1000 trials required, got {trials}")
-    matches = 0
-    for start in range(0, trials, chunk):
-        matches += count_identical_rtw_pairs(seed, min(chunk, trials - start), n, start=start)
+    if not isinstance(chunk, int) or chunk < 1:
+        raise ConfigError(f"chunk must be a positive integer, got {chunk!r}")
+    matches = sum(_map_chunks(
+        lambda start: count_identical_rtw_pairs(seed, min(chunk, trials - start), n, start=start),
+        range(0, trials, chunk)))
     analytic = ambiguity_analytic(n)
     estimate = matches / trials
     sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
@@ -660,8 +705,10 @@ def decision_latency(
     seed ``derive_seed(config.seed, i)``.  Trials are evaluated in chunks of
     at most ``_CHUNK_BYTES`` of waveform data: row ``i`` of a chunk's
     ``(rows, steps)`` reference batch is trial ``i``'s pair, so every
-    (level, op) group runs once per chunk, and the report is the one a
-    per-trial loop would give.
+    (level, op) group runs once per chunk.  Chunks run on up to
+    ``min(4, usable CPUs, chunks)`` threads (see :func:`_map_chunks`) and
+    their histograms and totals merge in chunk order, so the report is the
+    one a per-trial loop would give, for any thread count.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -669,13 +716,12 @@ def decision_latency(
         assignment = {name: 1 for name in network.inputs}
     _check_assignment(network.inputs, assignment)
     family = backend_family(backend)
-    histogram: dict[int, int] = {}
-    decided_trials = 0
-    total = 0
     bits = [assignment[name] for name in network.inputs]
     plan = _plan(network, network.outputs)
     rows = _chunk_rows(config.steps, plan.slots + _PAIR_WAVES)
-    for lo in range(0, trials, rows):
+
+    def decide(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Deciding steps of the chunk at ``lo`` and their trial counts; ambiguous trials drop out."""
         count = min(rows, trials - lo)
         bk = _Backend(backend, _draw_pair_rows(family, config, count, lo))
         matrix = _evaluate(plan, bk, bits, count)
@@ -689,11 +735,14 @@ def decision_latency(
             if np.any((decided >= 0) & (at >= 0) & (at != decided)):
                 raise InvariantError("outputs decided at different steps in one run")
             decided = np.where(decided == -1, -1, at)
-        ok = decided >= 0
-        for step, count in zip(*np.unique(decided[ok], return_counts=True)):
-            histogram[int(step)] = histogram.get(int(step), 0) + int(count)
-        decided_trials += int(ok.sum())
-        total += int(decided[ok].sum())
+        return np.unique(decided[decided >= 0], return_counts=True)
+
+    histogram: dict[int, int] = {}
+    for steps, counts in _map_chunks(decide, range(0, trials, rows)):
+        for step, count in zip(steps.tolist(), counts.tolist()):
+            histogram[step] = histogram.get(step, 0) + count
+    decided_trials = sum(histogram.values())
+    total = sum(step * count for step, count in histogram.items())
     mean = total / decided_trials if decided_trials else float("nan")
     if family == SPIKE:
         rate = config.spike_rate_h + config.spike_rate_l

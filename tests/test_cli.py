@@ -314,6 +314,17 @@ class TestUnwritableOutput:
         assert result.stdout == ""
         assert f"error: cannot write {waves}: No such file or directory" in result.stderr
 
+    def test_simulate_waves_to_stdout_exits_2_and_writes_nothing(self, runner, adder_path,
+                                                                 tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["simulate", adder_path, "--assign", "a=1,b=0,cin=1",
+                                      "--steps", "16", "--waves", "-"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: --waves needs a file path")
+        assert not (tmp_path / "-").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["adder.nl"]
+
     def test_a_config_error_leaves_an_existing_out_untouched(self, runner, adder_path,
                                                               tmp_path):
         out = tmp_path / "out.json"
