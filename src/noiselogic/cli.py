@@ -22,12 +22,7 @@ import click
 
 from . import hyperspace as hs
 from .errors import NetlistError, NoiseLogicError
-from .generators import (
-    gen_disjoint_spike_pairs,
-    gen_orthogonal_spike_pair,
-    gen_rtw_pair,
-    gen_rtw_pairs,
-)
+from .generators import gen_disjoint_spike_pairs, gen_rtw_pairs, reference_pairs
 from .netlist import CompiledNetwork, lower, parse
 from .signals import SPIKE, GeneratorConfig, universe_rtw, universe_spike
 from .simulator import (
@@ -109,12 +104,8 @@ def cmd_gen(seed, steps, backend, rate_h, rate_l, out, fmt) -> None:
     try:
         config = GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate_h, spike_rate_l=rate_l)
         family = backend_family(backend)
-        if family == SPIKE:
-            pair = gen_orthogonal_spike_pair(config)
-            universe = universe_spike(pair)
-        else:
-            pair = gen_rtw_pair(config)
-            universe = universe_rtw(pair)
+        pair = reference_pairs(family, seed, config)
+        universe = (universe_spike if family == SPIKE else universe_rtw)(pair)
     except NoiseLogicError as exc:
         _fail_config(str(exc))
     columns = {"H": pair.h, "L": pair.l, "U": universe}

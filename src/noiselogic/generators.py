@@ -6,25 +6,25 @@ waveform, via the SplitMix64 streams documented in :mod:`noiselogic.prng`.
 
 Stream layout (fixed; golden tests depend on it):
 
+* :func:`reference_pairs` is the one draw of reference pairs: it turns
+  each trial seed into one (High, Low) pair, and every other pair source
+  is one of its cases.
+* An RTW pair takes High from child stream 0 and Low from child stream 1
+  of its trial seed, one word per step; the top bit of a word is the
+  step's sign, a set bit +1.
+* A spike pair's attempt ``r`` takes child stream ``r`` of its trial
+  seed; each step makes one three-way draw (High spike, Low spike, no
+  spike), which makes the trains disjoint by construction.  Attempts
+  repeat, up to :data:`MAX_RETRIES`, until both trains are non-empty.  In
+  a batch only the rows still holding an empty train draw the next
+  attempt, so a row's pair does not depend on the other rows.
+* ``gen_rtw_pair`` and ``gen_orthogonal_spike_pair`` draw for the trial
+  seed ``config.seed``; ``gen_rtw_pairs`` draws pair ``i`` for
+  ``derive_seed(seed, i)``, and the Monte-Carlo sweeps draw trial ``i``
+  for ``derive_seed(config.seed, i)``.  ``count_identical_rtw_pairs``
+  walks the same RTW words step by step.
 * ``gen_rtw`` draws from the root stream of ``config.seed``, one word per
   step, mapping the top bit to +1/-1.
-* ``gen_rtw_pair`` uses child streams 0 (High) and 1 (Low) of
-  ``config.seed``.
-* ``gen_orthogonal_spike_pair`` attempt ``r`` uses child stream ``r``; each
-  step makes one three-way draw (High spike, Low spike, no spike), which
-  makes the trains disjoint by construction.  Attempts repeat, up to
-  :data:`MAX_RETRIES`, until both trains are non-empty.
-* ``spike_pair_rows`` is the same draw for many trials at once: row ``i``
-  takes the trial seed ``derive_seed(config.seed, start + i)`` and draws
-  attempt ``r`` from child stream ``r`` of that seed, exactly as
-  ``gen_orthogonal_spike_pair`` does for a config with that seed.  Only the
-  rows still holding an empty train draw the next attempt, so a row's
-  result does not depend on the other rows.  ``gen_orthogonal_spike_pair``
-  is its one-row case.
-* ``rtw_sign_matrix`` row ``i`` is child ``child`` of the trial seed
-  ``derive_seed(seed, start + i)``, one word per step; ``gen_rtw_pair`` is
-  its one-row case, for the trial seed ``config.seed``, and
-  ``count_identical_rtw_pairs`` walks the same words step by step.
 * ``gen_disjoint_spike_pairs`` is the joint multi-pair variant: one
   (2N+1)-way draw per step keeps all 2N trains pairwise disjoint.
 """
@@ -33,28 +33,30 @@ import numpy as np
 
 from .errors import ConfigError, GenerationError
 from .prng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds, mix64_array
-from .signals import GeneratorConfig, LogicReferencePair, RtwSignal, SpikeTrain
+from .signals import (
+    RTW,
+    SPIKE,
+    GeneratorConfig,
+    LogicReferencePair,
+    RtwSignal,
+    SpikeTrain,
+    pack_steps,
+    words_for,
+)
 
 MAX_RETRIES = 64
 
 _U = np.uint64
 
-
-def _signs(raw: np.ndarray) -> np.ndarray:
-    """-1/+1 from the top bit of each raw word."""
-    return 2 * (raw >> _U(63)).astype(np.int64) - 1
+# Raw words one block of reference_pairs rows may hold: a block draws
+# (rows, steps) uint64 words at a time, 64 times the size of its packed waves.
+_RAW_BYTES = 2 << 20
 
 
 def gen_rtw(config: GeneratorConfig) -> RtwSignal:
     """One random telegraph wave: each step -1 or +1 with probability 0.5."""
-    return RtwSignal(_signs(SplitMix64(config.seed).block(config.steps)))
-
-
-def gen_rtw_pair(config: GeneratorConfig) -> LogicReferencePair:
-    """Independent High and Low RTW references from one config."""
-    seeds = np.array([config.seed], dtype=np.uint64)
-    h, l = (RtwSignal(_rtw_rows(seeds, child, config.steps)[0]) for child in (0, 1))
-    return LogicReferencePair(h, l)
+    raw = SplitMix64(config.seed).block(config.steps)
+    return RtwSignal._of_words(pack_steps(raw >> _U(63)), config.steps)
 
 
 def _threshold(p: float) -> int:
@@ -63,15 +65,15 @@ def _threshold(p: float) -> int:
 
 
 def _categorical_spikes(raw: np.ndarray, rates: list[float]) -> np.ndarray:
-    """One draw per raw word over len(rates)+1 outcomes; returns the 0/1 trains.
+    """One draw per raw word over len(rates)+1 outcomes; returns the bool bands.
 
     Outcome ``i`` fires train ``i`` when the raw word falls in the i-th
     probability band; the remainder band fires nothing.  Bands are compared
     as exact 64-bit integers, so the draw is a deterministic function of the
     raw stream.  ``raw`` may have any shape; train ``i`` is
-    ``trains[i]``, of the same shape.
+    ``bands[i]``, of the same shape.
     """
-    trains = np.zeros((len(rates),) + raw.shape, dtype=np.int64)
+    bands = np.zeros((len(rates),) + raw.shape, dtype=bool)
     lo = 0
     acc = 0.0
     for i, rate in enumerate(rates):
@@ -80,12 +82,11 @@ def _categorical_spikes(raw: np.ndarray, rates: list[float]) -> np.ndarray:
         if hi <= lo:
             continue
         if hi == 2**64:
-            band = raw >= _U(lo)
+            bands[i] = raw >= _U(lo)
         else:
-            band = (raw >= _U(lo)) & (raw < _U(hi))
-        trains[i][band] = 1
+            bands[i] = (raw >= _U(lo)) & (raw < _U(hi))
         lo = hi
-    return trains
+    return bands
 
 
 def _child_seeds(seeds: np.ndarray, child: int) -> np.ndarray:
@@ -99,33 +100,62 @@ def _child_words(seeds: np.ndarray, child: int, steps: int) -> np.ndarray:
     return mix64_array(_child_seeds(seeds, child)[:, None] + _U(GOLDEN) * steps_k[None, :])
 
 
-def _rtw_rows(trial_seeds: np.ndarray, child: int, steps: int) -> np.ndarray:
-    """``(rows, steps)`` signs: row ``i`` is child ``child`` of ``trial_seeds[i]``, one word per step."""
-    return _signs(_child_words(trial_seeds, child, steps))
+def _rtw_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray) -> None:
+    """Pack the High and Low rows of the RTW pairs of ``seeds`` into ``out[0]`` and ``out[1]``."""
+    for child in (0, 1):
+        out[child] = pack_steps(_child_words(seeds, child, config.steps) >> _U(63))
 
 
-def _spike_rows(trial_seeds: np.ndarray, config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """High and Low ``(rows, steps)`` trains, one orthogonal pair per trial seed.
-
-    Every row starts at attempt 0; only rows with an empty train draw the
-    next attempt, from the next child stream of their own seed.
-    """
+def _spike_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray) -> None:
+    """Pack the spike pairs of ``seeds`` into ``out``; only the rows still empty redraw."""
     rates = [config.spike_rate_h, config.spike_rate_l]
-    h = np.zeros((len(trial_seeds), config.steps), dtype=np.int64)
-    l = np.zeros_like(h)
-    pending = np.arange(len(trial_seeds))
+    pending = np.arange(len(seeds))
     for attempt in range(MAX_RETRIES):
-        h_vals, l_vals = _categorical_spikes(
-            _child_words(trial_seeds[pending], attempt, config.steps), rates)
-        h[pending] = h_vals
-        l[pending] = l_vals
-        pending = pending[~(h_vals.any(axis=1) & l_vals.any(axis=1))]
+        drawn = pack_steps(_categorical_spikes(
+            _child_words(seeds[pending], attempt, config.steps), rates))
+        out[:, pending] = drawn
+        pending = pending[~drawn.any(axis=-1).all(axis=0)]
         if not pending.size:
-            return h, l
+            return
     raise GenerationError(
         f"could not draw two non-empty spike trains in {MAX_RETRIES} attempts "
         f"(steps={config.steps}, rates={config.spike_rate_h}/{config.spike_rate_l})"
     )
+
+
+_DRAW = {RTW: (_rtw_words, RtwSignal), SPIKE: (_spike_words, SpikeTrain)}
+
+
+def reference_pairs(family: str, trial_seeds, config: GeneratorConfig) -> LogicReferencePair:
+    """The reference pair of each trial seed: the one draw of reference pairs.
+
+    ``trial_seeds`` is one seed, which gives one pair of 1-D waves, or a
+    1-D ``uint64`` array, which gives a ``(rows, words)`` batch whose row
+    ``i`` is the pair of ``trial_seeds[i]``.  ``config`` supplies the steps
+    and the spike rates; its seed is not read.  Rows are drawn in blocks
+    whose raw words fit ``_RAW_BYTES``, so a large batch costs little more
+    memory than its packed waves.  A spike row that exhausts its attempts
+    raises :class:`GenerationError`.
+    """
+    if family not in _DRAW:
+        raise ConfigError(f"unknown logic family {family!r}")
+    draw, carrier = _DRAW[family]
+    seeds = np.asarray(trial_seeds, dtype=np.uint64)
+    if seeds.ndim > 1:
+        raise ConfigError(f"trial seeds must be one seed or a 1-D array, got shape {seeds.shape}")
+    rows = seeds.reshape(-1)
+    planes = np.empty((2, rows.size, words_for(config.steps)), dtype=np.uint64)
+    block = max(1, _RAW_BYTES // (8 * config.steps))
+    for lo in range(0, rows.size, block):
+        draw(rows[lo:lo + block], config, planes[:, lo:lo + block])
+    if seeds.ndim == 0:
+        planes = planes[:, 0]
+    return LogicReferencePair(*(carrier._of_words(plane, config.steps) for plane in planes))
+
+
+def gen_rtw_pair(config: GeneratorConfig) -> LogicReferencePair:
+    """Independent High and Low RTW references from one config."""
+    return reference_pairs(RTW, config.seed, config)
 
 
 def gen_orthogonal_spike_pair(config: GeneratorConfig) -> LogicReferencePair:
@@ -135,21 +165,7 @@ def gen_orthogonal_spike_pair(config: GeneratorConfig) -> LogicReferencePair:
     non-emptiness is enforced by regenerating from the next child stream,
     failing after :data:`MAX_RETRIES` attempts.
     """
-    h, l = _spike_rows(np.array([config.seed], dtype=np.uint64), config)
-    return LogicReferencePair(SpikeTrain(h[0]), SpikeTrain(l[0]))
-
-
-def spike_pair_rows(
-    config: GeneratorConfig, trials: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized spike-pair generation for Monte-Carlo sweeps.
-
-    Returns the High and Low ``(trials, steps)`` trains.  Row ``i`` equals
-    ``gen_orthogonal_spike_pair`` for ``config`` with the derived trial seed
-    ``derive_seed(config.seed, start + i)``, retries included, and the same
-    :class:`GenerationError` is raised when a row exhausts its attempts.
-    """
-    return _spike_rows(derive_seeds(config.seed, trials, start), config)
+    return reference_pairs(SPIKE, config.seed, config)
 
 
 def gen_disjoint_spike_pairs(
@@ -177,12 +193,12 @@ def gen_disjoint_spike_pairs(
         )
     rates = [rate_per_train] * (2 * n_pairs)
     for attempt in range(MAX_RETRIES):
-        stream = SplitMix64(derive_seed(seed, attempt))
-        raw = stream.block(steps)
-        trains = _categorical_spikes(raw, rates)
-        if all(trains[i].any() for i in range(2 * n_pairs)):
+        raw = SplitMix64(derive_seed(seed, attempt)).block(steps)
+        words = pack_steps(_categorical_spikes(raw, rates))
+        if words.any(axis=-1).all():
             return tuple(
-                LogicReferencePair(SpikeTrain(trains[2 * i]), SpikeTrain(trains[2 * i + 1]))
+                LogicReferencePair(SpikeTrain._of_words(words[2 * i], steps),
+                                   SpikeTrain._of_words(words[2 * i + 1], steps))
                 for i in range(n_pairs)
             )
     raise GenerationError(
@@ -195,32 +211,18 @@ def gen_rtw_pairs(seed: int, steps: int, n_pairs: int) -> tuple[LogicReferencePa
     """Independently seeded RTW pairs (child stream per pair)."""
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be at least 1, got {n_pairs}")
-    return tuple(
-        gen_rtw_pair(GeneratorConfig(seed=derive_seed(seed, i), steps=steps))
-        for i in range(n_pairs)
-    )
-
-
-def rtw_sign_matrix(
-    seed: int, trials: int, steps: int, child: int, start: int = 0
-) -> np.ndarray:
-    """Vectorized RTW generation for Monte-Carlo sweeps.
-
-    Row ``i`` equals ``gen_rtw_pair`` child ``child`` (0 for High, 1 for
-    Low) of the derived trial seed ``derive_seed(seed, start + i)``; the
-    serial and vectorized paths are bit-identical by the counter-mode
-    identity of SplitMix64, so chunked sweeps aggregate independently of
-    the chunking.
-    """
-    return _rtw_rows(derive_seeds(seed, trials, start), child, steps)
+    config = GeneratorConfig(seed=seed, steps=steps)
+    return tuple(reference_pairs(RTW, s, config) for s in derive_seeds(seed, n_pairs))
 
 
 def count_identical_rtw_pairs(seed: int, trials: int, steps: int, start: int = 0) -> int:
-    """Rows whose High and Low ``rtw_sign_matrix`` rows agree at every step.
+    """Trials whose RTW High and Low references agree at every step.
 
-    Equal to ``np.all(h == l, axis=1).sum()`` over the child 0 and child 1
-    matrices, but the words are drawn one step at a time and each trial is
-    dropped at its first differing step.  Half the trials survive each step,
+    Trial ``i`` is the pair ``reference_pairs`` draws for the trial seed
+    ``derive_seed(seed, start + i)``, so this equals
+    ``(pair.h.words == pair.l.words).all(axis=1).sum()`` over the batch of
+    those pairs, but the words are drawn one step at a time and each trial
+    is dropped at its first differing step.  Half the trials survive each step,
     so the sweep mixes about seven words per trial instead of
     ``2 * steps + 4``.
     """

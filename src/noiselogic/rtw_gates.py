@@ -31,7 +31,6 @@ lowering table is the one place where they are composed from NOT and AND.
 import numpy as np
 
 from .errors import InvariantError
-from .generators import gen_rtw_pair  # make_backend draws through here; perfbench/tracing.py wraps it
 from .signals import RTW, LogicReferencePair, RtwSignal
 
 

@@ -22,6 +22,7 @@ equivalence reports count incidents instead of aborting.
 """
 
 import math
+import numbers
 import os
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -32,14 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rtw_gates, spike_gates
+from . import generators, rtw_gates, spike_gates
 from .errors import ConfigError, InvariantError, NetlistError
-from .generators import (
-    count_identical_rtw_pairs,
-    gen_orthogonal_spike_pair,
-    rtw_sign_matrix,
-    spike_pair_rows,
-)
+from .generators import count_identical_rtw_pairs
 from .netlist import (
     PRIMITIVE_ARITY,
     CompiledNetwork,
@@ -48,7 +44,7 @@ from .netlist import (
     eval_boolean,
     lower,
 )
-from .prng import SplitMix64, derive_seed
+from .prng import SplitMix64, derive_seed, derive_seeds
 from .signals import (
     RTW,
     SPIKE,
@@ -60,7 +56,6 @@ from .signals import (
     Verdict,
     Waveform,
     classify_rows,
-    pack_steps,
     words_for,
 )
 
@@ -114,9 +109,9 @@ _SAMPLE_STREAM = 2**48
 
 
 # Family -> gate module; backend name -> (family, NOT kernel, AND kernel).
-# Kernels and pair generators are looked up on their module each time a
-# backend is built, so a rebound module attribute (e.g. an instrumenting
-# wrapper) is honoured.
+# Kernels are looked up on their module each time a backend is built, and
+# ``generators.reference_pairs`` on its module at each draw, so a rebound
+# module attribute (e.g. an instrumenting wrapper) is honoured.
 _FAMILY_GATES = {RTW: rtw_gates, SPIKE: spike_gates}
 _BACKEND_TABLE = {
     "rtw-additive-not": (RTW, "not_additive", "and_gate"),
@@ -149,29 +144,8 @@ class _Backend:
 
 
 def make_backend(name: str, config: GeneratorConfig) -> _Backend:
-    """Instantiate a backend by name; one reference pair is drawn here."""
-    if backend_family(name) == RTW:
-        # Through the gate module's name, which perfbench/tracing.py wraps.
-        return _Backend(name, rtw_gates.gen_rtw_pair(config))
-    return _Backend(name, gen_orthogonal_spike_pair(config))
-
-
-def _draw_pair_rows(family: str, config: GeneratorConfig, count: int,
-                    start: int) -> LogicReferencePair:
-    """``count`` pairs: row ``i`` is ``make_backend``'s pair for ``derive_seed(config.seed, start + i)``."""
-    planes = np.empty((2, count, words_for(config.steps)), dtype=np.uint64)
-    block = max(1, _CHUNK_BYTES // (8 * config.steps))   # rows whose raw words fit the budget
-    for lo in range(0, count, block):
-        n = min(block, count - lo)
-        if family == RTW:
-            drawn = [rtw_sign_matrix(config.seed, n, config.steps, child=child, start=start + lo)
-                     for child in (0, 1)]
-        else:
-            drawn = spike_pair_rows(config, n, start + lo)
-        for plane, rows in zip(planes, drawn):
-            plane[lo:lo + n] = pack_steps(rows > 0)
-    carrier = RtwSignal if family == RTW else SpikeTrain
-    return LogicReferencePair(*(carrier._of_words(plane, config.steps) for plane in planes))
+    """Instantiate a backend by name; one reference pair is drawn here, for ``config.seed``."""
+    return _Backend(name, generators.reference_pairs(backend_family(name), config.seed, config))
 
 
 class _Plan(NamedTuple):
@@ -589,6 +563,13 @@ class ReliabilityReport:
         return doc
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a NumPy integer passes, a bool or non-integer raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def ambiguity_analytic(n: int) -> float:
     """Probability that n-step RTW references are elementwise identical: 0.5**n."""
     if not isinstance(n, int) or n < 1:
@@ -626,8 +607,8 @@ def ambiguity_monte_carlo(
 ) -> ReliabilityReport:
     """Estimate the ambiguity probability by drawing independent pairs.
 
-    Trial ``i`` regenerates exactly the pair that ``gen_rtw_pair`` would
-    produce for the derived seed of ``(seed, i)``; the whole sweep is
+    Trial ``i`` regenerates exactly the pair that ``reference_pairs`` draws
+    for the derived seed of ``(seed, i)``; the whole sweep is
     evaluated in vectorized chunks whose aggregate is independent of the
     chunking, so serial and chunked runs agree bit for bit.  Within a chunk
     each trial is dropped at its first differing step.  Chunks of ``chunk``
@@ -638,6 +619,8 @@ def ambiguity_monte_carlo(
     """
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise ConfigError(f"window length must be an integer in [1, 20], got {n!r}")
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    chunk = _integer("chunk", chunk)
     if trials < 1000:
         raise ConfigError(f"at least 1000 trials required, got {trials}")
     if chunk < 1:
@@ -710,6 +693,7 @@ def decision_latency(
     their histograms and totals merge in chunk order, so the report is the
     one a per-trial loop would give, for any thread count.
     """
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     if assignment is None:
@@ -723,7 +707,8 @@ def decision_latency(
     def decide(lo: int) -> tuple[np.ndarray, np.ndarray]:
         """Deciding steps of the chunk at ``lo`` and their trial counts; ambiguous trials drop out."""
         count = min(rows, trials - lo)
-        bk = _Backend(backend, _draw_pair_rows(family, config, count, lo))
+        seeds = derive_seeds(config.seed, count, lo)
+        bk = _Backend(backend, generators.reference_pairs(family, seeds, config))
         matrix = _evaluate(plan, bk, bits, count)
         wrap = type(bk.pair.h)._of_words
         # Per row, as a per-trial loop over the outputs reads it: -2 before

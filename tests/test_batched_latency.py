@@ -12,15 +12,14 @@ import random
 from dataclasses import replace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic import rtw_gates, simulator, spike_gates
-from noiselogic.generators import count_identical_rtw_pairs, rtw_sign_matrix
-from noiselogic.prng import derive_seed
+from noiselogic.generators import count_identical_rtw_pairs, reference_pairs
+from noiselogic.prng import derive_seed, derive_seeds
 from noiselogic.signals import words_for
 
 from conftest import FULL_ADDER, level_groups, random_netlist_source
@@ -56,6 +55,13 @@ def serial_latency(network, config, trials, backend, assignment=None):
         mean_decided_at=total / (trials - ambiguous) if trials > ambiguous else float("nan"),
         decision_rate=config.spike_rate_h + config.spike_rate_l if spike else 0.5,
     )
+
+
+def identical_rtw_pairs(seed, trials, steps, start=0):
+    """Trials whose drawn RTW High and Low are equal, over the whole batch of pairs."""
+    pair = reference_pairs(nl.RTW, derive_seeds(seed, trials, start),
+                           nl.GeneratorConfig(seed=seed, steps=steps))
+    return int((pair.h.words == pair.l.words).all(axis=1).sum())
 
 
 def chunked_latency(network, config, trials, backend, assignment, rows):
@@ -153,16 +159,12 @@ class TestEarlyExitAmbiguitySweep:
     def test_count_equals_full_matrices(self, n):
         for seed in (0, 7, 2**64 - 1):
             for start, trials in ((0, 2000), (12345, 997)):
-                h = rtw_sign_matrix(seed, trials, n, child=0, start=start)
-                l = rtw_sign_matrix(seed, trials, n, child=1, start=start)
-                want = int(np.all(h == l, axis=1).sum())
+                want = identical_rtw_pairs(seed, trials, n, start)
                 assert count_identical_rtw_pairs(seed, trials, n, start=start) == want
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_chunking_does_not_change_the_estimate(self, n):
         trials = 3000
-        h = rtw_sign_matrix(11, trials, n, child=0)
-        l = rtw_sign_matrix(11, trials, n, child=1)
-        want = int(np.all(h == l, axis=1).sum()) / trials
+        want = identical_rtw_pairs(11, trials, n) / trials
         for chunk in (1, 999, 1024, trials, 1 << 14):
             assert nl.ambiguity_monte_carlo(n, trials, 11, chunk=chunk).mc_estimate == want

@@ -1,17 +1,16 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
-from noiselogic.generators import (
-    _categorical_spikes,
-    gen_disjoint_spike_pairs,
-    rtw_sign_matrix,
-    spike_pair_rows,
-)
-from noiselogic.prng import SplitMix64, derive_seed
-from noiselogic.signals import first_set_step, pack_steps
+from noiselogic import generators
+from noiselogic.generators import _categorical_spikes, gen_disjoint_spike_pairs, reference_pairs
+from noiselogic.prng import SplitMix64, derive_seed, derive_seeds
+from noiselogic.signals import first_set_step
 
 # Golden regression fixtures, recorded once from the pinned PRNG.
 GOLDEN_RTW_SEED1_4 = [1, 1, 1, -1]
@@ -103,15 +102,15 @@ class TestSpikePairRows:
         # Six steps at rate 0.15 leave a train empty in most first attempts.
         config = nl.GeneratorConfig(seed=41, steps=6, spike_rate_h=0.15, spike_rate_l=0.15)
         start, trials = 1000, 60
-        h_rows, l_rows = spike_pair_rows(config, trials, start)
+        rows = reference_pairs(nl.SPIKE, derive_seeds(config.seed, trials, start), config)
         retried = 0
         for i in range(trials):
             trial_seed = derive_seed(config.seed, start + i)
             pair = nl.gen_orthogonal_spike_pair(
                 nl.GeneratorConfig(seed=trial_seed, steps=6, spike_rate_h=0.15,
                                    spike_rate_l=0.15))
-            assert h_rows[i].tolist() == pair.h.to_list()
-            assert l_rows[i].tolist() == pair.l.to_list()
+            assert rows.h.values[i].tolist() == pair.h.to_list()
+            assert rows.l.values[i].tolist() == pair.l.to_list()
             first = _categorical_spikes(SplitMix64(derive_seed(trial_seed, 0)).block(6),
                                         [0.15, 0.15])
             retried += not (first[0].any() and first[1].any())
@@ -133,19 +132,18 @@ class TestSpikePairRows:
         # keeps the trains disjoint.
         config = nl.GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate, spike_rate_l=rate)
         try:
-            h, l = (pack_steps(rows) for rows in spike_pair_rows(config, trials, start))
+            pair = reference_pairs(nl.SPIKE, derive_seeds(seed, trials, start), config)
         except nl.GenerationError:
             return   # a row never drew two non-empty trains
-        pair = nl.LogicReferencePair(nl.SpikeTrain._of_words(h, steps),
-                                     nl.SpikeTrain._of_words(l, steps))
-        assert not np.any(pair.h.words & pair.l.words)
+        h, l = pair.h.words, pair.l.words
+        assert not np.any(h & l)
         assert first_set_step(h ^ l).tolist() == first_set_step(h | l).tolist()
 
     def test_one_step_cannot_be_drawn(self):
         # At one step the two disjoint trains can never both be non-empty.
         config = nl.GeneratorConfig(seed=3, steps=1, spike_rate_h=0.4, spike_rate_l=0.4)
         with pytest.raises(nl.GenerationError) as batch:
-            spike_pair_rows(config, 4)
+            reference_pairs(nl.SPIKE, derive_seeds(config.seed, 4), config)
         with pytest.raises(nl.GenerationError) as single:
             nl.gen_orthogonal_spike_pair(config)
         assert str(batch.value) == str(single.value)
@@ -172,14 +170,80 @@ class TestDisjointSpikePairs:
 class TestVectorizedMatrix:
     def test_rows_match_serial_pair_generation(self):
         seed, trials, steps = 99, 16, 9
-        h_rows = rtw_sign_matrix(seed, trials, steps, child=0)
-        l_rows = rtw_sign_matrix(seed, trials, steps, child=1)
+        config = nl.GeneratorConfig(seed=seed, steps=steps)
+        rows = reference_pairs(nl.RTW, derive_seeds(seed, trials), config)
         for i in range(trials):
             pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=derive_seed(seed, i), steps=steps))
-            assert np.array_equal(h_rows[i], pair.h.values)
-            assert np.array_equal(l_rows[i], pair.l.values)
+            assert np.array_equal(rows.h.values[i], pair.h.values)
+            assert np.array_equal(rows.l.values[i], pair.l.values)
 
     def test_start_offset_windows_align(self):
-        full = rtw_sign_matrix(4, 10, 6, child=0)
-        tail = rtw_sign_matrix(4, 4, 6, child=0, start=6)
-        assert np.array_equal(full[6:], tail)
+        config = nl.GeneratorConfig(seed=4, steps=6)
+        full = reference_pairs(nl.RTW, derive_seeds(4, 10), config)
+        tail = reference_pairs(nl.RTW, derive_seeds(4, 4, start=6), config)
+        assert np.array_equal(full.h.words[6:], tail.h.words)
+        assert np.array_equal(full.l.words[6:], tail.l.words)
+
+
+ONE_PAIR = {nl.RTW: nl.gen_rtw_pair, nl.SPIKE: nl.gen_orthogonal_spike_pair}
+
+
+class TestReferencePairs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from([nl.RTW, nl.SPIKE]),
+        seed=st.integers(0, 2**64 - 1),
+        # At 4096 steps a block of raw words holds 64 rows, so a larger
+        # count crosses a block; a few steps at low rates make spike rows
+        # retry, or run out of attempts.
+        steps=st.sampled_from([1, 3, 6, 64, 65, 4096]),
+        rate=st.sampled_from([0.05, 0.15, 0.45]),
+        count=st.integers(1, 150),
+        start=st.integers(0, 2**32),
+    )
+    @example(family=nl.SPIKE, seed=7, steps=4096, rate=0.05, count=130, start=0)
+    @example(family=nl.RTW, seed=7, steps=4096, rate=0.05, count=130, start=0)
+    @example(family=nl.SPIKE, seed=41, steps=6, rate=0.15, count=60, start=1000)
+    def test_row_i_is_the_one_pair_of_trial_seed_i(self, family, seed, steps, rate, count,
+                                                   start):
+        config = nl.GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate, spike_rate_l=rate)
+        singles = [nl.GeneratorConfig(seed=derive_seed(seed, start + i), steps=steps,
+                                      spike_rate_h=rate, spike_rate_l=rate)
+                   for i in range(count)]
+        try:
+            batch = reference_pairs(family, derive_seeds(seed, count, start), config)
+        except nl.GenerationError as exc:
+            # Some row runs out of attempts, and its one-pair draw says so alike.
+            with pytest.raises(nl.GenerationError, match=f"^{re.escape(str(exc))}$"):
+                for single in singles:
+                    ONE_PAIR[family](single)
+            return
+        assert batch.family == family
+        assert batch.h.words.shape == (count, nl.signals.words_for(steps))
+        for i, single in enumerate(singles):
+            one = reference_pairs(family, single.seed, config)
+            assert one.h.shape == (steps,)
+            assert np.array_equal(batch.h.words[i], one.h.words)
+            assert np.array_equal(batch.l.words[i], one.l.words)
+            assert one == ONE_PAIR[family](single)
+
+    def test_blocks_do_not_change_the_rows(self):
+        # One row per block of raw words, against one block for all rows.
+        config = nl.GeneratorConfig(seed=2, steps=70, spike_rate_h=0.02, spike_rate_l=0.02)
+        for family in (nl.RTW, nl.SPIKE):
+            want = reference_pairs(family, derive_seeds(2, 9), config)
+            with mock.patch.object(generators, "_RAW_BYTES", 8 * config.steps):
+                got = reference_pairs(family, derive_seeds(2, 9), config)
+            assert got == want
+
+    def test_gen_rtw_pairs_draws_one_pair_per_derived_seed(self):
+        pairs = nl.gen_rtw_pairs(12, 33, 5)
+        for i, pair in enumerate(pairs):
+            assert pair == nl.gen_rtw_pair(nl.GeneratorConfig(seed=derive_seed(12, i), steps=33))
+
+    def test_unknown_family_or_seed_matrix_is_rejected(self):
+        config = nl.GeneratorConfig(seed=1, steps=8)
+        with pytest.raises(nl.ConfigError, match="unknown logic family"):
+            reference_pairs("cmos", 1, config)
+        with pytest.raises(nl.ConfigError, match="one seed or a 1-D array"):
+            reference_pairs(nl.RTW, derive_seeds(1, 4).reshape(2, 2), config)

@@ -1,18 +1,23 @@
-"""Fuzzing of the three text inputs: netlists, compiled-network JSON, waveform CSV.
+"""Fuzzing of the three text inputs and of whole command lines.
 
+The text inputs are netlists, compiled-network JSON and waveform CSV.
 Whatever the text, each loader either returns a valid result or raises
 ``NoiseLogicError`` or ``ValueError``, which the CLI turns into exit code 2
 with a message.  Any other exception would reach the user as a traceback.
+Whatever the command line, the CLI exits 0, 1 (a failed verification or
+an ambiguous ``simulate --strict``) or 2 with an ``error:`` line on stderr.
 """
 
 import json
 import random
 import re
 
-from hypothesis import HealthCheck, example, given, settings
+from click.testing import CliRunner
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
+from noiselogic.cli import main
 from noiselogic.waveio import format_waveform_csv, parse_waveform_csv
 
 from conftest import FULL_ADDER, random_netlist_source
@@ -204,3 +209,110 @@ class TestWaveformCsv:
             rows = [line for line in text.splitlines() if line.strip()][1:]
             cells = [cell for row in rows for cell in row.split(",")]
             assert all(re.fullmatch("-?[0-9]+", cell) for cell in cells), text
+
+
+# Whole command lines: a subcommand with random flags whose values are
+# mostly valid, files from the strategies above, and every path under the
+# test's own directory.
+_rarely = st.integers(0, 9).map(lambda k: k == 9)
+
+
+def _value(valid, invalid):
+    return _rarely.flatmap(lambda bad: st.sampled_from(invalid if bad else valid))
+
+
+_seed = _value(["0", "1", "7", str(2**64 - 1)], ["-1", str(2**64), "x", "", "1.5"])
+_steps = _value(["1", "2", "7", "64", "65", "130"], ["0", "-1", "x", "", "1e3"])
+_rate = _value(["0.25", "0.05", "0.45", "0.6", "1e-320"], ["0", "1", "-0.1", "nan", "inf", "x"])
+_common = {"--seed": _seed, "--steps": _steps, "--rate-h": _rate, "--rate-l": _rate}
+_backend = _value(nl.BACKENDS, ["", "cmos", "spike,spike"])
+_flags = {
+    "gen": {**_common, "--backend": _backend, "--format": _value(["csv", "json"], ["xml", ""])},
+    "simulate": {**_common, "--backend": _backend},
+    "verify": {**_common,
+               "--backends": _value(["all", "spike", "rtw-additive-not,spike",
+                                     "rtw-multiplicative-not"],
+                                    ["", ",", "spike,spike", "cmos"]),
+               "--sample": _value(["1", "5", "64"], ["0", "-1", "x"])},
+    "stats": {"--seed": _seed, "--n": _value(["1", "4", "20"], ["0", "21", "x"]),
+              "--trials": _value(["1000", "1500"], ["-5", "0", "999", "x"]),
+              "--epsilon": _value(["1e-3", "0.5", "1e-300", "5e-324"],
+                                  ["0", "1", "nan", "inf", "x"])},
+    "hyperspace": {"--seed": _seed, "--steps": _steps,
+                   "--family": _value(["rtw", "spike"], ["cmos"]),
+                   "--bits": st.one_of(st.text(alphabet="01", min_size=1, max_size=8),
+                                       st.sampled_from(["", "01x", "2"])),
+                   "--max-bits": _value(["3", "8", "64"], ["0", "-1", "x"])},
+}
+_NETLIST_COMMANDS = ("simulate", "verify")
+
+
+@st.composite
+def _assignments(draw, source):
+    """``--assign`` text: random bits for the inputs of ``source`` when it parses, else junk."""
+    try:
+        inputs = nl.parse(source).inputs
+    except nl.NetlistError:
+        inputs = ["a"]
+    if draw(_rarely):
+        return draw(st.one_of(st.sampled_from(["", ",", "a=2", "a=1,a=0"]),
+                              st.text(alphabet="abci0=1, ", max_size=10)))
+    return ",".join(f"{name}={draw(st.integers(0, 1))}" for name in inputs)
+
+
+@st.composite
+def command_lines(draw, root):
+    """A subcommand with random flags and values, and its netlist and network files."""
+    command = draw(st.sampled_from([*_flags, "bogus"]))
+    argv = [command]
+    source = draw(st.one_of(
+        st.just(FULL_ADDER),
+        st.integers(0, 2**32 - 1).map(
+            lambda s: random_netlist_source(random.Random(s), max_inputs=5, max_gates=10)),
+        netlist_texts()))
+    if command in _NETLIST_COMMANDS and not draw(_rarely):
+        netlist = root / "net.nl"
+        netlist.write_text(source, encoding="utf-8")
+        argv.append(draw(_value([str(netlist)], [str(root / "missing.nl"), str(root)])))
+    if command == "simulate" and not draw(_rarely):
+        argv += ["--assign", draw(_assignments(source))]
+    for name, values in _flags.get(command, {}).items():
+        if name == "--bits" and not draw(_rarely) or draw(st.booleans()):
+            argv += [name, draw(values)]
+    paths = _value([str(root / "out.txt"), "-"],
+                   [str(root / "missing" / "out.txt"), str(root), str(root / "net.nl" / "out")])
+    if draw(st.booleans()):
+        argv += ["--out", draw(paths)]
+    if command == "simulate":
+        if draw(st.booleans()):
+            argv += ["--waves", draw(paths)]
+        if draw(st.booleans()):
+            argv.append("--strict")
+    if command == "verify" and draw(_rarely):
+        network = root / "net.json"
+        network.write_text(draw(st.one_of(st.just(nl.lower(nl.parse(FULL_ADDER)).to_json()),
+                                          network_docs().map(json.dumps))), encoding="utf-8")
+        argv += ["--network", str(network)]
+    if draw(_rarely):
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--bogus", "--out", "-", "extra", "--help"])))
+    return argv
+
+
+class TestCommandLines:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes_and_messages(self, tmp_path, data):
+        argv = data.draw(command_lines(tmp_path))
+        result = CliRunner().invoke(main, argv)
+        output = result.output
+        event(f"{argv[0]} exits {result.exit_code}")
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            (argv, result.exception)
+        assert result.exit_code in (0, 1, 2), (argv, result.exit_code, output)
+        assert "Traceback" not in output, (argv, output)
+        if result.exit_code == 1:
+            assert argv[0] in _NETLIST_COMMANDS, (argv, output)
+        if result.exit_code == 2:
+            assert re.search("^(error|Error): ", result.stderr, re.MULTILINE), (argv, output)

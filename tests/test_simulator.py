@@ -232,6 +232,21 @@ class TestAmbiguityMonteCarlo:
         with pytest.raises(ConfigError):
             nl.ambiguity_monte_carlo(5, 999, seed=1)
 
+    @pytest.mark.parametrize("trials, seed, chunk", [
+        (1500.5, 1, 1 << 16), (1500.0, 1, 1 << 16), (True, 1, 1 << 16), ("1500", 1, 1 << 16),
+        (1500, 1.5, 1 << 16), (1500, True, 1 << 16), (1500, np.float64(1), 1 << 16),
+        (1500, 1, 300.5), (1500, 1, np.bool_(True)),
+    ])
+    def test_non_integer_counts_and_seeds_are_config_errors(self, trials, seed, chunk):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            nl.ambiguity_monte_carlo(4, trials, seed, chunk=chunk)
+
+    def test_numpy_integer_counts_and_seeds_are_accepted(self):
+        want = nl.ambiguity_monte_carlo(4, 1500, 1, chunk=400)
+        got = nl.ambiguity_monte_carlo(4, np.int64(1500), np.uint64(1), chunk=np.int32(400))
+        assert got == want
+        assert type(got.mc_trials) is int
+
 
 class TestReliabilityReportDoc:
     def test_doc_key_order_is_fixed(self):
@@ -276,6 +291,17 @@ class TestDecisionLatency:
         assert report.decision_rate == 0.5
         sigma = math.sqrt(0.5 / 0.25 / 2000)
         assert abs(report.mean_decided_at - 1.0) < 4 * sigma
+
+    @pytest.mark.parametrize("trials", [10.5, 10.0, True, np.bool_(True), "10", None])
+    def test_non_integer_trials_are_config_errors(self, trials):
+        with pytest.raises(ConfigError, match="trials must be an integer"):
+            nl.decision_latency(_and_network(), _config(seed=3, steps=32), trials)
+
+    def test_numpy_integer_trials_are_accepted(self):
+        config = _config(seed=3, steps=32)
+        got = nl.decision_latency(_and_network(), config, np.int64(300))
+        assert got == nl.decision_latency(_and_network(), config, 300)
+        assert type(got.trials) is int
 
     def test_determinism(self):
         config = _config(seed=3, steps=32)

@@ -22,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
-from noiselogic import rtw_gates, simulator, spike_gates
-from noiselogic.generators import rtw_sign_matrix
+from noiselogic import generators, rtw_gates, simulator, spike_gates
+from noiselogic.prng import derive_seeds
 
 from conftest import gate_rows, random_netlist_source
-from test_batched_latency import chunked_latency, outcome, serial_latency
+from test_batched_latency import chunked_latency, identical_rtw_pairs, outcome, serial_latency
 from test_batched_verify import chunked_report, rewire_and, serial_report
 from test_optimized_mode import _run_python, _run_under_O
 from test_simulator import corrupt_and_to_or
@@ -230,9 +230,7 @@ class TestOneWorkerEqualsMany:
     @given(n=st.integers(1, 12), trials=st.integers(1000, 3000),
            chunk=st.integers(50, 400), seed=st.integers(0, 2**64 - 1))
     def test_ambiguity_sweep(self, n, trials, chunk, seed):
-        h = rtw_sign_matrix(seed, trials, n, child=0)
-        l = rtw_sign_matrix(seed, trials, n, child=1)
-        want = int(np.all(h == l, axis=1).sum()) / trials
+        want = identical_rtw_pairs(seed, trials, n) / trials
         got = by_workers(lambda: nl.ambiguity_monte_carlo(n, trials, seed, chunk=chunk),
                          -(-trials // chunk))
         assert got[1] == got[3]
@@ -343,15 +341,18 @@ class TestFailuresOnThreads:
     def test_a_later_latency_chunk_that_fails_raises_as_inline(self, full_adder_network,
                                                                workers):
         config = nl.GeneratorConfig(seed=5, steps=16)
-        real = simulator._draw_pair_rows
+        real = generators.reference_pairs
+        trial_seeds = derive_seeds(config.seed, 12).tolist()
 
-        def draw(family, config, count, start):
+        def draw(family, seeds, config):
+            start = trial_seeds.index(int(seeds[0]))
             if start >= 6:
                 raise nl.GenerationError(f"no pair from trial {start}")
-            return real(family, config, count, start)
+            return real(family, seeds, config)
 
         baseline = threading.active_count()
-        with cpus(workers), mock.patch.object(simulator, "_draw_pair_rows", draw), \
+        # The name decision_latency looks up at each draw.
+        with cpus(workers), mock.patch.object(generators, "reference_pairs", draw), \
                 pytest.raises(nl.GenerationError, match="^no pair from trial 6$"):
             chunked_latency(full_adder_network, config, 12, "spike", None, 3)
         assert threading.active_count() == baseline
