@@ -312,6 +312,7 @@ def cmd_hyperspace(family, bits_text, max_bits, seed, steps, out) -> None:
         if not bits_text or any(c not in "01" for c in bits_text):
             raise NoiseLogicError(f"--bits must be a non-empty 0/1 string, got {bits_text!r}")
         bits = tuple(int(c) for c in bits_text)
+        hs.check_bit_count(len(bits), max_bits)   # before the pairs, whose draw grows with N
         if family == "rtw":
             pairs = gen_rtw_pairs(seed, steps, len(bits))
             non_squeezed = hs.rtw_product_vector(pairs, bits, max_bits=max_bits)

@@ -101,7 +101,7 @@ def _child_words(seeds: np.ndarray, child: int, steps: int) -> np.ndarray:
 
 
 def _rtw_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray) -> None:
-    """Pack the High and Low rows of the RTW pairs of ``seeds`` into ``out[0]`` and ``out[1]``."""
+    """Pack the High and Low waves of the RTW pairs of ``seeds`` into ``out[0]`` and ``out[1]``."""
     for child in (0, 1):
         out[child] = pack_steps(_child_words(seeds, child, config.steps) >> _U(63))
 
@@ -113,8 +113,8 @@ def _spike_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray) ->
     for attempt in range(MAX_RETRIES):
         drawn = pack_steps(_categorical_spikes(
             _child_words(seeds[pending], attempt, config.steps), rates))
-        out[:, pending] = drawn
-        pending = pending[~drawn.any(axis=-1).all(axis=0)]
+        out[..., pending] = drawn
+        pending = pending[~drawn.any(axis=-2).all(axis=0)]
         if not pending.size:
             return
     raise GenerationError(
@@ -130,8 +130,8 @@ def reference_pairs(family: str, trial_seeds, config: GeneratorConfig) -> LogicR
     """The reference pair of each trial seed: the one draw of reference pairs.
 
     ``trial_seeds`` is one seed, which gives one pair of 1-D waves, or a
-    1-D ``uint64`` array, which gives a ``(rows, words)`` batch whose row
-    ``i`` is the pair of ``trial_seeds[i]``.  ``config`` supplies the steps
+    1-D ``uint64`` array, which gives a batch whose row ``i`` (words column
+    ``i``) is the pair of ``trial_seeds[i]``.  ``config`` supplies the steps
     and the spike rates; its seed is not read.  Rows are drawn in blocks
     whose raw words fit ``_RAW_BYTES``, so a large batch costs little more
     memory than its packed waves.  A spike row that exhausts its attempts
@@ -144,12 +144,12 @@ def reference_pairs(family: str, trial_seeds, config: GeneratorConfig) -> LogicR
     if seeds.ndim > 1:
         raise ConfigError(f"trial seeds must be one seed or a 1-D array, got shape {seeds.shape}")
     rows = seeds.reshape(-1)
-    planes = np.empty((2, rows.size, words_for(config.steps)), dtype=np.uint64)
+    planes = np.empty((2, words_for(config.steps), rows.size), dtype=np.uint64)
     block = max(1, _RAW_BYTES // (8 * config.steps))
     for lo in range(0, rows.size, block):
-        draw(rows[lo:lo + block], config, planes[:, lo:lo + block])
+        draw(rows[lo:lo + block], config, planes[..., lo:lo + block])
     if seeds.ndim == 0:
-        planes = planes[:, 0]
+        planes = planes[..., 0]
     return LogicReferencePair(*(carrier._of_words(plane, config.steps) for plane in planes))
 
 
@@ -194,11 +194,12 @@ def gen_disjoint_spike_pairs(
     rates = [rate_per_train] * (2 * n_pairs)
     for attempt in range(MAX_RETRIES):
         raw = SplitMix64(derive_seed(seed, attempt)).block(steps)
+        # Train i is column i of the (words, 2N) planes.
         words = pack_steps(_categorical_spikes(raw, rates))
-        if words.any(axis=-1).all():
+        if words.any(axis=0).all():
             return tuple(
-                LogicReferencePair(SpikeTrain._of_words(words[2 * i], steps),
-                                   SpikeTrain._of_words(words[2 * i + 1], steps))
+                LogicReferencePair(SpikeTrain._of_words(words[:, 2 * i], steps),
+                                   SpikeTrain._of_words(words[:, 2 * i + 1], steps))
                 for i in range(n_pairs)
             )
     raise GenerationError(
@@ -220,7 +221,7 @@ def count_identical_rtw_pairs(seed: int, trials: int, steps: int, start: int = 0
 
     Trial ``i`` is the pair ``reference_pairs`` draws for the trial seed
     ``derive_seed(seed, start + i)``, so this equals
-    ``(pair.h.words == pair.l.words).all(axis=1).sum()`` over the batch of
+    ``(pair.h.words == pair.l.words).all(axis=0).sum()`` over the batch of
     those pairs, but the words are drawn one step at a time and each trial
     is dropped at its first differing step.  Half the trials survive each step,
     so the sweep mixes about seven words per trial instead of

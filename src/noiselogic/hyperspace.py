@@ -54,13 +54,18 @@ class HyperVector:
         return "".join(str(b) for b in self.bits)
 
 
+def check_bit_count(n: int, max_bits: int) -> None:
+    """Reject ``n`` bits beyond the cap; cheap enough to run before any pair is drawn."""
+    if n > max_bits:
+        raise ConfigError(f"{n} bits exceed the configured cap of {max_bits}")
+
+
 def _check_vector_args(pairs, bits, family: str, max_bits: int) -> None:
     if len(bits) == 0:
         raise ConfigError("bit vector must contain at least one bit")
     if len(pairs) != len(bits):
         raise ConfigError(f"{len(bits)} bits need {len(bits)} pairs, got {len(pairs)}")
-    if len(bits) > max_bits:
-        raise ConfigError(f"{len(bits)} bits exceed the configured cap of {max_bits}")
+    check_bit_count(len(bits), max_bits)
     if any(b not in (0, 1) for b in bits):
         raise ConfigError("bits must be 0 (Low) or 1 (High)")
     steps = pairs[0].steps

@@ -7,13 +7,19 @@ steps)`` or ``(groups, rows, steps)``, one wave per row, which the gate
 kernels broadcast against one pair or one pair per row.
 
 The two logic carriers, the bipolar -1/+1 :class:`RtwSignal` and the 0/1
-:class:`SpikeTrain` (a set of spike times), store read-only ``(...,
-words)`` ``uint64`` bit-planes with the step count beside them: step ``t``
-is bit ``t % 64`` of word ``t // 64``, a set bit is +1 or a spike, and the
-padding bits past the last step are zero.  The family check runs once, on
-the values a carrier is built from; ``values`` unpacks to ``int8`` for the
-boundaries (CSV, reports, tests).  :class:`MultiLevelSignal` (values in
-[-2, 2]) and :class:`IntWave` (unbounded) store ``int64``.
+:class:`SpikeTrain` (a set of spike times), store read-only ``uint64``
+bit-planes with the step count beside them: step ``t`` is bit ``t % 64``
+of word ``t // 64``, a set bit is +1 or a spike, and the padding bits past
+the last step are zero.  The planes are words-major: one wave is
+``(words,)``, a batch ``(words, rows)`` and a gathered group ``(groups,
+words, rows)``, so the exact-copy tests and classification reduce over
+the words axis, one pass over contiguous rows.  A one-wave pair meets a
+batch as ``(words, 1)`` columns (:meth:`LogicReferencePair.broadcast`).
+The family check runs once, on the values a carrier is built from;
+``values`` unpacks to ``int8`` in the logical ``(..., rows, steps)``
+shape for the boundaries (CSV, reports, tests).
+:class:`MultiLevelSignal` (values in [-2, 2]) and :class:`IntWave`
+(unbounded) store ``int64``.
 
 A :class:`LogicReferencePair` binds the High and Low reference waves of one
 family; :func:`classify_rows` reads a wave or a batch of waves against such
@@ -23,6 +29,7 @@ case, reporting High, Low or Ambiguous together with the deciding step.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,18 +53,30 @@ def words_for(steps: int) -> int:
     return -(-steps // WORD_BITS)
 
 
+def words_axis(words: np.ndarray) -> int:
+    """The axis of words-major ``words`` that runs over words: a wave's only one, else ``-2``."""
+    return -2 if words.ndim > 1 else -1
+
+
 def pack_steps(bits: np.ndarray) -> np.ndarray:
-    """``(..., steps)`` 0/1 or bool values as ``(..., words)`` ``uint64`` words, padding zero."""
+    """``(steps,)`` or ``(..., rows, steps)`` 0/1 or bool values as words-major ``uint64`` words.
+
+    One wave packs to ``(words,)``, a batch to ``(..., words, rows)``; the
+    padding bits are zero.
+    """
     bits = np.asarray(bits, dtype=bool)
     padded = np.zeros(bits.shape[:-1] + (WORD_BITS * words_for(bits.shape[-1]),), dtype=bool)
     padded[..., :bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    words = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+    words = words.astype(np.uint64, copy=False)
+    return words if words.ndim == 1 else np.ascontiguousarray(np.swapaxes(words, -1, -2))
 
 
 def first_set_step(words: np.ndarray) -> np.ndarray:
-    """Step of the lowest set bit of every ``(..., words)`` row; meaningless for an all-zero row."""
-    k = (words != 0).argmax(axis=-1)
-    w = np.take_along_axis(words, k[..., None], axis=-1)[..., 0]
+    """Step of the lowest set bit of every wave in words-major ``words``; meaningless for no bit."""
+    axis = words_axis(words)
+    k = (words != 0).argmax(axis=axis)
+    w = np.take_along_axis(words, np.expand_dims(k, axis), axis=axis).squeeze(axis)
     # w & -w keeps the lowest set bit, a power of two that float64 holds exactly.
     return k * WORD_BITS + np.frexp((w & (~w + np.uint64(1))).astype(np.float64))[1] - 1
 
@@ -173,9 +192,11 @@ class BitWave(Waveform):
 
     @classmethod
     def _of_words(cls, words: np.ndarray, steps: int) -> "BitWave":
-        """Wrap valid words with zero padding, such as a kernel's output, read-only and unchecked."""
-        if words.dtype != np.uint64 or words.shape[-1] != words_for(steps):
-            raise ValueError(f"{cls.__name__} wraps (..., {words_for(steps)}) uint64 words "
+        """Wrap valid words-major words with zero padding, such as a kernel's output,
+        read-only and unchecked."""
+        n = words_for(steps)
+        if words.dtype != np.uint64 or words.ndim == 0 or words.shape[words_axis(words)] != n:
+            raise ValueError(f"{cls.__name__} wraps {n} uint64 words on the words axis "
                              f"for {steps} steps, got {words.dtype} {words.shape}")
         words.flags.writeable = False
         wave = object.__new__(cls)
@@ -184,13 +205,15 @@ class BitWave(Waveform):
 
     @property
     def words(self) -> np.ndarray:
-        """The read-only ``(..., words)`` bit-planes."""
+        """The read-only words-major bit-planes: ``(words,)``, ``(words, rows)`` or
+        ``(groups, words, rows)``."""
         return self._words
 
     @property
     def values(self) -> np.ndarray:
-        """A fresh read-only ``int8`` unpacking of the words."""
-        bits = np.unpackbits(self._words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+        """A fresh read-only ``int8`` unpacking of the words, of shape :attr:`shape`."""
+        words = self._words if self._words.ndim == 1 else np.swapaxes(self._words, -1, -2)
+        bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=-1,
                              count=self._steps, bitorder="little").view(np.int8)
         arr = 2 * bits - 1 if self._low else bits
         arr.setflags(write=False)
@@ -198,7 +221,9 @@ class BitWave(Waveform):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._words.shape[:-1] + (self._steps,)
+        if self._words.ndim == 1:
+            return (self._steps,)
+        return self._words.shape[:-2] + (self._words.shape[-1], self._steps)
 
     def __len__(self) -> int:
         return self._steps
@@ -240,6 +265,13 @@ def _require_same_length(a: Waveform, b: Waveform, what: str) -> None:
         raise LengthMismatchError(f"{what}: lengths differ ({len(a)} vs {len(b)})")
 
 
+def _require_same_shape(a: BitWave, b: BitWave, what: str) -> None:
+    # Words-major, one wave's (words,) does not broadcast against a batch's
+    # (words, rows); equal shapes also rule out a silent broadcast.
+    if a.words.shape != b.words.shape:
+        raise LengthMismatchError(f"{what}: shapes differ ({a.shape} vs {b.shape})")
+
+
 @dataclass(frozen=True, eq=False)
 class LogicReferencePair:
     """The bound (High, Low) reference waves of one logic family.
@@ -279,7 +311,8 @@ class LogicReferencePair:
                     f"reference trains spike together at step {int(where[-1])}{row}"
                 )
             # Per row, for a batch of pairs.
-            if not (self.h.words.any(axis=-1).all() and self.l.words.any(axis=-1).all()):
+            axis = words_axis(self.h.words)
+            if not (self.h.words.any(axis=axis).all() and self.l.words.any(axis=axis).all()):
                 raise ValueError("spike reference trains must both be non-empty")
         object.__setattr__(self, "_family", family)
 
@@ -291,12 +324,28 @@ class LogicReferencePair:
     def steps(self) -> int:
         return len(self.h)
 
+    @cached_property
+    def _columns(self) -> tuple[BitWave, BitWave]:
+        return tuple(type(w)._of_words(w.words[:, None], self.steps) for w in (self.h, self.l))
+
+    def broadcast(self, ndim: int) -> tuple[BitWave, BitWave]:
+        """High and Low to combine with words of ``ndim`` axes.
+
+        A one-wave pair against a batch comes as ``(words, 1)`` column
+        waves, which broadcast over the batch's rows (and groups); a batch
+        of pairs, or a pair against one wave, comes as it is.
+        """
+        if ndim > 1 and self.h.words.ndim == 1:
+            return self._columns
+        return self.h, self.l
+
     def check_gate_input(self, x: Waveform, family: str, role: str = "input",
                          *, exact: bool = True) -> np.ndarray | None:
         """Reject a gate input that does not fit this pair.
 
         The pair must belong to ``family``, ``x`` must be a wave of that
-        family and span the pair's steps; with ``exact`` it must also be an
+        family and span the pair's steps, and against a batch of pairs hold
+        a row per pair; with ``exact`` it must also be an
         exact copy of High or Low, the only inputs the gate algebra makes
         promises about, row by row, and the mask of the rows that copy High
         is returned.
@@ -308,11 +357,17 @@ class LogicReferencePair:
                                       f"got {type(x).__name__} as {role}")
         if len(x) != self.steps:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
+        pairs = self.h.words.shape[1:]   # () for one pair
+        if pairs and (x.words.ndim == 1 or pairs[0] not in (1, x.words.shape[-1])):
+            raise LengthMismatchError(f"{role} has shape {x.shape}, "
+                                      f"a batch of {pairs[0]} pairs needs a row per pair")
         if not exact:
             return None
         v = x.words
-        high = (v == self.h.words).all(axis=-1)
-        if not (high | (v == self.l.words).all(axis=-1)).all():
+        h, l = self.broadcast(v.ndim)
+        axis = words_axis(v)
+        high = (v == h.words).all(axis=axis)
+        if not (high | (v == l.words).all(axis=axis)).all():
             raise InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")
         return high
 
@@ -399,11 +454,14 @@ def universe_rtw(pair: LogicReferencePair) -> MultiLevelSignal:
     return MultiLevelSignal(pair.h.values + pair.l.values)
 
 
-def universe_spike(pair: LogicReferencePair) -> SpikeTrain:
-    """Union universe of a spike pair (equal to the sum, by orthogonality)."""
+def universe_spike(pair: LogicReferencePair, ndim: int = 1) -> SpikeTrain:
+    """Union universe of a spike pair (equal to the sum, by orthogonality).
+
+    Shaped by :meth:`LogicReferencePair.broadcast` to combine with words of ``ndim`` axes.
+    """
     if pair.family != SPIKE:
         raise FamilyMismatchError(f"union universe needs a spike pair, got {pair.family}")
-    h, l = pair.h.words, pair.l.words
+    h, l = (w.words for w in pair.broadcast(ndim))
     if np.any(h & l):
         raise OrthogonalityError("reference trains overlap; union is not a valid universe")
     return SpikeTrain._of_words(h | l, pair.steps)
@@ -433,26 +491,29 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
             f"got {type(x).__name__}"
         )
     _require_same_length(x, pair.h, "classify")
-    v, h, l = np.atleast_2d(x.words, pair.h.words, pair.l.words)
-    if len(h) > 1 and h.shape != v.shape:
-        raise LengthMismatchError(f"classify: {len(v)} waves against {len(h)} pairs")
+    if x.words.ndim > 2:
+        raise ValueError("classify_rows reads one wave or a (rows, steps) batch")
+    # One wave reads as a batch of one row, a (words, 1) column.
+    v, h, l = (a.reshape(len(a), -1) for a in (x.words, pair.h.words, pair.l.words))
+    if h.shape[1] > 1 and h.shape != v.shape:
+        raise LengthMismatchError(f"classify: {v.shape[1]} waves against {h.shape[1]} pairs")
     differs = h ^ l
-    votes = differs.any(axis=1)
+    votes = differs.any(axis=0)
     first = first_set_step(differs)
-    high = (v == h).all(axis=1)
-    decided = votes & (high | (v == l).all(axis=1))
+    high = (v == h).all(axis=0)
+    decided = votes & (high | (v == l).all(axis=0))
     bits = np.where(decided, high, -1)
     steps = np.where(decided, first, -1)
     details = {}
     for r in np.flatnonzero(~decided).tolist():
-        p = r if len(h) > 1 else 0
+        p = r if h.shape[1] > 1 else 0
         if not votes[p]:
             details[r] = "references are identical across the whole window"
             continue
         t = int(first[p])
-        follows_high = not (int(v[r, t // WORD_BITS] ^ h[p, t // WORD_BITS]) >> t % WORD_BITS) & 1
-        vote, reference = (Verdict.HIGH, h[p]) if follows_high else (Verdict.LOW, l[p])
-        mismatch = int(first_set_step(v[r] ^ reference))
+        follows_high = not (int(v[t // WORD_BITS, r] ^ h[t // WORD_BITS, p]) >> t % WORD_BITS) & 1
+        vote, reference = (Verdict.HIGH, h[:, p]) if follows_high else (Verdict.LOW, l[:, p])
+        mismatch = int(first_set_step(v[:, r] ^ reference))
         details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
                       f"reference at step {mismatch}")
     return bits, steps, details

@@ -13,8 +13,9 @@ backends exist:
 :func:`run`, :func:`verify_equivalence` and :func:`decision_latency` all
 evaluate a network by one walk, :func:`_evaluate`: each (topological level,
 op) group of gates is one kernel call on the packed words of its operands,
-gathered from one ``(slots, rows, words)`` ``uint64`` matrix whose rows are
-the one run, the assignments of a chunk or the trials of a chunk.
+gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
+whose rows are the one run, the assignments of a chunk or the trials of a
+chunk; each slot is one contiguous ``(words, rows)`` batch.
 
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
@@ -63,7 +64,7 @@ EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
 # (decision_latency) may hold: each slot of the wave matrix is a
-# (rows, words) block of uint64.
+# (words, rows) block of uint64.
 _CHUNK_BYTES = 2 << 20
 
 # Per-chunk waves besides the slots in decision_latency: the High and Low batches.
@@ -71,7 +72,7 @@ _PAIR_WAVES = 2
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
-    """Rows per chunk so that ``waves`` live ``(rows, words)`` blocks fit ``_CHUNK_BYTES``."""
+    """Rows per chunk so that ``waves`` live ``(words, rows)`` blocks fit ``_CHUNK_BYTES``."""
     return max(1, _CHUNK_BYTES // (8 * words_for(steps) * waves))
 
 
@@ -205,19 +206,19 @@ def _plan(network: CompiledNetwork, keep) -> _Plan:
 
 
 def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
-    """Walk ``plan`` on ``bk``; returns the read-only ``(slots, rows, words)`` wave matrix.
+    """Walk ``plan`` on ``bk``; returns the read-only ``(slots, words, rows)`` wave matrix.
 
     Input ``i`` is High where ``bits[i]``, a 0/1 int or a ``(rows,)`` bit
     array, is 1 and Low elsewhere, for one pair or a batch of pairs alike.
     Each group runs its kernel once, with all of its checks, on operands
-    checked when they were written: ``(rows, words)`` views of its slots
-    for one gate, gathered ``(gates, rows, words)`` batches for more.
+    checked when they were written: ``(words, rows)`` views of its slots
+    for one gate, gathered ``(gates, words, rows)`` batches for more.
     """
     wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
-    h, l = bk.pair.h.words, bk.pair.l.words
-    matrix = np.empty((plan.slots, rows, h.shape[-1]), dtype=np.uint64)
+    h, l = (w.words for w in bk.pair.broadcast(2))
+    matrix = np.empty((plan.slots, words_for(steps), rows), dtype=np.uint64)
     for i, bit in enumerate(bits):
-        matrix[i] = np.where(np.reshape(bit, (-1, 1)), h, l)
+        matrix[i] = np.where(bit, h, l)   # a (rows,) bit array spreads over the words
     for op, args, outs in plan.groups:
         if len(outs) == 1:
             args, outs = [arg[0] for arg in args], outs[0]
@@ -256,8 +257,8 @@ class _LazyRows(Mapping):
 class SimulationRun:
     """Every wire's wave and reading from one network execution, kept as arrays.
 
-    ``matrix`` is the read-only ``(slots, 1, words)`` wave matrix of the
-    walk, ``slot`` maps each wire name, in wire order, to its row, and
+    ``matrix`` is the read-only ``(slots, words, 1)`` wave matrix of the
+    walk, ``slot`` maps each wire name, in wire order, to its slot, and
     ``bits``, ``decided_at`` and ``details`` are :func:`classify_rows`'
     reading of every row.  :attr:`waveforms` and :attr:`classifications`
     are read-only mappings over the wires whose entries are built when
@@ -283,7 +284,7 @@ class SimulationRun:
     def waveforms(self) -> Mapping[str, Waveform]:
         wrap = (RtwSignal if backend_family(self.backend) == RTW else SpikeTrain)._of_words
         matrix, steps = self.matrix, self.config.steps
-        return _LazyRows(self.slot, lambda s: wrap(matrix[s, 0], steps))
+        return _LazyRows(self.slot, lambda s: wrap(matrix[s, :, 0], steps))
 
     @cached_property
     def classifications(self) -> Mapping[str, Classification]:
@@ -302,6 +303,8 @@ class SimulationRun:
 
     @property
     def ambiguous_wires(self) -> list[str]:
+        if not self.details:
+            return []
         return [name for name, s in self.slot.items() if s in self.details]
 
     def output_bits(self) -> dict[str, int]:
@@ -330,8 +333,9 @@ def run(
     bk = make_backend(backend, config)
     plan = _plan(network, network.wires)
     matrix = _evaluate(plan, bk, [assignment[name] for name in network.inputs], 1)
+    # The slots are the rows of one (words, slots) batch.
     bits, decided_at, details = classify_rows(
-        type(bk.pair.h)._of_words(matrix[:, 0], config.steps), bk.pair)
+        type(bk.pair.h)._of_words(matrix[..., 0].T, config.steps), bk.pair)
     return SimulationRun(
         backend=backend,
         config=config,
@@ -687,7 +691,7 @@ def decision_latency(
     Trial ``i`` uses the pair that ``make_backend`` draws for the derived
     seed ``derive_seed(config.seed, i)``.  Trials are evaluated in chunks of
     at most ``_CHUNK_BYTES`` of waveform data: row ``i`` of a chunk's
-    ``(rows, steps)`` reference batch is trial ``i``'s pair, so every
+    reference batch is trial ``i``'s pair, so every
     (level, op) group runs once per chunk.  Chunks run on up to
     ``min(4, usable CPUs, chunks)`` threads (see :func:`_map_chunks`) and
     their histograms and totals merge in chunk order, so the report is the

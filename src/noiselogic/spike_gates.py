@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError
-from .signals import SPIKE, LogicReferencePair, SpikeTrain, _require_same_length, universe_spike
+from .signals import (
+    SPIKE,
+    LogicReferencePair,
+    SpikeTrain,
+    _require_same_length,
+    _require_same_shape,
+    universe_spike,
+)
 
 
 def neuron_eval(excitatory: SpikeTrain, inhibitory: SpikeTrain) -> SpikeTrain:
@@ -73,7 +80,7 @@ def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
     taking the lower (A & ~B) output; checked against (1 - x) * U.
     """
     pair.check_gate_input(x, SPIKE)
-    u = universe_spike(pair)
+    u = universe_spike(pair, x.words.ndim)
     out = orthon_eval(u, x).difference
     if not np.array_equal(out.words, u.words & ~x.words):
         raise InvariantError("NOT circuit deviates")
@@ -88,12 +95,14 @@ def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> Spike
     """
     pair.check_gate_input(x1, SPIKE, "first input")
     pair.check_gate_input(x2, SPIKE, "second input")
+    _require_same_shape(x1, x2, "AND")
+    high, low = pair.broadcast(x1.words.ndim)
     both = orthon_eval(x1, x2).intersection
-    both_high = orthon_eval(both, pair.h).intersection
-    x1_low = orthon_eval(x1, pair.l).intersection
-    x2_low = orthon_eval(x2, pair.l).intersection
+    both_high = orthon_eval(both, high).intersection
+    x1_low = orthon_eval(x1, low).intersection
+    x2_low = orthon_eval(x2, low).intersection
     out = adder_union(both_high, x1_low, x2_low)
-    a, b, h, l = x1.words, x2.words, pair.h.words, pair.l.words
+    a, b, h, l = x1.words, x2.words, high.words, low.words
     if not np.array_equal(out.words, (a & b & h) | (a & l) | (b & l)):
         raise InvariantError("AND circuit deviates")
     return out

@@ -61,7 +61,7 @@ def identical_rtw_pairs(seed, trials, steps, start=0):
     """Trials whose drawn RTW High and Low are equal, over the whole batch of pairs."""
     pair = reference_pairs(nl.RTW, derive_seeds(seed, trials, start),
                            nl.GeneratorConfig(seed=seed, steps=steps))
-    return int((pair.h.words == pair.l.words).all(axis=1).sum())
+    return int((pair.h.words == pair.l.words).all(axis=0).sum())
 
 
 def chunked_latency(network, config, trials, backend, assignment, rows):

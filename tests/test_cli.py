@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
 from noiselogic import lower, parse
+from noiselogic import cli
 from noiselogic.cli import main
 
 from conftest import FULL_ADDER
@@ -283,6 +285,17 @@ class TestHyperspace:
     def test_non_binary_bits_exit_2(self, runner):
         result = runner.invoke(main, ["hyperspace", "--bits", "10a"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("family", ["rtw", "spike"])
+    def test_bit_cap_exits_2_before_any_pair_is_drawn(self, runner, family):
+        # 3000 spike bits cannot fill 6000 disjoint trains at 256 steps; the
+        # cap must answer first, without a draw.
+        with mock.patch.object(cli, "gen_rtw_pairs") as rtw, \
+                mock.patch.object(cli, "gen_disjoint_spike_pairs") as spike:
+            result = runner.invoke(main, ["hyperspace", "--family", family, "--bits", "1" * 3000])
+        assert result.exit_code == 2
+        assert "error: 3000 bits exceed the configured cap of 24" in result.output
+        assert not rtw.called and not spike.called
 
 
 class TestUnwritableOutput:

@@ -181,8 +181,8 @@ class TestVectorizedMatrix:
         config = nl.GeneratorConfig(seed=4, steps=6)
         full = reference_pairs(nl.RTW, derive_seeds(4, 10), config)
         tail = reference_pairs(nl.RTW, derive_seeds(4, 4, start=6), config)
-        assert np.array_equal(full.h.words[6:], tail.h.words)
-        assert np.array_equal(full.l.words[6:], tail.l.words)
+        assert np.array_equal(full.h.words[:, 6:], tail.h.words)
+        assert np.array_equal(full.l.words[:, 6:], tail.l.words)
 
 
 ONE_PAIR = {nl.RTW: nl.gen_rtw_pair, nl.SPIKE: nl.gen_orthogonal_spike_pair}
@@ -219,12 +219,12 @@ class TestReferencePairs:
                     ONE_PAIR[family](single)
             return
         assert batch.family == family
-        assert batch.h.words.shape == (count, nl.signals.words_for(steps))
+        assert batch.h.words.shape == (nl.signals.words_for(steps), count)
         for i, single in enumerate(singles):
             one = reference_pairs(family, single.seed, config)
             assert one.h.shape == (steps,)
-            assert np.array_equal(batch.h.words[i], one.h.words)
-            assert np.array_equal(batch.l.words[i], one.l.words)
+            assert np.array_equal(batch.h.words[:, i], one.h.words)
+            assert np.array_equal(batch.l.words[:, i], one.l.words)
             assert one == ONE_PAIR[family](single)
 
     def test_blocks_do_not_change_the_rows(self):

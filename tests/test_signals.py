@@ -119,14 +119,15 @@ class TestCarrierDtype:
     def test_step_t_is_bit_t_mod_64_of_word_t_div_64(self, steps):
         values = [1 if t % 3 == 0 else -1 for t in range(steps)]
         wave = nl.RtwSignal([values, [-1] * steps])
-        assert wave.words.shape == (2, words_for(steps)) == (2, -(-steps // 64))
-        assert [(int(wave.words[0, t // 64]) >> (t % 64)) & 1 for t in range(steps)] == [
+        # A batch is words-major: column i holds the words of row i.
+        assert wave.words.shape == (words_for(steps), 2) == (-(-steps // 64), 2)
+        assert [(int(wave.words[t // 64, 0]) >> (t % 64)) & 1 for t in range(steps)] == [
             int(v > 0) for v in values]
         # The padding bits past the last step are zero.
-        assert int(wave.words[0, -1]) >> (steps - 64 * (words_for(steps) - 1)) == 0
-        assert not wave.words[1].any()
+        assert int(wave.words[-1, 0]) >> (steps - 64 * (words_for(steps) - 1)) == 0
+        assert not wave.words[:, 1].any()
         assert wave.values.tolist() == [values, [-1] * steps] and wave.shape == (2, steps)
-        assert np.array_equal(pack_steps(np.array(values) > 0), wave.words[0])
+        assert np.array_equal(pack_steps(np.array(values) > 0), wave.words[:, 0])
 
     def test_first_set_step_is_the_lowest_set_bit_of_each_row(self):
         steps = 130
@@ -153,12 +154,12 @@ class TestCarrierDtype:
         assert train.to_list() == [0, 1, 0]
 
     def test_wrapping_without_a_copy_needs_uint64_words_of_the_step_count(self):
-        rows = np.array([[0b01], [0b10]], dtype=np.uint64)
+        rows = np.array([[0b01, 0b10]], dtype=np.uint64)   # (words, rows)
         with pytest.raises(ValueError):
             nl.RtwSignal._of_words(rows.astype(np.int64), 2)
         with pytest.raises(ValueError):
             nl.RtwSignal._of_words(rows, 65)
-        wave = nl.RtwSignal._of_words(rows[1], 2)
+        wave = nl.RtwSignal._of_words(rows[:, 1], 2)
         assert wave == nl.RtwSignal([-1, 1])
         assert wave.words.base is rows and not wave.words.flags.writeable
         assert rows.flags.writeable
