@@ -53,7 +53,7 @@ def words_for(steps: int) -> int:
     return -(-steps // WORD_BITS)
 
 
-def words_axis(words: np.ndarray) -> int:
+def _words_axis(words: np.ndarray) -> int:
     """The axis of words-major ``words`` that runs over words: a wave's only one, else ``-2``."""
     return -2 if words.ndim > 1 else -1
 
@@ -74,7 +74,7 @@ def pack_steps(bits: np.ndarray) -> np.ndarray:
 
 def first_set_step(words: np.ndarray) -> np.ndarray:
     """Step of the lowest set bit of every wave in words-major ``words``; meaningless for no bit."""
-    axis = words_axis(words)
+    axis = _words_axis(words)
     k = (words != 0).argmax(axis=axis)
     w = np.take_along_axis(words, np.expand_dims(k, axis), axis=axis).squeeze(axis)
     # w & -w keeps the lowest set bit, a power of two that float64 holds exactly.
@@ -195,7 +195,7 @@ class BitWave(Waveform):
         """Wrap valid words-major words with zero padding, such as a kernel's output,
         read-only and unchecked."""
         n = words_for(steps)
-        if words.dtype != np.uint64 or words.ndim == 0 or words.shape[words_axis(words)] != n:
+        if words.dtype != np.uint64 or words.ndim == 0 or words.shape[_words_axis(words)] != n:
             raise ValueError(f"{cls.__name__} wraps {n} uint64 words on the words axis "
                              f"for {steps} steps, got {words.dtype} {words.shape}")
         words.flags.writeable = False
@@ -311,7 +311,7 @@ class LogicReferencePair:
                     f"reference trains spike together at step {int(where[-1])}{row}"
                 )
             # Per row, for a batch of pairs.
-            axis = words_axis(self.h.words)
+            axis = _words_axis(self.h.words)
             if not (self.h.words.any(axis=axis).all() and self.l.words.any(axis=axis).all()):
                 raise ValueError("spike reference trains must both be non-empty")
         object.__setattr__(self, "_family", family)
@@ -365,7 +365,7 @@ class LogicReferencePair:
             return None
         v = x.words
         h, l = self.broadcast(v.ndim)
-        axis = words_axis(v)
+        axis = _words_axis(v)
         high = (v == h.words).all(axis=axis)
         if not (high | (v == l.words).all(axis=axis)).all():
             raise InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")

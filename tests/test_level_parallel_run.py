@@ -280,6 +280,17 @@ class TestRunIsLazy:
         assert len(rows) == len(network.wires)
         assert made["Classification"] == len(set(network.outputs) | set(ambiguous))
 
+    def test_no_ambiguous_row_answers_without_walking_the_wires(self, full_adder_network):
+        class Unwalked(dict):
+            def items(self):
+                raise AssertionError("walked every wire's slot")
+
+        config = nl.GeneratorConfig(seed=5, steps=64)
+        result = nl.run(full_adder_network, "spike", {"a": 1, "b": 0, "cin": 1}, config)
+        assert not result.details
+        result.slot = Unwalked(result.slot)
+        assert result.ambiguous_wires == []
+
     def test_views_are_read_only_mappings_in_wire_order(self, full_adder_network):
         config = nl.GeneratorConfig(seed=5, steps=64)
         result = nl.run(full_adder_network, "spike", {"a": 1, "b": 0, "cin": 1}, config)

@@ -8,6 +8,7 @@ every respect the engine relies on, against one pair (broadcast as a
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +132,30 @@ class TestWordsMajorBatches:
             assert np.array_equal(pair.h.words[:, i], row_pair.h.words)
             assert np.array_equal(pair.l.words[:, i], row_pair.l.words)
             assert row_pair.h.values.tolist() == pair.h.values[i].tolist()
+
+
+class TestShapesThatCannotBroadcast:
+    """Words-major, one wave's (words,) meets a batch's (words, rows) on the wrong axis.
+
+    With as many rows as words the arrays would broadcast silently, so the
+    kernels reject such a mix instead of reading rows as words.
+    """
+
+    @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
+    def test_and_of_one_wave_and_a_batch_is_rejected(self, family):
+        config = nl.GeneratorConfig(seed=3, steps=128)   # two words
+        pair = reference_pairs(family, config.seed, config)
+        carrier = CARRIER[family]
+        batch = carrier(np.stack([pair.h.values, pair.l.values]))   # two rows
+        kernel = KERNELS[family][-1][0]
+        with pytest.raises(nl.LengthMismatchError, match="AND: shapes differ"):
+            kernel(pair, pair.h, batch)
+
+    @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
+    def test_one_wave_against_a_batch_of_pairs_is_rejected(self, family):
+        config = nl.GeneratorConfig(seed=3, steps=128)
+        pairs = reference_pairs(family, derive_seeds(config.seed, 2), config)
+        one = CARRIER[family](pairs.h.values[0])
+        for kernel, _ in KERNELS[family][:-1]:
+            with pytest.raises(nl.LengthMismatchError, match="a row per pair"):
+                kernel(pairs, one)
