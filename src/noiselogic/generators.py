@@ -26,13 +26,14 @@ Stream layout (fixed; golden tests depend on it):
 * ``gen_rtw`` draws from the root stream of ``config.seed``, one word per
   step, mapping the top bit to +1/-1.
 * ``gen_disjoint_spike_pairs`` is the joint multi-pair variant: one
-  (2N+1)-way draw per step keeps all 2N trains pairwise disjoint.
+  (2N+1)-way draw per step keeps all 2N trains pairwise disjoint, and its
+  attempts take the child streams of ``seed`` as a spike pair's do.
 """
 
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .prng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds, mix64_array
+from .prng import GOLDEN, MASK64, SplitMix64, derive_seeds, mix64_array
 from .signals import (
     RTW,
     SPIKE,
@@ -106,9 +107,12 @@ def _rtw_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray) -> N
         out[child] = pack_steps(_child_words(seeds, child, config.steps) >> _U(63))
 
 
-def _spike_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray) -> None:
-    """Pack the spike pairs of ``seeds`` into ``out``; only the rows still empty redraw."""
-    rates = [config.spike_rate_h, config.spike_rate_l]
+def _spike_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray,
+                 rates: list[float] | None = None) -> None:
+    """Pack the trains of ``seeds``, train ``i`` drawn at ``rates[i]`` (by default the
+    config's High and Low rates), into ``out``; only the rows with an empty train redraw."""
+    if rates is None:
+        rates = [config.spike_rate_h, config.spike_rate_l]
     pending = np.arange(len(seeds))
     for attempt in range(MAX_RETRIES):
         drawn = pack_steps(_categorical_spikes(
@@ -183,8 +187,7 @@ def gen_disjoint_spike_pairs(
     """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be at least 1, got {n_pairs}")
-    if steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {steps}")
+    config = GeneratorConfig(seed=seed, steps=steps)
     if rate_per_train is None:
         rate_per_train = 0.9 / (2 * n_pairs)
     if not 0.0 < rate_per_train < 1.0 or 2 * n_pairs * rate_per_train > 1.0:
@@ -192,20 +195,17 @@ def gen_disjoint_spike_pairs(
             f"per-train rate {rate_per_train} infeasible for {2 * n_pairs} disjoint trains"
         )
     rates = [rate_per_train] * (2 * n_pairs)
-    for attempt in range(MAX_RETRIES):
-        raw = SplitMix64(derive_seed(seed, attempt)).block(steps)
-        # Train i is column i of the (words, 2N) planes.
-        words = pack_steps(_categorical_spikes(raw, rates))
-        if words.any(axis=0).all():
-            return tuple(
-                LogicReferencePair(SpikeTrain._of_words(words[:, 2 * i], steps),
-                                   SpikeTrain._of_words(words[:, 2 * i + 1], steps))
-                for i in range(n_pairs)
-            )
-    raise GenerationError(
-        f"could not fill {2 * n_pairs} non-empty disjoint trains in "
-        f"{MAX_RETRIES} attempts (steps={steps}, rate={rate_per_train})"
-    )
+    # Train i is plane i, one (words, 1) column for the one seed.
+    planes = np.empty((len(rates), words_for(steps), 1), dtype=np.uint64)
+    try:
+        _spike_words(np.array([seed], dtype=np.uint64), config, planes, rates)
+    except GenerationError:
+        raise GenerationError(
+            f"could not fill {2 * n_pairs} non-empty disjoint trains in "
+            f"{MAX_RETRIES} attempts (steps={steps}, rate={rate_per_train})"
+        ) from None
+    trains = [SpikeTrain._of_words(plane[:, 0], steps) for plane in planes]
+    return tuple(LogicReferencePair(h, l) for h, l in zip(trains[::2], trains[1::2]))
 
 
 def gen_rtw_pairs(seed: int, steps: int, n_pairs: int) -> tuple[LogicReferencePair, ...]:

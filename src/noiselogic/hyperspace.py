@@ -50,9 +50,6 @@ class HyperVector:
         """True when the combined waveform is identically zero."""
         return not bool(self.combined.values.any())
 
-    def bit_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
 
 def check_bit_count(n: int, max_bits: int) -> None:
     """Reject ``n`` bits beyond the cap; cheap enough to run before any pair is drawn."""

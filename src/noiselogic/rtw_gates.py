@@ -31,39 +31,30 @@ lowering table is the one place where they are composed from NOT and AND.
 import numpy as np
 
 from .errors import InvariantError
-from .signals import RTW, LogicReferencePair, RtwSignal, _require_same_shape
+from .signals import RTW, LogicReferencePair, RtwSignal
 
 
 def _and_words(h: np.ndarray, l: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return l ^ ((h ^ l) & ~(x1 ^ h) & ~(x2 ^ h))
 
 
-def _not_words(pair: LogicReferencePair, x: RtwSignal) -> RtwSignal:
-    h, l = pair.broadcast(x.words.ndim)
-    return RtwSignal._of_words(x.words ^ h.words ^ l.words, len(x))
-
-
 def not_additive(pair: LogicReferencePair, x: RtwSignal) -> RtwSignal:
     """NOT as universe minus input; defined only for logic-valued inputs."""
-    pair.check_gate_input(x, RTW)
-    return _not_words(pair, x)
+    h, l, (v,), _ = pair.operands(RTW, x)
+    return RtwSignal._of_words(v ^ h.words ^ l.words, pair.steps)
 
 
 def not_multiplicative(pair: LogicReferencePair, x: RtwSignal) -> RtwSignal:
     """NOT as x * H * L; closed over arbitrary +1/-1 waveforms."""
-    pair.check_gate_input(x, RTW, exact=False)
-    return _not_words(pair, x)
+    h, l, (v,), _ = pair.operands(RTW, x, exact=False)
+    return RtwSignal._of_words(v ^ h.words ^ l.words, pair.steps)
 
 
 def and_gate(pair: LogicReferencePair, x1: RtwSignal, x2: RtwSignal) -> RtwSignal:
     """AND via the cubic reference polynomial; L absorbs, (H, H) gives H."""
-    x1_high = pair.check_gate_input(x1, RTW, "first input")
-    x2_high = pair.check_gate_input(x2, RTW, "second input")
-    _require_same_shape(x1, x2, "AND")
-    h, l = (w.words for w in pair.broadcast(x1.words.ndim))
-    out = _and_words(h, l, x1.words, x2.words)
-    both = x1_high & x2_high
-    # The row mask spreads over the words axis, just before the rows.
-    if not np.array_equal(out, np.where(both[..., None, :] if both.ndim else both, h, l)):
+    high, low, (a, b), (a_high, b_high) = pair.operands(RTW, x1, x2)
+    h, l = high.words, low.words
+    out = _and_words(h, l, a, b)
+    if not np.array_equal(out, np.where(a_high & b_high, h, l)):
         raise InvariantError("AND output is not H exactly where both inputs are High")
-    return RtwSignal._of_words(out, len(x1))
+    return RtwSignal._of_words(out, pair.steps)

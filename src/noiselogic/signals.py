@@ -4,7 +4,7 @@ All signals are immutable sequences of integers, one value per step of a
 single global clock, compared for exact elementwise equality; no logic
 value is ever a float.  A waveform may carry leading batch axes, ``(rows,
 steps)`` or ``(groups, rows, steps)``, one wave per row, which the gate
-kernels broadcast against one pair or one pair per row.
+kernels combine with one pair or one pair per row.
 
 The two logic carriers, the bipolar -1/+1 :class:`RtwSignal` and the 0/1
 :class:`SpikeTrain` (a set of spike times), store read-only ``uint64``
@@ -13,9 +13,11 @@ of word ``t // 64``, a set bit is +1 or a spike, and the padding bits past
 the last step are zero.  The planes are words-major: one wave is
 ``(words,)``, a batch ``(words, rows)`` and a gathered group ``(groups,
 words, rows)``, so the exact-copy tests and classification reduce over
-the words axis, one pass over contiguous rows.  A one-wave pair meets a
-batch as ``(words, 1)`` columns (:meth:`LogicReferencePair.broadcast`).
-The family check runs once, on the values a carrier is built from;
+the words axis, one pass over contiguous rows.  A gate kernel hands all
+its inputs to :meth:`LogicReferencePair.operands`, which checks them and
+returns their words with High and Low shaped to combine with them, so the
+kernels do not know the layout.  The family check runs once, on the
+values a carrier is built from;
 ``values`` unpacks to ``int8`` in the logical ``(..., rows, steps)``
 shape for the boundaries (CSV, reports, tests).
 :class:`MultiLevelSignal` (values in [-2, 2]) and :class:`IntWave`
@@ -260,16 +262,24 @@ class SpikeTrain(BitWave):
         return not bool(self._words.any())
 
 
-def _require_same_length(a: Waveform, b: Waveform, what: str) -> None:
-    if len(a) != len(b):
-        raise LengthMismatchError(f"{what}: lengths differ ({len(a)} vs {len(b)})")
+def _clash(p: int, q: int) -> bool:
+    return p != q and p != 1 and q != 1
 
 
-def _require_same_shape(a: BitWave, b: BitWave, what: str) -> None:
-    # Words-major, one wave's (words,) does not broadcast against a batch's
-    # (words, rows); equal shapes also rule out a silent broadcast.
-    if a.words.shape != b.words.shape:
-        raise LengthMismatchError(f"{what}: shapes differ ({a.shape} vs {b.shape})")
+def _require_aligned(what: str, a: BitWave, b: BitWave) -> None:
+    """Reject two waves whose words do not combine step by step and row by row.
+
+    Words-major, one wave's ``(words,)`` meets a batch's ``(words, rows)``
+    on the wrong axis, so a wave combines only with a wave; batches combine
+    as NumPy broadcasts them, a ``(words, 1)`` column over any rows.
+    """
+    if a._steps != b._steps:
+        raise LengthMismatchError(f"{what}: lengths differ ({a._steps} vs {b._steps})")
+    sa, sb = a._words.shape, b._words.shape
+    if sa != sb and (len(sa) == 1 or len(sb) == 1
+                     or any(map(_clash, reversed(sa), reversed(sb)))):
+        raise LengthMismatchError(
+            f"{what}: shapes {a.shape} and {b.shape} do not combine row by row")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,48 +338,53 @@ class LogicReferencePair:
     def _columns(self) -> tuple[BitWave, BitWave]:
         return tuple(type(w)._of_words(w.words[:, None], self.steps) for w in (self.h, self.l))
 
-    def broadcast(self, ndim: int) -> tuple[BitWave, BitWave]:
-        """High and Low to combine with words of ``ndim`` axes.
+    def _check_wave(self, x: BitWave, role: str) -> np.ndarray:
+        """The words of ``x``, once it spans the pair's steps and, against a
+        batch of pairs, holds a row per pair."""
+        if len(x) != self.steps:
+            raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
+        v, pairs = x.words, self.h.words.shape[1:]   # () for one pair
+        if pairs and (v.ndim == 1 or pairs[0] not in (1, v.shape[-1])):
+            raise LengthMismatchError(f"{role} has shape {x.shape}, "
+                                      f"a batch of {pairs[0]} pairs needs a row per pair")
+        return v
 
-        A one-wave pair against a batch comes as ``(words, 1)`` column
-        waves, which broadcast over the batch's rows (and groups); a batch
-        of pairs, or a pair against one wave, comes as it is.
-        """
-        if ndim > 1 and self.h.words.ndim == 1:
-            return self._columns
-        return self.h, self.l
+    def operands(self, family: str, *inputs: BitWave, exact: bool = True):
+        """Check the inputs of one ``family`` gate call; return ``(h, l, words, highs)``.
 
-    def check_gate_input(self, x: Waveform, family: str, role: str = "input",
-                         *, exact: bool = True) -> np.ndarray | None:
-        """Reject a gate input that does not fit this pair.
-
-        The pair must belong to ``family``, ``x`` must be a wave of that
-        family and span the pair's steps, and against a batch of pairs hold
-        a row per pair; with ``exact`` it must also be an
-        exact copy of High or Low, the only inputs the gate algebra makes
-        promises about, row by row, and the mask of the rows that copy High
-        is returned.
+        Each input must be a wave of the pair's family, ``family``, span the
+        pair's steps and, against a batch of pairs, hold a row per pair; two
+        inputs must share one shape.  With ``exact`` each must also copy High
+        or Low, row by row, the only inputs the gate algebra makes promises
+        about.  High and Low come as waves whose words combine with the
+        inputs' ``words``; ``highs`` holds each input's mask of the rows that
+        copy High, with the words axis kept (``None`` without ``exact``).
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
-        if not isinstance(x, type(self.h)):
-            raise FamilyMismatchError(f"{family} gates take a {type(self.h).__name__}, "
-                                      f"got {type(x).__name__} as {role}")
-        if len(x) != self.steps:
-            raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
-        pairs = self.h.words.shape[1:]   # () for one pair
-        if pairs and (x.words.ndim == 1 or pairs[0] not in (1, x.words.shape[-1])):
-            raise LengthMismatchError(f"{role} has shape {x.shape}, "
-                                      f"a batch of {pairs[0]} pairs needs a row per pair")
-        if not exact:
-            return None
-        v = x.words
-        h, l = self.broadcast(v.ndim)
-        axis = _words_axis(v)
-        high = (v == h.words).all(axis=axis)
-        if not (high | (v == l.words).all(axis=axis)).all():
-            raise InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")
-        return high
+        roles = ("input",) if len(inputs) == 1 else ("first input", "second input")
+        highs = []
+        for x, role in zip(inputs, roles):
+            if not isinstance(x, type(self.h)):
+                raise FamilyMismatchError(f"{family} gates take a {type(self.h).__name__}, "
+                                          f"got {type(x).__name__} as {role}")
+            v = self._check_wave(x, role)
+            # A one-wave pair meets a batch as (words, 1) columns.
+            h, l = self._columns if v.ndim > 1 and self.h.words.ndim == 1 else (self.h, self.l)
+            high = None
+            if exact:
+                axis = _words_axis(v)
+                high = (v == h.words).all(axis=axis, keepdims=True)
+                if not (high | (v == l.words).all(axis=axis, keepdims=True)).all():
+                    raise InvalidLogicValueError(
+                        f"{role} matches neither the High nor the Low reference")
+            highs.append(high)
+        words = [x.words for x in inputs]
+        if len(words) > 1 and words[0].shape != words[1].shape:
+            # Equal shapes also rule out a silent broadcast.
+            raise LengthMismatchError(
+                f"AND: shapes differ ({inputs[0].shape} vs {inputs[1].shape})")
+        return h, l, words, highs
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LogicReferencePair):
@@ -454,17 +469,13 @@ def universe_rtw(pair: LogicReferencePair) -> MultiLevelSignal:
     return MultiLevelSignal(pair.h.values + pair.l.values)
 
 
-def universe_spike(pair: LogicReferencePair, ndim: int = 1) -> SpikeTrain:
-    """Union universe of a spike pair (equal to the sum, by orthogonality).
-
-    Shaped by :meth:`LogicReferencePair.broadcast` to combine with words of ``ndim`` axes.
-    """
+def universe_spike(pair: LogicReferencePair) -> SpikeTrain:
+    """Union universe of a spike pair (equal to the sum, by orthogonality)."""
     if pair.family != SPIKE:
         raise FamilyMismatchError(f"union universe needs a spike pair, got {pair.family}")
-    h, l = (w.words for w in pair.broadcast(ndim))
-    if np.any(h & l):
+    if np.any(pair.h.words & pair.l.words):
         raise OrthogonalityError("reference trains overlap; union is not a valid universe")
-    return SpikeTrain._of_words(h | l, pair.steps)
+    return SpikeTrain._of_words(pair.h.words | pair.l.words, pair.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +501,11 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
             f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
             f"got {type(x).__name__}"
         )
-    _require_same_length(x, pair.h, "classify")
-    if x.words.ndim > 2:
+    words = pair._check_wave(x, "classified wave")
+    if words.ndim > 2:
         raise ValueError("classify_rows reads one wave or a (rows, steps) batch")
     # One wave reads as a batch of one row, a (words, 1) column.
-    v, h, l = (a.reshape(len(a), -1) for a in (x.words, pair.h.words, pair.l.words))
-    if h.shape[1] > 1 and h.shape != v.shape:
-        raise LengthMismatchError(f"classify: {v.shape[1]} waves against {h.shape[1]} pairs")
+    v, h, l = (a.reshape(len(a), -1) for a in (words, pair.h.words, pair.l.words))
     differs = h ^ l
     votes = differs.any(axis=0)
     first = first_set_step(differs)

@@ -215,7 +215,8 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
     for one gate, gathered ``(gates, words, rows)`` batches for more.
     """
     wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
-    h, l = (w.words for w in bk.pair.broadcast(2))
+    # A one-wave pair spreads over the rows as (words, 1) columns.
+    h, l = (w.words.reshape(len(w.words), -1) for w in (bk.pair.h, bk.pair.l))
     matrix = np.empty((plan.slots, words_for(steps), rows), dtype=np.uint64)
     for i, bit in enumerate(bits):
         matrix[i] = np.where(bit, h, l)   # a (rows,) bit array spreads over the words

@@ -18,24 +18,18 @@ can never drift apart silently.  Derived gates are composed from NOT and
 AND by the netlist lowering table only.
 """
 
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError
-from .signals import (
-    SPIKE,
-    LogicReferencePair,
-    SpikeTrain,
-    _require_same_length,
-    _require_same_shape,
-    universe_spike,
-)
+from .errors import InvariantError, OrthogonalityError
+from .signals import SPIKE, LogicReferencePair, SpikeTrain, _require_aligned
 
 
 def neuron_eval(excitatory: SpikeTrain, inhibitory: SpikeTrain) -> SpikeTrain:
     """Delay-free neuron: fires where the (+) input fires and the (-) input is silent."""
-    _require_same_length(excitatory, inhibitory, "neuron")
+    _require_aligned("neuron", excitatory, inhibitory)
     return SpikeTrain._of_words(excitatory.words & ~inhibitory.words, len(excitatory))
 
 
@@ -49,10 +43,9 @@ def orthon_eval(a: SpikeTrain, b: SpikeTrain) -> OrthonOutputs:
 
     The first neuron takes A excitatory and B inhibitory, producing A & ~B;
     the second takes A excitatory and the first neuron's output inhibitory,
-    which leaves A & B.  Both outputs are checked against the direct set
-    formulas.
+    which leaves A & B; the first neuron rejects an A and a B that do not
+    combine.  Both outputs are checked against the direct set formulas.
     """
-    _require_same_length(a, b, "orthon")
     lower = neuron_eval(a, b)
     upper = neuron_eval(a, lower)
     if not np.array_equal(upper.words, a.words & b.words):
@@ -66,9 +59,10 @@ def adder_union(*inputs: SpikeTrain) -> SpikeTrain:
     """Adder neuron: fires when any excitatory input fires (saturating union)."""
     if not inputs:
         raise ValueError("adder neuron needs at least one input")
+    for a, b in combinations(inputs, 2):
+        _require_aligned("adder", a, b)
     acc = inputs[0].words
     for train in inputs[1:]:
-        _require_same_length(inputs[0], train, "adder")
         acc = acc | train.words
     return SpikeTrain._of_words(acc, len(inputs[0]))
 
@@ -76,13 +70,16 @@ def adder_union(*inputs: SpikeTrain) -> SpikeTrain:
 def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
     """NOT gate: the universe spikes that the input does not claim.
 
-    Realized as one orthon with the universe on A and the input on B,
-    taking the lower (A & ~B) output; checked against (1 - x) * U.
+    The universe is the adder neuron's union of the references, which must
+    be disjoint; one orthon with the universe on A and the input on B
+    gives the lower (A & ~B) output, checked against (1 - x) * U.
     """
-    pair.check_gate_input(x, SPIKE)
-    u = universe_spike(pair, x.words.ndim)
+    h, l, (v,), _ = pair.operands(SPIKE, x)
+    if np.any(h.words & l.words):
+        raise OrthogonalityError("reference trains overlap; union is not a valid universe")
+    u = adder_union(h, l)
     out = orthon_eval(u, x).difference
-    if not np.array_equal(out.words, u.words & ~x.words):
+    if not np.array_equal(out.words, (h.words | l.words) & ~v):
         raise InvariantError("NOT circuit deviates")
     return out
 
@@ -93,16 +90,13 @@ def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> Spike
     The adder unions x1 & x2 & H (two chained orthons), x1 & L and x2 & L;
     the result is checked against the direct set formula.
     """
-    pair.check_gate_input(x1, SPIKE, "first input")
-    pair.check_gate_input(x2, SPIKE, "second input")
-    _require_same_shape(x1, x2, "AND")
-    high, low = pair.broadcast(x1.words.ndim)
+    high, low, (a, b), _ = pair.operands(SPIKE, x1, x2)
     both = orthon_eval(x1, x2).intersection
     both_high = orthon_eval(both, high).intersection
     x1_low = orthon_eval(x1, low).intersection
     x2_low = orthon_eval(x2, low).intersection
     out = adder_union(both_high, x1_low, x2_low)
-    a, b, h, l = x1.words, x2.words, high.words, low.words
+    h, l = high.words, low.words
     if not np.array_equal(out.words, (a & b & h) | (a & l) | (b & l)):
         raise InvariantError("AND circuit deviates")
     return out

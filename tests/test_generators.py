@@ -166,6 +166,32 @@ class TestDisjointSpikePairs:
         with pytest.raises(nl.ConfigError):
             gen_disjoint_spike_pairs(seed=1, steps=64, n_pairs=4, rate_per_train=0.2)
 
+    @pytest.mark.parametrize("seed, steps", [(2**64, 64), (-1, 64), (1, 64.0), (1, 0)])
+    def test_seed_and_steps_checked_like_the_rtw_pairs(self, seed, steps):
+        # 2**64 used to wrap to seed 0's pairs, and 64.0 steps to end in a TypeError.
+        with pytest.raises(nl.ConfigError):
+            gen_disjoint_spike_pairs(seed, steps, 2)
+        with pytest.raises(nl.ConfigError):
+            nl.gen_rtw_pairs(seed, steps, 2)
+
+    def test_attempt_r_draws_from_child_stream_r(self):
+        # Eight trains in 12 steps: most attempts leave some train empty.
+        steps, rates = 12, [0.1] * 8
+        retried = 0
+        for seed in range(30):
+            try:
+                pairs = gen_disjoint_spike_pairs(seed, steps, 4, 0.1)
+            except nl.GenerationError:
+                continue
+            for attempt in range(generators.MAX_RETRIES):
+                bands = _categorical_spikes(SplitMix64(derive_seed(seed, attempt)).block(steps),
+                                            rates)
+                if bands.any(axis=1).all():
+                    break
+            retried += attempt > 0
+            assert [t.to_list() for p in pairs for t in (p.h, p.l)] == bands.astype(int).tolist()
+        assert retried > 10
+
 
 class TestVectorizedMatrix:
     def test_rows_match_serial_pair_generation(self):

@@ -33,7 +33,7 @@ from serial_reference import serial_run
 
 def _non_copy_not(pair, x):
     """A NOT that emits x * H: a valid RTW wave that is, in general, no reference copy."""
-    pair.check_gate_input(x, nl.RTW, exact=False)
+    pair.operands(nl.RTW, x, exact=False)
     return nl.RtwSignal(x.values * pair.h.values)
 
 

@@ -230,20 +230,43 @@ class TestBatchReferencePair:
     def test_gate_input_checked_against_its_own_row(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
                                      nl.RtwSignal([[-1, -1], [-1, 1]]))
-        pair.check_gate_input(nl.RtwSignal([[1, -1], [-1, 1]]), nl.RTW)
+        pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [-1, 1]]))
         # Row 1 is row 0's High, which is neither reference of row 1.
         with pytest.raises(nl.InvalidLogicValueError):
-            pair.check_gate_input(nl.RtwSignal([[1, -1], [1, -1]]), nl.RTW)
+            pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [1, -1]]))
 
     def test_gate_input_groups_checked_against_their_rows(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
                                      nl.RtwSignal([[-1, -1], [-1, 1]]))
-        pair.check_gate_input(nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, 1]]]), nl.RTW)
+        good = nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, 1]]])
+        pair.operands(nl.RTW, good, good)
         # Row 1 of group 1 is row 0's High again.
         with pytest.raises(nl.InvalidLogicValueError,
                            match="first input matches neither the High nor the Low reference"):
-            pair.check_gate_input(nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, -1]]]),
-                                  nl.RTW, "first input")
+            pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, -1]]]), good)
+
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("pairs", [(), (3,)])
+    def test_operands_combine_with_the_inputs_as_they_are(self, batch, pairs):
+        # Per row, High is +1 at steps 0 and 64 and Low is -1 throughout.
+        steps = 70
+        h = -np.ones(pairs + (steps,), dtype=np.int64)
+        h[..., [0, 64]] = 1
+        pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
+        if pairs and not batch:
+            with pytest.raises(LengthMismatchError, match="a row per pair"):
+                pair.operands(nl.RTW, nl.RtwSignal(h[0]))
+            return
+        bits = np.arange(int(np.prod(batch))).reshape(batch + (1,)) % 2 if batch else 1
+        x = nl.RtwSignal(np.where(bits, h, -1))
+        high, low, (v,), (mask,) = pair.operands(nl.RTW, x)
+        assert v is x.words
+        # The mask keeps the words axis, so it spreads over High and Low as it is.
+        assert mask.shape == (v.shape[:-2] + (1, v.shape[-1]) if batch else (1,))
+        assert np.array_equal(np.where(mask, high.words, low.words), v)
+        _, _, _, (none,) = pair.operands(nl.RTW, x, exact=False)
+        assert none is None
 
 
 class TestUniverses:

@@ -38,9 +38,9 @@ def _outcome(kernel, pair, *inputs):
 
 
 @st.composite
-def batches(draw):
+def batches(draw, families=(nl.RTW, nl.SPIKE)):
     """(family, pair, row pairs, x1, x2): input values of copies, maybe one flipped step."""
-    family = draw(st.sampled_from([nl.RTW, nl.SPIKE]))
+    family = draw(st.sampled_from(families))
     steps = draw(st.sampled_from(STEP_COUNTS))
     if family == nl.SPIKE:
         steps = max(steps, 5)
@@ -134,6 +134,67 @@ class TestWordsMajorBatches:
             assert row_pair.h.values.tolist() == pair.h.values[i].tolist()
 
 
+CIRCUITS = ((spike_gates.neuron_eval, 2), (spike_gates.orthon_eval, 2),
+            (spike_gates.adder_union, 1), (spike_gates.adder_union, 2),
+            (spike_gates.adder_union, 3))
+
+
+def _circuit_outputs(circuit, values):
+    """The values of every output of ``circuit`` on trains of ``values``, or LengthMismatchError."""
+    try:
+        out = circuit(*(nl.SpikeTrain(v) for v in values))
+    except nl.LengthMismatchError:
+        return nl.LengthMismatchError
+    return [w.values for w in (out if isinstance(out, tuple) else (out,))]
+
+
+def _circuit_per_row(circuit, values):
+    """What ``circuit`` must give on ``values``: each output row from the rows of its operands.
+
+    Operands combine as their logical ``(..., rows, steps)`` values
+    broadcast, except that one wave does not combine with a batch.
+    """
+    if len({v.ndim == 1 for v in values}) > 1:
+        return nl.LengthMismatchError
+    try:
+        shape = np.broadcast_shapes(*(v.shape[:-1] for v in values))
+    except ValueError:
+        return nl.LengthMismatchError
+    steps = values[0].shape[-1:]
+    spread = [np.broadcast_to(v, shape + steps) for v in values]
+    per_row = [_circuit_outputs(circuit, [v[index] for v in spread])
+               for index in np.ndindex(shape)]
+    return [np.stack([outputs[k] for outputs in per_row]).reshape(shape + steps)
+            for k in range(len(per_row[0]))]
+
+
+class TestSpikeCircuitsOnBatches:
+    """The neuron, orthon and adder on any operands a spike kernel passes, or on a mix they reject."""
+
+    @CASES
+    @given(batches(families=(nl.SPIKE,)), st.data())
+    def test_circuits_equal_their_rows_or_reject_the_mix(self, case, data):
+        _, pair, _, x1, x2 = case
+        steps, rows = x1.shape[-1], x1.shape[-2]
+        first = x1.reshape(-1, steps)[0]
+        pool = {"batch": x1, "other batch": x2, "High": pair.h.values, "Low": pair.l.values,
+                "column": first[None], "wave": first}
+        if rows >= 3:
+            pool["fewer rows"] = x1[..., 1:, :]
+        for circuit, arity in CIRCUITS:
+            names = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=arity,
+                                       max_size=arity))
+            values = [pool[name] for name in names]
+            got, want = _circuit_outputs(circuit, values), _circuit_per_row(circuit, values)
+            if want is nl.LengthMismatchError:
+                assert got is nl.LengthMismatchError, (circuit.__name__, names)
+                continue
+            assert got is not nl.LengthMismatchError, (circuit.__name__, names)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (circuit.__name__, names)
+
+
 class TestShapesThatCannotBroadcast:
     """Words-major, one wave's (words,) meets a batch's (words, rows) on the wrong axis.
 
@@ -159,3 +220,15 @@ class TestShapesThatCannotBroadcast:
         for kernel, _ in KERNELS[family][:-1]:
             with pytest.raises(nl.LengthMismatchError, match="a row per pair"):
                 kernel(pairs, one)
+
+    def test_circuits_reject_one_wave_against_a_batch(self):
+        config = nl.GeneratorConfig(seed=3, steps=256)   # four words
+        pair = reference_pairs(nl.SPIKE, config.seed, config)
+        for rows in (3, 4):   # four rows would broadcast silently
+            batch = nl.SpikeTrain(np.stack([pair.h.values] * rows))
+            for circuit in (spike_gates.neuron_eval, spike_gates.orthon_eval,
+                            spike_gates.adder_union):
+                with pytest.raises(nl.LengthMismatchError, match="do not combine row by row"):
+                    circuit(pair.l, batch)
+                with pytest.raises(nl.LengthMismatchError, match="do not combine row by row"):
+                    circuit(batch, pair.l)
