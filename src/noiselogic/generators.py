@@ -185,8 +185,8 @@ def gen_disjoint_spike_pairs(
     construction guarantee rather than a filter.  The default per-train
     rate fills 90% of the steps in expectation, split evenly.
     """
-    if n_pairs < 1:
-        raise ConfigError(f"n_pairs must be at least 1, got {n_pairs}")
+    if not isinstance(n_pairs, int) or n_pairs < 1:
+        raise ConfigError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     config = GeneratorConfig(seed=seed, steps=steps)
     if rate_per_train is None:
         rate_per_train = 0.9 / (2 * n_pairs)
@@ -210,8 +210,8 @@ def gen_disjoint_spike_pairs(
 
 def gen_rtw_pairs(seed: int, steps: int, n_pairs: int) -> tuple[LogicReferencePair, ...]:
     """Independently seeded RTW pairs (child stream per pair)."""
-    if n_pairs < 1:
-        raise ConfigError(f"n_pairs must be at least 1, got {n_pairs}")
+    if not isinstance(n_pairs, int) or n_pairs < 1:
+        raise ConfigError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     config = GeneratorConfig(seed=seed, steps=steps)
     return tuple(reference_pairs(RTW, s, config) for s in derive_seeds(seed, n_pairs))
 

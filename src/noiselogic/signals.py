@@ -263,6 +263,7 @@ class SpikeTrain(BitWave):
 
 
 def _clash(p: int, q: int) -> bool:
+    """Whether sizes ``p`` and ``q`` of one axis do not broadcast."""
     return p != q and p != 1 and q != 1
 
 
@@ -330,7 +331,7 @@ class LogicReferencePair:
     def family(self) -> str:
         return self._family
 
-    @property
+    @cached_property
     def steps(self) -> int:
         return len(self.h)
 
@@ -352,9 +353,9 @@ class LogicReferencePair:
     def operands(self, family: str, *inputs: BitWave, exact: bool = True):
         """Check the inputs of one ``family`` gate call; return ``(h, l, words, highs)``.
 
-        Each input must be a wave of the pair's family, ``family``, span the
-        pair's steps and, against a batch of pairs, hold a row per pair; two
-        inputs must share one shape.  With ``exact`` each must also copy High
+        The pair must be a ``family`` pair, and each input a wave of that
+        family that spans the pair's steps and, against a batch of pairs,
+        holds a row per pair; two inputs must share one shape.  With ``exact`` each must also copy High
         or Low, row by row, the only inputs the gate algebra makes promises
         about.  High and Low come as waves whose words combine with the
         inputs' ``words``; ``highs`` holds each input's mask of the rows that

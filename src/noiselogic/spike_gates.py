@@ -70,16 +70,17 @@ def adder_union(*inputs: SpikeTrain) -> SpikeTrain:
 def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
     """NOT gate: the universe spikes that the input does not claim.
 
-    The universe is the adder neuron's union of the references, which must
-    be disjoint; one orthon with the universe on A and the input on B
-    gives the lower (A & ~B) output, checked against (1 - x) * U.
+    Realized as one orthon with the universe, the union of the disjoint
+    references, on A and the input on B, taking the lower (A & ~B) output;
+    checked against (1 - x) * U.
     """
-    h, l, (v,), _ = pair.operands(SPIKE, x)
-    if np.any(h.words & l.words):
+    high, low, (v,), _ = pair.operands(SPIKE, x)
+    h, l = high.words, low.words
+    if np.any(h & l):
         raise OrthogonalityError("reference trains overlap; union is not a valid universe")
-    u = adder_union(h, l)
+    u = SpikeTrain._of_words(h | l, pair.steps)
     out = orthon_eval(u, x).difference
-    if not np.array_equal(out.words, (h.words | l.words) & ~v):
+    if not np.array_equal(out.words, u.words & ~v):
         raise InvariantError("NOT circuit deviates")
     return out
 

@@ -166,13 +166,15 @@ class TestDisjointSpikePairs:
         with pytest.raises(nl.ConfigError):
             gen_disjoint_spike_pairs(seed=1, steps=64, n_pairs=4, rate_per_train=0.2)
 
-    @pytest.mark.parametrize("seed, steps", [(2**64, 64), (-1, 64), (1, 64.0), (1, 0)])
-    def test_seed_and_steps_checked_like_the_rtw_pairs(self, seed, steps):
-        # 2**64 used to wrap to seed 0's pairs, and 64.0 steps to end in a TypeError.
+    @pytest.mark.parametrize("seed, steps, n_pairs",
+                             [(2**64, 64, 2), (-1, 64, 2), (1, 64.0, 2), (1, 0, 2), (1, 64, 2.0)])
+    def test_arguments_checked_like_the_rtw_pairs(self, seed, steps, n_pairs):
+        # 2**64 used to wrap to seed 0's pairs, and 64.0 steps or 2.0 pairs
+        # to end in a TypeError.
         with pytest.raises(nl.ConfigError):
-            gen_disjoint_spike_pairs(seed, steps, 2)
+            gen_disjoint_spike_pairs(seed, steps, n_pairs)
         with pytest.raises(nl.ConfigError):
-            nl.gen_rtw_pairs(seed, steps, 2)
+            nl.gen_rtw_pairs(seed, steps, n_pairs)
 
     def test_attempt_r_draws_from_child_stream_r(self):
         # Eight trains in 12 steps: most attempts leave some train empty.

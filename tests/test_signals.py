@@ -245,7 +245,6 @@ class TestBatchReferencePair:
                            match="first input matches neither the High nor the Low reference"):
             pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, -1]]]), good)
 
-
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("pairs", [(), (3,)])
     def test_operands_combine_with_the_inputs_as_they_are(self, batch, pairs):

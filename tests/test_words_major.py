@@ -4,7 +4,9 @@ A batch of waves stores ``(words, rows)`` words and a gathered group
 ``(groups, words, rows)``; one wave stores ``(words,)``.  These properties
 check, over both carriers, that column ``i`` of a batch is row ``i`` in
 every respect the engine relies on, against one pair (broadcast as a
-``(words, 1)`` column) and against one pair per row.
+``(words, 1)`` column) and against one pair per row, and that the spike
+circuits combine single waves, batches and columns row by row or reject
+the mix.
 """
 
 import numpy as np
@@ -169,7 +171,7 @@ def _circuit_per_row(circuit, values):
 
 
 class TestSpikeCircuitsOnBatches:
-    """The neuron, orthon and adder on any operands a spike kernel passes, or on a mix they reject."""
+    """The neuron, orthon and adder equal their rows on operands that combine, else reject them."""
 
     @CASES
     @given(batches(families=(nl.SPIKE,)), st.data())
