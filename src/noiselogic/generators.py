@@ -41,6 +41,7 @@ from .signals import (
     LogicReferencePair,
     RtwSignal,
     SpikeTrain,
+    _real,
     pack_steps,
     words_for,
 )
@@ -190,6 +191,7 @@ def gen_disjoint_spike_pairs(
     config = GeneratorConfig(seed=seed, steps=steps)
     if rate_per_train is None:
         rate_per_train = 0.9 / (2 * n_pairs)
+    rate_per_train = _real("rate_per_train", rate_per_train)
     if not 0.0 < rate_per_train < 1.0 or 2 * n_pairs * rate_per_train > 1.0:
         raise ConfigError(
             f"per-train rate {rate_per_train} infeasible for {2 * n_pairs} disjoint trains"

@@ -27,12 +27,16 @@ A :class:`LogicReferencePair` binds the High and Low reference waves of one
 family; :func:`classify_rows` reads a wave or a batch of waves against such
 a pair, by one rule for both families, and :func:`classify` is its one-wave
 case, reporting High, Low or Ambiguous together with the deciding step.
+:attr:`LogicReferencePair.step_classes` cuts a one-wave pair to one step
+per distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
+simulator walks whenever every input copies High or Low.
 """
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -387,10 +391,78 @@ class LogicReferencePair:
                 f"AND: shapes differ ({inputs[0].shape} vs {inputs[1].shape})")
         return h, l, words, highs
 
+    @cached_property
+    def step_classes(self) -> "StepClasses":
+        """This one-wave pair cut to one step per distinct ``(H_t, L_t)`` column.
+
+        See :class:`StepClasses`.  Computed once, on the packed words; an
+        RTW pair has at most four columns and a spike pair at most three.
+        """
+        h, l = self.h.words, self.l.words
+        if h.ndim != 1:
+            raise ValueError("step classes cut one pair, not a batch of pairs")
+        valid = np.full(len(h), ~np.uint64(0))
+        valid[-1] >>= np.uint64(-self.steps % WORD_BITS)
+        # Column b of ``masks`` holds the steps where (H, L) == (b >> 1, b & 1).
+        masks = np.stack([~h & ~l & valid, ~h & l, h & ~l, h & l], axis=1)
+        kept = np.flatnonzero(masks.any(axis=0))
+        first = first_set_step(masks[:, kept])
+        order = np.argsort(first)
+        kept, first = kept[order].tolist(), first[order]
+        masks = masks[:, kept].T
+        cut = [np.array([sum(1 << j for j, b in enumerate(kept) if b & bit)], dtype=np.uint64)
+               for bit in (2, 1)]
+        pair = LogicReferencePair(*(type(w)._of_words(words, len(kept))
+                                    for w, words in zip((self.h, self.l), cut)))
+        # Row v ORs the masks of the columns whose bits v sets.
+        picks = (np.arange(1 << len(kept))[:, None] >> np.arange(len(kept))) & 1
+        expand = np.bitwise_or.reduce(np.where(picks[..., None] == 1, masks, np.uint64(0)), axis=1)
+        for a in (first, expand):
+            a.flags.writeable = False
+        return StepClasses(pair, first, expand)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, LogicReferencePair):
             return self.h == other.h and self.l == other.l
         return NotImplemented
+
+
+class StepClasses(NamedTuple):
+    """A one-wave pair cut to one step per distinct ``(H_t, L_t)`` column.
+
+    ``pair`` has one step per column of the full pair, in the order of the
+    columns' first occurrence; ``first[j]`` is the full step where column
+    ``j`` first occurs, and ``expand[v]`` is the full ``(words,)`` wave of
+    cut words ``v``: set at the steps of every column ``j`` whose bit ``v``
+    sets.
+
+    Every gate kernel is a per-step function of its inputs' bits and the
+    pair's bits.  So when every input copies High or Low, every wire at step
+    ``t`` is a function of the column ``(H_t, L_t)`` only, and a walk on the
+    cut pair gives each wire's cut wave, which ``expand`` turns into its
+    full wave.  Every kernel check is a per-step predicate or an all-steps
+    equality, and every column is kept, so each check passes or fails on
+    the cut pair as on the full one.  The precondition is the point: a walk
+    fed with other waves must cut on ``(H, L, inputs)`` columns, or not at
+    all.  First-occurrence order makes the lowest cut step where two waves
+    differ stand for the lowest full step where they do, so
+    :meth:`classify_rows` reports the steps of the full pair.
+    """
+
+    pair: LogicReferencePair
+    first: np.ndarray
+    expand: np.ndarray
+
+    def classify_rows(self, x: Waveform) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """:func:`classify_rows` of cut waves ``x`` against the cut pair, in full steps."""
+        return _classify_rows(x, self.pair, self.first)
+
+
+def _real(name: str, value) -> float:
+    """``value`` unchanged if it is a real number; a bool or anything else raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -409,12 +481,14 @@ class GeneratorConfig:
     spike_rate_l: float = 0.25
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        int_seed, int_steps = (isinstance(v, int) and not isinstance(v, bool)
+                               for v in (self.seed, self.steps))
+        if not int_seed or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not int_steps or self.steps < 1:
             raise ConfigError(f"steps must be a positive integer, got {self.steps!r}")
         for name, rate in (("spike_rate_h", self.spike_rate_h), ("spike_rate_l", self.spike_rate_l)):
-            if not 0.0 < rate < 1.0:
+            if not 0.0 < _real(name, rate) < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {rate!r}")
         if self.spike_rate_h + self.spike_rate_l > 1.0:
             raise ConfigError(
@@ -497,6 +571,11 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.
     """
+    return _classify_rows(x, pair, None)
+
+
+def _classify_rows(x: Waveform, pair: LogicReferencePair, step_of: np.ndarray | None):
+    """:func:`classify_rows`, reporting step ``t`` of ``pair`` as ``step_of[t]`` if given."""
     if not isinstance(x, type(pair.h)):
         raise FamilyMismatchError(
             f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
@@ -510,10 +589,11 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
     differs = h ^ l
     votes = differs.any(axis=0)
     first = first_set_step(differs)
+    at = first if step_of is None else step_of[np.where(votes, first, 0)]
     high = (v == h).all(axis=0)
     decided = votes & (high | (v == l).all(axis=0))
     bits = np.where(decided, high, -1)
-    steps = np.where(decided, first, -1)
+    steps = np.where(decided, at, -1)
     details = {}
     for r in np.flatnonzero(~decided).tolist():
         p = r if h.shape[1] > 1 else 0
@@ -524,7 +604,9 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
         follows_high = not (int(v[t // WORD_BITS, r] ^ h[t // WORD_BITS, p]) >> t % WORD_BITS) & 1
         vote, reference = (Verdict.HIGH, h[:, p]) if follows_high else (Verdict.LOW, l[:, p])
         mismatch = int(first_set_step(v[:, r] ^ reference))
-        details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
+        if step_of is not None:
+            mismatch = int(step_of[mismatch])
+        details[r] = (f"step {int(at[p])} votes {vote.value} but the wave deviates from that "
                       f"reference at step {mismatch}")
     return bits, steps, details
 

@@ -17,6 +17,17 @@ gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
 whose rows are the one run, the assignments of a chunk or the trials of a
 chunk; each slot is one contiguous ``(words, rows)`` batch.
 
+:func:`run` and :func:`verify_equivalence` walk their one pair's step
+classes (:attr:`LogicReferencePair.step_classes`): the pair cut to one step
+per distinct ``(H_t, L_t)`` column, at most four, so a row is one word at
+any step count.  This rests on one precondition, which both meet: every
+input copies High or Low, so every wire is a per-step function of the
+column.  A path that feeds other input waves must cut on ``(H, L, inputs)``
+columns, or not cut at all.  Every kernel check still runs, on the cut
+pair; steps in readings and diagnostics, and the waves a run hands out,
+are mapped back to the full pair.  :func:`decision_latency` walks full
+waves: it has one pair per row.
+
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
 equivalence reports count incidents instead of aborting.
@@ -54,6 +65,7 @@ from .signals import (
     LogicReferencePair,
     RtwSignal,
     SpikeTrain,
+    StepClasses,
     Verdict,
     Waveform,
     classify_rows,
@@ -258,13 +270,15 @@ class _LazyRows(Mapping):
 class SimulationRun:
     """Every wire's wave and reading from one network execution, kept as arrays.
 
-    ``matrix`` is the read-only ``(slots, words, 1)`` wave matrix of the
-    walk, ``slot`` maps each wire name, in wire order, to its slot, and
-    ``bits``, ``decided_at`` and ``details`` are :func:`classify_rows`'
-    reading of every row.  :attr:`waveforms` and :attr:`classifications`
-    are read-only mappings over the wires whose entries are built when
-    first read: a waveform wraps a view of its row, a classification is
-    its row's reading.  :attr:`ambiguous_wires` and
+    ``matrix`` is the read-only ``(slots, 1, 1)`` wave matrix of the walk
+    on the step classes ``classes`` of the run's pair, ``slot`` maps each
+    wire name, in wire order, to its slot, and ``bits``, ``decided_at`` and
+    ``details`` are :meth:`StepClasses.classify_rows`' reading of every
+    row, in full steps.  :attr:`waveforms` and :attr:`classifications` are
+    read-only mappings over the wires whose entries are built when first
+    read: a waveform wraps the row of ``classes.expand`` that its cut wave
+    selects, a view of the full wave, and a classification is its row's
+    reading.  :attr:`ambiguous_wires` and
     :attr:`output_classifications` read the arrays and build nothing for
     the other wires.
     """
@@ -274,6 +288,7 @@ class SimulationRun:
     network: CompiledNetwork
     assignment: dict[str, int]
     matrix: np.ndarray
+    classes: StepClasses
     slot: dict[str, int]
     bits: np.ndarray
     decided_at: np.ndarray
@@ -284,8 +299,8 @@ class SimulationRun:
     @cached_property
     def waveforms(self) -> Mapping[str, Waveform]:
         wrap = (RtwSignal if backend_family(self.backend) == RTW else SpikeTrain)._of_words
-        matrix, steps = self.matrix, self.config.steps
-        return _LazyRows(self.slot, lambda s: wrap(matrix[s, :, 0], steps))
+        cut, expand, steps = self.matrix[:, 0, 0].tolist(), self.classes.expand, self.config.steps
+        return _LazyRows(self.slot, lambda s: wrap(expand[cut[s]], steps))
 
     @cached_property
     def classifications(self) -> Mapping[str, Classification]:
@@ -324,25 +339,28 @@ def run(
     or Low wave, and every wire (inputs included) is classified against the
     pair.  Ambiguous wires are reported in the result, not raised.
 
-    The walk is :func:`_evaluate` on one row with every wire kept, and one
-    :func:`classify_rows` call reads every row of its matrix, so the cost
-    per wire is array work only.  The result keeps the matrix and the
-    readings; wave and classification objects are built only for the
-    wires that are read (see :class:`SimulationRun`).
+    The walk is :func:`_evaluate` on one row of the pair's step classes
+    with every wire kept, and one :meth:`StepClasses.classify_rows` call
+    reads every row of its matrix, so the cost per wire is array work only.
+    The result keeps the matrix and the readings; wave and classification
+    objects are built only for the wires that are read (see
+    :class:`SimulationRun`).
     """
     _check_assignment(network.inputs, assignment)
-    bk = make_backend(backend, config)
+    classes = make_backend(backend, config).pair.step_classes
     plan = _plan(network, network.wires)
-    matrix = _evaluate(plan, bk, [assignment[name] for name in network.inputs], 1)
+    matrix = _evaluate(plan, _Backend(backend, classes.pair),
+                       [assignment[name] for name in network.inputs], 1)
     # The slots are the rows of one (words, slots) batch.
-    bits, decided_at, details = classify_rows(
-        type(bk.pair.h)._of_words(matrix[..., 0].T, config.steps), bk.pair)
+    bits, decided_at, details = classes.classify_rows(
+        type(classes.pair.h)._of_words(matrix[..., 0].T, classes.pair.steps))
     return SimulationRun(
         backend=backend,
         config=config,
         network=network,
         assignment=dict(assignment),
         matrix=matrix,
+        classes=classes,
         slot=plan.slot,
         bits=bits,
         decided_at=decided_at,
@@ -442,12 +460,13 @@ def verify_equivalence(
     Equivalence holds only with zero failures and zero ambiguous incidents.
 
     Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
-    waveform data: each chunk is one :func:`_evaluate` walk with a row per
-    assignment, so every (level, op) group and the oracle run once per
-    chunk.  Chunks run on up to ``min(4, usable CPUs, chunks)`` threads
-    (see :func:`_map_chunks`) and merge in chunk order, so the report is the
-    one a per-assignment loop would give, with failures and ambiguous
-    incidents in assignment order, for any thread count.
+    waveform data: each chunk is one :func:`_evaluate` walk on the pair's
+    step classes with a row per assignment, so every (level, op) group and
+    the oracle run once per chunk.  Chunks run on up to ``min(4, usable
+    CPUs, chunks)`` threads (see :func:`_map_chunks`) and merge in chunk
+    order, so the report is the one a per-assignment loop would give, with
+    failures and ambiguous incidents in assignment order, for any thread
+    count.
     """
     if network is None:
         net = lower(source) if isinstance(source, NetlistAst) else source
@@ -479,7 +498,8 @@ def verify_equivalence(
         count = sample
         mode = "sample"
 
-    bk = make_backend(backend, config)
+    classes = make_backend(backend, config).pair.step_classes
+    bk = _Backend(backend, classes.pair)
     report = EquivalenceReport(
         backend=backend,
         steps=config.steps,
@@ -490,9 +510,9 @@ def verify_equivalence(
         checked=0,
         passed=0,
     )
-    wrap = type(bk.pair.h)._of_words
+    wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
     plan = _plan(net, net.outputs)
-    rows = _chunk_rows(config.steps, plan.slots)
+    rows = _chunk_rows(steps, plan.slots)
 
     def check(lo: int) -> tuple[int, int, list[dict], list[dict]]:
         """Rows, passes, failures and ambiguous incidents of the chunk at ``lo``."""
@@ -504,7 +524,7 @@ def verify_equivalence(
         bad = np.zeros(hi - lo, dtype=bool)
         outcomes = []
         for name in net.outputs:
-            got, _, details = classify_rows(wrap(matrix[plan.slot[name]], config.steps), bk.pair)
+            got, _, details = classes.classify_rows(wrap(matrix[plan.slot[name]], steps))
             bad |= got != expected[name]   # an ambiguous row (-1) never matches
             outcomes.append((name, got, details))
         failures, ambiguous = [], []

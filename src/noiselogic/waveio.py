@@ -1,8 +1,10 @@
 """Shared CSV waveform format.
 
 One header row ``step,<name1>,<name2>,...`` followed by one row per clock
-step; every value is a decimal integer, ASCII ``-?[0-9]+``.  All modules and the CLI emit and
-consume this one format.
+step; every value is a decimal integer, ASCII ``-?[0-9]+``.  The CLI's
+``gen`` and ``simulate --waves`` write this one format through
+:func:`write_waveform_csv`.  :func:`parse_waveform_csv` reads it back; no
+command calls it, and its caller in this repository is the writer's test.
 """
 
 import re

@@ -20,7 +20,6 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator, spike_gates
 from noiselogic.errors import InvalidLogicValueError
 from noiselogic.prng import SplitMix64, derive_seed
-from noiselogic.signals import words_for
 
 from conftest import gate_rows, network_from_rows, random_netlist_source
 from serial_reference import classify_wire, serial_draw_indices, serial_wires
@@ -80,7 +79,8 @@ def chunked_report(source, backend, config, rows, **kwargs):
     """verify_equivalence with its chunk budget set to exactly ``rows`` assignments."""
     net = kwargs.get("network") or (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
-    budget = rows * 8 * words_for(config.steps) * simulator._plan(net, net.outputs).slots
+    # verify walks the pair's step classes, one word a row at any step count.
+    budget = rows * 8 * simulator._plan(net, net.outputs).slots
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 

@@ -162,9 +162,11 @@ class TestDisjointSpikePairs:
         pairs = gen_disjoint_spike_pairs(seed=3, steps=512, n_pairs=6)
         assert all(p.h.spike_count() >= 1 and p.l.spike_count() >= 1 for p in pairs)
 
-    def test_rate_feasibility_checked(self):
+    @pytest.mark.parametrize("rate", [0.2, "0.1", True, 1j])
+    def test_rate_feasibility_checked(self, rate):
+        # A string rate used to end in a bare TypeError.
         with pytest.raises(nl.ConfigError):
-            gen_disjoint_spike_pairs(seed=1, steps=64, n_pairs=4, rate_per_train=0.2)
+            gen_disjoint_spike_pairs(seed=1, steps=64, n_pairs=4, rate_per_train=rate)
 
     @pytest.mark.parametrize("seed, steps, n_pairs",
                              [(2**64, 64, 2), (-1, 64, 2), (1, 64.0, 2), (1, 0, 2), (1, 64, 2.0)])

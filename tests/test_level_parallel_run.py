@@ -1,8 +1,9 @@
 """Level-parallel ``run``: one kernel call per (topological level, op) group.
 
-``run`` is the one-row walk of ``simulator._evaluate``: it keeps every wire
-in one read-only ``(wires, 1, words)`` slot matrix and evaluates the gates
-of one group as one batch.  The reference here is the gate-by-gate,
+``run`` is the one-row walk of ``simulator._evaluate`` on the step classes
+of its pair: it keeps every wire's cut wave in one read-only ``(wires, 1,
+1)`` slot matrix, evaluates the gates of one group as one batch, and hands
+out each wire's full wave as a row of the step classes' expansion table.  The reference here is the gate-by-gate,
 wire-by-wire run it replaced (``serial_reference``); both must give the
 same waveforms, exactly, and the same classifications, diagnostics
 included.  ``simulator._plan`` groups the gates and gives every wire a
@@ -184,8 +185,9 @@ class TestRunMatrix:
         config = nl.GeneratorConfig(seed=5, steps=64)
         result = nl.run(full_adder_network, backend, {"a": 1, "b": 1, "cin": 0}, config)
         waves = list(result.waveforms.values())
-        base = waves[0].words.base
-        assert base is not None and base.shape == (len(waves), 1, words_for(64))
+        # A wave is the row of the step classes' expansion table that its cut wave selects.
+        base = result.classes.expand
+        assert base.shape == (2 ** result.classes.pair.steps, words_for(64))
         for w in waves:
             assert w.words.base is base
             assert w.words.dtype == np.uint64 and w.values.dtype == np.int8
@@ -271,12 +273,12 @@ class TestRunIsLazy:
         # The walk wraps batches, per (level, op) group; no wave of one
         # wire, a row of the run's matrix, is wrapped.
         assert made["_of_words"] < len(network.wires) / 2
-        assert not any(w.ndim == 1 and w.base is result.matrix for w in wrapped)
+        assert not any(w.ndim == 1 and w.base is result.classes.expand for w in wrapped)
         # Reading every waveform wraps each row once, and only once.
         with counted_objects(made, wrapped):
             waves = [result.waveforms[name] for name in network.wires]
             assert list(result.waveforms.values()) == waves
-        rows = [w for w in wrapped if w.ndim == 1 and w.base is result.matrix]
+        rows = [w for w in wrapped if w.ndim == 1 and w.base is result.classes.expand]
         assert len(rows) == len(network.wires)
         assert made["Classification"] == len(set(network.outputs) | set(ambiguous))
 

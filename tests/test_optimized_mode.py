@@ -58,7 +58,9 @@ except nl.InvariantError as exc:
 
 
 def _run_python(*args: str) -> str:
+    """Run the interpreter on ``args``; only its flags, not the suite's environment, set ``-O``."""
     env = dict(os.environ)
+    env.pop("PYTHONOPTIMIZE", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *args],

@@ -453,3 +453,12 @@ class TestGeneratorConfig:
             nl.GeneratorConfig(seed=1, steps=4, spike_rate_h=0.0)
         with pytest.raises(nl.ConfigError):
             nl.GeneratorConfig(seed=1, steps=4, spike_rate_h=0.7, spike_rate_l=0.7)
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": True}, {"steps": True}, {"spike_rate_h": "0.2"}, {"spike_rate_l": True},
+        {"spike_rate_h": None}, {"spike_rate_l": 1j}])
+    def test_bools_and_non_real_values_rejected(self, fields):
+        # A bool seed or step count used to construct, and a string rate to
+        # end in a bare TypeError from the range check.
+        with pytest.raises(nl.ConfigError, match=next(iter(fields))):
+            nl.GeneratorConfig(**{"seed": 1, "steps": 4, **fields})

@@ -291,7 +291,6 @@ from unittest import mock
 
 import noiselogic as nl
 from noiselogic import rtw_gates, simulator
-from noiselogic.signals import words_for
 
 optimized = not __debug__
 ast = nl.parse("input a b\\noutput y = AND a b\\n")
@@ -302,7 +301,8 @@ seen = []
 for workers in (1, 3):
     baseline = threading.active_count()
     simulator._usable_cpus = lambda: workers
-    with mock.patch.object(simulator, "_CHUNK_BYTES", 8 * words_for(130) * plan.slots):
+    # verify walks the pair's step classes, one word a row: one row a chunk.
+    with mock.patch.object(simulator, "_CHUNK_BYTES", 8 * plan.slots):
         try:
             nl.verify_equivalence(ast, "rtw-additive-not", config)
         except Exception as exc:
