@@ -49,7 +49,6 @@ from .signals import (
     SPIKE,
     Classification,
     GeneratorConfig,
-    IntWave,
     LogicReferencePair,
     MultiLevelSignal,
     RtwSignal,

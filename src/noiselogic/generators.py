@@ -41,6 +41,7 @@ from .signals import (
     LogicReferencePair,
     RtwSignal,
     SpikeTrain,
+    _integer,
     _real,
     pack_steps,
     words_for,
@@ -186,7 +187,8 @@ def gen_disjoint_spike_pairs(
     construction guarantee rather than a filter.  The default per-train
     rate fills 90% of the steps in expectation, split evenly.
     """
-    if not isinstance(n_pairs, int) or n_pairs < 1:
+    n_pairs = _integer("n_pairs", n_pairs)
+    if n_pairs < 1:
         raise ConfigError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     config = GeneratorConfig(seed=seed, steps=steps)
     if rate_per_train is None:
@@ -212,7 +214,8 @@ def gen_disjoint_spike_pairs(
 
 def gen_rtw_pairs(seed: int, steps: int, n_pairs: int) -> tuple[LogicReferencePair, ...]:
     """Independently seeded RTW pairs (child stream per pair)."""
-    if not isinstance(n_pairs, int) or n_pairs < 1:
+    n_pairs = _integer("n_pairs", n_pairs)
+    if n_pairs < 1:
         raise ConfigError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     config = GeneratorConfig(seed=seed, steps=steps)
     return tuple(reference_pairs(RTW, s, config) for s in derive_seeds(seed, n_pairs))

@@ -35,7 +35,7 @@ source gate produced it.
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -91,13 +91,10 @@ _BOOL_FN = {
 }
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     target: str
     gate: str
     args: tuple[str, ...]
-    lineno: int = field(compare=False)   # diagnostic only, not semantics
-    is_output: bool = False
 
 
 @dataclass(frozen=True)
@@ -345,7 +342,7 @@ def parse(text: str) -> NetlistAst:
                     _name(token, lineno)
                     raise NetlistError(f"undefined name {token!r}", lineno)
             target = _define(tokens[1], lineno)
-            assignments.append(Assignment(target, gate, tuple(args), lineno, keyword == "output"))
+            assignments.append(Assignment(target, gate, tuple(args)))
             if keyword == "output":
                 outputs.append(target)
             continue
@@ -361,8 +358,9 @@ def format_netlist(ast: NetlistAst) -> str:
     lines = []
     if ast.inputs:
         lines.append("input " + " ".join(ast.inputs))
+    outputs = set(ast.outputs)
     for a in ast.assignments:
-        keyword = "output" if a.is_output else "wire"
+        keyword = "output" if a.target in outputs else "wire"
         lines.append(f"{keyword} {a.target} = {a.gate} " + " ".join(a.args))
     return "\n".join(lines) + "\n"
 

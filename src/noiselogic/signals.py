@@ -20,8 +20,8 @@ kernels do not know the layout.  The family check runs once, on the
 values a carrier is built from;
 ``values`` unpacks to ``int8`` in the logical ``(..., rows, steps)``
 shape for the boundaries (CSV, reports, tests).
-:class:`MultiLevelSignal` (values in [-2, 2]) and :class:`IntWave`
-(unbounded) store ``int64``.
+:class:`MultiLevelSignal` (values in [-2, 2]) and the base
+:class:`Waveform` (unbounded) store ``int64``.
 
 A :class:`LogicReferencePair` binds the High and Low reference waves of one
 family; :func:`classify_rows` reads a wave or a batch of waves against such
@@ -170,10 +170,6 @@ class Waveform:
 
     def to_list(self) -> list[int]:
         return self.values.tolist()
-
-
-class IntWave(Waveform):
-    """Unrestricted integer waveform, used for intermediate arithmetic."""
 
 
 class MultiLevelSignal(Waveform):
@@ -456,6 +452,13 @@ class StepClasses(NamedTuple):
     def classify_rows(self, x: Waveform) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """:func:`classify_rows` of cut waves ``x`` against the cut pair, in full steps."""
         return _classify_rows(x, self.pair, self.first)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a NumPy integer passes, a bool or non-integer raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _real(name: str, value) -> float:

@@ -34,7 +34,6 @@ equivalence reports count incidents instead of aborting.
 """
 
 import math
-import numbers
 import os
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -63,11 +62,10 @@ from .signals import (
     Classification,
     GeneratorConfig,
     LogicReferencePair,
-    RtwSignal,
-    SpikeTrain,
     StepClasses,
     Verdict,
     Waveform,
+    _integer,
     classify_rows,
     words_for,
 )
@@ -78,6 +76,9 @@ EXHAUSTIVE_INPUT_LIMIT = 20
 # (decision_latency) may hold: each slot of the wave matrix is a
 # (words, rows) block of uint64.
 _CHUNK_BYTES = 2 << 20
+
+# Trials one chunk of the ambiguity sweep draws.
+_MC_CHUNK = 1 << 16
 
 # Per-chunk waves besides the slots in decision_latency: the High and Low batches.
 _PAIR_WAVES = 2
@@ -298,7 +299,7 @@ class SimulationRun:
     # holds no reference cycle and its matrix is freed as soon as the run is.
     @cached_property
     def waveforms(self) -> Mapping[str, Waveform]:
-        wrap = (RtwSignal if backend_family(self.backend) == RTW else SpikeTrain)._of_words
+        wrap = type(self.classes.pair.h)._of_words
         cut, expand, steps = self.matrix[:, 0, 0].tolist(), self.classes.expand, self.config.steps
         return _LazyRows(self.slot, lambda s: wrap(expand[cut[s]], steps))
 
@@ -491,6 +492,7 @@ def verify_equivalence(
         count = space
         mode = "exhaustive"
     else:
+        sample = _integer("sample", sample)
         if sample < 1:
             raise ConfigError(f"sample count must be positive, got {sample}")
         drawn = _draw_indices(SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM)),
@@ -569,10 +571,9 @@ class ReliabilityReport:
     sigma: float
     band_4sigma: float
     within_band: bool
-    decided_at_histogram: dict[int, int] | None = None
 
     def to_doc(self) -> dict:
-        doc = {
+        return {
             "n": self.n,
             "analytic_ambiguity": self.analytic_ambiguity,
             "mc_estimate": self.mc_estimate,
@@ -581,23 +582,12 @@ class ReliabilityReport:
             "band_4sigma": self.band_4sigma,
             "within_band": self.within_band,
         }
-        if self.decided_at_histogram is not None:
-            doc["decided_at_histogram"] = {
-                str(k): v for k, v in sorted(self.decided_at_histogram.items())
-            }
-        return doc
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; a NumPy integer passes, a bool or non-integer raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def ambiguity_analytic(n: int) -> float:
     """Probability that n-step RTW references are elementwise identical: 0.5**n."""
-    if not isinstance(n, int) or n < 1:
+    n = _integer("n", n)
+    if n < 1:
         raise ConfigError(f"step count must be a positive integer, got {n!r}")
     return 0.5 ** n
 
@@ -627,29 +617,26 @@ def rounded_steps_for(epsilon: float) -> int:
     return max(1, round(-math.log2(epsilon)))
 
 
-def ambiguity_monte_carlo(
-    n: int, trials: int, seed: int, *, chunk: int = 1 << 16
-) -> ReliabilityReport:
+def ambiguity_monte_carlo(n: int, trials: int, seed: int) -> ReliabilityReport:
     """Estimate the ambiguity probability by drawing independent pairs.
 
     Trial ``i`` regenerates exactly the pair that ``reference_pairs`` draws
     for the derived seed of ``(seed, i)``; the whole sweep is
     evaluated in vectorized chunks whose aggregate is independent of the
     chunking, so serial and chunked runs agree bit for bit.  Within a chunk
-    each trial is dropped at its first differing step.  Chunks of ``chunk``
+    each trial is dropped at its first differing step.  Chunks of ``_MC_CHUNK``
     trials run on up to ``min(4, usable CPUs, chunks)`` threads (see
     :func:`_map_chunks`); the count does not depend on the thread count.
-    The default chunk is large because the threads hand the GIL over
+    The chunk is large because the threads hand the GIL over
     between NumPy calls: at 2**14 trials a chunk, two threads gained little.
     """
-    if not isinstance(n, int) or not 1 <= n <= 20:
+    n = _integer("n", n)
+    if not 1 <= n <= 20:
         raise ConfigError(f"window length must be an integer in [1, 20], got {n!r}")
     trials, seed = _integer("trials", trials), _integer("seed", seed)
-    chunk = _integer("chunk", chunk)
     if trials < 1000:
         raise ConfigError(f"at least 1000 trials required, got {trials}")
-    if chunk < 1:
-        raise ConfigError(f"chunk must be positive, got {chunk}")
+    chunk = _MC_CHUNK
     matches = sum(_map_chunks(
         lambda start: count_identical_rtw_pairs(seed, min(chunk, trials - start), n, start=start),
         range(0, trials, chunk)))

@@ -3,17 +3,13 @@
 One header row ``step,<name1>,<name2>,...`` followed by one row per clock
 step; every value is a decimal integer, ASCII ``-?[0-9]+``.  The CLI's
 ``gen`` and ``simulate --waves`` write this one format through
-:func:`write_waveform_csv`.  :func:`parse_waveform_csv` reads it back; no
-command calls it, and its caller in this repository is the writer's test.
+:func:`write_waveform_csv`.  Nothing in the package reads it back; the
+reader that checks the writer lives with the tests.
 """
-
-import re
 
 import numpy as np
 
-from .signals import IntWave, Waveform
-
-_CELL = re.compile(r"-?[0-9]+")
+from .signals import Waveform
 
 # Cells format_waveform_csv renders at a time.
 _BLOCK_CELLS = 1 << 14
@@ -66,42 +62,3 @@ def write_waveform_csv(path, columns: dict[str, Waveform]) -> None:
     blocks = _csv_blocks(columns)
     with open(path, "wb") as fh:
         fh.writelines(blocks)
-
-
-def parse_waveform_csv(text: str) -> dict[str, IntWave]:
-    """Inverse of :func:`format_waveform_csv`; step indices are checked.
-
-    Malformed text raises :class:`ValueError`: a bad header, empty or
-    repeated column names, a row of the wrong width, a wrong step index, a
-    cell that is not ``-?[0-9]+`` (no sign ``+``, spaces, ``_`` or non-ASCII
-    digits, all of which Python's ``int`` would take), a value outside
-    64-bit range, or no rows at all.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty waveform CSV")
-    header = lines[0].split(",")
-    if header[0] != "step" or len(header) < 2:
-        raise ValueError("waveform CSV must start with a 'step,<name>,...' header")
-    names = header[1:]
-    if not all(names):
-        raise ValueError("waveform CSV header has an empty column name")
-    if len(set(names)) != len(names):
-        raise ValueError("waveform CSV header repeats a column name")
-    if len(lines) < 2:
-        raise ValueError("waveform CSV has no rows")
-    rows = []
-    for t, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"row {t} has {len(cells)} cells, expected {len(header)}")
-        if not all(map(_CELL.fullmatch, cells)):
-            raise ValueError(f"row {t} has a cell that is not a decimal integer")
-        if int(cells[0]) != t:
-            raise ValueError(f"row {t} carries step index {cells[0]}")
-        rows.append([int(c) for c in cells[1:]])
-    try:
-        data = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("waveform CSV value outside the 64-bit integer range") from None
-    return {name: IntWave(data[:, j]) for j, name in enumerate(names)}

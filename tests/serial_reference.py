@@ -86,7 +86,7 @@ def serial_parse(text: str) -> NetlistAst:
                 )
             arg_names = tuple(_use(token, lineno) for token in args)
             target = _define(tokens[1], lineno)
-            assignments.append(Assignment(target, gate, arg_names, lineno, keyword == "output"))
+            assignments.append(Assignment(target, gate, arg_names))
             if keyword == "output":
                 outputs.append(target)
             continue

@@ -167,4 +167,5 @@ class TestEarlyExitAmbiguitySweep:
         trials = 3000
         want = identical_rtw_pairs(11, trials, n) / trials
         for chunk in (1, 999, 1024, trials, 1 << 14):
-            assert nl.ambiguity_monte_carlo(n, trials, 11, chunk=chunk).mc_estimate == want
+            with mock.patch.object(simulator, "_MC_CHUNK", chunk):
+                assert nl.ambiguity_monte_carlo(n, trials, 11).mc_estimate == want

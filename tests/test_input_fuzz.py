@@ -1,9 +1,13 @@
-"""Fuzzing of the three text inputs and of whole command lines.
+"""Fuzzing of the text inputs, of the library's counts and of whole command lines.
 
-The text inputs are netlists, compiled-network JSON and waveform CSV.
-Whatever the text, each loader either returns a valid result or raises
+The text inputs are netlists and compiled-network JSON.  Whatever the
+text, each loader either returns a valid result or raises
 ``NoiseLogicError`` or ``ValueError``, which the CLI turns into exit code 2
 with a message.  Any other exception would reach the user as a traceback.
+The waveform-CSV reader in ``test_waveio``, the writer's oracle, is held
+to the same rule.  A call given a count returns only for an integer in
+the count's range, a NumPy one included, and raises ``ConfigError`` for
+anything else.
 Whatever the command line, the CLI exits 0, 1 (a failed verification or
 an ambiguous ``simulate --strict``) or 2 with an ``error:`` line on stderr.
 """
@@ -12,16 +16,18 @@ import json
 import random
 import re
 
+import numpy as np
 from click.testing import CliRunner
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic.cli import main
-from noiselogic.waveio import format_waveform_csv, parse_waveform_csv
+from noiselogic.waveio import format_waveform_csv
 
 from conftest import FULL_ADDER, random_netlist_source
 from serial_reference import serial_parse
+from test_waveio import parse_waveform_csv
 
 FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 REJECTED = (nl.NoiseLogicError, ValueError)
@@ -76,12 +82,11 @@ class TestNetlistParse:
 
 
 def _parsed(parse, text):
-    """The AST with its line numbers, or the message and line number of the rejection."""
+    """The AST, or the message and line number of the rejection."""
     try:
-        ast = parse(text)
+        return parse(text)
     except nl.NetlistError as exc:
         return str(exc), exc.lineno
-    return ast, [a.lineno for a in ast.assignments]
 
 
 GATE_NAMES = tuple(nl.netlist.GATE_ARITY)
@@ -209,6 +214,46 @@ class TestWaveformCsv:
             rows = [line for line in text.splitlines() if line.strip()][1:]
             cells = [cell for row in rows for cell in row.split(",")]
             assert all(re.fullmatch("-?[0-9]+", cell) for cell in cells), text
+
+
+# Each count parameter of the library: its call with the other arguments
+# fixed, and the largest count it accepts.
+_FULL_ADDER_AST = nl.parse(FULL_ADDER)
+_COUNTS = {
+    "gen_rtw_pairs n_pairs": (lambda v: nl.gen_rtw_pairs(1, 16, v), float("inf")),
+    "gen_disjoint_spike_pairs n_pairs":
+        (lambda v: nl.gen_disjoint_spike_pairs(1, 256, v), float("inf")),
+    "ambiguity_analytic n": (nl.ambiguity_analytic, float("inf")),
+    "ambiguity_monte_carlo n": (lambda v: nl.ambiguity_monte_carlo(v, 1000, 1), 20),
+    "verify_equivalence sample": (lambda v: nl.verify_equivalence(
+        _FULL_ADDER_AST, "spike", nl.GeneratorConfig(seed=3, steps=32), sample=v), float("inf")),
+}
+counts = st.one_of(
+    st.integers(-2, 24),
+    st.builds(lambda t, v: t(v), st.sampled_from([np.int8, np.int32, np.int64]),
+              st.integers(-2, 24)),
+    st.builds(lambda t, v: t(v), st.sampled_from([np.uint8, np.uint64]), st.integers(0, 24)),
+    st.booleans(), st.builds(np.bool_, st.booleans()),
+    st.floats(allow_nan=True), st.sampled_from([3.0, 2.5, np.float64(4)]),
+    st.text(max_size=3), st.just("3"), st.none(),
+)
+
+
+class TestCounts:
+    @FUZZ
+    @given(st.sampled_from(sorted(_COUNTS)), counts)
+    @example("ambiguity_analytic n", True)
+    @example("verify_equivalence sample", 2.5)
+    def test_a_count_is_a_positive_integer_or_a_config_error(self, name, value):
+        call, top = _COUNTS[name]
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        valid = integer and 1 <= value <= top or value is None and name.endswith("sample")
+        try:
+            call(value)
+        except nl.ConfigError:
+            assert not valid
+        else:
+            assert valid
 
 
 # Whole command lines: a subcommand with random flags whose values are

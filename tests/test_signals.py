@@ -49,33 +49,33 @@ class TestWaveformTypes:
         assert nl.RtwSignal([1, -1]) != nl.RtwSignal([-1, 1])
 
     def test_equal_waves_hash_alike_across_carriers(self):
-        assert nl.RtwSignal([1]) == nl.IntWave([1])
-        assert len({nl.RtwSignal([1]), nl.IntWave([1])}) == 1
-        assert len({nl.SpikeTrain([0, 1]), nl.IntWave([0, 1]), nl.MultiLevelSignal([0, 1])}) == 1
-        assert nl.IntWave([[1]]) != nl.IntWave([1])
+        assert nl.RtwSignal([1]) == nl.Waveform([1])
+        assert len({nl.RtwSignal([1]), nl.Waveform([1])}) == 1
+        assert len({nl.SpikeTrain([0, 1]), nl.Waveform([0, 1]), nl.MultiLevelSignal([0, 1])}) == 1
+        assert nl.Waveform([[1]]) != nl.Waveform([1])
 
     @pytest.mark.parametrize("value", [10**30, -(10**30), 2**63])
     def test_values_beyond_64_bits_raise_value_error(self, value):
         with pytest.raises(ValueError, match="64-bit"):
-            nl.IntWave([value])
+            nl.Waveform([value])
         with pytest.raises(ValueError):
             nl.RtwSignal([value])
 
     @pytest.mark.filterwarnings("error")
     def test_list_mixing_ints_and_floats_is_converted_exactly(self):
         # Read through float64, 2**62 + 1 would round to 2**62.
-        assert nl.IntWave([2**62 + 1, 1.0]).to_list() == [2**62 + 1, 1]
-        assert nl.IntWave([[2**62 + 1], [-1.0]]).values.tolist() == [[2**62 + 1], [-1]]
+        assert nl.Waveform([2**62 + 1, 1.0]).to_list() == [2**62 + 1, 1]
+        assert nl.Waveform([[2**62 + 1], [-1.0]]).values.tolist() == [[2**62 + 1], [-1]]
         with pytest.raises(ValueError, match="integers"):
-            nl.IntWave([2**62 + 1, 1.5])
+            nl.Waveform([2**62 + 1, 1.5])
 
     @pytest.mark.filterwarnings("error")
     def test_values_past_int64_raise_without_a_warning(self):
         for values in ([1, 2**63], [1.0, -(2**64)], np.array([1e30])):
             with pytest.raises(ValueError, match="64-bit"):
-                nl.IntWave(values)
+                nl.Waveform(values)
         with pytest.raises(ValueError, match="integers"):
-            nl.IntWave(np.array([1.0, np.nan]))
+            nl.Waveform(np.array([1.0, np.nan]))
 
     def test_spike_train_set_view(self):
         train = nl.SpikeTrain([0, 1, 0, 1])
@@ -111,7 +111,7 @@ class TestCarrierDtype:
             assert wave.words.tolist() == [0b10] and wave.words.dtype == np.uint64
             assert wave.values.dtype == np.int8
         assert nl.MultiLevelSignal([-2, 2]).values.dtype == np.int64
-        big = nl.IntWave([10**12, -(10**12)])
+        big = nl.Waveform([10**12, -(10**12)])
         assert big.values.dtype == np.int64
         assert big.to_list() == [10**12, -(10**12)]
 
@@ -167,7 +167,7 @@ class TestCarrierDtype:
     def test_equality_across_carriers_compares_values_not_words(self):
         # Both are the word 0, but -1 is not 0.
         assert nl.RtwSignal([-1]) != nl.SpikeTrain([0])
-        assert nl.RtwSignal([1]) == nl.SpikeTrain([1]) == nl.IntWave([1])
+        assert nl.RtwSignal([1]) == nl.SpikeTrain([1]) == nl.Waveform([1])
         assert nl.RtwSignal([-1, 1]) != nl.RtwSignal([[-1, 1]])
 
 

@@ -16,7 +16,6 @@ import threading
 import time
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,8 +230,9 @@ class TestOneWorkerEqualsMany:
            chunk=st.integers(50, 400), seed=st.integers(0, 2**64 - 1))
     def test_ambiguity_sweep(self, n, trials, chunk, seed):
         want = identical_rtw_pairs(seed, trials, n) / trials
-        got = by_workers(lambda: nl.ambiguity_monte_carlo(n, trials, seed, chunk=chunk),
-                         -(-trials // chunk))
+        with mock.patch.object(simulator, "_MC_CHUNK", chunk):
+            got = by_workers(lambda: nl.ambiguity_monte_carlo(n, trials, seed),
+                             -(-trials // chunk))
         assert got[1] == got[3]
         assert got[1].mc_estimate == want
 
@@ -270,15 +270,6 @@ class TestThreadBounds:
         assert simulator._usable_cpus() == 6
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
         assert simulator._usable_cpus() == 1
-
-    @pytest.mark.parametrize("chunk", [0, -1, np.int64(0)])
-    def test_chunk_must_be_positive(self, chunk):
-        with pytest.raises(nl.ConfigError, match="chunk must be positive"):
-            nl.ambiguity_monte_carlo(4, 1000, 1, chunk=chunk)
-
-    def test_a_numpy_integer_chunk_is_accepted(self):
-        want = nl.ambiguity_monte_carlo(4, 1000, 1, chunk=300).mc_estimate
-        assert nl.ambiguity_monte_carlo(4, 1000, 1, chunk=np.int64(300)).mc_estimate == want
 
 
 # Verify the one-AND network an assignment per chunk, with an AND word

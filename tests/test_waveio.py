@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -6,10 +8,51 @@ from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic.cli import main
-from noiselogic.waveio import format_waveform_csv, parse_waveform_csv, write_waveform_csv
+from noiselogic.waveio import format_waveform_csv, write_waveform_csv
 
 from conftest import FULL_ADDER
 from serial_reference import serial_run
+
+_CELL = re.compile(r"-?[0-9]+")
+
+
+def parse_waveform_csv(text: str) -> dict[str, nl.Waveform]:
+    """Inverse of :func:`format_waveform_csv`, the writer's oracle; step indices are checked.
+
+    Malformed text raises :class:`ValueError`: a bad header, empty or
+    repeated column names, a row of the wrong width, a wrong step index, a
+    cell that is not ``-?[0-9]+`` (no sign ``+``, spaces, ``_`` or non-ASCII
+    digits, all of which Python's ``int`` would take), a value outside
+    64-bit range, or no rows at all.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty waveform CSV")
+    header = lines[0].split(",")
+    if header[0] != "step" or len(header) < 2:
+        raise ValueError("waveform CSV must start with a 'step,<name>,...' header")
+    names = header[1:]
+    if not all(names):
+        raise ValueError("waveform CSV header has an empty column name")
+    if len(set(names)) != len(names):
+        raise ValueError("waveform CSV header repeats a column name")
+    if len(lines) < 2:
+        raise ValueError("waveform CSV has no rows")
+    rows = []
+    for t, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"row {t} has {len(cells)} cells, expected {len(header)}")
+        if not all(map(_CELL.fullmatch, cells)):
+            raise ValueError(f"row {t} has a cell that is not a decimal integer")
+        if int(cells[0]) != t:
+            raise ValueError(f"row {t} carries step index {cells[0]}")
+        rows.append([int(c) for c in cells[1:]])
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("waveform CSV value outside the 64-bit integer range") from None
+    return {name: nl.Waveform(data[:, j]) for j, name in enumerate(names)}
 
 
 def test_format_shape():
@@ -18,7 +61,7 @@ def test_format_shape():
 
 
 def test_header_keeps_names_outside_ascii(tmp_path):
-    columns = {"wäve": nl.IntWave([3, -12])}
+    columns = {"wäve": nl.Waveform([3, -12])}
     assert format_waveform_csv(columns) == "step,wäve\n0,3\n1,-12\n"
     write_waveform_csv(tmp_path / "w.csv", columns)
     assert (tmp_path / "w.csv").read_bytes() == "step,wäve\n0,3\n1,-12\n".encode("utf-8")
@@ -64,7 +107,7 @@ def test_format_is_byte_identical_to_per_cell_formatting():
     columns = {f"r{k}": nl.RtwSignal(rng.choice([-1, 1], 300)) for k in range(5)}
     columns["s"] = nl.SpikeTrain(rng.integers(0, 2, 300))
     columns["m"] = nl.MultiLevelSignal(rng.integers(-2, 3, 300))
-    columns["big"] = nl.IntWave(rng.integers(-(2**62), 2**62, 300))
+    columns["big"] = nl.Waveform(rng.integers(-(2**62), 2**62, 300))
     text = format_waveform_csv(columns)
     assert text == _per_cell_csv(columns)
     parsed = parse_waveform_csv(text)
@@ -77,8 +120,8 @@ _KINDS = {
     "rtw": lambda rng, n: nl.RtwSignal(rng.choice([-1, 1], n)),
     "spike": lambda rng, n: nl.SpikeTrain(rng.integers(0, 2, n)),
     "multi": lambda rng, n: nl.MultiLevelSignal(rng.integers(-2, 3, n)),
-    "wide": lambda rng, n: nl.IntWave(rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)),
-    "extremes": lambda rng, n: nl.IntWave(rng.choice([-(2**63), -1, 0, 2**63 - 1], n)),
+    "wide": lambda rng, n: nl.Waveform(rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)),
+    "extremes": lambda rng, n: nl.Waveform(rng.choice([-(2**63), -1, 0, 2**63 - 1], n)),
 }
 
 
