@@ -17,6 +17,7 @@ import random
 import re
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -254,6 +255,17 @@ class TestCounts:
             assert not valid
         else:
             assert valid
+
+    @pytest.mark.parametrize("name, value", [
+        ("gen_rtw_pairs n_pairs", True), ("gen_disjoint_spike_pairs n_pairs", True),
+        ("ambiguity_analytic n", True), ("ambiguity_monte_carlo n", True),
+        ("verify_equivalence sample", True), ("verify_equivalence sample", 2.5),
+    ])
+    def test_a_bool_or_float_count_names_the_parameter(self, name, value):
+        call, _ = _COUNTS[name]
+        parameter = name.split()[1]
+        with pytest.raises(nl.ConfigError, match=f"^{parameter} must be an integer, got {value!r}$"):
+            call(value)
 
 
 # Whole command lines: a subcommand with random flags whose values are

@@ -239,6 +239,7 @@ class TestAmbiguityMonteCarlo:
     @pytest.mark.parametrize("trials, seed", [
         (1500.5, 1), (1500.0, 1), (True, 1), ("1500", 1),
         (1500, 1.5), (1500, True), (1500, np.float64(1)),
+        (np.bool_(True), 1), (1500, np.bool_(True)),
     ])
     def test_non_integer_counts_and_seeds_are_config_errors(self, trials, seed):
         with pytest.raises(ConfigError, match="must be an integer"):
