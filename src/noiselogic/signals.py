@@ -32,6 +32,7 @@ per distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
 simulator walks whenever every input copies High or Low.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -484,12 +485,17 @@ class GeneratorConfig:
     spike_rate_l: float = 0.25
 
     def __post_init__(self):
-        int_seed, int_steps = (isinstance(v, int) and not isinstance(v, bool)
-                               for v in (self.seed, self.steps))
-        if not int_seed or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not int_steps or self.steps < 1:
-            raise ConfigError(f"steps must be a positive integer, got {self.steps!r}")
+        # A NumPy integer is stored as a plain int, so reports serialize it.
+        for name, lo, hi, what in (("seed", 0, 2**64, "a 64-bit unsigned"),
+                                   ("steps", 1, math.inf, "a positive")):
+            value = getattr(self, name)
+            try:
+                number = _integer(name, value)
+            except ConfigError:
+                number = None
+            if number is None or not lo <= number < hi:
+                raise ConfigError(f"{name} must be {what} integer, got {value!r}")
+            object.__setattr__(self, name, number)
         for name, rate in (("spike_rate_h", self.spike_rate_h), ("spike_rate_l", self.spike_rate_l)):
             if not 0.0 < _real(name, rate) < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {rate!r}")

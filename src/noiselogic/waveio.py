@@ -5,6 +5,12 @@ step; every value is a decimal integer, ASCII ``-?[0-9]+``.  The CLI's
 ``gen`` and ``simulate --waves`` write this one format through
 :func:`write_waveform_csv`.  Nothing in the package reads it back; the
 reader that checks the writer lives with the tests.
+
+The writer renders the text of each distinct step row once.  The CLI's
+CSVs have at most four of them, three on spike: in the non-squeezed gates
+both logic values are the reference waves themselves, so every wire at
+step ``t`` is a function of the pair's column ``(H_t, L_t)`` alone, and a
+spike pair never spikes in both trains at once.
 """
 
 import numpy as np
@@ -19,18 +25,20 @@ def format_waveform_csv(columns: dict[str, Waveform]) -> str:
     """Render named waveforms as CSV text (column order = dict order).
 
     The body is built with array operations, for every waveform kind
-    alike.  The glyph table holds ``b"%d,"`` of each step index and of each
-    distinct value present in the waves, and ``b"%d\\n"`` of the latter for
-    the last column; every cell is an index into it.  The table's entries
-    are NUL-padded to one width, so the indexed cells of a block of rows
-    form those rows side by side, and deleting the padding leaves their
-    text.  Blocks of at most ``_BLOCK_CELLS`` cells bound the temporaries.
+    alike.  The distinct rows of the ``(steps, columns)`` value matrix are
+    rendered once each: the glyph table holds ``b"%d,"`` of each distinct
+    value present in them, and ``b"%d\\n"`` of it for the last column, and
+    every cell is an index into it.  The table's entries are NUL-padded to
+    one width, so the indexed cells of a block of rows form those rows side
+    by side, and deleting the padding leaves their text.  Blocks of at most
+    ``_BLOCK_CELLS`` cells bound the temporaries.  Each step is then
+    ``b"%d," % t`` followed by its row's text.
     """
     return b"".join(_csv_blocks(columns)).decode("utf-8")
 
 
 def _csv_blocks(columns: dict[str, Waveform]) -> list[bytes]:
-    """The UTF-8 text of :func:`format_waveform_csv`: the header, then blocks of rows."""
+    """The UTF-8 text of :func:`format_waveform_csv`: the header, then the rows."""
     if not columns:
         raise ValueError("at least one waveform column required")
     if any(len(w.shape) != 1 for w in columns.values()):
@@ -40,25 +48,26 @@ def _csv_blocks(columns: dict[str, Waveform]) -> list[bytes]:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     (steps,) = lengths
     data = np.column_stack([w.values for w in columns.values()])
-    distinct = np.unique(data)
+    # Each row's bytes as one void item, so np.unique compares whole rows.
+    keys = data.view(np.dtype((np.void, data.itemsize * data.shape[1]))).ravel()
+    _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = np.unique(data[first])
     values = distinct.tolist()
-    glyphs = np.array([b"%d," % t for t in range(steps)] + [b"%d," % v for v in values]
-                      + [b"%d\n" % v for v in values])
-    blocks = [("step," + ",".join(columns) + "\n").encode("utf-8")]
-    rows = max(1, _BLOCK_CELLS // (1 + len(columns)))
-    for lo in range(0, steps, rows):
-        block = data[lo:lo + rows]
-        cells = np.empty((len(block), 1 + len(columns)), dtype=np.intp)
-        cells[:, 0] = np.arange(lo, lo + len(block))
-        cells[:, 1:] = np.searchsorted(distinct, block)
-        cells[:, 1:] += steps
+    glyphs = np.array([b"%d," % v for v in values] + [b"%d\n" % v for v in values])
+    texts = []
+    rows = max(1, _BLOCK_CELLS // len(columns))
+    for lo in range(0, len(first), rows):
+        cells = np.searchsorted(distinct, data[first[lo:lo + rows]])
         cells[:, -1] += len(values)
-        blocks.append(np.take(glyphs, cells).tobytes().translate(None, b"\0"))
-    return blocks
+        texts += np.take(glyphs, cells).tobytes().translate(None, b"\0").splitlines(keepends=True)
+    parts = [None] * (2 * steps)
+    parts[::2] = [b"%d," % t for t in range(steps)]
+    parts[1::2] = np.array(texts, dtype=object)[row_of].tolist()
+    return [("step," + ",".join(columns) + "\n").encode("utf-8"), b"".join(parts)]
 
 
 def write_waveform_csv(path, columns: dict[str, Waveform]) -> None:
-    """Write :func:`format_waveform_csv` of ``columns`` to ``path`` as UTF-8, block by block."""
+    """Write :func:`format_waveform_csv` of ``columns`` to ``path`` as UTF-8."""
     blocks = _csv_blocks(columns)
     with open(path, "wb") as fh:
         fh.writelines(blocks)

@@ -178,8 +178,14 @@ def _artifact_bundle(tmp_path, tag: str) -> dict[str, str]:
 
     invoke("gen-rtw.csv", ["gen", "--seed", "1", "--steps", "32"])
     invoke("gen-spike.csv", ["gen", "--backend", "spike", "--seed", "7", "--steps", "32"])
-    invoke("simulate.json", ["simulate", str(adder), "--assign", "a=1,b=1,cin=0",
-                             "--seed", "9", "--steps", "64"])
+    simulate = ["simulate", str(adder), "--assign", "a=1,b=1,cin=0", "--seed", "9",
+                "--steps", "64"]
+    invoke("simulate.json", simulate)
+    for name, backend in (("simulate-waves-rtw.csv", []),
+                          ("simulate-waves-spike.csv", ["--backend", "spike"])):
+        waves = tmp_path / f"{tag}-{name}"
+        invoke(name, simulate + backend + ["--waves", str(waves)])
+        artifacts[name] = waves.read_text()
     invoke("verify.json", ["verify", str(adder), "--seed", "9", "--steps", "64"])
     invoke("stats.json", ["stats", "--n", "3", "--trials", "2000", "--seed", "1234",
                           "--epsilon", "1e-25"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from noiselogic.errors import (
 )
 from noiselogic.signals import first_set_step, pack_steps, words_for
 
+from conftest import FULL_ADDER
 from serial_reference import classify_wave
 
 rtw_values = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64)
@@ -462,3 +465,35 @@ class TestGeneratorConfig:
         # end in a bare TypeError from the range check.
         with pytest.raises(nl.ConfigError, match=next(iter(fields))):
             nl.GeneratorConfig(**{"seed": 1, "steps": 4, **fields})
+
+    @pytest.mark.parametrize("seed, steps", [
+        (np.uint64(1), 4), (1, np.int64(4)), (np.uint64(2**64 - 1), np.uint8(64)),
+        (np.int32(7), np.uint64(130))])
+    def test_numpy_integers_are_stored_as_plain_ints(self, seed, steps):
+        config = nl.GeneratorConfig(seed=seed, steps=steps)
+        assert (type(config.seed), type(config.steps)) == (int, int)
+        assert config == nl.GeneratorConfig(seed=int(seed), steps=int(steps))
+        assert nl.gen_rtw(config) == nl.gen_rtw(nl.GeneratorConfig(seed=int(seed), steps=int(steps)))
+
+    def test_a_numpy_seed_serializes_in_a_report(self):
+        ast = nl.parse(FULL_ADDER)
+        reports = [nl.verify_equivalence(ast, "spike", nl.GeneratorConfig(seed=seed, steps=steps))
+                   for seed, steps in ((np.uint64(9), np.int64(64)), (9, 64))]
+        assert json.dumps(reports[0].to_doc()) == json.dumps(reports[1].to_doc())
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": True}, "seed must be a 64-bit unsigned integer, got True"),
+        ({"seed": np.bool_(True)}, f"seed must be a 64-bit unsigned integer, got {np.bool_(True)!r}"),
+        ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+        ({"seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        ({"seed": np.int64(-1)}, f"seed must be a 64-bit unsigned integer, got {np.int64(-1)!r}"),
+        ({"seed": 1.0}, "seed must be a 64-bit unsigned integer, got 1.0"),
+        ({"steps": 0}, "steps must be a positive integer, got 0"),
+        ({"steps": True}, "steps must be a positive integer, got True"),
+        ({"steps": np.int64(0)}, f"steps must be a positive integer, got {np.int64(0)!r}"),
+        ({"steps": 4.0}, "steps must be a positive integer, got 4.0"),
+        ({"steps": "4"}, "steps must be a positive integer, got '4'")])
+    def test_rejections_name_the_field_and_the_value(self, fields, message):
+        with pytest.raises(nl.ConfigError) as info:
+            nl.GeneratorConfig(**{"seed": 1, "steps": 4, **fields})
+        assert str(info.value) == message

@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ import noiselogic as nl
 from noiselogic.cli import main
 from noiselogic.waveio import format_waveform_csv, write_waveform_csv
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, random_netlist_source
 from serial_reference import serial_run
 
 _CELL = re.compile(r"-?[0-9]+")
@@ -136,6 +137,53 @@ def test_format_equals_per_cell_formatting_for_mixed_columns(steps, kinds, seed)
     rng = np.random.default_rng(seed)
     columns = {f"{kind}{k}": _KINDS[kind](rng, steps) for k, kind in enumerate(kinds)}
     assert format_waveform_csv(columns) == _per_cell_csv(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.sampled_from([1, 9, 10, 99, 100, 1001, 4096]),
+    # The number of row classes; None gives one class per step.
+    classes=st.sampled_from([1, 2, 3, 4, 5, None]),
+    kinds=st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_format_equals_per_cell_formatting_for_few_distinct_rows(steps, classes, kinds, seed):
+    # Every column is table[step_class], so the rows repeat as the CLI's do.
+    rng = np.random.default_rng(seed)
+    k = steps if classes is None else classes
+    step_class = rng.integers(0, k, steps)
+    tables = [_KINDS[kind](rng, k) for kind in kinds]
+    columns = {f"{kind}{j}": type(table)(table.values[step_class])
+               for j, (kind, table) in enumerate(zip(kinds, tables))}
+    assert format_waveform_csv(columns) == _per_cell_csv(columns)
+
+
+def _row_bodies(text: str) -> set[str]:
+    return {line.split(",", 1)[1] for line in text.splitlines()[1:]}
+
+
+@pytest.mark.parametrize("backend", nl.BACKENDS)
+def test_cli_csvs_have_at_most_four_distinct_rows(tmp_path, backend):
+    # Every wire at step t is a function of the pair's column (H_t, L_t),
+    # and a spike pair never spikes in both trains at once.
+    limit = 3 if backend == "spike" else 4
+    rng = random.Random(f"rows/{backend}")
+    runner = CliRunner()
+    for k, steps in enumerate((2, 7, 64, 65, 130, 1000)):
+        source = random_netlist_source(rng)
+        netlist, waves = tmp_path / f"n{k}.nl", tmp_path / f"n{k}.csv"
+        netlist.write_text(source)
+        assign = ",".join(f"{name}={rng.getrandbits(1)}" for name in nl.parse(source).inputs)
+        seed = str(rng.getrandbits(64))
+        result = runner.invoke(main, ["simulate", str(netlist), "--assign", assign,
+                                      "--backend", backend, "--seed", seed, "--steps", str(steps),
+                                      "--waves", str(waves)])
+        assert result.exit_code == 0, result.output
+        assert len(_row_bodies(waves.read_text())) <= limit
+        result = runner.invoke(main, ["gen", "--backend", backend, "--seed", seed,
+                                      "--steps", str(steps)])
+        assert result.exit_code == 0, result.output
+        assert len(_row_bodies(result.output)) <= limit
 
 
 @pytest.mark.parametrize("backend", nl.BACKENDS)
