@@ -129,6 +129,14 @@ def _spike_words(seeds: np.ndarray, config: GeneratorConfig, out: np.ndarray,
     )
 
 
+def _check_room(trains: int, steps: int) -> None:
+    """Raise GenerationError, before any draw, when ``trains`` non-empty
+    disjoint spike trains cannot fit in ``steps`` steps."""
+    if steps < trains:
+        raise GenerationError(f"{trains} non-empty disjoint spike trains need at least "
+                              f"{trains} steps, got steps={steps}")
+
+
 _DRAW = {RTW: (_rtw_words, RtwSignal), SPIKE: (_spike_words, SpikeTrain)}
 
 
@@ -141,11 +149,14 @@ def reference_pairs(family: str, trial_seeds, config: GeneratorConfig) -> LogicR
     and the spike rates; its seed is not read.  Rows are drawn in blocks
     whose raw words fit ``_RAW_BYTES``, so a large batch costs little more
     memory than its packed waves.  A spike row that exhausts its attempts
-    raises :class:`GenerationError`.
+    raises :class:`GenerationError`, and so does a spike draw at one step,
+    before drawing.
     """
     if family not in _DRAW:
         raise ConfigError(f"unknown logic family {family!r}")
     draw, carrier = _DRAW[family]
+    if family == SPIKE:
+        _check_room(2, config.steps)
     seeds = np.asarray(trial_seeds, dtype=np.uint64)
     if seeds.ndim > 1:
         raise ConfigError(f"trial seeds must be one seed or a 1-D array, got shape {seeds.shape}")
@@ -199,6 +210,7 @@ def gen_disjoint_spike_pairs(
             f"per-train rate {rate_per_train} infeasible for {2 * n_pairs} disjoint trains"
         )
     rates = [rate_per_train] * (2 * n_pairs)
+    _check_room(len(rates), steps)
     # Train i is plane i, one (words, 1) column for the one seed.
     planes = np.empty((len(rates), words_for(steps), 1), dtype=np.uint64)
     try:

@@ -29,7 +29,9 @@ a pair, by one rule for both families, and :func:`classify` is its one-wave
 case, reporting High, Low or Ambiguous together with the deciding step.
 :attr:`LogicReferencePair.step_classes` cuts a one-wave pair to one step
 per distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
-simulator walks whenever every input copies High or Low.
+simulator walks whenever every input copies High or Low; a wave on the cut
+pair is one word below 16, and :meth:`StepClasses.read` reads each word
+present once, into a table indexed by the word.
 """
 
 import math
@@ -442,17 +444,32 @@ class StepClasses(NamedTuple):
     the cut pair as on the full one.  The precondition is the point: a walk
     fed with other waves must cut on ``(H, L, inputs)`` columns, or not at
     all.  First-occurrence order makes the lowest cut step where two waves
-    differ stand for the lowest full step where they do, so
-    :meth:`classify_rows` reports the steps of the full pair.
+    differ stand for the lowest full step where they do, so :meth:`read`
+    reports the steps of the full pair.
     """
 
     pair: LogicReferencePair
     first: np.ndarray
     expand: np.ndarray
 
-    def classify_rows(self, x: Waveform) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """:func:`classify_rows` of cut waves ``x`` against the cut pair, in full steps."""
-        return _classify_rows(x, self.pair, self.first)
+    def read(self, words) -> list["Classification | None"]:
+        """The reading of every cut word in the integer array ``words``, indexed by the word.
+
+        A cut wave is one word below ``2 ** pair.steps``, at most 16 of
+        them, so each word present is classified once, by the rule of
+        :func:`classify_rows` against the cut pair, with its steps mapped to
+        the full pair; an absent word reads ``None``.
+        """
+        counts = np.bincount(np.ravel(words).astype(np.intp), minlength=len(self.expand))
+        present = np.flatnonzero(counts)
+        bits, at, details = _classify_rows(
+            type(self.pair.h)._of_words(present.astype(np.uint64)[None], self.pair.steps),
+            self.pair, self.first)
+        table = [None] * len(counts)
+        for r, v in enumerate(present.tolist()):
+            table[v] = (Classification(Verdict.AMBIGUOUS, None, details[r]) if r in details
+                        else Classification(Verdict.from_bit(int(bits[r])), int(at[r])))
+        return table
 
 
 def _integer(name: str, value) -> int:

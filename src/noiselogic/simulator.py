@@ -19,8 +19,9 @@ chunk; each slot is one contiguous ``(words, rows)`` batch.
 
 :func:`run` and :func:`verify_equivalence` walk their one pair's step
 classes (:attr:`LogicReferencePair.step_classes`): the pair cut to one step
-per distinct ``(H_t, L_t)`` column, at most four, so a row is one word at
-any step count.  This rests on one precondition, which both meet: every
+per distinct ``(H_t, L_t)`` column, at most four, so a row is one cut word
+below 16 at any step count, and :meth:`StepClasses.read` classifies each
+distinct word once.  This rests on one precondition, which both meet: every
 input copies High or Low, so every wire is a per-step function of the
 column.  A path that feeds other input waves must cut on ``(H, L, inputs)``
 columns, or not cut at all.  Every kernel check still runs, on the cut
@@ -40,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +65,6 @@ from .signals import (
     GeneratorConfig,
     LogicReferencePair,
     StepClasses,
-    Verdict,
     Waveform,
     _integer,
     classify_rows,
@@ -242,87 +243,50 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
     return matrix
 
 
-class _LazyRows(Mapping):
-    """A read-only wire name -> value mapping, in wire order, over rows of a run.
-
-    The value of a wire is ``build(row)`` for the row that holds it, built
-    when the wire is first read and kept from then on.
-    """
-
-    def __init__(self, slot: dict[str, int], build):
-        self._slot, self._build, self._built = slot, build, {}
-
-    def __getitem__(self, name: str):
-        if name not in self._built:
-            self._built[name] = self._build(self._slot[name])
-        return self._built[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._slot
-
-    def __iter__(self):
-        return iter(self._slot)
-
-    def __len__(self) -> int:
-        return len(self._slot)
-
-
 @dataclass(eq=False)
 class SimulationRun:
-    """Every wire's wave and reading from one network execution, kept as arrays.
+    """Every wire's wave and reading from one network execution, by cut word.
 
-    ``matrix`` is the read-only ``(slots, 1, 1)`` wave matrix of the walk
-    on the step classes ``classes`` of the run's pair, ``slot`` maps each
-    wire name, in wire order, to its slot, and ``bits``, ``decided_at`` and
-    ``details`` are :meth:`StepClasses.classify_rows`' reading of every
-    row, in full steps.  :attr:`waveforms` and :attr:`classifications` are
-    read-only mappings over the wires whose entries are built when first
-    read: a waveform wraps the row of ``classes.expand`` that its cut wave
-    selects, a view of the full wave, and a classification is its row's
-    reading.  :attr:`ambiguous_wires` and
-    :attr:`output_classifications` read the arrays and build nothing for
-    the other wires.
+    ``slot`` maps each wire name, in wire order, to its slot in the walk on
+    the step classes ``classes`` of the run's pair, ``cut`` holds each
+    slot's cut word, and ``readings`` is :meth:`StepClasses.read`'s table of
+    those words.  :attr:`waveforms` and :attr:`classifications` are
+    read-only mappings over the wires, built when first read: every wire
+    with cut word ``v`` shares one wave, wrapping the view
+    ``classes.expand[v]`` of its full wave, and one reading,
+    ``readings[v]``.  :attr:`ambiguous_wires` walks the wires only if some
+    present word reads Ambiguous.
     """
 
     backend: str
     config: GeneratorConfig
     network: CompiledNetwork
     assignment: dict[str, int]
-    matrix: np.ndarray
     classes: StepClasses
     slot: dict[str, int]
-    bits: np.ndarray
-    decided_at: np.ndarray
-    details: dict[int, str]
+    cut: list[int]
+    readings: list[Classification | None]
 
-    # The builders close over the arrays, not over the run, so that a run
-    # holds no reference cycle and its matrix is freed as soon as the run is.
     @cached_property
     def waveforms(self) -> Mapping[str, Waveform]:
         wrap = type(self.classes.pair.h)._of_words
-        cut, expand, steps = self.matrix[:, 0, 0].tolist(), self.classes.expand, self.config.steps
-        return _LazyRows(self.slot, lambda s: wrap(expand[cut[s]], steps))
+        waves = [wrap(row, self.config.steps) for row in self.classes.expand]
+        return MappingProxyType({name: waves[self.cut[s]] for name, s in self.slot.items()})
 
     @cached_property
     def classifications(self) -> Mapping[str, Classification]:
-        bits, decided_at, details = self.bits, self.decided_at, self.details
-
-        def reading(s: int) -> Classification:
-            if s in details:
-                return Classification(Verdict.AMBIGUOUS, None, details[s])
-            return Classification(Verdict.from_bit(int(bits[s])), int(decided_at[s]))
-
-        return _LazyRows(self.slot, reading)
+        return MappingProxyType({name: self.readings[self.cut[s]] for name, s in self.slot.items()})
 
     @property
     def output_classifications(self) -> dict[str, Classification]:
-        return {name: self.classifications[name] for name in self.network.outputs}
+        # Looked up directly: building :attr:`classifications` walks every wire.
+        return {name: self.readings[self.cut[self.slot[name]]] for name in self.network.outputs}
 
     @property
     def ambiguous_wires(self) -> list[str]:
-        if not self.details:
+        if not any(r is not None and r.is_ambiguous for r in self.readings):
             return []
-        return [name for name, s in self.slot.items() if s in self.details]
+        return [name for name, c in self.classifications.items() if c.is_ambiguous]
 
     def output_bits(self) -> dict[str, int]:
         return {name: c.verdict.to_bit() for name, c in self.output_classifications.items()}
@@ -341,31 +305,25 @@ def run(
     pair.  Ambiguous wires are reported in the result, not raised.
 
     The walk is :func:`_evaluate` on one row of the pair's step classes
-    with every wire kept, and one :meth:`StepClasses.classify_rows` call
-    reads every row of its matrix, so the cost per wire is array work only.
-    The result keeps the matrix and the readings; wave and classification
-    objects are built only for the wires that are read (see
+    with every wire kept, so each wire is one cut word, and one
+    :meth:`StepClasses.read` call reads each distinct word once.  Wave and
+    classification objects are built per cut word, not per wire (see
     :class:`SimulationRun`).
     """
     _check_assignment(network.inputs, assignment)
     classes = make_backend(backend, config).pair.step_classes
     plan = _plan(network, network.wires)
-    matrix = _evaluate(plan, _Backend(backend, classes.pair),
-                       [assignment[name] for name in network.inputs], 1)
-    # The slots are the rows of one (words, slots) batch.
-    bits, decided_at, details = classes.classify_rows(
-        type(classes.pair.h)._of_words(matrix[..., 0].T, classes.pair.steps))
+    cut = _evaluate(plan, _Backend(backend, classes.pair),
+                    [assignment[name] for name in network.inputs], 1)[:, 0, 0]
     return SimulationRun(
         backend=backend,
         config=config,
         network=network,
         assignment=dict(assignment),
-        matrix=matrix,
         classes=classes,
         slot=plan.slot,
-        bits=bits,
-        decided_at=decided_at,
-        details=details,
+        cut=cut.tolist(),
+        readings=classes.read(cut),
     )
 
 
@@ -392,19 +350,9 @@ class EquivalenceReport:
         return self.failures[0] if self.failures else None
 
     def to_doc(self) -> dict:
-        return {
-            "backend": self.backend,
-            "steps": self.steps,
-            "seed": self.seed,
-            "inputs": list(self.inputs),
-            "mode": self.mode,
-            "assignment_space": self.assignment_space,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failures": self.failures,
-            "ambiguous": self.ambiguous,
-            "pass": self.ok,
-        }
+        # The fields in order, not copied: ``dataclasses.asdict`` deep-copies
+        # every value, which cost about 1 % of a small exhaustive verify.
+        return {**vars(self), "inputs": list(self.inputs), "pass": self.ok}
 
 
 def _assignments_from_indices(
@@ -463,11 +411,12 @@ def verify_equivalence(
     Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
     waveform data: each chunk is one :func:`_evaluate` walk on the pair's
     step classes with a row per assignment, so every (level, op) group and
-    the oracle run once per chunk.  Chunks run on up to ``min(4, usable
-    CPUs, chunks)`` threads (see :func:`_map_chunks`) and merge in chunk
-    order, so the report is the one a per-assignment loop would give, with
-    failures and ambiguous incidents in assignment order, for any thread
-    count.
+    the oracle run once per chunk, and one :meth:`StepClasses.read` of the
+    outputs' cut words reads each distinct word once.  Chunks run on up to
+    ``min(4, usable CPUs, chunks)`` threads (see :func:`_map_chunks`) and
+    merge in chunk order, so the report is the one a per-assignment loop
+    would give, with failures and ambiguous incidents in assignment order,
+    for any thread count.
     """
     if network is None:
         net = lower(source) if isinstance(source, NetlistAst) else source
@@ -512,9 +461,9 @@ def verify_equivalence(
         checked=0,
         passed=0,
     )
-    wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
     plan = _plan(net, net.outputs)
-    rows = _chunk_rows(steps, plan.slots)
+    out_slots = [plan.slot[name] for name in net.outputs]
+    rows = _chunk_rows(bk.pair.steps, plan.slots)
 
     def check(lo: int) -> tuple[int, int, list[dict], list[dict]]:
         """Rows, passes, failures and ambiguous incidents of the chunk at ``lo``."""
@@ -522,28 +471,31 @@ def verify_equivalence(
         indices = np.arange(lo, hi, dtype=np.uint64) if drawn is None else drawn[lo:hi]
         bits = _assignments_from_indices(net.inputs, indices)
         expected = eval_boolean(source, bits)
-        matrix = _evaluate(plan, bk, [bits[name] for name in net.inputs], hi - lo)
+        # Every output of every row is one cut word: (outputs, rows).
+        cut = _evaluate(plan, bk, [bits[name] for name in net.inputs], hi - lo)[out_slots, 0]
+        readings = classes.read(cut)
+        # The bit of each word present; an ambiguous word's -1 never matches.
+        got = np.array([-1 if r is None or r.is_ambiguous else r.verdict.to_bit()
+                        for r in readings])[cut]
         bad = np.zeros(hi - lo, dtype=bool)
-        outcomes = []
-        for name in net.outputs:
-            got, _, details = classes.classify_rows(wrap(matrix[plan.slot[name]], steps))
-            bad |= got != expected[name]   # an ambiguous row (-1) never matches
-            outcomes.append((name, got, details))
+        for name, row in zip(net.outputs, got):
+            bad |= row != expected[name]
         failures, ambiguous = [], []
-        for r in np.flatnonzero(bad):
+        for r in np.flatnonzero(bad).tolist():
             assignment = {name: int(bits[name][r]) for name in net.inputs}
-            for name, got, details in outcomes:
-                if r in details:
+            for name, v in zip(net.outputs, cut[:, r].tolist()):
+                reading = readings[v]
+                if reading.is_ambiguous:
                     ambiguous.append(
-                        {"assignment": assignment, "wire": name, "detail": details[r]}
+                        {"assignment": assignment, "wire": name, "detail": reading.detail}
                     )
-                elif got[r] != expected[name][r]:
+                elif reading.verdict.to_bit() != expected[name][r]:
                     failures.append(
                         {
                             "assignment": assignment,
                             "output": name,
                             "expected": int(expected[name][r]),
-                            "got": Verdict.from_bit(int(got[r])).value,
+                            "got": reading.verdict.value,
                         }
                     )
         return hi - lo, hi - lo - int(bad.sum()), failures, ambiguous
@@ -573,15 +525,7 @@ class ReliabilityReport:
     within_band: bool
 
     def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "analytic_ambiguity": self.analytic_ambiguity,
-            "mc_estimate": self.mc_estimate,
-            "mc_trials": self.mc_trials,
-            "sigma": self.sigma,
-            "band_4sigma": self.band_4sigma,
-            "within_band": self.within_band,
-        }
+        return dict(vars(self))
 
 
 def ambiguity_analytic(n: int) -> float:
@@ -668,15 +612,7 @@ class LatencyReport:
     decision_rate: float           # per-step probability that a step decides
 
     def to_doc(self) -> dict:
-        return {
-            "backend": self.backend,
-            "trials": self.trials,
-            "steps": self.steps,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "ambiguous_windows": self.ambiguous_windows,
-            "mean_decided_at": self.mean_decided_at,
-            "decision_rate": self.decision_rate,
-        }
+        return {**vars(self), "histogram": {str(k): v for k, v in sorted(self.histogram.items())}}
 
 
 def decision_latency(

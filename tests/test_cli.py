@@ -55,6 +55,19 @@ class TestGen:
         result = runner.invoke(main, ["gen", "--steps", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["gen", "--backend", "spike", "--steps", "1"],
+         "2 non-empty disjoint spike trains need at least 2 steps, got steps=1"),
+        (["hyperspace", "--family", "spike", "--bits", "10110", "--steps", "9"],
+         "10 non-empty disjoint spike trains need at least 10 steps, got steps=9"),
+        (["hyperspace", "--family", "spike", "--bits", "10110", "--steps", "10"],
+         "could not fill 10 non-empty disjoint trains in 64 attempts"),
+    ], ids=["gen-one-step", "hyperspace-too-few-steps", "hyperspace-retries"])
+    def test_spike_trains_without_room_exit_2(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+
     def test_json_format(self, runner):
         result = runner.invoke(main, ["gen", "--seed", "1", "--steps", "8", "--format", "json"])
         doc = json.loads(result.output)

@@ -148,6 +148,21 @@ class TestSpikePairRows:
             nl.gen_orthogonal_spike_pair(config)
         assert str(batch.value) == str(single.value)
 
+    def test_too_few_steps_fail_before_any_draw(self):
+        # Two non-empty disjoint trains need two steps, and N pairs 2N, so
+        # no attempt could succeed: no stream word is drawn.
+        config = nl.GeneratorConfig(seed=3, steps=1)
+        seeds = derive_seeds(config.seed, 4)
+        draws = (lambda: reference_pairs(nl.SPIKE, seeds, config),
+                 lambda: nl.gen_orthogonal_spike_pair(config),
+                 lambda: gen_disjoint_spike_pairs(4, 9, 5))
+        messages = ["2 non-empty disjoint spike trains need at least 2 steps, got steps=1"] * 2 + [
+            "10 non-empty disjoint spike trains need at least 10 steps, got steps=9"]
+        with mock.patch.object(generators, "mix64_array", side_effect=AssertionError("drew")):
+            for draw, message in zip(draws, messages):
+                with pytest.raises(nl.GenerationError, match=f"^{re.escape(message)}$"):
+                    draw()
+
 
 class TestDisjointSpikePairs:
     def test_all_trains_pairwise_disjoint(self):

@@ -5,25 +5,29 @@ because every gate kernel and spike circuit is a per-step function of its
 inputs' bits and the pair's bits, and every check a per-step predicate or
 an all-steps equality.  The properties here pin that lemma on each kernel,
 result and exception alike, so a kernel that stops being per-step breaks a
-test rather than the checker; and compare the cut walk with the full-step
-walk, ``_evaluate`` on the uncut pair, end to end.
+test rather than the checker; pin ``StepClasses.read`` against ``classify``
+of each word's full wave; and compare the cut walk end to end with the
+full-wave references, ``serial_run`` and ``serial_report``.
 """
 
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic import rtw_gates, spike_gates
-from noiselogic.signals import BitWave, LogicReferencePair, StepClasses, words_for
+from noiselogic.signals import BitWave, LogicReferencePair, words_for
 from noiselogic.waveio import format_waveform_csv
 
 from conftest import gate_rows, random_netlist_source
+from serial_reference import serial_run
+from test_batched_verify import serial_report
 from test_level_parallel_run import _non_copy_not
 from test_simulator import corrupt_and_to_or
 
@@ -100,6 +104,35 @@ class TestStepClasses:
             batch.step_classes
 
 
+class TestRead:
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from([nl.RTW, nl.SPIKE]), seed=st.integers(0, 2**64 - 1),
+           steps=st.integers(1, 300), data=st.data())
+    def test_each_present_word_reads_as_its_full_wave(self, family, seed, steps, data):
+        if family == nl.SPIKE:
+            steps = max(steps, 2)   # room for two non-empty disjoint trains
+        try:
+            pair = nl.generators.reference_pairs(family, seed,
+                                                 nl.GeneratorConfig(seed=seed, steps=steps))
+        except nl.GenerationError:
+            assume(False)
+        classes = pair.step_classes
+        size = 2 ** classes.pair.steps
+        words = data.draw(hnp.arrays(
+            st.sampled_from([np.uint64, np.int64, np.uint8]),
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+            elements=st.integers(0, size - 1)))
+        table = classes.read(words)
+        assert len(table) == size
+        present = set(np.ravel(words).tolist())
+        wrap = type(pair.h)._of_words
+        for v, reading in enumerate(table):
+            if v in present:
+                assert reading == nl.classify(wrap(classes.expand[v], steps), pair)
+            else:
+                assert reading is None
+
+
 # Each kernel and circuit, with the pair family it serves and its input counts.
 KERNELS = {
     "not_additive": (rtw_gates, True, (1,)),
@@ -143,51 +176,37 @@ class TestKernelsCommuteWithTheCut:
             assert all(np.array_equal(classes.expand[int(g[0])], w) for g, w in zip(got, want))
 
 
-@contextmanager
-def uncut():
-    """Make ``run`` and ``verify_equivalence`` walk the full pair, cut by the identity.
+def _verify(verify, *args, **kwargs):
+    """The report document of ``verify(*args, **kwargs)``, or the type of its error."""
+    try:
+        return verify(*args, **kwargs).to_doc()
+    except nl.NoiseLogicError as exc:
+        return type(exc)
 
-    The identity cut has no expansion table; :func:`_run` reads the waves of
-    such a run from its matrix.
+
+def _run(run, network, backend, assignment, config):
+    """Readings, ambiguous wires, waves and ``--waves`` CSV text of ``run``, or the type of its error.
+
+    ``serial_run`` keeps no list of ambiguous wires: they are the wires that read Ambiguous.
     """
-    def identity(pair):
-        return StepClasses(pair, np.arange(pair.steps), None)
-
-    with mock.patch.object(LogicReferencePair, "step_classes", property(identity)):
-        yield
-
-
-def _verify(*args, **kwargs):
-    """The report document, or the type and message of the error."""
     try:
-        return nl.verify_equivalence(*args, **kwargs).to_doc()
+        result = run(network, backend, assignment, config)
     except nl.NoiseLogicError as exc:
-        return type(exc), str(exc)
-
-
-def _run(network, backend, assignment, config):
-    """Readings, ambiguous wires, waves and ``--waves`` CSV text of a run, or its error."""
-    try:
-        result = nl.run(network, backend, assignment, config)
-    except nl.NoiseLogicError as exc:
-        return type(exc), str(exc)
-    if result.classes.expand is None:
-        wrap = type(result.classes.pair.h)._of_words
-        waves = {name: wrap(result.matrix[s, :, 0], config.steps) for name, s in result.slot.items()}
-    else:
-        waves = dict(result.waveforms)
-    return (dict(result.classifications), result.ambiguous_wires,
+        return type(exc)
+    waves = dict(result.waveforms)
+    ambiguous = (result.ambiguous_wires if run is nl.run else
+                 [name for name, c in result.classifications.items() if c.is_ambiguous])
+    return (dict(result.classifications), ambiguous,
             {name: w.words.tolist() for name, w in waves.items()},
             format_waveform_csv(waves))
 
 
 def _both(ast, network, backend, assignment, config):
-    """``(verify, run)`` outcomes on the cut pair and on the full pair."""
-    cut = (_verify(ast, backend, config, network=network),
-           _run(network, backend, assignment, config))
-    with uncut():
-        full = (_verify(ast, backend, config, network=network),
-                _run(network, backend, assignment, config))
+    """``(verify, run)`` outcomes of the cut walk and of the full-wave references."""
+    cut = (_verify(nl.verify_equivalence, ast, backend, config, network=network),
+           _run(nl.run, network, backend, assignment, config))
+    full = (_verify(serial_report, ast, backend, config, network=network),
+            _run(serial_run, network, backend, assignment, config))
     return cut, full
 
 
