@@ -315,14 +315,14 @@ def cmd_hyperspace(family, bits_text, max_bits, seed, steps, out) -> None:
         hs.check_bit_count(len(bits), max_bits)   # before the pairs, whose draw grows with N
         if family == "rtw":
             pairs = gen_rtw_pairs(seed, steps, len(bits))
-            non_squeezed = hs.rtw_product_vector(pairs, bits, max_bits=max_bits)
-            squeezed = hs.squeezed_collapse_demo(pairs, bits, max_bits=max_bits)
+            non_squeezed = hs.rtw_product_vector(pairs, bits)
+            squeezed = hs.squeezed_collapse_demo(pairs, bits)
             recovered = None
             squeezed_recovered = None
         else:
             pairs = gen_disjoint_spike_pairs(seed, steps, len(bits))
-            non_squeezed = hs.spike_superposition(pairs, bits, max_bits=max_bits)
-            squeezed = hs.spike_superposition(pairs, bits, squeezed=True, max_bits=max_bits)
+            non_squeezed = hs.spike_superposition(pairs, bits)
+            squeezed = hs.spike_superposition(pairs, bits, squeezed=True)
             recovered = "".join(
                 "?" if b is None else str(b) for b in hs.recover_bits(non_squeezed)
             )

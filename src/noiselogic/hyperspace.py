@@ -57,12 +57,11 @@ def check_bit_count(n: int, max_bits: int) -> None:
         raise ConfigError(f"{n} bits exceed the configured cap of {max_bits}")
 
 
-def _check_vector_args(pairs, bits, family: str, max_bits: int) -> None:
+def _check_vector_args(pairs, bits, family: str) -> None:
     if len(bits) == 0:
         raise ConfigError("bit vector must contain at least one bit")
     if len(pairs) != len(bits):
         raise ConfigError(f"{len(bits)} bits need {len(bits)} pairs, got {len(pairs)}")
-    check_bit_count(len(bits), max_bits)
     if any(b not in (0, 1) for b in bits):
         raise ConfigError("bits must be 0 (Low) or 1 (High)")
     steps = pairs[0].steps
@@ -76,10 +75,9 @@ def _check_vector_args(pairs, bits, family: str, max_bits: int) -> None:
 def rtw_product_vector(
     pairs: tuple[LogicReferencePair, ...],
     bits: tuple[int, ...],
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> HyperVector:
     """Product of each bit's selected reference wave; never zero anywhere."""
-    _check_vector_args(pairs, bits, RTW, max_bits)
+    _check_vector_args(pairs, bits, RTW)
     combined = np.ones(pairs[0].steps, dtype=np.int64)
     for pair, bit in zip(pairs, bits):
         combined = combined * (pair.h.values if bit else pair.l.values)
@@ -89,14 +87,13 @@ def rtw_product_vector(
 def squeezed_collapse_demo(
     pairs: tuple[LogicReferencePair, ...],
     bits: tuple[int, ...],
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> HyperVector:
     """Same product under the squeezed convention (Low bit = zero wave).
 
     Any Low factor resets the entire product to zero, which is exactly why
     the squeezed encoding cannot address a multi-bit product space.
     """
-    _check_vector_args(pairs, bits, RTW, max_bits)
+    _check_vector_args(pairs, bits, RTW)
     combined = np.ones(pairs[0].steps, dtype=np.int64)
     for pair, bit in zip(pairs, bits):
         factor = pair.h.values if bit else np.zeros(pair.steps, dtype=np.int64)
@@ -120,14 +117,13 @@ def spike_superposition(
     pairs: tuple[LogicReferencePair, ...],
     bits: tuple[int, ...],
     squeezed: bool = False,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> HyperVector:
     """Union of each bit's selected train over cross-disjoint pairs.
 
     Under the squeezed convention Low bits contribute the empty train,
     which makes them unrecoverable (see :func:`recover_bits`).
     """
-    _check_vector_args(pairs, bits, SPIKE, max_bits)
+    _check_vector_args(pairs, bits, SPIKE)
     _check_cross_disjoint(pairs)
     combined = np.zeros(pairs[0].steps, dtype=np.int64)
     for pair, bit in zip(pairs, bits):

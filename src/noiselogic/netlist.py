@@ -140,6 +140,11 @@ class CompiledNetwork:
     operand twice), writes wire ``out[i]`` and lowers source gate
     ``src[i]``.  The four columns are kept as read-only arrays, and
     networks compare and hash by their names and arrays.
+
+    Construction raises :class:`NetlistError` unless the wire names are
+    unique and start with the inputs, every output names a wire, each wire
+    after the inputs is written by exactly one gate, and every gate reads
+    only inputs and wires that earlier gates write.
     """
 
     wires: tuple[str, ...]
@@ -156,6 +161,29 @@ class CompiledNetwork:
         object.__setattr__(self, "args", self.args.reshape(-1, 2))
         if not len(self.is_not) == len(self.args) == len(self.out) == len(self.src):
             raise NetlistError("gate columns differ in length")
+        n_in, n, gates = len(self.inputs), len(self.wires), len(self.out)
+        names = set(self.wires)
+        if len(names) != n:
+            raise NetlistError("compiled network names a wire twice")
+        if self.wires[:n_in] != self.inputs:
+            raise NetlistError("compiled network's wires must start with its inputs")
+        for name in self.outputs:
+            if name not in names:
+                raise NetlistError(f"output {name!r} is never defined")
+        # The gate that writes each wire, -1 for an input; the last entry,
+        # also read at index -1, stands for a wire out of range.
+        writer = np.full(n + 1, gates)
+        writer[:n_in] = -1
+        in_range = gates == n - n_in and (not gates or n_in <= self.out.min() <= self.out.max() < n)
+        if in_range:
+            writer[self.out] = np.arange(gates)
+        if not in_range or (writer[n_in:n] == gates).any():   # a wire left unwritten
+            raise NetlistError("every wire after the inputs must be written by exactly one gate")
+        bad = writer[np.clip(self.args, -1, n)] >= np.arange(gates)[:, None]
+        if bad.any():
+            i, k = np.argwhere(bad)[0].tolist()
+            raise NetlistError(f"gate {i} reads wire {self.args[i, k]}, which is neither an "
+                               f"input nor written by an earlier gate")
 
     def _key(self) -> tuple:
         return (self.wires, self.inputs, self.outputs, self.is_not.tobytes(),
@@ -176,9 +204,8 @@ class CompiledNetwork:
     def level_groups(self) -> LevelGroups:
         """The gates' (level, op) grouping, computed on first use and kept.
 
-        Inputs, and any wire no gate writes, are at level 0, and a gate is
-        one level above its deepest operand, so a group reads only lower
-        levels.
+        Inputs are at level 0, and a gate is one level above its deepest
+        operand, so a group reads only lower levels.
         """
         n = len(self.out)
         level = [0] * len(self.wires)
@@ -272,9 +299,6 @@ class CompiledNetwork:
         outputs = _json_names(doc, "outputs")
         if len(set(outputs)) != len(outputs):
             raise NetlistError("compiled network declares an output twice")
-        for name in outputs:
-            if name not in index:
-                raise NetlistError(f"output {name!r} is never defined")
         return cls(tuple(wires), inputs, outputs, nots, args, np.arange(len(inputs), len(wires)),
                    srcs)
 

@@ -30,8 +30,9 @@ case, reporting High, Low or Ambiguous together with the deciding step.
 :attr:`LogicReferencePair.step_classes` cuts a one-wave pair to one step
 per distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
 simulator walks whenever every input copies High or Low; a wave on the cut
-pair is one word below 16, and :meth:`StepClasses.read` reads each word
-present once, into a table indexed by the word.
+pair is one word below 16, and :meth:`StepClasses.read` reads the full wave
+of each word present once, against the full pair, into a table indexed by
+the word.
 """
 
 import math
@@ -404,10 +405,7 @@ class LogicReferencePair:
         valid[-1] >>= np.uint64(-self.steps % WORD_BITS)
         # Column b of ``masks`` holds the steps where (H, L) == (b >> 1, b & 1).
         masks = np.stack([~h & ~l & valid, ~h & l, h & ~l, h & l], axis=1)
-        kept = np.flatnonzero(masks.any(axis=0))
-        first = first_set_step(masks[:, kept])
-        order = np.argsort(first)
-        kept, first = kept[order].tolist(), first[order]
+        kept = np.flatnonzero(masks.any(axis=0)).tolist()
         masks = masks[:, kept].T
         cut = [np.array([sum(1 << j for j, b in enumerate(kept) if b & bit)], dtype=np.uint64)
                for bit in (2, 1)]
@@ -416,9 +414,8 @@ class LogicReferencePair:
         # Row v ORs the masks of the columns whose bits v sets.
         picks = (np.arange(1 << len(kept))[:, None] >> np.arange(len(kept))) & 1
         expand = np.bitwise_or.reduce(np.where(picks[..., None] == 1, masks, np.uint64(0)), axis=1)
-        for a in (first, expand):
-            a.flags.writeable = False
-        return StepClasses(pair, first, expand)
+        expand.flags.writeable = False
+        return StepClasses(pair, self, expand)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LogicReferencePair):
@@ -429,11 +426,10 @@ class LogicReferencePair:
 class StepClasses(NamedTuple):
     """A one-wave pair cut to one step per distinct ``(H_t, L_t)`` column.
 
-    ``pair`` has one step per column of the full pair, in the order of the
-    columns' first occurrence; ``first[j]`` is the full step where column
-    ``j`` first occurs, and ``expand[v]`` is the full ``(words,)`` wave of
-    cut words ``v``: set at the steps of every column ``j`` whose bit ``v``
-    sets.
+    ``pair`` has one step per column present in the full pair ``full``, in
+    column order ``(0, 0), (0, 1), (1, 0), (1, 1)``, and ``expand[v]`` is
+    the full ``(words,)`` wave of cut words ``v``: set at the steps of every
+    column ``j`` whose bit ``v`` sets.
 
     Every gate kernel is a per-step function of its inputs' bits and the
     pair's bits.  So when every input copies High or Low, every wire at step
@@ -441,30 +437,27 @@ class StepClasses(NamedTuple):
     cut pair gives each wire's cut wave, which ``expand`` turns into its
     full wave.  Every kernel check is a per-step predicate or an all-steps
     equality, and every column is kept, so each check passes or fails on
-    the cut pair as on the full one.  The precondition is the point: a walk
-    fed with other waves must cut on ``(H, L, inputs)`` columns, or not at
-    all.  First-occurrence order makes the lowest cut step where two waves
-    differ stand for the lowest full step where they do, so :meth:`read`
-    reports the steps of the full pair.
+    the cut pair as on the full one, whatever the order of the columns.  The
+    precondition is the point: a walk fed with other waves must cut on
+    ``(H, L, inputs)`` columns, or not at all.
     """
 
     pair: LogicReferencePair
-    first: np.ndarray
+    full: LogicReferencePair
     expand: np.ndarray
 
     def read(self, words) -> list["Classification | None"]:
         """The reading of every cut word in the integer array ``words``, indexed by the word.
 
         A cut wave is one word below ``2 ** pair.steps``, at most 16 of
-        them, so each word present is classified once, by the rule of
-        :func:`classify_rows` against the cut pair, with its steps mapped to
-        the full pair; an absent word reads ``None``.
+        them, so the full wave ``expand[v]`` of each word ``v`` present is
+        classified once, by :func:`classify_rows` against the full pair; an
+        absent word reads ``None``.
         """
         counts = np.bincount(np.ravel(words).astype(np.intp), minlength=len(self.expand))
         present = np.flatnonzero(counts)
-        bits, at, details = _classify_rows(
-            type(self.pair.h)._of_words(present.astype(np.uint64)[None], self.pair.steps),
-            self.pair, self.first)
+        bits, at, details = classify_rows(
+            type(self.full.h)._of_words(self.expand[present].T, self.full.steps), self.full)
         table = [None] * len(counts)
         for r, v in enumerate(present.tolist()):
             table[v] = (Classification(Verdict.AMBIGUOUS, None, details[r]) if r in details
@@ -597,11 +590,6 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.
     """
-    return _classify_rows(x, pair, None)
-
-
-def _classify_rows(x: Waveform, pair: LogicReferencePair, step_of: np.ndarray | None):
-    """:func:`classify_rows`, reporting step ``t`` of ``pair`` as ``step_of[t]`` if given."""
     if not isinstance(x, type(pair.h)):
         raise FamilyMismatchError(
             f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
@@ -615,11 +603,10 @@ def _classify_rows(x: Waveform, pair: LogicReferencePair, step_of: np.ndarray | 
     differs = h ^ l
     votes = differs.any(axis=0)
     first = first_set_step(differs)
-    at = first if step_of is None else step_of[np.where(votes, first, 0)]
     high = (v == h).all(axis=0)
     decided = votes & (high | (v == l).all(axis=0))
     bits = np.where(decided, high, -1)
-    steps = np.where(decided, at, -1)
+    steps = np.where(decided, first, -1)
     details = {}
     for r in np.flatnonzero(~decided).tolist():
         p = r if h.shape[1] > 1 else 0
@@ -630,9 +617,7 @@ def _classify_rows(x: Waveform, pair: LogicReferencePair, step_of: np.ndarray | 
         follows_high = not (int(v[t // WORD_BITS, r] ^ h[t // WORD_BITS, p]) >> t % WORD_BITS) & 1
         vote, reference = (Verdict.HIGH, h[:, p]) if follows_high else (Verdict.LOW, l[:, p])
         mismatch = int(first_set_step(v[:, r] ^ reference))
-        if step_of is not None:
-            mismatch = int(step_of[mismatch])
-        details[r] = (f"step {int(at[p])} votes {vote.value} but the wave deviates from that "
+        details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
                       f"reference at step {mismatch}")
     return bits, steps, details
 

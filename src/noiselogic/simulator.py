@@ -25,8 +25,8 @@ distinct word once.  This rests on one precondition, which both meet: every
 input copies High or Low, so every wire is a per-step function of the
 column.  A path that feeds other input waves must cut on ``(H, L, inputs)``
 columns, or not cut at all.  Every kernel check still runs, on the cut
-pair; steps in readings and diagnostics, and the waves a run hands out,
-are mapped back to the full pair.  :func:`decision_latency` walks full
+pair; each distinct word is read, and each wave a run hands out built, as
+its full wave against the full pair.  :func:`decision_latency` walks full
 waves: it has one pair per row.
 
 Ambiguity, the event that a window cannot decide a logic value, is a
@@ -577,7 +577,10 @@ def ambiguity_monte_carlo(n: int, trials: int, seed: int) -> ReliabilityReport:
     n = _integer("n", n)
     if not 1 <= n <= 20:
         raise ConfigError(f"window length must be an integer in [1, 20], got {n!r}")
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, number = _integer("trials", trials), _integer("seed", seed)
+    if not 0 <= number < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    seed = number
     if trials < 1000:
         raise ConfigError(f"at least 1000 trials required, got {trials}")
     chunk = _MC_CHUNK

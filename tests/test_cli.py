@@ -228,9 +228,11 @@ class TestVerify:
         ({"inputs": ["a", "b"], "outputs": ["y", "y"],
           "gates": [{"op": "NOT", "args": ["a"], "out": "y", "src": "y"}]},
          "declares an output twice"),
+        ({"inputs": ["a", "b"], "outputs": ["z"], "gates": [_AND_GATE]},
+         "output 'z' is never defined"),
     ], ids=["and-one-arg", "not-two-args", "not-an-object", "invalid-json",
             "duplicate-inputs", "inputs-differ", "outputs-differ", "no-outputs",
-            "duplicate-outputs"])
+            "duplicate-outputs", "undefined-output"])
     def test_malformed_network_exit_2(self, runner, tmp_path, document, message):
         netlist = tmp_path / "and.nl"
         netlist.write_text("input a b\noutput y = AND a b\n")

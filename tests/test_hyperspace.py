@@ -42,9 +42,12 @@ class TestRtwProduct:
             nl.rtw_product_vector(pairs, (1, 2))
 
     def test_bit_cap(self):
-        pairs = _rtw_pairs(1, 8, 3)
-        with pytest.raises(ConfigError):
-            nl.rtw_product_vector(pairs, (1, 0, 1), max_bits=2)
+        # The cap bounds the CLI's demo size; the construction has none.
+        nl.hyperspace.check_bit_count(2, 2)
+        with pytest.raises(ConfigError, match="^3 bits exceed the configured cap of 2$"):
+            nl.hyperspace.check_bit_count(3, 2)
+        n = nl.hyperspace.DEFAULT_MAX_BITS + 1
+        assert nl.rtw_product_vector(_rtw_pairs(1, 8, n), (1,) * n).zero_count == 0
 
     def test_non_collapse_up_to_cap(self):
         stream = SplitMix64(88)

@@ -256,8 +256,11 @@ class TestGateColumns:
         built = network_from_rows(net.wires, net.inputs, net.outputs, rows)
         assert built == net and hash(built) == hash(net)
         assert len({built, net}) == 1
-        swapped = network_from_rows(net.wires, net.inputs, net.outputs, rows[::-1])
-        assert swapped != net and gate_rows(swapped) == rows[::-1]
+        # Two neighbouring gates where the second does not read the first.
+        i = next(i for i in range(len(rows) - 1) if rows[i].out not in rows[i + 1].args)
+        order = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]
+        swapped = network_from_rows(net.wires, net.inputs, net.outputs, order)
+        assert swapped != net and gate_rows(swapped) == order
         renamed = [g._replace(src="x") if i == 4 else g for i, g in enumerate(rows)]
         assert network_from_rows(net.wires, net.inputs, net.outputs, renamed) != net
         assert replace(net, outputs=net.outputs[::-1]) != net
@@ -275,6 +278,28 @@ class TestGateColumns:
     def test_columns_of_different_lengths_are_rejected(self):
         with pytest.raises(NetlistError, match="differ in length"):
             nl.CompiledNetwork(("a", "y"), ("a",), ("y",), [True], [(0, 0)], [1], [])
+
+    @pytest.mark.parametrize("wires, outputs, args, out, message", [
+        (("a", "t", "y"), ("y",), [(2, 2), (0, 0)], [1, 2],
+         "gate 0 reads wire 2, which is neither an input nor written by an earlier gate"),
+        (("a", "d", "y"), ("y",), [(0, 0)], [2],
+         "every wire after the inputs must be written by exactly one gate"),
+        (("a", "y"), ("y",), [(-1, -1)], [1],
+         "gate 0 reads wire -1, which is neither an input nor written by an earlier gate"),
+        (("a", "y"), ("y",), [(5, 5)], [1],
+         "gate 0 reads wire 5, which is neither an input nor written by an earlier gate"),
+        (("a", "y"), ("z",), [(0, 0)], [1], "output 'z' is never defined"),
+        (("a", "y"), ("y",), [(0, 0)], [0],
+         "every wire after the inputs must be written by exactly one gate"),
+        (("a", "a"), ("a",), [(0, 0)], [1], "compiled network names a wire twice"),
+        (("y", "a"), ("y",), [(1, 1)], [0], "compiled network's wires must start with its inputs"),
+    ], ids=["reads-a-later-gate", "unwritten-wire", "negative-argument", "argument-past-wires",
+            "output-names-no-wire", "gate-writes-an-input", "duplicate-wire", "inputs-not-first"])
+    def test_malformed_networks_are_rejected(self, wires, outputs, args, out, message):
+        with pytest.raises(NetlistError) as info:
+            nl.CompiledNetwork(wires, ("a",), outputs, [True] * len(out), args, out,
+                               [wires[-1]] * len(out))
+        assert str(info.value) == message
 
     def test_zero_gate_network_from_json(self):
         net = nl.CompiledNetwork.from_json('{"inputs": ["a"], "outputs": ["a"], "gates": []}')

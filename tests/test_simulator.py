@@ -245,6 +245,12 @@ class TestAmbiguityMonteCarlo:
         with pytest.raises(ConfigError, match="must be an integer"):
             nl.ambiguity_monte_carlo(4, trials, seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, np.int64(-1)])
+    def test_seed_outside_64_bits_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError) as info:
+            nl.ambiguity_monte_carlo(4, 1500, seed)
+        assert str(info.value) == f"seed must be a 64-bit unsigned integer, got {seed!r}"
+
     def test_numpy_integer_counts_and_seeds_are_accepted(self):
         with mock.patch.object(simulator, "_MC_CHUNK", 400):
             want = nl.ambiguity_monte_carlo(4, 1500, 1)

@@ -69,27 +69,29 @@ class TestStepClasses:
     @settings(max_examples=100, deadline=None)
     @given(family=st.sampled_from([nl.RTW, nl.SPIKE]), seed=st.integers(0, 2**64 - 1),
            steps=STEPS)
-    def test_one_step_per_column_in_first_occurrence_order(self, family, seed, steps):
+    @example(family=nl.RTW, seed=1, steps=64)   # all four columns
+    def test_one_step_per_column_in_column_order(self, family, seed, steps):
         pair = _pair(family, seed, steps)
         classes = pair.step_classes
         assert classes is pair.step_classes   # computed once
+        assert classes.full is pair
         columns = _columns(pair)
-        present, first = np.unique(columns, return_index=True)
-        order = np.argsort(first)
-        assert classes.first.tolist() == first[order].tolist()
-        assert _columns(classes.pair).tolist() == present[order].tolist()
-        assert classes.pair.steps <= (4 if family == nl.RTW else 3)
+        present = np.unique(columns)
+        assert _columns(classes.pair).tolist() == present.tolist()
+        if family == nl.SPIKE:
+            assert present.max() < 3   # disjoint trains have no (1, 1) column
+        elif len(present) == 4:
+            assert [int(w.words[0]) for w in (classes.pair.h, classes.pair.l)] == [COPY_H, COPY_L]
         assert classes.expand.shape == (2 ** classes.pair.steps, words_for(pair.steps))
         # Row v is set at the full steps whose cut step v sets.
         cut_step = np.zeros(4, dtype=int)
-        cut_step[present[order]] = np.arange(len(present))
+        cut_step[present] = np.arange(len(present))
         for v in range(2 ** classes.pair.steps):
             bits = (v >> cut_step[columns]) & 1
             assert np.array_equal(classes.expand[v], nl.SpikeTrain(bits).words)
         for cut, full in ((classes.pair.h, pair.h), (classes.pair.l, pair.l)):
             assert np.array_equal(classes.expand[int(cut.words[0])], full.words)
-        for a in (classes.first, classes.expand):
-            assert not a.flags.writeable
+        assert not classes.expand.flags.writeable
 
     def test_computed_on_the_packed_words(self):
         pair = _pair(nl.RTW, 5, 300)
