@@ -6,9 +6,10 @@ waveform, via the SplitMix64 streams documented in :mod:`noiselogic.prng`.
 
 Stream layout (fixed; golden tests depend on it):
 
-* :func:`reference_pairs` is the one draw of reference pairs: it turns
-  each trial seed into one (High, Low) pair, and every other pair source
-  is one of its cases.
+* :func:`reference_words` is the one draw of reference pairs: it turns
+  each trial seed into the words of one (High, Low) pair, and every other
+  pair source is one of its cases; :func:`reference_pairs` draws the one
+  pair of one seed.
 * An RTW pair takes High from child stream 0 and Low from child stream 1
   of its trial seed, one word per step; the top bit of a word is the
   step's sign, a set bit +1.
@@ -51,7 +52,7 @@ MAX_RETRIES = 64
 
 _U = np.uint64
 
-# Raw words one block of reference_pairs rows may hold: a block draws
+# Raw words one block of reference_words rows may hold: a block draws
 # (rows, steps) uint64 words at a time, 64 times the size of its packed waves.
 _RAW_BYTES = 2 << 20
 
@@ -140,34 +141,47 @@ def _check_room(trains: int, steps: int) -> None:
 _DRAW = {RTW: (_rtw_words, RtwSignal), SPIKE: (_spike_words, SpikeTrain)}
 
 
-def reference_pairs(family: str, trial_seeds, config: GeneratorConfig) -> LogicReferencePair:
-    """The reference pair of each trial seed: the one draw of reference pairs.
+def reference_words(family: str, trial_seeds, config: GeneratorConfig) -> np.ndarray:
+    """The words of the reference pair of each trial seed: the one draw of reference pairs.
 
-    ``trial_seeds`` is one seed, which gives one pair of 1-D waves, or a
-    1-D ``uint64`` array, which gives a batch whose row ``i`` (words column
-    ``i``) is the pair of ``trial_seeds[i]``.  ``config`` supplies the steps
-    and the spike rates; its seed is not read.  Rows are drawn in blocks
-    whose raw words fit ``_RAW_BYTES``, so a large batch costs little more
-    memory than its packed waves.  A spike row that exhausts its attempts
-    raises :class:`GenerationError`, and so does a spike draw at one step,
-    before drawing.
+    ``trial_seeds`` is a 1-D ``uint64`` array; the result is the read-only
+    ``(2, words, rows)`` ``uint64`` planes whose column ``i`` holds the
+    packed High (plane 0) and Low (plane 1) waves of the pair of
+    ``trial_seeds[i]``, disjoint and non-empty for a spike pair.
+    ``config`` supplies the steps and the spike rates; its seed is not
+    read.  Rows are drawn in blocks whose raw words fit ``_RAW_BYTES``, so
+    a large batch costs little more memory than its packed waves.  A spike
+    row that exhausts its attempts raises :class:`GenerationError`, and so
+    does a spike draw at one step, before drawing.
     """
     if family not in _DRAW:
         raise ConfigError(f"unknown logic family {family!r}")
-    draw, carrier = _DRAW[family]
+    draw = _DRAW[family][0]
     if family == SPIKE:
         _check_room(2, config.steps)
     seeds = np.asarray(trial_seeds, dtype=np.uint64)
-    if seeds.ndim > 1:
-        raise ConfigError(f"trial seeds must be one seed or a 1-D array, got shape {seeds.shape}")
-    rows = seeds.reshape(-1)
-    planes = np.empty((2, words_for(config.steps), rows.size), dtype=np.uint64)
+    if seeds.ndim != 1:
+        raise ConfigError(f"trial seeds must be a 1-D array, got shape {seeds.shape}")
+    planes = np.empty((2, words_for(config.steps), seeds.size), dtype=np.uint64)
     block = max(1, _RAW_BYTES // (8 * config.steps))
-    for lo in range(0, rows.size, block):
-        draw(rows[lo:lo + block], config, planes[..., lo:lo + block])
-    if seeds.ndim == 0:
-        planes = planes[..., 0]
-    return LogicReferencePair(*(carrier._of_words(plane, config.steps) for plane in planes))
+    for lo in range(0, seeds.size, block):
+        draw(seeds[lo:lo + block], config, planes[..., lo:lo + block])
+    planes.flags.writeable = False
+    return planes
+
+
+def _pair(family: str, words: np.ndarray, steps: int) -> LogicReferencePair:
+    """The checked ``family`` pair whose High and Low words are ``words[0]`` and ``words[1]``."""
+    return LogicReferencePair(*(_DRAW[family][1]._of_words(plane, steps) for plane in words))
+
+
+def reference_pairs(family: str, seed, config: GeneratorConfig) -> LogicReferencePair:
+    """The pair of one trial seed, column 0 of its :func:`reference_words`; an array of
+    seeds raises :class:`ConfigError`."""
+    if np.ndim(seed):
+        raise ConfigError(f"reference_pairs draws the pair of one seed, got shape "
+                          f"{np.shape(seed)}; draw a batch with reference_words")
+    return _pair(family, reference_words(family, [seed], config)[..., 0], config.steps)
 
 
 def gen_rtw_pair(config: GeneratorConfig) -> LogicReferencePair:
@@ -236,9 +250,9 @@ def gen_rtw_pairs(seed: int, steps: int, n_pairs: int) -> tuple[LogicReferencePa
 def count_identical_rtw_pairs(seed: int, trials: int, steps: int, start: int = 0) -> int:
     """Trials whose RTW High and Low references agree at every step.
 
-    Trial ``i`` is the pair ``reference_pairs`` draws for the trial seed
+    Trial ``i`` is the pair ``reference_words`` draws for the trial seed
     ``derive_seed(seed, start + i)``, so this equals
-    ``(pair.h.words == pair.l.words).all(axis=0).sum()`` over the batch of
+    ``(planes[0] == planes[1]).all(axis=0).sum()`` over the planes of
     those pairs, but the words are drawn one step at a time and each trial
     is dropped at its first differing step.  Half the trials survive each step,
     so the sweep mixes about seven words per trial instead of

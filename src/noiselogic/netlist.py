@@ -142,7 +142,7 @@ class CompiledNetwork:
     networks compare and hash by their names and arrays.
 
     Construction raises :class:`NetlistError` unless the wire names are
-    unique and start with the inputs, every output names a wire, each wire
+    unique and start with the inputs, every output names a wire once, each wire
     after the inputs is written by exactly one gate, and every gate reads
     only inputs and wires that earlier gates write.
     """
@@ -167,6 +167,8 @@ class CompiledNetwork:
             raise NetlistError("compiled network names a wire twice")
         if self.wires[:n_in] != self.inputs:
             raise NetlistError("compiled network's wires must start with its inputs")
+        if len(set(self.outputs)) != len(self.outputs):
+            raise NetlistError("compiled network declares an output twice")
         for name in self.outputs:
             if name not in names:
                 raise NetlistError(f"output {name!r} is never defined")
@@ -262,8 +264,6 @@ class CompiledNetwork:
         if not isinstance(doc, dict):
             raise NetlistError("compiled network must be a JSON object")
         inputs = _json_names(doc, "inputs")
-        if len(set(inputs)) != len(inputs):
-            raise NetlistError("compiled network declares an input twice")
         wires = list(inputs)
         index = {name: i for i, name in enumerate(wires)}
         nots, args, srcs = [], [], []
@@ -289,18 +289,13 @@ class CompiledNetwork:
             src = g.get("src", out_name)
             if not isinstance(out_name, str) or not isinstance(src, str):
                 raise NetlistError("gate 'out' and 'src' must be strings")
-            if out_name in index:
-                raise NetlistError(f"wire {out_name!r} defined twice")
             index[out_name] = len(wires)
             wires.append(out_name)
             nots.append(op == "NOT")
             args.append(arg_pair)
             srcs.append(src)
-        outputs = _json_names(doc, "outputs")
-        if len(set(outputs)) != len(outputs):
-            raise NetlistError("compiled network declares an output twice")
-        return cls(tuple(wires), inputs, outputs, nots, args, np.arange(len(inputs), len(wires)),
-                   srcs)
+        return cls(tuple(wires), inputs, _json_names(doc, "outputs"), nots, args,
+                   np.arange(len(inputs), len(wires)), srcs)
 
 
 def _json_names(doc: dict, key: str) -> tuple[str, ...]:

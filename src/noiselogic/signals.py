@@ -4,7 +4,7 @@ All signals are immutable sequences of integers, one value per step of a
 single global clock, compared for exact elementwise equality; no logic
 value is ever a float.  A waveform may carry leading batch axes, ``(rows,
 steps)`` or ``(groups, rows, steps)``, one wave per row, which the gate
-kernels combine with one pair or one pair per row.
+kernels combine with one reference pair.
 
 The two logic carriers, the bipolar -1/+1 :class:`RtwSignal` and the 0/1
 :class:`SpikeTrain` (a set of spike times), store read-only ``uint64``
@@ -23,12 +23,12 @@ shape for the boundaries (CSV, reports, tests).
 :class:`MultiLevelSignal` (values in [-2, 2]) and the base
 :class:`Waveform` (unbounded) store ``int64``.
 
-A :class:`LogicReferencePair` binds the High and Low reference waves of one
-family; :func:`classify_rows` reads a wave or a batch of waves against such
-a pair, by one rule for both families, and :func:`classify` is its one-wave
-case, reporting High, Low or Ambiguous together with the deciding step.
-:attr:`LogicReferencePair.step_classes` cuts a one-wave pair to one step
-per distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
+A :class:`LogicReferencePair` binds one High and one Low reference wave of
+one family; :func:`classify_rows` reads a wave or a batch of waves against
+such a pair, by one rule for both families, and :func:`classify` is its
+one-wave case, reporting High, Low or Ambiguous together with the deciding
+step.  :attr:`LogicReferencePair.step_classes` cuts a pair to one step per
+distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
 simulator walks whenever every input copies High or Low; a wave on the cut
 pair is one word below 16, and :meth:`StepClasses.read` reads the full wave
 of each word present once, against the full pair, into a table indexed by
@@ -287,18 +287,28 @@ def _require_aligned(what: str, a: BitWave, b: BitWave) -> None:
             f"{what}: shapes {a.shape} and {b.shape} do not combine row by row")
 
 
+def _column_masks(h: np.ndarray, l: np.ndarray, steps: int) -> np.ndarray:
+    """Plane ``b`` sets the steps where ``(H_t, L_t) == (b >> 1, b & 1)``, of the words-major
+    words of one pair, ``(words,)``, or of a batch of pairs, ``(words, rows)``."""
+    masks = np.empty((4,) + h.shape, dtype=np.uint64)   # filled in place, with no stacked copy
+    np.invert(h | l, out=masks[0])
+    masks[0, -1] &= ~np.uint64(0) >> np.uint64(-steps % WORD_BITS)   # clear the padding
+    np.bitwise_and(~h, l, out=masks[1])
+    np.bitwise_and(h, ~l, out=masks[2])
+    np.bitwise_and(h, l, out=masks[3])
+    return masks
+
+
 @dataclass(frozen=True, eq=False)
 class LogicReferencePair:
-    """The bound (High, Low) reference waves of one logic family.
+    """The bound High and Low reference waves of one logic family.
 
-    The family is inferred from the waveform types.  Spike pairs must be
-    orthogonal (no coincident spikes) and both trains non-empty; those are
+    The family is inferred from the waveform types.  High and Low are one
+    wave each, of one step count; a batch of waves raises
+    :class:`LengthMismatchError`.  Spike pairs must be orthogonal (no
+    coincident spikes) and both trains non-empty; those are
     construction-time invariants.  RTW pairs may be elementwise identical,
     which simply makes classification against them ambiguous.
-
-    High and Low may also be ``(rows, steps)`` batches of the same shape,
-    one pair per row; the gate kernels then evaluate row ``i`` of a batch
-    input against pair ``i``, and every check above holds row by row.
     """
 
     h: Union[RtwSignal, SpikeTrain]
@@ -318,16 +328,15 @@ class LogicReferencePair:
             raise LengthMismatchError(
                 f"reference pair: shapes differ ({self.h.shape} vs {self.l.shape})"
             )
+        if len(self.h.shape) != 1:
+            raise LengthMismatchError(
+                f"reference pair: High and Low must be one wave each, got shape {self.h.shape}"
+            )
         if family == SPIKE:
             if np.any(self.h.words & self.l.words):
-                where = np.argwhere(self.h.values & self.l.values)[0]
-                row = f" in row {int(where[0])}" if len(where) > 1 else ""
-                raise OrthogonalityError(
-                    f"reference trains spike together at step {int(where[-1])}{row}"
-                )
-            # Per row, for a batch of pairs.
-            axis = _words_axis(self.h.words)
-            if not (self.h.words.any(axis=axis).all() and self.l.words.any(axis=axis).all()):
+                step = int(first_set_step(self.h.words & self.l.words))
+                raise OrthogonalityError(f"reference trains spike together at step {step}")
+            if not (self.h.words.any() and self.l.words.any()):
                 raise ValueError("spike reference trains must both be non-empty")
         object.__setattr__(self, "_family", family)
 
@@ -341,29 +350,25 @@ class LogicReferencePair:
 
     @cached_property
     def _columns(self) -> tuple[BitWave, BitWave]:
+        """High and Low as ``(words, 1)`` columns, which spread over the rows of a batch."""
         return tuple(type(w)._of_words(w.words[:, None], self.steps) for w in (self.h, self.l))
 
     def _check_wave(self, x: BitWave, role: str) -> np.ndarray:
-        """The words of ``x``, once it spans the pair's steps and, against a
-        batch of pairs, holds a row per pair."""
+        """The words of ``x``, once it spans the pair's steps."""
         if len(x) != self.steps:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
-        v, pairs = x.words, self.h.words.shape[1:]   # () for one pair
-        if pairs and (v.ndim == 1 or pairs[0] not in (1, v.shape[-1])):
-            raise LengthMismatchError(f"{role} has shape {x.shape}, "
-                                      f"a batch of {pairs[0]} pairs needs a row per pair")
-        return v
+        return x.words
 
     def operands(self, family: str, *inputs: BitWave, exact: bool = True):
         """Check the inputs of one ``family`` gate call; return ``(h, l, words, highs)``.
 
         The pair must be a ``family`` pair, and each input a wave of that
-        family that spans the pair's steps and, against a batch of pairs,
-        holds a row per pair; two inputs must share one shape.  With ``exact`` each must also copy High
-        or Low, row by row, the only inputs the gate algebra makes promises
-        about.  High and Low come as waves whose words combine with the
-        inputs' ``words``; ``highs`` holds each input's mask of the rows that
-        copy High, with the words axis kept (``None`` without ``exact``).
+        family that spans the pair's steps; two inputs must share one shape.
+        With ``exact`` each must also copy High or Low, row by row, the only
+        inputs the gate algebra makes promises about.  High and Low come as
+        waves whose words combine with the inputs' ``words``; ``highs``
+        holds each input's mask of the rows that copy High, with the words
+        axis kept (``None`` without ``exact``).
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
@@ -374,8 +379,7 @@ class LogicReferencePair:
                 raise FamilyMismatchError(f"{family} gates take a {type(self.h).__name__}, "
                                           f"got {type(x).__name__} as {role}")
             v = self._check_wave(x, role)
-            # A one-wave pair meets a batch as (words, 1) columns.
-            h, l = self._columns if v.ndim > 1 and self.h.words.ndim == 1 else (self.h, self.l)
+            h, l = self._columns if v.ndim > 1 else (self.h, self.l)
             high = None
             if exact:
                 axis = _words_axis(v)
@@ -393,27 +397,21 @@ class LogicReferencePair:
 
     @cached_property
     def step_classes(self) -> "StepClasses":
-        """This one-wave pair cut to one step per distinct ``(H_t, L_t)`` column.
+        """This pair cut to one step per distinct ``(H_t, L_t)`` column.
 
         See :class:`StepClasses`.  Computed once, on the packed words; an
         RTW pair has at most four columns and a spike pair at most three.
         """
-        h, l = self.h.words, self.l.words
-        if h.ndim != 1:
-            raise ValueError("step classes cut one pair, not a batch of pairs")
-        valid = np.full(len(h), ~np.uint64(0))
-        valid[-1] >>= np.uint64(-self.steps % WORD_BITS)
-        # Column b of ``masks`` holds the steps where (H, L) == (b >> 1, b & 1).
-        masks = np.stack([~h & ~l & valid, ~h & l, h & ~l, h & l], axis=1)
-        kept = np.flatnonzero(masks.any(axis=0)).tolist()
-        masks = masks[:, kept].T
+        masks = _column_masks(self.h.words, self.l.words, self.steps)
+        kept = np.flatnonzero(masks.any(axis=1)).tolist()
+        masks = masks[kept]
         cut = [np.array([sum(1 << j for j, b in enumerate(kept) if b & bit)], dtype=np.uint64)
                for bit in (2, 1)]
         pair = LogicReferencePair(*(type(w)._of_words(words, len(kept))
                                     for w, words in zip((self.h, self.l), cut)))
-        # Row v ORs the masks of the columns whose bits v sets.
-        picks = (np.arange(1 << len(kept))[:, None] >> np.arange(len(kept))) & 1
-        expand = np.bitwise_or.reduce(np.where(picks[..., None] == 1, masks, np.uint64(0)), axis=1)
+        # Row v ORs the masks of the columns whose bits v sets; they are disjoint, so it sums them.
+        bit = np.arange(len(kept), dtype=np.uint64)
+        expand = (np.arange(1 << len(kept), dtype=np.uint64)[:, None] >> bit & np.uint64(1)) @ masks
         expand.flags.writeable = False
         return StepClasses(pair, self, expand)
 
@@ -577,15 +575,14 @@ def universe_spike(pair: LogicReferencePair) -> SpikeTrain:
 
 
 def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Read every row of ``x`` against its reference pair, by one rule for both families.
+    """Read every row of ``x`` against the reference pair, by one rule for both families.
 
-    ``x`` is one wave or a ``(rows, steps)`` batch; ``pair`` is one pair or
-    a batch with one pair per row.  The first step where High and Low
-    differ, the lowest set bit of ``H ^ L``, votes for the reference that
-    ``x`` follows there (for a spike pair, whose trains are disjoint, that
-    is the first universe spike).  The vote stands only if the whole wave
-    equals the voted reference; otherwise the row is ambiguous, as it is
-    when the references never differ.
+    ``x`` is one wave or a ``(rows, steps)`` batch.  The first step where
+    High and Low differ, the lowest set bit of ``H ^ L``, votes for the
+    reference that ``x`` follows there (for a spike pair, whose trains are
+    disjoint, that is the first universe spike).  The vote stands only if
+    the whole wave equals the voted reference; otherwise the row is
+    ambiguous, as it is when the references never differ.
 
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.
@@ -598,25 +595,22 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
     words = pair._check_wave(x, "classified wave")
     if words.ndim > 2:
         raise ValueError("classify_rows reads one wave or a (rows, steps) batch")
-    # One wave reads as a batch of one row, a (words, 1) column.
-    v, h, l = (a.reshape(len(a), -1) for a in (words, pair.h.words, pair.l.words))
-    differs = h ^ l
-    votes = differs.any(axis=0)
-    first = first_set_step(differs)
+    v = words.reshape(len(words), -1)   # one wave reads as a batch of one row
+    h, l = (w.words for w in pair._columns)
+    differs = pair.h.words ^ pair.l.words
+    t = int(first_set_step(differs)) if differs.any() else -1
     high = (v == h).all(axis=0)
-    decided = votes & (high | (v == l).all(axis=0))
+    decided = (t >= 0) & (high | (v == l).all(axis=0))
     bits = np.where(decided, high, -1)
-    steps = np.where(decided, first, -1)
+    steps = np.where(decided, t, -1)
     details = {}
     for r in np.flatnonzero(~decided).tolist():
-        p = r if h.shape[1] > 1 else 0
-        if not votes[p]:
+        if t < 0:
             details[r] = "references are identical across the whole window"
             continue
-        t = int(first[p])
-        follows_high = not (int(v[t // WORD_BITS, r] ^ h[t // WORD_BITS, p]) >> t % WORD_BITS) & 1
-        vote, reference = (Verdict.HIGH, h[:, p]) if follows_high else (Verdict.LOW, l[:, p])
-        mismatch = int(first_set_step(v[:, r] ^ reference))
+        follows_high = not (int(v[t // WORD_BITS, r] ^ h[t // WORD_BITS, 0]) >> t % WORD_BITS) & 1
+        vote, reference = (Verdict.HIGH, pair.h) if follows_high else (Verdict.LOW, pair.l)
+        mismatch = int(first_set_step(v[:, r] ^ reference.words))
         details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
                       f"reference at step {mismatch}")
     return bits, steps, details

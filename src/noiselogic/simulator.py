@@ -14,20 +14,19 @@ backends exist:
 evaluate a network by one walk, :func:`_evaluate`: each (topological level,
 op) group of gates is one kernel call on the packed words of its operands,
 gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
-whose rows are the one run, the assignments of a chunk or the trials of a
-chunk; each slot is one contiguous ``(words, rows)`` batch.
+whose rows are the one run, the assignments of a chunk or one column set of
+a chunk of trials; each slot is one contiguous ``(words, rows)`` batch.
 
-:func:`run` and :func:`verify_equivalence` walk their one pair's step
-classes (:attr:`LogicReferencePair.step_classes`): the pair cut to one step
-per distinct ``(H_t, L_t)`` column, at most four, so a row is one cut word
-below 16 at any step count, and :meth:`StepClasses.read` classifies each
-distinct word once.  This rests on one precondition, which both meet: every
-input copies High or Low, so every wire is a per-step function of the
-column.  A path that feeds other input waves must cut on ``(H, L, inputs)``
-columns, or not cut at all.  Every kernel check still runs, on the cut
-pair; each distinct word is read, and each wave a run hands out built, as
-its full wave against the full pair.  :func:`decision_latency` walks full
-waves: it has one pair per row.
+Every walk is on a pair's step classes, :attr:`LogicReferencePair.step_classes`:
+the pair cut to one step per distinct ``(H_t, L_t)`` column, at most four,
+so a row is one cut word below 16 at any step count, and
+:meth:`StepClasses.read` classifies each distinct word once.  This rests on
+one precondition, which all three meet: every input copies High or Low, so
+every wire is a per-step function of the column.  A path that feeds other
+input waves must cut on ``(H, L, inputs)`` columns, or not cut at all.
+Every kernel check still runs, on the cut pair; each distinct word is read,
+and each wave a run hands out built, as its full wave against the full
+pair.  :func:`decision_latency` walks one pair per distinct column set.
 
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
@@ -47,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators, rtw_gates, spike_gates
-from .errors import ConfigError, InvariantError, NetlistError
+from .errors import ConfigError, NetlistError
 from .generators import count_identical_rtw_pairs
 from .netlist import (
     PRIMITIVE_ARITY,
@@ -66,23 +65,21 @@ from .signals import (
     LogicReferencePair,
     StepClasses,
     Waveform,
+    _column_masks,
     _integer,
-    classify_rows,
+    first_set_step,
     words_for,
 )
 
 EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
-# (decision_latency) may hold: each slot of the wave matrix is a
-# (words, rows) block of uint64.
+# (decision_latency) may hold, in (words, rows) blocks of uint64: the slots
+# of the wave matrix, or the drawn reference planes and their column masks.
 _CHUNK_BYTES = 2 << 20
 
 # Trials one chunk of the ambiguity sweep draws.
 _MC_CHUNK = 1 << 16
-
-# Per-chunk waves besides the slots in decision_latency: the High and Low batches.
-_PAIR_WAVES = 2
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
@@ -125,8 +122,8 @@ _SAMPLE_STREAM = 2**48
 
 # Family -> gate module; backend name -> (family, NOT kernel, AND kernel).
 # Kernels are looked up on their module each time a backend is built, and
-# ``generators.reference_pairs`` on its module at each draw, so a rebound
-# module attribute (e.g. an instrumenting wrapper) is honoured.
+# the generators' draws on theirs at each draw, so a rebound module
+# attribute (e.g. an instrumenting wrapper) is honoured.
 _FAMILY_GATES = {RTW: rtw_gates, SPIKE: spike_gates}
 _BACKEND_TABLE = {
     "rtw-additive-not": (RTW, "not_additive", "and_gate"),
@@ -145,11 +142,7 @@ def backend_family(name: str) -> str:
 
 
 class _Backend:
-    """A reference pair and its family's kernel per op, called as ``kernel[op](pair, *inputs)``.
-
-    The pair is one drawn pair, or a ``(rows, steps)`` batch of pairs whose
-    row ``i`` serves row ``i`` of every wave.
-    """
+    """A reference pair and its family's kernel per op, called as ``kernel[op](pair, *inputs)``."""
 
     def __init__(self, name: str, pair: LogicReferencePair):
         family, not_name, and_name = _BACKEND_TABLE[name]
@@ -223,14 +216,14 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
     """Walk ``plan`` on ``bk``; returns the read-only ``(slots, words, rows)`` wave matrix.
 
     Input ``i`` is High where ``bits[i]``, a 0/1 int or a ``(rows,)`` bit
-    array, is 1 and Low elsewhere, for one pair or a batch of pairs alike.
+    array, is 1 and Low elsewhere.
     Each group runs its kernel once, with all of its checks, on operands
     checked when they were written: ``(words, rows)`` views of its slots
     for one gate, gathered ``(gates, words, rows)`` batches for more.
     """
     wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
-    # A one-wave pair spreads over the rows as (words, 1) columns.
-    h, l = (w.words.reshape(len(w.words), -1) for w in (bk.pair.h, bk.pair.l))
+    # The pair spreads over the rows as (words, 1) columns.
+    h, l = (w.words for w in bk.pair._columns)
     matrix = np.empty((plan.slots, words_for(steps), rows), dtype=np.uint64)
     for i, bit in enumerate(bits):
         matrix[i] = np.where(bit, h, l)   # a (rows,) bit array spreads over the words
@@ -636,13 +629,15 @@ def decision_latency(
     separately.  The default backend is the spike one, last in ``BACKENDS``.
 
     Trial ``i`` uses the pair that ``make_backend`` draws for the derived
-    seed ``derive_seed(config.seed, i)``.  Trials are evaluated in chunks of
-    at most ``_CHUNK_BYTES`` of waveform data: row ``i`` of a chunk's
-    reference batch is trial ``i``'s pair, so every
-    (level, op) group runs once per chunk.  Chunks run on up to
-    ``min(4, usable CPUs, chunks)`` threads (see :func:`_map_chunks`) and
-    their histograms and totals merge in chunk order, so the report is the
-    one a per-trial loop would give, for any thread count.
+    seed ``derive_seed(config.seed, i)``, drawn in chunks of at most
+    ``_CHUNK_BYTES`` of planes and column masks.  On the cut, whether a
+    trial decides depends only on the set of ``(H_t, L_t)`` columns its pair
+    has, so each distinct set of a chunk is walked once, on the pair of its
+    first trial, built (and so checked) from the full waves; it decides when
+    the network has outputs and :meth:`StepClasses.read` reads each High or
+    Low.  Chunks run on up to ``min(4, usable CPUs, chunks)`` threads (see
+    :func:`_map_chunks`) and merge in chunk order, so the report is the one
+    a per-trial loop would give, for any thread count.
     """
     trials = _integer("trials", trials)
     if trials < 1:
@@ -653,25 +648,23 @@ def decision_latency(
     family = backend_family(backend)
     bits = [assignment[name] for name in network.inputs]
     plan = _plan(network, network.outputs)
-    rows = _chunk_rows(config.steps, plan.slots + _PAIR_WAVES)
+    out_slots = [plan.slot[name] for name in network.outputs]
+    rows = _chunk_rows(config.steps, 7)   # the two planes, four column masks and a temporary
 
     def decide(lo: int) -> tuple[np.ndarray, np.ndarray]:
         """Deciding steps of the chunk at ``lo`` and their trial counts; ambiguous trials drop out."""
         count = min(rows, trials - lo)
-        seeds = derive_seeds(config.seed, count, lo)
-        bk = _Backend(backend, generators.reference_pairs(family, seeds, config))
-        matrix = _evaluate(plan, bk, bits, count)
-        wrap = type(bk.pair.h)._of_words
-        # Per row, as a per-trial loop over the outputs reads it: -2 before
-        # the first output, then its deciding step, or -1 from the first
-        # ambiguous output on.
-        decided = np.full(count, -2)
-        for name in network.outputs:
-            _, at, _ = classify_rows(wrap(matrix[plan.slot[name]], config.steps), bk.pair)
-            if np.any((decided >= 0) & (at >= 0) & (at != decided)):
-                raise InvariantError("outputs decided at different steps in one run")
-            decided = np.where(decided == -1, -1, at)
-        return np.unique(decided[decided >= 0], return_counts=True)
+        planes = generators.reference_words(family, derive_seeds(config.seed, count, lo), config)
+        # Bit b of a trial's set is set when its pair has column b.
+        sets = np.dot(1 << np.arange(4), _column_masks(*planes, config.steps).any(axis=1))
+        decides = np.zeros(16, dtype=bool)
+        for code, r in zip(*(a.tolist() for a in np.unique(sets, return_index=True))):
+            classes = generators._pair(family, planes[..., r], config.steps).step_classes
+            cut = _evaluate(plan, _Backend(backend, classes.pair), bits, 1)[out_slots, 0, 0]
+            table = classes.read(cut)   # a reading for each cut word present, else None
+            decides[code] = bool(out_slots) and not any(c and c.is_ambiguous for c in table)
+        counts = np.bincount(first_set_step(planes[0] ^ planes[1])[decides[sets]])
+        return np.flatnonzero(counts), counts[counts > 0]
 
     histogram: dict[int, int] = {}
     for steps, counts in _map_chunks(decide, range(0, trials, rows)):

@@ -1,26 +1,26 @@
 """Trial-parallel Monte-Carlo: ``decision_latency`` and the ambiguity sweep.
 
-``decision_latency`` evaluates a chunk of trials as one walk over a
-``(slots, rows, words)`` matrix, row ``i`` against trial ``i``'s own
-reference pair.  The reference here is the per-trial loop it replaced: one
-``make_backend`` per derived seed, the one-wave ``serial_wires`` and
-``classify_wire``.  The two must give equal reports, ambiguous windows and
-generation failures included.
+``decision_latency`` draws a chunk of trials as one batch of reference
+planes and walks each distinct set of ``(H_t, L_t)`` columns among them
+once, on the step classes of one pair that has it.  The reference here is
+a per-trial loop on full waves: one ``make_backend`` per derived seed, the
+one-wave ``serial_wires`` and ``classify_wire``.  The two must give equal
+reports, ambiguous windows and generation failures included.
 """
 
 import random
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
-from noiselogic import rtw_gates, simulator, spike_gates
-from noiselogic.generators import count_identical_rtw_pairs, reference_pairs
+from noiselogic import generators, rtw_gates, simulator, spike_gates
+from noiselogic.generators import count_identical_rtw_pairs, reference_words
 from noiselogic.prng import derive_seed, derive_seeds
-from noiselogic.signals import words_for
 
 from conftest import FULL_ADDER, level_groups, random_netlist_source
 from serial_reference import classify_wire, serial_wires
@@ -58,17 +58,15 @@ def serial_latency(network, config, trials, backend, assignment=None):
 
 
 def identical_rtw_pairs(seed, trials, steps, start=0):
-    """Trials whose drawn RTW High and Low are equal, over the whole batch of pairs."""
-    pair = reference_pairs(nl.RTW, derive_seeds(seed, trials, start),
+    """Trials whose drawn RTW High and Low are equal, over the whole planes of their pairs."""
+    h, l = reference_words(nl.RTW, derive_seeds(seed, trials, start),
                            nl.GeneratorConfig(seed=seed, steps=steps))
-    return int((pair.h.words == pair.l.words).all(axis=0).sum())
+    return int((h == l).all(axis=0).sum())
 
 
 def chunked_latency(network, config, trials, backend, assignment, rows):
-    """decision_latency with its chunk budget set to exactly ``rows`` trials."""
-    slots = simulator._plan(network, network.outputs).slots
-    per_row = 8 * words_for(config.steps) * (slots + simulator._PAIR_WAVES)
-    with mock.patch.object(simulator, "_CHUNK_BYTES", rows * per_row):
+    """decision_latency with chunks of exactly ``rows`` trials."""
+    with mock.patch.object(simulator, "_chunk_rows", lambda steps, waves: rows):
         return nl.decision_latency(network, config, trials, backend, assignment)
 
 
@@ -143,15 +141,68 @@ class TestLatencyBatchedEqualsSerial:
         with pytest.raises(nl.GenerationError):
             nl.decision_latency(full_adder_network, config, 5, "spike")
 
-    def test_one_kernel_call_per_level_group_per_chunk(self):
+    @pytest.mark.parametrize("backend, steps", [("spike", 16), ("rtw-additive-not", 3)])
+    def test_one_kernel_call_per_level_group_per_column_set_per_chunk(self, backend, steps):
         network = nl.lower(nl.parse(FULL_ADDER))
         and_groups = sum(gates[0].op == "AND" for gates in level_groups(network))
         assert and_groups < network.gate_counts()["AND"]
-        config = nl.GeneratorConfig(seed=2, steps=16)
-        with mock.patch.object(spike_gates, "spike_and",
-                               wraps=spike_gates.spike_and) as spike_and:
-            chunked_latency(network, config, 10, "spike", None, 4)
-        assert spike_and.call_count == 3 * and_groups
+        config = nl.GeneratorConfig(seed=2, steps=steps)
+        family = simulator.backend_family(backend)
+        # The distinct sets of (H_t, L_t) columns of each chunk of 4 trials, from the values.
+        carrier = nl.SpikeTrain if family == nl.SPIKE else nl.RtwSignal
+        sets = 0
+        for lo in range(0, 10, 4):
+            h, l = (carrier._of_words(p, steps).values.tolist() for p in reference_words(
+                family, derive_seeds(config.seed, min(4, 10 - lo), lo), config))
+            sets += len({frozenset(zip(hr, lr)) for hr, lr in zip(h, l)})
+        module = spike_gates if family == nl.SPIKE else rtw_gates
+        name = simulator._BACKEND_TABLE[backend][2]
+        with mock.patch.object(module, name, wraps=getattr(module, name)) as and_kernel:
+            chunked_latency(network, config, 10, backend, None, 4)
+        assert and_kernel.call_count == sets * and_groups
+        if family == nl.RTW:
+            assert sets > 3   # some chunk holds more than one set
+
+
+def _latency_of_one_drawn_row(h, l):
+    """Spike decision_latency of the full adder over one trial, whose drawn pair is (h, l)."""
+    planes = np.stack([nl.SpikeTrain(h).words, nl.SpikeTrain(l).words])[..., None]
+    with mock.patch.object(generators, "reference_words", lambda family, seeds, config: planes):
+        return nl.decision_latency(nl.lower(nl.parse(FULL_ADDER)),
+                                   nl.GeneratorConfig(seed=1, steps=len(h)), 1, "spike")
+
+
+class TestSafetyChecksPerColumnSet:
+    """Each column set's pair is built from a drawn row's full waves, so its checks run."""
+
+    def test_coincident_trains_raise(self):
+        with pytest.raises(nl.OrthogonalityError,
+                           match="^reference trains spike together at step 2$"):
+            _latency_of_one_drawn_row([1, 0, 1, 0], [0, 1, 1, 0])
+
+    def test_an_empty_train_raises(self):
+        with pytest.raises(ValueError, match="^spike reference trains must both be non-empty$"):
+            _latency_of_one_drawn_row([0, 0, 0, 0], [0, 1, 0, 1])
+
+    def test_a_valid_row_decides(self):
+        report = _latency_of_one_drawn_row([0, 0, 1, 0], [0, 1, 0, 1])
+        assert report.histogram == {1: 1} and report.ambiguous_windows == 0
+
+    @pytest.mark.parametrize("backend", nl.BACKENDS)
+    def test_every_walk_is_on_a_pair_of_at_most_four_steps(self, full_adder_ast, backend):
+        network = nl.lower(full_adder_ast)
+        config = nl.GeneratorConfig(seed=6, steps=200)
+        real, seen = simulator._evaluate, []
+
+        def evaluate(plan, bk, bits, rows):
+            seen.append(bk.pair.steps)
+            return real(plan, bk, bits, rows)
+
+        with mock.patch.object(simulator, "_evaluate", evaluate):
+            nl.run(network, backend, {"a": 1, "b": 0, "cin": 1}, config)
+            nl.verify_equivalence(full_adder_ast, backend, config)
+            nl.decision_latency(network, config, 300, backend)
+        assert len(seen) >= 3 and max(seen) <= 4
 
 
 class TestEarlyExitAmbiguitySweep:

@@ -218,7 +218,7 @@ class TestVerify:
         ([1, 2], "must be a JSON object"),
         ('{"inputs": [', "not valid JSON"),
         ({"inputs": ["a", "b", "a"], "outputs": ["y"], "gates": [_AND_GATE]},
-         "declares an input twice"),
+         "error: compiled network names a wire twice"),
         ({"inputs": ["a", "b", "c"], "outputs": ["y"], "gates": [_AND_GATE]},
          "differ from the netlist inputs"),
         ({"inputs": ["a", "b"], "outputs": ["z"], "gates": [{**_AND_GATE, "out": "z"}]},

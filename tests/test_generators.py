@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic import generators
-from noiselogic.generators import _categorical_spikes, gen_disjoint_spike_pairs, reference_pairs
+from noiselogic.generators import (
+    _categorical_spikes,
+    gen_disjoint_spike_pairs,
+    reference_pairs,
+    reference_words,
+)
 from noiselogic.prng import SplitMix64, derive_seed, derive_seeds
 from noiselogic.signals import first_set_step
 
@@ -102,15 +107,16 @@ class TestSpikePairRows:
         # Six steps at rate 0.15 leave a train empty in most first attempts.
         config = nl.GeneratorConfig(seed=41, steps=6, spike_rate_h=0.15, spike_rate_l=0.15)
         start, trials = 1000, 60
-        rows = reference_pairs(nl.SPIKE, derive_seeds(config.seed, trials, start), config)
+        h, l = reference_words(nl.SPIKE, derive_seeds(config.seed, trials, start), config)
+        assert not (h & l).any() and h.any(axis=0).all() and l.any(axis=0).all()
         retried = 0
         for i in range(trials):
             trial_seed = derive_seed(config.seed, start + i)
             pair = nl.gen_orthogonal_spike_pair(
                 nl.GeneratorConfig(seed=trial_seed, steps=6, spike_rate_h=0.15,
                                    spike_rate_l=0.15))
-            assert rows.h.values[i].tolist() == pair.h.to_list()
-            assert rows.l.values[i].tolist() == pair.l.to_list()
+            assert h[:, i].tolist() == pair.h.words.tolist()
+            assert l[:, i].tolist() == pair.l.words.tolist()
             first = _categorical_spikes(SplitMix64(derive_seed(trial_seed, 0)).block(6),
                                         [0.15, 0.15])
             retried += not (first[0].any() and first[1].any())
@@ -128,22 +134,22 @@ class TestSpikePairRows:
             self, seed, steps, rate, trials, start):
         # Disjoint trains differ exactly where either spikes, so the lowest
         # set bit of H ^ L, where classify_rows decides, is that of H | L.
-        # decision_latency relies on it; the pair's orthogonality check
-        # keeps the trains disjoint.
+        # decision_latency relies on it; the three-way draw keeps the trains
+        # disjoint, and the retries keep both non-empty.
         config = nl.GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate, spike_rate_l=rate)
         try:
-            pair = reference_pairs(nl.SPIKE, derive_seeds(seed, trials, start), config)
+            h, l = reference_words(nl.SPIKE, derive_seeds(seed, trials, start), config)
         except nl.GenerationError:
             return   # a row never drew two non-empty trains
-        h, l = pair.h.words, pair.l.words
         assert not np.any(h & l)
+        assert h.any(axis=0).all() and l.any(axis=0).all()
         assert first_set_step(h ^ l).tolist() == first_set_step(h | l).tolist()
 
     def test_one_step_cannot_be_drawn(self):
         # At one step the two disjoint trains can never both be non-empty.
         config = nl.GeneratorConfig(seed=3, steps=1, spike_rate_h=0.4, spike_rate_l=0.4)
         with pytest.raises(nl.GenerationError) as batch:
-            reference_pairs(nl.SPIKE, derive_seeds(config.seed, 4), config)
+            reference_words(nl.SPIKE, derive_seeds(config.seed, 4), config)
         with pytest.raises(nl.GenerationError) as single:
             nl.gen_orthogonal_spike_pair(config)
         assert str(batch.value) == str(single.value)
@@ -153,7 +159,7 @@ class TestSpikePairRows:
         # no attempt could succeed: no stream word is drawn.
         config = nl.GeneratorConfig(seed=3, steps=1)
         seeds = derive_seeds(config.seed, 4)
-        draws = (lambda: reference_pairs(nl.SPIKE, seeds, config),
+        draws = (lambda: reference_words(nl.SPIKE, seeds, config),
                  lambda: nl.gen_orthogonal_spike_pair(config),
                  lambda: gen_disjoint_spike_pairs(4, 9, 5))
         messages = ["2 non-empty disjoint spike trains need at least 2 steps, got steps=1"] * 2 + [
@@ -216,18 +222,17 @@ class TestVectorizedMatrix:
     def test_rows_match_serial_pair_generation(self):
         seed, trials, steps = 99, 16, 9
         config = nl.GeneratorConfig(seed=seed, steps=steps)
-        rows = reference_pairs(nl.RTW, derive_seeds(seed, trials), config)
+        h, l = reference_words(nl.RTW, derive_seeds(seed, trials), config)
         for i in range(trials):
             pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=derive_seed(seed, i), steps=steps))
-            assert np.array_equal(rows.h.values[i], pair.h.values)
-            assert np.array_equal(rows.l.values[i], pair.l.values)
+            assert np.array_equal(h[:, i], pair.h.words)
+            assert np.array_equal(l[:, i], pair.l.words)
 
     def test_start_offset_windows_align(self):
         config = nl.GeneratorConfig(seed=4, steps=6)
-        full = reference_pairs(nl.RTW, derive_seeds(4, 10), config)
-        tail = reference_pairs(nl.RTW, derive_seeds(4, 4, start=6), config)
-        assert np.array_equal(full.h.words[:, 6:], tail.h.words)
-        assert np.array_equal(full.l.words[:, 6:], tail.l.words)
+        full = reference_words(nl.RTW, derive_seeds(4, 10), config)
+        tail = reference_words(nl.RTW, derive_seeds(4, 4, start=6), config)
+        assert np.array_equal(full[..., 6:], tail)
 
 
 ONE_PAIR = {nl.RTW: nl.gen_rtw_pair, nl.SPIKE: nl.gen_orthogonal_spike_pair}
@@ -256,30 +261,33 @@ class TestReferencePairs:
                                       spike_rate_h=rate, spike_rate_l=rate)
                    for i in range(count)]
         try:
-            batch = reference_pairs(family, derive_seeds(seed, count, start), config)
+            planes = reference_words(family, derive_seeds(seed, count, start), config)
         except nl.GenerationError as exc:
             # Some row runs out of attempts, and its one-pair draw says so alike.
             with pytest.raises(nl.GenerationError, match=f"^{re.escape(str(exc))}$"):
                 for single in singles:
                     ONE_PAIR[family](single)
             return
-        assert batch.family == family
-        assert batch.h.words.shape == (nl.signals.words_for(steps), count)
+        assert planes.shape == (2, nl.signals.words_for(steps), count)
+        assert planes.dtype == np.uint64 and not planes.flags.writeable
+        h, l = planes
+        if family == nl.SPIKE:
+            assert not (h & l).any() and h.any(axis=0).all() and l.any(axis=0).all()
         for i, single in enumerate(singles):
             one = reference_pairs(family, single.seed, config)
-            assert one.h.shape == (steps,)
-            assert np.array_equal(batch.h.words[:, i], one.h.words)
-            assert np.array_equal(batch.l.words[:, i], one.l.words)
+            assert one.family == family and one.h.shape == (steps,)
+            assert np.array_equal(h[:, i], one.h.words)
+            assert np.array_equal(l[:, i], one.l.words)
             assert one == ONE_PAIR[family](single)
 
     def test_blocks_do_not_change_the_rows(self):
         # One row per block of raw words, against one block for all rows.
         config = nl.GeneratorConfig(seed=2, steps=70, spike_rate_h=0.02, spike_rate_l=0.02)
         for family in (nl.RTW, nl.SPIKE):
-            want = reference_pairs(family, derive_seeds(2, 9), config)
+            want = reference_words(family, derive_seeds(2, 9), config)
             with mock.patch.object(generators, "_RAW_BYTES", 8 * config.steps):
-                got = reference_pairs(family, derive_seeds(2, 9), config)
-            assert got == want
+                got = reference_words(family, derive_seeds(2, 9), config)
+            assert np.array_equal(got, want)
 
     def test_gen_rtw_pairs_draws_one_pair_per_derived_seed(self):
         pairs = nl.gen_rtw_pairs(12, 33, 5)
@@ -290,5 +298,14 @@ class TestReferencePairs:
         config = nl.GeneratorConfig(seed=1, steps=8)
         with pytest.raises(nl.ConfigError, match="unknown logic family"):
             reference_pairs("cmos", 1, config)
-        with pytest.raises(nl.ConfigError, match="one seed or a 1-D array"):
-            reference_pairs(nl.RTW, derive_seeds(1, 4).reshape(2, 2), config)
+        with pytest.raises(nl.ConfigError, match="unknown logic family"):
+            reference_words("cmos", derive_seeds(1, 4), config)
+        for seeds in (derive_seeds(1, 4).reshape(2, 2), 1):
+            with pytest.raises(nl.ConfigError, match="^trial seeds must be a 1-D array, got "):
+                reference_words(nl.RTW, seeds, config)
+
+    def test_an_array_of_seeds_draws_no_pair(self):
+        config = nl.GeneratorConfig(seed=1, steps=8)
+        for seeds in (derive_seeds(1, 4), derive_seeds(1, 1)):
+            with pytest.raises(nl.ConfigError, match="draw a batch with reference_words$"):
+                reference_pairs(nl.RTW, seeds, config)

@@ -293,8 +293,10 @@ class TestGateColumns:
          "every wire after the inputs must be written by exactly one gate"),
         (("a", "a"), ("a",), [(0, 0)], [1], "compiled network names a wire twice"),
         (("y", "a"), ("y",), [(1, 1)], [0], "compiled network's wires must start with its inputs"),
+        (("a", "y"), ("y", "y"), [(0, 0)], [1], "compiled network declares an output twice"),
     ], ids=["reads-a-later-gate", "unwritten-wire", "negative-argument", "argument-past-wires",
-            "output-names-no-wire", "gate-writes-an-input", "duplicate-wire", "inputs-not-first"])
+            "output-names-no-wire", "gate-writes-an-input", "duplicate-wire", "inputs-not-first",
+            "duplicate-output"])
     def test_malformed_networks_are_rejected(self, wires, outputs, args, out, message):
         with pytest.raises(NetlistError) as info:
             nl.CompiledNetwork(wires, ("a",), outputs, [True] * len(out), args, out,

@@ -204,49 +204,62 @@ class TestReferencePair:
 
 
 class TestBatchReferencePair:
+    """A reference pair is one pair: a batch of waves is rejected at construction, and
+    each row of a batch of pairs' waves is checked as its own one-wave pair."""
+
+    @staticmethod
+    def _rows(h, l):
+        return [nl.LogicReferencePair(type(h)(a), type(l)(b))
+                for a, b in zip(h.values.tolist(), l.values.tolist())]
+
     def test_row_with_empty_low_train_rejected(self):
         # The batch as a whole has Low spikes; row 1 has none.
         h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
         l = nl.SpikeTrain([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(LengthMismatchError, match="one wave each"):
             nl.LogicReferencePair(h, l)
+        with pytest.raises(ValueError, match="non-empty"):
+            self._rows(h, l)
+        self._rows(nl.SpikeTrain(h.values[::2]), nl.SpikeTrain(l.values[::2]))
 
-    def test_coincident_spike_names_row_and_step(self):
+    def test_coincident_spike_names_the_step(self):
         # Flat index 4 would be "step 4" of a 3-step train.
         h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0]])
         l = nl.SpikeTrain([[0, 1, 0], [0, 1, 1]])
-        with pytest.raises(OrthogonalityError, match=r"at step 1 in row 1$"):
-            nl.LogicReferencePair(h, l)
+        with pytest.raises(OrthogonalityError, match=r"^reference trains spike together at step 1$"):
+            self._rows(h, l)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(LengthMismatchError, match="shapes differ"):
             nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]), nl.RtwSignal([1, -1]))
+        with pytest.raises(LengthMismatchError, match=r"one wave each, got shape \(2, 2\)$"):
+            nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]), nl.RtwSignal([[-1, 1]] * 2))
 
     def test_each_row_reads_against_its_own_pair(self):
-        h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0]])
-        l = nl.SpikeTrain([[0, 1, 0], [0, 0, 1]])
-        pair = nl.LogicReferencePair(h, l)
-        assert pair.steps == 3
-        bits, steps, details = nl.classify_rows(nl.SpikeTrain([[1, 0, 0], [0, 0, 1]]), pair)
-        assert bits.tolist() == [1, 0] and steps.tolist() == [0, 1] and not details
+        pairs = self._rows(nl.SpikeTrain([[1, 0, 0], [0, 1, 0]]),
+                           nl.SpikeTrain([[0, 1, 0], [0, 0, 1]]))
+        assert [pair.steps for pair in pairs] == [3, 3]
+        x = nl.SpikeTrain([[1, 0, 0], [0, 0, 1]])
+        read = [nl.classify_rows(nl.SpikeTrain(x.values[[r]]), pair)
+                for r, pair in enumerate(pairs)]
+        assert [(bits.tolist(), steps.tolist(), details) for bits, steps, details in read] == [
+            ([1], [0], {}), ([0], [1], {})]
 
-    def test_gate_input_checked_against_its_own_row(self):
-        pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
-                                     nl.RtwSignal([[-1, -1], [-1, 1]]))
-        pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [-1, 1]]))
-        # Row 1 is row 0's High, which is neither reference of row 1.
+    def test_gate_input_checked_row_by_row(self):
+        pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1]))
+        pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [-1, -1]]))
+        # Row 1 is neither reference.
         with pytest.raises(nl.InvalidLogicValueError):
-            pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [1, -1]]))
+            pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [1, 1]]))
 
-    def test_gate_input_groups_checked_against_their_rows(self):
-        pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]),
-                                     nl.RtwSignal([[-1, -1], [-1, 1]]))
-        good = nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, 1]]])
+    def test_gate_input_groups_checked_row_by_row(self):
+        pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1]))
+        good = nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, -1]]])
         pair.operands(nl.RTW, good, good)
-        # Row 1 of group 1 is row 0's High again.
+        # Row 1 of group 1 is neither reference.
         with pytest.raises(nl.InvalidLogicValueError,
                            match="first input matches neither the High nor the Low reference"):
-            pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, 1]], [[-1, -1], [1, -1]]]), good)
+            pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, 1]]]), good)
 
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("pairs", [(), (3,)])
@@ -255,11 +268,11 @@ class TestBatchReferencePair:
         steps = 70
         h = -np.ones(pairs + (steps,), dtype=np.int64)
         h[..., [0, 64]] = 1
-        pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
-        if pairs and not batch:
-            with pytest.raises(LengthMismatchError, match="a row per pair"):
-                pair.operands(nl.RTW, nl.RtwSignal(h[0]))
+        if pairs:
+            with pytest.raises(LengthMismatchError, match="one wave each"):
+                nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
             return
+        pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
         bits = np.arange(int(np.prod(batch))).reshape(batch + (1,)) % 2 if batch else 1
         x = nl.RtwSignal(np.where(bits, h, -1))
         high, low, (v,), (mask,) = pair.operands(nl.RTW, x)
@@ -374,9 +387,12 @@ class TestClassify:
             nl.classify(nl.RtwSignal([pair.h.to_list()] * 2), pair)
 
     def test_rows_and_pairs_must_pair_up(self):
-        pair = nl.LogicReferencePair(nl.RtwSignal([[1, -1]] * 3), nl.RtwSignal([[-1, 1]] * 3))
+        # A pair per row cannot be built; each row must span the one pair's steps.
         with pytest.raises(LengthMismatchError):
-            nl.classify_rows(nl.RtwSignal([[1, -1]] * 2), pair)
+            nl.LogicReferencePair(nl.RtwSignal([[1, -1]] * 3), nl.RtwSignal([[-1, 1]] * 3))
+        pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, 1]))
+        with pytest.raises(LengthMismatchError, match="classified wave has 3 steps, pair has 2"):
+            nl.classify_rows(nl.RtwSignal([[1, -1, 1]] * 2), pair)
 
     @given(rtw_values)
     def test_references_classify_as_themselves(self, values):
@@ -389,7 +405,8 @@ class TestClassify:
 
 @st.composite
 def classify_cases(draw):
-    """A wave or a batch of copies and non-copies, against one pair or one pair per row."""
+    """A wave or a batch of copies and non-copies, and each row's pair: one pair for all
+    rows, or a pair per row, which reads the row as a one-row batch."""
     family = draw(st.sampled_from([nl.RTW, nl.SPIKE]))
     batch = draw(st.booleans())
     rows = draw(st.integers(1, 4)) if batch else 1
@@ -415,22 +432,25 @@ def classify_cases(draw):
     for r in range(rows):
         p = r if n_pairs > 1 else 0
         x.append(draw(st.sampled_from([h[p], l[p]]) | values))
+    pairs = [nl.LogicReferencePair(wave(a), wave(b)) for a, b in zip(h, l)]
     if not batch:
-        return wave(x[0]), nl.LogicReferencePair(wave(h[0]), wave(l[0]))
-    if n_pairs == 1:
-        return wave(x), nl.LogicReferencePair(wave(h[0]), wave(l[0]))
-    return wave(x), nl.LogicReferencePair(wave(h), wave(l))
+        return wave(x[0]), pairs
+    return wave(x), pairs * rows if n_pairs == 1 else pairs
 
 
 class TestClassifyRows:
     @given(classify_cases())
     def test_classify_is_the_one_row_case(self, case):
-        x, pair = case
-        bits, steps, details = nl.classify_rows(x, pair)
+        x, pairs = case
         wave = type(x)
-        for r, row in enumerate(np.atleast_2d(x.values)):
-            row_pair = pair if pair.h.values.ndim == 1 else nl.LogicReferencePair(
-                wave(pair.h.values[r]), wave(pair.l.values[r]))
+        rows = np.atleast_2d(x.values)
+        if len(set(map(id, pairs))) == 1:
+            bits, steps, details = nl.classify_rows(x, pairs[0])
+        else:   # each row as a one-row batch against its own pair
+            read = [nl.classify_rows(wave(rows[[r]]), pair) for r, pair in enumerate(pairs)]
+            bits, steps = (np.concatenate([one[k] for one in read]) for k in (0, 1))
+            details = {r: one[2][0] for r, one in enumerate(read) if one[2]}
+        for r, (row, row_pair) in enumerate(zip(rows, pairs)):
             outcome = nl.classify(wave(row), row_pair)
             assert outcome == classify_wave(wave(row), row_pair)
             if outcome.is_ambiguous:

@@ -99,11 +99,12 @@ class TestStepClasses:
             classes = pair.step_classes
         assert classes.pair.steps == 4
 
-    def test_a_batch_of_pairs_has_no_step_classes(self):
-        batch = nl.generators.reference_pairs(nl.RTW, np.arange(3, dtype=np.uint64),
-                                              nl.GeneratorConfig(seed=1, steps=8))
-        with pytest.raises(ValueError, match="one pair"):
-            batch.step_classes
+    def test_a_batch_of_pairs_is_rejected_at_construction(self):
+        # So every pair has step classes: no batch of pairs can be built.
+        h, l = nl.generators.reference_words(nl.RTW, np.arange(3, dtype=np.uint64),
+                                             nl.GeneratorConfig(seed=1, steps=8))
+        with pytest.raises(nl.LengthMismatchError, match=r"one wave each, got shape \(3, 8\)$"):
+            nl.LogicReferencePair(nl.RtwSignal._of_words(h, 8), nl.RtwSignal._of_words(l, 8))
 
 
 class TestRead:

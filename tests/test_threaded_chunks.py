@@ -35,32 +35,43 @@ def cpus(n: int):
     return mock.patch.object(simulator, "_usable_cpus", lambda: n)
 
 
+PROBES = {"evaluate": (simulator, "_evaluate"), "draw": (generators, "reference_words"),
+          "count": (simulator, "count_identical_rtw_pairs")}
+
+# The work of each sweep's chunks, led by the probe a chunk calls exactly once:
+# a verify chunk is one walk, a latency chunk one draw and then a walk per
+# column set, a chunk of the ambiguity sweep one count.
+VERIFY, LATENCY, SWEEP = ("evaluate",), ("draw", "evaluate"), ("count",)
+
+
 class ThreadLog:
-    """Counts the threads started and the chunks that ran off the main thread."""
+    """Counts the threads started, and the thread of every probed call a chunk makes.
+
+    ``threads["evaluate"]`` logs each ``simulator._evaluate`` walk,
+    ``threads["draw"]`` each ``generators.reference_words`` draw and
+    ``threads["count"]`` each ``count_identical_rtw_pairs`` count.
+    """
 
     def __init__(self):
         self.started = 0
-        self.chunk_threads: list[str] = []
+        self.threads: dict[str, list[str]] = {probe: [] for probe in PROBES}
 
     def __enter__(self):
-        real_start, real_evaluate = threading.Thread.start, simulator._evaluate
-        real_count = simulator.count_identical_rtw_pairs
+        real_start = threading.Thread.start
 
         def start(thread):
             self.started += 1
             real_start(thread)
 
-        def evaluate(*args):
-            self.chunk_threads.append(threading.current_thread().name)
-            return real_evaluate(*args)
+        def logged(probe, real):
+            def call(*args, **kwargs):
+                self.threads[probe].append(threading.current_thread().name)
+                return real(*args, **kwargs)
+            return call
 
-        def count(*args, **kwargs):
-            self.chunk_threads.append(threading.current_thread().name)
-            return real_count(*args, **kwargs)
-
-        self._patches = [mock.patch.object(threading.Thread, "start", start),
-                         mock.patch.object(simulator, "_evaluate", evaluate),
-                         mock.patch.object(simulator, "count_identical_rtw_pairs", count)]
+        self._patches = [mock.patch.object(threading.Thread, "start", start)] + [
+            mock.patch.object(module, name, logged(probe, getattr(module, name)))
+            for probe, (module, name) in PROBES.items()]
         for patch in self._patches:
             patch.start()
         return self
@@ -69,28 +80,29 @@ class ThreadLog:
         for patch in reversed(self._patches):
             patch.stop()
 
-    @property
-    def on_main(self) -> bool:
-        return set(self.chunk_threads) == {main_thread_name()}
+    def ran_on(self, work: tuple[str, ...]) -> set[str]:
+        """The threads the probed calls of ``work`` ran on."""
+        return {name for probe in work for name in self.threads[probe]}
 
 
 def main_thread_name() -> str:
     return threading.main_thread().name
 
 
-def by_workers(call, chunks: int) -> dict[int, object]:
-    """``call()`` on one worker and on three; each run checks its thread count."""
+def by_workers(call, chunks: int, work: tuple[str, ...]) -> dict[int, object]:
+    """``call()`` on one worker and on three; each run checks its thread count and
+    that every call of ``work`` ran on the main thread or on workers only."""
     results = {}
     for workers in (1, 3):
         baseline = threading.active_count()
         with cpus(workers), ThreadLog() as log:
             results[workers] = call()
-        assert len(log.chunk_threads) == chunks
+        assert len(log.threads[work[0]]) == chunks
         if workers == 1:
-            assert log.started == 0 and log.on_main
+            assert log.started == 0 and log.ran_on(work) == {main_thread_name()}
         else:   # the pool starts a thread per chunk submitted while the others are busy
             assert 0 < log.started <= min(workers, chunks)
-            assert main_thread_name() not in log.chunk_threads
+            assert main_thread_name() not in log.ran_on(work)
         assert threading.active_count() == baseline
     return results
 
@@ -129,7 +141,7 @@ class TestOneWorkerEqualsMany:
         rows, chunks = verify_chunks(ast, config, **kwargs)
         assert chunks >= 3
         got = by_workers(lambda: chunked_report(ast, backend, config, rows, **kwargs).to_doc(),
-                         chunks)
+                         chunks, VERIFY)
         assert got[1] == got[3] == serial_report(ast, backend, config, **kwargs).to_doc()
 
     @pytest.mark.parametrize("backend", nl.BACKENDS)
@@ -153,7 +165,8 @@ class TestOneWorkerEqualsMany:
                 rows, chunks = verify_chunks(full_adder_ast, config, network, sample)
                 got = by_workers(lambda: chunked_report(full_adder_ast, backend, config, rows,
                                                         network=network,
-                                                        sample=sample).to_doc(), chunks)
+                                                        sample=sample).to_doc(), chunks,
+                                 VERIFY)
                 assert got[1] == got[3] == want.to_doc()
 
     @settings(max_examples=30, deadline=None)
@@ -189,7 +202,7 @@ class TestOneWorkerEqualsMany:
         module = spike_gates if backend == "spike" else rtw_gates
         with mock.patch.object(module, simulator._BACKEND_TABLE[backend][1], off_reference_not):
             got = by_workers(lambda: chunked_latency(network, config, 10, backend, None, 3),
-                             4)
+                             4, LATENCY)
             want = serial_latency(network, config, 10, backend)
         assert want.ambiguous_windows == 10
         assert repr(got[1].to_doc()) == repr(got[3].to_doc()) == repr(want.to_doc())
@@ -198,7 +211,7 @@ class TestOneWorkerEqualsMany:
     def test_latency_histograms_merge_in_chunk_order(self, full_adder_network, backend):
         config = nl.GeneratorConfig(seed=21, steps=3, spike_rate_h=0.2, spike_rate_l=0.2)
         got = by_workers(lambda: chunked_latency(full_adder_network, config, 40, backend,
-                                                 None, 7), 6)
+                                                 None, 7), 6, LATENCY)
         want = serial_latency(full_adder_network, config, 40, backend)
         assert len(want.histogram) > 1
         assert list(got[1].histogram.items()) == list(got[3].histogram.items())
@@ -232,7 +245,7 @@ class TestOneWorkerEqualsMany:
         want = identical_rtw_pairs(seed, trials, n) / trials
         with mock.patch.object(simulator, "_MC_CHUNK", chunk):
             got = by_workers(lambda: nl.ambiguity_monte_carlo(n, trials, seed),
-                             -(-trials // chunk))
+                             -(-trials // chunk), SWEEP)
         assert got[1] == got[3]
         assert got[1].mc_estimate == want
 
@@ -255,11 +268,15 @@ class TestThreadBounds:
 
     def test_one_chunk_starts_no_thread(self, full_adder_ast, full_adder_network):
         config = nl.GeneratorConfig(seed=3, steps=32)
-        with cpus(4), ThreadLog() as log:
-            assert nl.verify_equivalence(full_adder_ast, "spike", config).ok
-            nl.decision_latency(full_adder_network, config, 50, "rtw-additive-not")
-            nl.ambiguity_monte_carlo(6, 5000, 1)
-        assert log.started == 0 and log.on_main and len(log.chunk_threads) == 3
+        for call, work in [
+                (lambda: nl.verify_equivalence(full_adder_ast, "spike", config).ok, VERIFY),
+                (lambda: nl.decision_latency(full_adder_network, config, 50, "rtw-additive-not"),
+                 LATENCY),
+                (lambda: nl.ambiguity_monte_carlo(6, 5000, 1), SWEEP)]:
+            with cpus(4), ThreadLog() as log:
+                assert call()
+            assert log.started == 0 and len(log.threads[work[0]]) == 1
+            assert log.ran_on(work) == {main_thread_name()}
 
     def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 5},
@@ -332,7 +349,7 @@ class TestFailuresOnThreads:
     def test_a_later_latency_chunk_that_fails_raises_as_inline(self, full_adder_network,
                                                                workers):
         config = nl.GeneratorConfig(seed=5, steps=16)
-        real = generators.reference_pairs
+        real = generators.reference_words
         trial_seeds = derive_seeds(config.seed, 12).tolist()
 
         def draw(family, seeds, config):
@@ -343,7 +360,7 @@ class TestFailuresOnThreads:
 
         baseline = threading.active_count()
         # The name decision_latency looks up at each draw.
-        with cpus(workers), mock.patch.object(generators, "reference_pairs", draw), \
+        with cpus(workers), mock.patch.object(generators, "reference_words", draw), \
                 pytest.raises(nl.GenerationError, match="^no pair from trial 6$"):
             chunked_latency(full_adder_network, config, 12, "spike", None, 3)
         assert threading.active_count() == baseline

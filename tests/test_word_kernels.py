@@ -42,32 +42,27 @@ class TestRtwWordForms:
             assert _sign(got) == cube // 4 + l, (h, l, x1, x2)
 
     def test_nots_equal_the_product_and_the_universe_minus_input(self):
-        # One one-step pair per row, so every (h, l, x) is a row.
-        h, l, x = np.array(list(itertools.product(SIGNS, repeat=3))).T[..., None]
-        pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(l))
-        assert np.array_equal(rtw_gates.not_multiplicative(pair, nl.RtwSignal(x)).values, x * h * l)
-        # The additive NOT takes exact copies only: the rows where x is H or L.
-        keep = ((x == h) | (x == l))[:, 0]
-        copies = nl.LogicReferencePair(nl.RtwSignal(h[keep]), nl.RtwSignal(l[keep]))
-        assert np.array_equal(rtw_gates.not_additive(copies, nl.RtwSignal(x[keep])).values,
-                              (h + l - x)[keep])
-        assert np.array_equal((x * h * l)[keep], (h + l - x)[keep])
+        # One one-step pair for every (h, l, x).
+        for h, l, x in itertools.product(SIGNS, repeat=3):
+            pair = nl.LogicReferencePair(nl.RtwSignal([h]), nl.RtwSignal([l]))
+            assert rtw_gates.not_multiplicative(pair, nl.RtwSignal([x])).to_list() == [x * h * l]
+            # The additive NOT takes exact copies only: an x that is H or L.
+            if x in (h, l):
+                assert rtw_gates.not_additive(pair, nl.RtwSignal([x])).to_list() == [h + l - x]
+                assert x * h * l == h + l - x
 
     def test_kernels_equal_the_polynomials_on_every_valid_combination(self):
-        # One one-step pair per row; each input is the row's High or Low.
-        combos = list(itertools.product(SIGNS, SIGNS, (0, 1), (0, 1)))
-        h, l = (np.array([[c[k]] for c in combos]) for k in (0, 1))
-        x1, x2 = (np.where(np.array([[c[k]] for c in combos]) == 1, h, l) for k in (2, 3))
-        pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(l))
-        a, b = nl.RtwSignal(x1), nl.RtwSignal(x2)
-        assert np.array_equal(rtw_gates.and_gate(pair, a, b).values,
-                              (h - l) * (x1 - l) * (x2 - l) // 4 + l)
-        assert np.array_equal(rtw_gates.not_additive(pair, a).values, h + l - x1)
-        assert np.array_equal(rtw_gates.not_multiplicative(pair, a).values, x1 * h * l)
-        # The product NOT takes any sign, also where H == L and x differs.
-        x = -h
-        assert np.array_equal(
-            rtw_gates.not_multiplicative(pair, nl.RtwSignal(x)).values, x * h * l)
+        # One one-step pair for every (h, l); each input is its High or Low.
+        for h, l, high1, high2 in itertools.product(SIGNS, SIGNS, (0, 1), (0, 1)):
+            pair = nl.LogicReferencePair(nl.RtwSignal([h]), nl.RtwSignal([l]))
+            x1, x2 = (h if high else l for high in (high1, high2))
+            a, b = nl.RtwSignal([x1]), nl.RtwSignal([x2])
+            assert rtw_gates.and_gate(pair, a, b).to_list() == [
+                (h - l) * (x1 - l) * (x2 - l) // 4 + l]
+            assert rtw_gates.not_additive(pair, a).to_list() == [h + l - x1]
+            assert rtw_gates.not_multiplicative(pair, a).to_list() == [x1 * h * l]
+            # The product NOT takes any sign, also where H == L and x differs.
+            assert rtw_gates.not_multiplicative(pair, nl.RtwSignal([-h])).to_list() == [-l]
 
 
 class TestSpikeWordForms:
@@ -105,28 +100,26 @@ _KERNELS = {
 
 @st.composite
 def kernel_cases(draw):
-    """(backend, pair, x1, x2): batches of copies, maybe one flipped step, one pair or one per row."""
+    """(backend, pair, x1, x2): batches of copies of the pair, maybe one flipped step."""
     backend = draw(st.sampled_from(sorted(_KERNELS)))
     spike = backend == "spike"
     steps = max(draw(st.sampled_from(STEP_COUNTS)), 2 if spike else 1)
     rows = draw(st.integers(1, 4))
-    pairs = rows if draw(st.booleans()) else 1
     groups = draw(st.sampled_from([(), (2,)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if spike:
-        owner = rng.integers(0, 3, (pairs, steps))   # High, Low or neither
+        owner = rng.integers(0, 3, steps)   # High, Low or neither
         first, second = rng.permutation(steps)[:2]
-        owner[:, first], owner[:, second] = 0, 1
+        owner[first], owner[second] = 0, 1
         h, l = (owner == 0).astype(np.int64), (owner == 1).astype(np.int64)
     else:
-        h, l = rng.choice(SIGNS, (2, pairs, steps))
+        h, l = rng.choice(SIGNS, (2, steps))
     x1, x2 = (np.where(rng.integers(0, 2, groups + (rows, 1)) == 1, h, l) for _ in range(2))
     if draw(st.booleans()):
         flat = x1.reshape(-1, steps)
         flat[rng.integers(len(flat)), rng.integers(steps)] ^= 1 if spike else -2
     carrier = nl.SpikeTrain if spike else nl.RtwSignal
-    one = pairs == 1 and draw(st.booleans())
-    pair = nl.LogicReferencePair(carrier(h[0] if one else h), carrier(l[0] if one else l))
+    pair = nl.LogicReferencePair(carrier(h), carrier(l))
     return backend, pair, carrier(x1), carrier(x2)
 
 

@@ -1,12 +1,14 @@
 """Words-major batches: a batch's words, kernels and readings are those of its rows.
 
 A batch of waves stores ``(words, rows)`` words and a gathered group
-``(groups, words, rows)``; one wave stores ``(words,)``.  These properties
-check, over both carriers, that column ``i`` of a batch is row ``i`` in
-every respect the engine relies on, against one pair (broadcast as a
-``(words, 1)`` column) and against one pair per row, and that the spike
-circuits combine single waves, batches and columns row by row or reject
-the mix.
+``(groups, words, rows)``; one wave stores ``(words,)``, and so does each
+wave of a reference pair.  These properties check, over both carriers,
+that column ``i`` of a batch is row ``i`` in every respect the engine
+relies on, against one pair broadcast as a ``(words, 1)`` column (drawn as
+one pair, or built from a column of ``reference_words`` planes, as
+``decision_latency`` builds its pairs), that column ``i`` of those planes
+is the pair of seed ``i``, and that the spike circuits combine single
+waves, batches and columns row by row or reject the mix.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic import rtw_gates, spike_gates
-from noiselogic.generators import reference_pairs
+from noiselogic.generators import reference_pairs, reference_words
 from noiselogic.prng import derive_seeds
 from noiselogic.signals import words_for
 
@@ -41,7 +43,7 @@ def _outcome(kernel, pair, *inputs):
 
 @st.composite
 def batches(draw, families=(nl.RTW, nl.SPIKE)):
-    """(family, pair, row pairs, x1, x2): input values of copies, maybe one flipped step."""
+    """(family, pair, x1, x2): input values of copies, maybe one flipped step."""
     family = draw(st.sampled_from(families))
     steps = draw(st.sampled_from(STEP_COUNTS))
     if family == nl.SPIKE:
@@ -50,13 +52,12 @@ def batches(draw, families=(nl.RTW, nl.SPIKE)):
     groups = draw(st.sampled_from([(), (2,), (3,)]))
     seed = draw(st.integers(0, 2**64 - 1))
     config = nl.GeneratorConfig(seed=seed, steps=steps)
-    seeds = derive_seeds(seed, rows)
-    if draw(st.booleans()):   # one pair per row
-        pair = reference_pairs(family, seeds, config)
-        row_pairs = [reference_pairs(family, s, config) for s in seeds]
+    if draw(st.booleans()):   # column j of a batch of planes, strided in memory
+        planes = reference_words(family, derive_seeds(seed, rows), config)
+        j = draw(st.integers(0, rows - 1))
+        pair = nl.LogicReferencePair(*(CARRIER[family]._of_words(p[:, j], steps) for p in planes))
     else:
         pair = reference_pairs(family, seed, config)
-        row_pairs = [pair] * rows
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h, l = pair.h.values, pair.l.values
     x1, x2 = (np.where(rng.integers(0, 2, groups + (rows, 1)) == 1, h, l).astype(np.int64)
@@ -64,7 +65,7 @@ def batches(draw, families=(nl.RTW, nl.SPIKE)):
     if draw(st.booleans()):
         flat = x1.reshape(-1, steps)
         flat[rng.integers(len(flat)), rng.integers(steps)] ^= -2 if family == nl.RTW else 1
-    return family, pair, row_pairs, x1, x2
+    return family, pair, x1, x2
 
 
 def _rows(values):
@@ -79,7 +80,7 @@ class TestWordsMajorBatches:
     @CASES
     @given(batches())
     def test_column_i_is_row_i_and_values_round_trip(self, case):
-        family, _, _, x1, _ = case
+        family, _, x1, _ = case
         carrier = CARRIER[family]
         steps, rows = x1.shape[-1], x1.shape[-2]
         batch = carrier(x1)
@@ -94,12 +95,12 @@ class TestWordsMajorBatches:
     @CASES
     @given(batches())
     def test_kernels_on_a_batch_equal_their_rows(self, case):
-        family, pair, row_pairs, x1, x2 = case
+        family, pair, x1, x2 = case
         carrier = CARRIER[family]
         a, b = carrier(x1), carrier(x2)
         for kernel, arity in KERNELS[family]:
             got = _outcome(kernel, pair, *(a, b)[:arity])
-            per_row = {index: _outcome(kernel, row_pairs[index[-1]],
+            per_row = {index: _outcome(kernel, pair,
                                        *(carrier(x1[index]), carrier(x2[index]))[:arity])
                        for index in _rows(x1)}
             errors = [out for out in per_row.values() if isinstance(out, type)]
@@ -113,27 +114,30 @@ class TestWordsMajorBatches:
     @CASES
     @given(batches())
     def test_classify_rows_on_a_batch_equals_its_rows(self, case):
-        family, pair, row_pairs, x1, _ = case
+        family, pair, x1, _ = case
         carrier = CARRIER[family]
         batch = carrier(x1)
         # A gathered group reads group by group, each a (words, rows) batch.
         for group in np.ndindex(x1.shape[:-2]):
             words = batch.words[group]
             bits, steps, details = nl.classify_rows(carrier._of_words(words, len(batch)), pair)
-            for i, row_pair in enumerate(row_pairs):
-                (bit,), (step,), detail = nl.classify_rows(carrier(x1[group + (i,)]), row_pair)
+            for i in range(x1.shape[-2]):
+                (bit,), (step,), detail = nl.classify_rows(carrier(x1[group + (i,)]), pair)
                 assert (bits[i], steps[i], details.get(i)) == (bit, step, detail.get(0))
 
     @CASES
-    @given(batches())
-    def test_reference_pairs_column_i_is_the_pair_of_seed_i(self, case):
-        _, pair, row_pairs, _, _ = case
-        if pair.h.words.ndim == 1:
-            return   # one pair serves every row
-        for i, row_pair in enumerate(row_pairs):
-            assert np.array_equal(pair.h.words[:, i], row_pair.h.words)
-            assert np.array_equal(pair.l.words[:, i], row_pair.l.words)
-            assert row_pair.h.values.tolist() == pair.h.values[i].tolist()
+    @given(family=st.sampled_from([nl.RTW, nl.SPIKE]), steps=st.sampled_from(STEP_COUNTS[1:]),
+           rows=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+    def test_reference_words_column_i_is_the_pair_of_seed_i(self, family, steps, rows, seed):
+        config = nl.GeneratorConfig(seed=seed, steps=steps)
+        seeds = derive_seeds(seed, rows)
+        planes = reference_words(family, seeds, config)
+        batch = CARRIER[family]._of_words(planes[0], steps)
+        for i, s in enumerate(seeds):
+            row_pair = reference_pairs(family, s, config)
+            assert np.array_equal(planes[0, :, i], row_pair.h.words)
+            assert np.array_equal(planes[1, :, i], row_pair.l.words)
+            assert row_pair.h.values.tolist() == batch.values[i].tolist()
 
 
 CIRCUITS = ((spike_gates.neuron_eval, 2), (spike_gates.orthon_eval, 2),
@@ -176,7 +180,7 @@ class TestSpikeCircuitsOnBatches:
     @CASES
     @given(batches(families=(nl.SPIKE,)), st.data())
     def test_circuits_equal_their_rows_or_reject_the_mix(self, case, data):
-        _, pair, _, x1, x2 = case
+        _, pair, x1, x2 = case
         steps, rows = x1.shape[-1], x1.shape[-2]
         first = x1.reshape(-1, steps)[0]
         pool = {"batch": x1, "other batch": x2, "High": pair.h.values, "Low": pair.l.values,
@@ -215,13 +219,14 @@ class TestShapesThatCannotBroadcast:
             kernel(pair, pair.h, batch)
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
-    def test_one_wave_against_a_batch_of_pairs_is_rejected(self, family):
+    def test_a_batch_pair_is_rejected_at_construction(self, family):
+        # Two rows of two words would meet one wave's two words silently.
         config = nl.GeneratorConfig(seed=3, steps=128)
-        pairs = reference_pairs(family, derive_seeds(config.seed, 2), config)
-        one = CARRIER[family](pairs.h.values[0])
-        for kernel, _ in KERNELS[family][:-1]:
-            with pytest.raises(nl.LengthMismatchError, match="a row per pair"):
-                kernel(pairs, one)
+        carrier = CARRIER[family]
+        h, l = (carrier._of_words(p, config.steps)
+                for p in reference_words(family, derive_seeds(config.seed, 2), config))
+        with pytest.raises(nl.LengthMismatchError, match=r"one wave each, got shape \(2, 128\)$"):
+            nl.LogicReferencePair(h, l)
 
     def test_circuits_reject_one_wave_against_a_batch(self):
         config = nl.GeneratorConfig(seed=3, steps=256)   # four words
