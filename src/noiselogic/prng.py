@@ -35,14 +35,27 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray, top_bit_only: bool = False) -> None:
+    """:func:`mix64` on the uint64 array ``z`` in place, with ``tmp`` (same shape) as scratch.
+
+    With ``top_bit_only`` the last stage, ``z ^ (z >> 31)``, is left out:
+    it cannot change the top bit, so that bit is already final.
+    """
+    np.right_shift(z, _U(30), out=tmp)
+    z ^= tmp
+    z *= _U(_MUL1)
+    np.right_shift(z, _U(27), out=tmp)
+    z ^= tmp
+    z *= _U(_MUL2)
+    if not top_bit_only:
+        np.right_shift(z, _U(31), out=tmp)
+        z ^= tmp
+
+
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` on a uint64 array (wraparound is native)."""
     z = z.astype(np.uint64, copy=True)
-    z ^= z >> _U(30)
-    z *= _U(_MUL1)
-    z ^= z >> _U(27)
-    z *= _U(_MUL2)
-    z ^= z >> _U(31)
+    _mix64_inplace(z, np.empty_like(z))
     return z
 
 
@@ -52,9 +65,12 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def derive_seeds(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Vectorized :func:`derive_seed` for indices ``start .. start+count-1``."""
-    ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return mix64_array(_U(seed & MASK64) + _U(GOLDEN) * ks)
+    """Vectorized :func:`derive_seed` for indices ``start .. start+count-1`` (mod 2**64)."""
+    z = np.arange(count, dtype=np.uint64)
+    z *= _U(GOLDEN)
+    z += _U((int(seed) + GOLDEN * (int(start) + 1)) & MASK64)
+    _mix64_inplace(z, np.empty_like(z))
+    return z
 
 
 class SplitMix64:

@@ -86,9 +86,12 @@ def first_set_step(words: np.ndarray) -> np.ndarray:
     """Step of the lowest set bit of every wave in words-major ``words``; meaningless for no bit."""
     axis = _words_axis(words)
     k = (words != 0).argmax(axis=axis)
-    w = np.take_along_axis(words, np.expand_dims(k, axis), axis=axis).squeeze(axis)
+    # Kept as an array until the end: on a NumPy scalar, ``~w + 1`` of a zero
+    # word warns of overflow, where an array wraps silently.
+    w = np.take_along_axis(words, np.expand_dims(k, axis), axis=axis)
     # w & -w keeps the lowest set bit, a power of two that float64 holds exactly.
-    return k * WORD_BITS + np.frexp((w & (~w + np.uint64(1))).astype(np.float64))[1] - 1
+    low = np.frexp((w & (~w + np.uint64(1))).astype(np.float64))[1].squeeze(axis)
+    return k * WORD_BITS + low - 1
 
 
 def _as_int_array(values) -> np.ndarray:

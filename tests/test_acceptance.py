@@ -189,6 +189,8 @@ def _artifact_bundle(tmp_path, tag: str) -> dict[str, str]:
     invoke("verify.json", ["verify", str(adder), "--seed", "9", "--steps", "64"])
     invoke("stats.json", ["stats", "--n", "3", "--trials", "2000", "--seed", "1234",
                           "--epsilon", "1e-25"])
+    # Five chunks of the ambiguity sweep, the last one partial.
+    invoke("stats-sweep.json", ["stats", "--n", "14", "--trials", "300000", "--seed", "2718"])
     invoke("hyperspace-rtw.json", ["hyperspace", "--family", "rtw", "--bits", "10110",
                                    "--seed", "4", "--steps", "64"])
     invoke("hyperspace-spike.json", ["hyperspace", "--family", "spike", "--bits", "10110",

@@ -213,6 +213,23 @@ class TestEarlyExitAmbiguitySweep:
                 want = identical_rtw_pairs(seed, trials, n, start)
                 assert count_identical_rtw_pairs(seed, trials, n, start=start) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**64 - 1),
+           trials=st.integers(0, 3000), n=st.integers(1, 20))
+    def test_count_equals_the_full_planes_oracle(self, seed, start, trials, n):
+        assert count_identical_rtw_pairs(seed, trials, n, start=start) == identical_rtw_pairs(
+            seed, trials, n, start)
+
+    def test_a_huge_step_count_walks_only_the_steps_with_live_trials(self):
+        assert count_identical_rtw_pairs(3, 100, 10**12) == 0
+
+    @pytest.mark.parametrize("args", [
+        (-1, 1000, 3), (2**64, 1000, 3), (1, 1000, 3, -1), (1, 1000, 3, 2**64),
+        (1, 10, 0), (1, 10, -2), (1, -3, 3), (1.0, 10, 3), (1, True, 3), (1, 10, 3.5)])
+    def test_bad_arguments_raise_config_error(self, args):
+        with pytest.raises(nl.ConfigError):
+            count_identical_rtw_pairs(*args)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_chunking_does_not_change_the_estimate(self, n):
         trials = 3000

@@ -4,7 +4,16 @@ these fixtures move, every golden file in the repository moves with them."""
 import numpy as np
 import pytest
 
-from noiselogic.prng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds, mix64, mix64_array
+from noiselogic.prng import (
+    GOLDEN,
+    MASK64,
+    SplitMix64,
+    _mix64_inplace,
+    derive_seed,
+    derive_seeds,
+    mix64,
+    mix64_array,
+)
 
 # Published reference outputs of splitmix64 (state-increment form).
 SEED0_OUTPUTS = [
@@ -39,9 +48,24 @@ def test_interleaved_consumption_is_one_stream():
     assert got == [b.next_u64() for _ in range(5)]
 
 
+EDGE_VALUES = [0, 1, GOLDEN, MASK64, 2**63, 12345678901234567]
+
+
 def test_mix64_array_matches_scalar():
-    zs = np.array([0, 1, GOLDEN, MASK64, 2**63, 12345678901234567], dtype=np.uint64)
+    zs = np.array(EDGE_VALUES, dtype=np.uint64)
     assert [int(v) for v in mix64_array(zs)] == [mix64(int(z)) for z in zs]
+
+
+def test_mix64_array_leaves_its_argument_unchanged():
+    zs = np.array(EDGE_VALUES, dtype=np.uint64)
+    mix64_array(zs)
+    assert zs.tolist() == EDGE_VALUES
+
+
+def test_top_bit_only_mix_keeps_the_top_bit_of_mix64():
+    zs = np.array(EDGE_VALUES, dtype=np.uint64)
+    _mix64_inplace(zs, np.empty_like(zs), top_bit_only=True)
+    assert [int(v) >> 63 for v in zs] == [mix64(z) >> 63 for z in EDGE_VALUES]
 
 
 def test_derive_seed_is_root_stream_output():
@@ -53,6 +77,13 @@ def test_derive_seeds_vectorized_agrees():
     assert [int(v) for v in derive_seeds(777, 10)] == [derive_seed(777, i) for i in range(10)]
     assert [int(v) for v in derive_seeds(777, 5, start=3)] == [
         derive_seed(777, i) for i in range(3, 8)
+    ]
+    # A NumPy integer seed or start gives the same seeds as a Python int.
+    for seed in (np.uint64(2**64 - 1), np.int64(5)):
+        assert derive_seeds(seed, 3, np.int64(4)).tolist() == derive_seeds(int(seed), 3, 4).tolist()
+    # Indices wrap modulo 2**64, as derive_seed's do.
+    assert [int(v) for v in derive_seeds(777, 3, start=2**64 - 2)] == [
+        derive_seed(777, i) for i in range(2**64 - 2, 2**64 + 1)
     ]
 
 

@@ -140,6 +140,13 @@ class TestCarrierDtype:
             bits[1, t] = True
             assert first_set_step(pack_steps(bits)).tolist() == [t, t]
 
+    @pytest.mark.filterwarnings("error")
+    def test_first_set_step_of_an_all_zero_wave_does_not_warn(self):
+        # The step means nothing for a wave with no set bit, but reading it
+        # must not warn of an overflow, on one wave or on a batch.
+        first_set_step(np.zeros(2, dtype=np.uint64))
+        first_set_step(np.zeros((2, 3), dtype=np.uint64))
+
     def test_word_paths_need_no_numpy_2_only_function(self, monkeypatch):
         # The package supports NumPy 1.24, which has no np.bitwise_count.
         monkeypatch.delattr(np, "bitwise_count", raising=False)
