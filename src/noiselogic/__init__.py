@@ -57,6 +57,7 @@ from .signals import (
     Waveform,
     classify,
     classify_rows,
+    on_waves,
     universe_rtw,
     universe_spike,
 )

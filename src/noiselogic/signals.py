@@ -13,13 +13,16 @@ of word ``t // 64``, a set bit is +1 or a spike, and the padding bits past
 the last step are zero.  The planes are words-major: one wave is
 ``(words,)``, a batch ``(words, rows)`` and a gathered group ``(groups,
 words, rows)``, so the exact-copy tests and classification reduce over
-the words axis, one pass over contiguous rows.  A gate kernel hands all
-its inputs to :meth:`LogicReferencePair.operands`, which checks them and
-returns their words with High and Low shaped to combine with them, so the
-kernels do not know the layout.  The family check runs once, on the
-values a carrier is built from;
-``values`` unpacks to ``int8`` in the logical ``(..., rows, steps)``
-shape for the boundaries (CSV, reports, tests).
+the words axis, one pass over contiguous rows.  The gate kernels and the
+spike helpers take and return such words, not waves: a kernel hands its
+input words to :meth:`LogicReferencePair.operands`, which checks them
+against the pair and returns High and Low shaped to combine with them, so
+the kernels do not know the layout.  Words carry neither a carrier family
+nor an exact step count; :func:`on_waves` checks those once, where waves
+become words, runs a kernel or helper on the words and wraps its output.
+The family check of the values runs once, on the values a carrier is
+built from; ``values`` unpacks to ``int8`` in the logical ``(..., rows,
+steps)`` shape for the boundaries (CSV, reports, tests).
 :class:`MultiLevelSignal` (values in [-2, 2]) and the base
 :class:`Waveform` (unbounded) store ``int64``.
 
@@ -40,6 +43,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -63,9 +67,21 @@ def words_for(steps: int) -> int:
     return -(-steps // WORD_BITS)
 
 
+# ``ndarray.all`` without its Python wrapper, which a gate call would pay a
+# few times over.
+_all = np.logical_and.reduce
+
+
 def _words_axis(words: np.ndarray) -> int:
     """The axis of words-major ``words`` that runs over words: a wave's only one, else ``-2``."""
     return -2 if words.ndim > 1 else -1
+
+
+def _wave_shape(words: np.ndarray, steps: int) -> tuple[int, ...]:
+    """The logical ``(..., rows, steps)`` shape of the waves of ``steps`` steps in ``words``."""
+    if words.ndim == 1:
+        return (steps,)
+    return words.shape[:-2] + (words.shape[-1], steps)
 
 
 def pack_steps(bits: np.ndarray) -> np.ndarray:
@@ -230,9 +246,7 @@ class BitWave(Waveform):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        if self._words.ndim == 1:
-            return (self._steps,)
-        return self._words.shape[:-2] + (self._words.shape[-1], self._steps)
+        return _wave_shape(self._words, self._steps)
 
     def __len__(self) -> int:
         return self._steps
@@ -276,6 +290,9 @@ def _clash(p: int, q: int) -> bool:
 
 def _require_aligned(what: str, a: BitWave, b: BitWave) -> None:
     """Reject two waves whose words do not combine step by step and row by row.
+
+    :func:`on_waves` checks the input trains of a spike helper so; the
+    helpers themselves combine words as NumPy broadcasts them.
 
     Words-major, one wave's ``(words,)`` meets a batch's ``(words, rows)``
     on the wrong axis, so a wave combines only with a wave; batches combine
@@ -352,9 +369,9 @@ class LogicReferencePair:
         return len(self.h)
 
     @cached_property
-    def _columns(self) -> tuple[BitWave, BitWave]:
-        """High and Low as ``(words, 1)`` columns, which spread over the rows of a batch."""
-        return tuple(type(w)._of_words(w.words[:, None], self.steps) for w in (self.h, self.l))
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """High's and Low's words as ``(words, 1)`` columns, which spread over a batch's rows."""
+        return self.h.words[:, None], self.l.words[:, None]
 
     def _check_wave(self, x: BitWave, role: str) -> np.ndarray:
         """The words of ``x``, once it spans the pair's steps."""
@@ -362,41 +379,47 @@ class LogicReferencePair:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
         return x.words
 
-    def operands(self, family: str, *inputs: BitWave, exact: bool = True):
-        """Check the inputs of one ``family`` gate call; return ``(h, l, words, highs)``.
+    def operands(self, family: str, *inputs: np.ndarray, exact: bool = True):
+        """Check the input words of one ``family`` gate call; return ``(h, l, highs)``.
 
-        The pair must be a ``family`` pair, and each input a wave of that
-        family that spans the pair's steps; two inputs must share one shape.
-        With ``exact`` each must also copy High or Low, row by row, the only
-        inputs the gate algebra makes promises about.  High and Low come as
-        waves whose words combine with the inputs' ``words``; ``highs``
-        holds each input's mask of the rows that copy High, with the words
-        axis kept (``None`` without ``exact``).
+        The pair must be a ``family`` pair, and each input a words-major
+        ``uint64`` array with the pair's word count on its words axis: one
+        wave ``(words,)``, a batch ``(words, rows)`` or a group ``(groups,
+        words, rows)``; two inputs must share one shape.  With ``exact``
+        each row must also copy High or Low, the only inputs the gate
+        algebra makes promises about.  ``h`` and ``l`` are the pair's words
+        shaped to combine with the inputs, ``(words, 1)`` columns against a
+        batch; ``highs`` holds each input's mask of the rows that copy High,
+        with the words axis kept (``None`` without ``exact``).  Words show
+        neither the carrier they came from nor their exact step count, only
+        their word count; :func:`on_waves` checks those two for waves.
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
         roles = ("input",) if len(inputs) == 1 else ("first input", "second input")
+        n = len(self.h.words)
         highs = []
         for x, role in zip(inputs, roles):
-            if not isinstance(x, type(self.h)):
-                raise FamilyMismatchError(f"{family} gates take a {type(self.h).__name__}, "
-                                          f"got {type(x).__name__} as {role}")
-            v = self._check_wave(x, role)
-            h, l = self._columns if v.ndim > 1 else (self.h, self.l)
+            if not isinstance(x, np.ndarray) or x.dtype != np.uint64:
+                got = f"{x.dtype} words" if isinstance(x, np.ndarray) else type(x).__name__
+                raise FamilyMismatchError(f"{family} gates take uint64 words, got {got} as {role}")
+            if not 1 <= x.ndim <= 3 or x.shape[_words_axis(x)] != n:
+                raise LengthMismatchError(
+                    f"{role} has words of shape {x.shape}, pair has {n} words")
+            h, l = self._columns if x.ndim > 1 else (self.h.words, self.l.words)
             high = None
             if exact:
-                axis = _words_axis(v)
-                high = (v == h.words).all(axis=axis, keepdims=True)
-                if not (high | (v == l.words).all(axis=axis, keepdims=True)).all():
+                axis = _words_axis(x)
+                high = _all(x == h, axis=axis, keepdims=True)
+                if not _all(high | _all(x == l, axis=axis, keepdims=True), axis=None):
                     raise InvalidLogicValueError(
                         f"{role} matches neither the High nor the Low reference")
             highs.append(high)
-        words = [x.words for x in inputs]
-        if len(words) > 1 and words[0].shape != words[1].shape:
+        if len(inputs) > 1 and inputs[0].shape != inputs[1].shape:
             # Equal shapes also rule out a silent broadcast.
-            raise LengthMismatchError(
-                f"AND: shapes differ ({inputs[0].shape} vs {inputs[1].shape})")
-        return h, l, words, highs
+            a, b = (_wave_shape(x, self.steps) for x in inputs)
+            raise LengthMismatchError(f"AND: shapes differ ({a} vs {b})")
+        return h, l, highs
 
     @cached_property
     def step_classes(self) -> "StepClasses":
@@ -574,6 +597,49 @@ def universe_spike(pair: LogicReferencePair) -> SpikeTrain:
 
 
 # ---------------------------------------------------------------------------
+# gate calls on waves
+
+
+def on_waves(fn, *args):
+    """Call the word kernel or spike helper ``fn`` on waves; return its output as waves.
+
+    A gate kernel is called as ``on_waves(kernel, pair, *waves)`` and its
+    output words wrapped in the pair's carrier; a spike helper as
+    ``on_waves(helper, *trains)``, each of its outputs wrapped as a
+    :class:`SpikeTrain`.  Words carry neither a carrier family nor an exact
+    step count, so those two checks run here, with the messages the kernels
+    and helpers raised when they took waves: a kernel input must be a wave
+    of the pair's carrier that spans the pair's steps, and a helper's inputs
+    must span one step count and combine row by row.  ``fn`` then runs on
+    the ``words``, with every check of its own.  Nothing here is gate logic,
+    and the simulator, which keeps words throughout, never comes here.
+    """
+    if args and isinstance(args[0], LogicReferencePair):
+        pair, waves = args[0], args[1:]
+        carrier = type(pair.h)
+        roles = ("input",) if len(waves) == 1 else ("first input", "second input")
+        for x, role in zip(waves, roles):
+            if not isinstance(x, carrier):
+                # The pair is at fault if the kernel is of another family, which
+                # only the kernel knows: such a kernel rejects the pair before it
+                # reads any words, so a run on copies of High raises that error.
+                # Otherwise the input is at fault.
+                fn(pair, *[pair.h.words] * len(waves))
+                raise FamilyMismatchError(f"{pair.family} gates take a {carrier.__name__}, "
+                                          f"got {type(x).__name__} as {role}")
+            pair._check_wave(x, role)
+        return carrier._of_words(fn(pair, *(x.words for x in waves)), pair.steps)
+    # An orthon's first neuron checks its inputs, so only the adder has its own label.
+    what = "adder" if getattr(fn, "__name__", None) == "adder_union" else "neuron"
+    for a, b in combinations(args, 2):
+        _require_aligned(what, a, b)
+    out = fn(*(x.words for x in args))
+    if isinstance(out, tuple):   # an orthon's two outputs
+        return tuple(SpikeTrain._of_words(words, len(args[0])) for words in out)
+    return SpikeTrain._of_words(out, len(args[0]))
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 
@@ -599,7 +665,7 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
     if words.ndim > 2:
         raise ValueError("classify_rows reads one wave or a (rows, steps) batch")
     v = words.reshape(len(words), -1)   # one wave reads as a batch of one row
-    h, l = (w.words for w in pair._columns)
+    h, l = pair._columns
     differs = pair.h.words ^ pair.l.words
     t = int(first_set_step(differs)) if differs.any() else -1
     high = (v == h).all(axis=0)

@@ -16,6 +16,10 @@ op) group of gates is one kernel call on the packed words of its operands,
 gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
 whose rows are the one run, the assignments of a chunk or one column set of
 a chunk of trials; each slot is one contiguous ``(words, rows)`` batch.
+The kernels take and return those words, so the walk wraps no wave: every
+operand is an input's copy of High or Low or a kernel's output, on the
+backend's pair, so the carrier and step checks that words cannot carry
+hold by construction, and each kernel still checks every value.
 
 Every walk is on a pair's step classes, :attr:`LogicReferencePair.step_classes`:
 the pair cut to one step per distinct ``(H_t, L_t)`` column, at most four,
@@ -142,7 +146,7 @@ def backend_family(name: str) -> str:
 
 
 class _Backend:
-    """A reference pair and its family's kernel per op, called as ``kernel[op](pair, *inputs)``."""
+    """A reference pair and its family's kernel per op, called as ``kernel[op](pair, *words)``."""
 
     def __init__(self, name: str, pair: LogicReferencePair):
         family, not_name, and_name = _BACKEND_TABLE[name]
@@ -217,21 +221,20 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
 
     Input ``i`` is High where ``bits[i]``, a 0/1 int or a ``(rows,)`` bit
     array, is 1 and Low elsewhere.
-    Each group runs its kernel once, with all of its checks, on operands
-    checked when they were written: ``(words, rows)`` views of its slots
-    for one gate, gathered ``(gates, words, rows)`` batches for more.
+    Each group runs its kernel once, with all of its checks, on the words
+    of its operands as they are: ``(words, rows)`` views of its slots for
+    one gate, gathered ``(gates, words, rows)`` batches for more.  The
+    kernel's output words go straight into the matrix; no wave is built.
     """
-    wrap, steps = type(bk.pair.h)._of_words, bk.pair.steps
     # The pair spreads over the rows as (words, 1) columns.
-    h, l = (w.words for w in bk.pair._columns)
-    matrix = np.empty((plan.slots, words_for(steps), rows), dtype=np.uint64)
+    h, l = bk.pair._columns
+    matrix = np.empty((plan.slots, words_for(bk.pair.steps), rows), dtype=np.uint64)
     for i, bit in enumerate(bits):
         matrix[i] = np.where(bit, h, l)   # a (rows,) bit array spreads over the words
     for op, args, outs in plan.groups:
         if len(outs) == 1:
             args, outs = [arg[0] for arg in args], outs[0]
-        operands = [wrap(matrix[arg], steps) for arg in args]
-        matrix[outs] = bk.kernel[op](bk.pair, *operands).words
+        matrix[outs] = bk.kernel[op](bk.pair, *[matrix[arg] for arg in args])
     matrix.flags.writeable = False
     return matrix
 

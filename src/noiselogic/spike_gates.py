@@ -16,88 +16,82 @@ Every circuit-level evaluation here is checked against its direct
 set-algebra formula, so the neuron wiring and the defining set identities
 can never drift apart silently.  Derived gates are composed from NOT and
 AND by the netlist lowering table only.
-"""
 
-from itertools import combinations
-from typing import NamedTuple
+The gates, the neuron, the orthon and the adder take and return
+words-major ``uint64`` words, not trains; the gates check theirs with
+:meth:`LogicReferencePair.operands`, and the neuron, orthon and adder
+combine words as NumPy broadcasts them.  Call any of them on trains
+through :func:`noiselogic.signals.on_waves`, which checks the trains' step
+counts and rows first.
+"""
 
 import numpy as np
 
 from .errors import InvariantError, OrthogonalityError
-from .signals import SPIKE, LogicReferencePair, SpikeTrain, _require_aligned
+from .signals import SPIKE, LogicReferencePair
 
 
-def neuron_eval(excitatory: SpikeTrain, inhibitory: SpikeTrain) -> SpikeTrain:
+def neuron_eval(excitatory: np.ndarray, inhibitory: np.ndarray) -> np.ndarray:
     """Delay-free neuron: fires where the (+) input fires and the (-) input is silent."""
-    _require_aligned("neuron", excitatory, inhibitory)
-    return SpikeTrain._of_words(excitatory.words & ~inhibitory.words, len(excitatory))
+    return excitatory & ~inhibitory
 
 
-class OrthonOutputs(NamedTuple):
-    intersection: SpikeTrain   # A & B, the upper output
-    difference: SpikeTrain     # A & ~B, the lower output
-
-
-def orthon_eval(a: SpikeTrain, b: SpikeTrain) -> OrthonOutputs:
-    """Two-neuron orthon splitting A, B into A & B and A & ~B.
+def orthon_eval(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-neuron orthon splitting A, B into ``(A & B, A & ~B)``, its upper and lower outputs.
 
     The first neuron takes A excitatory and B inhibitory, producing A & ~B;
     the second takes A excitatory and the first neuron's output inhibitory,
-    which leaves A & B; the first neuron rejects an A and a B that do not
-    combine.  Both outputs are checked against the direct set formulas.
+    which leaves A & B.  Both outputs are checked against the direct set
+    formulas.
     """
     lower = neuron_eval(a, b)
     upper = neuron_eval(a, lower)
-    if not np.array_equal(upper.words, a.words & b.words):
+    if not np.array_equal(upper, a & b):
         raise InvariantError("orthon upper output deviates")
-    if not np.array_equal(lower.words, a.words & ~b.words):
+    if not np.array_equal(lower, a & ~b):
         raise InvariantError("orthon lower output deviates")
-    return OrthonOutputs(upper, lower)
+    return upper, lower
 
 
-def adder_union(*inputs: SpikeTrain) -> SpikeTrain:
+def adder_union(*inputs: np.ndarray) -> np.ndarray:
     """Adder neuron: fires when any excitatory input fires (saturating union)."""
     if not inputs:
         raise ValueError("adder neuron needs at least one input")
-    for a, b in combinations(inputs, 2):
-        _require_aligned("adder", a, b)
-    acc = inputs[0].words
-    for train in inputs[1:]:
-        acc = acc | train.words
-    return SpikeTrain._of_words(acc, len(inputs[0]))
+    acc = inputs[0]
+    for x in inputs[1:]:
+        acc = acc | x
+    return acc
 
 
-def spike_not(pair: LogicReferencePair, x: SpikeTrain) -> SpikeTrain:
+def spike_not(pair: LogicReferencePair, x: np.ndarray) -> np.ndarray:
     """NOT gate: the universe spikes that the input does not claim.
 
     Realized as one orthon with the universe, the union of the disjoint
     references, on A and the input on B, taking the lower (A & ~B) output;
     checked against (1 - x) * U.
     """
-    high, low, (v,), _ = pair.operands(SPIKE, x)
-    h, l = high.words, low.words
+    h, l, _ = pair.operands(SPIKE, x)
     if np.any(h & l):
         raise OrthogonalityError("reference trains overlap; union is not a valid universe")
-    u = SpikeTrain._of_words(h | l, pair.steps)
-    out = orthon_eval(u, x).difference
-    if not np.array_equal(out.words, u.words & ~v):
+    u = h | l
+    out = orthon_eval(u, x)[1]
+    if not np.array_equal(out, u & ~x):
         raise InvariantError("NOT circuit deviates")
     return out
 
 
-def spike_and(pair: LogicReferencePair, x1: SpikeTrain, x2: SpikeTrain) -> SpikeTrain:
+def spike_and(pair: LogicReferencePair, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """AND gate: four orthons into a three-input adder neuron.
 
     The adder unions x1 & x2 & H (two chained orthons), x1 & L and x2 & L;
     the result is checked against the direct set formula.
     """
-    high, low, (a, b), _ = pair.operands(SPIKE, x1, x2)
-    both = orthon_eval(x1, x2).intersection
-    both_high = orthon_eval(both, high).intersection
-    x1_low = orthon_eval(x1, low).intersection
-    x2_low = orthon_eval(x2, low).intersection
+    h, l, _ = pair.operands(SPIKE, x1, x2)
+    both = orthon_eval(x1, x2)[0]
+    both_high = orthon_eval(both, h)[0]
+    x1_low = orthon_eval(x1, l)[0]
+    x2_low = orthon_eval(x2, l)[0]
     out = adder_union(both_high, x1_low, x2_low)
-    h, l = high.words, low.words
-    if not np.array_equal(out.words, (a & b & h) | (a & l) | (b & l)):
+    if not np.array_equal(out, (x1 & x2 & h) | (x1 & l) | (x2 & l)):
         raise InvariantError("AND circuit deviates")
     return out

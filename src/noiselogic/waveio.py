@@ -26,13 +26,14 @@ def format_waveform_csv(columns: dict[str, Waveform]) -> str:
 
     The body is built with array operations, for every waveform kind
     alike.  The distinct rows of the ``(steps, columns)`` value matrix are
-    rendered once each: the glyph table holds ``b"%d,"`` of each distinct
-    value present in them, and ``b"%d\\n"`` of it for the last column, and
-    every cell is an index into it.  The table's entries are NUL-padded to
-    one width, so the indexed cells of a block of rows form those rows side
-    by side, and deleting the padding leaves their text.  Blocks of at most
-    ``_BLOCK_CELLS`` cells bound the temporaries.  Each step is then
-    ``b"%d," % t`` followed by its row's text.
+    found over the columns of distinct wave objects only, each unpacked
+    once, and rendered once each: the glyph table holds ``b"%d,"`` of each
+    distinct value present in them, and ``b"%d\\n"`` of it for the last
+    column, and every cell is an index into it.  The table's entries are
+    NUL-padded to one width, so the indexed cells of a block of rows form
+    those rows side by side, and deleting the padding leaves their text.
+    Blocks of at most ``_BLOCK_CELLS`` cells bound the temporaries.  Each
+    step is then ``b"%d," % t`` followed by its row's text.
     """
     return b"".join(_csv_blocks(columns)).decode("utf-8")
 
@@ -47,17 +48,22 @@ def _csv_blocks(columns: dict[str, Waveform]) -> list[bytes]:
     if len(lengths) != 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     (steps,) = lengths
-    data = np.column_stack([w.values for w in columns.values()])
+    # ``SimulationRun.waveforms`` hands every wire of one cut word the same
+    # wave object, so a dump has few distinct columns.
+    waves = list({id(w): w for w in columns.values()}.values())
+    position = {id(w): k for k, w in enumerate(waves)}
+    data = np.column_stack([w.values for w in waves])
     # Each row's bytes as one void item, so np.unique compares whole rows.
     keys = data.view(np.dtype((np.void, data.itemsize * data.shape[1]))).ravel()
     _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = np.unique(data[first])
+    table = data[first][:, [position[id(w)] for w in columns.values()]]   # over every column
+    distinct = np.unique(table)
     values = distinct.tolist()
     glyphs = np.array([b"%d," % v for v in values] + [b"%d\n" % v for v in values])
     texts = []
     rows = max(1, _BLOCK_CELLS // len(columns))
     for lo in range(0, len(first), rows):
-        cells = np.searchsorted(distinct, data[first[lo:lo + rows]])
+        cells = np.searchsorted(distinct, table[lo:lo + rows])
         cells[:, -1] += len(values)
         texts += np.take(glyphs, cells).tobytes().translate(None, b"\0").splitlines(keepends=True)
     parts = [None] * (2 * steps)

@@ -215,13 +215,15 @@ def classify_wire(backend, x: nl.Waveform) -> nl.Classification:
 def serial_wires(network: nl.CompiledNetwork, backend, assignment) -> list[nl.Waveform]:
     """Every wire's wave, gate by gate in netlist order, one wave per wire.
 
-    Each input is bound to the backend's High or Low wave for its 0/1 bit.
+    Each input is bound to the backend's High or Low wave for its 0/1 bit,
+    and each gate is the backend's word kernel called on waves.
     """
     waves = [None] * len(network.wires)
     for i, name in enumerate(network.inputs):
         waves[i] = backend.pair.h if assignment[name] else backend.pair.l
     for gate in gate_rows(network):
-        waves[gate.out] = backend.kernel[gate.op](backend.pair, *(waves[arg] for arg in gate.args))
+        waves[gate.out] = nl.on_waves(backend.kernel[gate.op], backend.pair,
+                                      *(waves[arg] for arg in gate.args))
     return waves
 
 

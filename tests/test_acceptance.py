@@ -6,6 +6,7 @@ binomial bands at fixed seeds, and every waveform comparison is exact.
 """
 
 import contextlib
+import functools
 import json
 import math
 import random
@@ -14,12 +15,17 @@ import numpy as np
 import pytest
 
 import noiselogic as nl
+from noiselogic import rtw_gates, spike_gates
 from noiselogic.generators import gen_disjoint_spike_pairs
 from noiselogic.prng import SplitMix64, derive_seed
-from noiselogic.rtw_gates import and_gate, not_additive, not_multiplicative
-from noiselogic.spike_gates import spike_and, spike_not
 
 from conftest import FULL_ADDER, random_netlist_source
+
+# The word kernels, called on waves.
+not_additive, not_multiplicative, and_gate, spike_not, spike_and = (
+    functools.partial(nl.on_waves, kernel) for kernel in
+    (rtw_gates.not_additive, rtw_gates.not_multiplicative, rtw_gates.and_gate,
+     spike_gates.spike_not, spike_gates.spike_and))
 
 
 @contextlib.contextmanager

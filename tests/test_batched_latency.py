@@ -122,9 +122,9 @@ class TestLatencyBatchedEqualsSerial:
         # read it as ambiguous, which makes the window ambiguous although
         # y1 decided first.
         def off_reference_not(pair, x):
-            if isinstance(x, nl.SpikeTrain):
-                return nl.SpikeTrain(pair.h.values | pair.l.values)
-            return nl.RtwSignal(-pair.h.values)
+            if pair.family == nl.SPIKE:
+                return pair.h.words | pair.l.words
+            return nl.RtwSignal(-pair.h.values).words
 
         network = nl.lower(nl.parse("input a b\noutput y1 = AND a b\noutput y2 = NOT a\n"))
         config = nl.GeneratorConfig(seed=8, steps=16)

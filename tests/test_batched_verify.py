@@ -9,6 +9,7 @@ the same order.
 """
 
 import random
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -199,13 +200,16 @@ class TestBatchedKernels:
 
     @staticmethod
     def _family(family):
-        """(pair, wave type, NOT kernels, AND kernel) of one family."""
+        """(pair, wave type, NOT kernels, AND kernel) of one family, the kernels on waves."""
         config = nl.GeneratorConfig(seed=9, steps=48)
         if family == nl.RTW:
-            nots = (rtw_gates.not_additive, rtw_gates.not_multiplicative)
-            return nl.gen_rtw_pair(config), nl.RtwSignal, nots, rtw_gates.and_gate
-        pair = nl.gen_orthogonal_spike_pair(config)
-        return pair, nl.SpikeTrain, (spike_gates.spike_not,), spike_gates.spike_and
+            pair = nl.gen_rtw_pair(config)
+            nots, and_ = (rtw_gates.not_additive, rtw_gates.not_multiplicative), rtw_gates.and_gate
+        else:
+            pair = nl.gen_orthogonal_spike_pair(config)
+            nots, and_ = (spike_gates.spike_not,), spike_gates.spike_and
+        return (pair, type(pair.h), tuple(partial(nl.on_waves, k) for k in nots),
+                partial(nl.on_waves, and_))
 
     @staticmethod
     def _rows(pair, bits):

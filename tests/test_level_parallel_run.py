@@ -33,9 +33,10 @@ from serial_reference import serial_run
 
 
 def _non_copy_not(pair, x):
-    """A NOT that emits x * H: a valid RTW wave that is, in general, no reference copy."""
+    """A NOT on words that emits x * H: valid RTW words that are, in general, no reference copy."""
     pair.operands(nl.RTW, x, exact=False)
-    return nl.RtwSignal(x.values * pair.h.values)
+    values = nl.RtwSignal._of_words(x.copy(), pair.steps).values
+    return nl.RtwSignal(values * pair.h.values).words
 
 
 def outcome(fn, *args):
@@ -234,6 +235,34 @@ def counted_objects(made: Counter, wrapped: list):
     with mock.patch.object(signals, "Classification", reading), \
             mock.patch.object(BitWave, "_of_words", classmethod(wrap)):
         yield
+
+
+def _chain(gates: int) -> nl.CompiledNetwork:
+    """``gates`` gates in one chain, NOT and AND in turn: one (level, op) group per gate."""
+    lines = ["input a b", "wire w0 = AND a b"]
+    lines += [f"wire w{k} = NOT w{k - 1}" if k % 2 else f"wire w{k} = AND w{k - 1} a"
+              for k in range(1, gates - 1)]
+    lines.append(f"output y = AND w{gates - 2} b")
+    return nl.lower(nl.parse("\n".join(lines) + "\n"))
+
+
+class TestTheWalkWrapsNoWave:
+    @pytest.mark.parametrize("backend", nl.BACKENDS)
+    def test_wraps_do_not_grow_with_the_groups(self, backend):
+        config = nl.GeneratorConfig(seed=4, steps=130)
+        wraps = {}
+        for gates in (20, 100):
+            network = _chain(gates)
+            groups = len(simulator._plan(network, network.wires).groups)
+            made = Counter()
+            with counted_objects(made, []):
+                result = nl.run(network, backend, {"a": 1, "b": 1}, config)
+                report = nl.verify_equivalence(network, backend, config)
+            assert report.ok and result.output_bits() == {"y": 0}
+            wraps[groups] = made["_of_words"]
+        # The pair's draw, its step classes and the readings wrap, once per run or chunk.
+        assert sorted(wraps) == [20, 100]
+        assert wraps[20] == wraps[100] > 0
 
 
 class TestRunIsLazy:

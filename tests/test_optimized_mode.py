@@ -34,7 +34,7 @@ if __debug__:
 spike_gates.neuron_eval = lambda excitatory, inhibitory: excitatory
 pair = nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0, 0, 1]), nl.SpikeTrain([0, 0, 1, 0, 0]))
 try:
-    spike_gates.spike_not(pair, pair.h)
+    spike_gates.spike_not(pair, pair.h.words)
 except nl.InvariantError as exc:
     print("InvariantError:", exc)
 """
@@ -51,9 +51,36 @@ if __debug__:
 rtw_gates._and_words = lambda h, l, x1, x2: x1
 pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=3, steps=130))
 try:
-    rtw_gates.and_gate(pair, pair.h, pair.l)
+    rtw_gates.and_gate(pair, pair.h.words, pair.l.words)
 except nl.InvariantError as exc:
     print("InvariantError:", exc)
+"""
+
+
+_WORD_CHECKS = """
+import numpy as np
+
+import noiselogic as nl
+from noiselogic import rtw_gates, spike_gates
+
+if __debug__:
+    raise SystemExit("not running under -O")
+for kernel, arity, draw in ((rtw_gates.not_additive, 1, nl.gen_rtw_pair),
+                            (rtw_gates.and_gate, 2, nl.gen_rtw_pair),
+                            (spike_gates.spike_not, 1, nl.gen_orthogonal_spike_pair),
+                            (spike_gates.spike_and, 2, nl.gen_orthogonal_spike_pair)):
+    pair = draw(nl.GeneratorConfig(seed=3, steps=130))
+    h = pair.h.words
+    non_copy = h | pair.l.words if pair.family == nl.SPIKE else h ^ np.uint64(1)
+    other = nl.gen_rtw_pair(nl.GeneratorConfig(seed=3, steps=129))
+    for call in (lambda: kernel(pair, h[:2], *[h] * (arity - 1)),
+                 lambda: kernel(pair, h.astype(np.int64), *[h] * (arity - 1)),
+                 lambda: kernel(pair, non_copy, *[h] * (arity - 1)),
+                 lambda: nl.on_waves(kernel, pair, other.h, *[pair.h] * (arity - 1))):
+        try:
+            call()
+        except nl.NoiseLogicError as exc:
+            print(kernel.__name__, type(exc).__name__, exc)
 """
 
 
@@ -82,6 +109,26 @@ def test_corrupted_spike_gate_raises_invariant_error_under_O():
 def test_corrupted_packed_rtw_and_raises_invariant_error_under_O():
     stdout = _run_under_O(_CORRUPTED_RTW_AND)
     assert stdout.startswith("InvariantError: AND output"), stdout
+
+
+def test_word_checks_raise_under_O():
+    printed = _run_under_O(_WORD_CHECKS).splitlines()
+    assert len(printed) == 16, printed
+    for kernel, lines in zip(("not_additive", "and_gate", "spike_not", "spike_and"),
+                             (printed[i:i + 4] for i in range(0, 16, 4))):
+        role = "input" if "not" in kernel else "first input"
+        family = "spike" if kernel.startswith("spike") else "rtw"
+        assert lines == [
+            f"{kernel} LengthMismatchError {role} has words of shape (2,), pair has 3 words",
+            f"{kernel} FamilyMismatchError {family} gates take uint64 words, got int64 words "
+            f"as {role}",
+            f"{kernel} InvalidLogicValueError {role} matches neither the High nor the Low "
+            "reference",
+            (f"{kernel} LengthMismatchError {role} has 129 steps, pair has 130"
+             if family == "rtw" else
+             f"{kernel} FamilyMismatchError spike gates take a SpikeTrain, got RtwSignal as "
+             f"{role}"),
+        ]
 
 
 @pytest.mark.parametrize("backend", ["spike", "rtw-additive-not"])

@@ -1,13 +1,20 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import noiselogic as nl
+from noiselogic import rtw_gates
 from noiselogic.errors import InvalidLogicValueError, LengthMismatchError
-from noiselogic.rtw_gates import and_gate, not_additive, not_multiplicative
 
 from conftest import eval_lowered_gate
+
+# The word kernels, called on waves.
+not_additive, not_multiplicative, and_gate = (
+    partial(nl.on_waves, kernel) for kernel in
+    (rtw_gates.not_additive, rtw_gates.not_multiplicative, rtw_gates.and_gate))
 
 
 def _pair(h_values, l_values):

@@ -254,19 +254,20 @@ class TestBatchReferencePair:
 
     def test_gate_input_checked_row_by_row(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1]))
-        pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [-1, -1]]))
+        pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [-1, -1]]).words)
         # Row 1 is neither reference.
         with pytest.raises(nl.InvalidLogicValueError):
-            pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [1, 1]]))
+            pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [1, 1]]).words)
 
     def test_gate_input_groups_checked_row_by_row(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1]))
         good = nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, -1]]])
-        pair.operands(nl.RTW, good, good)
+        pair.operands(nl.RTW, good.words, good.words)
         # Row 1 of group 1 is neither reference.
         with pytest.raises(nl.InvalidLogicValueError,
                            match="first input matches neither the High nor the Low reference"):
-            pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, 1]]]), good)
+            pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, 1]]]).words,
+                          good.words)
 
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("pairs", [(), (3,)])
@@ -282,12 +283,16 @@ class TestBatchReferencePair:
         pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
         bits = np.arange(int(np.prod(batch))).reshape(batch + (1,)) % 2 if batch else 1
         x = nl.RtwSignal(np.where(bits, h, -1))
-        high, low, (v,), (mask,) = pair.operands(nl.RTW, x)
-        assert v is x.words
+        v = x.words
+        high, low, (mask,) = pair.operands(nl.RTW, v)
+        # High and Low are the pair's own words, as (words, 1) columns against a batch.
+        for got, wave in ((high, pair.h), (low, pair.l)):
+            assert np.shares_memory(got, wave.words)
+            assert got.shape == ((len(wave.words), 1) if batch else v.shape)
         # The mask keeps the words axis, so it spreads over High and Low as it is.
         assert mask.shape == (v.shape[:-2] + (1, v.shape[-1]) if batch else (1,))
-        assert np.array_equal(np.where(mask, high.words, low.words), v)
-        _, _, _, (none,) = pair.operands(nl.RTW, x, exact=False)
+        assert np.array_equal(np.where(mask, high, low), v)
+        _, _, (none,) = pair.operands(nl.RTW, v, exact=False)
         assert none is None
 
 

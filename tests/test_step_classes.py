@@ -12,6 +12,7 @@ full-wave references, ``serial_run`` and ``serial_report``.
 
 import random
 from contextlib import nullcontext
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -136,7 +137,8 @@ class TestRead:
                 assert reading is None
 
 
-# Each kernel and circuit, with the pair family it serves and its input counts.
+# Each kernel and circuit, with whether it takes a pair and its input counts; each is
+# called on waves.
 KERNELS = {
     "not_additive": (rtw_gates, True, (1,)),
     "not_multiplicative": (rtw_gates, True, (1,)),
@@ -168,7 +170,7 @@ class TestKernelsCommuteWithTheCut:
         pair = _pair(family, seed, steps)
         classes = pair.step_classes
         tables = tables[:arities[arity % len(arities)]]
-        fn = getattr(module, kernel)
+        fn = partial(nl.on_waves, getattr(module, kernel))
         full = [pair] * takes_pair + [_wave(pair, t) for t in tables]
         cut = [classes.pair] * takes_pair + [_wave(classes.pair, t) for t in tables]
         want, got = _outcome(fn, *full), _outcome(fn, *cut)

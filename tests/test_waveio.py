@@ -158,6 +158,26 @@ def test_format_equals_per_cell_formatting_for_few_distinct_rows(steps, classes,
     assert format_waveform_csv(columns) == _per_cell_csv(columns)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.sampled_from([1, 10, 100, 1001, 4096]),
+    kinds=st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_format_equals_per_cell_formatting_for_shared_and_equal_columns(steps, kinds, picks,
+                                                                       seed):
+    # Columns that repeat one object, as every wire of one cut word does in
+    # a run's waveforms, beside columns that are equal but distinct objects.
+    rng = np.random.default_rng(seed)
+    shared = [_KINDS[kind](rng, steps) for kind in kinds]
+    columns = {}
+    for j, (k, same) in enumerate(picks):
+        wave = shared[k % len(shared)]
+        columns[f"c{j}"] = wave if same else type(wave)(wave.values)
+    assert format_waveform_csv(columns) == _per_cell_csv(columns)
+
+
 def _row_bodies(text: str) -> set[str]:
     return {line.split(",", 1)[1] for line in text.splitlines()[1:]}
 

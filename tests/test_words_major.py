@@ -34,9 +34,9 @@ STEP_COUNTS = (1, 5, 63, 64, 65, 127, 128, 129, 200)
 
 
 def _outcome(kernel, pair, *inputs):
-    """The output words, or the type of the error raised."""
+    """The output words of ``kernel`` on waves, or the type of the error raised."""
     try:
-        return kernel(pair, *inputs).words
+        return nl.on_waves(kernel, pair, *inputs).words
     except nl.NoiseLogicError as exc:
         return type(exc)
 
@@ -148,7 +148,7 @@ CIRCUITS = ((spike_gates.neuron_eval, 2), (spike_gates.orthon_eval, 2),
 def _circuit_outputs(circuit, values):
     """The values of every output of ``circuit`` on trains of ``values``, or LengthMismatchError."""
     try:
-        out = circuit(*(nl.SpikeTrain(v) for v in values))
+        out = nl.on_waves(circuit, *(nl.SpikeTrain(v) for v in values))
     except nl.LengthMismatchError:
         return nl.LengthMismatchError
     return [w.values for w in (out if isinstance(out, tuple) else (out,))]
@@ -215,8 +215,9 @@ class TestShapesThatCannotBroadcast:
         carrier = CARRIER[family]
         batch = carrier(np.stack([pair.h.values, pair.l.values]))   # two rows
         kernel = KERNELS[family][-1][0]
-        with pytest.raises(nl.LengthMismatchError, match="AND: shapes differ"):
-            kernel(pair, pair.h, batch)
+        with pytest.raises(nl.LengthMismatchError,
+                           match=r"^AND: shapes differ \(\(128,\) vs \(2, 128\)\)$"):
+            nl.on_waves(kernel, pair, pair.h, batch)
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_a_batch_pair_is_rejected_at_construction(self, family):
@@ -236,6 +237,6 @@ class TestShapesThatCannotBroadcast:
             for circuit in (spike_gates.neuron_eval, spike_gates.orthon_eval,
                             spike_gates.adder_union):
                 with pytest.raises(nl.LengthMismatchError, match="do not combine row by row"):
-                    circuit(pair.l, batch)
+                    nl.on_waves(circuit, pair.l, batch)
                 with pytest.raises(nl.LengthMismatchError, match="do not combine row by row"):
-                    circuit(batch, pair.l)
+                    nl.on_waves(circuit, batch, pair.l)
