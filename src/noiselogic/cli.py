@@ -130,9 +130,9 @@ def _parse_assignment(text: str) -> dict[str, int]:
         if not item:
             continue
         name, _, value = item.partition("=")
-        if value not in ("0", "1"):
-            raise NoiseLogicError(f"binding {item!r} must look like name=0 or name=1")
         name = name.strip()
+        if not name or value not in ("0", "1"):
+            raise NoiseLogicError(f"binding {item!r} must look like name=0 or name=1")
         if name in assignment:
             raise NoiseLogicError(f"input {name!r} is bound more than once")
         assignment[name] = int(value)

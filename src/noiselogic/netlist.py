@@ -109,17 +109,13 @@ class LevelGroups(NamedTuple):
 
     Group ``k`` holds the gates ``bounds[k]:bounds[k + 1]`` of the sorted
     order, all of op ``ops[k]``; ``out`` and ``reads`` are the sorted
-    gates' outputs and ``(2, gates)`` operands.  ``free_before`` holds,
-    for each wire, the first group that may reuse its slot: the last group
-    that reads it, the group after the one that writes it if none does,
-    or 0 if no gate touches it.
+    gates' outputs and ``(2, gates)`` operands.
     """
 
     bounds: list[int]
     ops: list[str]
     out: np.ndarray
     reads: np.ndarray
-    free_before: np.ndarray
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -207,7 +203,9 @@ class CompiledNetwork:
         """The gates' (level, op) grouping, computed on first use and kept.
 
         Inputs are at level 0, and a gate is one level above its deepest
-        operand, so a group reads only lower levels.
+        operand, so a group reads only lower levels.  The sort key
+        ``2 * level + is_not`` is sorted in the narrowest unsigned type that
+        holds it, which NumPy radix-sorts at 8 and 16 bits.
         """
         n = len(self.out)
         level = [0] * len(self.wires)
@@ -215,22 +213,32 @@ class CompiledNetwork:
             la, lb = level[a], level[b]
             level[out] = 1 + (la if la > lb else lb)
         key = 2 * np.array(level, dtype=np.intp)[self.out] + self.is_not
+        if n:
+            key = key.astype(np.min_scalar_type(key.max()))
         order = np.argsort(key, kind="stable")
         key = key[order]
         cuts = (key[1:] != key[:-1]).nonzero()[0] + 1
         bounds = [0, *cuts.tolist(), n] if n else [0]
-        group = np.zeros(n, dtype=np.intp)
-        group[cuts] = 1
-        group = np.cumsum(group)
         out, reads = self.out[order], self.args[order].T
-        # A reader is above its operand's writer, so the last reader's group
-        # is past the writer's.
-        free_before = np.zeros(len(level), dtype=np.intp)
-        free_before[out] = group + 1
-        # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
-        np.maximum.at(free_before, reads.ravel(), np.concatenate([group, group]))
         ops = ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
-        return LevelGroups(bounds, ops, *map(_read_only, (out, reads, free_before)))
+        return LevelGroups(bounds, ops, _read_only(out), _read_only(reads))
+
+    @cached_property
+    def free_before(self) -> np.ndarray:
+        """Per wire, the first level group that may reuse its slot; computed on first use and kept.
+
+        That is the last group that reads the wire, the group after the one
+        that writes it if none does, or 0 if no gate touches it.  A reader
+        is above its operand's writer, so the last reader's group is past
+        the writer's.
+        """
+        groups = self.level_groups
+        group = np.repeat(np.arange(len(groups.ops)), np.diff(groups.bounds))
+        free_before = np.zeros(len(self.wires), dtype=np.intp)
+        free_before[groups.out] = group + 1
+        # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
+        np.maximum.at(free_before, groups.reads.ravel(), np.concatenate([group, group]))
+        return _read_only(free_before)
 
     def gate_counts(self) -> dict[str, int]:
         nots = int(self.is_not.sum())
@@ -311,7 +319,8 @@ def parse(text: str) -> NetlistAst:
     Raises :class:`NetlistError` with the offending line number for bad
     tokens, unknown gates, undefined or redefined names, arity mismatches
     and netlists without outputs.  A defined name is a valid one, so an
-    argument is checked as a name only when it is not defined.
+    argument is checked as a name only when it is not defined.  A name is
+    an ASCII identifier, which is exactly a :data:`NAME_RE` match.
     """
     inputs: list[str] = []
     outputs: list[str] = []
@@ -319,7 +328,7 @@ def parse(text: str) -> NetlistAst:
     defined: set[str] = set()
 
     def _name(token: str, lineno: int) -> str:
-        if not NAME_RE.match(token):
+        if not (token.isascii() and token.isidentifier()):
             raise NetlistError(f"invalid name {token!r}", lineno)
         if token in _RESERVED:
             raise NetlistError(f"{token!r} is a reserved word", lineno)
@@ -332,8 +341,10 @@ def parse(text: str) -> NetlistAst:
         defined.add(name)
         return name
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        tokens = raw_line.split("#", 1)[0].split()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        tokens = line.split()
         if not tokens:
             continue
         keyword = tokens[0]
@@ -349,13 +360,12 @@ def parse(text: str) -> NetlistAst:
             if len(tokens) < 4:
                 raise NetlistError("missing gate after '='", lineno)
             gate = tokens[3]
-            if gate not in GATE_ARITY:
+            arity = GATE_ARITY.get(gate)
+            if arity is None:
                 raise NetlistError(f"unknown gate {gate!r}", lineno)
             args = tokens[4:]
-            if len(args) != GATE_ARITY[gate]:
-                raise NetlistError(
-                    f"{gate} takes {GATE_ARITY[gate]} argument(s), got {len(args)}", lineno
-                )
+            if len(args) != arity:
+                raise NetlistError(f"{gate} takes {arity} argument(s), got {len(args)}", lineno)
             for token in args:
                 if token not in defined:
                     _name(token, lineno)

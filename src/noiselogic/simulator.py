@@ -16,10 +16,14 @@ op) group of gates is one kernel call on the packed words of its operands,
 gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
 whose rows are the one run, the assignments of a chunk or one column set of
 a chunk of trials; each slot is one contiguous ``(words, rows)`` batch.
-The kernels take and return those words, so the walk wraps no wave: every
-operand is an input's copy of High or Low or a kernel's output, on the
-backend's pair, so the carrier and step checks that words cannot carry
-hold by construction, and each kernel still checks every value.
+:func:`run` keeps every wire, wire ``i`` in slot ``i``;
+:func:`verify_equivalence` and :func:`decision_latency` keep only the
+outputs and reuse the slots of dead wires (:func:`_plan`).  Both walk the
+groups that :func:`_slot_groups` builds.  The kernels take and return
+those words, so the walk wraps no wave: every operand is an input's copy
+of High or Low or a kernel's output, on the backend's pair, so the
+carrier and step checks that words cannot carry hold by construction, and
+each kernel still checks every value.
 
 Every walk is on a pair's step classes, :attr:`LogicReferencePair.step_classes`:
 the pair cut to one step per distinct ``(H_t, L_t)`` column, at most four,
@@ -43,7 +47,6 @@ from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -55,6 +58,7 @@ from .generators import count_identical_rtw_pairs
 from .netlist import (
     PRIMITIVE_ARITY,
     CompiledNetwork,
+    LevelGroups,
     NetlistAst,
     _check_assignment,
     eval_boolean,
@@ -162,34 +166,47 @@ def make_backend(name: str, config: GeneratorConfig) -> _Backend:
 
 class _Plan(NamedTuple):
     groups: list[tuple[str, tuple[np.ndarray, ...], np.ndarray]]   # op, operand slots, output slots
-    slot: dict[str, int]   # kept wire name -> the slot that holds it at the end
     slots: int
+    outputs: list[int]   # the slot that holds each output at the end, in output order
 
 
-def _plan(network: CompiledNetwork, keep) -> _Plan:
-    """Give every wire a slot, for the gates' (topological level, op) groups.
+def _slot_groups(groups: LevelGroups, slot: np.ndarray | None = None) -> list:
+    """``groups`` as ``(op, operand slots, output slots)``, wire ``i`` in slot ``slot[i]``.
 
-    The groups are the network's :attr:`~CompiledNetwork.level_groups`,
-    computed from its gate columns once per network, so planning
-    the same network again only assigns slots.  A group reads only lower
-    levels and runs as one batch.  Input ``i`` takes slot ``i``.  A wire
-    not named in ``keep`` frees its slot once the last group that reads it
-    has gathered it (or, if none does, once it is written), and a later
-    output takes the slot: outputs pop a stack of slots that holds the
-    unused ones, lowest on top, under the freed ones.  A wire keeps its
-    slot while it lives, so the stack is only walked where something is
-    freed; with every wire kept, the outputs take the unused slots in
-    group order in one step.  The slot count is one past the highest
-    unused slot ever taken, or the input count.
+    Without ``slot``, wire ``i`` is in slot ``i``.  An operand's slots are
+    one row of the group's reads: a NOT reads one, an AND two.
+    """
+    out, reads = groups.out, groups.reads
+    if slot is not None:
+        out, reads = slot[out], slot[reads]
+    return [(op, tuple(reads[:PRIMITIVE_ARITY[op], lo:hi]), out[lo:hi])
+            for op, lo, hi in zip(groups.ops, groups.bounds, groups.bounds[1:])]
+
+
+def _plan(network: CompiledNetwork) -> _Plan:
+    """Give every wire a slot, reusing the slots of wires that are not outputs.
+
+    The groups are the network's :attr:`~CompiledNetwork.level_groups`
+    and the slot lifetimes its :attr:`~CompiledNetwork.free_before`, both
+    computed once per network, so planning the same network again only
+    assigns slots; :func:`_slot_groups` gives the groups their slots.  A
+    group reads only lower levels and runs as one batch.  Input ``i`` takes
+    slot ``i``.  A wire that is not an output frees its slot once the last
+    group that reads it has gathered it (or, if none does, once it is
+    written), and a wire written later takes the slot: written wires pop a
+    stack of slots that holds the unused ones, lowest on top, under the
+    freed ones.  A wire keeps its slot while it lives, so the stack is only
+    walked where something is freed.  The slot count is one past the
+    highest unused slot ever taken, or the input count.  :func:`run`, which
+    keeps every wire, walks wire ``i`` in slot ``i`` instead.
     """
     groups = network.level_groups
     bounds, out, n_gates = groups.bounds, groups.out, len(groups.out)
     n_in, n_wires = len(network.inputs), len(network.wires)
-    keep = set(keep)
-    kept = [name in keep for name in network.wires]
+    kept = [network.wire_index(name) for name in network.outputs]
     # A wire's slot is freed before the outputs of group ``free_before``
-    # take theirs; a kept wire is never freed.
-    free_before = groups.free_before.copy()
+    # take theirs; an output is never freed.
+    free_before = network.free_before.copy()
     free_before[kept] = len(groups.ops)
     by_group = np.argsort(free_before, kind="stable")
     edges = np.searchsorted(free_before[by_group], np.arange(len(bounds))).tolist()
@@ -209,15 +226,11 @@ def _plan(network: CompiledNetwork, keep) -> _Plan:
         top, popped = top + hi - lo, bounds[k]
     top -= n_gates - popped
     slot[out[popped:]] = stack[top:top + n_gates - popped][::-1]
-    out_slots, read_slots = slot[out], slot[groups.reads]
-    plan = [(op, tuple(read_slots[:PRIMITIVE_ARITY[op], lo:hi]), out_slots[lo:hi])
-            for op, lo, hi in zip(groups.ops, bounds, bounds[1:])]
-    kept_slot = dict(zip(compress(network.wires, kept), compress(slot.tolist(), kept)))
-    return _Plan(plan, kept_slot, n_wires - min(low, top))
+    return _Plan(_slot_groups(groups, slot), n_wires - min(low, top), slot[kept].tolist())
 
 
-def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
-    """Walk ``plan`` on ``bk``; returns the read-only ``(slots, words, rows)`` wave matrix.
+def _evaluate(groups: list, slots: int, bk: _Backend, bits, rows: int) -> np.ndarray:
+    """Walk ``groups`` on ``bk``; returns the read-only ``(slots, words, rows)`` wave matrix.
 
     Input ``i`` is High where ``bits[i]``, a 0/1 int or a ``(rows,)`` bit
     array, is 1 and Low elsewhere.
@@ -228,10 +241,10 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
     """
     # The pair spreads over the rows as (words, 1) columns.
     h, l = bk.pair._columns
-    matrix = np.empty((plan.slots, words_for(bk.pair.steps), rows), dtype=np.uint64)
+    matrix = np.empty((slots, words_for(bk.pair.steps), rows), dtype=np.uint64)
     for i, bit in enumerate(bits):
         matrix[i] = np.where(bit, h, l)   # a (rows,) bit array spreads over the words
-    for op, args, outs in plan.groups:
+    for op, args, outs in groups:
         if len(outs) == 1:
             args, outs = [arg[0] for arg in args], outs[0]
         matrix[outs] = bk.kernel[op](bk.pair, *[matrix[arg] for arg in args])
@@ -243,15 +256,14 @@ def _evaluate(plan: _Plan, bk: _Backend, bits, rows: int) -> np.ndarray:
 class SimulationRun:
     """Every wire's wave and reading from one network execution, by cut word.
 
-    ``slot`` maps each wire name, in wire order, to its slot in the walk on
-    the step classes ``classes`` of the run's pair, ``cut`` holds each
-    slot's cut word, and ``readings`` is :meth:`StepClasses.read`'s table of
-    those words.  :attr:`waveforms` and :attr:`classifications` are
-    read-only mappings over the wires, built when first read: every wire
-    with cut word ``v`` shares one wave, wrapping the view
-    ``classes.expand[v]`` of its full wave, and one reading,
-    ``readings[v]``.  :attr:`ambiguous_wires` walks the wires only if some
-    present word reads Ambiguous.
+    ``cut`` holds each wire's cut word, in wire order, from the walk on the
+    step classes ``classes`` of the run's pair, and ``readings`` is
+    :meth:`StepClasses.read`'s table of those words.  :attr:`waveforms`
+    and :attr:`classifications` are read-only mappings over the wires,
+    built when first read: every wire with cut word ``v`` shares one wave,
+    wrapping the view ``classes.expand[v]`` of its full wave, and one
+    reading, ``readings[v]``.  :attr:`ambiguous_wires` builds
+    :attr:`classifications` only if some present word reads Ambiguous.
     """
 
     backend: str
@@ -259,7 +271,6 @@ class SimulationRun:
     network: CompiledNetwork
     assignment: dict[str, int]
     classes: StepClasses
-    slot: dict[str, int]
     cut: list[int]
     readings: list[Classification | None]
 
@@ -267,16 +278,18 @@ class SimulationRun:
     def waveforms(self) -> Mapping[str, Waveform]:
         wrap = type(self.classes.pair.h)._of_words
         waves = [wrap(row, self.config.steps) for row in self.classes.expand]
-        return MappingProxyType({name: waves[self.cut[s]] for name, s in self.slot.items()})
+        return MappingProxyType(dict(zip(self.network.wires, [waves[v] for v in self.cut])))
 
     @cached_property
     def classifications(self) -> Mapping[str, Classification]:
-        return MappingProxyType({name: self.readings[self.cut[s]] for name, s in self.slot.items()})
+        readings = self.readings
+        return MappingProxyType(dict(zip(self.network.wires, [readings[v] for v in self.cut])))
 
     @property
     def output_classifications(self) -> dict[str, Classification]:
         # Looked up directly: building :attr:`classifications` walks every wire.
-        return {name: self.readings[self.cut[self.slot[name]]] for name in self.network.outputs}
+        index = self.network.wire_index
+        return {name: self.readings[self.cut[index(name)]] for name in self.network.outputs}
 
     @property
     def ambiguous_wires(self) -> list[str]:
@@ -300,16 +313,17 @@ def run(
     or Low wave, and every wire (inputs included) is classified against the
     pair.  Ambiguous wires are reported in the result, not raised.
 
-    The walk is :func:`_evaluate` on one row of the pair's step classes
-    with every wire kept, so each wire is one cut word, and one
-    :meth:`StepClasses.read` call reads each distinct word once.  Wave and
-    classification objects are built per cut word, not per wire (see
-    :class:`SimulationRun`).
+    The walk is :func:`_evaluate` on one row of the pair's step classes,
+    over the network's level groups with wire ``i`` in slot ``i``: every
+    wire is kept, so no slot is planned or reused, and the cut words come
+    out in wire order.  One :meth:`StepClasses.read` call reads each
+    distinct word once.  Wave and classification objects are built per cut
+    word, not per wire (see :class:`SimulationRun`).
     """
     _check_assignment(network.inputs, assignment)
     classes = make_backend(backend, config).pair.step_classes
-    plan = _plan(network, network.wires)
-    cut = _evaluate(plan, _Backend(backend, classes.pair),
+    cut = _evaluate(_slot_groups(network.level_groups), len(network.wires),
+                    _Backend(backend, classes.pair),
                     [assignment[name] for name in network.inputs], 1)[:, 0, 0]
     return SimulationRun(
         backend=backend,
@@ -317,7 +331,6 @@ def run(
         network=network,
         assignment=dict(assignment),
         classes=classes,
-        slot=plan.slot,
         cut=cut.tolist(),
         readings=classes.read(cut),
     )
@@ -457,9 +470,8 @@ def verify_equivalence(
         checked=0,
         passed=0,
     )
-    plan = _plan(net, net.outputs)
-    out_slots = [plan.slot[name] for name in net.outputs]
-    rows = _chunk_rows(bk.pair.steps, plan.slots)
+    groups, slots, out_slots = _plan(net)
+    rows = _chunk_rows(bk.pair.steps, slots)
 
     def check(lo: int) -> tuple[int, int, list[dict], list[dict]]:
         """Rows, passes, failures and ambiguous incidents of the chunk at ``lo``."""
@@ -468,7 +480,8 @@ def verify_equivalence(
         bits = _assignments_from_indices(net.inputs, indices)
         expected = eval_boolean(source, bits)
         # Every output of every row is one cut word: (outputs, rows).
-        cut = _evaluate(plan, bk, [bits[name] for name in net.inputs], hi - lo)[out_slots, 0]
+        walk = _evaluate(groups, slots, bk, [bits[name] for name in net.inputs], hi - lo)
+        cut = walk[out_slots, 0]
         readings = classes.read(cut)
         # The bit of each word present; an ambiguous word's -1 never matches.
         got = np.array([-1 if r is None or r.is_ambiguous else r.verdict.to_bit()
@@ -653,8 +666,7 @@ def decision_latency(
     _check_assignment(network.inputs, assignment)
     family = backend_family(backend)
     bits = [assignment[name] for name in network.inputs]
-    plan = _plan(network, network.outputs)
-    out_slots = [plan.slot[name] for name in network.outputs]
+    groups, slots, out_slots = _plan(network)
     rows = _chunk_rows(config.steps, 7)   # the two planes, four column masks and a temporary
 
     def decide(lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -666,7 +678,8 @@ def decision_latency(
         decides = np.zeros(16, dtype=bool)
         for code, r in zip(*(a.tolist() for a in np.unique(sets, return_index=True))):
             classes = generators._pair(family, planes[..., r], config.steps).step_classes
-            cut = _evaluate(plan, _Backend(backend, classes.pair), bits, 1)[out_slots, 0, 0]
+            walk = _evaluate(groups, slots, _Backend(backend, classes.pair), bits, 1)
+            cut = walk[out_slots, 0, 0]
             table = classes.read(cut)   # a reading for each cut word present, else None
             decides[code] = bool(out_slots) and not any(c and c.is_ambiguous for c in table)
         counts = np.bincount(first_set_step(planes[0] ^ planes[1])[decides[sets]])

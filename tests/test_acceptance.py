@@ -213,6 +213,35 @@ def _artifact_bundle(tmp_path, tag: str) -> dict[str, str]:
     return artifacts
 
 
+# A generated netlist of 294 source gates (14 inputs, 1149 primitives),
+# simulated on every backend.  Its golden, ``simulate-large.json``, is the
+# three ``noiselogic simulate large.nl`` documents one after another, in
+# ``BACKENDS`` order, as printed where large.nl is.
+SIMULATE_LARGE = random_netlist_source(random.Random(6), 16, 320)
+SIMULATE_LARGE_ARGS = [
+    "--assign", "i0=1,i1=0,i2=1,i3=1,i4=0,i5=0,i6=1,i7=0,i8=1,i9=1,i10=1,i11=0,i12=0,i13=1",
+    "--seed", "9", "--steps", "200"]
+
+
+def test_simulate_large_matches_its_golden(tmp_path, monkeypatch):
+    import pathlib
+
+    from click.testing import CliRunner
+
+    from noiselogic.cli import main as cli_main
+
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("large.nl").write_text(SIMULATE_LARGE)
+    documents = []
+    for backend in nl.BACKENDS:
+        result = CliRunner().invoke(
+            cli_main, ["simulate", "large.nl", *SIMULATE_LARGE_ARGS, "--backend", backend])
+        assert result.exit_code == 0, result.output
+        documents.append(result.output)
+    golden = pathlib.Path(__file__).parent / "data" / "golden" / "simulate-large.json"
+    assert "".join(documents) == golden.read_text()
+
+
 def test_criterion_9_determinism(tmp_path):
     import pathlib
 

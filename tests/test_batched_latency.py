@@ -194,9 +194,9 @@ class TestSafetyChecksPerColumnSet:
         config = nl.GeneratorConfig(seed=6, steps=200)
         real, seen = simulator._evaluate, []
 
-        def evaluate(plan, bk, bits, rows):
+        def evaluate(groups, slots, bk, bits, rows):
             seen.append(bk.pair.steps)
-            return real(plan, bk, bits, rows)
+            return real(groups, slots, bk, bits, rows)
 
         with mock.patch.object(simulator, "_evaluate", evaluate):
             nl.run(network, backend, {"a": 1, "b": 0, "cin": 1}, config)

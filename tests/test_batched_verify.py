@@ -81,7 +81,7 @@ def chunked_report(source, backend, config, rows, **kwargs):
     net = kwargs.get("network") or (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
     # verify walks the pair's step classes, one word a row at any step count.
-    budget = rows * 8 * simulator._plan(net, net.outputs).slots
+    budget = rows * 8 * simulator._plan(net).slots
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 

@@ -114,7 +114,9 @@ class TestSimulate:
     @pytest.mark.parametrize("assign, message", [
         ("a=1,b=1,cin=0,zz=1", "not inputs: zz"),
         ("a=1,b=1,cin=0,a=0", "'a' is bound more than once"),
-    ], ids=["stray-name", "duplicate-name"])
+        ("a=1,b=1,cin=1,=0", "binding '=0' must look like name=0 or name=1"),
+        ("=1", "binding '=1' must look like name=0 or name=1"),
+    ], ids=["stray-name", "duplicate-name", "empty-name", "only-an-empty-name"])
     def test_stray_or_duplicate_binding_exit_2(self, runner, adder_path, assign, message):
         result = runner.invoke(main, ["simulate", adder_path, "--assign", assign])
         assert result.exit_code == 2

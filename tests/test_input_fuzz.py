@@ -114,6 +114,7 @@ def edited_netlists(draw):
             "9x", "a-b", "$1", "=", "y$0",             # bad names
             "ghost", "w999", "y",                      # names that may be undefined
             "MAJ", "and", "XOR3",                      # unknown gates
+            "#", "a#b", "x#",                          # comments inside a gate line
             *GATE_NAMES, "i0", "w0",
         ]))
     return "\n".join(" ".join(line) for line in lines) + "\n"

@@ -6,8 +6,10 @@ wire's cut word, and hands out each wire's full wave as a row of the step
 classes' expansion table.  The reference here is the gate-by-gate,
 wire-by-wire run it replaced (``serial_reference``); both must give the
 same waveforms, exactly, and the same classifications, diagnostics
-included.  ``simulator._plan`` groups the gates and gives every wire a
-slot; a plain-Python replay checks its slots.
+included.  ``run`` walks wire ``i`` in slot ``i``; ``simulator._plan``,
+which keeps only the outputs and reuses the slots of dead wires for
+``verify_equivalence`` and ``decision_latency``, gives every wire a slot.
+A plain-Python replay checks the slots of both.
 """
 
 import gc
@@ -78,6 +80,17 @@ class TestLevelRunEqualsSerial:
         assert got == want
 
     @pytest.mark.parametrize("backend", nl.BACKENDS)
+    def test_a_netlist_of_benchmark_scale(self, backend):
+        # 3,817 primitives, the size of the simulate benchmark's netlists.
+        network = nl.lower(nl.parse(random_netlist_source(random.Random(26), 32, 1000)))
+        assert len(network.out) == 3817
+        assignment = {name: k % 3 % 2 for k, name in enumerate(network.inputs)}
+        config = nl.GeneratorConfig(seed=11, steps=200)
+        got = outcome(nl.run, network, backend, assignment, config)
+        assert got == outcome(serial_run, network, backend, assignment, config)
+        assert list(got[0]) == list(network.wires)
+
+    @pytest.mark.parametrize("backend", nl.BACKENDS)
     def test_full_adder_ambiguous_window(self, full_adder_network, backend):
         # A seed whose one-step RTW references are identical; spike windows
         # need more steps, and are decided.
@@ -92,23 +105,23 @@ class TestLevelRunEqualsSerial:
         assert bool(ambiguous) == (backend != "spike")
 
 
-def _replay(network: nl.CompiledNetwork, plan) -> tuple[dict[int, int], list[int]]:
-    """Walk ``plan`` in plain Python, tracking the wire each slot holds.
+def _replay(network: nl.CompiledNetwork, groups, slots: int) -> tuple[dict[int, int], list[int]]:
+    """Walk ``groups`` on ``slots`` slots in plain Python, tracking the wire each slot holds.
 
     Every gather must read the wire its gate names.  Returns the wire each
     slot holds at the end and every slot written, inputs first.
     """
     held = {i: i for i in range(len(network.inputs))}
     written = list(held)
-    assert len(plan.groups) == len(level_groups(network))
-    for (op, args, outs), gates in zip(plan.groups, level_groups(network)):
+    assert len(groups) == len(level_groups(network))
+    for (op, args, outs), gates in zip(groups, level_groups(network)):
         assert {gate.op for gate in gates} == {op}
         assert len(args) == len(gates[0].args)
         for k, column in enumerate(args):
             assert [held[slot] for slot in column.tolist()] == [g.args[k] for g in gates]
         outs = outs.tolist()
         assert len(set(outs)) == len(outs) == len(gates)
-        assert all(0 <= slot < plan.slots for slot in outs)
+        assert all(0 <= slot < slots for slot in outs)
         held.update(zip(outs, (gate.out for gate in gates)))
         written += outs
     return held, written
@@ -116,66 +129,53 @@ def _replay(network: nl.CompiledNetwork, plan) -> tuple[dict[int, int], list[int
 
 class TestLevelPlan:
     @settings(max_examples=200, deadline=None)
-    @given(
-        netlist_seed=st.integers(0, 2**32 - 1),
-        keep=st.sampled_from(["all", "outputs", "some"]),
-        keep_seed=st.integers(0, 2**32 - 1),
-    )
-    def test_slots_hold_the_wires_the_gates_read(self, netlist_seed, keep, keep_seed):
+    @given(netlist_seed=st.integers(0, 2**32 - 1))
+    def test_slots_hold_the_wires_the_gates_read(self, netlist_seed):
         network = nl.lower(nl.parse(random_netlist_source(random.Random(netlist_seed))))
-        if keep == "all":
-            kept = network.wires
-        elif keep == "outputs":
-            kept = network.outputs
-        else:
-            rng = random.Random(keep_seed)
-            kept = [name for name in network.wires if rng.random() < 0.3]
-        plan = simulator._plan(network, kept)
-        held, written = _replay(network, plan)
-        assert plan.slot.keys() == set(kept)
-        assert all(network.wires[held[slot]] == name for name, slot in plan.slot.items())
+        plan = simulator._plan(network)
+        held, _ = _replay(network, plan.groups, plan.slots)
+        assert [network.wires[held[slot]] for slot in plan.outputs] == list(network.outputs)
         assert plan.slots <= len(network.wires)
-        if keep == "all":
-            # No slot is written twice: every wire has its own.
-            assert sorted(written) == list(range(plan.slots)) == list(range(len(network.wires)))
+        # ``run``'s groups give every wire its own slot: no slot is written twice.
+        n = len(network.wires)
+        held, written = _replay(network, simulator._slot_groups(network.level_groups), n)
+        assert sorted(written) == list(range(n)) and all(held[i] == i for i in range(n))
 
     @settings(max_examples=60, deadline=None)
-    @given(netlist_seed=st.integers(0, 2**32 - 1), keep_seed=st.integers(0, 2**32 - 1))
-    def test_replanning_a_network_gives_the_plan_of_a_fresh_one(self, netlist_seed, keep_seed):
-        # The (level, op) groups are computed once per network and kept;
-        # every later plan of it, whatever it keeps, must be the fresh plan.
+    @given(netlist_seed=st.integers(0, 2**32 - 1))
+    def test_replanning_a_network_gives_the_plan_of_a_fresh_one(self, netlist_seed):
+        # The (level, op) groups and slot lifetimes are computed once per
+        # network and kept; every later plan of it must be the fresh plan.
         source = random_netlist_source(random.Random(netlist_seed))
         network = nl.lower(nl.parse(source))
-        rng = random.Random(keep_seed)
-        keeps = [network.outputs, network.wires, [n for n in network.wires if rng.random() < 0.3]]
 
         def doc(plan):
             groups = [(op, [a.tolist() for a in args], outs.tolist())
                       for op, args, outs in plan.groups]
-            return groups, plan.slot, plan.slots
+            return groups, plan.slots, plan.outputs
 
-        first = [doc(simulator._plan(network, keep)) for keep in keeps]
-        assert "level_groups" in vars(network)
-        for keep, want in zip(keeps * 2, first * 2):
-            assert doc(simulator._plan(network, keep)) == want
-            assert doc(simulator._plan(nl.lower(nl.parse(source)), keep)) == want
+        want = doc(simulator._plan(network))
+        assert "level_groups" in vars(network) and "free_before" in vars(network)
+        for _ in range(2):
+            assert doc(simulator._plan(network)) == want
+            assert doc(simulator._plan(nl.lower(nl.parse(source)))) == want
 
     @pytest.mark.parametrize("netlist_seed", range(5))
     def test_one_group_per_level_and_op_in_level_order(self, netlist_seed):
         source = random_netlist_source(random.Random(netlist_seed), 8, 60)
         network = nl.lower(nl.parse(source))
-        plan = simulator._plan(network, network.wires)
-        _replay(network, plan)
-        assert [op for op, _, _ in plan.groups] == [g[0].op for g in level_groups(network)]
-        assert sum(len(outs) for _, _, outs in plan.groups) == len(network.out)
+        groups = simulator._slot_groups(network.level_groups)
+        _replay(network, groups, len(network.wires))
+        assert [op for op, _, _ in groups] == [g[0].op for g in level_groups(network)]
+        assert sum(len(outs) for _, _, outs in groups) == len(network.out)
         # One kernel call per group instead of one per primitive.
-        assert len(plan.groups) < len(network.out)
+        assert len(groups) < len(network.out)
 
     def test_full_adder_keeps_only_the_outputs(self, full_adder_network):
         net = full_adder_network
-        plan = simulator._plan(net, net.outputs)
-        held, _ = _replay(net, plan)
-        assert all(net.wires[held[plan.slot[name]]] == name for name in net.outputs)
+        plan = simulator._plan(net)
+        held, _ = _replay(net, plan.groups, plan.slots)
+        assert [net.wires[held[slot]] for slot in plan.outputs] == list(net.outputs)
         # The 25 wires share 7 slots: the 16 groups reuse the slots of dead wires.
         assert (len(net.wires), len(plan.groups), plan.slots) == (25, 16, 7)
 
@@ -253,7 +253,7 @@ class TestTheWalkWrapsNoWave:
         wraps = {}
         for gates in (20, 100):
             network = _chain(gates)
-            groups = len(simulator._plan(network, network.wires).groups)
+            groups = len(network.level_groups.ops)
             made = Counter()
             with counted_objects(made, []):
                 result = nl.run(network, backend, {"a": 1, "b": 1}, config)
@@ -312,15 +312,25 @@ class TestRunIsLazy:
         assert made["Classification"] <= words
 
     def test_no_ambiguous_row_answers_without_walking_the_wires(self, full_adder_network):
-        class Unwalked(dict):
-            def items(self):
-                raise AssertionError("walked every wire's slot")
-
         config = nl.GeneratorConfig(seed=5, steps=64)
         result = nl.run(full_adder_network, "spike", {"a": 1, "b": 0, "cin": 1}, config)
         assert not any(r is not None and r.is_ambiguous for r in result.readings)
-        result.slot = Unwalked(result.slot)
         assert result.ambiguous_wires == []
+        # No per-wire mapping was built to answer.
+        assert "classifications" not in vars(result)
+
+    @pytest.mark.parametrize("outputs", [1, 40])
+    def test_output_classifications_are_the_outputs_readings(self, outputs):
+        network = nl.lower(nl.parse(random_netlist_source(random.Random(3), 8, 60)))
+        named = [name for name in network.wires if "$" not in name][-outputs:]
+        network = nl.CompiledNetwork(network.wires, network.inputs, tuple(reversed(named)),
+                                     network.is_not, network.args, network.out, network.src)
+        config = nl.GeneratorConfig(seed=5, steps=64)
+        assignment = {name: 1 for name in network.inputs}
+        result = nl.run(network, "rtw-additive-not", assignment, config)
+        got = result.output_classifications
+        assert list(got) == list(network.outputs) and len(got) == outputs
+        assert got == {name: result.classifications[name] for name in network.outputs}
 
     def test_views_are_read_only_mappings_in_wire_order(self, full_adder_network):
         config = nl.GeneratorConfig(seed=5, steps=64)

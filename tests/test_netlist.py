@@ -312,7 +312,7 @@ class TestGateColumns:
         assert nl.eval_boolean(net, {"a": 1}) == {"a": 1}
         config = nl.GeneratorConfig(seed=1, steps=32)
         assert nl.run(net, "spike", {"a": 0}, config).output_bits() == {"a": 0}
-        assert simulator._plan(net, net.outputs).slots == 1
+        assert simulator._plan(net).slots == 1
 
 
 class TestLargeNetworks:
@@ -331,6 +331,32 @@ class TestLargeNetworks:
         assert json.loads(out.stdout)["primitive_count"] == len(network.out)
         assert sum(network.gate_counts().values()) == len(network.out)
         assert nl.CompiledNetwork.from_json(network.to_json()) == network
+
+    @pytest.mark.parametrize("nots", [127, 128, 32_767, 32_800])
+    def test_level_groups_equal_a_stable_int64_sort(self, nots):
+        # A chain of NOTs from ``a`` and, at every hundredth chain wire, two
+        # ANDs of it with ``b``.  The sort key ``2 * level + is_not`` reaches
+        # 2 * nots + 1: past 2**8 from 128 NOTs and past 2**16 from 32,768.
+        ands = [k for k in range(0, nots, 100) for _ in range(2)]
+        wires = ("a", "b", *(f"n{k}" for k in range(nots)),
+                 *(f"g{j}" for j in range(len(ands))))
+        args = [(0, 0)] + [(k + 2, k + 2) for k in range(nots - 1)] + [(k + 2, 1) for k in ands]
+        network = nl.CompiledNetwork(wires, ("a", "b"), (wires[-1],),
+                                     [True] * nots + [False] * len(ands), args,
+                                     np.arange(2, len(wires)), list(wires[2:]))
+        level = [0] * len(wires)
+        for gate in gate_rows(network):
+            level[gate.out] = 1 + max(level[arg] for arg in gate.args)
+        key = 2 * np.array(level, dtype=np.int64)[network.out] + network.is_not
+        assert key.max() == 2 * nots + 1
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]
+        groups = network.level_groups
+        assert groups.bounds == bounds
+        assert groups.ops == ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
+        assert groups.out.tolist() == network.out[order].tolist()
+        assert groups.reads.tolist() == network.args[order].T.tolist()
 
     def test_verify_with_and_without_a_network_file(self, tmp_path, full_adder_network):
         netlist_path, network_path = tmp_path / "adder.nl", tmp_path / "adder.json"

@@ -156,7 +156,7 @@ from noiselogic import cli, simulator
 if __debug__:
     raise SystemExit("not running under -O")
 net = nl.lower(nl.parse(open(0).read()))
-plan = simulator._plan(net, net.outputs)
+plan = simulator._plan(net)
 print(net.to_json(), end="")
 print(len(plan.groups), plan.slots, net.gate_counts(),
       bool(net.is_not[-1]), net.args[-1].tolist(), int(net.out[-1]), net.src[-1])

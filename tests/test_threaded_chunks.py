@@ -303,7 +303,7 @@ from noiselogic import rtw_gates, simulator
 optimized = not __debug__
 ast = nl.parse("input a b\\noutput y = AND a b\\n")
 config = nl.GeneratorConfig(seed=3, steps=130)
-plan = simulator._plan(nl.lower(ast), ("y",))
+plan = simulator._plan(nl.lower(ast))
 rtw_gates._and_words = lambda h, l, x1, x2: x1
 seen = []
 for workers in (1, 3):
