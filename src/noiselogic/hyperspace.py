@@ -57,13 +57,17 @@ def check_bit_count(n: int, max_bits: int) -> None:
         raise ConfigError(f"{n} bits exceed the configured cap of {max_bits}")
 
 
+def _check_bits(bits) -> None:
+    if any(b not in (0, 1) for b in bits):
+        raise ConfigError("bits must be 0 (Low) or 1 (High)")
+
+
 def _check_vector_args(pairs, bits, family: str) -> None:
     if len(bits) == 0:
         raise ConfigError("bit vector must contain at least one bit")
     if len(pairs) != len(bits):
         raise ConfigError(f"{len(bits)} bits need {len(bits)} pairs, got {len(pairs)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ConfigError("bits must be 0 (Low) or 1 (High)")
+    _check_bits(bits)
     steps = pairs[0].steps
     for pair in pairs:
         if pair.family != family:
@@ -170,6 +174,7 @@ def matches_pattern(vector: HyperVector, bits: tuple[int, ...]) -> bool:
         raise FamilyMismatchError("pattern match is defined for non-squeezed RTW products")
     if len(bits) != len(vector.pairs):
         raise ConfigError(f"pattern has {len(bits)} bits, vector has {len(vector.pairs)}")
+    _check_bits(bits)
     acc = vector.combined.values.copy()
     for pair, bit in zip(vector.pairs, bits):
         acc = acc * (pair.h.values if bit else pair.l.values)

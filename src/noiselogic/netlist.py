@@ -223,23 +223,6 @@ class CompiledNetwork:
         ops = ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
         return LevelGroups(bounds, ops, _read_only(out), _read_only(reads))
 
-    @cached_property
-    def free_before(self) -> np.ndarray:
-        """Per wire, the first level group that may reuse its slot; computed on first use and kept.
-
-        That is the last group that reads the wire, the group after the one
-        that writes it if none does, or 0 if no gate touches it.  A reader
-        is above its operand's writer, so the last reader's group is past
-        the writer's.
-        """
-        groups = self.level_groups
-        group = np.repeat(np.arange(len(groups.ops)), np.diff(groups.bounds))
-        free_before = np.zeros(len(self.wires), dtype=np.intp)
-        free_before[groups.out] = group + 1
-        # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
-        np.maximum.at(free_before, groups.reads.ravel(), np.concatenate([group, group]))
-        return _read_only(free_before)
-
     def gate_counts(self) -> dict[str, int]:
         nots = int(self.is_not.sum())
         return {"NOT": nots, "AND": len(self.out) - nots}

@@ -2,40 +2,39 @@
 
 All signals are immutable sequences of integers, one value per step of a
 single global clock, compared for exact elementwise equality; no logic
-value is ever a float.  A waveform may carry leading batch axes, ``(rows,
-steps)`` or ``(groups, rows, steps)``, one wave per row, which the gate
-kernels combine with one reference pair.
+value is ever a float.  Every waveform is one wave, of one axis: a batch
+of waves lives only as packed words.
 
 The two logic carriers, the bipolar -1/+1 :class:`RtwSignal` and the 0/1
 :class:`SpikeTrain` (a set of spike times), store read-only ``uint64``
 bit-planes with the step count beside them: step ``t`` is bit ``t % 64``
 of word ``t // 64``, a set bit is +1 or a spike, and the padding bits past
-the last step are zero.  The planes are words-major: one wave is
-``(words,)``, a batch ``(words, rows)`` and a gathered group ``(groups,
-words, rows)``, so the exact-copy tests and classification reduce over
-the words axis, one pass over contiguous rows.  The gate kernels and the
-spike helpers take and return such words, not waves: a kernel hands its
-input words to :meth:`LogicReferencePair.operands`, which checks them
-against the pair and returns High and Low shaped to combine with them, so
-the kernels do not know the layout.  Words carry neither a carrier family
-nor an exact step count; :func:`on_waves` checks those once, where waves
-become words, runs a kernel or helper on the words and wraps its output.
-The family check of the values runs once, on the values a carrier is
-built from; ``values`` unpacks to ``int8`` in the logical ``(..., rows,
-steps)`` shape for the boundaries (CSV, reports, tests).
+the last step are zero.  Words are words-major: one wave is ``(words,)``,
+a batch ``(words, rows)`` and a gathered group ``(groups, words, rows)``,
+so the exact-copy tests and classification reduce over the words axis,
+one pass over contiguous rows; :func:`pack_steps` packs 0/1 values into
+any of them.  The gate kernels and the spike helpers take and return such
+words, not waves: a kernel hands its input words to
+:meth:`LogicReferencePair.operands`, which checks them against the pair
+and returns High and Low shaped to combine with them, so the kernels do
+not know the layout.  Words carry neither a carrier family nor an exact
+step count; :func:`on_waves` checks those once, where waves become words,
+runs a kernel or helper on the words and wraps its output.  The family
+check of the values runs once, on the values a carrier is built from;
+``values`` unpacks to ``int8`` for the boundaries (CSV, reports, tests).
 :class:`MultiLevelSignal` (values in [-2, 2]) and the base
 :class:`Waveform` (unbounded) store ``int64``.
 
 A :class:`LogicReferencePair` binds one High and one Low reference wave of
-one family; :func:`classify_rows` reads a wave or a batch of waves against
-such a pair, by one rule for both families, and :func:`classify` is its
-one-wave case, reporting High, Low or Ambiguous together with the deciding
-step.  :attr:`LogicReferencePair.step_classes` cuts a pair to one step per
-distinct ``(H_t, L_t)`` column (:class:`StepClasses`), on which the
-simulator walks whenever every input copies High or Low; a wave on the cut
-pair is one word below 16, and :meth:`StepClasses.read` reads the full wave
-of each word present once, against the full pair, into a table indexed by
-the word.
+one family; :func:`classify_rows` reads the ``(words, rows)`` words of a
+batch of waves against such a pair, by one rule for both families, and
+:func:`classify` is its one-wave case, reporting High, Low or Ambiguous
+together with the deciding step.  :attr:`LogicReferencePair.step_classes`
+cuts a pair to one step per distinct ``(H_t, L_t)`` column
+(:class:`StepClasses`), on which the simulator walks whenever every input
+copies High or Low; a wave on the cut pair is one word below 16, and
+:meth:`StepClasses.read` reads the full wave of each word present once,
+against the full pair, into a table indexed by the word.
 """
 
 import math
@@ -43,7 +42,6 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -111,14 +109,14 @@ def first_set_step(words: np.ndarray) -> np.ndarray:
 
 
 def _as_int_array(values) -> np.ndarray:
-    """``values`` as an integer array of one to three axes, not yet copied or narrowed."""
+    """``values`` as an integer array of one axis, not yet copied or narrowed."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         # Element by element: NumPy reads a list that mixes ints and floats
         # through float64, which rounds the ints beyond 2**53.
         arr = np.array(values, dtype=object)
-    if arr.ndim not in (1, 2, 3):
-        raise ValueError(f"waveform values must have one to three axes, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"waveform values must have exactly one axis, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError("waveform must contain at least one step")
     too_wide = "waveform values must fit in 64-bit signed integers"
@@ -164,8 +162,8 @@ class Waveform:
         return self._values.shape
 
     def __len__(self) -> int:
-        """Number of clock steps (the last axis), also for a batch."""
-        return self.shape[-1]
+        """Number of clock steps."""
+        return self.shape[0]
 
     def __getitem__(self, step: int) -> int:
         return int(self.values[step])
@@ -183,10 +181,6 @@ class Waveform:
         return hash((self.shape, self.values.astype(np.int64).tobytes()))
 
     def __repr__(self) -> str:
-        shape = self.shape
-        if len(shape) > 1:
-            axes = "".join(f"{a}={n}, " for a, n in zip(("groups", "rows")[3 - len(shape):], shape))
-            return f"{type(self).__name__}({axes}steps={len(self)})"
         body = ",".join(map(str, self.values[:16].tolist()))
         tail = ",..." if len(self) > 16 else ""
         return f"{type(self).__name__}([{body}{tail}], steps={len(self)})"
@@ -213,16 +207,16 @@ class BitWave(Waveform):
     def _store(self, arr: np.ndarray) -> None:
         words = pack_steps(arr > 0)
         words.setflags(write=False)
-        self._words, self._steps = words, arr.shape[-1]
+        self._words, self._steps = words, len(arr)
 
     @classmethod
     def _of_words(cls, words: np.ndarray, steps: int) -> "BitWave":
-        """Wrap valid words-major words with zero padding, such as a kernel's output,
-        read-only and unchecked."""
+        """Wrap the valid ``(words,)`` words of one wave with zero padding, such as a
+        kernel's output, read-only and unchecked."""
         n = words_for(steps)
-        if words.dtype != np.uint64 or words.ndim == 0 or words.shape[_words_axis(words)] != n:
-            raise ValueError(f"{cls.__name__} wraps {n} uint64 words on the words axis "
-                             f"for {steps} steps, got {words.dtype} {words.shape}")
+        if words.dtype != np.uint64 or words.shape != (n,):
+            raise ValueError(f"{cls.__name__} wraps {n} uint64 words for {steps} steps, "
+                             f"got {words.dtype} {words.shape}")
         words.flags.writeable = False
         wave = object.__new__(cls)
         wave._words, wave._steps = words, steps
@@ -230,15 +224,13 @@ class BitWave(Waveform):
 
     @property
     def words(self) -> np.ndarray:
-        """The read-only words-major bit-planes: ``(words,)``, ``(words, rows)`` or
-        ``(groups, words, rows)``."""
+        """The read-only ``(words,)`` bit-planes."""
         return self._words
 
     @property
     def values(self) -> np.ndarray:
         """A fresh read-only ``int8`` unpacking of the words, of shape :attr:`shape`."""
-        words = self._words if self._words.ndim == 1 else np.swapaxes(self._words, -1, -2)
-        bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=-1,
+        bits = np.unpackbits(np.ascontiguousarray(self._words, dtype="<u8").view(np.uint8),
                              count=self._steps, bitorder="little").view(np.int8)
         arr = 2 * bits - 1 if self._low else bits
         arr.setflags(write=False)
@@ -246,7 +238,7 @@ class BitWave(Waveform):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return _wave_shape(self._words, self._steps)
+        return (self._steps,)
 
     def __len__(self) -> int:
         return self._steps
@@ -283,30 +275,6 @@ class SpikeTrain(BitWave):
         return not bool(self._words.any())
 
 
-def _clash(p: int, q: int) -> bool:
-    """Whether sizes ``p`` and ``q`` of one axis do not broadcast."""
-    return p != q and p != 1 and q != 1
-
-
-def _require_aligned(what: str, a: BitWave, b: BitWave) -> None:
-    """Reject two waves whose words do not combine step by step and row by row.
-
-    :func:`on_waves` checks the input trains of a spike helper so; the
-    helpers themselves combine words as NumPy broadcasts them.
-
-    Words-major, one wave's ``(words,)`` meets a batch's ``(words, rows)``
-    on the wrong axis, so a wave combines only with a wave; batches combine
-    as NumPy broadcasts them, a ``(words, 1)`` column over any rows.
-    """
-    if a._steps != b._steps:
-        raise LengthMismatchError(f"{what}: lengths differ ({a._steps} vs {b._steps})")
-    sa, sb = a._words.shape, b._words.shape
-    if sa != sb and (len(sa) == 1 or len(sb) == 1
-                     or any(map(_clash, reversed(sa), reversed(sb)))):
-        raise LengthMismatchError(
-            f"{what}: shapes {a.shape} and {b.shape} do not combine row by row")
-
-
 def _column_masks(h: np.ndarray, l: np.ndarray, steps: int) -> np.ndarray:
     """Plane ``b`` sets the steps where ``(H_t, L_t) == (b >> 1, b & 1)``, of the words-major
     words of one pair, ``(words,)``, or of a batch of pairs, ``(words, rows)``."""
@@ -323,9 +291,8 @@ def _column_masks(h: np.ndarray, l: np.ndarray, steps: int) -> np.ndarray:
 class LogicReferencePair:
     """The bound High and Low reference waves of one logic family.
 
-    The family is inferred from the waveform types.  High and Low are one
-    wave each, of one step count; a batch of waves raises
-    :class:`LengthMismatchError`.  Spike pairs must be orthogonal (no
+    The family is inferred from the waveform types.  High and Low must
+    span one step count.  Spike pairs must be orthogonal (no
     coincident spikes) and both trains non-empty; those are
     construction-time invariants.  RTW pairs may be elementwise identical,
     which simply makes classification against them ambiguous.
@@ -347,10 +314,6 @@ class LogicReferencePair:
         if self.h.shape != self.l.shape:
             raise LengthMismatchError(
                 f"reference pair: shapes differ ({self.h.shape} vs {self.l.shape})"
-            )
-        if len(self.h.shape) != 1:
-            raise LengthMismatchError(
-                f"reference pair: High and Low must be one wave each, got shape {self.h.shape}"
             )
         if family == SPIKE:
             if np.any(self.h.words & self.l.words):
@@ -480,8 +443,7 @@ class StepClasses(NamedTuple):
         """
         counts = np.bincount(np.ravel(words).astype(np.intp), minlength=len(self.expand))
         present = np.flatnonzero(counts)
-        bits, at, details = classify_rows(
-            type(self.full.h)._of_words(self.expand[present].T, self.full.steps), self.full)
+        bits, at, details = classify_rows(self.expand[present].T, self.full)
         table = [None] * len(counts)
         for r, v in enumerate(present.tolist()):
             table[v] = (Classification(Verdict.AMBIGUOUS, None, details[r]) if r in details
@@ -610,9 +572,9 @@ def on_waves(fn, *args):
     step count, so those two checks run here, with the messages the kernels
     and helpers raised when they took waves: a kernel input must be a wave
     of the pair's carrier that spans the pair's steps, and a helper's inputs
-    must span one step count and combine row by row.  ``fn`` then runs on
-    the ``words``, with every check of its own.  Nothing here is gate logic,
-    and the simulator, which keeps words throughout, never comes here.
+    must span one step count.  ``fn`` then runs on the ``words``, with every
+    check of its own.  Nothing here is gate logic, and the simulator, which
+    keeps words throughout, never comes here.
     """
     if args and isinstance(args[0], LogicReferencePair):
         pair, waves = args[0], args[1:]
@@ -631,45 +593,49 @@ def on_waves(fn, *args):
         return carrier._of_words(fn(pair, *(x.words for x in waves)), pair.steps)
     # An orthon's first neuron checks its inputs, so only the adder has its own label.
     what = "adder" if getattr(fn, "__name__", None) == "adder_union" else "neuron"
-    for a, b in combinations(args, 2):
-        _require_aligned(what, a, b)
+    for x in args[1:]:
+        if len(x) != len(args[0]):
+            raise LengthMismatchError(f"{what}: lengths differ ({len(args[0])} vs {len(x)})")
     out = fn(*(x.words for x in args))
+    steps = len(args[0])
     if isinstance(out, tuple):   # an orthon's two outputs
-        return tuple(SpikeTrain._of_words(words, len(args[0])) for words in out)
-    return SpikeTrain._of_words(out, len(args[0]))
+        return tuple(SpikeTrain._of_words(words, steps) for words in out)
+    return SpikeTrain._of_words(out, steps)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Read every row of ``x`` against the reference pair, by one rule for both families.
+def classify_rows(words: np.ndarray, pair: LogicReferencePair) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Read every row of the ``(words, rows)`` words against the reference pair, by one rule
+    for both families.
 
-    ``x`` is one wave or a ``(rows, steps)`` batch.  The first step where
-    High and Low differ, the lowest set bit of ``H ^ L``, votes for the
-    reference that ``x`` follows there (for a spike pair, whose trains are
-    disjoint, that is the first universe spike).  The vote stands only if
-    the whole wave equals the voted reference; otherwise the row is
-    ambiguous, as it is when the references never differ.
+    ``words`` are words-major ``uint64`` words with the pair's word count
+    on the words axis, checked as :meth:`LogicReferencePair.operands`
+    checks a kernel's input; like a kernel's, they show neither a carrier
+    nor an exact step count, which :func:`classify` checks for a wave.  The
+    first step where High and Low differ, the lowest set bit of ``H ^ L``,
+    votes for the reference that a row follows there (for a spike pair,
+    whose trains are disjoint, that is the first universe spike).  The vote
+    stands only if the whole row equals the voted reference; otherwise the
+    row is ambiguous, as it is when the references never differ.
 
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.
     """
-    if not isinstance(x, type(pair.h)):
-        raise FamilyMismatchError(
-            f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
-            f"got {type(x).__name__}"
-        )
-    words = pair._check_wave(x, "classified wave")
-    if words.ndim > 2:
-        raise ValueError("classify_rows reads one wave or a (rows, steps) batch")
-    v = words.reshape(len(words), -1)   # one wave reads as a batch of one row
+    n = len(pair.h.words)
+    if not isinstance(words, np.ndarray) or words.dtype != np.uint64:
+        got = f"{words.dtype} words" if isinstance(words, np.ndarray) else type(words).__name__
+        raise FamilyMismatchError(f"classify_rows reads uint64 words, got {got}")
+    if words.ndim != 2 or len(words) != n:
+        raise LengthMismatchError(
+            f"classify_rows reads (words, rows) words, got shape {words.shape}; pair has {n} words")
     h, l = pair._columns
     differs = pair.h.words ^ pair.l.words
     t = int(first_set_step(differs)) if differs.any() else -1
-    high = (v == h).all(axis=0)
-    decided = (t >= 0) & (high | (v == l).all(axis=0))
+    high = (words == h).all(axis=0)
+    decided = (t >= 0) & (high | (words == l).all(axis=0))
     bits = np.where(decided, high, -1)
     steps = np.where(decided, t, -1)
     details = {}
@@ -677,9 +643,9 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
         if t < 0:
             details[r] = "references are identical across the whole window"
             continue
-        follows_high = not (int(v[t // WORD_BITS, r] ^ h[t // WORD_BITS, 0]) >> t % WORD_BITS) & 1
+        follows_high = not (int(words[t // WORD_BITS, r] ^ h[t // WORD_BITS, 0]) >> t % WORD_BITS) & 1
         vote, reference = (Verdict.HIGH, pair.h) if follows_high else (Verdict.LOW, pair.l)
-        mismatch = int(first_set_step(v[:, r] ^ reference.words))
+        mismatch = int(first_set_step(words[:, r] ^ reference.words))
         details[r] = (f"step {t} votes {vote.value} but the wave deviates from that "
                       f"reference at step {mismatch}")
     return bits, steps, details
@@ -688,12 +654,17 @@ def classify_rows(x: Waveform, pair: LogicReferencePair) -> tuple[np.ndarray, np
 def classify(x: Waveform, pair: LogicReferencePair) -> Classification:
     """Read the logic value of one wave ``x`` against a reference pair.
 
-    The one-wave case of :func:`classify_rows`: High or Low with its
-    deciding step, or Ambiguous with a diagnostic.
+    The one-row case of :func:`classify_rows`, once ``x`` is a wave of the
+    pair's carrier that spans its steps: High or Low with its deciding
+    step, or Ambiguous with a diagnostic.
     """
-    if len(x.shape) != 1:
-        raise ValueError("classify reads one wave; use classify_rows for a batch")
-    (bit,), (step,), details = classify_rows(x, pair)
+    if not isinstance(x, type(pair.h)):
+        raise FamilyMismatchError(
+            f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
+            f"got {type(x).__name__}"
+        )
+    words = pair._check_wave(x, "classified wave")
+    (bit,), (step,), details = classify_rows(words[:, None], pair)
     if details:
         return Classification(Verdict.AMBIGUOUS, None, details[0])
     return Classification(Verdict.from_bit(int(bit)), int(step))

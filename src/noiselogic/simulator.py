@@ -91,8 +91,9 @@ _MC_CHUNK = 1 << 16
 
 
 def _chunk_rows(steps: int, waves: int) -> int:
-    """Rows per chunk so that ``waves`` live ``(words, rows)`` blocks fit ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (8 * words_for(steps) * waves))
+    """Rows per chunk so that ``waves`` live ``(words, rows)`` blocks, at least one, fit
+    ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * words_for(steps) * max(1, waves)))
 
 
 # Worker threads a sweep may run its chunks on, at most.  The sweeps' speed
@@ -186,47 +187,41 @@ def _slot_groups(groups: LevelGroups, slot: np.ndarray | None = None) -> list:
 def _plan(network: CompiledNetwork) -> _Plan:
     """Give every wire a slot, reusing the slots of wires that are not outputs.
 
-    The groups are the network's :attr:`~CompiledNetwork.level_groups`
-    and the slot lifetimes its :attr:`~CompiledNetwork.free_before`, both
-    computed once per network, so planning the same network again only
-    assigns slots; :func:`_slot_groups` gives the groups their slots.  A
-    group reads only lower levels and runs as one batch.  Input ``i`` takes
-    slot ``i``.  A wire that is not an output frees its slot once the last
-    group that reads it has gathered it (or, if none does, once it is
-    written), and a wire written later takes the slot: written wires pop a
-    stack of slots that holds the unused ones, lowest on top, under the
-    freed ones.  A wire keeps its slot while it lives, so the stack is only
-    walked where something is freed.  The slot count is one past the
-    highest unused slot ever taken, or the input count.  :func:`run`, which
+    The groups are the network's :attr:`~CompiledNetwork.level_groups`,
+    computed once per network; :func:`_slot_groups` gives them their
+    slots.  A group reads only lower levels and runs as one batch.  Input
+    ``i`` takes slot ``i``.  A wire that is not an output frees its slot
+    once the last group that reads it has gathered it (or, if none does,
+    once it is written), before that group's outputs take theirs, and a
+    wire written later takes the slot: one pass over the groups' gates pops
+    their outputs' slots off a stack that holds the unused slots, lowest on
+    top, under the freed ones, pushed in wire order.  The slot count is one
+    past the highest slot taken, or the input count.  :func:`run`, which
     keeps every wire, walks wire ``i`` in slot ``i`` instead.
     """
     groups = network.level_groups
-    bounds, out, n_gates = groups.bounds, groups.out, len(groups.out)
-    n_in, n_wires = len(network.inputs), len(network.wires)
+    n_in, n_wires, n_groups = len(network.inputs), len(network.wires), len(groups.ops)
+    # The group before whose outputs a wire frees its slot: its last reader's,
+    # else the one after its writer's; an output never frees its slot.
+    group = np.repeat(np.arange(n_groups), np.diff(groups.bounds))
+    free_before = np.zeros(n_wires, dtype=np.intp)
+    free_before[groups.out] = group + 1
+    # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
+    np.maximum.at(free_before, groups.reads.ravel(), np.concatenate([group, group]))
     kept = [network.wire_index(name) for name in network.outputs]
-    # A wire's slot is freed before the outputs of group ``free_before``
-    # take theirs; an output is never freed.
-    free_before = network.free_before.copy()
-    free_before[kept] = len(groups.ops)
-    by_group = np.argsort(free_before, kind="stable")
-    edges = np.searchsorted(free_before[by_group], np.arange(len(bounds))).tolist()
-    # The unused slots, lowest on top, and room for the freed ones above them.
-    stack = np.arange(n_wires - 1, -1, -1)
-    top, popped = n_wires - n_in, 0
-    low = top   # stack positions below this one hold unused slots never taken
-    slot = np.arange(n_wires)
-    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        if lo == hi:
-            continue
-        n = bounds[k] - popped   # the outputs of the groups before k take their slots
-        slot[out[popped:bounds[k]]] = stack[top - n:top][::-1]
-        top -= n
-        low = min(low, top)
-        stack[top:top + hi - lo] = slot[by_group[lo:hi]]
-        top, popped = top + hi - lo, bounds[k]
-    top -= n_gates - popped
-    slot[out[popped:]] = stack[top:top + n_gates - popped][::-1]
-    return _Plan(_slot_groups(groups, slot), n_wires - min(low, top), slot[kept].tolist())
+    free_before[kept] = n_groups
+    freed = [[] for _ in range(n_groups + 1)]
+    for wire, k in enumerate(free_before.tolist()):
+        freed[k].append(wire)
+    stack = list(range(n_wires - 1, n_in - 1, -1))   # the unused slots, lowest on top
+    slot = list(range(n_wires))
+    out = groups.out.tolist()
+    for k, (lo, hi) in enumerate(zip(groups.bounds, groups.bounds[1:])):
+        stack += [slot[wire] for wire in freed[k]]
+        for wire in out[lo:hi]:
+            slot[wire] = stack.pop()
+    slot = np.array(slot, dtype=np.intp)
+    return _Plan(_slot_groups(groups, slot), int(slot.max(initial=-1)) + 1, slot[kept].tolist())
 
 
 def _evaluate(groups: list, slots: int, bk: _Backend, bits, rows: int) -> np.ndarray:

@@ -22,7 +22,7 @@ words-major ``uint64`` words, not trains; the gates check theirs with
 :meth:`LogicReferencePair.operands`, and the neuron, orthon and adder
 combine words as NumPy broadcasts them.  Call any of them on trains
 through :func:`noiselogic.signals.on_waves`, which checks the trains' step
-counts and rows first.
+counts first.
 """
 
 import numpy as np

@@ -42,8 +42,6 @@ def _csv_blocks(columns: dict[str, Waveform]) -> list[bytes]:
     """The UTF-8 text of :func:`format_waveform_csv`: the header, then the rows."""
     if not columns:
         raise ValueError("at least one waveform column required")
-    if any(len(w.shape) != 1 for w in columns.values()):
-        raise ValueError("every waveform column must be a single wave, not a batch")
     lengths = {len(w) for w in columns.values()}
     if len(lengths) != 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")

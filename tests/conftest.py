@@ -1,9 +1,11 @@
 import random
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import noiselogic as nl
+from noiselogic.signals import pack_steps
 
 FULL_ADDER = """\
 # one-bit full adder
@@ -74,6 +76,12 @@ def level_groups(network: nl.CompiledNetwork) -> list[list[GateRow]]:
         level[gate.out] = 1 + max(level[arg] for arg in gate.args)
         groups.setdefault((level[gate.out], gate.op), []).append(gate)
     return [groups[key] for key in sorted(groups)]
+
+
+def packed(values) -> np.ndarray:
+    """The words-major ``uint64`` words of -1/+1 or 0/1 ``values`` of shape ``(steps,)`` or
+    ``(..., rows, steps)``: a set bit is +1 or a spike, as a carrier packs one wave."""
+    return pack_steps(np.asarray(values) > 0)
 
 
 def eval_lowered_gate(gate: str, not_, and_, x1, x2):

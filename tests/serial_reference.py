@@ -3,15 +3,15 @@
 The package parses with few checks per token, lowers every source gate
 through one expansion table with array operations into a network's gate
 arrays, draws sampled assignment indices as one block, classifies whole
-batches of waves with ``classify_rows`` and evaluates every network one
+batches of words with ``classify_rows`` and evaluates every network one
 (topological level, op) group at a time over one slot matrix of packed
 words.  The functions here are a token-by-token parser and a recursive
 lowerer that emits one ``GateRow`` per primitive, a draw of one word at a
 time, a per-wire, step-by-step reading of the classification rule, a
 per-gate walk that keeps one wave per wire, and the gate kernels as
-literal ``int8`` arithmetic on the unpacked values (the paper's
-polynomials and neuron circuits, with their checks), all written apart
-from the package; tests require equal results from both.
+literal integer arithmetic on the unpacked values of a wave or a batch
+(the paper's polynomials and neuron circuits, with their checks), all
+written apart from the package; tests require equal results from both.
 """
 
 from typing import NamedTuple
@@ -249,12 +249,13 @@ def serial_run(network, backend, assignment, config) -> SerialRun:
 # The gate kernels on the unpacked int8 values
 
 
-def _check_input(pair, x, family, role="input", exact=True):
+def _check_input(pair, v, family, role="input", exact=True):
+    """Check the values ``v`` of one wave ``(steps,)`` or of a batch ``(..., rows, steps)``."""
     if pair.family != family:
         raise nl.FamilyMismatchError(f"{family} gates need a {family} pair, got {pair.family}")
-    if len(x) != pair.steps:
-        raise nl.LengthMismatchError(f"{role} has {len(x)} steps, pair has {pair.steps}")
-    v, h, l = x.values, pair.h.values, pair.l.values
+    if v.shape[-1] != pair.steps:
+        raise nl.LengthMismatchError(f"{role} has {v.shape[-1]} steps, pair has {pair.steps}")
+    h, l = pair.h.values, pair.l.values
     if exact and not ((v == h).all(axis=-1) | (v == l).all(axis=-1)).all():
         raise nl.InvalidLogicValueError(f"{role} matches neither the High nor the Low reference")
 
@@ -262,13 +263,13 @@ def _check_input(pair, x, family, role="input", exact=True):
 def not_additive(pair, x):
     """Universe minus input."""
     _check_input(pair, x, nl.RTW)
-    return nl.RtwSignal(pair.h.values + pair.l.values - x.values)
+    return pair.h.values + pair.l.values - x
 
 
 def not_multiplicative(pair, x):
     """x * H * L, over any -1/+1 wave."""
     _check_input(pair, x, nl.RTW, exact=False)
-    return nl.RtwSignal(x.values * (pair.h.values * pair.l.values))
+    return x * (pair.h.values * pair.l.values)
 
 
 def and_gate(pair, x1, x2):
@@ -276,10 +277,10 @@ def and_gate(pair, x1, x2):
     _check_input(pair, x1, nl.RTW, "first input")
     _check_input(pair, x2, nl.RTW, "second input")
     h, l = pair.h.values, pair.l.values
-    cube = (h - l) * (x1.values - l) * (x2.values - l)
+    cube = (h - l) * (x1 - l) * (x2 - l)
     if np.any(cube & 3):
         raise nl.InvariantError("gate polynomial produced a non-divisible value")
-    return nl.RtwSignal(cube // 4 + l)
+    return cube // 4 + l
 
 
 def _orthon(a, b):
@@ -295,24 +296,25 @@ def spike_not(pair, x):
     """One orthon on (universe, x), checked against (1 - x) * U."""
     _check_input(pair, x, nl.SPIKE)
     u = pair.h.values | pair.l.values
-    out = _orthon(u, x.values)[1]
-    if not np.array_equal(out, (1 - x.values) * u):
+    out = _orthon(u, x)[1]
+    if not np.array_equal(out, (1 - x) * u):
         raise nl.InvariantError("NOT circuit deviates")
-    return nl.SpikeTrain(out)
+    return out
 
 
 def spike_and(pair, x1, x2):
     """Four orthons into an adder, checked against x1 x2 H | x1 L | x2 L."""
     _check_input(pair, x1, nl.SPIKE, "first input")
     _check_input(pair, x2, nl.SPIKE, "second input")
-    a, b, h, l = x1.values, x2.values, pair.h.values, pair.l.values
-    out = _orthon(_orthon(a, b)[0], h)[0] | _orthon(a, l)[0] | _orthon(b, l)[0]
-    if not np.array_equal(out, a * b * h | a * l | b * l):
+    h, l = pair.h.values, pair.l.values
+    out = _orthon(_orthon(x1, x2)[0], h)[0] | _orthon(x1, l)[0] | _orthon(x2, l)[0]
+    if not np.array_equal(out, x1 * x2 * h | x1 * l | x2 * l):
         raise nl.InvariantError("AND circuit deviates")
-    return nl.SpikeTrain(out)
+    return out
 
 
-# Backend name -> (NOT, AND) on the unpacked values.
+# Backend name -> (NOT, AND) on the unpacked values: each takes the pair and
+# int values of one wave or a batch, and returns the output's values.
 INT8_KERNELS = {
     "rtw-additive-not": (not_additive, and_gate),
     "rtw-multiplicative-not": (not_multiplicative, and_gate),

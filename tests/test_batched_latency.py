@@ -152,8 +152,9 @@ class TestLatencyBatchedEqualsSerial:
         carrier = nl.SpikeTrain if family == nl.SPIKE else nl.RtwSignal
         sets = 0
         for lo in range(0, 10, 4):
-            h, l = (carrier._of_words(p, steps).values.tolist() for p in reference_words(
-                family, derive_seeds(config.seed, min(4, 10 - lo), lo), config))
+            h, l = ([carrier._of_words(p[:, r], steps).values.tolist() for r in range(p.shape[1])]
+                    for p in reference_words(family, derive_seeds(config.seed, min(4, 10 - lo), lo),
+                                             config))
             sets += len({frozenset(zip(hr, lr)) for hr, lr in zip(h, l)})
         module = spike_gates if family == nl.SPIKE else rtw_gates
         name = simulator._BACKEND_TABLE[backend][2]

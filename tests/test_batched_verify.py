@@ -1,7 +1,7 @@
 """Chunked evaluation: ``verify_equivalence`` and the gate kernels on batches.
 
 ``verify_equivalence`` evaluates a chunk of assignments as one walk over
-a ``(slots, rows, words)`` matrix, a row per assignment.  The reference
+a ``(slots, words, rows)`` matrix, a row per assignment.  The reference
 here is the per-assignment loop it replaced, built from the one-wave
 ``serial_wires``, the scalar ``eval_boolean`` and ``classify_wire``; the
 two must give equal reports, failures and ambiguous incidents included, in
@@ -9,7 +9,6 @@ the same order.
 """
 
 import random
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -22,7 +21,7 @@ from noiselogic import rtw_gates, simulator, spike_gates
 from noiselogic.errors import InvalidLogicValueError
 from noiselogic.prng import SplitMix64, derive_seed
 
-from conftest import gate_rows, network_from_rows, random_netlist_source
+from conftest import gate_rows, network_from_rows, packed, random_netlist_source
 from serial_reference import classify_wire, serial_draw_indices, serial_wires
 from test_simulator import corrupt_and_to_or
 
@@ -200,7 +199,7 @@ class TestBatchedKernels:
 
     @staticmethod
     def _family(family):
-        """(pair, wave type, NOT kernels, AND kernel) of one family, the kernels on waves."""
+        """(pair, NOT kernels, AND kernel) of one family, the kernels on words."""
         config = nl.GeneratorConfig(seed=9, steps=48)
         if family == nl.RTW:
             pair = nl.gen_rtw_pair(config)
@@ -208,33 +207,37 @@ class TestBatchedKernels:
         else:
             pair = nl.gen_orthogonal_spike_pair(config)
             nots, and_ = (spike_gates.spike_not,), spike_gates.spike_and
-        return (pair, type(pair.h), tuple(partial(nl.on_waves, k) for k in nots),
-                partial(nl.on_waves, and_))
+        return pair, nots, and_
 
     @staticmethod
     def _rows(pair, bits):
         return [pair.h if b else pair.l for b in bits]
 
+    @staticmethod
+    def _batch(rows):
+        """The ``(words, rows)`` words of the waves ``rows``: column ``i`` holds row ``i``."""
+        return np.stack([w.words for w in rows], axis=-1)
+
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_batch_equals_row_by_row(self, family):
-        pair, wave_type, nots, and_ = self._family(family)
+        pair, nots, and_ = self._family(family)
         rows1, rows2 = (self._rows(pair, bits) for bits in self.BITS)
-        x1, x2 = (wave_type(np.stack([w.values for w in rows])) for rows in (rows1, rows2))
-        batch_and = and_(pair, x1, x2).values
+        x1, x2 = (self._batch(rows) for rows in (rows1, rows2))
+        batch_and = and_(pair, x1, x2)
         for r, (a, b) in enumerate(zip(rows1, rows2)):
-            assert np.array_equal(batch_and[r], and_(pair, a, b).values)
+            assert np.array_equal(batch_and[:, r], nl.on_waves(and_, pair, a, b).words)
         for not_ in nots:
-            batch_not = not_(pair, x1).values
+            batch_not = not_(pair, x1)
             for r, a in enumerate(rows1):
-                assert np.array_equal(batch_not[r], not_(pair, a).values)
+                assert np.array_equal(batch_not[:, r], nl.on_waves(not_, pair, a).words)
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_one_bad_row_is_rejected(self, family):
-        pair, wave_type, nots, and_ = self._family(family)
+        pair, nots, and_ = self._family(family)
         values = np.stack([w.values for w in self._rows(pair, self.BITS[0])])
-        good = wave_type(values)
+        good = packed(values)
         values[2] = _bad_row(pair)
-        bad = wave_type(values)
+        bad = packed(values)
         with pytest.raises(InvalidLogicValueError):
             nots[0](pair, bad)   # additive RTW NOT or spike NOT; the product NOT takes any wave
         with pytest.raises(InvalidLogicValueError, match="first input"):
@@ -242,12 +245,8 @@ class TestBatchedKernels:
         with pytest.raises(InvalidLogicValueError, match="second input"):
             and_(pair, good, bad)
 
-    def test_batch_length_is_the_step_count(self):
-        batch = nl.RtwSignal(np.ones((3, 7), dtype=np.int64))
-        assert len(batch) == 7
-        assert "rows=3" in repr(batch)
-        groups = nl.RtwSignal(np.ones((2, 3, 7), dtype=np.int64))
-        assert len(groups) == 7
-        assert "groups=2, rows=3, steps=7" in repr(groups)
-        with pytest.raises(ValueError):
-            nl.RtwSignal(np.ones((2, 2, 2, 2), dtype=np.int64))
+    def test_a_batch_wave_cannot_be_built(self):
+        # A batch lives only as words, whose step count the caller keeps.
+        for shape in ((3, 7), (2, 3, 7), (2, 2, 2, 2)):
+            with pytest.raises(ValueError, match="exactly one axis"):
+                nl.RtwSignal(np.ones(shape, dtype=np.int64))

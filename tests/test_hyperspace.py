@@ -132,3 +132,10 @@ class TestPatternMatch:
         vec = nl.squeezed_collapse_demo(pairs, (1, 1))
         with pytest.raises(FamilyMismatchError):
             nl.matches_pattern(vec, (1, 1))
+
+    @pytest.mark.parametrize("pattern", [(2, 0), ("1", 0)])
+    def test_rejects_a_bit_that_is_not_0_or_1(self, pattern):
+        # Both used to match the vector of bits (1, 0).
+        vec = nl.rtw_product_vector(_rtw_pairs(3, 16, 2), (1, 0))
+        with pytest.raises(ConfigError, match=r"^bits must be 0 \(Low\) or 1 \(High\)$"):
+            nl.matches_pattern(vec, pattern)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import noiselogic as nl
 from noiselogic import cli, rtw_gates, signals, simulator
-from noiselogic.signals import BitWave, words_for
+from noiselogic.signals import BitWave, pack_steps, words_for
 
 from conftest import FULL_ADDER, level_groups, random_netlist_source
 from serial_reference import serial_run
@@ -36,9 +36,10 @@ from serial_reference import serial_run
 
 def _non_copy_not(pair, x):
     """A NOT on words that emits x * H: valid RTW words that are, in general, no reference copy."""
-    pair.operands(nl.RTW, x, exact=False)
-    values = nl.RtwSignal._of_words(x.copy(), pair.steps).values
-    return nl.RtwSignal(values * pair.h.values).words
+    h, _, _ = pair.operands(nl.RTW, x, exact=False)
+    # Two signs multiply to +1 where they agree; the mask keeps the padding bits zero.
+    steps = pack_steps(np.ones(pair.steps, dtype=bool)).reshape(h.shape)
+    return ~(x ^ h) & steps
 
 
 def outcome(fn, *args):
@@ -144,8 +145,8 @@ class TestLevelPlan:
     @settings(max_examples=60, deadline=None)
     @given(netlist_seed=st.integers(0, 2**32 - 1))
     def test_replanning_a_network_gives_the_plan_of_a_fresh_one(self, netlist_seed):
-        # The (level, op) groups and slot lifetimes are computed once per
-        # network and kept; every later plan of it must be the fresh plan.
+        # The (level, op) groups are computed once per network and kept;
+        # every later plan of it must be the fresh plan.
         source = random_netlist_source(random.Random(netlist_seed))
         network = nl.lower(nl.parse(source))
 
@@ -155,7 +156,7 @@ class TestLevelPlan:
             return groups, plan.slots, plan.outputs
 
         want = doc(simulator._plan(network))
-        assert "level_groups" in vars(network) and "free_before" in vars(network)
+        assert "level_groups" in vars(network)
         for _ in range(2):
             assert doc(simulator._plan(network)) == want
             assert doc(simulator._plan(nl.lower(nl.parse(source)))) == want

@@ -314,6 +314,20 @@ class TestGateColumns:
         assert nl.run(net, "spike", {"a": 0}, config).output_bits() == {"a": 0}
         assert simulator._plan(net).slots == 1
 
+    @pytest.mark.parametrize("backend", nl.BACKENDS)
+    def test_network_with_no_wires(self, backend):
+        # Its one empty assignment verifies on a chunk of at least one slot;
+        # dividing the chunk by its zero slots raised ZeroDivisionError.
+        net = nl.CompiledNetwork((), (), (), [], [], [], [])
+        assert simulator._plan(net).slots == 0
+        config = nl.GeneratorConfig(seed=1, steps=32)
+        doc = nl.verify_equivalence(net, backend, config).to_doc()
+        assert (doc["checked"], doc["passed"], doc["pass"]) == (1, 1, True)
+        doc = nl.verify_equivalence(net, backend, config, sample=5).to_doc()
+        assert (doc["checked"], doc["passed"], doc["pass"]) == (5, 5, True)
+        assert nl.run(net, backend, {}, config).output_bits() == {}
+        assert nl.decision_latency(net, config, 3, backend).ambiguous_windows == 3
+
 
 class TestLargeNetworks:
     """Simulating, verifying, JSON and counts on networks lowered to arrays."""

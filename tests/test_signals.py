@@ -13,8 +13,9 @@ from noiselogic.errors import (
 )
 from noiselogic.signals import first_set_step, pack_steps, words_for
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, packed
 from serial_reference import classify_wave
+
 
 rtw_values = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64)
 spike_values = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=64)
@@ -55,7 +56,13 @@ class TestWaveformTypes:
         assert nl.RtwSignal([1]) == nl.Waveform([1])
         assert len({nl.RtwSignal([1]), nl.Waveform([1])}) == 1
         assert len({nl.SpikeTrain([0, 1]), nl.Waveform([0, 1]), nl.MultiLevelSignal([0, 1])}) == 1
-        assert nl.Waveform([[1]]) != nl.Waveform([1])
+
+    @pytest.mark.parametrize("cls", [nl.Waveform, nl.MultiLevelSignal, nl.RtwSignal, nl.SpikeTrain])
+    @pytest.mark.parametrize("values", [1, [[1]], [[1, 1], [1, 1]], [[[1, 1]]]])
+    def test_a_batch_wave_cannot_be_built(self, cls, values):
+        # A batch lives only as words-major words; every waveform is one wave.
+        with pytest.raises(ValueError, match=r"exactly one axis, got shape \("):
+            cls(values)
 
     @pytest.mark.parametrize("value", [10**30, -(10**30), 2**63])
     def test_values_beyond_64_bits_raise_value_error(self, value):
@@ -68,7 +75,7 @@ class TestWaveformTypes:
     def test_list_mixing_ints_and_floats_is_converted_exactly(self):
         # Read through float64, 2**62 + 1 would round to 2**62.
         assert nl.Waveform([2**62 + 1, 1.0]).to_list() == [2**62 + 1, 1]
-        assert nl.Waveform([[2**62 + 1], [-1.0]]).values.tolist() == [[2**62 + 1], [-1]]
+        assert nl.Waveform([-1.0, 2**62 + 1]).to_list() == [-1, 2**62 + 1]
         with pytest.raises(ValueError, match="integers"):
             nl.Waveform([2**62 + 1, 1.5])
 
@@ -107,7 +114,7 @@ class TestCarrierDtype:
         with pytest.raises(ValueError):
             cls([value])
         with pytest.raises(ValueError):
-            cls(np.array([[value]], dtype=np.int64))
+            cls(np.array([value], dtype=np.int64))
 
     def test_carriers_are_packed_words_and_int_waves_int64(self):
         for wave in (nl.RtwSignal([-1, 1]), nl.SpikeTrain([0, 1])):
@@ -121,16 +128,17 @@ class TestCarrierDtype:
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 128])
     def test_step_t_is_bit_t_mod_64_of_word_t_div_64(self, steps):
         values = [1 if t % 3 == 0 else -1 for t in range(steps)]
-        wave = nl.RtwSignal([values, [-1] * steps])
-        # A batch is words-major: column i holds the words of row i.
-        assert wave.words.shape == (words_for(steps), 2) == (-(-steps // 64), 2)
-        assert [(int(wave.words[t // 64, 0]) >> (t % 64)) & 1 for t in range(steps)] == [
+        wave = nl.RtwSignal(values)
+        assert wave.words.shape == (words_for(steps),) == (-(-steps // 64),)
+        assert [(int(wave.words[t // 64]) >> (t % 64)) & 1 for t in range(steps)] == [
             int(v > 0) for v in values]
         # The padding bits past the last step are zero.
-        assert int(wave.words[-1, 0]) >> (steps - 64 * (words_for(steps) - 1)) == 0
-        assert not wave.words[:, 1].any()
-        assert wave.values.tolist() == [values, [-1] * steps] and wave.shape == (2, steps)
-        assert np.array_equal(pack_steps(np.array(values) > 0), wave.words[:, 0])
+        assert int(wave.words[-1]) >> (steps - 64 * (words_for(steps) - 1)) == 0
+        assert wave.values.tolist() == values and wave.shape == (steps,) and len(wave) == steps
+        # A batch is words-major: column i holds the words of row i.
+        batch = packed([values, [-1] * steps])
+        assert batch.shape == (words_for(steps), 2)
+        assert np.array_equal(batch[:, 0], wave.words) and not batch[:, 1].any()
 
     def test_first_set_step_is_the_lowest_set_bit_of_each_row(self):
         steps = 130
@@ -154,7 +162,7 @@ class TestCarrierDtype:
         assert train.spike_count() == 2
         pair = nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0, 0, 0]), train)
         assert nl.classify(train, pair).decided_at == 1
-        bits, _, details = nl.classify_rows(nl.SpikeTrain([[0, 1, 1, 0, 0]]), pair)
+        bits, _, details = nl.classify_rows(nl.SpikeTrain([0, 1, 1, 0, 0]).words[:, None], pair)
         assert bits.tolist() == [-1] and "deviates from that reference at step 2" in details[0]
 
     def test_construction_copies_its_input(self):
@@ -169,6 +177,9 @@ class TestCarrierDtype:
             nl.RtwSignal._of_words(rows.astype(np.int64), 2)
         with pytest.raises(ValueError):
             nl.RtwSignal._of_words(rows, 65)
+        for batch in (rows, rows[None], rows[:, :1]):   # batches, a group and a column
+            with pytest.raises(ValueError, match=r"^RtwSignal wraps 1 uint64 words for 2 steps"):
+                nl.RtwSignal._of_words(batch, 2)
         wave = nl.RtwSignal._of_words(rows[:, 1], 2)
         assert wave == nl.RtwSignal([-1, 1])
         assert wave.words.base is rows and not wave.words.flags.writeable
@@ -178,7 +189,6 @@ class TestCarrierDtype:
         # Both are the word 0, but -1 is not 0.
         assert nl.RtwSignal([-1]) != nl.SpikeTrain([0])
         assert nl.RtwSignal([1]) == nl.SpikeTrain([1]) == nl.Waveform([1])
-        assert nl.RtwSignal([-1, 1]) != nl.RtwSignal([[-1, 1]])
 
 
 class TestReferencePair:
@@ -211,79 +221,63 @@ class TestReferencePair:
 
 
 class TestBatchReferencePair:
-    """A reference pair is one pair: a batch of waves is rejected at construction, and
-    each row of a batch of pairs' waves is checked as its own one-wave pair."""
+    """A reference pair is one pair: each row of a batch of pairs' values is checked as its
+    own one-wave pair, and a batch of gate inputs is words, checked row by row."""
 
     @staticmethod
     def _rows(h, l):
-        return [nl.LogicReferencePair(type(h)(a), type(l)(b))
-                for a, b in zip(h.values.tolist(), l.values.tolist())]
+        return [nl.LogicReferencePair(nl.SpikeTrain(a), nl.SpikeTrain(b)) for a, b in zip(h, l)]
 
     def test_row_with_empty_low_train_rejected(self):
         # The batch as a whole has Low spikes; row 1 has none.
-        h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
-        l = nl.SpikeTrain([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
-        with pytest.raises(LengthMismatchError, match="one wave each"):
-            nl.LogicReferencePair(h, l)
+        h = [[1, 0, 0], [0, 1, 0], [1, 0, 0]]
+        l = [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
         with pytest.raises(ValueError, match="non-empty"):
             self._rows(h, l)
-        self._rows(nl.SpikeTrain(h.values[::2]), nl.SpikeTrain(l.values[::2]))
+        self._rows(h[::2], l[::2])
 
     def test_coincident_spike_names_the_step(self):
         # Flat index 4 would be "step 4" of a 3-step train.
-        h = nl.SpikeTrain([[1, 0, 0], [0, 1, 0]])
-        l = nl.SpikeTrain([[0, 1, 0], [0, 1, 1]])
         with pytest.raises(OrthogonalityError, match=r"^reference trains spike together at step 1$"):
-            self._rows(h, l)
+            self._rows([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 1, 1]])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError, match="shapes differ"):
-            nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]), nl.RtwSignal([1, -1]))
-        with pytest.raises(LengthMismatchError, match=r"one wave each, got shape \(2, 2\)$"):
-            nl.LogicReferencePair(nl.RtwSignal([[1, -1], [1, 1]]), nl.RtwSignal([[-1, 1]] * 2))
+        with pytest.raises(LengthMismatchError, match=r"^reference pair: shapes differ \(\(3,\) vs \(2,\)\)$"):
+            nl.LogicReferencePair(nl.RtwSignal([1, -1, 1]), nl.RtwSignal([1, -1]))
 
     def test_each_row_reads_against_its_own_pair(self):
-        pairs = self._rows(nl.SpikeTrain([[1, 0, 0], [0, 1, 0]]),
-                           nl.SpikeTrain([[0, 1, 0], [0, 0, 1]]))
+        pairs = self._rows([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
         assert [pair.steps for pair in pairs] == [3, 3]
-        x = nl.SpikeTrain([[1, 0, 0], [0, 0, 1]])
-        read = [nl.classify_rows(nl.SpikeTrain(x.values[[r]]), pair)
-                for r, pair in enumerate(pairs)]
+        x = packed([[1, 0, 0], [0, 0, 1]])
+        read = [nl.classify_rows(x[:, [r]], pair) for r, pair in enumerate(pairs)]
         assert [(bits.tolist(), steps.tolist(), details) for bits, steps, details in read] == [
             ([1], [0], {}), ([0], [1], {})]
 
     def test_gate_input_checked_row_by_row(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1]))
-        pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [-1, -1]]).words)
+        pair.operands(nl.RTW, packed([[1, -1], [-1, -1]]))
         # Row 1 is neither reference.
         with pytest.raises(nl.InvalidLogicValueError):
-            pair.operands(nl.RTW, nl.RtwSignal([[1, -1], [1, 1]]).words)
+            pair.operands(nl.RTW, packed([[1, -1], [1, 1]]))
 
     def test_gate_input_groups_checked_row_by_row(self):
         pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, -1]))
-        good = nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, -1]]])
-        pair.operands(nl.RTW, good.words, good.words)
+        good = packed([[[1, -1], [-1, -1]], [[-1, -1], [1, -1]]])
+        pair.operands(nl.RTW, good, good)
         # Row 1 of group 1 is neither reference.
         with pytest.raises(nl.InvalidLogicValueError,
                            match="first input matches neither the High nor the Low reference"):
-            pair.operands(nl.RTW, nl.RtwSignal([[[1, -1], [-1, -1]], [[-1, -1], [1, 1]]]).words,
-                          good.words)
+            pair.operands(nl.RTW, packed([[[1, -1], [-1, -1]], [[-1, -1], [1, 1]]]), good)
 
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("pairs", [(), (3,)])
-    def test_operands_combine_with_the_inputs_as_they_are(self, batch, pairs):
-        # Per row, High is +1 at steps 0 and 64 and Low is -1 throughout.
+    def test_operands_combine_with_the_inputs_as_they_are(self, batch):
+        # High is +1 at steps 0 and 64 and Low is -1 throughout.
         steps = 70
-        h = -np.ones(pairs + (steps,), dtype=np.int64)
-        h[..., [0, 64]] = 1
-        if pairs:
-            with pytest.raises(LengthMismatchError, match="one wave each"):
-                nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
-            return
+        h = -np.ones(steps, dtype=np.int64)
+        h[[0, 64]] = 1
         pair = nl.LogicReferencePair(nl.RtwSignal(h), nl.RtwSignal(-np.ones_like(h)))
         bits = np.arange(int(np.prod(batch))).reshape(batch + (1,)) % 2 if batch else 1
-        x = nl.RtwSignal(np.where(bits, h, -1))
-        v = x.words
+        v = packed(np.where(bits, h, -1))
         high, low, (mask,) = pair.operands(nl.RTW, v)
         # High and Low are the pair's own words, as (words, 1) columns against a batch.
         for got, wave in ((high, pair.h), (low, pair.l)):
@@ -393,18 +387,26 @@ class TestClassify:
         assert outcome.detail == (
             "step 0 votes High but the wave deviates from that reference at step 1")
 
-    def test_batch_needs_classify_rows(self):
+    def test_classify_rows_reads_only_words(self):
+        # Checked as operands checks a kernel's input: a NoiseLogicError for another
+        # dtype or shape.  Only classify reads a wave, with its family and step count.
         pair = self._rtw_pair()
-        with pytest.raises(ValueError, match="classify_rows"):
-            nl.classify(nl.RtwSignal([pair.h.to_list()] * 2), pair)
+        words = pair.h.words[:, None]
+        for bad in (words.astype(np.int64), pair.h, [[1]]):
+            with pytest.raises(FamilyMismatchError, match="^classify_rows reads uint64 words, got "):
+                nl.classify_rows(bad, pair)
+        for bad in (pair.h.words, words[None], np.zeros((2, 1), dtype=np.uint64)):
+            with pytest.raises(LengthMismatchError, match=r"^classify_rows reads \(words, rows\) words"):
+                nl.classify_rows(bad, pair)
+        assert [a.tolist() for a in nl.classify_rows(words, pair)[:2]] == [[1], [0]]
 
     def test_rows_and_pairs_must_pair_up(self):
-        # A pair per row cannot be built; each row must span the one pair's steps.
-        with pytest.raises(LengthMismatchError):
-            nl.LogicReferencePair(nl.RtwSignal([[1, -1]] * 3), nl.RtwSignal([[-1, 1]] * 3))
+        # A wave must span the pair's steps, and words its word count.
         pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, 1]))
         with pytest.raises(LengthMismatchError, match="classified wave has 3 steps, pair has 2"):
-            nl.classify_rows(nl.RtwSignal([[1, -1, 1]] * 2), pair)
+            nl.classify(nl.RtwSignal([1, -1, 1]), pair)
+        with pytest.raises(LengthMismatchError, match=r"got shape \(2, 2\); pair has 1 words$"):
+            nl.classify_rows(packed([[1] * 65] * 2), pair)
 
     @given(rtw_values)
     def test_references_classify_as_themselves(self, values):
@@ -417,21 +419,20 @@ class TestClassify:
 
 @st.composite
 def classify_cases(draw):
-    """A wave or a batch of copies and non-copies, and each row's pair: one pair for all
-    rows, or a pair per row, which reads the row as a one-row batch."""
+    """The values of a batch of copies and non-copies, and each row's pair: one pair for
+    all rows, or a pair per row, which reads its row as a one-row batch."""
     family = draw(st.sampled_from([nl.RTW, nl.SPIKE]))
-    batch = draw(st.booleans())
-    rows = draw(st.integers(1, 4)) if batch else 1
-    n_pairs = rows if batch and draw(st.booleans()) else 1
+    rows = draw(st.integers(1, 4))
+    n_pairs = rows if draw(st.booleans()) else 1
+    # A few steps often draw identical references; the others cross a word boundary.
+    steps = draw(st.integers(1, 8) | st.sampled_from([64, 65, 130]))
     if family == nl.RTW:
-        # A few steps often draw identical references.
-        steps = draw(st.integers(1, 6))
         wave = nl.RtwSignal
         values = st.lists(st.sampled_from([-1, 1]), min_size=steps, max_size=steps)
         h = [draw(values) for _ in range(n_pairs)]
         l = [draw(values) for _ in range(n_pairs)]
     else:
-        steps = draw(st.integers(2, 8))
+        steps = max(steps, 2)
         wave = nl.SpikeTrain
         values = st.lists(st.sampled_from([0, 1]), min_size=steps, max_size=steps)
         # Each step goes to High (0), Low (1) or neither (2); both trains spike.
@@ -445,24 +446,24 @@ def classify_cases(draw):
         p = r if n_pairs > 1 else 0
         x.append(draw(st.sampled_from([h[p], l[p]]) | values))
     pairs = [nl.LogicReferencePair(wave(a), wave(b)) for a, b in zip(h, l)]
-    if not batch:
-        return wave(x[0]), pairs
-    return wave(x), pairs * rows if n_pairs == 1 else pairs
+    return np.array(x), pairs * rows if n_pairs == 1 else pairs
 
 
 class TestClassifyRows:
     @given(classify_cases())
     def test_classify_is_the_one_row_case(self, case):
+        # classify_rows on the (words, rows) words of any rows, ambiguous ones included,
+        # reads each row as classify reads it as a wave.
         x, pairs = case
-        wave = type(x)
-        rows = np.atleast_2d(x.values)
+        wave = type(pairs[0].h)
+        words = packed(x)
         if len(set(map(id, pairs))) == 1:
-            bits, steps, details = nl.classify_rows(x, pairs[0])
+            bits, steps, details = nl.classify_rows(words, pairs[0])
         else:   # each row as a one-row batch against its own pair
-            read = [nl.classify_rows(wave(rows[[r]]), pair) for r, pair in enumerate(pairs)]
+            read = [nl.classify_rows(words[:, [r]], pair) for r, pair in enumerate(pairs)]
             bits, steps = (np.concatenate([one[k] for one in read]) for k in (0, 1))
             details = {r: one[2][0] for r, one in enumerate(read) if one[2]}
-        for r, (row, row_pair) in enumerate(zip(rows, pairs)):
+        for r, (row, row_pair) in enumerate(zip(x, pairs)):
             outcome = nl.classify(wave(row), row_pair)
             assert outcome == classify_wave(wave(row), row_pair)
             if outcome.is_ambiguous:

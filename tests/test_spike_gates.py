@@ -48,8 +48,11 @@ class TestNeuron:
         assert out.to_list() == [0, 0, 0]
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(LengthMismatchError, match=r"^neuron: lengths differ \(1 vs 2\)$"):
             neuron_eval(nl.SpikeTrain([1]), nl.SpikeTrain([1, 0]))
+        trains = [nl.SpikeTrain([1, 0])] * 2 + [nl.SpikeTrain([1, 0, 0])]
+        with pytest.raises(LengthMismatchError, match=r"^adder: lengths differ \(2 vs 3\)$"):
+            adder_union(*trains)
 
 
 class TestOrthon:

@@ -101,11 +101,11 @@ class TestStepClasses:
         assert classes.pair.steps == 4
 
     def test_a_batch_of_pairs_is_rejected_at_construction(self):
-        # So every pair has step classes: no batch of pairs can be built.
-        h, l = nl.generators.reference_words(nl.RTW, np.arange(3, dtype=np.uint64),
+        # So every pair has step classes: no batch of waves, and so of pairs, can be built.
+        h, _ = nl.generators.reference_words(nl.RTW, np.arange(3, dtype=np.uint64),
                                              nl.GeneratorConfig(seed=1, steps=8))
-        with pytest.raises(nl.LengthMismatchError, match=r"one wave each, got shape \(3, 8\)$"):
-            nl.LogicReferencePair(nl.RtwSignal._of_words(h, 8), nl.RtwSignal._of_words(l, 8))
+        with pytest.raises(ValueError, match=r"wraps 1 uint64 words for 8 steps, got uint64 \(1, 3\)$"):
+            nl.RtwSignal._of_words(h, 8)
 
 
 class TestRead:

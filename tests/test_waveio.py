@@ -222,7 +222,8 @@ def test_simulate_waves_writes_the_per_cell_csv_of_the_serial_run(tmp_path, back
 
 
 def test_batch_column_rejected():
-    with pytest.raises(ValueError, match="single wave"):
+    # Rejected where it would be built: every waveform is one wave.
+    with pytest.raises(ValueError, match="exactly one axis"):
         format_waveform_csv({"a": nl.RtwSignal([[1, -1], [-1, 1]])})
 
 

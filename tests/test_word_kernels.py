@@ -5,15 +5,15 @@ operations on words-major ``uint64`` words.  The fixed tests run every
 per-step combination of reference and input values through the word forms
 and the kernels and compare them with the paper's polynomials (RTW) and set
 formulas (spike).  The properties compare the kernels with the literal
-``int8`` kernels of ``serial_reference``: on waves through ``on_waves``,
-on random batches at step counts on both sides of a word boundary, where
-the padding bits must stay zero; and on words, one wave, a batch and a
-group, with the words checks of ``LogicReferencePair.operands``.
+``int8`` kernels of ``serial_reference``, which take and return the
+values of a wave or a batch: on random batches of words at step counts on
+both sides of a word boundary, where the padding bits must stay zero; and
+on words, one wave, a batch and a group, with the words checks of
+``LogicReferencePair.operands``.
 """
 
 import itertools
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ import noiselogic as nl
 from noiselogic import rtw_gates, spike_gates
 
 import serial_reference
+from conftest import packed
 
 SIGNS = (-1, 1)
 
@@ -109,7 +110,8 @@ _KERNELS = {
 
 @st.composite
 def kernel_cases(draw):
-    """(backend, pair, x1, x2): batches of copies of the pair, maybe one flipped step."""
+    """(backend, pair, x1, x2): the values of batches of copies of the pair, maybe one flipped
+    step."""
     backend = draw(st.sampled_from(sorted(_KERNELS)))
     spike = backend == "spike"
     steps = max(draw(st.sampled_from(STEP_COUNTS)), 2 if spike else 1)
@@ -121,8 +123,7 @@ def kernel_cases(draw):
     x1, x2 = (np.where(rng.integers(0, 2, groups + (rows, 1)) == 1, h, l) for _ in range(2))
     if draw(st.booleans()):
         _flip(x1, spike, rng)
-    carrier = type(pair.h)
-    return backend, pair, carrier(x1), carrier(x2)
+    return backend, pair, x1, x2
 
 
 def _references(spike: bool, steps: int, rng) -> nl.LogicReferencePair:
@@ -142,7 +143,7 @@ def _flip(values: np.ndarray, spike: bool, rng) -> None:
 
 
 def _outcome(kernel, *args):
-    """The output wave, or the type of the error raised."""
+    """The output, or the type of the error raised."""
     try:
         return kernel(*args)
     except nl.NoiseLogicError as exc:
@@ -155,31 +156,27 @@ class TestPackedEqualsInt8:
     @given(kernel_cases())
     def test_packed_kernels_equal_the_int8_kernels(self, case):
         backend, pair, x1, x2 = case
-        for packed, literal, args in zip(_KERNELS[backend], serial_reference.INT8_KERNELS[backend],
-                                         ((pair, x1), (pair, x1, x2))):
-            got, want = _outcome(partial(nl.on_waves, packed), *args), _outcome(literal, *args)
+        for kernel, literal, args in zip(_KERNELS[backend], serial_reference.INT8_KERNELS[backend],
+                                         ((x1,), (x1, x2))):
+            got = _outcome(kernel, pair, *(packed(x) for x in args))
+            want = _outcome(literal, pair, *args)
             if isinstance(want, type):
                 assert got is want
                 continue
-            assert got.values.tolist() == want.values.tolist()
-            assert got.words.shape == want.words.shape
-            # The padding bits past the last step stay zero.
-            tail = len(x1) % 64
-            last = got.words[-1] if got.words.ndim == 1 else got.words[..., -1, :]
-            assert tail == 0 or not (last >> np.uint64(tail)).any()
+            # The words of the int8 output, in its layout; so the padding bits stay zero.
+            assert got.dtype == np.uint64 and np.array_equal(got, packed(want))
 
     @pytest.mark.parametrize("backend", sorted(_KERNELS))
     def test_a_non_copy_row_raises_the_same_error_from_both(self, backend):
         spike = backend == "spike"
         config = nl.GeneratorConfig(seed=4, steps=65)
         pair = (nl.gen_orthogonal_spike_pair if spike else nl.gen_rtw_pair)(config)
-        carrier = type(pair.h)
         values = np.stack([pair.h.values, pair.l.values, pair.h.values]).astype(np.int64)
         values[1, 64] = 1 - values[1, 64] if spike else -values[1, 64]
-        bad = carrier(values)
-        kernels = (partial(nl.on_waves, _KERNELS[backend][1]),
-                   serial_reference.INT8_KERNELS[backend][1])
-        assert [_outcome(k, pair, bad, bad) for k in kernels] == [nl.InvalidLogicValueError] * 2
+        bad = packed(values)
+        assert _outcome(_KERNELS[backend][1], pair, bad, bad) is nl.InvalidLogicValueError
+        assert (_outcome(serial_reference.INT8_KERNELS[backend][1], pair, values, values)
+                is nl.InvalidLogicValueError)
 
 
 # Each word kernel with its family, its int8 kernel and whether it takes copies only.
@@ -196,12 +193,11 @@ LAYOUTS = ((), (3,), (2, 3))
 
 
 def _words_or_error(fn, *args):
-    """The output words of ``fn``, or the type and message of the error it raised."""
+    """The output of ``fn``, or the type and message of the error it raised."""
     try:
-        out = fn(*args)
+        return fn(*args)
     except nl.NoiseLogicError as exc:
         return type(exc), str(exc)
-    return out if isinstance(out, np.ndarray) else out.words
 
 
 class TestWordKernelsOnEveryShape:
@@ -214,15 +210,14 @@ class TestWordKernelsOnEveryShape:
         arity = 2 if kernel in (rtw_gates.and_gate, spike_gates.spike_and) else 1
         rng = np.random.default_rng(seed)
         pair = _references(spike, max(steps, 2 if spike else 1), rng)
-        carrier, steps = type(pair.h), pair.steps
+        steps = pair.steps
         values = [np.where(rng.integers(0, 2, layout + (1,)) == 1, pair.h.values, pair.l.values)
                   for _ in range(arity)]
-        waves = [carrier(v) for v in values]
-        words = [w.words for w in waves]
+        words = [packed(v) for v in values]
         # Copies: the words of the int8 kernel's output, in the inputs' layout.
         got = kernel(pair, *words)
         assert got.dtype == np.uint64 and got.shape == words[0].shape
-        assert np.array_equal(got, literal(pair, *waves).words)
+        assert np.array_equal(got, packed(literal(pair, *values)))
         # A row that copies neither reference: every exact kernel raises, with
         # the int8 kernel's message, and the product NOT passes it through.
         roles = ("input",) if arity == 1 else ("first input", "second input")
@@ -232,13 +227,13 @@ class TestWordKernelsOnEveryShape:
             rows = bad.reshape(-1, steps)
             non_copy = not all(np.array_equal(r, pair.h.values) or np.array_equal(r, pair.l.values)
                                for r in rows)
-            args = waves[:k] + [carrier(bad)] + waves[k + 1:]
+            args = values[:k] + [bad] + values[k + 1:]
             want = _words_or_error(literal, pair, *args)
-            got = _words_or_error(kernel, pair, *(w.words for w in args))
+            got = _words_or_error(kernel, pair, *(packed(v) for v in args))
             if isinstance(want, tuple):
                 assert got == want
             else:
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, packed(want))
             if exact and non_copy:
                 assert want == (nl.InvalidLogicValueError,
                                 f"{role} matches neither the High nor the Low reference")
@@ -255,7 +250,7 @@ class TestWordKernelsOnEveryShape:
             for other in LAYOUTS + ((4,),):
                 if other == layout:
                     continue
-                second = carrier(np.broadcast_to(pair.h.values, other + (steps,))).words
+                second = packed(np.broadcast_to(pair.h.values, other + (steps,)))
                 with pytest.raises(nl.LengthMismatchError, match=(
                         rf"^AND: shapes differ \({re.escape(str(layout + (steps,)))} vs "
                         rf"{re.escape(str(other + (steps,)))}\)$")):

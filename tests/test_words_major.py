@@ -1,14 +1,14 @@
 """Words-major batches: a batch's words, kernels and readings are those of its rows.
 
-A batch of waves stores ``(words, rows)`` words and a gathered group
+A batch lives only as words: ``(words, rows)``, and a gathered group
 ``(groups, words, rows)``; one wave stores ``(words,)``, and so does each
 wave of a reference pair.  These properties check, over both carriers,
 that column ``i`` of a batch is row ``i`` in every respect the engine
 relies on, against one pair broadcast as a ``(words, 1)`` column (drawn as
 one pair, or built from a column of ``reference_words`` planes, as
 ``decision_latency`` builds its pairs), that column ``i`` of those planes
-is the pair of seed ``i``, and that the spike circuits combine single
-waves, batches and columns row by row or reject the mix.
+is the pair of seed ``i``, and that the spike circuits combine batches and
+columns row by row or reject the mix.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ from noiselogic.generators import reference_pairs, reference_words
 from noiselogic.prng import derive_seeds
 from noiselogic.signals import words_for
 
+from conftest import packed
+
 CARRIER = {nl.RTW: nl.RtwSignal, nl.SPIKE: nl.SpikeTrain}
 KERNELS = {
     nl.RTW: ((rtw_gates.not_additive, 1), (rtw_gates.not_multiplicative, 1),
@@ -34,8 +36,10 @@ STEP_COUNTS = (1, 5, 63, 64, 65, 127, 128, 129, 200)
 
 
 def _outcome(kernel, pair, *inputs):
-    """The output words of ``kernel`` on waves, or the type of the error raised."""
+    """The output words of ``kernel`` on waves or words, or the type of the error raised."""
     try:
+        if isinstance(inputs[0], np.ndarray):
+            return kernel(pair, *inputs)
         return nl.on_waves(kernel, pair, *inputs).words
     except nl.NoiseLogicError as exc:
         return type(exc)
@@ -83,21 +87,20 @@ class TestWordsMajorBatches:
         family, _, x1, _ = case
         carrier = CARRIER[family]
         steps, rows = x1.shape[-1], x1.shape[-2]
-        batch = carrier(x1)
-        assert batch.words.shape == x1.shape[:-2] + (words_for(steps), rows)
-        assert batch.shape == x1.shape and len(batch) == steps
-        assert np.array_equal(batch.values, x1) and batch.values.dtype == np.int8
-        assert carrier._of_words(batch.words, steps) == batch
+        batch = packed(x1)
+        assert batch.shape == x1.shape[:-2] + (words_for(steps), rows)
         for index in _rows(x1):
             *group, i = index
-            assert np.array_equal(batch.words[tuple(group)][:, i], carrier(x1[index]).words)
+            row = carrier._of_words(batch[tuple(group)][:, i].copy(), steps)
+            assert row == carrier(x1[index]) and len(row) == steps
+            assert np.array_equal(row.values, x1[index]) and row.values.dtype == np.int8
 
     @CASES
     @given(batches())
     def test_kernels_on_a_batch_equal_their_rows(self, case):
         family, pair, x1, x2 = case
         carrier = CARRIER[family]
-        a, b = carrier(x1), carrier(x2)
+        a, b = packed(x1), packed(x2)
         for kernel, arity in KERNELS[family]:
             got = _outcome(kernel, pair, *(a, b)[:arity])
             per_row = {index: _outcome(kernel, pair,
@@ -116,14 +119,14 @@ class TestWordsMajorBatches:
     def test_classify_rows_on_a_batch_equals_its_rows(self, case):
         family, pair, x1, _ = case
         carrier = CARRIER[family]
-        batch = carrier(x1)
+        batch = packed(x1)
         # A gathered group reads group by group, each a (words, rows) batch.
         for group in np.ndindex(x1.shape[:-2]):
-            words = batch.words[group]
-            bits, steps, details = nl.classify_rows(carrier._of_words(words, len(batch)), pair)
+            bits, steps, details = nl.classify_rows(batch[group], pair)
             for i in range(x1.shape[-2]):
-                (bit,), (step,), detail = nl.classify_rows(carrier(x1[group + (i,)]), pair)
-                assert (bits[i], steps[i], details.get(i)) == (bit, step, detail.get(0))
+                row = nl.classify(carrier(x1[group + (i,)]), pair)
+                bit, step = (-1, -1) if row.is_ambiguous else (row.verdict.to_bit(), row.decided_at)
+                assert (bits[i], steps[i], details.get(i)) == (bit, step, row.detail or None)
 
     @CASES
     @given(family=st.sampled_from([nl.RTW, nl.SPIKE]), steps=st.sampled_from(STEP_COUNTS[1:]),
@@ -132,12 +135,10 @@ class TestWordsMajorBatches:
         config = nl.GeneratorConfig(seed=seed, steps=steps)
         seeds = derive_seeds(seed, rows)
         planes = reference_words(family, seeds, config)
-        batch = CARRIER[family]._of_words(planes[0], steps)
         for i, s in enumerate(seeds):
             row_pair = reference_pairs(family, s, config)
             assert np.array_equal(planes[0, :, i], row_pair.h.words)
             assert np.array_equal(planes[1, :, i], row_pair.l.words)
-            assert row_pair.h.values.tolist() == batch.values[i].tolist()
 
 
 CIRCUITS = ((spike_gates.neuron_eval, 2), (spike_gates.orthon_eval, 2),
@@ -146,11 +147,8 @@ CIRCUITS = ((spike_gates.neuron_eval, 2), (spike_gates.orthon_eval, 2),
 
 
 def _circuit_outputs(circuit, values):
-    """The values of every output of ``circuit`` on trains of ``values``, or LengthMismatchError."""
-    try:
-        out = nl.on_waves(circuit, *(nl.SpikeTrain(v) for v in values))
-    except nl.LengthMismatchError:
-        return nl.LengthMismatchError
+    """The values of every output of ``circuit`` on one train per row of ``values``."""
+    out = nl.on_waves(circuit, *(nl.SpikeTrain(v) for v in values))
     return [w.values for w in (out if isinstance(out, tuple) else (out,))]
 
 
@@ -158,14 +156,12 @@ def _circuit_per_row(circuit, values):
     """What ``circuit`` must give on ``values``: each output row from the rows of its operands.
 
     Operands combine as their logical ``(..., rows, steps)`` values
-    broadcast, except that one wave does not combine with a batch.
+    broadcast; ValueError if they do not.
     """
-    if len({v.ndim == 1 for v in values}) > 1:
-        return nl.LengthMismatchError
     try:
         shape = np.broadcast_shapes(*(v.shape[:-1] for v in values))
     except ValueError:
-        return nl.LengthMismatchError
+        return ValueError
     steps = values[0].shape[-1:]
     spread = [np.broadcast_to(v, shape + steps) for v in values]
     per_row = [_circuit_outputs(circuit, [v[index] for v in spread])
@@ -175,7 +171,11 @@ def _circuit_per_row(circuit, values):
 
 
 class TestSpikeCircuitsOnBatches:
-    """The neuron, orthon and adder equal their rows on operands that combine, else reject them."""
+    """The neuron, orthon and adder on words equal their rows where the operands combine.
+
+    Batches and ``(words, 1)`` columns combine as NumPy broadcasts them;
+    batches of other row counts do not, and NumPy rejects the mix.
+    """
 
     @CASES
     @given(batches(families=(nl.SPIKE,)), st.data())
@@ -183,60 +183,57 @@ class TestSpikeCircuitsOnBatches:
         _, pair, x1, x2 = case
         steps, rows = x1.shape[-1], x1.shape[-2]
         first = x1.reshape(-1, steps)[0]
-        pool = {"batch": x1, "other batch": x2, "High": pair.h.values, "Low": pair.l.values,
-                "column": first[None], "wave": first}
+        pool = {"batch": x1, "other batch": x2, "High": pair.h.values[None],
+                "Low": pair.l.values[None], "column": first[None]}
         if rows >= 3:
             pool["fewer rows"] = x1[..., 1:, :]
         for circuit, arity in CIRCUITS:
             names = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=arity,
                                        max_size=arity))
             values = [pool[name] for name in names]
-            got, want = _circuit_outputs(circuit, values), _circuit_per_row(circuit, values)
-            if want is nl.LengthMismatchError:
-                assert got is nl.LengthMismatchError, (circuit.__name__, names)
+            want = _circuit_per_row(circuit, values)
+            if want is ValueError:
+                with pytest.raises(ValueError):
+                    circuit(*(packed(v) for v in values))
                 continue
-            assert got is not nl.LengthMismatchError, (circuit.__name__, names)
+            got = circuit(*(packed(v) for v in values))
+            got = got if isinstance(got, tuple) else (got,)
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert np.array_equal(g, w), (circuit.__name__, names)
+                assert np.array_equal(g, packed(w)), (circuit.__name__, names)
 
 
 class TestShapesThatCannotBroadcast:
     """Words-major, one wave's (words,) meets a batch's (words, rows) on the wrong axis.
 
     With as many rows as words the arrays would broadcast silently, so the
-    kernels reject such a mix instead of reading rows as words.
+    kernels reject such a mix instead of reading rows as words, and no wave,
+    so no pair, holds a batch.
     """
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_and_of_one_wave_and_a_batch_is_rejected(self, family):
         config = nl.GeneratorConfig(seed=3, steps=128)   # two words
         pair = reference_pairs(family, config.seed, config)
-        carrier = CARRIER[family]
-        batch = carrier(np.stack([pair.h.values, pair.l.values]))   # two rows
+        batch = packed(np.stack([pair.h.values, pair.l.values]))   # two rows
         kernel = KERNELS[family][-1][0]
         with pytest.raises(nl.LengthMismatchError,
                            match=r"^AND: shapes differ \(\(128,\) vs \(2, 128\)\)$"):
-            nl.on_waves(kernel, pair, pair.h, batch)
+            kernel(pair, pair.h.words, batch)
 
     @pytest.mark.parametrize("family", [nl.RTW, nl.SPIKE])
     def test_a_batch_pair_is_rejected_at_construction(self, family):
-        # Two rows of two words would meet one wave's two words silently.
+        # Two rows of two words would meet one wave's two words silently; no
+        # wave of a pair can hold them.
         config = nl.GeneratorConfig(seed=3, steps=128)
-        carrier = CARRIER[family]
-        h, l = (carrier._of_words(p, config.steps)
-                for p in reference_words(family, derive_seeds(config.seed, 2), config))
-        with pytest.raises(nl.LengthMismatchError, match=r"one wave each, got shape \(2, 128\)$"):
-            nl.LogicReferencePair(h, l)
+        for plane in reference_words(family, derive_seeds(config.seed, 2), config):
+            with pytest.raises(ValueError, match=r"wraps 2 uint64 words for 128 steps"):
+                CARRIER[family]._of_words(plane, config.steps)
 
-    def test_circuits_reject_one_wave_against_a_batch(self):
+    def test_a_batch_train_cannot_be_built(self):
+        # So on_waves never meets one train against a batch of trains.
         config = nl.GeneratorConfig(seed=3, steps=256)   # four words
         pair = reference_pairs(nl.SPIKE, config.seed, config)
         for rows in (3, 4):   # four rows would broadcast silently
-            batch = nl.SpikeTrain(np.stack([pair.h.values] * rows))
-            for circuit in (spike_gates.neuron_eval, spike_gates.orthon_eval,
-                            spike_gates.adder_union):
-                with pytest.raises(nl.LengthMismatchError, match="do not combine row by row"):
-                    nl.on_waves(circuit, pair.l, batch)
-                with pytest.raises(nl.LengthMismatchError, match="do not combine row by row"):
-                    nl.on_waves(circuit, batch, pair.l)
+            with pytest.raises(ValueError, match="exactly one axis"):
+                nl.SpikeTrain(np.stack([pair.h.values] * rows))
