@@ -23,10 +23,9 @@ from .errors import (
 )
 from .generators import (
     gen_disjoint_spike_pairs,
-    gen_orthogonal_spike_pair,
     gen_rtw,
-    gen_rtw_pair,
     gen_rtw_pairs,
+    reference_pairs,
 )
 from .hyperspace import (
     HyperVector,

@@ -229,9 +229,9 @@ def cmd_verify(netlist_path, backend_names, seed, steps, rate_h, rate_l, out,
         if len(set(names)) < len(names):
             raise NoiseLogicError(f"backend {next(n for n in names if names.count(n) > 1)!r} "
                                   "is named more than once")
-        network = None
-        if network_path is not None:
-            network = CompiledNetwork.from_json(_read_text(network_path))
+        # Lowered once here, not once per backend inside verify_equivalence.
+        network = (lower(ast) if network_path is None
+                   else CompiledNetwork.from_json(_read_text(network_path)))
         config = GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate_h, spike_rate_l=rate_l)
         reports = [
             verify_equivalence(ast, backend, config, network=network, sample=sample)

@@ -19,7 +19,7 @@ Stream layout (fixed; golden tests depend on it):
   repeat, up to :data:`MAX_RETRIES`, until both trains are non-empty.  In
   a batch only the rows still holding an empty train draw the next
   attempt, so a row's pair does not depend on the other rows.
-* ``gen_rtw_pair`` and ``gen_orthogonal_spike_pair`` draw for the trial
+* ``reference_pairs(family, config.seed, config)`` draws for the trial
   seed ``config.seed``; ``gen_rtw_pairs`` draws pair ``i`` for
   ``derive_seed(seed, i)``, and the Monte-Carlo sweeps draw trial ``i``
   for ``derive_seed(config.seed, i)``.  ``count_identical_rtw_pairs``
@@ -185,21 +185,6 @@ def reference_pairs(family: str, seed, config: GeneratorConfig) -> LogicReferenc
         raise ConfigError(f"reference_pairs draws the pair of one seed, got shape "
                           f"{np.shape(seed)}; draw a batch with reference_words")
     return _pair(family, reference_words(family, [seed], config)[..., 0], config.steps)
-
-
-def gen_rtw_pair(config: GeneratorConfig) -> LogicReferencePair:
-    """Independent High and Low RTW references from one config."""
-    return reference_pairs(RTW, config.seed, config)
-
-
-def gen_orthogonal_spike_pair(config: GeneratorConfig) -> LogicReferencePair:
-    """Disjoint High/Low spike trains, both guaranteed non-empty.
-
-    Disjointness holds by construction (one categorical draw per step);
-    non-emptiness is enforced by regenerating from the next child stream,
-    failing after :data:`MAX_RETRIES` attempts.
-    """
-    return reference_pairs(SPIKE, config.seed, config)
 
 
 def gen_disjoint_spike_pairs(

@@ -34,7 +34,6 @@ source gate produced it.
 """
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -42,8 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NetlistError
-
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 GATE_ARITY = {
     "NOT": 1,
@@ -303,7 +300,7 @@ def parse(text: str) -> NetlistAst:
     tokens, unknown gates, undefined or redefined names, arity mismatches
     and netlists without outputs.  A defined name is a valid one, so an
     argument is checked as a name only when it is not defined.  A name is
-    an ASCII identifier, which is exactly a :data:`NAME_RE` match.
+    an ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``.
     """
     inputs: list[str] = []
     outputs: list[str] = []

@@ -17,9 +17,13 @@ any of them.  The gate kernels and the spike helpers take and return such
 words, not waves: a kernel hands its input words to
 :meth:`LogicReferencePair.operands`, which checks them against the pair
 and returns High and Low shaped to combine with them, so the kernels do
-not know the layout.  Words carry neither a carrier family nor an exact
-step count; :func:`on_waves` checks those once, where waves become words,
-runs a kernel or helper on the words and wraps its output.  The family
+not know the layout.  Words from outside pass one check,
+:func:`_check_words`, in ``operands``, :func:`classify_rows` and
+``BitWave._of_words``: dtype, axes, word count and, unless an exact-copy
+check covers it, the padding rule.  Every kernel ANDs each ``~`` with a
+clean wave, so clean words stay clean.  Words carry no carrier:
+:func:`on_waves` checks waves with :meth:`LogicReferencePair._check_wave`,
+runs a kernel or helper on their words and wraps its output.  The family
 check of the values runs once, on the values a carrier is built from;
 ``values`` unpacks to ``int8`` for the boundaries (CSV, reports, tests).
 :class:`MultiLevelSignal` (values in [-2, 2]) and the base
@@ -73,6 +77,29 @@ _all = np.logical_and.reduce
 def _words_axis(words: np.ndarray) -> int:
     """The axis of words-major ``words`` that runs over words: a wave's only one, else ``-2``."""
     return -2 if words.ndim > 1 else -1
+
+
+_LAYOUTS = {1: "(words,)", 2: "(words, rows)", 3: "(groups, words, rows)"}
+
+
+def _check_words(x, steps: int, what: str, ndims: tuple[int, ...], padding: bool = True) -> None:
+    """The one check of words from outside: ``x`` must be words-major ``uint64`` words of
+    ``steps``-step waves, of one of ``ndims`` axes, and with ``padding`` set no bit past the
+    last step.  Another dtype raises FamilyMismatchError, anything else LengthMismatchError."""
+    if not isinstance(x, np.ndarray) or x.dtype != np.uint64:
+        got = f"{x.dtype} words" if isinstance(x, np.ndarray) else type(x).__name__
+        raise FamilyMismatchError(f"{what} must be uint64 words, got {got}")
+    n = words_for(steps)
+    if x.ndim not in ndims or x.shape[_words_axis(x)] != n:
+        raise LengthMismatchError(f"{what} has words of shape {x.shape}, expected "
+                                  f"{' or '.join(_LAYOUTS[d] for d in ndims)} with {n} words")
+    if padding and steps % WORD_BITS:
+        # The OR of every wave's last word, past the last step: one reduce, no temporary.
+        stray = int(np.bitwise_or.reduce(x[:, -1] if x.ndim == 3 else x[-1], axis=None))
+        stray >>= steps % WORD_BITS
+        if stray:
+            step = steps + (stray & -stray).bit_length() - 1
+            raise LengthMismatchError(f"{what} sets step {step}, past the last step {steps - 1}")
 
 
 def _wave_shape(words: np.ndarray, steps: int) -> tuple[int, ...]:
@@ -211,12 +238,9 @@ class BitWave(Waveform):
 
     @classmethod
     def _of_words(cls, words: np.ndarray, steps: int) -> "BitWave":
-        """Wrap the valid ``(words,)`` words of one wave with zero padding, such as a
-        kernel's output, read-only and unchecked."""
-        n = words_for(steps)
-        if words.dtype != np.uint64 or words.shape != (n,):
-            raise ValueError(f"{cls.__name__} wraps {n} uint64 words for {steps} steps, "
-                             f"got {words.dtype} {words.shape}")
+        """Wrap the ``(words,)`` words of one wave, such as a kernel's output, read-only and
+        without a copy, once :func:`_check_words` passes them."""
+        _check_words(words, steps, cls.__name__, (1,))
         words.flags.writeable = False
         wave = object.__new__(cls)
         wave._words, wave._steps = words, steps
@@ -336,8 +360,11 @@ class LogicReferencePair:
         """High's and Low's words as ``(words, 1)`` columns, which spread over a batch's rows."""
         return self.h.words[:, None], self.l.words[:, None]
 
-    def _check_wave(self, x: BitWave, role: str) -> np.ndarray:
-        """The words of ``x``, once it spans the pair's steps."""
+    def _check_wave(self, x: Waveform, role: str) -> np.ndarray:
+        """The words of ``x``, once it is a wave of the pair's carrier that spans its steps."""
+        if not isinstance(x, type(self.h)):
+            raise FamilyMismatchError(f"{role} must be a {type(self.h).__name__} for a "
+                                      f"{self.family} pair, got {type(x).__name__}")
         if len(x) != self.steps:
             raise LengthMismatchError(f"{role} has {len(x)} steps, pair has {self.steps}")
         return x.words
@@ -345,30 +372,23 @@ class LogicReferencePair:
     def operands(self, family: str, *inputs: np.ndarray, exact: bool = True):
         """Check the input words of one ``family`` gate call; return ``(h, l, highs)``.
 
-        The pair must be a ``family`` pair, and each input a words-major
-        ``uint64`` array with the pair's word count on its words axis: one
-        wave ``(words,)``, a batch ``(words, rows)`` or a group ``(groups,
-        words, rows)``; two inputs must share one shape.  With ``exact``
-        each row must also copy High or Low, the only inputs the gate
-        algebra makes promises about.  ``h`` and ``l`` are the pair's words
-        shaped to combine with the inputs, ``(words, 1)`` columns against a
-        batch; ``highs`` holds each input's mask of the rows that copy High,
-        with the words axis kept (``None`` without ``exact``).  Words show
-        neither the carrier they came from nor their exact step count, only
-        their word count; :func:`on_waves` checks those two for waves.
+        The pair must be a ``family`` pair, and each input, one wave, a
+        batch or a group, pass :func:`_check_words` against its steps; two
+        inputs must share one shape.  With ``exact`` each row must also copy
+        High or Low, the only inputs the gate algebra makes promises about,
+        which rules out padding bits too; otherwise the padding is checked.
+        ``h`` and ``l`` are the pair's words shaped to combine with the
+        inputs, ``(words, 1)`` columns against a batch; ``highs`` holds each
+        input's mask of the rows that copy High, with the words axis kept
+        (``None`` without ``exact``).  Words show no carrier, which
+        :func:`on_waves` checks for waves.
         """
         if self.family != family:
             raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
         roles = ("input",) if len(inputs) == 1 else ("first input", "second input")
-        n = len(self.h.words)
         highs = []
         for x, role in zip(inputs, roles):
-            if not isinstance(x, np.ndarray) or x.dtype != np.uint64:
-                got = f"{x.dtype} words" if isinstance(x, np.ndarray) else type(x).__name__
-                raise FamilyMismatchError(f"{family} gates take uint64 words, got {got} as {role}")
-            if not 1 <= x.ndim <= 3 or x.shape[_words_axis(x)] != n:
-                raise LengthMismatchError(
-                    f"{role} has words of shape {x.shape}, pair has {n} words")
+            _check_words(x, self.steps, role, (1, 2, 3), padding=not exact)
             h, l = self._columns if x.ndim > 1 else (self.h.words, self.l.words)
             high = None
             if exact:
@@ -569,28 +589,17 @@ def on_waves(fn, *args):
     output words wrapped in the pair's carrier; a spike helper as
     ``on_waves(helper, *trains)``, each of its outputs wrapped as a
     :class:`SpikeTrain`.  Words carry neither a carrier family nor an exact
-    step count, so those two checks run here, with the messages the kernels
-    and helpers raised when they took waves: a kernel input must be a wave
-    of the pair's carrier that spans the pair's steps, and a helper's inputs
-    must span one step count.  ``fn`` then runs on the ``words``, with every
-    check of its own.  Nothing here is gate logic, and the simulator, which
-    keeps words throughout, never comes here.
+    step count, so those two checks run here: a kernel input must pass
+    :meth:`LogicReferencePair._check_wave`, and a helper's inputs must span
+    one step count.  ``fn`` then runs on the ``words``, with every check of
+    its own.  Nothing here is gate logic, and the simulator, which keeps
+    words throughout, never comes here.
     """
     if args and isinstance(args[0], LogicReferencePair):
         pair, waves = args[0], args[1:]
-        carrier = type(pair.h)
-        roles = ("input",) if len(waves) == 1 else ("first input", "second input")
-        for x, role in zip(waves, roles):
-            if not isinstance(x, carrier):
-                # The pair is at fault if the kernel is of another family, which
-                # only the kernel knows: such a kernel rejects the pair before it
-                # reads any words, so a run on copies of High raises that error.
-                # Otherwise the input is at fault.
-                fn(pair, *[pair.h.words] * len(waves))
-                raise FamilyMismatchError(f"{pair.family} gates take a {carrier.__name__}, "
-                                          f"got {type(x).__name__} as {role}")
-            pair._check_wave(x, role)
-        return carrier._of_words(fn(pair, *(x.words for x in waves)), pair.steps)
+        roles = ["first input", "second input"] if len(waves) == 2 else ["input"] * len(waves)
+        words = [pair._check_wave(x, role) for x, role in zip(waves, roles)]
+        return type(pair.h)._of_words(fn(pair, *words), pair.steps)
     # An orthon's first neuron checks its inputs, so only the adder has its own label.
     what = "adder" if getattr(fn, "__name__", None) == "adder_union" else "neuron"
     for x in args[1:]:
@@ -611,26 +620,19 @@ def classify_rows(words: np.ndarray, pair: LogicReferencePair) -> tuple[np.ndarr
     """Read every row of the ``(words, rows)`` words against the reference pair, by one rule
     for both families.
 
-    ``words`` are words-major ``uint64`` words with the pair's word count
-    on the words axis, checked as :meth:`LogicReferencePair.operands`
-    checks a kernel's input; like a kernel's, they show neither a carrier
-    nor an exact step count, which :func:`classify` checks for a wave.  The
-    first step where High and Low differ, the lowest set bit of ``H ^ L``,
-    votes for the reference that a row follows there (for a spike pair,
-    whose trains are disjoint, that is the first universe spike).  The vote
-    stands only if the whole row equals the voted reference; otherwise the
-    row is ambiguous, as it is when the references never differ.
+    ``words`` must pass :func:`_check_words` against the pair's steps,
+    padding included; like a kernel's input, they show no carrier, which
+    :func:`classify` checks for a wave.  The first step where High and Low
+    differ, the lowest set bit of ``H ^ L``, votes for the reference that a
+    row follows there (for a spike pair, whose trains are disjoint, that is
+    the first universe spike).  The vote stands only if the whole row equals
+    the voted reference; otherwise the row is ambiguous, as it is when the
+    references never differ.
 
     Returns every row's bit (1 High, 0 Low, -1 ambiguous), its deciding
     step (-1 when ambiguous) and the diagnostic of each ambiguous row.
     """
-    n = len(pair.h.words)
-    if not isinstance(words, np.ndarray) or words.dtype != np.uint64:
-        got = f"{words.dtype} words" if isinstance(words, np.ndarray) else type(words).__name__
-        raise FamilyMismatchError(f"classify_rows reads uint64 words, got {got}")
-    if words.ndim != 2 or len(words) != n:
-        raise LengthMismatchError(
-            f"classify_rows reads (words, rows) words, got shape {words.shape}; pair has {n} words")
+    _check_words(words, pair.steps, "classified rows", (2,))
     h, l = pair._columns
     differs = pair.h.words ^ pair.l.words
     t = int(first_set_step(differs)) if differs.any() else -1
@@ -658,11 +660,6 @@ def classify(x: Waveform, pair: LogicReferencePair) -> Classification:
     pair's carrier that spans its steps: High or Low with its deciding
     step, or Ambiguous with a diagnostic.
     """
-    if not isinstance(x, type(pair.h)):
-        raise FamilyMismatchError(
-            f"expected a {type(pair.h).__name__} against a {pair.family} pair, "
-            f"got {type(x).__name__}"
-        )
     words = pair._check_wave(x, "classified wave")
     (bit,), (step,), details = classify_rows(words[:, None], pair)
     if details:

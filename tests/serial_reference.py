@@ -14,6 +14,7 @@ literal integer arithmetic on the unpacked values of a wave or a batch
 written apart from the package; tests require equal results from both.
 """
 
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 import noiselogic as nl
 from noiselogic import simulator
 from noiselogic.errors import NetlistError
-from noiselogic.netlist import GATE_ARITY, NAME_RE, Assignment, NetlistAst
+from noiselogic.netlist import GATE_ARITY, Assignment, NetlistAst
 from noiselogic.prng import SplitMix64
 
 from conftest import GateRow, gate_rows, network_from_rows
@@ -30,6 +31,7 @@ from conftest import GateRow, gate_rows, network_from_rows
 # The netlist compiler, one token and one primitive at a time
 
 _RESERVED = {"input", "wire", "output"}
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def serial_parse(text: str) -> NetlistAst:

@@ -41,7 +41,7 @@ def _criterion(number: int, title: str):
 def test_criterion_1_rtw_gate_truth_tables():
     with _criterion(1, "RTW gate truth tables, 100 seeds x 1000 steps, exact"):
         for seed in range(100):
-            pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=seed, steps=1000))
+            pair = nl.reference_pairs(nl.RTW, seed, nl.GeneratorConfig(seed=seed, steps=1000))
             refs = {1: pair.h, 0: pair.l}
             assert not_additive(pair, pair.h) == pair.l
             assert not_additive(pair, pair.l) == pair.h
@@ -55,7 +55,7 @@ def test_criterion_1_rtw_gate_truth_tables():
 def test_criterion_2_cube_identity():
     with _criterion(2, "reference-difference cube identity, 1000 pairs, exact"):
         for seed in range(1000):
-            pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=seed, steps=1000))
+            pair = nl.reference_pairs(nl.RTW, seed, nl.GeneratorConfig(seed=seed, steps=1000))
             d = pair.h.values - pair.l.values
             assert np.array_equal(d * d * d, 4 * d)
 
@@ -76,7 +76,7 @@ def _behavioral_and(pair, x1, x2):
 def test_criterion_3_spike_gate_truth_tables():
     with _criterion(3, "spike gate truth tables + circuit/set-algebra agreement"):
         for seed in range(100):
-            pair = nl.gen_orthogonal_spike_pair(nl.GeneratorConfig(seed=seed, steps=200))
+            pair = nl.reference_pairs(nl.SPIKE, seed, nl.GeneratorConfig(seed=seed, steps=200))
             refs = {1: pair.h, 0: pair.l}
             for x in (pair.h, pair.l):
                 circuit = spike_not(pair, x)
@@ -159,7 +159,7 @@ def test_criterion_8_spike_instantaneity():
         for seed in range(20):
             cfg = nl.GeneratorConfig(seed=seed, steps=128)
             result = nl.run(adder, "spike", {"a": 1, "b": 0, "cin": 1}, cfg)
-            pair = nl.gen_orthogonal_spike_pair(cfg)
+            pair = nl.reference_pairs(nl.SPIKE, cfg.seed, cfg)
             first_u = int(np.argmax(nl.universe_spike(pair).values))
             for outcome in result.output_classifications.values():
                 assert outcome.decided_at == first_u

@@ -201,11 +201,10 @@ class TestBatchedKernels:
     def _family(family):
         """(pair, NOT kernels, AND kernel) of one family, the kernels on words."""
         config = nl.GeneratorConfig(seed=9, steps=48)
+        pair = nl.reference_pairs(family, config.seed, config)
         if family == nl.RTW:
-            pair = nl.gen_rtw_pair(config)
             nots, and_ = (rtw_gates.not_additive, rtw_gates.not_multiplicative), rtw_gates.and_gate
         else:
-            pair = nl.gen_orthogonal_spike_pair(config)
             nots, and_ = (spike_gates.spike_not,), spike_gates.spike_and
         return pair, nots, and_
 

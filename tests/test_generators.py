@@ -54,12 +54,12 @@ class TestGenRtw:
 
 class TestGenRtwPair:
     def test_golden_fixture(self):
-        pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=1, steps=8))
+        pair = nl.reference_pairs(nl.RTW, 1, nl.GeneratorConfig(seed=1, steps=8))
         assert pair.h.to_list() == GOLDEN_PAIR_SEED1_8_H
         assert pair.l.to_list() == GOLDEN_PAIR_SEED1_8_L
 
     def test_uses_child_streams(self):
-        pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=5, steps=16))
+        pair = nl.reference_pairs(nl.RTW, 5, nl.GeneratorConfig(seed=5, steps=16))
         h = nl.gen_rtw(nl.GeneratorConfig(seed=derive_seed(5, 0), steps=16))
         l = nl.gen_rtw(nl.GeneratorConfig(seed=derive_seed(5, 1), steps=16))
         assert pair.h == h and pair.l == l
@@ -67,38 +67,34 @@ class TestGenRtwPair:
 
 class TestOrthogonalSpikePair:
     def test_golden_fixture(self):
-        pair = nl.gen_orthogonal_spike_pair(
-            nl.GeneratorConfig(seed=7, steps=5, spike_rate_h=0.3, spike_rate_l=0.3)
-        )
+        config = nl.GeneratorConfig(seed=7, steps=5, spike_rate_h=0.3, spike_rate_l=0.3)
+        pair = nl.reference_pairs(nl.SPIKE, config.seed, config)
         assert pair.h.to_list() == GOLDEN_SPIKE_SEED7_5_H
         assert pair.l.to_list() == GOLDEN_SPIKE_SEED7_5_L
 
     @pytest.mark.parametrize("seed", range(25))
     def test_orthogonal_and_non_empty(self, seed):
-        pair = nl.gen_orthogonal_spike_pair(
-            nl.GeneratorConfig(seed=seed, steps=40, spike_rate_h=0.3, spike_rate_l=0.3)
-        )
+        config = nl.GeneratorConfig(seed=seed, steps=40, spike_rate_h=0.3, spike_rate_l=0.3)
+        pair = nl.reference_pairs(nl.SPIKE, config.seed, config)
         assert not np.any(pair.h.values & pair.l.values)
         assert pair.h.spike_count() >= 1 and pair.l.spike_count() >= 1
 
     def test_empirical_density(self):
-        pair = nl.gen_orthogonal_spike_pair(
-            nl.GeneratorConfig(seed=0, steps=100_000, spike_rate_h=0.3, spike_rate_l=0.3)
-        )
+        config = nl.GeneratorConfig(seed=0, steps=100_000, spike_rate_h=0.3, spike_rate_l=0.3)
+        pair = nl.reference_pairs(nl.SPIKE, config.seed, config)
         assert abs(pair.h.values.mean() - 0.3) < 0.01
         assert abs(pair.l.values.mean() - 0.3) < 0.01
 
     def test_retry_budget_exhaustion(self):
         # One step can never host both an H and an L spike.
         with pytest.raises(nl.GenerationError):
-            nl.gen_orthogonal_spike_pair(
-                nl.GeneratorConfig(seed=3, steps=1, spike_rate_h=0.4, spike_rate_l=0.4)
-            )
+            nl.reference_pairs(nl.SPIKE, 3, nl.GeneratorConfig(seed=3, steps=1, spike_rate_h=0.4,
+                                                               spike_rate_l=0.4))
 
     def test_determinism(self):
         cfg = nl.GeneratorConfig(seed=11, steps=64, spike_rate_h=0.2, spike_rate_l=0.2)
-        a = nl.gen_orthogonal_spike_pair(cfg)
-        b = nl.gen_orthogonal_spike_pair(cfg)
+        a = nl.reference_pairs(nl.SPIKE, cfg.seed, cfg)
+        b = nl.reference_pairs(nl.SPIKE, cfg.seed, cfg)
         assert a.h == b.h and a.l == b.l
 
 
@@ -112,9 +108,7 @@ class TestSpikePairRows:
         retried = 0
         for i in range(trials):
             trial_seed = derive_seed(config.seed, start + i)
-            pair = nl.gen_orthogonal_spike_pair(
-                nl.GeneratorConfig(seed=trial_seed, steps=6, spike_rate_h=0.15,
-                                   spike_rate_l=0.15))
+            pair = nl.reference_pairs(nl.SPIKE, trial_seed, config)
             assert h[:, i].tolist() == pair.h.words.tolist()
             assert l[:, i].tolist() == pair.l.words.tolist()
             first = _categorical_spikes(SplitMix64(derive_seed(trial_seed, 0)).block(6),
@@ -151,7 +145,7 @@ class TestSpikePairRows:
         with pytest.raises(nl.GenerationError) as batch:
             reference_words(nl.SPIKE, derive_seeds(config.seed, 4), config)
         with pytest.raises(nl.GenerationError) as single:
-            nl.gen_orthogonal_spike_pair(config)
+            nl.reference_pairs(nl.SPIKE, config.seed, config)
         assert str(batch.value) == str(single.value)
 
     def test_too_few_steps_fail_before_any_draw(self):
@@ -160,7 +154,7 @@ class TestSpikePairRows:
         config = nl.GeneratorConfig(seed=3, steps=1)
         seeds = derive_seeds(config.seed, 4)
         draws = (lambda: reference_words(nl.SPIKE, seeds, config),
-                 lambda: nl.gen_orthogonal_spike_pair(config),
+                 lambda: nl.reference_pairs(nl.SPIKE, config.seed, config),
                  lambda: gen_disjoint_spike_pairs(4, 9, 5))
         messages = ["2 non-empty disjoint spike trains need at least 2 steps, got steps=1"] * 2 + [
             "10 non-empty disjoint spike trains need at least 10 steps, got steps=9"]
@@ -224,7 +218,7 @@ class TestVectorizedMatrix:
         config = nl.GeneratorConfig(seed=seed, steps=steps)
         h, l = reference_words(nl.RTW, derive_seeds(seed, trials), config)
         for i in range(trials):
-            pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=derive_seed(seed, i), steps=steps))
+            pair = nl.reference_pairs(nl.RTW, derive_seed(seed, i), config)
             assert np.array_equal(h[:, i], pair.h.words)
             assert np.array_equal(l[:, i], pair.l.words)
 
@@ -233,9 +227,6 @@ class TestVectorizedMatrix:
         full = reference_words(nl.RTW, derive_seeds(4, 10), config)
         tail = reference_words(nl.RTW, derive_seeds(4, 4, start=6), config)
         assert np.array_equal(full[..., 6:], tail)
-
-
-ONE_PAIR = {nl.RTW: nl.gen_rtw_pair, nl.SPIKE: nl.gen_orthogonal_spike_pair}
 
 
 class TestReferencePairs:
@@ -266,7 +257,7 @@ class TestReferencePairs:
             # Some row runs out of attempts, and its one-pair draw says so alike.
             with pytest.raises(nl.GenerationError, match=f"^{re.escape(str(exc))}$"):
                 for single in singles:
-                    ONE_PAIR[family](single)
+                    reference_pairs(family, single.seed, single)
             return
         assert planes.shape == (2, nl.signals.words_for(steps), count)
         assert planes.dtype == np.uint64 and not planes.flags.writeable
@@ -278,7 +269,7 @@ class TestReferencePairs:
             assert one.family == family and one.h.shape == (steps,)
             assert np.array_equal(h[:, i], one.h.words)
             assert np.array_equal(l[:, i], one.l.words)
-            assert one == ONE_PAIR[family](single)
+            assert one == reference_pairs(family, single.seed, single)
 
     def test_blocks_do_not_change_the_rows(self):
         # One row per block of raw words, against one block for all rows.
@@ -292,7 +283,8 @@ class TestReferencePairs:
     def test_gen_rtw_pairs_draws_one_pair_per_derived_seed(self):
         pairs = nl.gen_rtw_pairs(12, 33, 5)
         for i, pair in enumerate(pairs):
-            assert pair == nl.gen_rtw_pair(nl.GeneratorConfig(seed=derive_seed(12, i), steps=33))
+            config = nl.GeneratorConfig(seed=derive_seed(12, i), steps=33)
+            assert pair == nl.reference_pairs(nl.RTW, config.seed, config)
 
     def test_unknown_family_or_seed_matrix_is_rejected(self):
         config = nl.GeneratorConfig(seed=1, steps=8)

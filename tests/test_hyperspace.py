@@ -101,8 +101,8 @@ class TestSpikeSuperposition:
 
     def test_cross_pair_overlap_rejected(self):
         # Independently generated pairs collide; the joint generator is required.
-        a = nl.gen_orthogonal_spike_pair(nl.GeneratorConfig(seed=1, steps=64))
-        b = nl.gen_orthogonal_spike_pair(nl.GeneratorConfig(seed=2, steps=64))
+        config = nl.GeneratorConfig(seed=0, steps=64)
+        a, b = (nl.reference_pairs(nl.SPIKE, seed, config) for seed in (1, 2))
         overlap = np.any(
             (a.h.values | a.l.values) & (b.h.values | b.l.values)
         )

@@ -95,7 +95,8 @@ class TestLevelRunEqualsSerial:
     def test_full_adder_ambiguous_window(self, full_adder_network, backend):
         # A seed whose one-step RTW references are identical; spike windows
         # need more steps, and are decided.
-        pairs = ((s, nl.gen_rtw_pair(nl.GeneratorConfig(seed=s, steps=1))) for s in range(100))
+        config = nl.GeneratorConfig(seed=0, steps=1)
+        pairs = ((s, nl.reference_pairs(nl.RTW, s, config)) for s in range(100))
         seed = next(s for s, pair in pairs if pair.h == pair.l)
         steps = 16 if backend == "spike" else 1
         config = nl.GeneratorConfig(seed=seed, steps=steps)
@@ -279,7 +280,8 @@ class TestRunIsLazy:
         path.write_text(source)
         # A one-step RTW window whose references are identical: every wire
         # is ambiguous.
-        pairs = ((s, nl.gen_rtw_pair(nl.GeneratorConfig(seed=s, steps=1))) for s in range(100))
+        config = nl.GeneratorConfig(seed=0, steps=1)
+        pairs = ((s, nl.reference_pairs(nl.RTW, s, config)) for s in range(100))
         seed = 2 if steps > 1 else next(s for s, pair in pairs if pair.h == pair.l)
         runs, made, wrapped = [], Counter(), []
 

@@ -49,7 +49,7 @@ if __debug__:
 # A word form that passes its first input through is not AND: High AND Low
 # would read High.
 rtw_gates._and_words = lambda h, l, x1, x2: x1
-pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=3, steps=130))
+pair = nl.reference_pairs(nl.RTW, 3, nl.GeneratorConfig(seed=3, steps=130))
 try:
     rtw_gates.and_gate(pair, pair.h.words, pair.l.words)
 except nl.InvariantError as exc:
@@ -65,14 +65,14 @@ from noiselogic import rtw_gates, spike_gates
 
 if __debug__:
     raise SystemExit("not running under -O")
-for kernel, arity, draw in ((rtw_gates.not_additive, 1, nl.gen_rtw_pair),
-                            (rtw_gates.and_gate, 2, nl.gen_rtw_pair),
-                            (spike_gates.spike_not, 1, nl.gen_orthogonal_spike_pair),
-                            (spike_gates.spike_and, 2, nl.gen_orthogonal_spike_pair)):
-    pair = draw(nl.GeneratorConfig(seed=3, steps=130))
+for kernel, arity, family in ((rtw_gates.not_additive, 1, nl.RTW),
+                              (rtw_gates.and_gate, 2, nl.RTW),
+                              (spike_gates.spike_not, 1, nl.SPIKE),
+                              (spike_gates.spike_and, 2, nl.SPIKE)):
+    pair = nl.reference_pairs(family, 3, nl.GeneratorConfig(seed=3, steps=130))
     h = pair.h.words
     non_copy = h | pair.l.words if pair.family == nl.SPIKE else h ^ np.uint64(1)
-    other = nl.gen_rtw_pair(nl.GeneratorConfig(seed=3, steps=129))
+    other = nl.reference_pairs(nl.RTW, 3, nl.GeneratorConfig(seed=3, steps=129))
     for call in (lambda: kernel(pair, h[:2], *[h] * (arity - 1)),
                  lambda: kernel(pair, h.astype(np.int64), *[h] * (arity - 1)),
                  lambda: kernel(pair, non_copy, *[h] * (arity - 1)),
@@ -119,15 +119,15 @@ def test_word_checks_raise_under_O():
         role = "input" if "not" in kernel else "first input"
         family = "spike" if kernel.startswith("spike") else "rtw"
         assert lines == [
-            f"{kernel} LengthMismatchError {role} has words of shape (2,), pair has 3 words",
-            f"{kernel} FamilyMismatchError {family} gates take uint64 words, got int64 words "
-            f"as {role}",
+            f"{kernel} LengthMismatchError {role} has words of shape (2,), expected (words,) "
+            "or (words, rows) or (groups, words, rows) with 3 words",
+            f"{kernel} FamilyMismatchError {role} must be uint64 words, got int64 words",
             f"{kernel} InvalidLogicValueError {role} matches neither the High nor the Low "
             "reference",
             (f"{kernel} LengthMismatchError {role} has 129 steps, pair has 130"
              if family == "rtw" else
-             f"{kernel} FamilyMismatchError spike gates take a SpikeTrain, got RtwSignal as "
-             f"{role}"),
+             f"{kernel} FamilyMismatchError {role} must be a SpikeTrain for a spike pair, "
+             "got RtwSignal"),
         ]
 
 

@@ -22,7 +22,7 @@ def _pair(h_values, l_values):
 
 
 def _drawn(seed, steps):
-    return nl.gen_rtw_pair(nl.GeneratorConfig(seed=seed, steps=steps))
+    return nl.reference_pairs(nl.RTW, seed, nl.GeneratorConfig(seed=seed, steps=steps))
 
 
 @pytest.fixture

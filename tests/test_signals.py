@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -173,12 +174,15 @@ class TestCarrierDtype:
 
     def test_wrapping_without_a_copy_needs_uint64_words_of_the_step_count(self):
         rows = np.array([[0b01, 0b10]], dtype=np.uint64)   # (words, rows)
-        with pytest.raises(ValueError):
+        with pytest.raises(FamilyMismatchError,
+                           match="^RtwSignal must be uint64 words, got int64 words$"):
             nl.RtwSignal._of_words(rows.astype(np.int64), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatchError, match=re.escape(
+                "RtwSignal has words of shape (1, 2), expected (words,) with 2 words")):
             nl.RtwSignal._of_words(rows, 65)
         for batch in (rows, rows[None], rows[:, :1]):   # batches, a group and a column
-            with pytest.raises(ValueError, match=r"^RtwSignal wraps 1 uint64 words for 2 steps"):
+            with pytest.raises(LengthMismatchError, match=re.escape(
+                    f"RtwSignal has words of shape {batch.shape}, expected (words,) with 1 words")):
                 nl.RtwSignal._of_words(batch, 2)
         wave = nl.RtwSignal._of_words(rows[:, 1], 2)
         assert wave == nl.RtwSignal([-1, 1])
@@ -393,10 +397,12 @@ class TestClassify:
         pair = self._rtw_pair()
         words = pair.h.words[:, None]
         for bad in (words.astype(np.int64), pair.h, [[1]]):
-            with pytest.raises(FamilyMismatchError, match="^classify_rows reads uint64 words, got "):
+            with pytest.raises(FamilyMismatchError, match="^classified rows must be uint64 words, got "):
                 nl.classify_rows(bad, pair)
         for bad in (pair.h.words, words[None], np.zeros((2, 1), dtype=np.uint64)):
-            with pytest.raises(LengthMismatchError, match=r"^classify_rows reads \(words, rows\) words"):
+            with pytest.raises(LengthMismatchError, match="^" + re.escape(
+                    f"classified rows has words of shape {bad.shape}, expected (words, rows) "
+                    f"with {len(words)} words") + "$"):
                 nl.classify_rows(bad, pair)
         assert [a.tolist() for a in nl.classify_rows(words, pair)[:2]] == [[1], [0]]
 
@@ -405,7 +411,8 @@ class TestClassify:
         pair = nl.LogicReferencePair(nl.RtwSignal([1, -1]), nl.RtwSignal([-1, 1]))
         with pytest.raises(LengthMismatchError, match="classified wave has 3 steps, pair has 2"):
             nl.classify(nl.RtwSignal([1, -1, 1]), pair)
-        with pytest.raises(LengthMismatchError, match=r"got shape \(2, 2\); pair has 1 words$"):
+        with pytest.raises(LengthMismatchError,
+                           match=r"shape \(2, 2\), expected \(words, rows\) with 1 words$"):
             nl.classify_rows(packed([[1] * 65] * 2), pair)
 
     @given(rtw_values)

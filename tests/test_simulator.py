@@ -102,10 +102,10 @@ class TestLoweredDerivedGates:
         ast = nl.parse(f"input a b\noutput y = {gate} {args}\n")
         network = nl.lower(ast)
         seeds, steps = self.SEEDS_STEPS[backend]
-        draw = nl.gen_orthogonal_spike_pair if backend == "spike" else nl.gen_rtw_pair
         for seed in seeds:
             config = _config(seed=seed, steps=steps)
-            pair = draw(config)
+            pair = nl.reference_pairs(nl.SPIKE if backend == "spike" else nl.RTW,
+                                      config.seed, config)
             refs = {1: pair.h, 0: pair.l}
             for a in (0, 1):
                 for b in (0, 1):
@@ -205,8 +205,9 @@ class TestAmbiguityMonteCarlo:
         n, trials, seed = 3, 2000, 17
         report = nl.ambiguity_monte_carlo(n, trials, seed)
         matches = 0
+        config = nl.GeneratorConfig(seed=seed, steps=n)
         for i in range(trials):
-            pair = nl.gen_rtw_pair(nl.GeneratorConfig(seed=derive_seed(seed, i), steps=n))
+            pair = nl.reference_pairs(nl.RTW, derive_seed(seed, i), config)
             matches += int(pair.h == pair.l)
         assert report.mc_estimate == matches / trials
 

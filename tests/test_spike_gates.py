@@ -29,9 +29,8 @@ def pair():
 
 
 def _random_pair(seed, steps=48):
-    return nl.gen_orthogonal_spike_pair(
-        nl.GeneratorConfig(seed=seed, steps=steps, spike_rate_h=0.25, spike_rate_l=0.25)
-    )
+    config = nl.GeneratorConfig(seed=seed, steps=steps, spike_rate_h=0.25, spike_rate_l=0.25)
+    return nl.reference_pairs(nl.SPIKE, seed, config)
 
 
 class TestNeuron:

@@ -42,8 +42,8 @@ STEPS = st.one_of(st.integers(1, 4), st.integers(1, 300))
 def _pair(family: str, seed: int, steps: int) -> LogicReferencePair:
     if family == nl.SPIKE:
         # Room for two non-empty orthogonal trains.
-        return nl.gen_orthogonal_spike_pair(nl.GeneratorConfig(seed=seed, steps=max(steps, 16)))
-    return nl.gen_rtw_pair(nl.GeneratorConfig(seed=seed, steps=steps))
+        steps = max(steps, 16)
+    return nl.reference_pairs(family, seed, nl.GeneratorConfig(seed=seed, steps=steps))
 
 
 def _columns(pair: LogicReferencePair) -> np.ndarray:
@@ -104,7 +104,8 @@ class TestStepClasses:
         # So every pair has step classes: no batch of waves, and so of pairs, can be built.
         h, _ = nl.generators.reference_words(nl.RTW, np.arange(3, dtype=np.uint64),
                                              nl.GeneratorConfig(seed=1, steps=8))
-        with pytest.raises(ValueError, match=r"wraps 1 uint64 words for 8 steps, got uint64 \(1, 3\)$"):
+        with pytest.raises(nl.LengthMismatchError, match=r"^RtwSignal has words of shape \(1, 3\), "
+                                                         r"expected \(words,\) with 1 words$"):
             nl.RtwSignal._of_words(h, 8)
 
 

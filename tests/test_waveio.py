@@ -178,6 +178,26 @@ def test_format_equals_per_cell_formatting_for_shared_and_equal_columns(steps, k
     assert format_waveform_csv(columns) == _per_cell_csv(columns)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    steps=st.sampled_from([2000, 4096]),
+    extra=st.lists(st.sampled_from(sorted(_KINDS)), max_size=3),
+    picks=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_format_equals_one_join_per_step_for_thousands_of_distinct_rows(steps, extra, picks,
+                                                                        seed):
+    # Every carrier, a wide column that makes nearly every row distinct, and
+    # columns that repeat one wave object.
+    rng = np.random.default_rng(seed)
+    waves = [_KINDS[kind](rng, steps) for kind in ["rtw", "spike", "multi", "wide"] + extra]
+    columns = {f"c{j}": wave for j, wave in enumerate(waves)}
+    columns.update({f"again{j}": waves[k % len(waves)] for j, k in enumerate(picks)})
+    text = format_waveform_csv(columns)
+    assert len(_row_bodies(text)) > 1000
+    assert text == _per_cell_csv(columns)
+
+
 def _row_bodies(text: str) -> set[str]:
     return {line.split(",", 1)[1] for line in text.splitlines()[1:]}
 

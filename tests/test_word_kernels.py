@@ -170,7 +170,7 @@ class TestPackedEqualsInt8:
     def test_a_non_copy_row_raises_the_same_error_from_both(self, backend):
         spike = backend == "spike"
         config = nl.GeneratorConfig(seed=4, steps=65)
-        pair = (nl.gen_orthogonal_spike_pair if spike else nl.gen_rtw_pair)(config)
+        pair = nl.reference_pairs(nl.SPIKE if spike else nl.RTW, config.seed, config)
         values = np.stack([pair.h.values, pair.l.values, pair.h.values]).astype(np.int64)
         values[1, 64] = 1 - values[1, 64] if spike else -values[1, 64]
         bad = packed(values)

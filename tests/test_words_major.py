@@ -227,7 +227,8 @@ class TestShapesThatCannotBroadcast:
         # wave of a pair can hold them.
         config = nl.GeneratorConfig(seed=3, steps=128)
         for plane in reference_words(family, derive_seeds(config.seed, 2), config):
-            with pytest.raises(ValueError, match=r"wraps 2 uint64 words for 128 steps"):
+            with pytest.raises(nl.LengthMismatchError, match=r"has words of shape \(2, 2\), "
+                                                             r"expected \(words,\) with 2 words$"):
                 CARRIER[family]._of_words(plane, config.steps)
 
     def test_a_batch_train_cannot_be_built(self):
