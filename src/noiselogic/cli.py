@@ -146,6 +146,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise NetlistError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except OSError as exc:
+        raise NetlistError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_netlist(path: str):
@@ -188,7 +190,7 @@ def cmd_simulate(netlist_path, assign_text, seed, steps, backend, rate_h, rate_l
             for name in result.ambiguous_wires
         ],
         "wire_count": len(network.wires),
-        "primitive_count": len(network.out),
+        "primitive_count": len(network.is_not),
     }
     if waves:
         # Opened here, so that it exits 2 before any output is written.

@@ -42,17 +42,6 @@ import numpy as np
 
 from .errors import NetlistError
 
-GATE_ARITY = {
-    "NOT": 1,
-    "BUF": 1,
-    "AND": 2,
-    "OR": 2,
-    "NAND": 2,
-    "NOR": 2,
-    "XOR": 2,
-    "XNOR": 2,
-}
-
 # The universal basis every network lowers to.
 PRIMITIVE_ARITY = {"NOT": 1, "AND": 2}
 
@@ -74,6 +63,10 @@ EXPANSION = {
              ("NOT", 1), ("NOT", 3), ("AND", 4, 5), ("NOT", 6), ("NOT", 7)),
 }
 
+# A source gate is binary exactly when its expansion reads "b".
+GATE_ARITY = {gate: 2 if any("b" in prim for prim in expansion) else 1
+              for gate, expansion in EXPANSION.items()}
+
 _RESERVED = {"input", "wire", "output"}
 
 _BOOL_FN = {
@@ -88,17 +81,13 @@ _BOOL_FN = {
 }
 
 
-class Assignment(NamedTuple):
-    target: str
-    gate: str
-    args: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class NetlistAst:
+    """A parsed netlist; each assignment is a ``(target, gate, args)`` tuple."""
+
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    assignments: tuple[Assignment, ...]
+    assignments: tuple[tuple[str, str, tuple[str, ...]], ...]
 
 
 class LevelGroups(NamedTuple):
@@ -130,14 +119,14 @@ class CompiledNetwork:
 
     Gate ``i`` is a NOT where ``is_not[i]`` and an AND elsewhere, reads
     the wires ``args[i]`` (a ``(gates, 2)`` array that holds a NOT's one
-    operand twice), writes wire ``out[i]`` and lowers source gate
-    ``src[i]``.  The four columns are kept as read-only arrays, and
+    operand twice), writes wire ``len(inputs) + i`` and lowers source gate
+    ``src[i]``.  The three columns are kept as read-only arrays, and
     networks compare and hash by their names and arrays.
 
     Construction raises :class:`NetlistError` unless the wire names are
-    unique and start with the inputs, every output names a wire once, each wire
-    after the inputs is written by exactly one gate, and every gate reads
-    only inputs and wires that earlier gates write.
+    unique and start with the inputs, every output names a wire once, there
+    is one gate per wire after the inputs, and gate ``i`` reads only wires
+    below ``len(inputs) + i``: inputs and wires that earlier gates write.
     """
 
     wires: tuple[str, ...]
@@ -145,16 +134,15 @@ class CompiledNetwork:
     outputs: tuple[str, ...]
     is_not: np.ndarray
     args: np.ndarray
-    out: np.ndarray
     src: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("is_not", bool), ("args", np.intp), ("out", np.intp), ("src", object)):
+        for name, dtype in (("is_not", bool), ("args", np.intp), ("src", object)):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
         object.__setattr__(self, "args", self.args.reshape(-1, 2))
-        if not len(self.is_not) == len(self.args) == len(self.out) == len(self.src):
+        if not len(self.is_not) == len(self.args) == len(self.src):
             raise NetlistError("gate columns differ in length")
-        n_in, n, gates = len(self.inputs), len(self.wires), len(self.out)
+        n_in, n = len(self.inputs), len(self.wires)
         names = set(self.wires)
         if len(names) != n:
             raise NetlistError("compiled network names a wire twice")
@@ -165,16 +153,10 @@ class CompiledNetwork:
         for name in self.outputs:
             if name not in names:
                 raise NetlistError(f"output {name!r} is never defined")
-        # The gate that writes each wire, -1 for an input; the last entry,
-        # also read at index -1, stands for a wire out of range.
-        writer = np.full(n + 1, gates)
-        writer[:n_in] = -1
-        in_range = gates == n - n_in and (not gates or n_in <= self.out.min() <= self.out.max() < n)
-        if in_range:
-            writer[self.out] = np.arange(gates)
-        if not in_range or (writer[n_in:n] == gates).any():   # a wire left unwritten
+        if len(self.is_not) != n - n_in:
             raise NetlistError("every wire after the inputs must be written by exactly one gate")
-        bad = writer[np.clip(self.args, -1, n)] >= np.arange(gates)[:, None]
+        # Gate i writes wire n_in + i, so it may read only the wires below.
+        bad = (self.args < 0) | (self.args >= np.arange(n_in, n)[:, None])
         if bad.any():
             i, k = np.argwhere(bad)[0].tolist()
             raise NetlistError(f"gate {i} reads wire {self.args[i, k]}, which is neither an "
@@ -182,7 +164,7 @@ class CompiledNetwork:
 
     def _key(self) -> tuple:
         return (self.wires, self.inputs, self.outputs, self.is_not.tobytes(),
-                self.args.tobytes(), self.out.tobytes(), tuple(self.src.tolist()))
+                self.args.tobytes(), tuple(self.src.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompiledNetwork):
@@ -204,25 +186,24 @@ class CompiledNetwork:
         ``2 * level + is_not`` is sorted in the narrowest unsigned type that
         holds it, which NumPy radix-sorts at 8 and 16 bits.
         """
-        n = len(self.out)
+        n_in, n = len(self.inputs), len(self.is_not)
         level = [0] * len(self.wires)
-        for out, a, b in zip(self.out.tolist(), *self.args.T.tolist()):
+        for out, a, b in zip(range(n_in, n_in + n), *self.args.T.tolist()):
             la, lb = level[a], level[b]
             level[out] = 1 + (la if la > lb else lb)
-        key = 2 * np.array(level, dtype=np.intp)[self.out] + self.is_not
+        key = 2 * np.array(level[n_in:], dtype=np.intp) + self.is_not
         if n:
             key = key.astype(np.min_scalar_type(key.max()))
         order = np.argsort(key, kind="stable")
         key = key[order]
         cuts = (key[1:] != key[:-1]).nonzero()[0] + 1
         bounds = [0, *cuts.tolist(), n] if n else [0]
-        out, reads = self.out[order], self.args[order].T
         ops = ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
-        return LevelGroups(bounds, ops, _read_only(out), _read_only(reads))
+        return LevelGroups(bounds, ops, _read_only(order + n_in), _read_only(self.args[order].T))
 
     def gate_counts(self) -> dict[str, int]:
         nots = int(self.is_not.sum())
-        return {"NOT": nots, "AND": len(self.out) - nots}
+        return {"NOT": nots, "AND": len(self.is_not) - nots}
 
     def to_json(self) -> str:
         wires = self.wires
@@ -233,11 +214,11 @@ class CompiledNetwork:
                 {
                     "op": "NOT" if is_not else "AND",
                     "args": [wires[a]] if is_not else [wires[a], wires[b]],
-                    "out": wires[out],
+                    "out": out,
                     "src": src,
                 }
                 for is_not, (a, b), out, src in zip(self.is_not.tolist(), self.args.tolist(),
-                                                    self.out.tolist(), self.src.tolist())
+                                                    wires[len(self.inputs):], self.src.tolist())
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -282,8 +263,7 @@ class CompiledNetwork:
             nots.append(op == "NOT")
             args.append(arg_pair)
             srcs.append(src)
-        return cls(tuple(wires), inputs, _json_names(doc, "outputs"), nots, args,
-                   np.arange(len(inputs), len(wires)), srcs)
+        return cls(tuple(wires), inputs, _json_names(doc, "outputs"), nots, args, srcs)
 
 
 def _json_names(doc: dict, key: str) -> tuple[str, ...]:
@@ -304,7 +284,7 @@ def parse(text: str) -> NetlistAst:
     """
     inputs: list[str] = []
     outputs: list[str] = []
-    assignments: list[Assignment] = []
+    assignments: list[tuple[str, str, tuple[str, ...]]] = []
     defined: set[str] = set()
 
     def _name(token: str, lineno: int) -> str:
@@ -351,7 +331,7 @@ def parse(text: str) -> NetlistAst:
                     _name(token, lineno)
                     raise NetlistError(f"undefined name {token!r}", lineno)
             target = _define(tokens[1], lineno)
-            assignments.append(Assignment(target, gate, tuple(args)))
+            assignments.append((target, gate, tuple(args)))
             if keyword == "output":
                 outputs.append(target)
             continue
@@ -368,9 +348,9 @@ def format_netlist(ast: NetlistAst) -> str:
     if ast.inputs:
         lines.append("input " + " ".join(ast.inputs))
     outputs = set(ast.outputs)
-    for a in ast.assignments:
-        keyword = "output" if a.target in outputs else "wire"
-        lines.append(f"{keyword} {a.target} = {a.gate} " + " ".join(a.args))
+    for target, gate, args in ast.assignments:
+        keyword = "output" if target in outputs else "wire"
+        lines.append(f"{keyword} {target} = {gate} " + " ".join(args))
     return "\n".join(lines) + "\n"
 
 
@@ -414,26 +394,24 @@ def lower(ast: NetlistAst) -> CompiledNetwork:
     # the wire it writes.
     counts, a, b, shift, targets = [], [], [], [], []
     end = n_in
-    for assignment in ast.assignments:
-        if assignment.gate not in _SPANS:
-            raise NetlistError(f"cannot lower gate {assignment.gate!r}")
-        start, count = _SPANS[assignment.gate]
-        args = assignment.args
+    for target, gate, args in ast.assignments:
+        if gate not in _SPANS:
+            raise NetlistError(f"cannot lower gate {gate!r}")
+        start, count = _SPANS[gate]
         counts.append(count)
         a.append(index[args[0]])
         b.append(index[args[-1]])
         shift.append(end - start)
-        targets.append(assignment.target)
+        targets.append(target)
         end += count
-        index[assignment.target] = end - 1
+        index[target] = end - 1
     a, b, shift = np.array([a, b, shift], dtype=np.intp).reshape(3, -1).repeat(counts, axis=1)
-    wire = np.arange(n_in, end)
-    flat = wire - shift
+    flat = np.arange(n_in, end) - shift
     refs = _REFS[flat]
     operands = np.where(refs == -2, a[:, None], np.where(refs == -1, b[:, None], refs + shift[:, None]))
     src = np.array(targets, dtype=object).repeat(counts)
     wires = ast.inputs + tuple((src + _SUFFIX[flat]).tolist())
-    return CompiledNetwork(wires, ast.inputs, ast.outputs, _IS_NOT[flat], operands, wire, src)
+    return CompiledNetwork(wires, ast.inputs, ast.outputs, _IS_NOT[flat], operands, src)
 
 
 def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
@@ -472,15 +450,11 @@ def eval_boolean(
     _check_assignment(source.inputs, assignment)
     if isinstance(source, NetlistAst):
         values = {name: _bit(assignment[name]) for name in source.inputs}
-        for a in source.assignments:
-            values[a.target] = _BOOL_FN[a.gate](*(values[arg] for arg in a.args))
+        for target, gate, args in source.assignments:
+            values[target] = _BOOL_FN[gate](*(values[arg] for arg in args))
         return {name: values[name] for name in source.outputs}
 
-    values = [0] * len(source.wires)
-    for i, name in enumerate(source.inputs):
-        values[i] = _bit(assignment[name])
-    for is_not, (a, b), out in zip(source.is_not.tolist(), source.args.tolist(),
-                                   source.out.tolist()):
-        values[out] = 1 - values[a] if is_not else values[a] & values[b]
-    index = {name: i for i, name in enumerate(source.wires)}
-    return {name: values[index[name]] for name in source.outputs}
+    values = [_bit(assignment[name]) for name in source.inputs]
+    for is_not, (a, b) in zip(source.is_not.tolist(), source.args.tolist()):
+        values.append(1 - values[a] if is_not else values[a] & values[b])
+    return {name: values[source.wire_index(name)] for name in source.outputs}

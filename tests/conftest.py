@@ -48,20 +48,25 @@ class GateRow(NamedTuple):
 
 
 def gate_rows(network: nl.CompiledNetwork) -> list[GateRow]:
-    """The network's gates, in evaluation order, as ``(op, args, out, src)`` rows."""
+    """The network's gates, in evaluation order, as ``(op, args, out, src)`` rows.
+
+    ``out`` is the wire gate ``i`` writes, ``len(network.inputs) + i``.
+    """
     return [GateRow("NOT", (a,), out, src) if is_not else GateRow("AND", (a, b), out, src)
-            for is_not, (a, b), out, src in zip(network.is_not.tolist(), network.args.tolist(),
-                                                network.out.tolist(), network.src.tolist())]
+            for out, (is_not, (a, b), src) in enumerate(
+                zip(network.is_not.tolist(), network.args.tolist(), network.src.tolist()),
+                start=len(network.inputs))]
 
 
 def network_from_rows(wires, inputs, outputs, rows) -> nl.CompiledNetwork:
     """The network whose gates are ``rows``, the inverse of :func:`gate_rows`."""
-    for op, args, _, _ in rows:
+    for i, (op, args, out, _) in enumerate(rows):
         assert len(args) == nl.netlist.PRIMITIVE_ARITY[op], (op, args)
+        assert out == len(inputs) + i, (i, out)
     return nl.CompiledNetwork(tuple(wires), tuple(inputs), tuple(outputs),
                               [row.op == "NOT" for row in rows],
                               [(row.args[0], row.args[-1]) for row in rows],
-                              [row.out for row in rows], [row.src for row in rows])
+                              [row.src for row in rows])
 
 
 def level_groups(network: nl.CompiledNetwork) -> list[list[GateRow]]:

@@ -22,7 +22,7 @@ import numpy as np
 import noiselogic as nl
 from noiselogic import simulator
 from noiselogic.errors import NetlistError
-from noiselogic.netlist import GATE_ARITY, Assignment, NetlistAst
+from noiselogic.netlist import GATE_ARITY, NetlistAst
 from noiselogic.prng import SplitMix64
 
 from conftest import GateRow, gate_rows, network_from_rows
@@ -38,7 +38,7 @@ def serial_parse(text: str) -> NetlistAst:
     """Parse netlist source, checking every token as a name before any lookup."""
     inputs: list[str] = []
     outputs: list[str] = []
-    assignments: list[Assignment] = []
+    assignments: list[tuple[str, str, tuple[str, ...]]] = []
     defined: set[str] = set()
 
     def _name(token: str, lineno: int) -> str:
@@ -88,7 +88,7 @@ def serial_parse(text: str) -> NetlistAst:
                 )
             arg_names = tuple(_use(token, lineno) for token in args)
             target = _define(tokens[1], lineno)
-            assignments.append(Assignment(target, gate, arg_names))
+            assignments.append((target, gate, arg_names))
             if keyword == "output":
                 outputs.append(target)
             continue
@@ -130,12 +130,10 @@ class _Lowerer:
     def or_(self, a: int, b: int, out: str | None = None) -> int:
         return self.not_(self.and_(self.not_(a), self.not_(b)), out)
 
-    def expand(self, assignment: Assignment) -> None:
-        self._src = assignment.target
+    def expand(self, target: str, gate: str, arg_names: tuple[str, ...]) -> None:
+        self._src = target
         self._tmp = 0
-        args = [self.index[name] for name in assignment.args]
-        target = assignment.target
-        gate = assignment.gate
+        args = [self.index[name] for name in arg_names]
         if gate == "NOT":
             self.not_(args[0], target)
         elif gate == "AND":
@@ -164,7 +162,7 @@ def serial_lower(ast: NetlistAst) -> nl.CompiledNetwork:
     """Lower gate by gate, building the network from its list of ``GateRow``s."""
     lowerer = _Lowerer(ast.inputs)
     for assignment in ast.assignments:
-        lowerer.expand(assignment)
+        lowerer.expand(*assignment)
     return network_from_rows(lowerer.wires, ast.inputs, ast.outputs, lowerer.gates)
 
 

@@ -95,7 +95,7 @@ def test_criterion_4_universality_end_to_end():
         rng = random.Random(2024)
         sources = [FULL_ADDER] + [random_netlist_source(rng) for _ in range(50)]
         asts = [nl.parse(s) for s in sources]
-        used_gates = {a.gate for ast in asts for a in ast.assignments}
+        used_gates = {gate for ast in asts for _, gate, _ in ast.assignments}
         assert used_gates == {"NOT", "BUF", "AND", "OR", "NAND", "NOR", "XOR", "XNOR"}
         config = nl.GeneratorConfig(seed=5, steps=256)
         for backend in nl.BACKENDS:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from unittest import mock
 
 import pytest
@@ -363,3 +364,32 @@ class TestUnwritableOutput:
                                       "--out", str(out), "--waves", str(tmp_path / "w.csv")])
         assert result.exit_code == 2
         assert out.read_text() == "kept" and not (tmp_path / "w.csv").exists()
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read is a usage error: exit 2, nothing on stdout.
+
+    The suite may run as root, which ``chmod`` cannot deny a read, so the
+    read itself is made to fail.
+    """
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "verify --network"])
+    def test_unreadable_file_exits_2(self, runner, adder_path, tmp_path, monkeypatch, command):
+        network = tmp_path / "adder.json"
+        network.write_text(lower(parse(FULL_ADDER)).to_json())
+        argv = {"simulate": ["simulate", adder_path, "--assign", "a=1,b=0,cin=1"],
+                "verify": ["verify", adder_path],
+                "verify --network": ["verify", adder_path, "--network", str(network)]}[command]
+        unreadable = str(network) if command == "verify --network" else adder_path
+        read_text = pathlib.Path.read_text
+
+        def denied(self, *args, **kwargs):
+            if str(self) == unreadable:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", denied)
+        result = runner.invoke(main, [*argv, "--steps", "16"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot read {unreadable}: Permission denied\n"

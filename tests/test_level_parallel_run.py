@@ -84,7 +84,7 @@ class TestLevelRunEqualsSerial:
     def test_a_netlist_of_benchmark_scale(self, backend):
         # 3,817 primitives, the size of the simulate benchmark's netlists.
         network = nl.lower(nl.parse(random_netlist_source(random.Random(26), 32, 1000)))
-        assert len(network.out) == 3817
+        assert len(network.is_not) == 3817
         assignment = {name: k % 3 % 2 for k, name in enumerate(network.inputs)}
         config = nl.GeneratorConfig(seed=11, steps=200)
         got = outcome(nl.run, network, backend, assignment, config)
@@ -169,9 +169,9 @@ class TestLevelPlan:
         groups = simulator._slot_groups(network.level_groups)
         _replay(network, groups, len(network.wires))
         assert [op for op, _, _ in groups] == [g[0].op for g in level_groups(network)]
-        assert sum(len(outs) for _, _, outs in groups) == len(network.out)
+        assert sum(len(outs) for _, _, outs in groups) == len(network.is_not)
         # One kernel call per group instead of one per primitive.
-        assert len(groups) < len(network.out)
+        assert len(groups) < len(network.is_not)
 
     def test_full_adder_keeps_only_the_outputs(self, full_adder_network):
         net = full_adder_network
@@ -275,7 +275,7 @@ class TestRunIsLazy:
     def test_simulate_builds_at_most_one_object_per_cut_word(self, tmp_path, backend, steps):
         source = random_netlist_source(random.Random(26), 32, 1000)
         network = nl.lower(nl.parse(source))
-        assert len(network.out) > 3500
+        assert len(network.is_not) > 3500
         path = tmp_path / "big.nl"
         path.write_text(source)
         # A one-step RTW window whose references are identical: every wire
@@ -327,7 +327,7 @@ class TestRunIsLazy:
         network = nl.lower(nl.parse(random_netlist_source(random.Random(3), 8, 60)))
         named = [name for name in network.wires if "$" not in name][-outputs:]
         network = nl.CompiledNetwork(network.wires, network.inputs, tuple(reversed(named)),
-                                     network.is_not, network.args, network.out, network.src)
+                                     network.is_not, network.args, network.src)
         config = nl.GeneratorConfig(seed=5, steps=64)
         assignment = {name: 1 for name in network.inputs}
         result = nl.run(network, "rtw-additive-not", assignment, config)

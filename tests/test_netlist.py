@@ -23,12 +23,11 @@ class TestParse:
         assert ast.inputs == ("a", "b")
         assert ast.outputs == ("y",)
         assert len(ast.assignments) == 2
-        assert ast.assignments[0].gate == "AND"
-        assert ast.assignments[1].args == ("n",)
+        assert ast.assignments == (("n", "AND", ("a", "b")), ("y", "NOT", ("n",)))
 
     def test_buf_passthrough(self):
         ast = nl.parse("input a\noutput y = BUF a\n")
-        assert ast.assignments[0].gate == "BUF"
+        assert ast.assignments == (("y", "BUF", ("a",)),)
 
     def test_comments_and_blank_lines(self):
         ast = nl.parse("# top\ninput a b\n\nwire n = AND a b  # inner\noutput y = NOT n\n")
@@ -99,7 +98,7 @@ class TestLowering:
         arity = 1 if gate in ("NOT", "BUF") else 2
         args = "a" if arity == 1 else "a b"
         ast = nl.parse(f"input a b\noutput y = {gate} {args}\n")
-        assert len(nl.lower(ast).out) == count
+        assert len(nl.lower(ast).is_not) == count
 
     def test_or_expansion_shape(self):
         net = nl.lower(nl.parse("input a b\noutput y = OR a b\n"))
@@ -144,7 +143,7 @@ class TestLowering:
                "gates": [{"op": op, "args": names[:-1], "out": names[-1], "src": "y"}
                          for op, *names in rows]}
         assert network.to_json() == json.dumps(doc, indent=2) + "\n"
-        assert len(network.out) == len(nl.netlist.EXPANSION[gate]) == self.COUNTS[gate]
+        assert len(network.is_not) == len(nl.netlist.EXPANSION[gate]) == self.COUNTS[gate]
 
     @settings(max_examples=150, deadline=None)
     @given(netlist_seed=st.integers(0, 2**32 - 1), max_inputs=st.integers(2, 12),
@@ -247,7 +246,8 @@ class TestNetworkJson:
 
 
 class TestGateColumns:
-    """A network's gates are its four read-only columns."""
+    """A network's gates are its three read-only columns; gate ``i`` writes wire
+    ``len(inputs) + i``."""
 
     def test_networks_compare_and_hash_by_names_and_columns(self, full_adder_network):
         net = full_adder_network
@@ -256,9 +256,11 @@ class TestGateColumns:
         built = network_from_rows(net.wires, net.inputs, net.outputs, rows)
         assert built == net and hash(built) == hash(net)
         assert len({built, net}) == 1
-        # Two neighbouring gates where the second does not read the first.
+        # Two neighbouring gates where the second does not read the first,
+        # each now writing the wire of its new position.
         i = next(i for i in range(len(rows) - 1) if rows[i].out not in rows[i + 1].args)
-        order = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]
+        order = rows[:i] + [rows[i + 1]._replace(out=rows[i].out),
+                            rows[i]._replace(out=rows[i + 1].out)] + rows[i + 2:]
         swapped = network_from_rows(net.wires, net.inputs, net.outputs, order)
         assert swapped != net and gate_rows(swapped) == order
         renamed = [g._replace(src="x") if i == 4 else g for i, g in enumerate(rows)]
@@ -268,44 +270,78 @@ class TestGateColumns:
 
     def test_columns_are_read_only(self, full_adder_network):
         net = full_adder_network
-        for column in (net.is_not, net.args, net.out, net.src):
+        for column in (net.is_not, net.args, net.src):
             with pytest.raises(ValueError):
                 column[0] = column[1]
-        assert net.args.shape == (len(net.out), 2)
+        assert net.args.shape == (len(net.wires) - len(net.inputs), 2)
         nots = net.is_not
         assert (net.args[nots, 0] == net.args[nots, 1]).all()
 
     def test_columns_of_different_lengths_are_rejected(self):
         with pytest.raises(NetlistError, match="differ in length"):
-            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), [True], [(0, 0)], [1], [])
+            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), [True], [(0, 0)], [])
 
-    @pytest.mark.parametrize("wires, outputs, args, out, message", [
-        (("a", "t", "y"), ("y",), [(2, 2), (0, 0)], [1, 2],
+    @pytest.mark.parametrize("wires, outputs, args, message", [
+        (("a", "t", "y"), ("y",), [(2, 2), (0, 0)],
          "gate 0 reads wire 2, which is neither an input nor written by an earlier gate"),
-        (("a", "d", "y"), ("y",), [(0, 0)], [2],
+        (("a", "d", "y"), ("y",), [(0, 0)],
          "every wire after the inputs must be written by exactly one gate"),
-        (("a", "y"), ("y",), [(-1, -1)], [1],
+        (("a", "y"), ("y",), [(-1, -1)],
          "gate 0 reads wire -1, which is neither an input nor written by an earlier gate"),
-        (("a", "y"), ("y",), [(5, 5)], [1],
+        (("a", "y"), ("y",), [(5, 5)],
          "gate 0 reads wire 5, which is neither an input nor written by an earlier gate"),
-        (("a", "y"), ("z",), [(0, 0)], [1], "output 'z' is never defined"),
-        (("a", "y"), ("y",), [(0, 0)], [0],
+        (("a", "y"), ("z",), [(0, 0)], "output 'z' is never defined"),
+        (("a", "y"), ("y",), [(0, 0), (0, 0)],
          "every wire after the inputs must be written by exactly one gate"),
-        (("a", "a"), ("a",), [(0, 0)], [1], "compiled network names a wire twice"),
-        (("y", "a"), ("y",), [(1, 1)], [0], "compiled network's wires must start with its inputs"),
-        (("a", "y"), ("y", "y"), [(0, 0)], [1], "compiled network declares an output twice"),
+        (("a", "y"), ("y",), [(1, 1)],
+         "gate 0 reads wire 1, which is neither an input nor written by an earlier gate"),
+        (("a", "a"), ("a",), [(0, 0)], "compiled network names a wire twice"),
+        (("y", "a"), ("y",), [(1, 1)], "compiled network's wires must start with its inputs"),
+        (("a", "y"), ("y", "y"), [(0, 0)], "compiled network declares an output twice"),
     ], ids=["reads-a-later-gate", "unwritten-wire", "negative-argument", "argument-past-wires",
-            "output-names-no-wire", "gate-writes-an-input", "duplicate-wire", "inputs-not-first",
-            "duplicate-output"])
-    def test_malformed_networks_are_rejected(self, wires, outputs, args, out, message):
+            "output-names-no-wire", "more-gates-than-wires", "reads-its-own-wire",
+            "duplicate-wire", "inputs-not-first", "duplicate-output"])
+    def test_malformed_networks_are_rejected(self, wires, outputs, args, message):
         with pytest.raises(NetlistError) as info:
-            nl.CompiledNetwork(wires, ("a",), outputs, [True] * len(out), args, out,
-                               [wires[-1]] * len(out))
+            nl.CompiledNetwork(wires, ("a",), outputs, [True] * len(args), args,
+                               [wires[-1]] * len(args))
         assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_in=st.integers(0, 4), gates=st.integers(0, 7))
+    def test_constructor_accepts_exactly_the_reads_of_earlier_wires(self, data, n_in, gates):
+        # Each operand is an earlier wire, then a few are overwritten with any
+        # value from -3 to three past the last wire: negative, self, later and
+        # past-the-end reads.
+        n = n_in + gates
+        is_not = data.draw(st.lists(st.booleans(), min_size=gates, max_size=gates))
+        args = [[data.draw(st.integers(0, n_in + i - 1) if n_in + i else st.integers(-3, n + 2))
+                 for _ in range(2)] for i in range(gates)]
+        if gates:
+            for i, k, wire in data.draw(st.lists(st.tuples(
+                    st.integers(0, gates - 1), st.integers(0, 1), st.integers(-3, n + 2)),
+                    max_size=3)):
+                args[i][k] = wire
+        for i in range(gates):
+            if is_not[i]:
+                args[i][1] = args[i][0]   # a NOT holds its one operand twice
+        first_bad = next(((i, k) for i in range(gates) for k in range(2)
+                          if not 0 <= args[i][k] < n_in + i), None)
+        wires = tuple(f"w{k}" for k in range(n))
+        columns = (wires, wires[:n_in], wires[-1:], is_not, args, wires[n_in:])
+        if first_bad is None:
+            net = nl.CompiledNetwork(*columns)
+            assert nl.CompiledNetwork.from_json(net.to_json()) == net
+        else:
+            i, k = first_bad
+            with pytest.raises(NetlistError) as info:
+                nl.CompiledNetwork(*columns)
+            assert str(info.value) == (f"gate {i} reads wire {args[i][k]}, which is neither "
+                                       f"an input nor written by an earlier gate")
 
     def test_zero_gate_network_from_json(self):
         net = nl.CompiledNetwork.from_json('{"inputs": ["a"], "outputs": ["a"], "gates": []}')
-        assert len(net.out) == 0 and gate_rows(net) == [] and net.args.shape == (0, 2)
+        assert len(net.is_not) == 0 and gate_rows(net) == [] and net.args.shape == (0, 2)
         assert net.gate_counts() == {"NOT": 0, "AND": 0}
         assert net == network_from_rows(("a",), ("a",), ("a",), [])
         assert nl.CompiledNetwork.from_json(net.to_json()) == net
@@ -318,7 +354,7 @@ class TestGateColumns:
     def test_network_with_no_wires(self, backend):
         # Its one empty assignment verifies on a chunk of at least one slot;
         # dividing the chunk by its zero slots raised ZeroDivisionError.
-        net = nl.CompiledNetwork((), (), (), [], [], [], [])
+        net = nl.CompiledNetwork((), (), (), [], [], [])
         assert simulator._plan(net).slots == 0
         config = nl.GeneratorConfig(seed=1, steps=32)
         doc = nl.verify_equivalence(net, backend, config).to_doc()
@@ -337,13 +373,13 @@ class TestLargeNetworks:
         path = tmp_path / "big.nl"
         path.write_text(source)
         network = nl.lower(nl.parse(source))
-        assert len(network.out) > 3500
+        assert len(network.is_not) > 3500
         assign = ",".join(f"{name}={k % 2}" for k, name in enumerate(network.inputs))
         out = CliRunner().invoke(cli.main, ["simulate", str(path), "--assign", assign,
                                             "--steps", "64"])
         assert out.exit_code == 0, out.output
-        assert json.loads(out.stdout)["primitive_count"] == len(network.out)
-        assert sum(network.gate_counts().values()) == len(network.out)
+        assert json.loads(out.stdout)["primitive_count"] == len(network.is_not)
+        assert sum(network.gate_counts().values()) == len(network.is_not)
         assert nl.CompiledNetwork.from_json(network.to_json()) == network
 
     @pytest.mark.parametrize("nots", [127, 128, 32_767, 32_800])
@@ -356,12 +392,12 @@ class TestLargeNetworks:
                  *(f"g{j}" for j in range(len(ands))))
         args = [(0, 0)] + [(k + 2, k + 2) for k in range(nots - 1)] + [(k + 2, 1) for k in ands]
         network = nl.CompiledNetwork(wires, ("a", "b"), (wires[-1],),
-                                     [True] * nots + [False] * len(ands), args,
-                                     np.arange(2, len(wires)), list(wires[2:]))
+                                     [True] * nots + [False] * len(ands), args, list(wires[2:]))
         level = [0] * len(wires)
         for gate in gate_rows(network):
             level[gate.out] = 1 + max(level[arg] for arg in gate.args)
-        key = 2 * np.array(level, dtype=np.int64)[network.out] + network.is_not
+        out = np.arange(2, len(wires))
+        key = 2 * np.array(level, dtype=np.int64)[out] + network.is_not
         assert key.max() == 2 * nots + 1
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -369,7 +405,7 @@ class TestLargeNetworks:
         groups = network.level_groups
         assert groups.bounds == bounds
         assert groups.ops == ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
-        assert groups.out.tolist() == network.out[order].tolist()
+        assert groups.out.tolist() == out[order].tolist()
         assert groups.reads.tolist() == network.args[order].T.tolist()
 
     def test_verify_with_and_without_a_network_file(self, tmp_path, full_adder_network):

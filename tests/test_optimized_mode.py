@@ -159,11 +159,11 @@ net = nl.lower(nl.parse(open(0).read()))
 plan = simulator._plan(net)
 print(net.to_json(), end="")
 print(len(plan.groups), plan.slots, net.gate_counts(),
-      bool(net.is_not[-1]), net.args[-1].tolist(), int(net.out[-1]), net.src[-1])
+      bool(net.is_not[-1]), net.args[-1].tolist(), net.wire_index(net.src[-1]), net.src[-1])
 doc = json.loads(net.to_json())
 doc["outputs"] *= 2
 for build in (lambda: nl.CompiledNetwork(net.wires, net.inputs, net.outputs, net.is_not[1:],
-                                         net.args, net.out, net.src),
+                                         net.args, net.src),
               lambda: nl.CompiledNetwork.from_json(json.dumps(doc))):
     try:
         build()

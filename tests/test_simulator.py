@@ -22,24 +22,31 @@ def _and_network():
 
 
 def corrupt_and_to_or(network: nl.CompiledNetwork) -> nl.CompiledNetwork:
-    """Swap the first primitive AND into an OR-shaped subgraph (still {NOT, AND})."""
+    """Swap the first primitive AND into an OR-shaped subgraph (still {NOT, AND}).
+
+    The subgraph's four gates go in at the AND's position, the last one
+    writing the AND's wire, so that wire and every later one move three
+    places up.
+    """
     gates = gate_rows(network)
     idx = next(i for i, g in enumerate(gates) if g.op == "AND")
     victim = gates[idx]
-    wires = list(network.wires)
-    base = len(wires)
-    na, nb, conj = f"{victim.src}$fault0", f"{victim.src}$fault1", f"{victim.src}$fault2"
-    wires.extend([na, nb, conj])
+    w = victim.out
+
+    def moved(wire: int) -> int:
+        return wire + 3 if wire >= w else wire
+
     patched = [
-        GateRow("NOT", (victim.args[0],), base, victim.src),
-        GateRow("NOT", (victim.args[1],), base + 1, victim.src),
-        GateRow("AND", (base, base + 1), base + 2, victim.src),
-        GateRow("NOT", (base + 2,), victim.out, victim.src),
+        GateRow("NOT", (victim.args[0],), w, victim.src),
+        GateRow("NOT", (victim.args[1],), w + 1, victim.src),
+        GateRow("AND", (w, w + 1), w + 2, victim.src),
+        GateRow("NOT", (w + 2,), w + 3, victim.src),
     ]
-    gates[idx:idx + 1] = patched
-    # Re-sort so every new wire still precedes its uses: the patched gates
-    # write to fresh indices except the final NOT, which reuses victim.out.
-    return network_from_rows(wires, network.inputs, network.outputs, gates)
+    later = [g._replace(args=tuple(map(moved, g.args)), out=g.out + 3) for g in gates[idx + 1:]]
+    faults = tuple(f"{victim.src}$fault{k}" for k in range(3))
+    wires = network.wires[:w] + faults + network.wires[w:]
+    return network_from_rows(wires, network.inputs, network.outputs,
+                             gates[:idx] + patched + later)
 
 
 class TestRun:
