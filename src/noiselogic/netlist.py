@@ -69,15 +69,17 @@ GATE_ARITY = {gate: 2 if any("b" in prim for prim in expansion) else 1
 
 _RESERVED = {"input", "wire", "output"}
 
+# Gate -> its Boolean function of ``one``, the value of true (1 for bits,
+# all ones for lane words), and its arguments.
 _BOOL_FN = {
-    "NOT": lambda a: 1 - a,
-    "BUF": lambda a: a,
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "NAND": lambda a, b: 1 - (a & b),
-    "NOR": lambda a, b: 1 - (a | b),
-    "XOR": lambda a, b: a ^ b,
-    "XNOR": lambda a, b: 1 - (a ^ b),
+    "NOT": lambda one, a: a ^ one,
+    "BUF": lambda one, a: a,
+    "AND": lambda one, a, b: a & b,
+    "OR": lambda one, a, b: a | b,
+    "NAND": lambda one, a, b: a & b ^ one,
+    "NOR": lambda one, a, b: (a | b) ^ one,
+    "XOR": lambda one, a, b: a ^ b,
+    "XNOR": lambda one, a, b: a ^ b ^ one,
 }
 
 
@@ -137,9 +139,21 @@ class CompiledNetwork:
     src: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("is_not", bool), ("args", np.intp), ("src", object)):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
-        object.__setattr__(self, "args", self.args.reshape(-1, 2))
+        # Each gate column's kind and shape, checked before the cast, which would
+        # truncate 0.5 to 0 or read any value as a bool.
+        for name, kinds, width, what in (("is_not", "b", (), "bools"),
+                                         ("args", "iu", (2,), "(gates, 2) integer wire indices")):
+            try:
+                column = np.asarray(getattr(self, name))
+            except ValueError:   # a ragged list
+                column = np.asarray(getattr(self, name), dtype=object)
+            if column.size and (column.dtype.kind not in kinds
+                                or column.ndim != 1 + len(width) or column.shape[1:] != width):
+                raise NetlistError(f"gate column {name} must hold {what}, got {column.dtype} "
+                                   f"values of shape {column.shape}")
+            column = column.astype(np.intp if width else bool).reshape(-1, *width)
+            object.__setattr__(self, name, _read_only(column))
+        object.__setattr__(self, "src", _read_only(np.array(self.src, dtype=object)))
         if not len(self.is_not) == len(self.args) == len(self.src):
             raise NetlistError("gate columns differ in length")
         n_in, n = len(self.inputs), len(self.wires)
@@ -421,10 +435,15 @@ def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
     stray = [name for name in assignment if name not in inputs]
     if stray:
         raise NetlistError(f"assignment binds name(s) that are not inputs: {', '.join(stray)}")
+    lanes = [isinstance(v, np.ndarray) and v.dtype == np.uint64 for v in assignment.values()]
+    if any(lanes) and not all(lanes):
+        raise NetlistError("lane words must bind every input or none")
     for name, value in assignment.items():
         if isinstance(value, np.ndarray):
-            valid = (value.ndim == 1 and np.issubdtype(value.dtype, np.integer)
-                     and bool(np.all((value == 0) | (value == 1))))
+            # Every bit of a lane word is an assignment's 0 or 1.
+            valid = value.ndim == 1 and (value.dtype == np.uint64 or (
+                np.issubdtype(value.dtype, np.integer)
+                and bool(np.all((value == 0) | (value == 1)))))
         else:
             valid = value in (0, 1)
         if not valid:
@@ -443,18 +462,24 @@ def eval_boolean(
     Accepts either an AST (evaluating the declared gates directly) or a
     compiled network (evaluating the primitives); for any well-lowered
     network the two agree on every assignment.  Each input is bound to a
-    0/1 int, or to a 1-D 0/1 integer array holding one assignment per row;
-    with arrays every output is an array of the same length, so a chunk of
-    assignments is evaluated bit-parallel in one call.
+    0/1 int, or to a 1-D integer array: a 0/1 value per row, or, for
+    ``uint64``, lane words, bit ``j`` of word ``w`` holding assignment
+    ``64 * w + j``, which must then bind every input.  With arrays every
+    output is an array of the same kind and length, so a chunk of
+    assignments is evaluated bit-parallel in one call; NOT flips the value
+    against ``one``, 1 for bits and all ones for lane words.
     """
     _check_assignment(source.inputs, assignment)
+    lanes = any(isinstance(v, np.ndarray) and v.dtype == np.uint64 for v in assignment.values())
+    one = ~np.uint64(0) if lanes else 1
     if isinstance(source, NetlistAst):
         values = {name: _bit(assignment[name]) for name in source.inputs}
         for target, gate, args in source.assignments:
-            values[target] = _BOOL_FN[gate](*(values[arg] for arg in args))
+            values[target] = _BOOL_FN[gate](one, *(values[arg] for arg in args))
         return {name: values[name] for name in source.outputs}
 
     values = [_bit(assignment[name]) for name in source.inputs]
+    not_, and_ = _BOOL_FN["NOT"], _BOOL_FN["AND"]
     for is_not, (a, b) in zip(source.is_not.tolist(), source.args.tolist()):
-        values.append(1 - values[a] if is_not else values[a] & values[b])
+        values.append(not_(one, values[a]) if is_not else and_(one, values[a], values[b]))
     return {name: values[source.wire_index(name)] for name in source.outputs}

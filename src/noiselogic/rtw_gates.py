@@ -26,7 +26,7 @@ reference) because their algebra promises nothing for arbitrary
 waveforms.  The multiplicative NOT is closed over any +1/-1 wave and
 accepts them; this asymmetry is deliberate, and the only difference
 between the two RTW backends.  The AND output is checked, row by row, to
-be H where both inputs copy H and L elsewhere.
+be H where both inputs copy H and L elsewhere, by the pair's ``select``.
 
 Derived gates (OR, NAND, XOR, ...) are not defined here: the netlist
 lowering table is the one place where they are composed from NOT and AND.
@@ -58,6 +58,6 @@ def and_gate(pair: LogicReferencePair, x1: np.ndarray, x2: np.ndarray) -> np.nda
     """AND via the cubic reference polynomial; L absorbs, (H, H) gives H."""
     h, l, (a_high, b_high) = pair.operands(RTW, x1, x2)
     out = _and_words(h, l, x1, x2)
-    if not np.array_equal(out, np.where(a_high & b_high, h, l)):
+    if not np.array_equal(out, pair.select(a_high & b_high, h, l)):
         raise InvariantError("AND output is not H exactly where both inputs are High")
     return out

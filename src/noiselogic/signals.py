@@ -404,6 +404,10 @@ class LogicReferencePair:
             raise LengthMismatchError(f"AND: shapes differ ({a} vs {b})")
         return h, l, highs
 
+    # ``select(mask, h, l)``: ``h`` on the rows where ``mask``, one of the
+    # ``highs`` of :meth:`operands` or a 0/1 bit, is true, ``l`` elsewhere.
+    select = staticmethod(np.where)
+
     @cached_property
     def step_classes(self) -> "StepClasses":
         """This pair cut to one step per distinct ``(H_t, L_t)`` column.

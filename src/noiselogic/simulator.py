@@ -14,27 +14,38 @@ backends exist:
 evaluate a network by one walk, :func:`_evaluate`: each (topological level,
 op) group of gates is one kernel call on the packed words of its operands,
 gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
-whose rows are the one run, the assignments of a chunk or one column set of
-a chunk of trials; each slot is one contiguous ``(words, rows)`` batch.
-:func:`run` keeps every wire, wire ``i`` in slot ``i``;
-:func:`verify_equivalence` and :func:`decision_latency` keep only the
-outputs and reuse the slots of dead wires (:func:`_plan`).  Both walk the
-groups that :func:`_slot_groups` builds.  The kernels take and return
+whose rows are the one run, the lane words of a chunk of assignments or
+one column set of a chunk of trials; each slot is one contiguous
+``(words, rows)`` batch.  :func:`run` keeps every wire, wire ``i`` in slot
+``i``; :func:`verify_equivalence` and :func:`decision_latency` keep only
+the outputs and reuse the slots of dead wires (:func:`_plan`).  Both walk
+the groups that :func:`_slot_groups` builds.  The kernels take and return
 those words, so the walk wraps no wave: every operand is an input's copy
 of High or Low or a kernel's output, on the backend's pair, so the
 carrier and step checks that words cannot carry hold by construction, and
 each kernel still checks every value.
 
 Every walk is on a pair's step classes, :attr:`LogicReferencePair.step_classes`:
-the pair cut to one step per distinct ``(H_t, L_t)`` column, at most four,
-so a row is one cut word below 16 at any step count, and
-:meth:`StepClasses.read` classifies each distinct word once.  This rests on
-one precondition, which all three meet: every input copies High or Low, so
-every wire is a per-step function of the column.  A path that feeds other
-input waves must cut on ``(H, L, inputs)`` columns, or not cut at all.
-Every kernel check still runs, on the cut pair; each distinct word is read,
-and each wave a run hands out built, as its full wave against the full
-pair.  :func:`decision_latency` walks one pair per distinct column set.
+the pair cut to one step per distinct ``(H_t, L_t)`` column, at most four.
+This rests on one precondition, which all three meet: every input copies
+High or Low, so every wire is a per-step function of the column.  A path
+that feeds other input waves must cut on ``(H, L, inputs)`` columns, or
+not cut at all.  Every kernel check still runs, on the cut pair; each
+distinct word is read, and each wave a run hands out built, as its full
+wave against the full pair.
+
+:func:`run` and :func:`decision_latency` walk one row, a cut word below 16
+at any step count, and :meth:`StepClasses.read` classifies each distinct
+word once; :func:`decision_latency` walks one pair per distinct column
+set.  :func:`verify_equivalence`, which walks many assignments, walks them
+bit-sliced on :class:`_Lanes`, the one object that knows that layout: a
+slot is ``(columns, lane words)``, bit ``j`` of lane word ``w`` in row
+``c`` the wire's value at cut step ``c`` for assignment ``64 * w + j`` of
+the chunk, and High and Low are ``(columns, 1)`` words of all ones or all
+zeros, so the kernels' word formulas run unchanged.  Lanes past the
+assignment count hold a copy of a real assignment (the tail-lane rule), so
+every check holds on every lane; only the readout masks them.  A chunk's
+slots hold at most ``_CHUNK_BYTES`` of words, and at least one lane word.
 
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
@@ -53,7 +64,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators, rtw_gates, spike_gates
-from .errors import ConfigError, NetlistError
+from .errors import (
+    ConfigError,
+    FamilyMismatchError,
+    InvalidLogicValueError,
+    LengthMismatchError,
+    NetlistError,
+)
 from .generators import count_identical_rtw_pairs
 from .netlist import (
     PRIMITIVE_ARITY,
@@ -73,6 +90,7 @@ from .signals import (
     LogicReferencePair,
     StepClasses,
     Waveform,
+    _all,
     _column_masks,
     _integer,
     first_set_step,
@@ -83,17 +101,18 @@ EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
 # (decision_latency) may hold, in (words, rows) blocks of uint64: the slots
-# of the wave matrix, or the drawn reference planes and their column masks.
+# of the wave matrix, (columns, lane words) for verify, or the drawn
+# reference planes and their column masks.
 _CHUNK_BYTES = 2 << 20
 
 # Trials one chunk of the ambiguity sweep draws.
 _MC_CHUNK = 1 << 16
 
 
-def _chunk_rows(steps: int, waves: int) -> int:
+def _chunk_rows(words: int, waves: int) -> int:
     """Rows per chunk so that ``waves`` live ``(words, rows)`` blocks, at least one, fit
     ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (8 * words_for(steps) * max(1, waves)))
+    return max(1, _CHUNK_BYTES // (8 * words * max(1, waves)))
 
 
 # Worker threads a sweep may run its chunks on, at most.  The sweeps' speed
@@ -227,18 +246,20 @@ def _plan(network: CompiledNetwork) -> _Plan:
 def _evaluate(groups: list, slots: int, bk: _Backend, bits, rows: int) -> np.ndarray:
     """Walk ``groups`` on ``bk``; returns the read-only ``(slots, words, rows)`` wave matrix.
 
-    Input ``i`` is High where ``bits[i]``, a 0/1 int or a ``(rows,)`` bit
-    array, is 1 and Low elsewhere.
+    Input ``i`` is ``bk.pair.select(bits[i], h, l)``: High where
+    ``bits[i]`` marks it and Low elsewhere, for a 0/1 int on a pair or a
+    ``(rows,)`` array of lane words on :class:`_Lanes`; one select builds
+    them all.
     Each group runs its kernel once, with all of its checks, on the words
     of its operands as they are: ``(words, rows)`` views of its slots for
     one gate, gathered ``(gates, words, rows)`` batches for more.  The
     kernel's output words go straight into the matrix; no wave is built.
     """
-    # The pair spreads over the rows as (words, 1) columns.
+    # High and Low spread over the rows as (words, 1) columns.
     h, l = bk.pair._columns
-    matrix = np.empty((slots, words_for(bk.pair.steps), rows), dtype=np.uint64)
-    for i, bit in enumerate(bits):
-        matrix[i] = np.where(bit, h, l)   # a (rows,) bit array spreads over the words
+    matrix = np.empty((slots, len(h), rows), dtype=np.uint64)
+    if len(bits):
+        matrix[:len(bits)] = bk.pair.select(np.reshape(bits, (len(bits), 1, -1)), h, l)
     for op, args, outs in groups:
         if len(outs) == 1:
             args, outs = [arg[0] for arg in args], outs[0]
@@ -359,17 +380,107 @@ class EquivalenceReport:
         return {**vars(self), "inputs": list(self.inputs), "pass": self.ok}
 
 
-def _assignments_from_indices(
-    inputs: tuple[str, ...], indices: np.ndarray
-) -> dict[str, np.ndarray]:
-    """One ``(rows,)`` bit array per input; input ``j`` of ``n`` is bit ``n - 1 - j`` of the index.
+_ALL = ~np.uint64(0)
 
-    ``indices`` is a uint64 array, or an object array of Python ints for
-    more than 64 inputs.
+# Lane word of assignment-index bit k < 6 on every lane word: bit j set where j has bit k.
+_PERIODIC = [np.uint64(word) for word in (
+    0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)]
+
+
+class _Lanes:
+    """The cut pair of :class:`StepClasses` as a kernel's pair, 64 assignments to a word.
+
+    The one object that knows the lane layout (see the module docstring):
+    a wire is ``(columns, lane words)``, and High and Low are ``(columns,
+    1)`` words of all ones or all zeros.  It owns the two checks that see
+    rows, :meth:`operands`' exact-copy test, an AND reduce over the columns
+    per lane, and :meth:`select`, a bitwise select where a pair takes
+    ``np.where``, and the readout, :meth:`read` and :meth:`cut_words`.
     """
-    n = len(inputs)
-    return {name: ((indices >> (n - 1 - j)) & 1).astype(np.int64)
-            for j, name in enumerate(inputs)}
+
+    def __init__(self, classes: StepClasses):
+        cut = classes.pair
+        self.family, self.steps = cut.family, cut.steps
+        column = np.arange(self.steps, dtype=np.uint64)[:, None]
+        self._columns = tuple(np.where(w.words >> column & np.uint64(1), _ALL, np.uint64(0))
+                              for w in (cut.h, cut.l))
+        self._inverse = tuple(~w for w in self._columns)
+        # No lane of a pair whose references never differ reads High or Low.
+        self.decides = bool(cut.h.words[0] != cut.l.words[0])
+
+    def operands(self, family: str, *inputs: np.ndarray, exact: bool = True):
+        """:meth:`LogicReferencePair.operands` on lanes: ``highs`` are lane masks.
+
+        Lane words have no padding, so an input is checked for its dtype and
+        column count, and with ``exact`` for a copy of High or Low on every lane.
+        """
+        if self.family != family:
+            raise FamilyMismatchError(f"{family} gates need a {family} pair, got {self.family}")
+        roles = ("input",) if len(inputs) == 1 else ("first input", "second input")
+        highs = []
+        for x, role in zip(inputs, roles):
+            if not (isinstance(x, np.ndarray) and x.dtype == np.uint64 and x.ndim in (2, 3)
+                    and x.shape[-2] == self.steps):
+                raise LengthMismatchError(f"{role} is not uint64 lane words of {self.steps} "
+                                          f"columns")
+            high = None
+            if exact:
+                high, low = self.copies(x)
+                if not _all((high | low) == _ALL, axis=None):
+                    raise InvalidLogicValueError(
+                        f"{role} matches neither the High nor the Low reference")
+            highs.append(high)
+        if len(inputs) > 1 and inputs[0].shape != inputs[1].shape:
+            raise LengthMismatchError(f"AND: shapes differ ({inputs[0].shape} vs "
+                                      f"{inputs[1].shape})")
+        h, l = self._columns
+        return h, l, highs
+
+    def copies(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The masks of the lanes of ``x`` that copy High and that copy Low, columns axis kept."""
+        nh, nl = self._inverse
+        return (np.bitwise_and.reduce(x ^ nh, axis=-2, keepdims=True),
+                np.bitwise_and.reduce(x ^ nl, axis=-2, keepdims=True))
+
+    @staticmethod
+    def select(mask, h: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """``h`` on the lanes that the lane words ``mask`` set, ``l`` elsewhere."""
+        return h & mask | l & ~mask
+
+    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The masks of the lanes of ``x`` that read High and that read Low; the rest read
+        Ambiguous, as :meth:`StepClasses.read` of their cut words would."""
+        high, low = self.copies(x)
+        if not self.decides:
+            return np.zeros_like(high), np.zeros_like(low)
+        return high, low
+
+    def cut_words(self, x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """The cut word of each ``(columns, lanes)`` wire of ``x`` on each of ``lanes``,
+        ``(wires, len(lanes))``."""
+        bits = x[..., lanes >> 6] >> (lanes & 63).astype(np.uint64) & np.uint64(1)
+        return (bits << np.arange(self.steps, dtype=np.uint64)[:, None]).sum(axis=-2)
+
+
+def _sweep_lanes(n_inputs: int, lo: int, hi: int) -> list[np.ndarray]:
+    """Each input's lane words ``lo:hi`` of the exhaustive sweep, lane ``64 * w + j`` holding
+    assignment index ``(64 * w + j) % 2 ** n_inputs``.
+
+    Input ``j`` is bit ``k = n_inputs - 1 - j`` of the index: a fixed periodic word
+    for ``k < 6``, else whole words of ones or zeros.
+    """
+    w = np.arange(lo, hi, dtype=np.uint64)
+    return [np.full(hi - lo, _PERIODIC[k]) if k < 6
+            else np.where(w >> np.uint64(k - 6) & np.uint64(1), _ALL, np.uint64(0))
+            for k in range(n_inputs - 1, -1, -1)]
+
+
+def _drawn_lanes(n_inputs: int, indices: np.ndarray) -> list[np.ndarray]:
+    """Each input's lane words of ``indices`` (a multiple of 64 of them): input ``j`` of
+    ``n_inputs`` is bit ``n_inputs - 1 - j`` of each index."""
+    return [np.packbits((indices >> k & 1).astype(bool), bitorder="little")
+            .view("<u8").astype(np.uint64) for k in range(n_inputs - 1, -1, -1)]
 
 
 def _draw_indices(stream: SplitMix64, n_inputs: int, sample: int) -> np.ndarray:
@@ -412,11 +523,13 @@ def verify_equivalence(
     uniformly from a derived stream (see :func:`_draw_indices`).
     Equivalence holds only with zero failures and zero ambiguous incidents.
 
-    Assignments are evaluated in chunks of at most ``_CHUNK_BYTES`` of
-    waveform data: each chunk is one :func:`_evaluate` walk on the pair's
-    step classes with a row per assignment, so every (level, op) group and
-    the oracle run once per chunk, and one :meth:`StepClasses.read` of the
-    outputs' cut words reads each distinct word once.  Chunks run on up to
+    Assignments are evaluated in chunks of whole lane words, at most
+    ``_CHUNK_BYTES`` of slots: each chunk is one :func:`_evaluate` walk on
+    :class:`_Lanes` of the pair's step classes, 64 assignments to a lane
+    word, so every (level, op) group and the oracle, :func:`eval_boolean`
+    on the input lane words, run once per chunk.  The outputs read as High
+    and Low lane masks, and one :meth:`StepClasses.read` of the cut words
+    of the failing lanes gives their readings.  Chunks run on up to
     ``min(4, usable CPUs, chunks)`` threads (see :func:`_map_chunks`) and
     merge in chunk order, so the report is the one a per-assignment loop
     would give, with failures and ambiguous incidents in assignment order,
@@ -454,7 +567,8 @@ def verify_equivalence(
         mode = "sample"
 
     classes = make_backend(backend, config).pair.step_classes
-    bk = _Backend(backend, classes.pair)
+    lanes = _Lanes(classes)
+    bk = _Backend(backend, lanes)
     report = EquivalenceReport(
         backend=backend,
         steps=config.steps,
@@ -466,45 +580,60 @@ def verify_equivalence(
         passed=0,
     )
     groups, slots, out_slots = _plan(net)
-    rows = _chunk_rows(bk.pair.steps, slots)
+    lane_words, per_chunk = -(-count // 64), _chunk_rows(lanes.steps, slots)
 
     def check(lo: int) -> tuple[int, int, list[dict], list[dict]]:
-        """Rows, passes, failures and ambiguous incidents of the chunk at ``lo``."""
-        hi = min(lo + rows, count)
-        indices = np.arange(lo, hi, dtype=np.uint64) if drawn is None else drawn[lo:hi]
-        bits = _assignments_from_indices(net.inputs, indices)
-        expected = eval_boolean(source, bits)
-        # Every output of every row is one cut word: (outputs, rows).
-        walk = _evaluate(groups, slots, bk, [bits[name] for name in net.inputs], hi - lo)
-        cut = walk[out_slots, 0]
-        readings = classes.read(cut)
-        # The bit of each word present; an ambiguous word's -1 never matches.
-        got = np.array([-1 if r is None or r.is_ambiguous else r.verdict.to_bit()
-                        for r in readings])[cut]
-        bad = np.zeros(hi - lo, dtype=bool)
-        for name, row in zip(net.outputs, got):
-            bad |= row != expected[name]
+        """Assignments, passes, failures and ambiguous incidents of the chunk from lane word
+        ``lo``."""
+        hi = min(lo + per_chunk, lane_words)
+        first = 64 * lo
+        rows = min(count, 64 * hi) - first
+        if drawn is None:
+            bits = _sweep_lanes(n_inputs, lo, hi)
+        else:
+            # The lanes past the count repeat the last drawn index.
+            chunk = drawn[first:first + rows]
+            bits = _drawn_lanes(n_inputs, np.concatenate(
+                [chunk, chunk[-1:].repeat(64 * (hi - lo) - rows)]))
+        expected = eval_boolean(source, dict(zip(net.inputs, bits)))
+        out = _evaluate(groups, slots, bk, bits, hi - lo)[out_slots]
+        high, low = lanes.read(out)
+        want = np.array([expected[name] for name in net.outputs],
+                        dtype=np.uint64).reshape(len(out_slots), hi - lo)
+        # A lane fails where some output does not read its expected value.
+        bad = np.bitwise_or.reduce(~(high[:, 0] & want | low[:, 0] & ~want), axis=0)
+        if rows % 64:
+            bad[-1] &= _ALL >> np.uint64(64 - rows % 64)   # the lanes past the count
+        failing = np.flatnonzero(np.unpackbits(bad.astype("<u8").view(np.uint8),
+                                               bitorder="little"))
         failures, ambiguous = [], []
-        for r in np.flatnonzero(bad).tolist():
-            assignment = {name: int(bits[name][r]) for name in net.inputs}
-            for name, v in zip(net.outputs, cut[:, r].tolist()):
-                reading = readings[v]
-                if reading.is_ambiguous:
-                    ambiguous.append(
-                        {"assignment": assignment, "wire": name, "detail": reading.detail}
-                    )
-                elif reading.verdict.to_bit() != expected[name][r]:
-                    failures.append(
-                        {
-                            "assignment": assignment,
-                            "output": name,
-                            "expected": int(expected[name][r]),
-                            "got": reading.verdict.value,
-                        }
-                    )
-        return hi - lo, hi - lo - int(bad.sum()), failures, ambiguous
+        if len(failing):
+            cut = lanes.cut_words(out, failing)
+            readings = classes.read(cut)
+            wants = want[:, failing >> 6] >> (failing & 63).astype(np.uint64) & np.uint64(1)
+            for lane, words, bits in zip(failing.tolist(), cut.T.tolist(), wants.T.tolist()):
+                index = first + lane if drawn is None else int(drawn[first + lane])
+                assignment = {name: index >> (n_inputs - 1 - j) & 1
+                              for j, name in enumerate(net.inputs)}
+                for name, v, bit in zip(net.outputs, words, bits):
+                    reading = readings[v]
+                    if reading.is_ambiguous:
+                        ambiguous.append(
+                            {"assignment": assignment, "wire": name, "detail": reading.detail}
+                        )
+                    elif reading.verdict.to_bit() != bit:
+                        failures.append(
+                            {
+                                "assignment": assignment,
+                                "output": name,
+                                "expected": bit,
+                                "got": reading.verdict.value,
+                            }
+                        )
+        return rows, rows - len(failing), failures, ambiguous
 
-    for checked, passed, failures, ambiguous in _map_chunks(check, range(0, count, rows)):
+    for checked, passed, failures, ambiguous in _map_chunks(check,
+                                                            range(0, lane_words, per_chunk)):
         report.checked += checked
         report.passed += passed
         report.failures += failures
@@ -662,7 +791,7 @@ def decision_latency(
     family = backend_family(backend)
     bits = [assignment[name] for name in network.inputs]
     groups, slots, out_slots = _plan(network)
-    rows = _chunk_rows(config.steps, 7)   # the two planes, four column masks and a temporary
+    rows = _chunk_rows(words_for(config.steps), 7)   # two planes, four column masks, a temporary
 
     def decide(lo: int) -> tuple[np.ndarray, np.ndarray]:
         """Deciding steps of the chunk at ``lo`` and their trial counts; ambiguous trials drop out."""

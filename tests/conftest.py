@@ -21,9 +21,10 @@ _UNARY = ("NOT", "BUF")
 _BINARY = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
 
 
-def random_netlist_source(rng: random.Random, max_inputs: int = 8, max_gates: int = 40) -> str:
+def random_netlist_source(rng: random.Random, max_inputs: int = 8, max_gates: int = 40,
+                          min_inputs: int = 2) -> str:
     """One random acyclic netlist using every gate kind with positive probability."""
-    n_inputs = rng.randint(2, max_inputs)
+    n_inputs = rng.randint(min_inputs, max_inputs)
     inputs = [f"i{k}" for k in range(n_inputs)]
     lines = ["input " + " ".join(inputs)]
     wires = list(inputs)

@@ -242,6 +242,38 @@ def test_simulate_large_matches_its_golden(tmp_path, monkeypatch):
     assert "".join(documents) == golden.read_text()
 
 
+def _pin20_source() -> str:
+    """The 34th draw of a seed-7 stream of netlists of up to 20 inputs: 20 inputs, 136
+    primitives."""
+    rng = random.Random(7)
+    for _ in range(34):
+        source = random_netlist_source(rng, max_inputs=20)
+    return source
+
+
+# The exhaustive limit in practice: every one of 2**20 assignments on every
+# backend.  Its golden, ``verify-pin20.json``, is ``noiselogic verify pin20.nl
+# --seed 0 --steps 256`` as printed where pin20.nl is.
+PIN20 = _pin20_source()
+
+
+def test_verify_pin20_matches_its_golden(tmp_path, monkeypatch):
+    import pathlib
+
+    from click.testing import CliRunner
+
+    from noiselogic.cli import main as cli_main
+
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("pin20.nl").write_text(PIN20)
+    result = CliRunner().invoke(cli_main, ["verify", "pin20.nl", "--seed", "0", "--steps", "256"])
+    assert result.exit_code == 0, result.output
+    golden = pathlib.Path(__file__).parent / "data" / "golden" / "verify-pin20.json"
+    assert result.output == golden.read_text()
+    doc = json.loads(result.output)
+    assert [r["checked"] for r in doc["backends"]] == [2**20] * len(nl.BACKENDS)
+
+
 def test_criterion_9_determinism(tmp_path):
     import pathlib
 

@@ -1,7 +1,8 @@
 """Chunked evaluation: ``verify_equivalence`` and the gate kernels on batches.
 
 ``verify_equivalence`` evaluates a chunk of assignments as one walk over
-a ``(slots, words, rows)`` matrix, a row per assignment.  The reference
+a ``(slots, columns, lanes)`` matrix, 64 assignments to a lane word, on
+the pair's step classes.  The reference
 here is the per-assignment loop it replaced, built from the one-wave
 ``serial_wires``, the scalar ``eval_boolean`` and ``classify_wire``; the
 two must give equal reports, failures and ambiguous incidents included, in
@@ -76,11 +77,13 @@ def rewire_and(network: nl.CompiledNetwork) -> nl.CompiledNetwork:
 
 
 def chunked_report(source, backend, config, rows, **kwargs):
-    """verify_equivalence with its chunk budget set to exactly ``rows`` assignments."""
+    """verify_equivalence with its chunk budget set to exactly ``rows`` lane words, each
+    64 assignments."""
     net = kwargs.get("network") or (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
-    # verify walks the pair's step classes, one word a row at any step count.
-    budget = rows * 8 * simulator._plan(net).slots
+    # A lane word of a slot is one uint64 word per column of the pair's step classes.
+    columns = simulator.make_backend(backend, config).pair.step_classes.pair.steps
+    budget = rows * 8 * columns * simulator._plan(net).slots
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 
@@ -93,20 +96,24 @@ class TestBatchedEqualsSerial:
         # Windows of one or two steps make RTW references identical often,
         # so ambiguous incidents are covered too.
         steps=st.sampled_from([1, 2, 3, 16, 40]),
-        rows=st.one_of(st.none(), st.sampled_from([1, 3, 5, 7])),
-        sample=st.one_of(st.none(), st.integers(1, 40)),
-        corrupt=st.booleans(),
+        # Lane words: one, the 64-assignment lane word, is the smallest budget.
+        rows=st.one_of(st.none(), st.sampled_from([1, 2, 3])),
+        # 5 to 7 inputs fill part of a lane word, one, or two; the samples end
+        # short of, at and just past a lane word, and repeat indices.
+        inputs=st.integers(2, 7),
+        sample=st.one_of(st.none(), st.integers(1, 40), st.sampled_from([1, 63, 64, 65, 129])),
+        corrupt=st.sampled_from([None, rewire_and, corrupt_and_to_or]),
         oracle_from_ast=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_random_netlists(self, netlist_seed, backend, steps, rows, sample, corrupt,
+    def test_random_netlists(self, netlist_seed, backend, steps, rows, inputs, sample, corrupt,
                              oracle_from_ast, seed):
         if backend == "spike":
             steps = max(steps, 16)   # room for two non-empty orthogonal trains
-        ast = nl.parse(random_netlist_source(random.Random(netlist_seed),
-                                             max_inputs=5, max_gates=8))
+        ast = nl.parse(random_netlist_source(random.Random(netlist_seed), max_inputs=inputs,
+                                             max_gates=8, min_inputs=inputs))
         source = ast if oracle_from_ast else nl.lower(ast)
-        network = rewire_and(nl.lower(ast)) if corrupt and any(
+        network = corrupt(nl.lower(ast)) if corrupt and any(
             g.op == "AND" for g in gate_rows(nl.lower(ast))) else None
         config = nl.GeneratorConfig(seed=seed, steps=steps)
         kwargs = {"network": network, "sample": sample}
@@ -123,10 +130,13 @@ class TestBatchedEqualsSerial:
                                                     corrupt):
         config = nl.GeneratorConfig(seed=11, steps=32)
         network = corrupt(nl.lower(full_adder_ast))
-        got = chunked_report(full_adder_ast, backend, config, rows, network=network)
-        want = serial_report(full_adder_ast, backend, config, network=network)
-        assert want.failures
-        assert got.to_doc() == want.to_doc()
+        # Eight assignments fill one lane word; 200 samples fill four, in 4, 2 or 1 chunks.
+        for sample in (None, 200):
+            got = chunked_report(full_adder_ast, backend, config, rows, network=network,
+                                 sample=sample)
+            want = serial_report(full_adder_ast, backend, config, network=network, sample=sample)
+            assert want.failures
+            assert got.to_doc() == want.to_doc()
 
     def test_sample_with_repeats_and_wide_indices(self):
         # 70 inputs: each assignment index is drawn from two words.

@@ -37,9 +37,12 @@ from serial_reference import serial_run
 def _non_copy_not(pair, x):
     """A NOT on words that emits x * H: valid RTW words that are, in general, no reference copy."""
     h, _, _ = pair.operands(nl.RTW, x, exact=False)
-    # Two signs multiply to +1 where they agree; the mask keeps the padding bits zero.
-    steps = pack_steps(np.ones(pair.steps, dtype=bool)).reshape(h.shape)
-    return ~(x ^ h) & steps
+    # Two signs multiply to +1 where they agree.
+    out = ~(x ^ h)
+    if isinstance(pair, nl.LogicReferencePair):
+        # The mask keeps a wave's padding bits zero; verify's lane words have none.
+        out &= pack_steps(np.ones(pair.steps, dtype=bool)).reshape(h.shape)
+    return out
 
 
 def outcome(fn, *args):

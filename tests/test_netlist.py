@@ -307,6 +307,21 @@ class TestGateColumns:
                                [wires[-1]] * len(args))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("is_not, args, column, what", [
+        ([True], [0], "args", "(gates, 2) integer wire indices"),
+        ([True], [(0, 0, 0)], "args", "(gates, 2) integer wire indices"),
+        ([True], [("x", "y")], "args", "(gates, 2) integer wire indices"),
+        ([True], [(0.5, 0)], "args", "(gates, 2) integer wire indices"),
+        ([True, True], [(0,), (0, 1)], "args", "(gates, 2) integer wire indices"),
+        (["x"], [(0, 0)], "is_not", "bools"),
+        ([2], [(0, 0)], "is_not", "bools"),
+    ], ids=["one-index", "three-indices", "names", "fraction", "ragged", "name-op", "two-op"])
+    def test_malformed_columns_are_rejected(self, is_not, args, column, what):
+        # Checked before any cast, which would fail, truncate 0.5 to 0 or read "x" as a NOT.
+        with pytest.raises(NetlistError) as info:
+            nl.CompiledNetwork(("a", "y"), ("a",), ("y",), is_not, args, ["y"] * len(is_not))
+        assert str(info.value).startswith(f"gate column {column} must hold {what}, got ")
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n_in=st.integers(0, 4), gates=st.integers(0, 7))
     def test_constructor_accepts_exactly_the_reads_of_earlier_wires(self, data, n_in, gates):

@@ -84,6 +84,41 @@ for kernel, arity, family in ((rtw_gates.not_additive, 1, nl.RTW),
 """
 
 
+_LANE_WALK_CHECKS = """
+import os
+import traceback
+
+import noiselogic as nl
+from noiselogic import rtw_gates
+
+if __debug__:
+    raise SystemExit("not running under -O")
+# Seven inputs: 128 assignments, two lane words of 64.
+ast = nl.parse("input a b c d e f g\\nwire n = NOT a\\noutput y = AND n b\\n")
+config = nl.GeneratorConfig(seed=3, steps=130)
+real_and_words, real_not = rtw_gates._and_words, rtw_gates.not_multiplicative
+
+
+def non_copy_lane(pair, x):
+    # Assignment 70's lane, bit 6 of lane word 1, flipped in the first column only.
+    out = real_not(pair, x).copy()
+    out[0, 1] ^= 1 << 6
+    return out
+
+
+for name, value in (("_and_words", lambda h, l, x1, x2: x1),
+                    ("not_multiplicative", non_copy_lane)):
+    setattr(rtw_gates, name, value)
+    try:
+        nl.verify_equivalence(ast, "rtw-multiplicative-not", config)
+    except nl.NoiseLogicError as exc:
+        frames = traceback.extract_tb(exc.__traceback__)
+        print(type(exc).__name__, exc, "|", "_evaluate" in [f.name for f in frames],
+              frames[-1].name, os.path.basename(frames[-1].filename))
+    rtw_gates._and_words, rtw_gates.not_multiplicative = real_and_words, real_not
+"""
+
+
 def _run_python(*args: str) -> str:
     """Run the interpreter on ``args``; only its flags, not the suite's environment, set ``-O``."""
     env = dict(os.environ)
@@ -109,6 +144,15 @@ def test_corrupted_spike_gate_raises_invariant_error_under_O():
 def test_corrupted_packed_rtw_and_raises_invariant_error_under_O():
     stdout = _run_under_O(_CORRUPTED_RTW_AND)
     assert stdout.startswith("InvariantError: AND output"), stdout
+
+
+def test_lane_walk_checks_raise_in_verify_under_O():
+    assert _run_under_O(_LANE_WALK_CHECKS).splitlines() == [
+        "InvariantError AND output is not H exactly where both inputs are High | True "
+        "and_gate rtw_gates.py",
+        "InvalidLogicValueError first input matches neither the High nor the Low reference | "
+        "True operands simulator.py",
+    ]
 
 
 def test_word_checks_raise_under_O():

@@ -98,7 +98,7 @@ def by_workers(call, chunks: int, work: tuple[str, ...]) -> dict[int, object]:
         with cpus(workers), ThreadLog() as log:
             results[workers] = call()
         assert len(log.threads[work[0]]) == chunks
-        if workers == 1:
+        if workers == 1 or chunks == 1:
             assert log.started == 0 and log.ran_on(work) == {main_thread_name()}
         else:   # the pool starts a thread per chunk submitted while the others are busy
             assert 0 < log.started <= min(workers, chunks)
@@ -108,12 +108,13 @@ def by_workers(call, chunks: int, work: tuple[str, ...]) -> dict[int, object]:
 
 
 def verify_chunks(source, config, network=None, sample=None) -> tuple[int, int]:
-    """(rows per chunk, chunks) for a verify of at least three chunks."""
+    """(lane words per chunk, chunks) for a verify of three chunks or more, or of one per
+    lane word of its assignments, 64 to a word, if it has fewer."""
     net = network if network is not None else (
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
-    count = sample or 2 ** len(net.inputs)
-    rows = max(1, count // 3)
-    return rows, -(-count // rows)
+    lanes = -(-(sample or 2 ** len(net.inputs)) // 64)
+    rows = max(1, lanes // 3)
+    return rows, -(-lanes // rows)
 
 
 class TestOneWorkerEqualsMany:
@@ -122,27 +123,31 @@ class TestOneWorkerEqualsMany:
         netlist_seed=st.integers(0, 2**32 - 1),
         backend=st.sampled_from(nl.BACKENDS),
         steps=st.sampled_from([1, 2, 16, 40]),
-        sample=st.one_of(st.none(), st.integers(3, 40)),
+        # From 8 inputs and 129 samples a verify has three lane words or more.
+        inputs=st.integers(2, 8),
+        sample=st.one_of(st.none(), st.sampled_from([1, 63, 64, 65, 129]),
+                         st.integers(130, 300)),
         corrupt=st.sampled_from([None, rewire_and, corrupt_and_to_or]),
+        oracle_from_ast=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_verify(self, netlist_seed, backend, steps, sample, corrupt, seed):
+    def test_verify(self, netlist_seed, backend, steps, inputs, sample, corrupt,
+                    oracle_from_ast, seed):
         if backend == "spike":
             steps = max(steps, 16)   # room for two non-empty orthogonal trains
-        ast = nl.parse(random_netlist_source(random.Random(netlist_seed),
-                                             max_inputs=5, max_gates=8))
+        ast = nl.parse(random_netlist_source(random.Random(netlist_seed), max_inputs=inputs,
+                                             max_gates=8, min_inputs=inputs))
         lowered = nl.lower(ast)
-        if len(lowered.inputs) < 2 and sample is None:
-            sample = 3   # too few assignments for three chunks
         network = corrupt(lowered) if corrupt and any(
             g.op == "AND" for g in gate_rows(lowered)) else None
         config = nl.GeneratorConfig(seed=seed, steps=steps)
         kwargs = {"network": network, "sample": sample}
-        rows, chunks = verify_chunks(ast, config, **kwargs)
-        assert chunks >= 3
-        got = by_workers(lambda: chunked_report(ast, backend, config, rows, **kwargs).to_doc(),
+        source = ast if oracle_from_ast else lowered
+        rows, chunks = verify_chunks(source, config, **kwargs)
+        assert chunks >= min(3, -(-(sample or 2 ** inputs) // 64))
+        got = by_workers(lambda: chunked_report(source, backend, config, rows, **kwargs).to_doc(),
                          chunks, VERIFY)
-        assert got[1] == got[3] == serial_report(ast, backend, config, **kwargs).to_doc()
+        assert got[1] == got[3] == serial_report(source, backend, config, **kwargs).to_doc()
 
     @pytest.mark.parametrize("backend", nl.BACKENDS)
     @pytest.mark.parametrize("corrupt", [corrupt_and_to_or, rewire_and])
@@ -158,7 +163,8 @@ class TestOneWorkerEqualsMany:
                                                 for seed in range(100))
                           if getattr(serial_report(full_adder_ast, backend, config,
                                                    network=network), incidents))
-            for sample in (None, 30):
+            # The full adder's eight assignments fill one lane word; 200 samples fill four.
+            for sample in (None, 30, 200):
                 want = serial_report(full_adder_ast, backend, config, network=network,
                                      sample=sample)
                 assert getattr(want, incidents)
@@ -221,15 +227,16 @@ class TestOneWorkerEqualsMany:
                                                                   full_adder_network):
         network = rewire_and(nl.lower(full_adder_ast))
         config = nl.GeneratorConfig(seed=11, steps=32)
+        # 600 samples fill ten lane words, a chunk each.
         want = (serial_report(full_adder_ast, "rtw-additive-not", config, network=network,
-                              sample=120).to_doc(),
+                              sample=600).to_doc(),
                 repr(serial_latency(full_adder_network, config, 60, "spike").to_doc()))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with cpus(simulator._MAX_WORKERS):
                 got = [(chunked_report(full_adder_ast, "rtw-additive-not", config, 1,
-                                       network=network, sample=120).to_doc(),
+                                       network=network, sample=600).to_doc(),
                         repr(chunked_latency(full_adder_network, config, 60, "spike",
                                              None, 1).to_doc()))
                        for _ in range(3)]
@@ -289,9 +296,10 @@ class TestThreadBounds:
         assert simulator._usable_cpus() == 1
 
 
-# Verify the one-AND network an assignment per chunk, with an AND word
-# form that passes its first input through: only assignment a=1, b=0, the
-# third chunk, gives High where the AND check wants Low.
+# Verify a one-AND network of eight inputs a lane word (64 assignments) per
+# chunk, with an AND word form that passes its first input through: only
+# assignments with a=1, b=0 give High where the AND check wants Low, and
+# a=1 first in the third lane word.
 _LATER_CHUNK_FAILS = """
 import json
 import threading
@@ -301,16 +309,17 @@ import noiselogic as nl
 from noiselogic import rtw_gates, simulator
 
 optimized = not __debug__
-ast = nl.parse("input a b\\noutput y = AND a b\\n")
+ast = nl.parse("input a b c d e f g h\\noutput y = AND a b\\n")
 config = nl.GeneratorConfig(seed=3, steps=130)
 plan = simulator._plan(nl.lower(ast))
+columns = simulator.make_backend("rtw-additive-not", config).pair.step_classes.pair.steps
 rtw_gates._and_words = lambda h, l, x1, x2: x1
 seen = []
 for workers in (1, 3):
     baseline = threading.active_count()
     simulator._usable_cpus = lambda: workers
-    # verify walks the pair's step classes, one word a row: one row a chunk.
-    with mock.patch.object(simulator, "_CHUNK_BYTES", 8 * plan.slots):
+    # A lane word of a slot is one word per column of the pair's step classes.
+    with mock.patch.object(simulator, "_CHUNK_BYTES", 8 * columns * plan.slots):
         try:
             nl.verify_equivalence(ast, "rtw-additive-not", config)
         except Exception as exc:
