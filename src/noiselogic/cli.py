@@ -6,10 +6,11 @@ oracle), ``stats`` (ambiguity and window-length figures) and ``hyperspace``
 (multi-bit combination demos).
 
 Exit codes: 0 success, 1 verification failure (or ambiguity under
-``--strict``), 2 usage or configuration error.  Requested artifacts go to
-stdout (or ``--out``); diagnostics go to stderr.  All output is
-deterministic given the flags, and JSON keys are emitted in a fixed order
-so golden-file diffs stay stable.
+``--strict``), 2 usage or configuration error, a size too large to
+allocate included.  Requested artifacts go to stdout (or ``--out``);
+diagnostics go to stderr.  All output is deterministic given the flags,
+and JSON keys are emitted in a fixed order so golden-file diffs stay
+stable.
 """
 
 import json
@@ -37,6 +38,11 @@ from .simulator import (
 from .waveio import format_waveform_csv, write_waveform_csv
 
 _DEFAULT_EPSILONS = (1e-3, 1e-6, 1e-12, 1e-25)
+
+# What a command reports as a usage or configuration error, exit 2: the
+# package's own errors, and an allocation NumPy refuses, such as the waves of
+# a --steps or --sample past any memory.
+_CONFIG_ERRORS = (NoiseLogicError, MemoryError)
 
 
 def _fail_config(message: str) -> NoReturn:
@@ -106,8 +112,8 @@ def cmd_gen(seed, steps, backend, rate_h, rate_l, out, fmt) -> None:
         family = backend_family(backend)
         pair = reference_pairs(family, seed, config)
         universe = (universe_spike if family == SPIKE else universe_rtw)(pair)
-    except NoiseLogicError as exc:
-        _fail_config(str(exc))
+    except _CONFIG_ERRORS as exc:
+        _fail_config(str(exc) or "out of memory")
     columns = {"H": pair.h, "L": pair.l, "U": universe}
     if fmt == "csv":
         _emit(format_waveform_csv(columns), out)
@@ -173,8 +179,8 @@ def cmd_simulate(netlist_path, assign_text, seed, steps, backend, rate_h, rate_l
         assignment = _parse_assignment(assign_text)
         config = GeneratorConfig(seed=seed, steps=steps, spike_rate_h=rate_h, spike_rate_l=rate_l)
         result = run(network, backend, assignment, config)
-    except NoiseLogicError as exc:
-        _fail_config(str(exc))
+    except _CONFIG_ERRORS as exc:
+        _fail_config(str(exc) or "out of memory")
     doc = {
         "netlist": str(netlist_path),
         "backend": backend,
@@ -239,8 +245,8 @@ def cmd_verify(netlist_path, backend_names, seed, steps, rate_h, rate_l, out,
             verify_equivalence(ast, backend, config, network=network, sample=sample)
             for backend in names
         ]
-    except NoiseLogicError as exc:
-        _fail_config(str(exc))
+    except _CONFIG_ERRORS as exc:
+        _fail_config(str(exc) or "out of memory")
     all_ok = all(r.ok for r in reports)
     doc = {
         "netlist": str(netlist_path),
@@ -294,8 +300,8 @@ def cmd_stats(window, trials, epsilon, seed, out) -> None:
                 "residual_le": 0.5 ** steps_le,
                 "residual_rounded": 0.5 ** steps_rounded,
             })
-    except NoiseLogicError as exc:
-        _fail_config(str(exc))
+    except _CONFIG_ERRORS as exc:
+        _fail_config(str(exc) or "out of memory")
     doc = {"ambiguity": ambiguity, "min_steps": table}
     _emit(_json(doc), out)
 
@@ -331,8 +337,8 @@ def cmd_hyperspace(family, bits_text, max_bits, seed, steps, out) -> None:
             squeezed_recovered = "".join(
                 "?" if b is None else str(b) for b in hs.recover_bits(squeezed)
             )
-    except NoiseLogicError as exc:
-        _fail_config(str(exc))
+    except _CONFIG_ERRORS as exc:
+        _fail_config(str(exc) or "out of memory")
     doc = {
         "family": family,
         "N": len(bits),

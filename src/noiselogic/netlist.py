@@ -31,6 +31,13 @@ derived gate through a frozen table of canonical compositions,
 The table is part of the artifact's contract; compiled networks are
 byte-stable given equal input, and every intermediate wire records which
 source gate produced it.
+
+A compiled network's gates are walked in phases
+(:attr:`CompiledNetwork.level_groups`), one kernel call each: ANDs run in
+even phases and NOTs in odd ones, and a gate runs in the first phase
+after its operands' whose parity is its op.  The expansions above
+alternate NOT and AND along their paths, so a network needs far fewer
+phases than (level, op) groups.
 """
 
 import json
@@ -93,7 +100,7 @@ class NetlistAst:
 
 
 class LevelGroups(NamedTuple):
-    """A network's gates grouped by (topological level, op), AND before NOT.
+    """A network's gates grouped by phase (see :attr:`CompiledNetwork.level_groups`).
 
     Group ``k`` holds the gates ``bounds[k]:bounds[k + 1]`` of the sorted
     order, all of op ``ops[k]``; ``out`` and ``reads`` are the sorted
@@ -193,19 +200,26 @@ class CompiledNetwork:
 
     @cached_property
     def level_groups(self) -> LevelGroups:
-        """The gates' (level, op) grouping, computed on first use and kept.
+        """The gates grouped by phase, computed on first use and kept.
 
-        Inputs are at level 0, and a gate is one level above its deepest
-        operand, so a group reads only lower levels.  The sort key
-        ``2 * level + is_not`` is sorted in the narrowest unsigned type that
-        holds it, which NumPy radix-sorts at 8 and 16 bits.
+        Phases alternate between the two ops: AND gates sit in even phases
+        and NOT gates in odd ones.  Inputs are at phase -1, and a gate sits
+        in the first phase after both of its operands' phases whose parity
+        is its op, so each phase is one group of one op that reads only
+        earlier phases.  A network of depth d takes between d and 2d
+        phases, and the chains that :data:`EXPANSION` emits alternate NOT
+        and AND, which keeps it nearer d than a grouping by (level, op),
+        whose levels mostly hold both ops.  The phases are sorted in the
+        narrowest unsigned type that holds them, which NumPy radix-sorts at
+        8 and 16 bits.
         """
         n_in, n = len(self.inputs), len(self.is_not)
-        level = [0] * len(self.wires)
-        for out, a, b in zip(range(n_in, n_in + n), *self.args.T.tolist()):
-            la, lb = level[a], level[b]
-            level[out] = 1 + (la if la > lb else lb)
-        key = 2 * np.array(level[n_in:], dtype=np.intp) + self.is_not
+        phase = [-1] * n_in
+        for a, b, odd in zip(*self.args.T.tolist(), self.is_not.tolist()):
+            pa, pb = phase[a], phase[b]
+            m = pa if pa > pb else pb
+            phase.append((m + 1) | 1 if odd else (m + 2) & -2)
+        key = np.array(phase[n_in:], dtype=np.intp)
         if n:
             key = key.astype(np.min_scalar_type(key.max()))
         order = np.argsort(key, kind="stable")

@@ -35,7 +35,7 @@ lowering table is the one place where they are composed from NOT and AND.
 import numpy as np
 
 from .errors import InvariantError
-from .signals import RTW, LogicReferencePair
+from .signals import RTW, LogicReferencePair, _differs
 
 
 def _and_words(h: np.ndarray, l: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -58,6 +58,6 @@ def and_gate(pair: LogicReferencePair, x1: np.ndarray, x2: np.ndarray) -> np.nda
     """AND via the cubic reference polynomial; L absorbs, (H, H) gives H."""
     h, l, (a_high, b_high) = pair.operands(RTW, x1, x2)
     out = _and_words(h, l, x1, x2)
-    if not np.array_equal(out, pair.select(a_high & b_high, h, l)):
+    if _differs(out, pair.select(a_high & b_high, h, l)):
         raise InvariantError("AND output is not H exactly where both inputs are High")
     return out

@@ -74,6 +74,17 @@ def words_for(steps: int) -> int:
 _all = np.logical_and.reduce
 
 
+def _differs(out: np.ndarray, want: np.ndarray) -> bool:
+    """Whether words ``out`` are not ``want``: another shape, or another word.
+
+    ``np.array_equal`` on words, without the Python wrapper a gate call
+    would pay on every output check.  It compares to bools, not to the
+    XOR's words, which on large batches cost more to allocate than the
+    compare saves.
+    """
+    return out.shape != want.shape or not _all(out == want, axis=None)
+
+
 def _words_axis(words: np.ndarray) -> int:
     """The axis of words-major ``words`` that runs over words: a wave's only one, else ``-2``."""
     return -2 if words.ndim > 1 else -1

@@ -11,8 +11,10 @@ backends exist:
 * ``spike``: spike family, orthon/adder circuits.
 
 :func:`run`, :func:`verify_equivalence` and :func:`decision_latency` all
-evaluate a network by one walk, :func:`_evaluate`: each (topological level,
-op) group of gates is one kernel call on the packed words of its operands,
+evaluate a network by one walk, :func:`_evaluate`: each phase of the
+network, :attr:`CompiledNetwork.level_groups` (ANDs in even phases, NOTs
+in odd ones, each gate in the first phase of its op's parity after its
+operands'), is one kernel call on the packed words of its operands,
 gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
 whose rows are the one run, the lane words of a chunk of assignments or
 one column set of a chunk of trials; each slot is one contiguous
@@ -208,7 +210,7 @@ def _plan(network: CompiledNetwork) -> _Plan:
 
     The groups are the network's :attr:`~CompiledNetwork.level_groups`,
     computed once per network; :func:`_slot_groups` gives them their
-    slots.  A group reads only lower levels and runs as one batch.  Input
+    slots.  A group reads only earlier phases and runs as one batch.  Input
     ``i`` takes slot ``i``.  A wire that is not an output frees its slot
     once the last group that reads it has gathered it (or, if none does,
     once it is written), before that group's outputs take theirs, and a
@@ -330,7 +332,7 @@ def run(
     pair.  Ambiguous wires are reported in the result, not raised.
 
     The walk is :func:`_evaluate` on one row of the pair's step classes,
-    over the network's level groups with wire ``i`` in slot ``i``: every
+    over the network's phase groups with wire ``i`` in slot ``i``: every
     wire is kept, so no slot is planned or reused, and the cut words come
     out in wire order.  One :meth:`StepClasses.read` call reads each
     distinct word once.  Wave and classification objects are built per cut
@@ -526,7 +528,7 @@ def verify_equivalence(
     Assignments are evaluated in chunks of whole lane words, at most
     ``_CHUNK_BYTES`` of slots: each chunk is one :func:`_evaluate` walk on
     :class:`_Lanes` of the pair's step classes, 64 assignments to a lane
-    word, so every (level, op) group and the oracle, :func:`eval_boolean`
+    word, so every phase group and the oracle, :func:`eval_boolean`
     on the input lane words, run once per chunk.  The outputs read as High
     and Low lane masks, and one :meth:`StepClasses.read` of the cut words
     of the failing lanes gives their readings.  Chunks run on up to

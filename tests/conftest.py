@@ -71,17 +71,22 @@ def network_from_rows(wires, inputs, outputs, rows) -> nl.CompiledNetwork:
 
 
 def level_groups(network: nl.CompiledNetwork) -> list[list[GateRow]]:
-    """The gates grouped by (topological level, op), in level order.
+    """The gates grouped by phase, in phase order.
 
-    Inputs are at level 0 and a gate is one level above its deepest
-    argument; recomputed here, apart from the simulator's planner.
+    ANDs sit in even phases and NOTs in odd ones.  Inputs are at phase -1,
+    and a gate steps up from its latest argument's phase, once or twice, to
+    the first phase of its op's parity; recomputed here, apart from
+    ``CompiledNetwork.level_groups``.
     """
-    level = [0] * len(network.wires)
-    groups: dict[tuple[int, str], list] = {}
+    phase = [-1] * len(network.wires)
+    groups: dict[int, list] = {}
     for gate in gate_rows(network):
-        level[gate.out] = 1 + max(level[arg] for arg in gate.args)
-        groups.setdefault((level[gate.out], gate.op), []).append(gate)
-    return [groups[key] for key in sorted(groups)]
+        p = max(phase[arg] for arg in gate.args) + 1
+        if p % 2 != (gate.op == "NOT"):
+            p += 1
+        phase[gate.out] = p
+        groups.setdefault(p, []).append(gate)
+    return [groups[p] for p in sorted(groups)]
 
 
 def packed(values) -> np.ndarray:

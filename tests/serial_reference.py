@@ -4,8 +4,9 @@ The package parses with few checks per token, lowers every source gate
 through one expansion table with array operations into a network's gate
 arrays, draws sampled assignment indices as one block, classifies whole
 batches of words with ``classify_rows`` and evaluates every network one
-(topological level, op) group at a time over one slot matrix of packed
-words.  The functions here are a token-by-token parser and a recursive
+phase group at a time over one slot matrix of packed words: ANDs in even
+phases and NOTs in odd ones, each gate in the first phase of its op's
+parity after its operands'.  The functions here are a token-by-token parser and a recursive
 lowerer that emits one ``GateRow`` per primitive, a draw of one word at a
 time, a per-wire, step-by-step reading of the classification rule, a
 per-gate walk that keeps one wave per wire, and the gate kernels as

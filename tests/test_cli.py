@@ -366,6 +366,28 @@ class TestUnwritableOutput:
         assert out.read_text() == "kept" and not (tmp_path / "w.csv").exists()
 
 
+class TestSizeTooLargeToAllocate:
+    """A size NumPy refuses to allocate is a configuration error: exit 2 and one line.
+
+    Every size here asks for hundreds of TiB at once, past any address
+    space, so the allocation fails before any memory is taken.
+    """
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--steps", "1000000000000000"],
+        ["simulate", "ADDER", "--assign", "a=1,b=0,cin=1", "--steps", "1000000000000000"],
+        ["verify", "ADDER", "--steps", "1000000000000000"],
+        ["hyperspace", "--bits", "101", "--steps", "1000000000000000"],
+        ["verify", "ADDER", "--sample", "100000000000000"],
+    ], ids=["gen", "simulate", "verify", "hyperspace", "verify-sample"])
+    def test_exits_2_with_one_error_line(self, runner, adder_path, command):
+        result = runner.invoke(main, [adder_path if arg == "ADDER" else arg for arg in command])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: Unable to allocate ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 class TestUnreadableInput:
     """An input file that cannot be read is a usage error: exit 2, nothing on stdout.
 

@@ -1,4 +1,9 @@
-"""Level-parallel ``run``: one kernel call per (topological level, op) group.
+"""Level-parallel ``run``: one kernel call per phase group.
+
+A phase holds gates of one op, ANDs in even phases and NOTs in odd ones,
+and each gate sits in the first phase after its operands' of its op's
+parity (``CompiledNetwork.level_groups``; ``conftest.level_groups``
+recomputes it).
 
 ``run`` is the one-row walk of ``simulator._evaluate`` on the step classes
 of its pair: it evaluates the gates of one group as one batch, keeps each
@@ -149,7 +154,7 @@ class TestLevelPlan:
     @settings(max_examples=60, deadline=None)
     @given(netlist_seed=st.integers(0, 2**32 - 1))
     def test_replanning_a_network_gives_the_plan_of_a_fresh_one(self, netlist_seed):
-        # The (level, op) groups are computed once per network and kept;
+        # The phase groups are computed once per network and kept;
         # every later plan of it must be the fresh plan.
         source = random_netlist_source(random.Random(netlist_seed))
         network = nl.lower(nl.parse(source))
@@ -166,7 +171,7 @@ class TestLevelPlan:
             assert doc(simulator._plan(nl.lower(nl.parse(source)))) == want
 
     @pytest.mark.parametrize("netlist_seed", range(5))
-    def test_one_group_per_level_and_op_in_level_order(self, netlist_seed):
+    def test_one_group_per_phase_in_phase_order(self, netlist_seed):
         source = random_netlist_source(random.Random(netlist_seed), 8, 60)
         network = nl.lower(nl.parse(source))
         groups = simulator._slot_groups(network.level_groups)
@@ -181,8 +186,8 @@ class TestLevelPlan:
         plan = simulator._plan(net)
         held, _ = _replay(net, plan.groups, plan.slots)
         assert [net.wires[held[slot]] for slot in plan.outputs] == list(net.outputs)
-        # The 25 wires share 7 slots: the 16 groups reuse the slots of dead wires.
-        assert (len(net.wires), len(plan.groups), plan.slots) == (25, 16, 7)
+        # The 25 wires share 7 slots: the 12 groups reuse the slots of dead wires.
+        assert (len(net.wires), len(plan.groups), plan.slots) == (25, 12, 7)
 
 
 class TestRunMatrix:
@@ -243,7 +248,7 @@ def counted_objects(made: Counter, wrapped: list):
 
 
 def _chain(gates: int) -> nl.CompiledNetwork:
-    """``gates`` gates in one chain, NOT and AND in turn: one (level, op) group per gate."""
+    """``gates`` gates in one chain, NOT and AND in turn: one phase per gate."""
     lines = ["input a b", "wire w0 = AND a b"]
     lines += [f"wire w{k} = NOT w{k - 1}" if k % 2 else f"wire w{k} = AND w{k - 1} a"
               for k in range(1, gates - 1)]
@@ -306,7 +311,7 @@ class TestRunIsLazy:
         assert bool(ambiguous) == (steps == 1)
         # One reading per cut word present, at most 16 for thousands of wires.
         assert 0 < made["Classification"] <= words
-        # The walk wraps batches, per (level, op) group; no full wave is wrapped.
+        # The walk wraps batches, per phase group; no full wave is wrapped.
         assert made["_of_words"] < len(network.wires) / 2
         assert not any(w.ndim == 1 and w.base is result.classes.expand for w in wrapped)
         # Reading every waveform wraps at most one full wave per cut word.

@@ -380,6 +380,57 @@ class TestGateColumns:
         assert nl.decision_latency(net, config, 3, backend).ambiguous_windows == 3
 
 
+def _check_phases(network: nl.CompiledNetwork) -> None:
+    """``network.level_groups`` is one group per phase, each gate in its earliest phase.
+
+    A phase holds ANDs if even and NOTs if odd; inputs are at phase -1.
+    Each group's phase is recomputed from the phases of its gates'
+    operands, which must lie in earlier groups.
+    """
+    groups, n_in = network.level_groups, len(network.inputs)
+    assert sorted(groups.out.tolist()) == list(range(n_in, len(network.wires)))
+    phase, group, last = [-1] * len(network.wires), [-1] * len(network.wires), -1
+    for k, (op, lo, hi) in enumerate(zip(groups.ops, groups.bounds, groups.bounds[1:])):
+        outs, reads = groups.out[lo:hi], groups.reads[:, lo:hi]
+        assert len(outs) > 0
+        assert network.is_not[outs - n_in].tolist() == [op == "NOT"] * len(outs)
+        assert reads.tolist() == network.args[outs - n_in].T.tolist()
+        earliest = set()
+        for a, b in reads.T.tolist():
+            assert group[a] < k and group[b] < k
+            p = max(phase[a], phase[b]) + 1
+            earliest.add(p + (p % 2 != (op == "NOT")))
+        (p,) = earliest
+        assert p > last and p % 2 == (op == "NOT")
+        for out in outs.tolist():
+            phase[out], group[out] = p, k
+        last = p
+
+
+class TestPhases:
+    @settings(max_examples=150, deadline=None)
+    @given(netlist_seed=st.integers(0, 2**32 - 1))
+    def test_random_netlists_group_by_phase(self, netlist_seed):
+        _check_phases(nl.lower(nl.parse(random_netlist_source(random.Random(netlist_seed)))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(gates=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=60))
+    def test_not_and_chains_group_by_phase(self, gates):
+        # Gate k reads the wire before it and, if an AND, any earlier wire.
+        wires = ("a", "b", *(f"g{k}" for k in range(len(gates))))
+        args = [(k + 1, (k + 1) if is_not else pick % (k + 2))
+                for k, (is_not, pick) in enumerate(gates)]
+        _check_phases(nl.CompiledNetwork(wires, ("a", "b"), (wires[-1],),
+                                         [is_not for is_not, _ in gates], args, wires[2:]))
+
+    def test_xor_and_full_adder_phases(self, full_adder_network):
+        # XOR lowers to NOT, AND, NOT, AND, NOT along its deepest path.  The
+        # full adder takes 12 phases, where its (level, op) groups were 16.
+        xor = nl.lower(nl.parse("input a b\noutput y = XOR a b\n"))
+        assert xor.level_groups.ops == ["NOT", "AND", "NOT", "AND", "NOT"]
+        assert len(full_adder_network.level_groups.ops) == 12
+
+
 class TestLargeNetworks:
     """Simulating, verifying, JSON and counts on networks lowered to arrays."""
 
@@ -397,23 +448,25 @@ class TestLargeNetworks:
         assert sum(network.gate_counts().values()) == len(network.is_not)
         assert nl.CompiledNetwork.from_json(network.to_json()) == network
 
-    @pytest.mark.parametrize("nots", [127, 128, 32_767, 32_800])
+    @pytest.mark.parametrize("nots", [128, 129, 32_768, 32_800])
     def test_level_groups_equal_a_stable_int64_sort(self, nots):
         # A chain of NOTs from ``a`` and, at every hundredth chain wire, two
-        # ANDs of it with ``b``.  The sort key ``2 * level + is_not`` reaches
-        # 2 * nots + 1: past 2**8 from 128 NOTs and past 2**16 from 32,768.
+        # ANDs of it with ``b``.  NOT ``k`` of the chain is in phase
+        # ``2 * k + 1``, so the sort key, the phase, reaches 2 * nots - 1:
+        # past 2**8 from 129 NOTs and past 2**16 from 32,769.
         ands = [k for k in range(0, nots, 100) for _ in range(2)]
         wires = ("a", "b", *(f"n{k}" for k in range(nots)),
                  *(f"g{j}" for j in range(len(ands))))
         args = [(0, 0)] + [(k + 2, k + 2) for k in range(nots - 1)] + [(k + 2, 1) for k in ands]
         network = nl.CompiledNetwork(wires, ("a", "b"), (wires[-1],),
                                      [True] * nots + [False] * len(ands), args, list(wires[2:]))
-        level = [0] * len(wires)
+        phase = [-1] * len(wires)
         for gate in gate_rows(network):
-            level[gate.out] = 1 + max(level[arg] for arg in gate.args)
+            p = max(phase[arg] for arg in gate.args) + 1
+            phase[gate.out] = p + (p % 2 != (gate.op == "NOT"))
         out = np.arange(2, len(wires))
-        key = 2 * np.array(level, dtype=np.int64)[out] + network.is_not
-        assert key.max() == 2 * nots + 1
+        key = np.array(phase, dtype=np.int64)[out]
+        assert key.max() == 2 * nots - 1
         order = np.argsort(key, kind="stable")
         key = key[order]
         bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]

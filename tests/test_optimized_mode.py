@@ -24,36 +24,45 @@ def test_package_source_has_no_assert_statements():
     assert found == [], f"assert statements vanish under python -O: {found}"
 
 
-_CORRUPTED_NEURON = """
+_CIRCUIT_FAULTS = """
 import noiselogic as nl
-from noiselogic import spike_gates
+from noiselogic import rtw_gates, spike_gates
 
 if __debug__:
     raise SystemExit("not running under -O")
-# A neuron that ignores its inhibitory input breaks the orthon identities.
-spike_gates.neuron_eval = lambda excitatory, inhibitory: excitatory
-pair = nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0, 0, 1]), nl.SpikeTrain([0, 0, 1, 0, 0]))
-try:
-    spike_gates.spike_not(pair, pair.h.words)
-except nl.InvariantError as exc:
-    print("InvariantError:", exc)
-"""
+spike = nl.LogicReferencePair(nl.SpikeTrain([0, 1, 0, 0, 1]), nl.SpikeTrain([0, 0, 1, 0, 0]))
+rtw = nl.reference_pairs(nl.RTW, 3, nl.GeneratorConfig(seed=3, steps=130))
+a, b = nl.SpikeTrain([1, 1, 0, 0]).words, nl.SpikeTrain([1, 0, 1, 0]).words
+neuron = spike_gates.neuron_eval
 
 
-_CORRUPTED_RTW_AND = """
-import noiselogic as nl
-from noiselogic import rtw_gates
+def neurons(first, second):
+    # The orthon's first neuron makes its lower output, the second its upper one.
+    calls = iter([first, second])
+    return "neuron_eval", lambda e, i: next(calls)(e, i)
 
-if __debug__:
-    raise SystemExit("not running under -O")
-# A word form that passes its first input through is not AND: High AND Low
-# would read High.
-rtw_gates._and_words = lambda h, l, x1, x2: x1
-pair = nl.reference_pairs(nl.RTW, 3, nl.GeneratorConfig(seed=3, steps=130))
-try:
-    rtw_gates.and_gate(pair, pair.h.words, pair.l.words)
-except nl.InvariantError as exc:
-    print("InvariantError:", exc)
+
+# Each fault fails exactly one output check: an upper neuron that ignores its
+# inhibitory input; a lower neuron that also fires where A is silent, which
+# the upper one masks out; an orthon whose lower output ignores B; an adder
+# that keeps only its first input; an RTW word form that passes x1 through.
+for module, (name, fault), call in (
+        (spike_gates, neurons(neuron, lambda e, i: e), lambda: spike_gates.orthon_eval(a, b)),
+        (spike_gates, neurons(lambda e, i: e & ~i | ~e, neuron),
+         lambda: spike_gates.orthon_eval(a, b)),
+        (spike_gates, ("orthon_eval", lambda a, b: (a & b, a)),
+         lambda: spike_gates.spike_not(spike, spike.h.words)),
+        (spike_gates, ("adder_union", lambda *inputs: inputs[0]),
+         lambda: spike_gates.spike_and(spike, spike.l.words, spike.h.words)),
+        (rtw_gates, ("_and_words", lambda h, l, x1, x2: x1),
+         lambda: rtw_gates.and_gate(rtw, rtw.h.words, rtw.l.words))):
+    real = getattr(module, name)
+    setattr(module, name, fault)
+    try:
+        call()
+    except nl.InvariantError as exc:
+        print("InvariantError:", exc)
+    setattr(module, name, real)
 """
 
 
@@ -136,14 +145,14 @@ def _run_under_O(script: str) -> str:
     return _run_python("-O", "-c", script)
 
 
-def test_corrupted_spike_gate_raises_invariant_error_under_O():
-    stdout = _run_under_O(_CORRUPTED_NEURON)
-    assert stdout.startswith("InvariantError: orthon"), stdout
-
-
-def test_corrupted_packed_rtw_and_raises_invariant_error_under_O():
-    stdout = _run_under_O(_CORRUPTED_RTW_AND)
-    assert stdout.startswith("InvariantError: AND output"), stdout
+def test_each_circuit_check_raises_its_message_under_O():
+    assert _run_under_O(_CIRCUIT_FAULTS).splitlines() == [
+        "InvariantError: orthon upper output deviates",
+        "InvariantError: orthon lower output deviates",
+        "InvariantError: NOT circuit deviates",
+        "InvariantError: AND circuit deviates",
+        "InvariantError: AND output is not H exactly where both inputs are High",
+    ]
 
 
 def test_lane_walk_checks_raise_in_verify_under_O():
@@ -230,7 +239,7 @@ def test_lowering_and_planning_under_O_match_the_golden_network(tmp_path):
     golden = (SRC.parent / "tests" / "data" / "golden" / "network.json").read_text()
     text, summary = proc.stdout[:len(golden)], proc.stdout[len(golden):]
     assert text == golden
-    assert summary == ("16 7 {'NOT': 13, 'AND': 9} True [23, 23] 24 cout\n"
+    assert summary == ("12 7 {'NOT': 13, 'AND': 9} True [23, 23] 24 cout\n"
                        "NetlistError: gate columns differ in length\n"
                        "NetlistError: compiled network declares an output twice\n"
                        "exit 2\n")

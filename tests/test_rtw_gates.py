@@ -110,6 +110,15 @@ class TestAndGate:
                     assert and_gate(pair, refs[a], refs[b]) == refs[a & b]
 
 
+class TestOutputCheck:
+    def test_a_wrong_word_form_is_caught(self, monkeypatch, pair):
+        # A word form that passes its first input through reads High AND Low as High.
+        monkeypatch.setattr(rtw_gates, "_and_words", lambda h, l, x1, x2: x1)
+        with pytest.raises(nl.InvariantError,
+                           match="^AND output is not H exactly where both inputs are High$"):
+            rtw_gates.and_gate(pair, pair.h.words, pair.l.words)
+
+
 class TestCubeIdentity:
     def test_difference_cubed_is_four_times_difference(self):
         for seed in range(100):

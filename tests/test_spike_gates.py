@@ -195,6 +195,42 @@ class TestInvariants:
         assert np.array_equal(full[:cut], prefix_out)
 
 
+class TestCircuitChecks:
+    """Each output check of the circuits raises its own message on a fault that fails only it."""
+
+    a, b = nl.SpikeTrain([1, 1, 0, 0]).words, nl.SpikeTrain([1, 0, 1, 0]).words
+
+    @staticmethod
+    def _neurons(monkeypatch, first, second):
+        # The orthon's first neuron makes its lower output, the second its upper one.
+        neurons = iter([first, second])
+        monkeypatch.setattr(spike_gates, "neuron_eval", lambda e, i: next(neurons)(e, i))
+
+    def test_orthon_upper(self, monkeypatch):
+        # The upper neuron ignores its inhibitory input: upper reads A.
+        self._neurons(monkeypatch, spike_gates.neuron_eval, lambda e, i: e)
+        with pytest.raises(nl.InvariantError, match="^orthon upper output deviates$"):
+            spike_gates.orthon_eval(self.a, self.b)
+
+    def test_orthon_lower(self, monkeypatch):
+        # The lower neuron also fires where A is silent, which the upper one masks out.
+        self._neurons(monkeypatch, lambda e, i: e & ~i | ~e, spike_gates.neuron_eval)
+        with pytest.raises(nl.InvariantError, match="^orthon lower output deviates$"):
+            spike_gates.orthon_eval(self.a, self.b)
+
+    def test_not_circuit(self, monkeypatch, pair):
+        # An orthon whose lower output ignores B passes the universe through.
+        monkeypatch.setattr(spike_gates, "orthon_eval", lambda a, b: (a & b, a))
+        with pytest.raises(nl.InvariantError, match="^NOT circuit deviates$"):
+            spike_gates.spike_not(pair, pair.h.words)
+
+    def test_and_circuit(self, monkeypatch, pair):
+        # An adder that keeps only its first input, x1 & x2 & H, drops L AND H's L.
+        monkeypatch.setattr(spike_gates, "adder_union", lambda *inputs: inputs[0])
+        with pytest.raises(nl.InvariantError, match="^AND circuit deviates$"):
+            spike_gates.spike_and(pair, pair.l.words, pair.h.words)
+
+
 class TestDecidedAt:
     # classify decides a copy of either reference at the first universe spike.
     def test_hand_examples(self, pair):

@@ -48,7 +48,7 @@ def _traced(fn):
 
 
 def _level_groups(network: nl.CompiledNetwork) -> tuple[int, int]:
-    """The numbers of (topological level, op) groups of ANDs and of NOTs."""
+    """The numbers of phase groups of ANDs and of NOTs."""
     groups = level_groups(network)
     and_groups = sum(gates[0].op == "AND" for gates in groups)
     return and_groups, len(groups) - and_groups
@@ -64,8 +64,8 @@ def test_tracer_counts_every_layer_of_verify(tmp_path):
     network = nl.lower(nl.parse(FULL_ADDER))
     and_groups, not_groups = _level_groups(network)
     assert and_groups < network.gate_counts()["AND"]
-    # Eight assignments fit one chunk: one kernel call per (level, op)
-    # group per backend, and one oracle call and one backend per backend.
+    # Eight assignments fit one chunk: one kernel call per phase group
+    # per backend, and one oracle call and one backend per backend.
     assert tracer.calls("rtw_gates.and") == 2 * and_groups
     assert tracer.calls("spike_gates.and") == and_groups
     assert tracer.calls("rtw_gates.not") == 2 * not_groups
@@ -101,7 +101,7 @@ def test_tracer_counts_the_monte_carlo_sweeps():
 
 
 def test_tracer_counts_one_kernel_call_per_level_group_of_simulate(tmp_path):
-    # simulate runs each (topological level, op) group of gates as one batch.
+    # simulate runs each phase group of gates as one batch.
     source = random_netlist_source(random.Random(3), 8, 60)
     path = tmp_path / "net.nl"
     path.write_text(source)
