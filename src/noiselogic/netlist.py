@@ -199,6 +199,11 @@ class CompiledNetwork:
         return self.wires.index(name)
 
     @cached_property
+    def _output_wires(self) -> tuple[int, ...]:
+        """Each output's wire index, in output order, computed on first use and kept."""
+        return tuple(map(self.wires.index, self.outputs))
+
+    @cached_property
     def level_groups(self) -> LevelGroups:
         """The gates grouped by phase, computed on first use and kept.
 
@@ -448,7 +453,8 @@ def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
         raise NetlistError(f"assignment missing input(s): {', '.join(missing)}")
     stray = [name for name in assignment if name not in inputs]
     if stray:
-        raise NetlistError(f"assignment binds name(s) that are not inputs: {', '.join(stray)}")
+        raise NetlistError(
+            f"assignment binds name(s) that are not inputs: {', '.join(map(str, stray))}")
     lanes = [isinstance(v, np.ndarray) and v.dtype == np.uint64 for v in assignment.values()]
     if any(lanes) and not all(lanes):
         raise NetlistError("lane words must bind every input or none")
@@ -496,4 +502,4 @@ def eval_boolean(
     not_, and_ = _BOOL_FN["NOT"], _BOOL_FN["AND"]
     for is_not, (a, b) in zip(source.is_not.tolist(), source.args.tolist()):
         values.append(not_(one, values[a]) if is_not else and_(one, values[a], values[b]))
-    return {name: values[source.wire_index(name)] for name in source.outputs}
+    return {name: values[i] for name, i in zip(source.outputs, source._output_wires)}

@@ -18,10 +18,9 @@ operands'), is one kernel call on the packed words of its operands,
 gathered from one words-major ``(slots, words, rows)`` ``uint64`` matrix
 whose rows are the one run, the lane words of a chunk of assignments or
 one column set of a chunk of trials; each slot is one contiguous
-``(words, rows)`` batch.  :func:`run` keeps every wire, wire ``i`` in slot
-``i``; :func:`verify_equivalence` and :func:`decision_latency` keep only
-the outputs and reuse the slots of dead wires (:func:`_plan`).  Both walk
-the groups that :func:`_slot_groups` builds.  The kernels take and return
+``(words, rows)`` batch.  Every walk keeps every wire, wire ``i`` in slot
+``i``, on the groups that :func:`_slot_groups` builds, and reads its
+outputs at their wire indices.  The kernels take and return
 those words, so the walk wraps no wave: every operand is an input's copy
 of High or Low or a kernel's output, on the backend's pair, so the
 carrier and step checks that words cannot carry hold by construction, and
@@ -47,7 +46,8 @@ the chunk, and High and Low are ``(columns, 1)`` words of all ones or all
 zeros, so the kernels' word formulas run unchanged.  Lanes past the
 assignment count hold a copy of a real assignment (the tail-lane rule), so
 every check holds on every lane; only the readout masks them.  A chunk's
-slots hold at most ``_CHUNK_BYTES`` of words, and at least one lane word.
+slots, one per wire, hold at most ``_CHUNK_BYTES`` of words, ``8 * wires *
+columns`` bytes a lane word, and at least one lane word.
 
 Ambiguity, the event that a window cannot decide a logic value, is a
 reported outcome rather than an exception: runs record it per wire, and
@@ -61,7 +61,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,9 +102,9 @@ EXHAUSTIVE_INPUT_LIMIT = 20
 
 # Waveform bytes one chunk of assignments (verify_equivalence) or of trials
 # (decision_latency) may hold, in (words, rows) blocks of uint64: the slots
-# of the wave matrix, (columns, lane words) for verify, or the drawn
-# reference planes and their column masks.
-_CHUNK_BYTES = 2 << 20
+# of the wave matrix, one (columns, lane words) block per wire for verify,
+# or the drawn reference planes and their column masks.
+_CHUNK_BYTES = 4 << 20
 
 # Trials one chunk of the ambiguity sweep draws.
 _MC_CHUNK = 1 << 16
@@ -113,7 +112,7 @@ _MC_CHUNK = 1 << 16
 
 def _chunk_rows(words: int, waves: int) -> int:
     """Rows per chunk so that ``waves`` live ``(words, rows)`` blocks, at least one, fit
-    ``_CHUNK_BYTES``."""
+    ``_CHUNK_BYTES``: a verify chunk's slots, one per wire, or a latency chunk's planes."""
     return max(1, _CHUNK_BYTES // (8 * words * max(1, waves)))
 
 
@@ -186,67 +185,21 @@ def make_backend(name: str, config: GeneratorConfig) -> _Backend:
     return _Backend(name, generators.reference_pairs(backend_family(name), config.seed, config))
 
 
-class _Plan(NamedTuple):
-    groups: list[tuple[str, tuple[np.ndarray, ...], np.ndarray]]   # op, operand slots, output slots
-    slots: int
-    outputs: list[int]   # the slot that holds each output at the end, in output order
+def _slot_groups(groups: LevelGroups) -> list:
+    """``groups`` as ``(op, operand slots, output slots)``, wire ``i`` in slot ``i``.
 
-
-def _slot_groups(groups: LevelGroups, slot: np.ndarray | None = None) -> list:
-    """``groups`` as ``(op, operand slots, output slots)``, wire ``i`` in slot ``slot[i]``.
-
-    Without ``slot``, wire ``i`` is in slot ``i``.  An operand's slots are
-    one row of the group's reads: a NOT reads one, an AND two.
+    An operand's slots are one row of the group's reads: a NOT reads one,
+    an AND two.
     """
-    out, reads = groups.out, groups.reads
-    if slot is not None:
-        out, reads = slot[out], slot[reads]
-    return [(op, tuple(reads[:PRIMITIVE_ARITY[op], lo:hi]), out[lo:hi])
+    return [(op, tuple(groups.reads[:PRIMITIVE_ARITY[op], lo:hi]), groups.out[lo:hi])
             for op, lo, hi in zip(groups.ops, groups.bounds, groups.bounds[1:])]
-
-
-def _plan(network: CompiledNetwork) -> _Plan:
-    """Give every wire a slot, reusing the slots of wires that are not outputs.
-
-    The groups are the network's :attr:`~CompiledNetwork.level_groups`,
-    computed once per network; :func:`_slot_groups` gives them their
-    slots.  A group reads only earlier phases and runs as one batch.  Input
-    ``i`` takes slot ``i``.  A wire that is not an output frees its slot
-    once the last group that reads it has gathered it (or, if none does,
-    once it is written), before that group's outputs take theirs, and a
-    wire written later takes the slot: one pass over the groups' gates pops
-    their outputs' slots off a stack that holds the unused slots, lowest on
-    top, under the freed ones, pushed in wire order.  The slot count is one
-    past the highest slot taken, or the input count.  :func:`run`, which
-    keeps every wire, walks wire ``i`` in slot ``i`` instead.
-    """
-    groups = network.level_groups
-    n_in, n_wires, n_groups = len(network.inputs), len(network.wires), len(groups.ops)
-    # The group before whose outputs a wire frees its slot: its last reader's,
-    # else the one after its writer's; an output never frees its slot.
-    group = np.repeat(np.arange(n_groups), np.diff(groups.bounds))
-    free_before = np.zeros(n_wires, dtype=np.intp)
-    free_before[groups.out] = group + 1
-    # As many values as indices: ufunc.at misreads broadcast values in NumPy 2.4.
-    np.maximum.at(free_before, groups.reads.ravel(), np.concatenate([group, group]))
-    kept = [network.wire_index(name) for name in network.outputs]
-    free_before[kept] = n_groups
-    freed = [[] for _ in range(n_groups + 1)]
-    for wire, k in enumerate(free_before.tolist()):
-        freed[k].append(wire)
-    stack = list(range(n_wires - 1, n_in - 1, -1))   # the unused slots, lowest on top
-    slot = list(range(n_wires))
-    out = groups.out.tolist()
-    for k, (lo, hi) in enumerate(zip(groups.bounds, groups.bounds[1:])):
-        stack += [slot[wire] for wire in freed[k]]
-        for wire in out[lo:hi]:
-            slot[wire] = stack.pop()
-    slot = np.array(slot, dtype=np.intp)
-    return _Plan(_slot_groups(groups, slot), int(slot.max(initial=-1)) + 1, slot[kept].tolist())
 
 
 def _evaluate(groups: list, slots: int, bk: _Backend, bits, rows: int) -> np.ndarray:
     """Walk ``groups`` on ``bk``; returns the read-only ``(slots, words, rows)`` wave matrix.
+
+    ``groups`` come from :func:`_slot_groups` and ``slots`` is the wire
+    count, so wire ``i`` ends in slot ``i``.
 
     Input ``i`` is ``bk.pair.select(bits[i], h, l)``: High where
     ``bits[i]`` marks it and Low elsewhere, for a 0/1 int on a pair or a
@@ -306,8 +259,8 @@ class SimulationRun:
     @property
     def output_classifications(self) -> dict[str, Classification]:
         # Looked up directly: building :attr:`classifications` walks every wire.
-        index = self.network.wire_index
-        return {name: self.readings[self.cut[index(name)]] for name in self.network.outputs}
+        net = self.network
+        return {name: self.readings[self.cut[i]] for name, i in zip(net.outputs, net._output_wires)}
 
     @property
     def ambiguous_wires(self) -> list[str]:
@@ -332,11 +285,10 @@ def run(
     pair.  Ambiguous wires are reported in the result, not raised.
 
     The walk is :func:`_evaluate` on one row of the pair's step classes,
-    over the network's phase groups with wire ``i`` in slot ``i``: every
-    wire is kept, so no slot is planned or reused, and the cut words come
-    out in wire order.  One :meth:`StepClasses.read` call reads each
-    distinct word once.  Wave and classification objects are built per cut
-    word, not per wire (see :class:`SimulationRun`).
+    over the network's phase groups with wire ``i`` in slot ``i``, so the
+    cut words come out in wire order.  One :meth:`StepClasses.read` call
+    reads each distinct word once.  Wave and classification objects are
+    built per cut word, not per wire (see :class:`SimulationRun`).
     """
     _check_assignment(network.inputs, assignment)
     classes = make_backend(backend, config).pair.step_classes
@@ -526,12 +478,13 @@ def verify_equivalence(
     Equivalence holds only with zero failures and zero ambiguous incidents.
 
     Assignments are evaluated in chunks of whole lane words, at most
-    ``_CHUNK_BYTES`` of slots: each chunk is one :func:`_evaluate` walk on
-    :class:`_Lanes` of the pair's step classes, 64 assignments to a lane
-    word, so every phase group and the oracle, :func:`eval_boolean`
-    on the input lane words, run once per chunk.  The outputs read as High
-    and Low lane masks, and one :meth:`StepClasses.read` of the cut words
-    of the failing lanes gives their readings.  Chunks run on up to
+    ``_CHUNK_BYTES`` of slots, one slot per wire: each chunk is one
+    :func:`_evaluate` walk on :class:`_Lanes` of the pair's step classes,
+    64 assignments to a lane word, so every phase group and the oracle,
+    :func:`eval_boolean` on the input lane words, run once per chunk.  The
+    outputs, taken at their wire indices, read as High and Low lane masks,
+    and one :meth:`StepClasses.read` of the cut words of the failing lanes
+    gives their readings.  Chunks run on up to
     ``min(4, usable CPUs, chunks)`` threads (see :func:`_map_chunks`) and
     merge in chunk order, so the report is the one a per-assignment loop
     would give, with failures and ambiguous incidents in assignment order,
@@ -581,7 +534,8 @@ def verify_equivalence(
         checked=0,
         passed=0,
     )
-    groups, slots, out_slots = _plan(net)
+    # The output wires as a list: NumPy reads a tuple index as one index per axis.
+    groups, slots, outs = _slot_groups(net.level_groups), len(net.wires), list(net._output_wires)
     lane_words, per_chunk = -(-count // 64), _chunk_rows(lanes.steps, slots)
 
     def check(lo: int) -> tuple[int, int, list[dict], list[dict]]:
@@ -598,10 +552,10 @@ def verify_equivalence(
             bits = _drawn_lanes(n_inputs, np.concatenate(
                 [chunk, chunk[-1:].repeat(64 * (hi - lo) - rows)]))
         expected = eval_boolean(source, dict(zip(net.inputs, bits)))
-        out = _evaluate(groups, slots, bk, bits, hi - lo)[out_slots]
+        out = _evaluate(groups, slots, bk, bits, hi - lo)[outs]
         high, low = lanes.read(out)
         want = np.array([expected[name] for name in net.outputs],
-                        dtype=np.uint64).reshape(len(out_slots), hi - lo)
+                        dtype=np.uint64).reshape(len(outs), hi - lo)
         # A lane fails where some output does not read its expected value.
         bad = np.bitwise_or.reduce(~(high[:, 0] & want | low[:, 0] & ~want), axis=0)
         if rows % 64:
@@ -777,10 +731,11 @@ def decision_latency(
     seed ``derive_seed(config.seed, i)``, drawn in chunks of at most
     ``_CHUNK_BYTES`` of planes and column masks.  On the cut, whether a
     trial decides depends only on the set of ``(H_t, L_t)`` columns its pair
-    has, so each distinct set of a chunk is walked once, on the pair of its
-    first trial, built (and so checked) from the full waves; it decides when
-    the network has outputs and :meth:`StepClasses.read` reads each High or
-    Low.  Chunks run on up to ``min(4, usable CPUs, chunks)`` threads (see
+    has, so each distinct set of a chunk is walked once, wire ``i`` in slot
+    ``i``, on the pair of its first trial, built (and so checked) from the
+    full waves; it decides when the network has outputs and
+    :meth:`StepClasses.read` reads each, at its wire index, High or Low.
+    Chunks run on up to ``min(4, usable CPUs, chunks)`` threads (see
     :func:`_map_chunks`) and merge in chunk order, so the report is the one
     a per-trial loop would give, for any thread count.
     """
@@ -792,7 +747,8 @@ def decision_latency(
     _check_assignment(network.inputs, assignment)
     family = backend_family(backend)
     bits = [assignment[name] for name in network.inputs]
-    groups, slots, out_slots = _plan(network)
+    groups, slots, outs = (_slot_groups(network.level_groups), len(network.wires),
+                           list(network._output_wires))
     rows = _chunk_rows(words_for(config.steps), 7)   # two planes, four column masks, a temporary
 
     def decide(lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -805,9 +761,9 @@ def decision_latency(
         for code, r in zip(*(a.tolist() for a in np.unique(sets, return_index=True))):
             classes = generators._pair(family, planes[..., r], config.steps).step_classes
             walk = _evaluate(groups, slots, _Backend(backend, classes.pair), bits, 1)
-            cut = walk[out_slots, 0, 0]
+            cut = walk[outs, 0, 0]
             table = classes.read(cut)   # a reading for each cut word present, else None
-            decides[code] = bool(out_slots) and not any(c and c.is_ambiguous for c in table)
+            decides[code] = bool(outs) and not any(c and c.is_ambiguous for c in table)
         counts = np.bincount(first_set_step(planes[0] ^ planes[1])[decides[sets]])
         return np.flatnonzero(counts), counts[counts > 0]
 

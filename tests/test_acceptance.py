@@ -253,7 +253,8 @@ def _pin20_source() -> str:
 
 # The exhaustive limit in practice: every one of 2**20 assignments on every
 # backend.  Its golden, ``verify-pin20.json``, is ``noiselogic verify pin20.nl
-# --seed 0 --steps 256`` as printed where pin20.nl is.
+# --seed 0 --steps 256`` as printed where pin20.nl is, and
+# ``verify-pin20-sample.json`` the same with ``--sample 150001``.
 PIN20 = _pin20_source()
 
 
@@ -272,6 +273,25 @@ def test_verify_pin20_matches_its_golden(tmp_path, monkeypatch):
     assert result.output == golden.read_text()
     doc = json.loads(result.output)
     assert [r["checked"] for r in doc["backends"]] == [2**20] * len(nl.BACKENDS)
+
+
+def test_verify_pin20_sample_matches_its_golden(tmp_path, monkeypatch):
+    import pathlib
+
+    from click.testing import CliRunner
+
+    from noiselogic.cli import main as cli_main
+
+    # 150001 samples: not a whole number of lane words, and more than one chunk.
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("pin20.nl").write_text(PIN20)
+    result = CliRunner().invoke(cli_main, ["verify", "pin20.nl", "--seed", "0", "--steps", "256",
+                                           "--sample", "150001"])
+    assert result.exit_code == 0, result.output
+    golden = pathlib.Path(__file__).parent / "data" / "golden" / "verify-pin20-sample.json"
+    assert result.output == golden.read_text()
+    doc = json.loads(result.output)
+    assert [r["checked"] for r in doc["backends"]] == [150001] * len(nl.BACKENDS)
 
 
 def test_criterion_9_determinism(tmp_path):

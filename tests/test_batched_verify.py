@@ -1,8 +1,8 @@
 """Chunked evaluation: ``verify_equivalence`` and the gate kernels on batches.
 
 ``verify_equivalence`` evaluates a chunk of assignments as one walk over
-a ``(slots, columns, lanes)`` matrix, 64 assignments to a lane word, on
-the pair's step classes.  The reference
+a ``(wires, columns, lanes)`` matrix, 64 assignments to a lane word, on
+the pair's step classes, within ``simulator._CHUNK_BYTES``.  The reference
 here is the per-assignment loop it replaced, built from the one-wave
 ``serial_wires``, the scalar ``eval_boolean`` and ``classify_wire``; the
 two must give equal reports, failures and ambiguous incidents included, in
@@ -24,6 +24,7 @@ from noiselogic.prng import SplitMix64, derive_seed
 
 from conftest import gate_rows, network_from_rows, packed, random_netlist_source
 from serial_reference import classify_wire, serial_draw_indices, serial_wires
+from test_acceptance import PIN20
 from test_simulator import corrupt_and_to_or
 
 
@@ -83,7 +84,7 @@ def chunked_report(source, backend, config, rows, **kwargs):
         nl.lower(source) if isinstance(source, nl.NetlistAst) else source)
     # A lane word of a slot is one uint64 word per column of the pair's step classes.
     columns = simulator.make_backend(backend, config).pair.step_classes.pair.steps
-    budget = rows * 8 * columns * simulator._plan(net).slots
+    budget = rows * 8 * columns * len(net.wires)
     with mock.patch.object(simulator, "_CHUNK_BYTES", budget):
         return nl.verify_equivalence(source, backend, config, **kwargs)
 
@@ -194,6 +195,40 @@ class TestBatchedEqualsSerial:
         want = serial_draw_indices(SplitMix64(seed), n_inputs, sample)
         assert got.dtype == (np.uint64 if n_inputs <= 64 else object)
         assert got.tolist() == want
+
+
+class TestChunkMemoryBound:
+    @pytest.mark.parametrize("case", ["pin20-sample", "three-lane-words", "under-one-lane-word"])
+    def test_every_walk_matrix_fits_the_budget_or_is_one_lane_word(self, case):
+        config = nl.GeneratorConfig(seed=0, steps=256)
+        if case == "pin20-sample":
+            # The real budget: 150001 samples of the 20-input pin make three chunks.
+            ast, sample, budget = nl.parse(PIN20), 150001, simulator._CHUNK_BYTES
+        else:
+            ast, sample = nl.parse(random_netlist_source(random.Random(4), 12, 60, 12)), None
+            columns = simulator.make_backend("spike", config).pair.step_classes.pair.steps
+            lane_word = 8 * columns * len(nl.lower(ast).wires)
+            budget = 3 * lane_word + 5 if case == "three-lane-words" else lane_word - 1
+        count = sample or 2 ** len(ast.inputs)
+        shapes, evaluate = [], simulator._evaluate
+
+        def recording(*args):
+            matrix = evaluate(*args)
+            shapes.append((matrix.shape, matrix.nbytes))
+            return matrix
+
+        with mock.patch.object(simulator, "_evaluate", recording), \
+                mock.patch.object(simulator, "_CHUNK_BYTES", budget):
+            report = nl.verify_equivalence(ast, "spike", config, sample=sample)
+        assert report.checked == report.passed == count
+        assert len(shapes) > 1
+        wires = len(nl.lower(ast).wires)
+        for (slots, _, lane_words), nbytes in shapes:
+            assert slots == wires
+            assert nbytes <= budget or lane_words == 1
+        assert sum(shape[2] for shape, _ in shapes) == -(-count // 64)
+        if case == "under-one-lane-word":
+            assert {shape[2] for shape, _ in shapes} == {1}
 
 
 def _bad_row(pair) -> np.ndarray:

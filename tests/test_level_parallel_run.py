@@ -11,10 +11,9 @@ wire's cut word, and hands out each wire's full wave as a row of the step
 classes' expansion table.  The reference here is the gate-by-gate,
 wire-by-wire run it replaced (``serial_reference``); both must give the
 same waveforms, exactly, and the same classifications, diagnostics
-included.  ``run`` walks wire ``i`` in slot ``i``; ``simulator._plan``,
-which keeps only the outputs and reuses the slots of dead wires for
-``verify_equivalence`` and ``decision_latency``, gives every wire a slot.
-A plain-Python replay checks the slots of both.
+included.  Every walk, ``run``'s, ``verify_equivalence``'s and
+``decision_latency``'s, puts wire ``i`` in slot ``i``; a plain-Python
+replay checks that the groups write every slot once.
 """
 
 import gc
@@ -142,11 +141,7 @@ class TestLevelPlan:
     @given(netlist_seed=st.integers(0, 2**32 - 1))
     def test_slots_hold_the_wires_the_gates_read(self, netlist_seed):
         network = nl.lower(nl.parse(random_netlist_source(random.Random(netlist_seed))))
-        plan = simulator._plan(network)
-        held, _ = _replay(network, plan.groups, plan.slots)
-        assert [network.wires[held[slot]] for slot in plan.outputs] == list(network.outputs)
-        assert plan.slots <= len(network.wires)
-        # ``run``'s groups give every wire its own slot: no slot is written twice.
+        # The groups give every wire its own slot: no slot is written twice.
         n = len(network.wires)
         held, written = _replay(network, simulator._slot_groups(network.level_groups), n)
         assert sorted(written) == list(range(n)) and all(held[i] == i for i in range(n))
@@ -154,21 +149,20 @@ class TestLevelPlan:
     @settings(max_examples=60, deadline=None)
     @given(netlist_seed=st.integers(0, 2**32 - 1))
     def test_replanning_a_network_gives_the_plan_of_a_fresh_one(self, netlist_seed):
-        # The phase groups are computed once per network and kept;
-        # every later plan of it must be the fresh plan.
+        # The phase groups are computed once per network and kept; every
+        # later slot grouping of it must be a fresh network's.
         source = random_netlist_source(random.Random(netlist_seed))
         network = nl.lower(nl.parse(source))
 
-        def doc(plan):
-            groups = [(op, [a.tolist() for a in args], outs.tolist())
-                      for op, args, outs in plan.groups]
-            return groups, plan.slots, plan.outputs
+        def doc(network):
+            return [(op, [a.tolist() for a in args], outs.tolist())
+                    for op, args, outs in simulator._slot_groups(network.level_groups)]
 
-        want = doc(simulator._plan(network))
+        want = doc(network)
         assert "level_groups" in vars(network)
         for _ in range(2):
-            assert doc(simulator._plan(network)) == want
-            assert doc(simulator._plan(nl.lower(nl.parse(source)))) == want
+            assert doc(network) == want
+            assert doc(nl.lower(nl.parse(source))) == want
 
     @pytest.mark.parametrize("netlist_seed", range(5))
     def test_one_group_per_phase_in_phase_order(self, netlist_seed):
@@ -180,14 +174,6 @@ class TestLevelPlan:
         assert sum(len(outs) for _, _, outs in groups) == len(network.is_not)
         # One kernel call per group instead of one per primitive.
         assert len(groups) < len(network.is_not)
-
-    def test_full_adder_keeps_only_the_outputs(self, full_adder_network):
-        net = full_adder_network
-        plan = simulator._plan(net)
-        held, _ = _replay(net, plan.groups, plan.slots)
-        assert [net.wires[held[slot]] for slot in plan.outputs] == list(net.outputs)
-        # The 25 wires share 7 slots: the 12 groups reuse the slots of dead wires.
-        assert (len(net.wires), len(plan.groups), plan.slots) == (25, 12, 7)
 
 
 class TestRunMatrix:

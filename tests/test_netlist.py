@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,27 @@ class TestBooleanEval:
         ast = nl.parse("input a b\noutput y = AND a b\n")
         with pytest.raises(NetlistError, match="not inputs: zz"):
             nl.eval_boolean(ast, {"a": 1, "b": 1, "zz": 1})
+
+    @pytest.mark.parametrize("key", [3, None])
+    @pytest.mark.parametrize("entry", ["run", "eval_boolean", "decision_latency"])
+    def test_a_stray_key_of_any_type_is_a_netlist_error(self, entry, key):
+        # Joining the stray names raised a bare TypeError for a key that is not a str.
+        ast = nl.parse("input a b\noutput y = AND a b\n")
+        net = nl.lower(ast)
+        assignment = {"a": 1, "b": 1, key: 1}
+        config = nl.GeneratorConfig(seed=1, steps=16)
+        call = {"run": lambda: nl.run(net, "spike", assignment, config),
+                "eval_boolean": lambda: nl.eval_boolean(ast, assignment),
+                "decision_latency": lambda: nl.decision_latency(net, config, 3,
+                                                                assignment=assignment)}[entry]
+        with pytest.raises(NetlistError, match=f"not inputs: {re.escape(str(key))}$"):
+            call()
+
+    def test_outputs_are_looked_up_once_per_network(self):
+        net = nl.lower(nl.parse(FULL_ADDER))
+        assert net._output_wires == tuple(map(net.wire_index, net.outputs))
+        assert "_output_wires" in vars(net)
+        assert nl.eval_boolean(net, {"a": 1, "b": 1, "cin": 0}) == {"sum": 0, "cout": 1}
 
     def test_bit_arrays_evaluate_every_row(self, full_adder_ast, full_adder_network):
         index = np.arange(8)
@@ -363,14 +385,14 @@ class TestGateColumns:
         assert nl.eval_boolean(net, {"a": 1}) == {"a": 1}
         config = nl.GeneratorConfig(seed=1, steps=32)
         assert nl.run(net, "spike", {"a": 0}, config).output_bits() == {"a": 0}
-        assert simulator._plan(net).slots == 1
+        assert simulator._slot_groups(net.level_groups) == [] and len(net.wires) == 1
 
     @pytest.mark.parametrize("backend", nl.BACKENDS)
     def test_network_with_no_wires(self, backend):
         # Its one empty assignment verifies on a chunk of at least one slot;
-        # dividing the chunk by its zero slots raised ZeroDivisionError.
+        # dividing the chunk by its zero slots, one per wire, raised ZeroDivisionError.
         net = nl.CompiledNetwork((), (), (), [], [], [])
-        assert simulator._plan(net).slots == 0
+        assert len(net.wires) == 0
         config = nl.GeneratorConfig(seed=1, steps=32)
         doc = nl.verify_equivalence(net, backend, config).to_doc()
         assert (doc["checked"], doc["passed"], doc["pass"]) == (1, 1, True)

@@ -209,9 +209,9 @@ from noiselogic import cli, simulator
 if __debug__:
     raise SystemExit("not running under -O")
 net = nl.lower(nl.parse(open(0).read()))
-plan = simulator._plan(net)
+groups = simulator._slot_groups(net.level_groups)
 print(net.to_json(), end="")
-print(len(plan.groups), plan.slots, net.gate_counts(),
+print(len(groups), len(net.wires), net.gate_counts(),
       bool(net.is_not[-1]), net.args[-1].tolist(), net.wire_index(net.src[-1]), net.src[-1])
 doc = json.loads(net.to_json())
 doc["outputs"] *= 2
@@ -239,7 +239,7 @@ def test_lowering_and_planning_under_O_match_the_golden_network(tmp_path):
     golden = (SRC.parent / "tests" / "data" / "golden" / "network.json").read_text()
     text, summary = proc.stdout[:len(golden)], proc.stdout[len(golden):]
     assert text == golden
-    assert summary == ("12 7 {'NOT': 13, 'AND': 9} True [23, 23] 24 cout\n"
+    assert summary == ("12 25 {'NOT': 13, 'AND': 9} True [23, 23] 24 cout\n"
                        "NetlistError: gate columns differ in length\n"
                        "NetlistError: compiled network declares an output twice\n"
                        "exit 2\n")

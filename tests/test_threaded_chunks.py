@@ -311,7 +311,7 @@ from noiselogic import rtw_gates, simulator
 optimized = not __debug__
 ast = nl.parse("input a b c d e f g h\\noutput y = AND a b\\n")
 config = nl.GeneratorConfig(seed=3, steps=130)
-plan = simulator._plan(nl.lower(ast))
+wires = len(nl.lower(ast).wires)
 columns = simulator.make_backend("rtw-additive-not", config).pair.step_classes.pair.steps
 rtw_gates._and_words = lambda h, l, x1, x2: x1
 seen = []
@@ -319,7 +319,7 @@ for workers in (1, 3):
     baseline = threading.active_count()
     simulator._usable_cpus = lambda: workers
     # A lane word of a slot is one word per column of the pair's step classes.
-    with mock.patch.object(simulator, "_CHUNK_BYTES", 8 * columns * plan.slots):
+    with mock.patch.object(simulator, "_CHUNK_BYTES", 8 * columns * wires):
         try:
             nl.verify_equivalence(ast, "rtw-additive-not", config)
         except Exception as exc:
