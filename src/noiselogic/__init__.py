@@ -23,7 +23,6 @@ from .errors import (
 )
 from .generators import (
     gen_disjoint_spike_pairs,
-    gen_rtw,
     gen_rtw_pairs,
     reference_pairs,
 )

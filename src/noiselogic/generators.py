@@ -24,17 +24,16 @@ Stream layout (fixed; golden tests depend on it):
   ``derive_seed(seed, i)``, and the Monte-Carlo sweeps draw trial ``i``
   for ``derive_seed(config.seed, i)``.  ``count_identical_rtw_pairs``
   walks the sign bits of the same RTW words step by step.
-* ``gen_rtw`` draws from the root stream of ``config.seed``, one word per
-  step, mapping the top bit to +1/-1.
 * ``gen_disjoint_spike_pairs`` is the joint multi-pair variant: one
-  (2N+1)-way draw per step keeps all 2N trains pairwise disjoint, and its
-  attempts take the child streams of ``seed`` as a spike pair's do.
+  (2N+1)-way draw per step, each train at rate ``0.9 / (2N)``, keeps all
+  2N trains pairwise disjoint, and its attempts take the child streams of
+  ``seed`` as a spike pair's do.
 """
 
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .prng import GOLDEN, MASK64, SplitMix64, _mix64_inplace, derive_seeds, mix64_array
+from .prng import GOLDEN, MASK64, _mix64_inplace, derive_seeds, mix64_array
 from .signals import (
     RTW,
     SPIKE,
@@ -43,7 +42,6 @@ from .signals import (
     RtwSignal,
     SpikeTrain,
     _integer,
-    _real,
     pack_steps,
     words_for,
 )
@@ -62,12 +60,6 @@ _RAW_BYTES = 2 << 20
 # call also waits for the GIL: on 2 vCPUs the block cut three threaded
 # 500k-trial sweeps by about 9 % (by 4 % at 1 << 14 words).
 _TAIL_WORDS = 1 << 15
-
-
-def gen_rtw(config: GeneratorConfig) -> RtwSignal:
-    """One random telegraph wave: each step -1 or +1 with probability 0.5."""
-    raw = SplitMix64(config.seed).block(config.steps)
-    return RtwSignal._of_words(pack_steps(raw >> _U(63)), config.steps)
 
 
 def _threshold(p: float) -> int:
@@ -187,31 +179,20 @@ def reference_pairs(family: str, seed, config: GeneratorConfig) -> LogicReferenc
     return _pair(family, reference_words(family, [seed], config)[..., 0], config.steps)
 
 
-def gen_disjoint_spike_pairs(
-    seed: int,
-    steps: int,
-    n_pairs: int,
-    rate_per_train: float | None = None,
-) -> tuple[LogicReferencePair, ...]:
+def gen_disjoint_spike_pairs(seed: int, steps: int, n_pairs: int) -> tuple[LogicReferencePair, ...]:
     """Jointly generate ``n_pairs`` spike pairs whose 2N trains never collide.
 
     A single (2N+1)-way categorical draw per step assigns the step's spike
     to exactly one train or to none, so cross-pair disjointness is a
-    construction guarantee rather than a filter.  The default per-train
-    rate fills 90% of the steps in expectation, split evenly.
+    construction guarantee rather than a filter.  Each train's rate is
+    ``0.9 / (2N)``, which fills 90% of the steps in expectation.
     """
     n_pairs = _integer("n_pairs", n_pairs)
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be a positive integer, got {n_pairs!r}")
     config = GeneratorConfig(seed=seed, steps=steps)
-    if rate_per_train is None:
-        rate_per_train = 0.9 / (2 * n_pairs)
-    rate_per_train = _real("rate_per_train", rate_per_train)
-    if not 0.0 < rate_per_train < 1.0 or 2 * n_pairs * rate_per_train > 1.0:
-        raise ConfigError(
-            f"per-train rate {rate_per_train} infeasible for {2 * n_pairs} disjoint trains"
-        )
-    rates = [rate_per_train] * (2 * n_pairs)
+    rate = 0.9 / (2 * n_pairs)
+    rates = [rate] * (2 * n_pairs)
     _check_room(len(rates), steps)
     # Train i is plane i, one (words, 1) column for the one seed.
     planes = np.empty((len(rates), words_for(steps), 1), dtype=np.uint64)
@@ -220,7 +201,7 @@ def gen_disjoint_spike_pairs(
     except GenerationError:
         raise GenerationError(
             f"could not fill {2 * n_pairs} non-empty disjoint trains in "
-            f"{MAX_RETRIES} attempts (steps={steps}, rate={rate_per_train})"
+            f"{MAX_RETRIES} attempts (steps={steps}, rate={rate})"
         ) from None
     trains = [SpikeTrain._of_words(plane[:, 0], steps) for plane in planes]
     return tuple(LogicReferencePair(h, l) for h, l in zip(trains[::2], trains[1::2]))

@@ -195,9 +195,6 @@ class CompiledNetwork:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def wire_index(self, name: str) -> int:
-        return self.wires.index(name)
-
     @cached_property
     def _output_wires(self) -> tuple[int, ...]:
         """Each output's wire index, in output order, computed on first use and kept."""
@@ -233,10 +230,6 @@ class CompiledNetwork:
         bounds = [0, *cuts.tolist(), n] if n else [0]
         ops = ["NOT" if k & 1 else "AND" for k in key[bounds[:-1]].tolist()]
         return LevelGroups(bounds, ops, _read_only(order + n_in), _read_only(self.args[order].T))
-
-    def gate_counts(self) -> dict[str, int]:
-        nots = int(self.is_not.sum())
-        return {"NOT": nots, "AND": len(self.is_not) - nots}
 
     def to_json(self) -> str:
         wires = self.wires
@@ -306,6 +299,38 @@ def _json_names(doc: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _new_name(token, defined, lineno: int | None) -> str:
+    """``token`` once it is a valid name that is not in ``defined``."""
+    if not (isinstance(token, str) and token.isascii() and token.isidentifier()):
+        raise NetlistError(f"invalid name {token!r}", lineno)
+    if token in _RESERVED:
+        raise NetlistError(f"{token!r} is a reserved word", lineno)
+    if token in defined:
+        raise NetlistError(f"name {token!r} already defined", lineno)
+    return token
+
+
+def _check_gate(target, gate, args, defined, lineno: int | None = None) -> None:
+    """The rules of one gate ``target = gate args`` over the names ``defined`` before it.
+
+    The gate must be known and take ``len(args)`` arguments, every argument
+    must be defined (an undefined one is checked as a name first), and
+    ``target`` must be a new name.  :func:`parse` passes the line number;
+    :func:`lower` and the AST oracle of :func:`eval_boolean` check each gate
+    of a hand-built :class:`NetlistAst` with it, in the walks they make.
+    """
+    arity = GATE_ARITY.get(gate)
+    if arity is None:
+        raise NetlistError(f"unknown gate {gate!r}", lineno)
+    if len(args) != arity:
+        raise NetlistError(f"{gate} takes {arity} argument(s), got {len(args)}", lineno)
+    for token in args:
+        if token not in defined:
+            _new_name(token, defined, lineno)
+            raise NetlistError(f"undefined name {token!r}", lineno)
+    _new_name(target, defined, lineno)
+
+
 def parse(text: str) -> NetlistAst:
     """Parse netlist source into an AST, rejecting malformed programs.
 
@@ -320,20 +345,6 @@ def parse(text: str) -> NetlistAst:
     assignments: list[tuple[str, str, tuple[str, ...]]] = []
     defined: set[str] = set()
 
-    def _name(token: str, lineno: int) -> str:
-        if not (token.isascii() and token.isidentifier()):
-            raise NetlistError(f"invalid name {token!r}", lineno)
-        if token in _RESERVED:
-            raise NetlistError(f"{token!r} is a reserved word", lineno)
-        return token
-
-    def _define(token: str, lineno: int) -> str:
-        name = _name(token, lineno)
-        if name in defined:
-            raise NetlistError(f"name {name!r} already defined", lineno)
-        defined.add(name)
-        return name
-
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.partition("#")[0]
@@ -345,26 +356,18 @@ def parse(text: str) -> NetlistAst:
             if len(tokens) < 2:
                 raise NetlistError("input line declares no names", lineno)
             for token in tokens[1:]:
-                inputs.append(_define(token, lineno))
+                defined.add(_new_name(token, defined, lineno))
+                inputs.append(token)
             continue
         if keyword in ("wire", "output"):
             if len(tokens) < 3 or tokens[2] != "=":
                 raise NetlistError(f"expected '{keyword} <name> = <GATE> <args>'", lineno)
             if len(tokens) < 4:
                 raise NetlistError("missing gate after '='", lineno)
-            gate = tokens[3]
-            arity = GATE_ARITY.get(gate)
-            if arity is None:
-                raise NetlistError(f"unknown gate {gate!r}", lineno)
-            args = tokens[4:]
-            if len(args) != arity:
-                raise NetlistError(f"{gate} takes {arity} argument(s), got {len(args)}", lineno)
-            for token in args:
-                if token not in defined:
-                    _name(token, lineno)
-                    raise NetlistError(f"undefined name {token!r}", lineno)
-            target = _define(tokens[1], lineno)
-            assignments.append((target, gate, tuple(args)))
+            target, gate, args = tokens[1], tokens[3], tuple(tokens[4:])
+            _check_gate(target, gate, args, defined, lineno)
+            defined.add(target)
+            assignments.append((target, gate, args))
             if keyword == "output":
                 outputs.append(target)
             continue
@@ -418,7 +421,9 @@ def lower(ast: NetlistAst) -> CompiledNetwork:
     primitives are then the gates' expansions laid end to end
     (``np.repeat`` over the per-gate primitive counts), each operand
     resolved by ``np.where`` to an argument wire or to the wire of an
-    earlier primitive of its gate.  No per-primitive object is built.
+    earlier primitive of its gate.  No per-primitive object is built.  Each
+    source gate passes :func:`_check_gate` on the way, so a hand-built AST
+    lowers only if :func:`parse` would accept its gates.
     """
     n_in = len(ast.inputs)
     index = {name: i for i, name in enumerate(ast.inputs)}
@@ -428,8 +433,7 @@ def lower(ast: NetlistAst) -> CompiledNetwork:
     counts, a, b, shift, targets = [], [], [], [], []
     end = n_in
     for target, gate, args in ast.assignments:
-        if gate not in _SPANS:
-            raise NetlistError(f"cannot lower gate {gate!r}")
+        _check_gate(target, gate, args, index)
         start, count = _SPANS[gate]
         counts.append(count)
         a.append(index[args[0]])
@@ -447,7 +451,10 @@ def lower(ast: NetlistAst) -> CompiledNetwork:
     return CompiledNetwork(wires, ast.inputs, ast.outputs, _IS_NOT[flat], operands, src)
 
 
-def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
+def _check_assignment(inputs: tuple[str, ...], assignment: dict, lanes: bool = False) -> list:
+    """Each input's binding in ``assignment``, in input order: a 0/1 scalar, as an ``int``,
+    or, with ``lanes``, 1-D ``uint64`` lane words, which must then bind every input, in one
+    length.  Any other binding, and a missing or stray name, raises :class:`NetlistError`."""
     missing = [name for name in inputs if name not in assignment]
     if missing:
         raise NetlistError(f"assignment missing input(s): {', '.join(missing)}")
@@ -455,23 +462,21 @@ def _check_assignment(inputs: tuple[str, ...], assignment: dict) -> None:
     if stray:
         raise NetlistError(
             f"assignment binds name(s) that are not inputs: {', '.join(map(str, stray))}")
-    lanes = [isinstance(v, np.ndarray) and v.dtype == np.uint64 for v in assignment.values()]
-    if any(lanes) and not all(lanes):
-        raise NetlistError("lane words must bind every input or none")
+    what = "0 or 1, or 1-D uint64 lane words" if lanes else "0 or 1"
     for name, value in assignment.items():
         if isinstance(value, np.ndarray):
-            # Every bit of a lane word is an assignment's 0 or 1.
-            valid = value.ndim == 1 and (value.dtype == np.uint64 or (
-                np.issubdtype(value.dtype, np.integer)
-                and bool(np.all((value == 0) | (value == 1)))))
+            valid = lanes and value.dtype == np.uint64 and value.ndim == 1
         else:
             valid = value in (0, 1)
         if not valid:
-            raise NetlistError(f"input {name!r} must be 0 or 1, got {value!r}")
-
-
-def _bit(value):
-    return value if isinstance(value, np.ndarray) else int(value)
+            raise NetlistError(f"input {name!r} must be {what}, got {value!r}")
+    bits = [assignment[name] for name in inputs]
+    arrays = {value.shape for value in bits if isinstance(value, np.ndarray)}
+    if not arrays:
+        return [int(value) for value in bits]
+    if len(arrays) > 1 or not all(isinstance(value, np.ndarray) for value in bits):
+        raise NetlistError("lane words must bind every input or none, in one length")
+    return bits
 
 
 def eval_boolean(
@@ -482,23 +487,26 @@ def eval_boolean(
     Accepts either an AST (evaluating the declared gates directly) or a
     compiled network (evaluating the primitives); for any well-lowered
     network the two agree on every assignment.  Each input is bound to a
-    0/1 int, or to a 1-D integer array: a 0/1 value per row, or, for
-    ``uint64``, lane words, bit ``j`` of word ``w`` holding assignment
-    ``64 * w + j``, which must then bind every input.  With arrays every
-    output is an array of the same kind and length, so a chunk of
-    assignments is evaluated bit-parallel in one call; NOT flips the value
-    against ``one``, 1 for bits and all ones for lane words.
+    0/1 scalar, and every output is a 0/1 ``int``; or every input is bound
+    to 1-D ``uint64`` lane words of one length, bit ``j`` of word ``w``
+    holding assignment ``64 * w + j``, and every output is lane words of
+    that length, so a chunk of assignments is evaluated bit-parallel in one
+    call, NOT flipping every bit.  An AST's gates and outputs are checked as
+    they are walked (see :func:`_check_gate`).
     """
-    _check_assignment(source.inputs, assignment)
-    lanes = any(isinstance(v, np.ndarray) and v.dtype == np.uint64 for v in assignment.values())
-    one = ~np.uint64(0) if lanes else 1
+    bits = _check_assignment(source.inputs, assignment, lanes=True)
+    one = ~np.uint64(0) if bits and isinstance(bits[0], np.ndarray) else 1
     if isinstance(source, NetlistAst):
-        values = {name: _bit(assignment[name]) for name in source.inputs}
+        values = dict(zip(source.inputs, bits))
         for target, gate, args in source.assignments:
+            _check_gate(target, gate, args, values)
             values[target] = _BOOL_FN[gate](one, *(values[arg] for arg in args))
+        for name in source.outputs:
+            if name not in values:
+                raise NetlistError(f"output {name!r} is never defined")
         return {name: values[name] for name in source.outputs}
 
-    values = [_bit(assignment[name]) for name in source.inputs]
+    values = bits
     not_, and_ = _BOOL_FN["NOT"], _BOOL_FN["AND"]
     for is_not, (a, b) in zip(source.is_not.tolist(), source.args.tolist()):
         values.append(not_(one, values[a]) if is_not else and_(one, values[a], values[b]))

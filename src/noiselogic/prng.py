@@ -14,6 +14,8 @@ seeds derived this way make serial, chunked and vectorized runs agree
 exactly, which is what the golden-file and Monte-Carlo tests rely on.
 """
 
+import numbers
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -77,13 +79,16 @@ class SplitMix64:
     """One SplitMix64 stream with scalar and block output paths.
 
     ``next_u64`` and ``block`` draw from the same sequence: after any mix of
-    calls, output ``k`` (1-based) is ``mix64(seed + k * GOLDEN)``.
+    calls, output ``k`` (1-based) is ``mix64(seed + k * GOLDEN)``.  A NumPy
+    integer seed is kept as an ``int``; a seed that is a bool, not an
+    integer or outside ``[0, 2**64)`` raises ``ValueError``.
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self._seed = seed
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= int(seed) <= MASK64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        self._seed = int(seed)
         self._count = 0
 
     @property

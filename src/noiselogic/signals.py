@@ -203,12 +203,6 @@ class Waveform:
         """Number of clock steps."""
         return self.shape[0]
 
-    def __getitem__(self, step: int) -> int:
-        return int(self.values[step])
-
-    def __iter__(self):
-        return iter(self.to_list())
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Waveform):
             return np.array_equal(self.values, other.values)
@@ -299,15 +293,6 @@ class SpikeTrain(BitWave):
         if arr.min() < 0 or arr.max() > 1:
             bad = arr[(arr != 0) & (arr != 1)][0]
             raise ValueError(f"SpikeTrain values must be 0 or 1, found {bad}")
-
-    def spike_times(self) -> np.ndarray:
-        return np.flatnonzero(self.values)
-
-    def spike_count(self) -> int:
-        return int(self.values.sum())
-
-    def is_empty(self) -> bool:
-        return not bool(self._words.any())
 
 
 def _column_masks(h: np.ndarray, l: np.ndarray, steps: int) -> np.ndarray:

@@ -280,8 +280,9 @@ def run(
 ) -> SimulationRun:
     """Execute one assignment on one backend, retaining every waveform.
 
-    One reference pair is drawn for the whole run; inputs bind to the High
-    or Low wave, and every wire (inputs included) is classified against the
+    One reference pair is drawn for the whole run; each input, bound to a
+    0/1 scalar (an array raises :class:`NetlistError`), copies the High or
+    Low wave, and every wire (inputs included) is classified against the
     pair.  Ambiguous wires are reported in the result, not raised.
 
     The walk is :func:`_evaluate` on one row of the pair's step classes,
@@ -290,16 +291,15 @@ def run(
     reads each distinct word once.  Wave and classification objects are
     built per cut word, not per wire (see :class:`SimulationRun`).
     """
-    _check_assignment(network.inputs, assignment)
+    bits = _check_assignment(network.inputs, assignment)
     classes = make_backend(backend, config).pair.step_classes
     cut = _evaluate(_slot_groups(network.level_groups), len(network.wires),
-                    _Backend(backend, classes.pair),
-                    [assignment[name] for name in network.inputs], 1)[:, 0, 0]
+                    _Backend(backend, classes.pair), bits, 1)[:, 0, 0]
     return SimulationRun(
         backend=backend,
         config=config,
         network=network,
-        assignment=dict(assignment),
+        assignment=dict(zip(network.inputs, bits)),
         classes=classes,
         cut=cut.tolist(),
         readings=classes.read(cut),
@@ -726,6 +726,8 @@ def decision_latency(
     with per-step rate ``spike_rate_h + spike_rate_l`` for spikes and 0.5
     for RTW references; windows that cannot decide at all are tallied
     separately.  The default backend is the spike one, last in ``BACKENDS``.
+    ``assignment`` binds each input to a 0/1 scalar, as :func:`run`'s does;
+    by default every input is 1.
 
     Trial ``i`` uses the pair that ``make_backend`` draws for the derived
     seed ``derive_seed(config.seed, i)``, drawn in chunks of at most
@@ -744,9 +746,8 @@ def decision_latency(
         raise ConfigError(f"trials must be positive, got {trials}")
     if assignment is None:
         assignment = {name: 1 for name in network.inputs}
-    _check_assignment(network.inputs, assignment)
+    bits = _check_assignment(network.inputs, assignment)
     family = backend_family(backend)
-    bits = [assignment[name] for name in network.inputs]
     groups, slots, outs = (_slot_groups(network.level_groups), len(network.wires),
                            list(network._output_wires))
     rows = _chunk_rows(words_for(config.steps), 7)   # two planes, four column masks, a temporary

@@ -102,7 +102,7 @@ def eval_lowered_gate(gate: str, not_, and_, x1, x2):
     for g in gate_rows(network):
         args = [waves[i] for i in g.args]
         waves.append(not_(*args) if g.op == "NOT" else and_(*args))
-    return waves[network.wire_index("y")]
+    return waves[network.wires.index("y")]
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ def serial_report(source, backend, config, *, network=None, sample=None):
         report.checked += 1
         ok = True
         for name in net.outputs:
-            outcome = classify_wire(bk, waves[net.wire_index(name)])
+            outcome = classify_wire(bk, waves[net.wires.index(name)])
             if outcome.is_ambiguous:
                 ok = False
                 report.ambiguous.append(
@@ -165,7 +165,7 @@ class TestBatchedEqualsSerial:
         lines.append("output y = AND i0 x68")
         ast = nl.parse("\n".join(lines) + "\n")
         net = nl.lower(ast)
-        y, i0 = net.wire_index("y"), net.wire_index("i0")
+        y, i0 = net.wires.index("y"), net.wires.index("i0")
         gates = gate_rows(net)
         assert next(g for g in gates if g.out == y).args[0] == i0
         network = network_from_rows(net.wires, net.inputs, net.outputs, [

@@ -26,26 +26,32 @@ GOLDEN_SPIKE_SEED7_5_H = [0, 0, 1, 0, 0]
 GOLDEN_SPIKE_SEED7_5_L = [0, 0, 0, 1, 1]
 
 
-class TestGenRtw:
+def rtw_steps(seed: int, steps: int) -> list[int]:
+    """The RTW layout: step ``t`` of a stream's wave is +1 where bit 63 of its word ``t`` is set."""
+    return (2 * (SplitMix64(seed).block(steps) >> np.uint64(63)).astype(int) - 1).tolist()
+
+
+class TestRtwLayout:
     def test_golden_fixture(self):
-        got = nl.gen_rtw(nl.GeneratorConfig(seed=1, steps=4))
-        assert got.to_list() == GOLDEN_RTW_SEED1_4
-        got12 = nl.gen_rtw(nl.GeneratorConfig(seed=1, steps=12))
-        assert got12.to_list() == GOLDEN_RTW_SEED1_12
+        # The sign bits of the first words of stream 1.
+        assert rtw_steps(1, 4) == GOLDEN_RTW_SEED1_4
+        assert rtw_steps(1, 12) == GOLDEN_RTW_SEED1_12
 
     def test_prefix_stability(self):
         # Longer windows extend, never rewrite, shorter ones.
-        short = nl.gen_rtw(nl.GeneratorConfig(seed=1, steps=4))
-        long = nl.gen_rtw(nl.GeneratorConfig(seed=1, steps=12))
-        assert long.to_list()[:4] == short.to_list()
+        short = nl.reference_pairs(nl.RTW, 1, nl.GeneratorConfig(seed=1, steps=4))
+        long = nl.reference_pairs(nl.RTW, 1, nl.GeneratorConfig(seed=1, steps=12))
+        assert long.h.to_list()[:4] == short.h.to_list()
+        assert long.l.to_list()[:4] == short.l.to_list()
 
     def test_determinism(self):
         cfg = nl.GeneratorConfig(seed=1, steps=4)
-        assert nl.gen_rtw(cfg) == nl.gen_rtw(cfg)
+        assert nl.reference_pairs(nl.RTW, 1, cfg) == nl.reference_pairs(nl.RTW, 1, cfg)
 
     def test_empirical_mean(self):
-        x = nl.gen_rtw(nl.GeneratorConfig(seed=0, steps=100_000))
-        assert abs(float(x.values.mean())) < 0.02
+        pair = nl.reference_pairs(nl.RTW, 0, nl.GeneratorConfig(seed=0, steps=100_000))
+        assert abs(float(pair.h.values.mean())) < 0.02
+        assert abs(float(pair.l.values.mean())) < 0.02
 
     def test_zero_steps_rejected_by_config(self):
         with pytest.raises(nl.ConfigError):
@@ -60,9 +66,8 @@ class TestGenRtwPair:
 
     def test_uses_child_streams(self):
         pair = nl.reference_pairs(nl.RTW, 5, nl.GeneratorConfig(seed=5, steps=16))
-        h = nl.gen_rtw(nl.GeneratorConfig(seed=derive_seed(5, 0), steps=16))
-        l = nl.gen_rtw(nl.GeneratorConfig(seed=derive_seed(5, 1), steps=16))
-        assert pair.h == h and pair.l == l
+        assert pair.h.to_list() == rtw_steps(derive_seed(5, 0), 16)
+        assert pair.l.to_list() == rtw_steps(derive_seed(5, 1), 16)
 
 
 class TestOrthogonalSpikePair:
@@ -77,7 +82,7 @@ class TestOrthogonalSpikePair:
         config = nl.GeneratorConfig(seed=seed, steps=40, spike_rate_h=0.3, spike_rate_l=0.3)
         pair = nl.reference_pairs(nl.SPIKE, config.seed, config)
         assert not np.any(pair.h.values & pair.l.values)
-        assert pair.h.spike_count() >= 1 and pair.l.spike_count() >= 1
+        assert pair.h.words.any() and pair.l.words.any()
 
     def test_empirical_density(self):
         config = nl.GeneratorConfig(seed=0, steps=100_000, spike_rate_h=0.3, spike_rate_l=0.3)
@@ -175,13 +180,7 @@ class TestDisjointSpikePairs:
 
     def test_all_trains_non_empty(self):
         pairs = gen_disjoint_spike_pairs(seed=3, steps=512, n_pairs=6)
-        assert all(p.h.spike_count() >= 1 and p.l.spike_count() >= 1 for p in pairs)
-
-    @pytest.mark.parametrize("rate", [0.2, "0.1", True, 1j])
-    def test_rate_feasibility_checked(self, rate):
-        # A string rate used to end in a bare TypeError.
-        with pytest.raises(nl.ConfigError):
-            gen_disjoint_spike_pairs(seed=1, steps=64, n_pairs=4, rate_per_train=rate)
+        assert all(p.h.words.any() and p.l.words.any() for p in pairs)
 
     @pytest.mark.parametrize("seed, steps, n_pairs",
                              [(2**64, 64, 2), (-1, 64, 2), (1, 64.0, 2), (1, 0, 2), (1, 64, 2.0)])
@@ -194,12 +193,13 @@ class TestDisjointSpikePairs:
             nl.gen_rtw_pairs(seed, steps, n_pairs)
 
     def test_attempt_r_draws_from_child_stream_r(self):
-        # Eight trains in 12 steps: most attempts leave some train empty.
-        steps, rates = 12, [0.1] * 8
+        # Eight trains in 12 steps at the rate 0.9 / 8: most attempts leave some
+        # train empty.
+        steps, rates = 12, [0.9 / 8] * 8
         retried = 0
         for seed in range(30):
             try:
-                pairs = gen_disjoint_spike_pairs(seed, steps, 4, 0.1)
+                pairs = gen_disjoint_spike_pairs(seed, steps, 4)
             except nl.GenerationError:
                 continue
             for attempt in range(generators.MAX_RETRIES):

@@ -103,7 +103,7 @@ class TestLowering:
 
     def test_or_expansion_shape(self):
         net = nl.lower(nl.parse("input a b\noutput y = OR a b\n"))
-        assert net.gate_counts() == {"NOT": 3, "AND": 1}
+        assert (net.is_not.sum(), (~net.is_not).sum()) == (3, 1)
 
     def test_only_primitives_emitted(self, full_adder_network):
         assert all(g.op in ("NOT", "AND") for g in gate_rows(full_adder_network))
@@ -194,29 +194,112 @@ class TestBooleanEval:
         with pytest.raises(NetlistError, match=f"not inputs: {re.escape(str(key))}$"):
             call()
 
+    @pytest.mark.parametrize("a, b", [
+        # Rows of bits used to end in a NumPy broadcast ValueError, and ragged
+        # lanes in an "inhomogeneous shape" one.
+        (np.array([0, 1]), np.array([1, 1])),
+        (np.array([1], dtype=np.uint64), np.array([1, 3], dtype=np.uint64)),
+        # Lane 0 of the word 2 is 0, but run read it as High, y = 1.
+        (np.array([2], dtype=np.uint64), np.array([2], dtype=np.uint64)),
+        (np.array(1), 1),
+    ])
+    @pytest.mark.parametrize("entry", ["run", "decision_latency"])
+    def test_run_and_decision_latency_take_bits_only(self, entry, a, b):
+        net = nl.lower(nl.parse("input a b\noutput y = AND a b\n"))
+        config = nl.GeneratorConfig(seed=1, steps=16)
+        call = {"run": lambda bits: nl.run(net, "spike", bits, config),
+                "decision_latency": lambda bits: nl.decision_latency(net, config, 3,
+                                                                     assignment=bits)}[entry]
+        with pytest.raises(NetlistError, match="^input 'a' must be 0 or 1, got "):
+            call({"a": a, "b": b})
+
+    def test_run_stores_the_bits_as_ints(self):
+        net = nl.lower(nl.parse("input a b\noutput y = AND a b\n"))
+        result = nl.run(net, "spike", {"b": np.int64(1), "a": True},
+                        nl.GeneratorConfig(seed=1, steps=16))
+        assert result.assignment == {"a": 1, "b": 1}
+        assert [type(v) for v in result.assignment.values()] == [int, int]
+        assert result.output_bits() == {"y": 1}
+
     def test_outputs_are_looked_up_once_per_network(self):
         net = nl.lower(nl.parse(FULL_ADDER))
-        assert net._output_wires == tuple(map(net.wire_index, net.outputs))
+        assert net._output_wires == tuple(map(net.wires.index, net.outputs))
         assert "_output_wires" in vars(net)
         assert nl.eval_boolean(net, {"a": 1, "b": 1, "cin": 0}) == {"sum": 0, "cout": 1}
 
-    def test_bit_arrays_evaluate_every_row(self, full_adder_ast, full_adder_network):
-        index = np.arange(8)
-        bits = {"a": index >> 2 & 1, "b": index >> 1 & 1, "cin": index & 1}
+    def test_lane_words_evaluate_every_lane(self, full_adder_ast, full_adder_network):
+        # Two lane words: lane j holds assignment j % 8.
+        index = np.arange(128) % 8
+        shifts = {"a": 2, "b": 1, "cin": 0}
+        lanes = {name: np.packbits((index >> k & 1).astype(bool), bitorder="little")
+                 .view("<u8").astype(np.uint64) for name, k in shifts.items()}
         for source in (full_adder_ast, full_adder_network):
-            got = nl.eval_boolean(source, bits)
-            for i in range(8):
-                row = {name: int(column[i]) for name, column in bits.items()}
-                assert {name: int(v[i]) for name, v in got.items()} == \
+            got = nl.eval_boolean(source, lanes)
+            assert all(v.dtype == np.uint64 and v.shape == (2,) for v in got.values())
+            for j in range(128):
+                row = {name: int(index[j]) >> k & 1 for name, k in shifts.items()}
+                assert {name: int(v[j // 64]) >> j % 64 & 1 for name, v in got.items()} == \
                     nl.eval_boolean(source, row)
-        with pytest.raises(NetlistError, match="must be 0 or 1"):
-            nl.eval_boolean(full_adder_ast, {**bits, "cin": index})
+
+    @pytest.mark.parametrize("change, message", [
+        # A 0/1 integer array used to be read as one assignment per row.
+        ({"cin": np.array([0, 1])}, "input 'cin' must be 0 or 1, or 1-D uint64 lane words, got "),
+        ({"cin": np.array([[1]], dtype=np.uint64)}, "input 'cin' must be 0 or 1, or 1-D uint64"),
+        ({"cin": 1}, "lane words must bind every input or none, in one length"),
+        ({"cin": np.zeros(2, dtype=np.uint64)}, "lane words must bind every input or none"),
+        ({"cin": [1]}, "input 'cin' must be 0 or 1, or 1-D uint64 lane words, got \\[1\\]"),
+    ])
+    def test_a_binding_is_a_bit_or_lane_words_for_every_input(self, full_adder_ast, change,
+                                                              message):
+        lanes = {name: np.array([5], dtype=np.uint64) for name in ("a", "b", "cin")}
+        for source in (full_adder_ast, nl.lower(full_adder_ast)):
+            with pytest.raises(NetlistError, match=f"^{message}"):
+                nl.eval_boolean(source, {**lanes, **change})
 
     def test_full_adder_semantics(self, full_adder_ast):
         for i in range(8):
             a, b, cin = (i >> 2) & 1, (i >> 1) & 1, i & 1
             got = nl.eval_boolean(full_adder_ast, {"a": a, "b": b, "cin": cin})
             assert got == {"sum": a ^ b ^ cin, "cout": int(a + b + cin >= 2)}
+
+
+class TestHandBuiltAst:
+    """``lower`` and the AST oracle apply parse's per-gate rules to a hand-built AST."""
+
+    @pytest.mark.parametrize("gates, outputs, message", [
+        ([("y", "AND", ("a",))], ("y",), "AND takes 2 argument(s), got 1"),
+        ([("y", "NOT", ("a", "a"))], ("y",), "NOT takes 1 argument(s), got 2"),
+        ([("y", "NOT", ())], ("y",), "NOT takes 1 argument(s), got 0"),
+        ([("y", "AND", ("a", "z"))], ("y",), "undefined name 'z'"),
+        ([("y", "AND", ("a", "z$0"))], ("y",), "invalid name 'z$0'"),
+        ([("y", "NOT", (3,))], ("y",), "invalid name 3"),
+        ([("y", "MUX", ("a", "b"))], ("y",), "unknown gate 'MUX'"),
+        ([("y", "NOT", ("a",)), ("y", "NOT", ("b",))], ("y",), "name 'y' already defined"),
+        ([("a", "NOT", ("b",))], ("a",), "name 'a' already defined"),
+        ([("y$1", "NOT", ("a",))], ("y$1",), "invalid name 'y$1'"),
+        ([("wire", "NOT", ("a",))], ("wire",), "'wire' is a reserved word"),
+        ([("y", "NOT", ("a",))], ("z",), "output 'z' is never defined"),
+    ])
+    def test_lower_and_the_oracle_raise_parses_message_without_a_line(self, gates, outputs,
+                                                                      message):
+        ast = nl.NetlistAst(("a", "b"), outputs, tuple(gates))
+        for call in (lambda: nl.lower(ast), lambda: nl.eval_boolean(ast, {"a": 1, "b": 0})):
+            with pytest.raises(NetlistError, match=f"^{re.escape(message)}$") as info:
+                call()
+            assert info.value.lineno is None
+
+    def test_parse_raises_the_same_message_with_its_line(self):
+        for source, message in [("input a\noutput y = NOT a a\n", "NOT takes 1 argument(s), got 2"),
+                                ("input a b\nwire a = NOT b\n", "name 'a' already defined"),
+                                ("input a\noutput y = AND a z\n", "undefined name 'z'")]:
+            with pytest.raises(NetlistError, match=f"^line 2: {re.escape(message)}$"):
+                nl.parse(source)
+
+    def test_a_well_formed_hand_built_ast_lowers_as_parsed(self):
+        ast = nl.NetlistAst(("a", "b"), ("y",), (("w", "XOR", ("a", "b")), ("y", "NOT", ("w",))))
+        assert ast == nl.parse("input a b\nwire w = XOR a b\noutput y = NOT w\n")
+        assert nl.lower(ast) == nl.lower(nl.parse(format_netlist(ast)))
+        assert nl.eval_boolean(ast, {"a": 1, "b": 0}) == {"y": 0}
 
 
 class TestLoweringSoundness:
@@ -379,7 +462,7 @@ class TestGateColumns:
     def test_zero_gate_network_from_json(self):
         net = nl.CompiledNetwork.from_json('{"inputs": ["a"], "outputs": ["a"], "gates": []}')
         assert len(net.is_not) == 0 and gate_rows(net) == [] and net.args.shape == (0, 2)
-        assert net.gate_counts() == {"NOT": 0, "AND": 0}
+        assert (net.is_not.sum(), (~net.is_not).sum()) == (0, 0)
         assert net == network_from_rows(("a",), ("a",), ("a",), [])
         assert nl.CompiledNetwork.from_json(net.to_json()) == net
         assert nl.eval_boolean(net, {"a": 1}) == {"a": 1}
@@ -467,7 +550,7 @@ class TestLargeNetworks:
                                             "--steps", "64"])
         assert out.exit_code == 0, out.output
         assert json.loads(out.stdout)["primitive_count"] == len(network.is_not)
-        assert sum(network.gate_counts().values()) == len(network.is_not)
+        assert network.is_not.sum() + (~network.is_not).sum() == len(network.is_not)
         assert nl.CompiledNetwork.from_json(network.to_json()) == network
 
     @pytest.mark.parametrize("nots", [128, 129, 32_768, 32_800])

@@ -211,8 +211,9 @@ if __debug__:
 net = nl.lower(nl.parse(open(0).read()))
 groups = simulator._slot_groups(net.level_groups)
 print(net.to_json(), end="")
-print(len(groups), len(net.wires), net.gate_counts(),
-      bool(net.is_not[-1]), net.args[-1].tolist(), net.wire_index(net.src[-1]), net.src[-1])
+nots = int(net.is_not.sum())
+print(len(groups), len(net.wires), {"NOT": nots, "AND": len(net.is_not) - nots},
+      bool(net.is_not[-1]), net.args[-1].tolist(), net.wires.index(net.src[-1]), net.src[-1])
 doc = json.loads(net.to_json())
 doc["outputs"] *= 2
 for build in (lambda: nl.CompiledNetwork(net.wires, net.inputs, net.outputs, net.is_not[1:],

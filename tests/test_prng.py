@@ -100,6 +100,22 @@ def test_seed_range_checked():
         SplitMix64(2**64)
 
 
+@pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3), np.uint8(3)])
+def test_a_numpy_integer_seed_draws_the_int_seeds_stream_on_both_paths(seed):
+    # A np.uint64 seed used to make next_u64 raise OverflowError.
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    assert type(scalar.seed) is int and scalar.seed == 3
+    assert [scalar.next_u64() for _ in range(3)] == block.block(3).tolist()
+    assert block.block(2).tolist() == SplitMix64(3).block(5)[3:].tolist()
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "3", None, True, np.bool_(False), np.float64(2)])
+def test_a_seed_that_is_no_integer_raises_value_error(seed):
+    # 1.5 used to draw seed 1's block but fail next_u64, and "3" to raise TypeError.
+    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
+        SplitMix64(seed)
+
+
 def test_distinct_children_no_collisions_small_scale():
     seeds = derive_seeds(0, 10_000)
     assert len(set(int(s) for s in seeds)) == 10_000

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import noiselogic as nl
@@ -70,7 +70,11 @@ def gate_inputs(draw):
     steps = draw(st.sampled_from(STEP_COUNTS))
     layout = draw(st.sampled_from(LAYOUTS))
     seed = draw(st.integers(0, 2**64 - 1))
-    pair = nl.reference_pairs(family, seed, nl.GeneratorConfig(seed=seed, steps=steps))
+    try:
+        pair = nl.reference_pairs(family, seed, nl.GeneratorConfig(seed=seed, steps=steps))
+    except nl.GenerationError:
+        # At two steps a spike pair can exhaust its attempts (seed 5433 does).
+        reject()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, pad = words_for(steps), -steps % WORD_BITS
     h, l = pair._columns if layout else (pair.h.words, pair.l.words)
