@@ -32,6 +32,9 @@ The table is part of the artifact's contract; compiled networks are
 byte-stable given equal input, and every intermediate wire records which
 source gate produced it.
 
+:func:`parse` checks and resolves each gate once; :func:`lower` gathers
+the template arrays of :data:`EXPANSION` and loops only over source gates.
+
 A compiled network's gates are walked in phases
 (:attr:`CompiledNetwork.level_groups`), one kernel call each: ANDs run in
 even phases and NOTs in odd ones, and a gate runs in the first phase
@@ -41,8 +44,9 @@ phases than (level, op) groups.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +78,8 @@ EXPANSION = {
 GATE_ARITY = {gate: 2 if any("b" in prim for prim in expansion) else 1
               for gate, expansion in EXPANSION.items()}
 
+_GATE_CODE = {gate: code for code, gate in enumerate(EXPANSION)}   # NOT 0, AND 1, ...
+
 _RESERVED = {"input", "wire", "output"}
 
 # Gate -> its Boolean function of ``one``, the value of true (1 for bits,
@@ -97,6 +103,8 @@ class NetlistAst:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     assignments: tuple[tuple[str, str, tuple[str, ...]], ...]
+    # The gates as _check_gate resolves them, over inputs + targets; see _resolve.
+    _gates: list | None = field(default=None, init=False, compare=False, repr=False)
 
 
 class LevelGroups(NamedTuple):
@@ -216,12 +224,10 @@ class CompiledNetwork:
         8 and 16 bits.
         """
         n_in, n = len(self.inputs), len(self.is_not)
-        phase = [-1] * n_in
-        for a, b, odd in zip(*self.args.T.tolist(), self.is_not.tolist()):
-            pa, pb = phase[a], phase[b]
-            m = pa if pa > pb else pb
-            phase.append((m + 1) | 1 if odd else (m + 2) & -2)
-        key = np.array(phase[n_in:], dtype=np.intp)
+        key = self.__dict__.get("_phase")   # lower's, from the source gates
+        if key is None:   # each primitive as its own NOT or AND gate
+            gates = zip((~self.is_not).tolist(), *self.args.T.tolist())
+            key = np.array(_gate_phases(n_in, gates)[n_in:], dtype=np.intp)
         if n:
             key = key.astype(np.min_scalar_type(key.max()))
         order = np.argsort(key, kind="stable")
@@ -310,25 +316,28 @@ def _new_name(token, defined, lineno: int | None) -> str:
     return token
 
 
-def _check_gate(target, gate, args, defined, lineno: int | None = None) -> None:
-    """The rules of one gate ``target = gate args`` over the names ``defined`` before it.
+def _check_gate(target, gate, args, defined, lineno: int | None = None) -> tuple[int, int, int]:
+    """The rules of one gate ``target = gate args`` over ``defined``, each name's position.
 
     The gate must be known and take ``len(args)`` arguments, every argument
     must be defined (an undefined one is checked as a name first), and
-    ``target`` must be a new name.  :func:`parse` passes the line number;
-    :func:`lower` and the AST oracle of :func:`eval_boolean` check each gate
-    of a hand-built :class:`NetlistAst` with it, in the walks they make.
+    ``target`` must be a new name.  Returns the gate's code and its first
+    and last arguments' positions.  :func:`parse` passes the line number.
     """
     arity = GATE_ARITY.get(gate)
     if arity is None:
         raise NetlistError(f"unknown gate {gate!r}", lineno)
     if len(args) != arity:
         raise NetlistError(f"{gate} takes {arity} argument(s), got {len(args)}", lineno)
-    for token in args:
-        if token not in defined:
-            _new_name(token, defined, lineno)
-            raise NetlistError(f"undefined name {token!r}", lineno)
-    _new_name(target, defined, lineno)
+    try:
+        resolved = _GATE_CODE[gate], defined[args[0]], defined[args[-1]]
+    except KeyError as exc:
+        undefined = exc.args[0]   # the first argument that is not defined
+    else:
+        _new_name(target, defined, lineno)
+        return resolved
+    _new_name(undefined, defined, lineno)
+    raise NetlistError(f"undefined name {undefined!r}", lineno)
 
 
 def parse(text: str) -> NetlistAst:
@@ -343,7 +352,8 @@ def parse(text: str) -> NetlistAst:
     inputs: list[str] = []
     outputs: list[str] = []
     assignments: list[tuple[str, str, tuple[str, ...]]] = []
-    defined: set[str] = set()
+    defined: dict[str, int] = {}   # name -> position, in definition order
+    gates: list[tuple[int, int, int]] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -356,7 +366,7 @@ def parse(text: str) -> NetlistAst:
             if len(tokens) < 2:
                 raise NetlistError("input line declares no names", lineno)
             for token in tokens[1:]:
-                defined.add(_new_name(token, defined, lineno))
+                defined[_new_name(token, defined, lineno)] = len(defined)
                 inputs.append(token)
             continue
         if keyword in ("wire", "output"):
@@ -365,8 +375,8 @@ def parse(text: str) -> NetlistAst:
             if len(tokens) < 4:
                 raise NetlistError("missing gate after '='", lineno)
             target, gate, args = tokens[1], tokens[3], tuple(tokens[4:])
-            _check_gate(target, gate, args, defined, lineno)
-            defined.add(target)
+            gates.append(_check_gate(target, gate, args, defined, lineno))
+            defined[target] = len(defined)
             assignments.append((target, gate, args))
             if keyword == "output":
                 outputs.append(target)
@@ -375,7 +385,37 @@ def parse(text: str) -> NetlistAst:
 
     if not outputs:
         raise NetlistError("netlist declares no outputs")
-    return NetlistAst(tuple(inputs), tuple(outputs), tuple(assignments))
+    if inputs and defined[inputs[-1]] != len(inputs) - 1:   # an input follows a gate
+        position = {name: k for k, name in enumerate(inputs + [t for t, _, _ in assignments])}
+        moved = [position[name] for name in defined]
+        gates = [(code, moved[a], moved[b]) for code, a, b in gates]
+    ast = NetlistAst(tuple(inputs), tuple(outputs), tuple(assignments))
+    object.__setattr__(ast, "_gates", gates)
+    return ast
+
+
+def _resolve(ast: NetlistAst) -> list[tuple[int, int, int]]:
+    """The AST's resolved gates: parse's, or a hand-built AST's, checked once by parse's rules."""
+    if ast._gates is None:
+        if not all(isinstance(value, tuple) for value in (ast.inputs, ast.outputs, ast.assignments)):
+            raise NetlistError("NetlistAst inputs, outputs and assignments must be tuples")
+        defined: dict[str, int] = {}
+        for token in ast.inputs:
+            defined[_new_name(token, defined, None)] = len(defined)
+        gates = []
+        for row in ast.assignments:
+            if not (isinstance(row, tuple) and len(row) == 3 and isinstance(row[1], str)
+                    and isinstance(row[2], tuple)):
+                raise NetlistError(f"assignment {row!r} is not a (target, gate, args) tuple")
+            gates.append(_check_gate(*row, defined))
+            defined[row[0]] = len(defined)
+        if not ast.outputs:
+            raise NetlistError("netlist declares no outputs")
+        for name in ast.outputs:
+            if not isinstance(name, str) or name not in defined:
+                raise NetlistError(f"output {name!r} is never defined")
+        object.__setattr__(ast, "_gates", gates)
+    return ast._gates
 
 
 def format_netlist(ast: NetlistAst) -> str:
@@ -393,62 +433,83 @@ def format_netlist(ast: NetlistAst) -> str:
 def _flat_expansions():
     """:data:`EXPANSION` as arrays over all its primitives, gate after gate.
 
-    Returns each gate's first primitive in that list and its primitive
-    count, and per primitive: whether it is a NOT, its two operands (a
-    NOT's one twice; -2 for "a", -1 for "b", else the earlier primitive's
-    position in the list) and the suffix of the wire it writes.
+    Returns each gate code's first primitive in that list and its primitive
+    count, and per primitive: whether it is a NOT, its two operands (a NOT's
+    one twice; -2 for "a", -1 for "b", else the earlier primitive's position
+    in the list), the suffix of the wire it writes and its phase offsets.
+    The steps to a NOT, ``(m + 1) | 1``, and to an AND, ``(m + 2) & -2``, are
+    monotone, so they commute with ``max``: with its gate's arguments at
+    phases ``pa`` and ``pb``, a primitive is at the least phase of its op's
+    parity at or past ``max(pa + c_a, pb + c_b)``, that is, at ``max(pa +
+    off_a, pb + off_b)`` with its lowest bit set to that parity, where each
+    ``off = c + 1 - parity``.
     """
-    spans, prims = {}, []
-    for gate, expansion in EXPANSION.items():
+    spans, prims = [], []
+    for expansion in EXPANSION.values():
         start = len(prims)
-        spans[gate] = start, len(expansion)
+        spans.append((start, len(expansion)))
+        steps = []   # each primitive's (c_a, c_b); -2**40 where no path reads the argument
         for k, (op, *operands) in enumerate(expansion):
             refs = [-2 if x == "a" else -1 if x == "b" else start + x for x in operands]
-            prims.append((op == "NOT", refs[0], refs[-1],
-                          f"${k}" if k < len(expansion) - 1 else ""))
-    is_not, ref_a, ref_b, suffix = zip(*prims)
-    return (spans, np.array(is_not), np.array([ref_a, ref_b]).T,
-            np.array(suffix, dtype=object))
+            # c counts 1 from an argument, and from an earlier primitive 1 if
+            # the op changes and 2 if it repeats.
+            steps.append([max(1 if x == arg else -(1 << 40) if isinstance(x, str)
+                              else steps[x][i] + 1 + (expansion[x][0] == op) for x in operands)
+                          for i, arg in enumerate("ab")])
+            prims.append((op == "NOT", refs[0], refs[-1], f"${k}" if k < len(expansion) - 1
+                          else "", [c + (op != "NOT") for c in steps[k]]))
+    is_not, ref_a, ref_b, suffix, offsets = zip(*prims)
+    return (np.array(spans), np.array(is_not), np.array([ref_a, ref_b]).T,
+            np.array(suffix, dtype=object), np.array(offsets, dtype=np.intp))
 
 
-_SPANS, _IS_NOT, _REFS, _SUFFIX = _flat_expansions()
+_SPANS, _IS_NOT, _REFS, _SUFFIX, _OFFSETS = _flat_expansions()
+# Per gate code: the phase offsets and parity of the primitive writing its target.
+_TARGET_PHASE = [(*_OFFSETS[s + n - 1].tolist(), int(_IS_NOT[s + n - 1])) for s, n in _SPANS.tolist()]
+
+
+def _gate_phases(n_in: int, gates) -> list[int]:
+    """Phase -1 for each input, then each gate's target's, from each gate's code and its
+    arguments' positions: source gates, or primitives as NOT (0) and AND (1) gates."""
+    phase = [-1] * n_in
+    for code, a, b in gates:
+        off_a, off_b, odd = _TARGET_PHASE[code]
+        pa, pb = phase[a] + off_a, phase[b] + off_b
+        phase.append((pa if pa > pb else pb) & -2 | odd)
+    return phase
 
 
 def lower(ast: NetlistAst) -> CompiledNetwork:
     """Expand every derived gate through :data:`EXPANSION`, with array operations.
 
-    One walk over the source gates resolves their argument wires; the
-    primitives are then the gates' expansions laid end to end
+    The primitives are the source gates' expansions laid end to end
     (``np.repeat`` over the per-gate primitive counts), each operand
     resolved by ``np.where`` to an argument wire or to the wire of an
-    earlier primitive of its gate.  No per-primitive object is built.  Each
-    source gate passes :func:`_check_gate` on the way, so a hand-built AST
-    lowers only if :func:`parse` would accept its gates.
+    earlier primitive of its gate and each phase from its gate's arguments'
+    phases; the one Python loop is over the source gates, for their
+    targets' phases.  A hand-built AST is checked first (see :func:`_resolve`).
     """
+    gates = _resolve(ast)
     n_in = len(ast.inputs)
-    index = {name: i for i, name in enumerate(ast.inputs)}
-    # Per source gate: its primitive count, its arguments, its target and
-    # the offset from a primitive's position in the flat template list to
-    # the wire it writes.
-    counts, a, b, shift, targets = [], [], [], [], []
-    end = n_in
-    for target, gate, args in ast.assignments:
-        _check_gate(target, gate, args, index)
-        start, count = _SPANS[gate]
-        counts.append(count)
-        a.append(index[args[0]])
-        b.append(index[args[-1]])
-        shift.append(end - start)
-        targets.append(target)
-        end += count
-        index[target] = end - 1
-    a, b, shift = np.array([a, b, shift], dtype=np.intp).reshape(3, -1).repeat(counts, axis=1)
-    flat = np.arange(n_in, end) - shift
+    phase = np.array(_gate_phases(n_in, gates), dtype=np.intp)
+    code, a, b = np.fromiter(chain.from_iterable(gates), np.intp, 3 * len(gates)).reshape(-1, 3).T
+    start, count = _SPANS[code].T
+    end = count.cumsum() + n_in   # one past each gate's last wire
+    wire = np.concatenate((np.arange(n_in), end - 1))   # the wire of each source position
+    # Per primitive: its gate's argument wires and phases, and the offset from
+    # its position in the flat template list to the wire it writes.
+    wa, wb, pa, pb, shift = np.array([wire[a], wire[b], phase[a], phase[b],
+                                      end - count - start]).repeat(count, axis=1)
+    flat = np.arange(n_in, n_in + len(shift)) - shift
     refs = _REFS[flat]
-    operands = np.where(refs == -2, a[:, None], np.where(refs == -1, b[:, None], refs + shift[:, None]))
-    src = np.array(targets, dtype=object).repeat(counts)
+    operands = np.where(refs == -2, wa[:, None],
+                        np.where(refs == -1, wb[:, None], refs + shift[:, None]))
+    is_not, (off_a, off_b) = _IS_NOT[flat], _OFFSETS[flat].T
+    src = np.array([target for target, _, _ in ast.assignments], dtype=object).repeat(count)
     wires = ast.inputs + tuple((src + _SUFFIX[flat]).tolist())
-    return CompiledNetwork(wires, ast.inputs, ast.outputs, _IS_NOT[flat], operands, src)
+    network = CompiledNetwork(wires, ast.inputs, ast.outputs, is_not, operands, src)
+    network.__dict__["_phase"] = np.maximum(pa + off_a, pb + off_b) & -2 | is_not
+    return network
 
 
 def _check_assignment(inputs: tuple[str, ...], assignment: dict, lanes: bool = False) -> list:
@@ -491,19 +552,16 @@ def eval_boolean(
     to 1-D ``uint64`` lane words of one length, bit ``j`` of word ``w``
     holding assignment ``64 * w + j``, and every output is lane words of
     that length, so a chunk of assignments is evaluated bit-parallel in one
-    call, NOT flipping every bit.  An AST's gates and outputs are checked as
-    they are walked (see :func:`_check_gate`).
+    call, NOT flipping every bit.  A hand-built AST is checked by parse's
+    rules (see :func:`_resolve`).
     """
     bits = _check_assignment(source.inputs, assignment, lanes=True)
     one = ~np.uint64(0) if bits and isinstance(bits[0], np.ndarray) else 1
     if isinstance(source, NetlistAst):
+        _resolve(source)
         values = dict(zip(source.inputs, bits))
         for target, gate, args in source.assignments:
-            _check_gate(target, gate, args, values)
             values[target] = _BOOL_FN[gate](one, *(values[arg] for arg in args))
-        for name in source.outputs:
-            if name not in values:
-                raise NetlistError(f"output {name!r} is never defined")
         return {name: values[name] for name in source.outputs}
 
     values = bits

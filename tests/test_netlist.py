@@ -263,6 +263,9 @@ class TestBooleanEval:
             assert got == {"sum": a ^ b ^ cin, "cout": int(a + b + cin >= 2)}
 
 
+_NOT_TUPLES = "NetlistAst inputs, outputs and assignments must be tuples"
+
+
 class TestHandBuiltAst:
     """``lower`` and the AST oracle apply parse's per-gate rules to a hand-built AST."""
 
@@ -287,6 +290,46 @@ class TestHandBuiltAst:
             with pytest.raises(NetlistError, match=f"^{re.escape(message)}$") as info:
                 call()
             assert info.value.lineno is None
+
+    @pytest.mark.parametrize("inputs, outputs, gates, message", [
+        (("1a",), ("y",), (("y", "NOT", ("1a",)),), "invalid name '1a'"),
+        (("input",), ("y",), (("y", "NOT", ("input",)),), "'input' is a reserved word"),
+        ((3,), ("y",), (("y", "NOT", (3,)),), "invalid name 3"),
+        (("a", "a"), ("y",), (("y", "NOT", ("a",)),), "name 'a' already defined"),
+        (("a",), (), (("y", "NOT", ("a",)),), "netlist declares no outputs"),
+        (["a"], ("y",), (("y", "NOT", ("a",)),), _NOT_TUPLES),
+        (("a",), ["y"], (("y", "NOT", ("a",)),), _NOT_TUPLES),
+        (("a",), ("y",), [("y", "NOT", ("a",))], _NOT_TUPLES),
+        (("a",), ("y",), (("y", "NOT"),), "assignment ('y', 'NOT') is not a (target, gate, args) tuple"),
+        (("a",), ("y",), (("y", "NOT", ["a"]),),
+         "assignment ('y', 'NOT', ['a']) is not a (target, gate, args) tuple"),
+    ])
+    def test_inputs_outputs_and_rows_are_checked_too(self, inputs, outputs, gates, message):
+        ast = nl.NetlistAst(inputs, outputs, gates)
+        assignment = dict.fromkeys(inputs, 0)
+        for call in (lambda: nl.lower(ast), lambda: nl.eval_boolean(ast, assignment)):
+            with pytest.raises(NetlistError, match=f"^{re.escape(message)}$") as info:
+                call()
+            assert info.value.lineno is None
+
+    def test_each_gate_is_checked_once(self, monkeypatch):
+        calls = []
+        check = nl.netlist._check_gate
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        monkeypatch.setattr(nl.netlist, "_check_gate", counted)
+        parsed = nl.parse(FULL_ADDER)
+        targets = [target for target, _, _ in parsed.assignments]
+        assert calls == targets
+        network = nl.lower(parsed)
+        nl.eval_boolean(parsed, {"a": 1, "b": 0, "cin": 1})
+        assert calls == targets
+        hand_built = nl.NetlistAst(parsed.inputs, parsed.outputs, parsed.assignments)
+        assert nl.lower(hand_built) == network
+        assert calls == targets * 2
 
     def test_parse_raises_the_same_message_with_its_line(self):
         for source, message in [("input a\noutput y = NOT a a\n", "NOT takes 1 argument(s), got 2"),
@@ -527,6 +570,32 @@ class TestPhases:
                 for k, (is_not, pick) in enumerate(gates)]
         _check_phases(nl.CompiledNetwork(wires, ("a", "b"), (wires[-1],),
                                          [is_not for is_not, _ in gates], args, wires[2:]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(netlist_seed=st.integers(0, 2**32 - 1), max_gates=st.sampled_from([1, 5, 40, 200]))
+    def test_source_gate_phases_equal_primitive_phases(self, netlist_seed, max_gates):
+        # lower takes the phases from the source gates, from_json from each
+        # primitive as its own NOT or AND gate.
+        network = nl.lower(nl.parse(random_netlist_source(random.Random(netlist_seed),
+                                                          max_gates=max_gates)))
+        got = network.level_groups
+        want = nl.CompiledNetwork.from_json(network.to_json()).level_groups
+        assert got.bounds == want.bounds
+        assert got.ops == want.ops
+        for field in ("out", "reads"):
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+            assert getattr(got, field).tolist() == getattr(want, field).tolist()
+
+    def test_inputs_declared_after_gates(self):
+        # Inputs come first in the network whatever the lines that declare them.
+        ast = nl.parse("input b\nwire w = XOR b b\ninput a c\noutput y = NAND w a\n"
+                       "wire v = OR y c\ninput d\noutput z = AND v d\n")
+        assert ast.inputs == ("b", "a", "c", "d")
+        network = nl.lower(ast)
+        assert network == nl.lower(nl.parse(format_netlist(ast))) == serial_lower(ast)
+        want = nl.CompiledNetwork.from_json(network.to_json()).level_groups
+        assert network.level_groups.bounds == want.bounds
+        assert network.level_groups.out.tolist() == want.out.tolist()
 
     def test_xor_and_full_adder_phases(self, full_adder_network):
         # XOR lowers to NOT, AND, NOT, AND, NOT along its deepest path.  The
